@@ -194,14 +194,13 @@ fn bench_mgt_disk_codecs(c: &mut Criterion) {
 fn bench_varint_decode(c: &mut Criterion) {
     let bytes = workload::varint_decode_input();
     let mut group = c.benchmark_group("varint_decode");
+    let mut vals = Vec::with_capacity(workload::VARINT_DECODE_N);
     group.bench_function("1m", |b| {
         b.iter(|| {
-            let mut pos = 0usize;
-            let mut acc = 0u64;
-            while let Some(v) = pdtl_io::codec::decode_varint_u32(black_box(&bytes), &mut pos) {
-                acc += u64::from(v);
-            }
-            acc
+            vals.clear();
+            pdtl_io::codec::decode_run(black_box(&bytes), workload::VARINT_DECODE_N, &mut vals)
+                .unwrap();
+            vals.last().copied()
         })
     });
     group.finish();

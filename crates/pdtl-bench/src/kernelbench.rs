@@ -277,13 +277,12 @@ pub fn run_kernel_benches() -> Vec<BenchResult> {
     // varint decode throughput: the codec layer's hot loop on its own
     {
         let bytes = workload::varint_decode_input();
+        let mut vals = Vec::with_capacity(workload::VARINT_DECODE_N);
         out.push(time_one("varint_decode/1m", window, || {
-            let mut pos = 0usize;
-            let mut acc = 0u64;
-            while let Some(v) = pdtl_io::codec::decode_varint_u32(&bytes, &mut pos) {
-                acc += u64::from(v);
-            }
-            acc
+            vals.clear();
+            pdtl_io::codec::decode_run(&bytes, workload::VARINT_DECODE_N, &mut vals)
+                .expect("decode varint fixture");
+            vals.last().copied()
         }));
     }
 

@@ -121,6 +121,7 @@ impl RunReport {
             acc.write_ops += w.io.write_ops;
             acc.seeks += w.io.seeks;
             acc.io_time += w.io.io_time;
+            acc.u32s_decoded += w.io.u32s_decoded;
         }
         acc
     }

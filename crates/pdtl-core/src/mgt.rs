@@ -233,59 +233,33 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
         // identical word-granular operations whichever transport
         // carries the bytes, so the cross-backend accounting contract
         // (same bytes_read, same seeks) holds for the compressed
-        // format with no per-backend cases. The mmap zero-copy paths
-        // cannot lend out borrowed *decoded* runs, so mmap decodes
-        // through the copying wrappers — the same trade the
+        // format with no per-backend cases: the backends differ only
+        // in the transport opened, boxed because one indirect call per
+        // 16 KiB fetch is free next to decoding it. The mmap zero-copy
+        // paths cannot lend out borrowed *decoded* runs, so mmap
+        // decodes through the copying wrappers — the same trade the
         // injected-fault path makes on raw graphs.
-        let index = og.disk.varint_index(og.offsets.clone(), &stats)?;
-        let run_prefetch = |sink: &mut S| -> Result<(u64, u64, u64)> {
-            let scan_reader = CopyScan(FaultySource::new(
-                VarintSource::new(PrefetchReader::new(open()?)?, index.clone(), stats.clone())?,
-                fault_budget,
-            ));
-            let chunks = SourceChunks(VarintSource::new(
-                PrefetchReader::new(open()?)?,
-                index.clone(),
-                stats.clone(),
-            )?);
-            mgt_disk_loop(og, range, budget, sink, opts, chunks, scan_reader)
+        let index = og.varint_index().ok_or_else(|| {
+            pdtl_io::IoError::malformed(
+                og.disk.adj_path(),
+                "delta-varint graph carries no varint index",
+            )
+        })?;
+        let decoding = || -> Result<VarintSource<Box<dyn U32Source>>> {
+            let transport: Box<dyn U32Source> = match opts.backend.resolve() {
+                IoBackend::Blocking => Box::new(open()?),
+                IoBackend::Mmap => Box::new(open_map()?),
+                IoBackend::Uring => match open_uring() {
+                    Ok(ring) => Box::new(ring),
+                    Err(_) => Box::new(PrefetchReader::new(open()?)?),
+                },
+                IoBackend::Prefetch => Box::new(PrefetchReader::new(open()?)?),
+            };
+            Ok(VarintSource::new(transport, index.clone(), stats.clone())?)
         };
-        match opts.backend.resolve() {
-            IoBackend::Prefetch => run_prefetch(sink)?,
-            IoBackend::Blocking => {
-                let scan_reader = CopyScan(FaultySource::new(
-                    VarintSource::new(open()?, index.clone(), stats.clone())?,
-                    fault_budget,
-                ));
-                let chunks =
-                    SourceChunks(VarintSource::new(open()?, index.clone(), stats.clone())?);
-                mgt_disk_loop(og, range, budget, sink, opts, chunks, scan_reader)?
-            }
-            IoBackend::Mmap => {
-                let scan_reader = CopyScan(FaultySource::new(
-                    VarintSource::new(open_map()?, index.clone(), stats.clone())?,
-                    fault_budget,
-                ));
-                let chunks = SourceChunks(VarintSource::new(
-                    open_map()?,
-                    index.clone(),
-                    stats.clone(),
-                )?);
-                mgt_disk_loop(og, range, budget, sink, opts, chunks, scan_reader)?
-            }
-            IoBackend::Uring => match open_uring().and_then(|scan| Ok((scan, open_uring()?))) {
-                Ok((scan, chunk)) => {
-                    let scan_reader = CopyScan(FaultySource::new(
-                        VarintSource::new(scan, index.clone(), stats.clone())?,
-                        fault_budget,
-                    ));
-                    let chunks =
-                        SourceChunks(VarintSource::new(chunk, index.clone(), stats.clone())?);
-                    mgt_disk_loop(og, range, budget, sink, opts, chunks, scan_reader)?
-                }
-                Err(_) => run_prefetch(sink)?,
-            },
-        }
+        let scan_reader = CopyScan(FaultySource::new(decoding()?, fault_budget));
+        let chunks = SourceChunks(decoding()?);
+        mgt_disk_loop(og, range, budget, sink, opts, chunks, scan_reader)?
     } else {
         let run_prefetch = |sink: &mut S| -> Result<(u64, u64, u64)> {
             let scan_reader = CopyScan(FaultySource::new(

@@ -295,9 +295,19 @@ pub struct OrientedGraph {
     /// [`orient_to_disk`], absent when reopened from disk (only the
     /// master needs them, for load balancing).
     pub orig_degrees: Option<Vec<u32>>,
+    /// The decoder's seek index when `disk` is stored under
+    /// [`Codec::DeltaVarint`], built once here and shared by every
+    /// worker and query reading the graph.
+    varint: Option<Arc<VarintIndex>>,
 }
 
 impl OrientedGraph {
+    /// The varint seek index (`offsets` paired with the `.vix` byte
+    /// fenceposts); `None` for a raw graph.
+    pub fn varint_index(&self) -> Option<&Arc<VarintIndex>> {
+        self.varint.as_ref()
+    }
+
     /// `|E*|`.
     pub fn m_star(&self) -> u64 {
         *self.offsets.last().unwrap()
@@ -383,6 +393,10 @@ impl OrientedGraph {
             .into());
         }
         let bounds = read_bounds(&Self::bnd_path(base), degrees.len(), stats)?;
+        let varint = match disk.codec() {
+            Codec::Raw => None,
+            Codec::DeltaVarint => Some(disk.varint_index(offsets.clone(), stats)?),
+        };
         Ok(Self {
             disk,
             offsets,
@@ -390,6 +404,7 @@ impl OrientedGraph {
             map,
             bounds,
             orig_degrees: None,
+            varint,
         })
     }
 
@@ -601,9 +616,10 @@ pub fn orient_to_disk_with(
         .map_err(|e| pdtl_io::IoError::os("sync", &adj_p, e))?;
     write_bounds(&OrientedGraph::bnd_path(&out_base), &bounds, stats)?;
 
+    let mut varint = None;
     if codec == Codec::DeltaVarint {
         let tmp_p = suffixed(&out_base, ".adj-compress");
-        {
+        let fenceposts = {
             let mut r = U32Reader::open(&adj_p, stats.clone())?;
             let mut w = VarintAdjWriter::create(&tmp_p, stats.clone())?;
             let mut run: Vec<u32> = Vec::new();
@@ -612,11 +628,14 @@ pub fn orient_to_disk_with(
                 r.read_into(&mut run, d as usize)?;
                 w.write_run(&run)?;
             }
-            let fenceposts = w.finish()?;
-            VarintIndex::store(suffixed(&out_base, ".vix"), &fenceposts, stats.clone())?;
-        }
+            w.finish()?
+        };
+        VarintIndex::store(suffixed(&out_base, ".vix"), &fenceposts, stats.clone())?;
         std::fs::rename(&tmp_p, &adj_p).map_err(|e| pdtl_io::IoError::os("rename", &tmp_p, e))?;
         write_graph_header(&out_base, codec, m_star, stats)?;
+        // The fenceposts just written are the index: no `.vix` re-read.
+        let index = VarintIndex::new(rank_offsets.clone(), fenceposts)?;
+        varint = Some(Arc::new(index));
     }
 
     // All data files are durable; committing the manifest last makes it
@@ -640,6 +659,7 @@ pub fn orient_to_disk_with(
             map,
             bounds,
             orig_degrees: Some(orig_degrees_rank),
+            varint,
         },
         report,
     ))
@@ -967,6 +987,63 @@ mod tests {
         let reopened = OrientedGraph::open(&rep, &stats).unwrap();
         assert_eq!(reopened.disk.codec(), Codec::DeltaVarint);
         assert_eq!(reopened.disk.load_parts(&stats).unwrap().1, adj_raw);
+    }
+
+    #[test]
+    fn compressed_files_are_byte_identical_to_the_pr11_format() {
+        // Golden digests taken at the commit before the run decoder and
+        // the bulk writer: the same graph must still produce the same
+        // `.adj`, `.vix` and `.hdr` bytes, at any thread count.
+        let digest = |p: PathBuf| {
+            let bytes = std::fs::read(p).unwrap();
+            (bytes.len(), pdtl_io::crc32c(&bytes))
+        };
+        let g = rmat(9, 5).unwrap();
+        let stats = IoStats::new();
+        let dg = DiskGraph::write(&g, tmpbase("gold-in"), &stats).unwrap();
+        for threads in [1, 2, 5] {
+            let base = tmpbase(&format!("gold-or{threads}"));
+            let (og, _) =
+                orient_to_disk_with(&dg, &base, threads, Codec::DeltaVarint, &stats).unwrap();
+            assert_eq!(digest(og.disk.adj_path()), (5308, 0xaf15_4751));
+            assert_eq!(digest(og.disk.vix_path()), (4104, 0xa828_12c1));
+            assert_eq!(digest(og.disk.hdr_path()), (20, 0xd5c8_591c));
+        }
+        let dv =
+            DiskGraph::write_with(&g, tmpbase("gold-inv"), Codec::DeltaVarint, &stats).unwrap();
+        assert_eq!(digest(dv.adj_path()), (9804, 0x3631_c7cc));
+        assert_eq!(digest(dv.vix_path()), (4104, 0xb4d8_263f));
+        assert_eq!(digest(dv.hdr_path()), (20, 0x927a_c8db));
+    }
+
+    #[test]
+    fn varint_index_is_built_once_per_graph() {
+        let g = rmat(7, 21).unwrap();
+        let stats = IoStats::new();
+        let dg = DiskGraph::write(&g, tmpbase("vix-in"), &stats).unwrap();
+        let (raw, _) = orient_to_disk_with(&dg, tmpbase("vix-raw"), 2, Codec::Raw, &stats).unwrap();
+        assert!(raw.varint_index().is_none());
+
+        let base = tmpbase("vix-var");
+        let (og, _) = orient_to_disk_with(&dg, &base, 2, Codec::DeltaVarint, &stats).unwrap();
+        let built = og
+            .varint_index()
+            .expect("built from the written fenceposts");
+        assert_eq!(built.decoded_len(), og.m_star());
+        assert!(
+            Arc::ptr_eq(built, og.clone().varint_index().unwrap()),
+            "clones (one per query under serve) share the index"
+        );
+        // The one read from `.vix` at open is the one the orientation
+        // assembled in memory.
+        let reopened = OrientedGraph::open(&base, &stats).unwrap();
+        let loaded = reopened.varint_index().expect("loaded at open");
+        assert_eq!(loaded.num_vertices(), built.num_vertices());
+        assert_eq!(loaded.encoded_bytes(), built.encoded_bytes());
+        assert_eq!(
+            reopened.disk.load_parts(&stats).unwrap(),
+            og.disk.load_parts(&stats).unwrap()
+        );
     }
 
     #[test]

@@ -419,6 +419,31 @@ mod tests {
     }
 
     #[test]
+    fn varint_run_totals_the_decoded_dimension() {
+        // `total_worker_io` used to sum every field but `u32s_decoded`.
+        let g = rmat(8, 25).unwrap();
+        let dir = tmpdir("decoded-total");
+        let stats = IoStats::new();
+        let input = DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
+        let runner = LocalRunner::new(LocalConfig {
+            cores: 3,
+            budget: MemoryBudget::edges(256),
+            mgt: MgtOptions {
+                codec: pdtl_io::Codec::DeltaVarint,
+                ..MgtOptions::default()
+            },
+            ..Default::default()
+        })
+        .unwrap();
+        let report = runner.run(&input, &dir).unwrap();
+        assert_eq!(report.triangles, triangle_count(&g));
+        let per_worker: u64 = report.workers.iter().map(|w| w.io.u32s_decoded).sum();
+        assert!(report.workers.iter().all(|w| w.io.u32s_decoded > 0));
+        assert_eq!(report.total_worker_io().u32s_decoded, per_worker);
+        assert!(per_worker >= report.workers.iter().map(|w| w.range.len()).sum::<u64>());
+    }
+
+    #[test]
     fn scratch_dir_removes_itself_on_drop() {
         let dir = std::env::temp_dir().join(format!("pdtl-scratch-test-{}", std::process::id()));
         {

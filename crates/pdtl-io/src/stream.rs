@@ -339,6 +339,35 @@ impl U32Source for U32Reader {
     }
 }
 
+/// A boxed source is a source, so a consumer that takes its transport
+/// by value (a codec layer) can be built once over whichever backend
+/// was opened at run time.
+impl<S: U32Source + ?Sized> U32Source for Box<S> {
+    fn len_u32(&self) -> u64 {
+        (**self).len_u32()
+    }
+
+    fn position(&self) -> u64 {
+        (**self).position()
+    }
+
+    fn seek_to(&mut self, index: u64) -> Result<()> {
+        (**self).seek_to(index)
+    }
+
+    fn read_into(&mut self, out: &mut Vec<u32>, n: usize) -> Result<usize> {
+        (**self).read_into(out, n)
+    }
+
+    fn skip(&mut self, n: u64) -> Result<()> {
+        (**self).skip(n)
+    }
+
+    fn read_exact_range(&mut self, pos: u64, len: usize, out: &mut Vec<u32>) -> Result<()> {
+        (**self).read_exact_range(pos, len, out)
+    }
+}
+
 /// A buffered writer of little-endian `u32`s with I/O accounting.
 #[derive(Debug)]
 pub struct U32Writer {

@@ -311,6 +311,75 @@ proptest! {
 }
 
 #[test]
+fn varint_runs_straddling_the_decode_buffer_agree_across_transports() {
+    // The cross-product property's fixtures fit one 16 KiB decoder
+    // fetch. This one does not: ~250 KB encoded, runs of up to 12 000
+    // values (longer than the decode buffer), gaps of every varint
+    // width, zero-degree vertices in between — so compact-and-refill
+    // and index jumps happen above every transport, at transport blocks
+    // smaller than, equal to and larger than the decoder's fetch.
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut draw = move |below: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % below
+    };
+    let runs: Vec<Vec<u32>> = (0..400usize)
+        .map(|i| {
+            let len = [0, 3, 0, 40, 700, 1, 12_000, 0][i % 8] * (1 + i % 2);
+            let max_gap = [90u64, 250, 30_000, 150_000][i % 4];
+            let mut v = draw(max_gap);
+            let mut run = Vec::new();
+            while run.len() < len && v <= u64::from(u32::MAX) {
+                run.push(v as u32);
+                v += 1 + draw(max_gap);
+            }
+            run
+        })
+        .collect();
+    let (vpath, index, logical) = write_varint_fixture(&runs);
+    assert!(index.encoded_bytes() > 200_000);
+    let len = logical.len() as u64;
+
+    // A pruned scan (read one run in three, skip the rest boundary to
+    // boundary), odd-sized reads across run boundaries, and seeks into
+    // the middle of the long runs with skips out of them.
+    let mut ops: Vec<(u8, u64)> = Vec::new();
+    for (i, run) in runs.iter().enumerate() {
+        ops.push((u8::from(i % 3 != 0), run.len() as u64));
+    }
+    ops.push((2, 0));
+    ops.extend((0..200).map(|_| (0, 4_999)));
+    for i in 0..60u64 {
+        ops.push((2, (i * 7_919) % (len + 10)));
+        ops.push((1, 1 + i * 37));
+        ops.push((0, 1 + (i * 611) % 3_000));
+    }
+    // `drive` caps reads at 5000 values, so the pruned-scan reads of
+    // the longest runs are short: the stream is checked against the
+    // raw blocking trace rather than reconstructed here.
+    let rpath = write_fixture(&logical);
+    for block in [64, 4 * 1024, 16 * 1024] {
+        let (want_out, want_pos, ..) = trace_backend("blocking", &rpath, block, &ops);
+        let reference = trace_varint("blocking", &vpath, &index, block, &ops);
+        assert_eq!(reference.0, want_out, "block {block}: stream");
+        assert_eq!(reference.1, want_pos, "block {block}: position");
+        assert_eq!(reference.4, want_out.len() as u64, "block {block}: decoded");
+        for which in other_backends() {
+            let got = trace_varint(which, &vpath, &index, block, &ops);
+            assert_eq!(got.0, reference.0, "{which}/{block}: stream");
+            assert_eq!(got.1, reference.1, "{which}/{block}: position");
+            assert_eq!(got.2, reference.2, "{which}/{block}: bytes_read");
+            assert_eq!(got.3, reference.3, "{which}/{block}: seeks");
+            assert_eq!(got.4, reference.4, "{which}/{block}: u32s_decoded");
+        }
+    }
+    let _ = std::fs::remove_file(&vpath);
+    let _ = std::fs::remove_file(&rpath);
+}
+
+#[test]
 fn varint_eof_and_empty_edges_agree_across_transports() {
     // The EOF-clamp pattern from the raw edge test, replayed in decoded
     // index space, plus the all-empty-runs graph (zero encoded bytes).
