@@ -23,7 +23,7 @@ use pdtl_core::intersect::intersect_count;
 use pdtl_core::orient::orient_csr;
 use pdtl_graph::disk::offsets_from_degrees;
 use pdtl_graph::{DiskGraph, Graph};
-use pdtl_io::{external_sort_u64, IoStats, MemoryBudget, TimeBreakdown, U32Reader};
+use pdtl_io::{external_sort_u64, IoStats, MemoryBudget, TimeBreakdown, U32Reader, U32Source};
 use rayon::prelude::*;
 
 use crate::error::Result;

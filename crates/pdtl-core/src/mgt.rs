@@ -29,15 +29,19 @@
 //!   default; the ablation bench and I/O tests compare).
 //!
 //! On top of that, [`MgtOptions::backend`] selects how the remaining
-//! I/O is performed behind the same seam:
+//! I/O is performed. The I/O *plan* — which blocks of the adjacency are
+//! touched, in which order — belongs to the one stream cursor
+//! ([`pdtl_io::BlockStream`]) and is the same for every backend; a
+//! backend is only the fetcher that delivers those blocks
+//! ([`IoBackend::open`], the single place one is chosen):
 //!
 //! * [`IoBackend::Prefetch`] (the default) overlaps I/O with
 //!   intersection work: chunk `k+1` loads on a background thread while
 //!   chunk `k`'s scan pass computes ([`ChunkPrefetcher`]), and the scan
-//!   stream is read ahead by a [`PrefetchReader`], which also keeps the
-//!   pruned scan's coalesced short skips sequential on disk.
+//!   stream is read ahead by a [`pdtl_io::PrefetchReader`], which also
+//!   keeps the pruned scan's coalesced short skips sequential on disk.
 //! * [`IoBackend::Mmap`] maps the oriented adjacency once
-//!   ([`pdtl_io::MmapSource`]) and serves both the scan stream and the
+//!   ([`pdtl_io::MmapSource`]) and lends both the scan stream and the
 //!   `edg` chunks *zero-copy*: the chunk index is built directly over
 //!   the mapped region, so chunk "loads" become pointer arithmetic plus
 //!   accounting — the fastest backend when the graph sits in the page
@@ -49,11 +53,12 @@
 //!   the engine computes — no producer threads, no hand-off copies.
 //!   Kernels without `io_uring` degrade to `Prefetch` automatically.
 //! * [`IoBackend::Blocking`] is the PR 2 synchronous behaviour, kept as
-//!   the accounting reference and ablation baseline.
+//!   the ablation baseline.
 //!
-//! Switching backends is a pure scheduling change: the engine counts
-//! the exact same `bytes_read` and `seeks` whichever backend runs,
-//! which the integration and property tests assert. Device waits can be
+//! Switching backends is therefore a pure scheduling change — one
+//! accounting, four fetchers: the engine counts the exact same
+//! `bytes_read`, `read_ops` and `seeks` whichever backend runs, which
+//! the integration and property tests assert. Device waits can be
 //! recreated deterministically on warm page caches via
 //! [`MgtOptions::io_latency`] (honoured by all four backends).
 //!
@@ -87,8 +92,8 @@
 use std::sync::Arc;
 
 use pdtl_io::{
-    ChunkPrefetcher, Codec, CpuIoTimer, FaultySource, IoBackend, IoStats, MemoryBudget, MmapSource,
-    PrefetchReader, U32Reader, U32Source, UringSource, VarintSource,
+    ChunkPrefetcher, Codec, CpuIoTimer, FaultySource, IoBackend, IoStats, MemoryBudget, U32Source,
+    VarintSource,
 };
 
 use crate::balance::EdgeRange;
@@ -138,7 +143,7 @@ pub struct MgtOptions {
     /// the in-memory engine, which has no I/O at all.
     pub backend: IoBackend,
     /// Emulated per-block-read device latency
-    /// ([`U32Reader::set_read_latency`]), the I/O analogue of the
+    /// ([`pdtl_io::BlockStream::set_read_latency`]), the I/O analogue of the
     /// cluster's `NetModel`: page-cached fixtures never block, so the
     /// blocking-vs-overlapped comparison needs a deterministic way to
     /// recreate the device waits the multi-pass bound is about. Zero
@@ -200,105 +205,49 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
     let timer = CpuIoTimer::start(stats.clone());
     let io_before = stats.snapshot();
 
-    let open = || -> Result<U32Reader> {
-        let mut r = og.disk.open_adj(&stats)?;
-        r.set_read_latency(opts.io_latency);
-        Ok(r)
-    };
-    let open_map = || -> Result<MmapSource> {
-        let mut m = MmapSource::open(og.disk.adj_path(), stats.clone())?;
-        m.set_read_latency(opts.io_latency);
-        Ok(m)
-    };
-    // Scan readers are wrapped in `FaultySource` so `read_fault` can
+    // Two streams over the oriented adjacency, opened the same way:
+    // one for the scan pass, one for chunk loads.
+    let open = |backend: IoBackend| backend.open(&og.disk.adj_path(), &stats, opts.io_latency);
+    let (served, scan) = open(opts.backend)?;
+    // The scan stream is wrapped in `FaultySource` so `read_fault` can
     // cut data delivery at a deterministic offset; an unset fault is an
-    // unlimited budget (a min + subtract per block read, no behavioral
-    // change).
+    // unlimited budget (a compare + subtract per out-list, and the
+    // transport's borrowed runs pass through untouched).
     let fault_budget = opts.read_fault.unwrap_or(u64::MAX);
-    // The ring can fail at runtime even after `resolve()` vets the
-    // platform (RLIMIT_MEMLOCK on 5.6–5.11 kernels, fd exhaustion,
-    // seccomp applied post-probe). Degradation is the backend's
-    // contract, so the `Uring` arms fall back to the thread-based
-    // overlapper rather than failing the count; genuine file errors
-    // resurface identically there.
-    let open_uring = || -> Result<UringSource> {
-        let mut u = UringSource::open(og.disk.adj_path(), stats.clone())?;
-        u.set_read_latency(opts.io_latency);
-        Ok(u)
-    };
     let (triangles, cpu_ops, iterations) = if og.disk.codec() == Codec::DeltaVarint {
-        // Compressed adjacency: each backend still moves the *encoded*
-        // bytes through its own transport, and a `VarintSource` above
-        // it decodes runs back into rank space. The decoder issues
-        // identical word-granular operations whichever transport
-        // carries the bytes, so the cross-backend accounting contract
-        // (same bytes_read, same seeks) holds for the compressed
-        // format with no per-backend cases: the backends differ only
-        // in the transport opened, boxed because one indirect call per
-        // 16 KiB fetch is free next to decoding it. The mmap zero-copy
-        // paths cannot lend out borrowed *decoded* runs, so mmap
-        // decodes through the copying wrappers — the same trade the
-        // injected-fault path makes on raw graphs.
+        // Compressed adjacency: the transports still move the *encoded*
+        // bytes, and a `VarintSource` above each decodes runs back into
+        // rank space — scan skips, chunk loads and seeks all happen in
+        // decoded positions. The decoder issues identical word-granular
+        // operations whichever fetcher carries the bytes, so the
+        // compressed format needs no per-backend cases either. Decoded
+        // runs cannot be lent, and a decoded `next` chunk has no fixed
+        // byte address to hint until the decoder reaches it.
         let index = og.varint_index().ok_or_else(|| {
             pdtl_io::IoError::malformed(
                 og.disk.adj_path(),
                 "delta-varint graph carries no varint index",
             )
         })?;
-        let decoding = || -> Result<VarintSource<Box<dyn U32Source>>> {
-            let transport: Box<dyn U32Source> = match opts.backend.resolve() {
-                IoBackend::Blocking => Box::new(open()?),
-                IoBackend::Mmap => Box::new(open_map()?),
-                IoBackend::Uring => match open_uring() {
-                    Ok(ring) => Box::new(ring),
-                    Err(_) => Box::new(PrefetchReader::new(open()?)?),
-                },
-                IoBackend::Prefetch => Box::new(PrefetchReader::new(open()?)?),
-            };
-            Ok(VarintSource::new(transport, index.clone(), stats.clone())?)
-        };
-        let scan_reader = CopyScan(FaultySource::new(decoding()?, fault_budget));
-        let chunks = SourceChunks(decoding()?);
-        mgt_disk_loop(og, range, budget, sink, opts, chunks, scan_reader)?
+        let decoding = |transport| VarintSource::new(transport, index.clone(), stats.clone());
+        let scan = FaultySource::new(decoding(scan)?, fault_budget);
+        let chunks = ChunkLoader::Source(Box::new(decoding(open(served)?.1)?));
+        mgt_disk_loop(og, range, budget, sink, opts, chunks, scan)?
     } else {
-        let run_prefetch = |sink: &mut S| -> Result<(u64, u64, u64)> {
-            let scan_reader = CopyScan(FaultySource::new(
-                PrefetchReader::new(open()?)?,
-                fault_budget,
-            ));
-            let chunks = OverlappedChunks::new(open()?)?;
-            mgt_disk_loop(og, range, budget, sink, opts, chunks, scan_reader)
+        let chunks = if served == IoBackend::Prefetch {
+            // The thread-based overlapper loads whole chunks ahead, not
+            // blocks: its loader thread reads synchronously.
+            let mut reader = og.disk.open_adj(&stats)?;
+            reader.set_read_latency(opts.io_latency);
+            ChunkLoader::Overlapped(OverlappedChunks {
+                prefetcher: ChunkPrefetcher::new(reader)?,
+                in_flight: None,
+            })
+        } else {
+            ChunkLoader::Source(Box::new(open(served)?.1))
         };
-        match opts.backend.resolve() {
-            IoBackend::Prefetch => run_prefetch(sink)?,
-            IoBackend::Blocking => {
-                let scan_reader = CopyScan(FaultySource::new(open()?, fault_budget));
-                let chunks = BlockingChunks(open()?);
-                mgt_disk_loop(og, range, budget, sink, opts, chunks, scan_reader)?
-            }
-            IoBackend::Mmap if opts.read_fault.is_some() => {
-                // The zero-copy `MmapScan` has no short-read seam;
-                // under an injected fault, scan through the copying
-                // wrapper instead (same bytes accounted, same data —
-                // only the borrow is traded for a copy).
-                let scan_reader = CopyScan(FaultySource::new(open_map()?, fault_budget));
-                let chunks = MmapChunks(open_map()?);
-                mgt_disk_loop(og, range, budget, sink, opts, chunks, scan_reader)?
-            }
-            IoBackend::Mmap => {
-                let scan_reader = MmapScan(open_map()?);
-                let chunks = MmapChunks(open_map()?);
-                mgt_disk_loop(og, range, budget, sink, opts, chunks, scan_reader)?
-            }
-            IoBackend::Uring => match open_uring().and_then(|scan| Ok((scan, open_uring()?))) {
-                Ok((scan, chunk)) => {
-                    let scan_reader = CopyScan(FaultySource::new(scan, fault_budget));
-                    let chunks = UringChunks(chunk);
-                    mgt_disk_loop(og, range, budget, sink, opts, chunks, scan_reader)?
-                }
-                Err(_) => run_prefetch(sink)?,
-            },
-        }
+        let scan = FaultySource::new(scan, fault_budget);
+        mgt_disk_loop(og, range, budget, sink, opts, chunks, scan)?
     };
     sink.flush()?;
 
@@ -323,83 +272,37 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
 }
 
 /// Source of `edg` chunks for the disk engine, returning each chunk as
-/// a slice so backends choose their own storage: the blocking variant
-/// loads into `scratch` on demand, the overlapped one serves a chunk
-/// loaded in the background (and immediately starts on the next), and
-/// the mmap variant returns a window of the mapped adjacency directly —
-/// no copy at all.
-trait ChunkSource {
+/// a slice so the storage stays the source's choice: the prefetch
+/// backend serves a chunk loaded whole in the background (and
+/// immediately starts on the next), every other stream loads through
+/// [`U32Source::range_run`] — into `scratch`, or, for the mapped
+/// adjacency, as a window of the mapping with no copy at all.
+enum ChunkLoader {
+    Overlapped(OverlappedChunks),
+    Source(Box<dyn U32Source>),
+}
+
+impl ChunkLoader {
     /// The values of `[pos, pos + len)`, backed either by `scratch` or
     /// by the source itself. `next` is the following chunk's
-    /// `(pos, len)`, which an overlapped source starts loading (and the
-    /// mmap source hints with `MADV_WILLNEED`) before returning.
+    /// `(pos, len)`, which the source starts on (or hints to the
+    /// kernel) once this one is loaded.
     fn load<'a>(
         &'a mut self,
         pos: u64,
         len: usize,
         next: Option<(u64, usize)>,
         scratch: &'a mut Vec<u32>,
-    ) -> Result<&'a [u32]>;
-}
-
-/// Chunk loads in *decoded* space through any [`U32Source`] — the
-/// codec-layer chunk path. A [`VarintSource`] translates the decoded
-/// range `[pos, pos + len)` into one byte-offset seek on its transport
-/// plus sequential decode, so a compressed chunk load costs the encoded
-/// bytes, not the decoded volume. Read-ahead hints are skipped: a
-/// decoded `next` position has no fixed byte address until the decoder
-/// reaches it.
-struct SourceChunks<S: U32Source>(S);
-
-impl<S: U32Source> ChunkSource for SourceChunks<S> {
-    fn load<'a>(
-        &'a mut self,
-        pos: u64,
-        len: usize,
-        _next: Option<(u64, usize)>,
-        scratch: &'a mut Vec<u32>,
     ) -> Result<&'a [u32]> {
-        self.0.read_exact_range(pos, len, scratch)?;
-        Ok(&scratch[..])
-    }
-}
-
-struct BlockingChunks(U32Reader);
-
-impl ChunkSource for BlockingChunks {
-    fn load<'a>(
-        &'a mut self,
-        pos: u64,
-        len: usize,
-        _next: Option<(u64, usize)>,
-        scratch: &'a mut Vec<u32>,
-    ) -> Result<&'a [u32]> {
-        // read_exact_range is the same primitive the overlapped
-        // source's background thread uses, so the two modes cannot
-        // drift on out-of-range handling.
-        self.0.read_exact_range(pos, len, scratch)?;
-        Ok(&scratch[..])
-    }
-}
-
-/// Zero-copy chunk loads over the mapped oriented adjacency: the chunk
-/// "load" is pointer arithmetic plus the buffered reader's exact
-/// seek/refill accounting ([`MmapSource::range_run`]).
-struct MmapChunks(MmapSource);
-
-impl ChunkSource for MmapChunks {
-    fn load<'a>(
-        &'a mut self,
-        pos: u64,
-        len: usize,
-        next: Option<(u64, usize)>,
-        _scratch: &'a mut Vec<u32>,
-    ) -> Result<&'a [u32]> {
-        if let Some((npos, nlen)) = next {
-            // Hint the next resident window while this one is scanned.
-            self.0.will_need(npos, nlen);
+        match self {
+            ChunkLoader::Overlapped(chunks) => chunks.load(pos, len, next, scratch),
+            ChunkLoader::Source(source) => {
+                if let Some((npos, nlen)) = next {
+                    source.hint_range(npos, nlen);
+                }
+                Ok(source.range_run(pos, len, scratch)?)
+            }
         }
-        Ok(self.0.range_run(pos, len)?)
     }
 }
 
@@ -410,15 +313,6 @@ struct OverlappedChunks {
 }
 
 impl OverlappedChunks {
-    fn new(reader: U32Reader) -> pdtl_io::Result<Self> {
-        Ok(Self {
-            prefetcher: ChunkPrefetcher::new(reader)?,
-            in_flight: None,
-        })
-    }
-}
-
-impl ChunkSource for OverlappedChunks {
     fn load<'a>(
         &'a mut self,
         pos: u64,
@@ -447,110 +341,24 @@ impl ChunkSource for OverlappedChunks {
     }
 }
 
-/// Chunk loads through `io_uring`: the blocking load primitive plus a
-/// [`UringSource::pre_read`] hint, so chunk `k+1`'s blocks complete in
-/// the kernel while chunk `k`'s scan pass computes — the overlapped
-/// chunk loader without the prefetch thread.
-struct UringChunks(UringSource);
-
-impl ChunkSource for UringChunks {
-    fn load<'a>(
-        &'a mut self,
-        pos: u64,
-        len: usize,
-        next: Option<(u64, usize)>,
-        scratch: &'a mut Vec<u32>,
-    ) -> Result<&'a [u32]> {
-        // Same primitive (and failure behaviour) as the blocking chunk
-        // loader; the read-ahead happens underneath the accounting.
-        self.0.read_exact_range(pos, len, scratch)?;
-        if let Some((npos, nlen)) = next {
-            // Queue the next chunk's blocks while this one is scanned.
-            self.0.pre_read(npos, nlen);
-        }
-        Ok(&scratch[..])
-    }
-}
-
-/// Source of out-lists for the scan pass, returning each list as a
-/// slice: buffered backends decode into `scratch`, the mmap backend
-/// serves the list straight out of the mapping.
-trait ScanSource {
-    /// Reposition to the `index`-th `u32` (clamped; counted as a seek).
-    fn seek_to(&mut self, index: u64) -> pdtl_io::Result<()>;
-    /// Skip `n` values (clamped; short skips coalesce to read-through).
-    fn skip(&mut self, n: u64) -> pdtl_io::Result<()>;
-    /// The next `n` values (fewer at end of file), backed either by
-    /// `scratch` or by the source itself.
-    fn next_run<'a>(
-        &'a mut self,
-        n: usize,
-        scratch: &'a mut Vec<u32>,
-    ) -> pdtl_io::Result<&'a [u32]>;
-}
-
-/// Any [`U32Source`] as a [`ScanSource`], decoding into the scratch
-/// buffer (the blocking and prefetching scan paths).
-struct CopyScan<S: U32Source>(S);
-
-impl<S: U32Source> ScanSource for CopyScan<S> {
-    fn seek_to(&mut self, index: u64) -> pdtl_io::Result<()> {
-        self.0.seek_to(index)
-    }
-
-    fn skip(&mut self, n: u64) -> pdtl_io::Result<()> {
-        self.0.skip(n)
-    }
-
-    fn next_run<'a>(
-        &'a mut self,
-        n: usize,
-        scratch: &'a mut Vec<u32>,
-    ) -> pdtl_io::Result<&'a [u32]> {
-        scratch.clear();
-        self.0.read_into(scratch, n)?;
-        Ok(&scratch[..])
-    }
-}
-
-/// The zero-copy scan path: out-lists are windows of the mapping.
-struct MmapScan(MmapSource);
-
-impl ScanSource for MmapScan {
-    fn seek_to(&mut self, index: u64) -> pdtl_io::Result<()> {
-        U32Source::seek_to(&mut self.0, index)
-    }
-
-    fn skip(&mut self, n: u64) -> pdtl_io::Result<()> {
-        U32Source::skip(&mut self.0, n)
-    }
-
-    fn next_run<'a>(
-        &'a mut self,
-        n: usize,
-        _scratch: &'a mut Vec<u32>,
-    ) -> pdtl_io::Result<&'a [u32]> {
-        self.0.read_run(n)
-    }
-}
-
-/// The disk engine's chunk/scan loop, generic over the I/O backend
-/// (blocking, overlapped or memory-mapped chunk/scan sources) so the
-/// modes cannot drift. Returns `(triangles, cpu_ops, iterations)`.
-fn mgt_disk_loop<S: TriangleSink, C: ChunkSource, R: ScanSource>(
+/// The disk engine's chunk/scan loop, generic over the scan stream's
+/// layer stack (raw cursor, or a decoder above it) so per-out-list
+/// calls stay direct; backends differ only behind the cursor's block
+/// fetches. Returns `(triangles, cpu_ops, iterations)`.
+fn mgt_disk_loop<S: TriangleSink, R: U32Source>(
     og: &OrientedGraph,
     range: EdgeRange,
     budget: MemoryBudget,
     sink: &mut S,
     opts: MgtOptions,
-    mut chunks: C,
+    mut chunks: ChunkLoader,
     mut scan_reader: R,
 ) -> Result<(u64, u64, u64)> {
     let offsets = &og.offsets;
     let ids = og.map.ids();
     let n = og.num_vertices();
     let chunk_cap = budget.chunk_edges();
-    // Backing storage for backends that decode (the mmap backend serves
+    // Backing storage for streams that copy (the mapped adjacency lends
     // slices of the mapping instead and leaves these untouched).
     let mut edg_buf: Vec<u32> = Vec::with_capacity(chunk_cap.min(range.len() as usize));
     let mut ind: Vec<(u32, u32)> = Vec::new();

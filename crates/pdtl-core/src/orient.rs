@@ -47,7 +47,9 @@ use pdtl_graph::disk::{offsets_from_degrees, write_graph_header};
 use pdtl_graph::manifest::Manifest;
 use pdtl_graph::rank::RankMap;
 use pdtl_graph::{DiskGraph, Graph};
-use pdtl_io::{Codec, CpuIoTimer, IoStats, U32Reader, U32Writer, VarintAdjWriter, VarintIndex};
+use pdtl_io::{
+    Codec, CpuIoTimer, IoStats, U32Reader, U32Source, U32Writer, VarintAdjWriter, VarintIndex,
+};
 use rayon::prelude::*;
 
 use crate::error::Result;

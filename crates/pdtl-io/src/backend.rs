@@ -1,19 +1,21 @@
-//! The I/O backend selector shared by every stream consumer.
+//! The I/O backend selector shared by every stream consumer, and the
+//! one place a backend is turned into an open stream.
 //!
-//! PDTL's engines read graph files through the [`U32Source`] seam, which
-//! has four interchangeable implementations with identical accounting
-//! (`bytes_read` / `seeks` counted per block *touched*):
+//! PDTL's engines read graph files through one cursor,
+//! [`BlockStream`], which fixes the I/O plan and does all the
+//! accounting (`bytes_read` / `read_ops` / `seeks`, counted per block
+//! *touched*). A backend only chooses the fetcher that delivers the
+//! blocks — one accounting, four fetchers:
 //!
 //! * [`Blocking`](IoBackend::Blocking) — [`U32Reader`], one synchronous
-//!   `read(2)` per block. The reference implementation the other three
-//!   are asserted against.
+//!   read per block. The reference the ablations compare against.
 //! * [`Prefetch`](IoBackend::Prefetch) — [`PrefetchReader`] +
 //!   `ChunkPrefetcher`, background threads keep blocks read ahead so
 //!   device waits hide behind compute. Wins when reads actually block
-//!   (cold cache, emulated latency), costs a copy + synchronisation when
-//!   they don't.
+//!   (cold cache, emulated latency), costs a hand-off + synchronisation
+//!   when they don't.
 //! * [`Mmap`](IoBackend::Mmap) — [`MmapSource`], the file mapped into
-//!   the address space and served zero-copy. Wins on page-cache-resident
+//!   the address space and lent zero-copy. Wins on page-cache-resident
 //!   graphs where every `read(2)` copy is pure overhead; falls back to
 //!   `Blocking` on platforms without the mapping syscalls.
 //! * [`Uring`](IoBackend::Uring) — [`UringSource`], block reads driven
@@ -21,15 +23,17 @@
 //!   *no* extra threads: the kernel overlaps device waits with compute.
 //!   Falls back to `Prefetch` (the thread-based overlapper) on kernels
 //!   without `io_uring`.
-//!
-//! [`U32Source`]: crate::U32Source
-//! [`U32Reader`]: crate::U32Reader
-//! [`PrefetchReader`]: crate::PrefetchReader
-//! [`MmapSource`]: crate::MmapSource
-//! [`UringSource`]: crate::UringSource
 
-/// Which [`U32Source`](crate::U32Source) implementation an engine
-/// streams its graph files through.
+use std::path::Path;
+use std::sync::Arc;
+use std::time::Duration;
+
+use crate::error::Result;
+use crate::stream::{BlockFetch, BlockStream};
+use crate::{IoStats, MmapSource, PrefetchReader, U32Reader, UringSource};
+
+/// Which fetcher an engine's [`BlockStream`]s read their graph files
+/// through.
 ///
 /// Names round-trip through [`parse`](Self::parse) (which also accepts
 /// the `io_uring` spelling), and [`resolve`](Self::resolve) degrades a
@@ -53,16 +57,16 @@
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IoBackend {
-    /// Synchronous buffered reads ([`U32Reader`](crate::U32Reader)).
+    /// Synchronous buffered reads ([`U32Reader`]).
     Blocking,
-    /// Background read-ahead ([`PrefetchReader`](crate::PrefetchReader)
+    /// Background read-ahead ([`PrefetchReader`]
     /// for scans, `ChunkPrefetcher` for chunk loads).
     #[default]
     Prefetch,
-    /// Zero-copy memory mapping ([`MmapSource`](crate::MmapSource));
+    /// Zero-copy memory mapping ([`MmapSource`]);
     /// resolves to `Blocking` where mapping is unsupported.
     Mmap,
-    /// Asynchronous `io_uring` reads ([`UringSource`](crate::UringSource))
+    /// Asynchronous `io_uring` reads ([`UringSource`])
     /// with queue depth > 1 and no prefetch threads; resolves to
     /// `Prefetch` where `io_uring` is unavailable.
     Uring,
@@ -136,6 +140,46 @@ impl IoBackend {
             other => other,
         }
     }
+
+    /// Open `path` as a raw block stream through this backend, every
+    /// block fetch paying the emulated device `latency` (zero measures
+    /// the real hardware). The one place a backend becomes a transport:
+    /// [`resolve`](Self::resolve)d first, and returned with the backend
+    /// that actually serves the stream, because the ring can still fail
+    /// at run time after `resolve()` vets the platform (RLIMIT_MEMLOCK
+    /// on 5.6–5.11 kernels, fd exhaustion, seccomp applied post-probe).
+    /// Degradation is the `Uring` backend's contract, so it then falls
+    /// back to the thread-based overlapper rather than failing the
+    /// caller; genuine file errors resurface identically there.
+    pub fn open(
+        self,
+        path: &Path,
+        stats: &Arc<IoStats>,
+        latency: Duration,
+    ) -> Result<(IoBackend, BlockStream<Box<dyn BlockFetch>>)> {
+        let blocking = || -> Result<U32Reader> {
+            let mut reader = U32Reader::open(path, stats.clone())?;
+            // Set before a producer thread inherits it and reads ahead.
+            reader.set_read_latency(latency);
+            Ok(reader)
+        };
+        let overlapped = || Ok(PrefetchReader::new(blocking()?)?.boxed());
+        let mut served = self.resolve();
+        let mut stream = match served {
+            IoBackend::Blocking => blocking()?.boxed(),
+            IoBackend::Mmap => MmapSource::open(path, stats.clone())?.boxed(),
+            IoBackend::Prefetch => overlapped()?,
+            IoBackend::Uring => match UringSource::open(path, stats.clone()) {
+                Ok(ring) => ring.boxed(),
+                Err(_) => {
+                    served = IoBackend::Prefetch;
+                    overlapped()?
+                }
+            },
+        };
+        stream.set_read_latency(latency);
+        Ok((served, stream))
+    }
 }
 
 impl std::fmt::Display for IoBackend {
@@ -186,5 +230,36 @@ mod tests {
         }
         assert_eq!(IoBackend::Blocking.resolve(), IoBackend::Blocking);
         assert_eq!(IoBackend::Prefetch.resolve(), IoBackend::Prefetch);
+    }
+
+    #[test]
+    fn open_serves_every_backend_with_what_resolve_promises() {
+        use crate::{U32Source, U32Writer};
+        let dir = std::env::temp_dir().join("pdtl-backend-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("open-{}", std::process::id()));
+        let vals: Vec<u32> = (0..40_000).collect();
+        let mut w = U32Writer::create(&path, IoStats::new()).unwrap();
+        w.write_all(&vals).unwrap();
+        w.finish().unwrap();
+
+        for backend in IoBackend::ALL {
+            let stats = IoStats::new();
+            let (served, mut stream) = backend.open(&path, &stats, Duration::ZERO).unwrap();
+            // The ring may also give up at run time, to its fallback.
+            assert!(
+                served == backend.resolve() || served == IoBackend::Prefetch,
+                "{backend} served by {served}"
+            );
+            assert_eq!(stream.path(), path);
+            assert_eq!(stream.read_all().unwrap(), vals, "{backend}");
+            assert_eq!(stats.bytes_read(), 160_000, "{backend}");
+        }
+        let missing = dir.join("no-such-file");
+        for backend in IoBackend::ALL {
+            let err = backend.open(&missing, &IoStats::new(), Duration::ZERO);
+            assert!(err.unwrap_err().to_string().contains("no-such-file"));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -745,6 +745,10 @@ impl<T: U32Source> U32Source for VarintSource<T> {
         self.pos
     }
 
+    fn path(&self) -> &std::path::Path {
+        self.inner.path()
+    }
+
     fn seek_to(&mut self, index: u64) -> Result<()> {
         let index = index.min(self.index.decoded_len());
         self.land_at(index, |s, byte| {

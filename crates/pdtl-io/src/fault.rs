@@ -55,6 +55,13 @@ impl<S: U32Source> FaultySource<S> {
         }
     }
 
+    /// Whether a request for `n` values may be lent from the inner
+    /// source as is: the budget covers all of it and nothing is to be
+    /// corrupted in flight.
+    fn covers(&self, n: usize) -> bool {
+        self.flip.is_none() && self.remaining >= n as u64
+    }
+
     fn exhausted(&self) -> IoError {
         IoError::malformed(
             "<fault-injected>",
@@ -104,6 +111,45 @@ impl<S: U32Source> U32Source for FaultySource<S> {
 
     fn skip(&mut self, n: u64) -> Result<()> {
         self.inner.skip(n)
+    }
+
+    fn path(&self) -> &std::path::Path {
+        self.inner.path()
+    }
+
+    /// Lends the inner run (zero-copy where the transport lends) while
+    /// the fault does not touch the request; otherwise copies through
+    /// [`read_into`](Self::read_into), which applies it.
+    fn next_run<'a>(&'a mut self, n: usize, scratch: &'a mut Vec<u32>) -> Result<&'a [u32]> {
+        if !self.covers(n) {
+            scratch.clear();
+            self.read_into(scratch, n)?;
+            return Ok(scratch);
+        }
+        let run = self.inner.next_run(n, scratch)?;
+        self.remaining -= run.len() as u64;
+        Ok(run)
+    }
+
+    /// As [`next_run`](Self::next_run), else the provided seek +
+    /// `read_into`.
+    fn range_run<'a>(
+        &'a mut self,
+        pos: u64,
+        len: usize,
+        scratch: &'a mut Vec<u32>,
+    ) -> Result<&'a [u32]> {
+        if !self.covers(len) {
+            self.read_exact_range(pos, len, scratch)?;
+            return Ok(scratch);
+        }
+        let run = self.inner.range_run(pos, len, scratch)?;
+        self.remaining -= run.len() as u64;
+        Ok(run)
+    }
+
+    fn hint_range(&mut self, pos: u64, len: usize) {
+        self.inner.hint_range(pos, len)
     }
 }
 
@@ -192,6 +238,45 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(src.read_into(&mut out, 8).unwrap(), 1);
         assert_eq!(src.read_into(&mut out, 8).unwrap(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_boxed_fault_wrapped_mapping_still_lends_its_runs() {
+        if !crate::mmap_supported() {
+            return;
+        }
+        let dir = temp_dir("lend");
+        let vals: Vec<u32> = (0..5_000).collect();
+        let path = write_values(&dir, &vals);
+        let open = |budget| -> Box<dyn U32Source> {
+            let map = crate::MmapSource::with_block(&path, IoStats::new(), 512).unwrap();
+            Box::new(FaultySource::new(map.boxed(), budget))
+        };
+
+        let mut src = open(u64::MAX);
+        let mut scratch = Vec::new();
+        let mapping = src
+            .range_run(0, 5_000, &mut scratch)
+            .unwrap()
+            .as_ptr_range();
+        src.seek_to(1_200).unwrap();
+        let run = src.next_run(700, &mut scratch).unwrap();
+        assert_eq!(run, &vals[1_200..1_900]);
+        assert!(mapping.contains(&run.as_ptr()), "borrowed from the mapping");
+        let run = src.range_run(4_000, 1_000, &mut scratch).unwrap();
+        assert!(mapping.contains(&run.as_ptr()) && run == &vals[4_000..]);
+        assert!(scratch.is_empty(), "lent runs never touch the scratch");
+
+        // A budget that runs out mid-request copies what it still
+        // covers, then fails typed — through both forms.
+        let mut src = open(1_000);
+        assert_eq!(src.next_run(900, &mut scratch).unwrap().len(), 900);
+        assert_eq!(src.next_run(900, &mut scratch).unwrap(), &vals[900..1_000]);
+        let err = src.next_run(1, &mut scratch).unwrap_err();
+        assert!(err.to_string().contains("injected short read"), "{err}");
+        let err = src.range_run(0, 10, &mut scratch).unwrap_err();
+        assert!(err.to_string().contains("injected short read"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -11,18 +11,19 @@
 //! * [`IoStats`] — shared atomic counters for bytes/ops/blocks and time
 //!   spent blocked on I/O, so the triangle engines can report the CPU vs
 //!   I/O breakdowns of the paper's Figures 6–8 and Table IV.
-//! * [`U32Reader`] / [`U32Writer`] — buffered little-endian `u32` streams
-//!   over files, the unit of every PDTL graph file (`.deg` / `.adj`).
-//! * [`PrefetchReader`] / [`ChunkPrefetcher`] — overlapped (read-ahead)
-//!   variants that hide disk latency behind compute while counting the
-//!   exact same bytes and seeks, so backend ablations compare pure
-//!   scheduling, not different I/O plans.
-//! * [`MmapSource`] — a zero-copy memory-mapped [`U32Source`] for
-//!   page-cache-resident graphs, again with byte-identical accounting.
-//! * [`UringSource`] — an `io_uring`-backed [`U32Source`] keeping
-//!   several block reads in flight per stream with no prefetch
-//!   threads, once more with byte-identical accounting; [`IoBackend`]
-//!   selects between the four behind one seam.
+//! * [`BlockStream`] / [`U32Writer`] — buffered little-endian `u32`
+//!   streams over files, the unit of every PDTL graph file (`.deg` /
+//!   `.adj`). `BlockStream` is the one read cursor: position, block
+//!   window, the skip rule and all read accounting live there, over a
+//!   [`BlockFetch`] that only delivers blocks. The four transports are
+//!   that cursor over four fetchers, so backend ablations compare pure
+//!   scheduling, not different I/O plans:
+//!   [`U32Reader`] (synchronous reads), [`PrefetchReader`] (a read-ahead
+//!   thread; [`ChunkPrefetcher`] is its whole-chunk sibling),
+//!   [`MmapSource`] (the file mapped and lent zero-copy) and
+//!   [`UringSource`] (several block reads in flight through `io_uring`,
+//!   no threads). [`IoBackend::open`] picks one at run time; consumers
+//!   see the [`U32Source`] seam.
 //! * [`Codec`] / [`VarintSource`] — the layer *above* the transports:
 //!   how byte runs decode into `u32` runs. `Raw` is the identity;
 //!   `DeltaVarint` stores each out-list as delta + varint bytes and
@@ -64,9 +65,11 @@ pub use diskfault::{DiskFaultKind, DiskFaultPlan, DiskFaultSpec, FaultTarget, DI
 pub use error::{IoError, Result};
 pub use extsort::{external_sort_u64, merge_sorted_files};
 pub use fault::FaultySource;
-pub use mmap::{mmap_supported, MmapSource};
-pub use prefetch::{ChunkPrefetcher, PrefetchReader};
+pub use mmap::{mmap_supported, MmapFetch, MmapSource};
+pub use prefetch::{ChunkPrefetcher, PrefetchReader, ProducerFetch};
 pub use stats::IoStats;
-pub use stream::{U32Reader, U32Source, U32Writer, BYTES_PER_U32};
+pub use stream::{
+    BlockFetch, BlockStream, PreadFetch, U32Reader, U32Source, U32Writer, BYTES_PER_U32,
+};
 pub use timer::{CpuIoTimer, TimeBreakdown};
-pub use uring::{uring_supported, UringSource, URING_DISABLE_ENV};
+pub use uring::{uring_supported, UringFetch, UringSource, URING_DISABLE_ENV};

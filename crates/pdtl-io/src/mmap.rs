@@ -3,22 +3,19 @@
 //!
 //! On a warm page cache every buffered read pays a syscall plus two
 //! copies (kernel → user buffer → decoded `Vec`). [`MmapSource`] maps
-//! the file once and serves `u32` runs as slices *directly out of the
-//! mapping* — scans and chunk loads become pointer arithmetic. The MGT
-//! engines select it via `IoBackend::Mmap`.
+//! the file once and *lends* it to the stream cursor, which then serves
+//! `u32` runs as slices directly out of the mapping — scans and chunk
+//! loads become pointer arithmetic. The MGT engines select it via
+//! `IoBackend::Mmap`.
 //!
-//! **Accounting contract.** `MmapSource` implements
-//! [`U32Source`] and mirrors [`U32Reader`]'s control
-//! flow exactly, block for block: a *virtual* block-sized buffer window
-//! advances over the mapping, charging [`IoStats`] one block-sized
-//! `record_read` wherever the buffered reader would refill and one
-//! `record_seek` wherever it would reposition — so `bytes_read`,
-//! `read_ops` and `seeks` are byte-identical to the blocking twin on
-//! identical access patterns (counted per block touched; the property
-//! tests assert this across budgets × seek patterns). Emulated device
-//! latency ([`set_read_latency`](MmapSource::set_read_latency)) sleeps
-//! once per virtual refill, exactly like `U32Reader`, so the
-//! `io_latency` ablations remain comparable across all four backends.
+//! **Accounting.** `MmapSource` is the same [`BlockStream`] cursor as
+//! every other transport, so its block window advances over the mapping
+//! and charges [`IoStats`] exactly where a buffered reader refills or
+//! repositions; the fetcher behind it has no bytes to move and only
+//! pays the emulated device latency
+//! ([`set_read_latency`](BlockStream::set_read_latency)), one sleep per
+//! block like the blocking reader, so the `io_latency` ablations remain
+//! comparable across all four backends.
 //!
 //! The mapping syscalls (`mmap` / `munmap` / `madvise`) are bound
 //! through a tiny `extern "C"` module (the same offline-shim pattern as
@@ -27,18 +24,16 @@
 //! `IoBackend::Mmap.resolve()` degrades to the buffered reader, so no
 //! caller needs platform knowledge. On open the whole mapping is
 //! advised `MADV_SEQUENTIAL` (scan-heavy access), and
-//! [`will_need`](MmapSource::will_need) lets the chunk loader hint the
-//! next resident window with `MADV_WILLNEED`.
+//! [`hint_range`](crate::U32Source::hint_range) lets the chunk loader
+//! hint the next resident window with `MADV_WILLNEED`.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::{IoError, Result};
 use crate::stats::IoStats;
-#[cfg(doc)]
-use crate::stream::U32Reader;
-use crate::stream::{U32Source, BYTES_PER_U32, DEFAULT_BUF_U32S};
+use crate::stream::{BlockFetch, BlockStream, DEFAULT_BUF_U32S};
 
 /// Whether this platform supports the mmap backend (64-bit
 /// little-endian Linux; the mapping is reinterpreted as `&[u32]`, so
@@ -80,10 +75,13 @@ mod sys {
     }
 }
 
-/// RAII owner of one read-only file mapping (empty files map nothing).
+/// RAII owner of one read-only mapping of a whole `u32` file (empty
+/// files map nothing). Only constructible where [`mmap_supported`].
 #[derive(Debug)]
-struct Map {
+#[allow(dead_code)] // never constructed on the other platforms
+pub(crate) struct Map {
     ptr: *const u8,
+    /// Mapped bytes: a multiple of 4, checked at open.
     len: usize,
 }
 
@@ -92,16 +90,34 @@ struct Map {
 unsafe impl Send for Map {}
 unsafe impl Sync for Map {}
 
+impl Map {
+    /// The mapped file as bytes.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        // SAFETY: `ptr` is valid for `len` bytes (or dangling with
+        // `len == 0`), lives as long as `self`, and is never written.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+
+    /// The mapped file as the `u32`s it encodes.
+    pub(crate) fn u32s(&self) -> &[u32] {
+        // SAFETY: as for `bytes`; the mapping is page-aligned (so
+        // 4-aligned), `len` is a multiple of 4, and a `Map` exists only
+        // on little-endian hosts, where the encoding is the host's.
+        unsafe { std::slice::from_raw_parts(self.ptr as *const u32, self.len / 4) }
+    }
+}
+
 #[cfg(all(
     target_os = "linux",
     target_endian = "little",
     target_pointer_width = "64"
 ))]
 impl Map {
-    fn new(file: &std::fs::File, len: usize, path: &Path) -> Result<Self> {
+    fn new(file: &std::fs::File, len: usize) -> std::io::Result<Self> {
         if len == 0 {
             return Ok(Self {
-                ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
+                // Dangling, but aligned for the `u32` view too.
+                ptr: std::ptr::NonNull::<u32>::dangling().as_ptr() as *const u8,
                 len: 0,
             });
         }
@@ -117,7 +133,7 @@ impl Map {
             )
         };
         if ptr as isize == -1 {
-            return Err(IoError::os("mmap", path, std::io::Error::last_os_error()));
+            return Err(std::io::Error::last_os_error());
         }
         Ok(Self {
             ptr: ptr as *const u8,
@@ -155,275 +171,92 @@ impl Drop for Map {
     }
 }
 
-/// A zero-copy, memory-mapped [`U32Source`] with [`U32Reader`]-identical
-/// I/O accounting. See the module docs for the contract.
-///
-/// Beyond the trait, it offers the zero-copy entry points the disk MGT
-/// engine builds on: [`read_run`](Self::read_run) (the next `n` values
-/// as a slice into the mapping) and [`range_run`](Self::range_run) (a
-/// positioned exact-length load — the mmap equivalent of
-/// [`U32Reader::read_exact_range`], same seek/refill charges, same
-/// failure behaviour).
+/// The mapping as a fetcher. Its cursor serves values out of the lent
+/// mapping itself, so a block "fetch" has no bytes to move: it only
+/// pays the emulated device wait, once per block like a blocking read.
 #[derive(Debug)]
-pub struct MmapSource {
-    map: Map,
-    path: PathBuf,
-    stats: Arc<IoStats>,
-    /// Total `u32`s in the file.
-    len_u32: u64,
-    /// Index of the next value a read would return.
-    next_index: u64,
-    /// Virtual OS file cursor: where the next virtual refill "reads".
-    file_pos: u64,
-    /// Virtual buffer fill/consumption, in `u32`s (mirrors
-    /// `U32Reader`'s byte-based `filled`/`pos`).
-    filled: usize,
-    pos: usize,
-    /// Virtual block size in `u32`s (the accounting granularity).
-    block_u32s: usize,
-    /// Emulated device latency per virtual refill.
-    read_latency: Duration,
+pub struct MmapFetch(#[allow(dead_code)] Arc<Map>); // read only by `hint`
+
+impl BlockFetch for MmapFetch {
+    fn fetch(
+        &mut self,
+        _at: u64,
+        want: usize,
+        latency: Duration,
+        _buf: &mut Vec<u8>,
+    ) -> std::io::Result<(usize, Duration)> {
+        let start = Instant::now();
+        if !latency.is_zero() {
+            std::thread::sleep(latency);
+        }
+        Ok((want, start.elapsed()))
+    }
+
+    /// `MADV_WILLNEED` on the announced window.
+    #[cfg(all(
+        target_os = "linux",
+        target_endian = "little",
+        target_pointer_width = "64"
+    ))]
+    fn hint(&mut self, pos: u64, len: usize) {
+        self.0.advise(pos as usize * 4, len * 4, sys::MADV_WILLNEED);
+    }
 }
 
-#[cfg(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-))]
+/// The zero-copy transport: [`BlockStream`] over a mapping it lends
+/// runs from ([`next_run`](crate::U32Source::next_run) and
+/// [`range_run`](crate::U32Source::range_run) return windows of the
+/// mapped file and never touch their scratch buffer). See the module
+/// docs.
+pub type MmapSource = BlockStream<MmapFetch>;
+
 impl MmapSource {
-    /// Map `path` with the default block size (identical to
-    /// [`U32Reader::open`]'s buffer, so the two account identically).
+    /// Map `path` with the default block size.
     pub fn open(path: impl AsRef<Path>, stats: Arc<IoStats>) -> Result<Self> {
         Self::with_block(path, stats, DEFAULT_BUF_U32S)
     }
 
-    /// Map `path` with a virtual block of `block_u32s` values (minimum
-    /// 1) — the accounting twin of [`U32Reader::with_buffer`].
+    /// Map `path` with an accounting block of `block_u32s` values
+    /// (minimum 1).
+    #[cfg(all(
+        target_os = "linux",
+        target_endian = "little",
+        target_pointer_width = "64"
+    ))]
     pub fn with_block(
         path: impl AsRef<Path>,
         stats: Arc<IoStats>,
         block_u32s: usize,
     ) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = std::fs::File::open(&path).map_err(|e| IoError::os("open", &path, e))?;
-        let meta = file.metadata().map_err(|e| IoError::os("stat", &path, e))?;
-        if meta.len() % BYTES_PER_U32 != 0 {
-            return Err(IoError::malformed(
-                &path,
-                format!("size {} is not a multiple of 4", meta.len()),
-            ));
-        }
-        let map = Map::new(&file, meta.len() as usize, &path)?;
+        let path = path.as_ref();
+        let (file, len_u32) = crate::stream::open_u32_file(path)?;
+        let map =
+            Map::new(&file, len_u32 as usize * 4).map_err(|e| IoError::os("mmap", path, e))?;
         // The engines scan graph files front to back, repeatedly.
         map.advise(0, map.len, sys::MADV_SEQUENTIAL);
-        Ok(Self {
-            map,
-            len_u32: meta.len() / BYTES_PER_U32,
+        let map = Arc::new(map);
+        let fetch = MmapFetch(Arc::clone(&map));
+        Ok(Self::over(
+            fetch,
             path,
             stats,
-            next_index: 0,
-            file_pos: 0,
-            filled: 0,
-            pos: 0,
-            block_u32s: block_u32s.max(1),
-            read_latency: Duration::ZERO,
-        })
-    }
-
-    /// Hint that `[pos, pos + len)` (in `u32`s) is about to be read
-    /// (`MADV_WILLNEED`); the chunk loader calls this for the *next*
-    /// chunk while the current one is scanned. Advisory, never charged.
-    pub fn will_need(&self, pos: u64, len: usize) {
-        self.map.advise(
-            (pos * BYTES_PER_U32) as usize,
-            len * BYTES_PER_U32 as usize,
-            sys::MADV_WILLNEED,
-        );
-    }
-
-    /// The `n` values starting at `start` as a slice into the mapping.
-    fn u32s(&self, start: u64, n: usize) -> &[u32] {
-        if n == 0 {
-            return &[];
-        }
-        debug_assert!(start + n as u64 <= self.len_u32);
-        // SAFETY: the mapping is page-aligned (so 4-aligned), lives as
-        // long as `self`, is never written, and the range is in bounds.
-        unsafe { std::slice::from_raw_parts((self.map.ptr as *const u32).add(start as usize), n) }
-    }
-}
-
-// Everything below is platform-independent bookkeeping, compiled only
-// alongside the real mapping (the fallback stub replaces the lot).
-#[cfg(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-))]
-impl MmapSource {
-    /// Emulate a storage device with the given per-block latency —
-    /// every virtual refill sleeps `latency`, charged to [`IoStats`]
-    /// exactly like [`U32Reader::set_read_latency`].
-    pub fn set_read_latency(&mut self, latency: Duration) {
-        self.read_latency = latency;
-    }
-
-    /// Total number of `u32`s in the file.
-    pub fn len_u32(&self) -> u64 {
-        self.len_u32
-    }
-
-    /// The file this source streams from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The virtual refill: advance the accounting window one block,
-    /// charging the same bytes a buffered refill would read.
-    fn refill(&mut self) -> usize {
-        let start = Instant::now();
-        if !self.read_latency.is_zero() {
-            std::thread::sleep(self.read_latency);
-        }
-        let n = (self.len_u32 - self.file_pos).min(self.block_u32s as u64) as usize;
-        self.stats
-            .record_read(n as u64 * BYTES_PER_U32, start.elapsed());
-        self.file_pos += n as u64;
-        self.filled = n;
-        self.pos = 0;
-        n
-    }
-
-    /// Advance the accounting by up to `n` consumed values; returns how
-    /// many were available before end of file.
-    fn consume(&mut self, n: usize) -> usize {
-        let mut got = 0usize;
-        while got < n {
-            if self.pos >= self.filled && self.refill() == 0 {
-                break;
-            }
-            let take = (self.filled - self.pos).min(n - got);
-            self.pos += take;
-            got += take;
-        }
-        self.next_index += got as u64;
-        got
-    }
-
-    /// The next `n` values (fewer at end of file) as a zero-copy slice,
-    /// with buffered-reader-identical refill accounting.
-    pub fn read_run(&mut self, n: usize) -> Result<&[u32]> {
-        let start = self.next_index;
-        let got = self.consume(n);
-        Ok(self.u32s(start, got))
-    }
-
-    /// Seek to `pos` and return exactly `len` values as a zero-copy
-    /// slice; errors if the range reaches past end of file. Charges one
-    /// seek plus block refills — the accounting twin of
-    /// [`U32Reader::read_exact_range`].
-    pub fn range_run(&mut self, pos: u64, len: usize) -> Result<&[u32]> {
-        U32Source::seek_to(self, pos)?;
-        let start = self.next_index;
-        let got = self.consume(len);
-        if got != len {
-            return Err(IoError::malformed(
-                &self.path,
-                format!("chunk [{pos}, {pos}+{len}) reaches past end of file"),
-            ));
-        }
-        Ok(self.u32s(start, len))
-    }
-}
-
-#[cfg(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-))]
-impl U32Source for MmapSource {
-    fn len_u32(&self) -> u64 {
-        self.len_u32
-    }
-
-    fn position(&self) -> u64 {
-        self.next_index
-    }
-
-    fn seek_to(&mut self, index: u64) -> Result<()> {
-        let index = index.min(self.len_u32);
-        self.stats.record_seek();
-        self.filled = 0;
-        self.pos = 0;
-        self.next_index = index;
-        self.file_pos = index;
-        Ok(())
-    }
-
-    fn read_into(&mut self, out: &mut Vec<u32>, n: usize) -> Result<usize> {
-        let start = self.next_index;
-        let got = self.consume(n);
-        out.extend_from_slice(self.u32s(start, got));
-        Ok(got)
-    }
-
-    fn skip(&mut self, n: u64) -> Result<()> {
-        let n = n.min(self.len_u32.saturating_sub(self.next_index));
-        let buffered = (self.filled - self.pos) as u64;
-        if n <= buffered {
-            self.pos += n as usize;
-            self.next_index += n;
-            return Ok(());
-        }
-        let beyond = n - buffered;
-        if beyond <= self.block_u32s as u64 {
-            // Read-through: same coalescing rule (and refill charges)
-            // as `U32Reader::skip`.
-            self.pos = self.filled;
-            self.next_index += buffered;
-            let mut left = beyond;
-            while left > 0 {
-                if self.refill() == 0 {
-                    break;
-                }
-                let take = (self.filled as u64).min(left);
-                self.pos = take as usize;
-                self.next_index += take;
-                left -= take;
-            }
-            Ok(())
-        } else {
-            self.seek_to(self.next_index + n)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fallback stub: platforms without the mapping syscalls (or with the
-// wrong endianness for the zero-copy reinterpretation). `open` reports
-// `Unsupported`; `IoBackend::Mmap.resolve()` degrades to `Blocking`
-// before any engine gets here, so the remaining methods are
-// unreachable by construction.
-// ---------------------------------------------------------------------
-#[cfg(not(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-)))]
-#[allow(unused_variables, clippy::missing_const_for_fn)]
-impl MmapSource {
-    /// Unsupported on this platform; always errors.
-    pub fn open(path: impl AsRef<Path>, stats: Arc<IoStats>) -> Result<Self> {
-        Self::with_block(path, stats, DEFAULT_BUF_U32S)
+            len_u32,
+            block_u32s,
+            Some(map),
+        ))
     }
 
     /// Unsupported on this platform; always errors.
+    #[cfg(not(all(
+        target_os = "linux",
+        target_endian = "little",
+        target_pointer_width = "64"
+    )))]
     pub fn with_block(
         path: impl AsRef<Path>,
-        stats: Arc<IoStats>,
-        block_u32s: usize,
+        _stats: Arc<IoStats>,
+        _block_u32s: usize,
     ) -> Result<Self> {
-        let _ = (stats, block_u32s);
         Err(IoError::os(
             "mmap",
             path.as_ref(),
@@ -432,59 +265,6 @@ impl MmapSource {
                 "the mmap backend requires 64-bit little-endian Linux",
             ),
         ))
-    }
-
-    /// Unreachable: no constructor succeeds on this platform.
-    pub fn set_read_latency(&mut self, _latency: Duration) {
-        unreachable!("MmapSource cannot be constructed on this platform")
-    }
-
-    /// Unreachable: no constructor succeeds on this platform.
-    pub fn len_u32(&self) -> u64 {
-        unreachable!("MmapSource cannot be constructed on this platform")
-    }
-
-    /// Unreachable: no constructor succeeds on this platform.
-    pub fn path(&self) -> &Path {
-        unreachable!("MmapSource cannot be constructed on this platform")
-    }
-
-    /// Unreachable: no constructor succeeds on this platform.
-    pub fn will_need(&self, _pos: u64, _len: usize) {
-        unreachable!("MmapSource cannot be constructed on this platform")
-    }
-
-    /// Unreachable: no constructor succeeds on this platform.
-    pub fn read_run(&mut self, _n: usize) -> Result<&[u32]> {
-        unreachable!("MmapSource cannot be constructed on this platform")
-    }
-
-    /// Unreachable: no constructor succeeds on this platform.
-    pub fn range_run(&mut self, _pos: u64, _len: usize) -> Result<&[u32]> {
-        unreachable!("MmapSource cannot be constructed on this platform")
-    }
-}
-
-#[cfg(not(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-)))]
-impl U32Source for MmapSource {
-    fn len_u32(&self) -> u64 {
-        unreachable!("MmapSource cannot be constructed on this platform")
-    }
-    fn position(&self) -> u64 {
-        unreachable!("MmapSource cannot be constructed on this platform")
-    }
-    fn seek_to(&mut self, _index: u64) -> Result<()> {
-        unreachable!("MmapSource cannot be constructed on this platform")
-    }
-    fn read_into(&mut self, _out: &mut Vec<u32>, _n: usize) -> Result<usize> {
-        unreachable!("MmapSource cannot be constructed on this platform")
-    }
-    fn skip(&mut self, _n: u64) -> Result<()> {
-        unreachable!("MmapSource cannot be constructed on this platform")
     }
 }
 
@@ -496,7 +276,8 @@ impl U32Source for MmapSource {
 ))]
 mod tests {
     use super::*;
-    use crate::stream::{U32Reader, U32Writer};
+    use crate::stream::{U32Reader, U32Source, U32Writer};
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("pdtl-mmap-tests");
@@ -539,14 +320,16 @@ mod tests {
         let p = write_vals("run", &vals);
         let stats = IoStats::new();
         let mut m = MmapSource::with_block(&p, stats.clone(), 1000).unwrap();
-        let run = m.read_run(2500).unwrap();
+        let mut scratch = Vec::new();
+        let run = m.next_run(2500, &mut scratch).unwrap();
         assert_eq!(run, &vals[..2500]);
         // 2500 values over 1000-u32 blocks: three refills charged.
         assert_eq!(stats.bytes_read(), 3 * 1000 * 4);
         assert_eq!(stats.read_ops(), 3);
-        let run = m.read_run(400).unwrap();
+        let run = m.next_run(400, &mut scratch).unwrap();
         assert_eq!(run, &vals[2500..2900]);
         assert_eq!(stats.bytes_read(), 3 * 1000 * 4, "still inside block 3");
+        assert!(scratch.is_empty(), "a lent run never touches the scratch");
     }
 
     #[test]
@@ -561,7 +344,8 @@ mod tests {
 
         let mstats = IoStats::new();
         let mut m = MmapSource::with_block(&p, mstats.clone(), 512).unwrap();
-        let run = m.range_run(3_000, 700).unwrap();
+        let mut scratch = Vec::new();
+        let run = m.range_run(3_000, 700, &mut scratch).unwrap();
         assert_eq!(run, &buf[..]);
         assert_eq!(mstats.bytes_read(), bstats.bytes_read());
         assert_eq!(mstats.seeks(), bstats.seeks());
@@ -569,9 +353,10 @@ mod tests {
 
         // Out-of-range loads fail identically.
         let be = r.read_exact_range(19_900, 200, &mut buf).unwrap_err();
-        let me = m.range_run(19_900, 200).unwrap_err();
+        let me = m.range_run(19_900, 200, &mut scratch).unwrap_err();
         assert!(be.to_string().contains("past end of file"));
         assert!(me.to_string().contains("past end of file"));
+        assert!(me.to_string().contains("range-"), "names the file: {me}");
     }
 
     #[test]
@@ -585,7 +370,8 @@ mod tests {
         U32Source::seek_to(&mut m, 5).unwrap();
         assert_eq!(U32Source::position(&m), 0, "clamped to empty length");
         U32Source::skip(&mut m, u64::MAX).unwrap();
-        assert!(m.read_run(3).unwrap().is_empty());
+        assert!(m.next_run(3, &mut out).unwrap().is_empty());
+        assert!(m.range_run(99, 0, &mut out).unwrap().is_empty());
     }
 
     #[test]
@@ -604,8 +390,8 @@ mod tests {
         let mut m = MmapSource::with_block(&p, stats.clone(), 1000).unwrap();
         m.set_read_latency(Duration::from_millis(2));
         let t = Instant::now();
-        let run = m.read_run(3_000).unwrap();
-        assert_eq!(run.len(), 3_000);
+        let run = m.next_run(3_000, &mut Vec::new()).unwrap().len();
+        assert_eq!(run, 3_000);
         assert!(t.elapsed() >= Duration::from_millis(6), "3 refills slept");
         assert!(stats.io_time() >= Duration::from_millis(6));
     }
@@ -615,11 +401,14 @@ mod tests {
         let vals: Vec<u32> = (0..5_000).collect();
         let p = write_vals("advise", &vals);
         let stats = IoStats::new();
-        let m = MmapSource::open(&p, stats.clone()).unwrap();
-        m.will_need(1_000, 2_000);
-        m.will_need(4_999, 500); // clamps at the end
-        m.will_need(10_000, 10); // past the end: ignored
-        assert_eq!(stats.bytes_read(), 0);
-        assert_eq!(stats.read_ops(), 0);
+        let mut m = MmapSource::open(&p, stats.clone()).unwrap();
+        let mut scratch = Vec::new();
+        // Each hint reaches the kernel when the load before it is done.
+        for (pos, len) in [(1_000, 2_000), (4_999, 500), (10_000, 10)] {
+            m.hint_range(pos, len); // the 2nd clamps at the end, the 3rd is past it
+            m.range_run(0, 10, &mut scratch).unwrap();
+        }
+        assert_eq!(stats.bytes_read(), 3 * 5_000 * 4, "only the loads");
+        assert_eq!(stats.read_ops(), 3);
     }
 }

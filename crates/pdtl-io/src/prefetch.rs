@@ -6,26 +6,26 @@
 //! `|E|²/(MB)` multi-pass term is pure I/O wait). This module provides
 //! the two overlap primitives the engines build on:
 //!
-//! * [`PrefetchReader`] — a [`U32Source`] whose background thread keeps
-//!   up to [`PREFETCH_DEPTH`] block-sized buffers ahead of the
-//!   consumer, so sequential scans (including bound-pruned scans, whose
-//!   short skips read through) never block on the next block. Blocks
-//!   stay raw bytes until the consumer decodes what it actually reads,
-//!   so skipped regions cost no decode — the same cost profile as the
-//!   blocking reader, minus the read stalls.
+//! * [`PrefetchReader`] — the stream cursor over a fetcher whose
+//!   background thread keeps up to [`PREFETCH_DEPTH`] block-sized
+//!   buffers ahead of the consumer, so sequential scans (including
+//!   bound-pruned scans, whose short skips read through) never block on
+//!   the next block. Blocks stay raw bytes until the consumer decodes
+//!   what it actually reads, so skipped regions cost no decode — the
+//!   same cost profile as the blocking reader, minus the read stalls.
 //! * [`ChunkPrefetcher`] — positioned whole-range loads on a background
 //!   thread; the MGT engine requests chunk `k+1` the moment chunk `k`
 //!   is handed over, so the next `edg` array loads during the current
 //!   scan pass.
 //!
 //! **Accounting contract:** both primitives report through the same
-//! [`IoStats`] as their blocking twins and count *exactly the same*
-//! `bytes_read` and `seeks` for the same logical access pattern — a
-//! prefetched block is charged when the consumer takes it (a blocking
-//! reader charges the equivalent refill), and read-ahead blocks
-//! discarded by a reposition are never charged. The integration tests
-//! assert this byte-for-byte, which is what makes `IoBackend::Prefetch`
-//! a pure scheduling change rather than a different I/O plan.
+//! [`IoStats`](crate::IoStats) as their blocking twins and count
+//! *exactly the same* `bytes_read`, `read_ops` and `seeks` for the
+//! same logical access pattern — the one [`BlockStream`] cursor does the charging, when the
+//! consumer takes a block, and read-ahead blocks discarded by a
+//! reposition are never charged. That is what makes
+//! `IoBackend::Prefetch` a pure scheduling change rather than a
+//! different I/O plan.
 //!
 //! One deliberate asymmetry: `io_time` measures *device activity*
 //! (each consumed block is charged its producer-side read duration,
@@ -37,21 +37,19 @@
 //! wall accordingly.
 
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::error::{IoError, Result};
-use crate::stats::IoStats;
-use crate::stream::{U32Reader, U32Source, BYTES_PER_U32};
+use crate::stream::{BlockFetch, BlockStream, PreadFetch, U32Reader, U32Source};
 
 /// Blocks the producer keeps ready ahead of the consumer.
 pub const PREFETCH_DEPTH: usize = 4;
 
 /// Shared producer/consumer state of a [`PrefetchReader`].
+#[derive(Debug)]
 struct Shared {
     state: Mutex<State>,
     /// Signalled when the producer should look for work.
@@ -60,12 +58,15 @@ struct Shared {
     consume: Condvar,
 }
 
+#[derive(Debug)]
 struct State {
     /// Bumped by every consumer reposition; blocks from older epochs
     /// are recycled, never delivered.
     epoch: u64,
     /// Next `u32` index the producer should read for the current epoch.
     read_at: u64,
+    /// Emulated device latency of the blocks the producer starts on.
+    latency: Duration,
     /// Filled byte blocks (in file order) with their read times.
     queue: VecDeque<(Vec<u8>, Duration)>,
     /// Recycled block buffers.
@@ -73,55 +74,40 @@ struct State {
     /// Current epoch reached end-of-file.
     eof: bool,
     /// Producer-side failure, delivered to the consumer once.
-    error: Option<IoError>,
+    error: Option<std::io::Error>,
     shutdown: bool,
 }
 
-/// A read-ahead [`U32Source`]: a background thread fills the next
-/// block-sized buffers while the caller consumes the current one.
-///
-/// Construct one from an (unconsumed) [`U32Reader`] via
-/// [`PrefetchReader::new`]; it inherits the reader's file, block size
-/// and [`IoStats`]. Positioning follows the same contract as
-/// [`U32Reader`]: `seek_to`/`skip` clamp at end-of-file, short skips
-/// coalesce into read-through, and only repositions count as seeks.
-pub struct PrefetchReader {
+/// The read-ahead fetcher: a background thread fills the next
+/// block-sized buffers while the cursor's consumer works through the
+/// current one, and a fetch takes the oldest ready block.
+#[derive(Debug)]
+pub struct ProducerFetch {
     shared: Arc<Shared>,
     handle: Option<JoinHandle<()>>,
-    stats: Arc<IoStats>,
-    /// Block currently being consumed (raw little-endian bytes).
-    cur: Vec<u8>,
-    /// Consumed bytes in `cur`.
-    pos: usize,
-    len_u32: u64,
-    next_index: u64,
-    block_u32s: usize,
 }
 
-impl std::fmt::Debug for PrefetchReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrefetchReader")
-            .field("len_u32", &self.len_u32)
-            .field("next_index", &self.next_index)
-            .field("block_u32s", &self.block_u32s)
-            .finish()
-    }
-}
+/// A read-ahead [`U32Source`]: [`BlockStream`] over [`ProducerFetch`].
+///
+/// Construct one from an (unconsumed) [`U32Reader`] via
+/// [`PrefetchReader::new`]; it inherits the reader's file, block size,
+/// emulated latency and [`IoStats`](crate::IoStats).
+pub type PrefetchReader = BlockStream<ProducerFetch>;
 
 impl PrefetchReader {
-    /// Wrap `reader`, taking over its file and block size. Reading
-    /// starts at the reader's current position; any data the reader had
-    /// buffered is re-read by the producer (constructors hand over
-    /// fresh readers in practice). Errors if the background thread
-    /// cannot be spawned (the engines' whole API is `Result`-based, so
-    /// thread exhaustion must not abort the process).
+    /// Wrap `reader`, taking over its file and cursor state; the
+    /// producer starts reading ahead where the reader's window ends.
+    /// Errors if the background thread cannot be spawned (the engines'
+    /// whole API is `Result`-based, so thread exhaustion must not abort
+    /// the process).
     pub fn new(reader: U32Reader) -> Result<Self> {
-        let start = reader.position();
-        let (file, path, stats, block_u32s, len_u32, latency) = reader.into_parts();
+        let path = reader.path().to_path_buf();
+        let (len_u32, block_u32s) = (reader.len_u32(), reader.block_u32s());
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 epoch: 0,
-                read_at: start,
+                read_at: reader.fetch_pos(),
+                latency: reader.read_latency(),
                 queue: VecDeque::new(),
                 free: Vec::new(),
                 eof: false,
@@ -131,141 +117,69 @@ impl PrefetchReader {
             produce: Condvar::new(),
             consume: Condvar::new(),
         });
-        let producer_shared = Arc::clone(&shared);
-        let spawn_path = path.clone();
-        let handle = std::thread::Builder::new()
-            .name("pdtl-prefetch".into())
-            .spawn(move || producer(file, path, len_u32, block_u32s, latency, producer_shared))
-            .map_err(|e| IoError::os("spawn", spawn_path, e))?;
-        Ok(Self {
-            shared,
-            handle: Some(handle),
-            stats,
-            cur: Vec::new(),
-            pos: 0,
-            len_u32,
-            next_index: start,
-            block_u32s,
+        reader.try_map_fetch(|file| {
+            let producer_shared = Arc::clone(&shared);
+            let handle = std::thread::Builder::new()
+                .name("pdtl-prefetch".into())
+                .spawn(move || producer(file, len_u32, block_u32s, producer_shared))
+                .map_err(|e| IoError::os("spawn", path, e))?;
+            Ok(ProducerFetch {
+                shared,
+                handle: Some(handle),
+            })
         })
     }
+}
 
-    /// Take the next ready block from the producer; returns `false` at
-    /// end of file. Charges the block's bytes/time to [`IoStats`] —
-    /// this is the prefetching equivalent of a blocking refill.
-    fn pull(&mut self) -> Result<bool> {
+impl BlockFetch for ProducerFetch {
+    /// Take the next ready block from the producer, which reads in
+    /// file order from the last reposition — the order the cursor
+    /// fetches in — so `at` needs no checking. The charge is the
+    /// producer's read time: the device was busy that long, however
+    /// little of it the consumer waited out.
+    fn fetch(
+        &mut self,
+        _at: u64,
+        _want: usize,
+        latency: Duration,
+        buf: &mut Vec<u8>,
+    ) -> std::io::Result<(usize, Duration)> {
         let mut st = self.shared.state.lock().unwrap();
+        st.latency = latency;
         loop {
             if let Some((block, took)) = st.queue.pop_front() {
-                let old = std::mem::replace(&mut self.cur, block);
+                let old = std::mem::replace(buf, block);
                 if old.capacity() > 0 {
                     st.free.push(old);
                 }
-                self.pos = 0;
                 self.shared.produce.notify_one();
-                drop(st);
-                self.stats.record_read(self.cur.len() as u64, took);
-                return Ok(true);
+                return Ok((buf.len() / 4, took));
             }
             if let Some(e) = st.error.take() {
                 return Err(e);
             }
             if st.eof {
-                return Ok(false);
+                buf.clear();
+                return Ok((0, Duration::ZERO));
             }
             st = self.shared.consume.wait(st).unwrap();
         }
     }
 
-    /// Values left unconsumed in the current block.
-    fn buffered(&self) -> u64 {
-        ((self.cur.len() - self.pos) as u64) / BYTES_PER_U32
+    fn moved_to(&mut self, at: u64) {
+        let mut st = self.shared.state.lock().unwrap();
+        st.epoch += 1;
+        st.read_at = at;
+        st.eof = false;
+        st.error = None;
+        while let Some((b, _)) = st.queue.pop_front() {
+            st.free.push(b);
+        }
+        self.shared.produce.notify_one();
     }
 }
 
-impl U32Source for PrefetchReader {
-    fn len_u32(&self) -> u64 {
-        self.len_u32
-    }
-
-    fn position(&self) -> u64 {
-        self.next_index
-    }
-
-    fn seek_to(&mut self, index: u64) -> Result<()> {
-        let index = index.min(self.len_u32);
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.epoch += 1;
-            st.read_at = index;
-            st.eof = false;
-            st.error = None;
-            while let Some((b, _)) = st.queue.pop_front() {
-                st.free.push(b);
-            }
-            let old = std::mem::take(&mut self.cur);
-            if old.capacity() > 0 {
-                st.free.push(old);
-            }
-            self.shared.produce.notify_one();
-        }
-        self.pos = 0;
-        self.next_index = index;
-        self.stats.record_seek();
-        Ok(())
-    }
-
-    fn read_into(&mut self, out: &mut Vec<u32>, n: usize) -> Result<usize> {
-        let mut got = 0usize;
-        while got < n {
-            if self.pos >= self.cur.len() && !self.pull()? {
-                break;
-            }
-            let avail = (self.cur.len() - self.pos) / BYTES_PER_U32 as usize;
-            let take = avail.min(n - got);
-            let bytes = &self.cur[self.pos..self.pos + take * BYTES_PER_U32 as usize];
-            out.extend(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-            );
-            self.pos += take * BYTES_PER_U32 as usize;
-            got += take;
-        }
-        self.next_index += got as u64;
-        Ok(got)
-    }
-
-    fn skip(&mut self, n: u64) -> Result<()> {
-        let n = n.min(self.len_u32.saturating_sub(self.next_index));
-        let buffered = self.buffered();
-        if n <= buffered {
-            self.pos += (n * BYTES_PER_U32) as usize;
-            self.next_index += n;
-            return Ok(());
-        }
-        let beyond = n - buffered;
-        if beyond <= self.block_u32s as u64 {
-            // Read-through: same coalescing rule as `U32Reader::skip`.
-            self.pos = self.cur.len();
-            self.next_index += buffered;
-            let mut left = beyond;
-            while left > 0 {
-                if !self.pull()? {
-                    break;
-                }
-                let take = ((self.cur.len() as u64) / BYTES_PER_U32).min(left);
-                self.pos = (take * BYTES_PER_U32) as usize;
-                self.next_index += take;
-                left -= take;
-            }
-            Ok(())
-        } else {
-            self.seek_to(self.next_index + n)
-        }
-    }
-}
-
-impl Drop for PrefetchReader {
+impl Drop for ProducerFetch {
     fn drop(&mut self) {
         {
             let mut st = self.shared.state.lock().unwrap();
@@ -278,21 +192,11 @@ impl Drop for PrefetchReader {
     }
 }
 
-/// The background read loop of a [`PrefetchReader`].
-fn producer(
-    mut file: File,
-    path: PathBuf,
-    len_u32: u64,
-    block_u32s: usize,
-    latency: Duration,
-    shared: Arc<Shared>,
-) {
-    // The producer's actual file cursor (u32 index); `None` forces a
-    // seek before the next read.
-    let mut cursor: Option<u64> = None;
+/// The background read loop of a [`ProducerFetch`].
+fn producer(mut file: PreadFetch, len_u32: u64, block_u32s: usize, shared: Arc<Shared>) {
     loop {
         // Decide what to read (or stop) under the lock.
-        let (epoch, at, mut out) = {
+        let (epoch, at, latency, mut out) = {
             let mut st = shared.state.lock().unwrap();
             loop {
                 if st.shutdown {
@@ -305,7 +209,7 @@ fn producer(
                         continue;
                     }
                     let out = st.free.pop().unwrap_or_default();
-                    break (st.epoch, st.read_at, out);
+                    break (st.epoch, st.read_at, st.latency, out);
                 }
                 st = shared.produce.wait(st).unwrap();
             }
@@ -336,60 +240,31 @@ fn producer(
             };
             if abandoned {
                 st.free.push(out);
-                drop(st);
-                cursor = None;
                 continue;
             }
         }
 
-        // Read one block outside the lock, straight into the buffer.
-        let want_u32s = (len_u32 - at).min(block_u32s as u64) as usize;
-        let result = (|| -> std::result::Result<Duration, IoError> {
-            if cursor != Some(at) {
-                file.seek(SeekFrom::Start(at * BYTES_PER_U32))
-                    .map_err(|e| IoError::os("seek", &path, e))?;
-            }
-            let want_bytes = want_u32s * BYTES_PER_U32 as usize;
-            out.clear();
-            out.resize(want_bytes, 0);
-            let start = Instant::now();
-            let mut filled = 0usize;
-            while filled < want_bytes {
-                let n = file
-                    .read(&mut out[filled..])
-                    .map_err(|e| IoError::os("read", &path, e))?;
-                if n == 0 {
-                    break;
-                }
-                filled += n;
-            }
-            // Charge the emulated device wait like `U32Reader::refill`
-            // does (there the sleep sits inside the timed window).
-            let took = start.elapsed() + latency;
-            // File length is a multiple of 4 and fixed at open time; a
-            // short tail can only mean concurrent truncation.
-            out.truncate(filled / BYTES_PER_U32 as usize * BYTES_PER_U32 as usize);
-            cursor = Some(at + (out.len() / BYTES_PER_U32 as usize) as u64);
-            Ok(took)
-        })();
+        // Read one block outside the lock, straight into the buffer
+        // (the same fill-or-EOF read the blocking fetcher issues). The
+        // emulated device wait is charged with it, as there.
+        let want = (len_u32 - at).min(block_u32s as u64) as usize;
+        let start = Instant::now();
+        let result = file.read_block(at, want, &mut out);
+        let took = start.elapsed() + latency;
 
         // Publish under the lock, unless a reposition obsoleted us.
         let mut st = shared.state.lock().unwrap();
         if st.epoch != epoch {
-            cursor = None; // consumer moved the goalposts; re-seek
             if out.capacity() > 0 {
                 st.free.push(out);
             }
             continue;
         }
         match result {
-            Ok(took) => {
-                if out.is_empty() {
-                    st.eof = true;
-                } else {
-                    st.read_at = at + (out.len() / BYTES_PER_U32 as usize) as u64;
-                    st.queue.push_back((out, took));
-                }
+            Ok(0) => st.eof = true,
+            Ok(n) => {
+                st.read_at = at + n as u64;
+                st.queue.push_back((out, took));
             }
             Err(e) => {
                 st.error = Some(e);
@@ -498,6 +373,7 @@ impl Drop for ChunkPrefetcher {
 mod tests {
     use super::*;
     use crate::stream::U32Writer;
+    use crate::IoStats;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("pdtl-prefetch-tests");

@@ -10,19 +10,12 @@
 //! hand-off, and no cross-thread copy. The MGT engines select it via
 //! `IoBackend::Uring` (wire discriminant 3).
 //!
-//! **Accounting contract.** `UringSource` implements
-//! [`U32Source`] and mirrors [`U32Reader`]'s control
-//! flow refill for refill, exactly like
-//! [`MmapSource`](crate::MmapSource) does: a block is charged to
-//! [`IoStats`] when the consumer takes it (`record_read` of the block's
-//! bytes where the buffered reader would refill, `record_seek` where it
-//! would reposition, one zero-byte `record_read` where it would issue
-//! the empty end-of-file read), and read-ahead blocks discarded by a
-//! reposition are never charged. `bytes_read`, `seeks` *and* `read_ops`
-//! are therefore byte-identical to the blocking twin on identical
-//! access patterns — asserted across randomized patterns by
-//! `tests/source_parity.rs`. Emulated device latency
-//! ([`set_read_latency`](UringSource::set_read_latency)) models an
+//! **Accounting.** `UringSource` is the same [`BlockStream`] cursor as
+//! every other transport, so it charges [`IoStats`] exactly where a
+//! buffered reader refills or repositions: a block is charged when the
+//! consumer takes it, and read-ahead blocks discarded by a reposition
+//! are never charged. Emulated device latency
+//! ([`set_read_latency`](BlockStream::set_read_latency)) models an
 //! asynchronous device: each block becomes *ready* `latency` after its
 //! submission, so a consumer that arrives late (the overlap case) never
 //! sleeps, while one that arrives early sleeps only the remainder —
@@ -39,15 +32,13 @@
 //! so no caller needs platform knowledge. [`URING_DISABLE_ENV`] forces
 //! the degradation path for tests and operators.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::error::{IoError, Result};
 use crate::stats::IoStats;
-#[cfg(doc)]
-use crate::stream::U32Reader;
-use crate::stream::{U32Source, BYTES_PER_U32, DEFAULT_BUF_U32S};
+use crate::stream::{BlockFetch, BlockStream, DEFAULT_BUF_U32S};
 
 /// Block-sized reads kept in flight (or ready) ahead of the consumer —
 /// the queue depth of the backend, and the async analogue of
@@ -84,26 +75,7 @@ pub fn uring_supported() -> bool {
     if std::env::var_os(URING_DISABLE_ENV).is_some_and(|v| !v.is_empty()) {
         return false;
     }
-    probe_kernel()
-}
-
-#[cfg(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-))]
-fn probe_kernel() -> bool {
-    static PROBE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PROBE.get_or_init(|| sys::Ring::new(2).is_ok())
-}
-
-#[cfg(not(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-)))]
-fn probe_kernel() -> bool {
-    false
+    imp::probe_kernel()
 }
 
 #[cfg(all(
@@ -469,602 +441,377 @@ mod sys {
     }
 }
 
-#[cfg(not(all(
+#[cfg(all(
     target_os = "linux",
     target_endian = "little",
     target_pointer_width = "64"
-)))]
-mod sys {
-    //! Type-level stub so [`UringSource`](super::UringSource)'s
-    //! definition compiles on platforms the backend is not built for
-    //! (no constructor succeeds there, so no `Ring` ever exists).
+))]
+mod imp {
+    //! The ring-backed fetcher (everything above the raw binding).
+    use super::*;
+    use crate::stream::BYTES_PER_U32;
+    use std::time::Instant;
 
-    /// Uninhabited stand-in for the real ring.
+    /// Whether the running kernel accepts `io_uring_setup(2)` (probed once).
+    pub(super) fn probe_kernel() -> bool {
+        static PROBE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *PROBE.get_or_init(|| sys::Ring::new(2).is_ok())
+    }
+
+    /// Submission-queue size of each source's ring (completions queue is
+    /// twice this by default; both comfortably exceed [`URING_DEPTH`]).
+    const SQ_ENTRIES: u32 = 8;
+
+    /// Lifecycle of one read-ahead slot.
     #[derive(Debug)]
-    pub enum Ring {}
-}
-
-/// Submission-queue size of each source's ring (completions queue is
-/// twice this by default; both comfortably exceed [`URING_DEPTH`]).
-#[cfg(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-))]
-const SQ_ENTRIES: u32 = 8;
-
-/// Lifecycle of one read-ahead slot.
-#[derive(Debug)]
-enum SlotState {
-    /// No read associated with this slot.
-    Free,
-    /// A read starting at `u32` index `start` is queued in the kernel.
-    InFlight { start: u64, submitted: Instant },
-    /// The read completed; `res` is the kernel's byte count or error.
-    Ready {
-        start: u64,
-        submitted: Instant,
-        res: std::io::Result<usize>,
-    },
-}
-
-/// One read-ahead slot: a reusable buffer plus its state.
-#[derive(Debug)]
-struct Slot {
-    buf: Vec<u8>,
-    state: SlotState,
-}
-
-/// An `io_uring`-backed [`U32Source`] with [`U32Reader`]-identical I/O
-/// accounting: up to [`URING_DEPTH`] block-sized reads in flight per
-/// stream, submitted ahead of the consumer and charged only when
-/// consumed. See the module docs for the contract.
-///
-/// Beyond the trait it offers the positioned whole-chunk load the disk
-/// MGT engine's chunk source builds on
-/// ([`read_exact_range`](Self::read_exact_range), accounting-identical
-/// to [`U32Reader::read_exact_range`]) and a
-/// [`pre_read`](Self::pre_read) hint that queues a *future* range's
-/// blocks — how chunk `k+1` loads in the kernel while chunk `k`'s scan
-/// pass computes, with no prefetch thread.
-#[derive(Debug)]
-#[cfg_attr(
-    not(all(
-        target_os = "linux",
-        target_endian = "little",
-        target_pointer_width = "64"
-    )),
-    allow(dead_code)
-)]
-pub struct UringSource {
-    slots: Vec<Slot>,
-    ring: sys::Ring,
-    file: std::fs::File,
-    path: PathBuf,
-    stats: Arc<IoStats>,
-    /// Total `u32`s in the file.
-    len_u32: u64,
-    /// Index of the next value a read would return.
-    next_index: u64,
-    /// Where the next refill "reads" (mirrors the buffered reader's OS
-    /// file cursor).
-    file_pos: u64,
-    /// Block currently being consumed (raw little-endian bytes).
-    cur: Vec<u8>,
-    /// Consumed bytes in `cur`.
-    pos: usize,
-    /// Block size in `u32`s (the refill / accounting granularity).
-    block_u32s: usize,
-    /// Emulated device latency per block (see
-    /// [`set_read_latency`](Self::set_read_latency)).
-    read_latency: Duration,
-}
-
-#[cfg(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-))]
-impl UringSource {
-    /// Open `path` with the default block size (identical to
-    /// [`U32Reader::open`]'s buffer, so the two account identically).
-    /// Fails with `Unsupported` when [`uring_supported`] is `false`.
-    pub fn open(path: impl AsRef<Path>, stats: Arc<IoStats>) -> Result<Self> {
-        Self::with_block(path, stats, DEFAULT_BUF_U32S)
+    enum SlotState {
+        /// No read associated with this slot.
+        Free,
+        /// A read starting at `u32` index `start` is queued in the kernel.
+        InFlight { start: u64, submitted: Instant },
+        /// The read completed; `res` is the kernel's byte count or error.
+        Ready {
+            start: u64,
+            submitted: Instant,
+            res: std::io::Result<usize>,
+        },
     }
 
-    /// Open `path` with a block of `block_u32s` values (minimum 1) —
-    /// the accounting twin of [`U32Reader::with_buffer`].
-    pub fn with_block(
-        path: impl AsRef<Path>,
-        stats: Arc<IoStats>,
+    /// One read-ahead slot: a reusable buffer plus its state.
+    #[derive(Debug)]
+    struct Slot {
+        buf: Vec<u8>,
+        state: SlotState,
+    }
+
+    /// The `io_uring` fetcher: up to [`URING_DEPTH`] block-sized reads in
+    /// flight, submitted ahead of the cursor in the block grid its fetches
+    /// follow and handed over (buffer swapped, not copied) when asked for.
+    /// A [`hint`](BlockFetch::hint) queues a *future* range's first blocks
+    /// — how chunk `k+1` loads in the kernel while chunk `k`'s scan pass
+    /// computes, with no prefetch thread.
+    #[derive(Debug)]
+    pub struct UringFetch {
+        slots: Vec<Slot>,
+        ring: sys::Ring,
+        file: std::fs::File,
+        /// Total `u32`s in the file, and the block size in `u32`s: the grid
+        /// read-ahead is planned on.
+        len_u32: u64,
         block_u32s: usize,
-    ) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        if !uring_supported() {
-            return Err(IoError::os(
-                "io_uring",
-                &path,
-                std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    "io_uring is unavailable on this kernel (or disabled via PDTL_URING_DISABLE)",
-                ),
-            ));
-        }
-        let file = std::fs::File::open(&path).map_err(|e| IoError::os("open", &path, e))?;
-        let meta = file.metadata().map_err(|e| IoError::os("stat", &path, e))?;
-        if meta.len() % BYTES_PER_U32 != 0 {
-            return Err(IoError::malformed(
-                &path,
-                format!("size {} is not a multiple of 4", meta.len()),
-            ));
-        }
-        let ring = sys::Ring::new(SQ_ENTRIES).map_err(|e| IoError::os("io_uring", &path, e))?;
-        Ok(Self {
-            slots: (0..URING_DEPTH)
-                .map(|_| Slot {
-                    buf: Vec::new(),
-                    state: SlotState::Free,
-                })
-                .collect(),
-            ring,
-            len_u32: meta.len() / BYTES_PER_U32,
-            file,
-            path,
-            stats,
-            next_index: 0,
-            file_pos: 0,
-            cur: Vec::new(),
-            pos: 0,
-            block_u32s: block_u32s.max(1),
-            read_latency: Duration::ZERO,
-        })
     }
 
-    /// Emulate an asynchronous storage device with the given per-block
-    /// latency: a block becomes *ready* `latency` after its submission,
-    /// so consumers that overlap compute with the in-flight reads wait
-    /// only the un-hidden remainder (the blocking twin sleeps the full
-    /// latency on every refill). Charged to [`IoStats`] as device
-    /// activity, like the other backends.
-    pub fn set_read_latency(&mut self, latency: Duration) {
-        self.read_latency = latency;
-    }
-
-    /// Total number of `u32`s in the file.
-    pub fn len_u32(&self) -> u64 {
-        self.len_u32
-    }
-
-    /// The file this source streams from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The refill length (in `u32`s) of a block starting at `start`.
-    fn want_at(&self, start: u64) -> usize {
-        (self.len_u32 - start).min(self.block_u32s as u64) as usize
-    }
-
-    /// The next [`URING_DEPTH`] refill start positions from `from`
-    /// (fewer near end of file).
-    fn planned_from(&self, from: u64) -> ([u64; URING_DEPTH], usize) {
-        let mut plan = [0u64; URING_DEPTH];
-        let mut n = 0;
-        let mut p = from;
-        while n < URING_DEPTH && p < self.len_u32 {
-            plan[n] = p;
-            n += 1;
-            p += self.want_at(p) as u64;
-        }
-        (plan, n)
-    }
-
-    /// Drain the completion queue into the slots.
-    fn reap(&mut self) {
-        while let Some((user_data, res)) = self.ring.pop() {
-            let Some(slot) = self.slots.get_mut(user_data as usize) else {
-                continue;
+    impl UringFetch {
+        /// Open `path` behind a fresh ring; returns the fetcher and the
+        /// file's length in `u32`s.
+        pub(super) fn open(path: &Path, block_u32s: usize) -> Result<(Self, u64)> {
+            let (file, len_u32) = crate::stream::open_u32_file(path)?;
+            let ring = sys::Ring::new(SQ_ENTRIES).map_err(|e| IoError::os("io_uring", path, e))?;
+            let slots = (0..URING_DEPTH).map(|_| Slot {
+                buf: Vec::new(),
+                state: SlotState::Free,
+            });
+            let fetch = Self {
+                slots: slots.collect(),
+                ring,
+                file,
+                len_u32,
+                block_u32s,
             };
-            if let SlotState::InFlight { start, submitted } = slot.state {
-                slot.state = SlotState::Ready {
-                    start,
-                    submitted,
-                    res,
+            Ok((fetch, len_u32))
+        }
+
+        /// The length (in `u32`s) of a block starting at `start`.
+        fn want_at(&self, start: u64) -> usize {
+            (self.len_u32 - start).min(self.block_u32s as u64) as usize
+        }
+
+        /// The next [`URING_DEPTH`] block start positions from `from`
+        /// (fewer near end of file).
+        fn planned_from(&self, from: u64) -> ([u64; URING_DEPTH], usize) {
+            let mut plan = [0u64; URING_DEPTH];
+            let mut n = 0;
+            let mut p = from;
+            while n < URING_DEPTH && p < self.len_u32 {
+                plan[n] = p;
+                n += 1;
+                p += self.want_at(p) as u64;
+            }
+            (plan, n)
+        }
+
+        /// Drain the completion queue into the slots.
+        fn reap(&mut self) {
+            while let Some((user_data, res)) = self.ring.pop() {
+                let Some(slot) = self.slots.get_mut(user_data as usize) else {
+                    continue;
                 };
-            }
-        }
-    }
-
-    /// The slot (ready or in flight) holding the block at `start`.
-    fn slot_for(&self, start: u64) -> Option<usize> {
-        self.slots.iter().position(|s| match s.state {
-            SlotState::InFlight { start: p, .. } | SlotState::Ready { start: p, .. } => p == start,
-            SlotState::Free => false,
-        })
-    }
-
-    /// A slot that can take a new submission: a free one, else a ready
-    /// one whose block is not in `protect` (evicted, never charged).
-    fn acquire_slot(&mut self, protect: &[u64]) -> Option<usize> {
-        if let Some(i) = self
-            .slots
-            .iter()
-            .position(|s| matches!(s.state, SlotState::Free))
-        {
-            return Some(i);
-        }
-        let i = self.slots.iter().position(|s| match s.state {
-            SlotState::Ready { start, .. } => !protect.contains(&start),
-            _ => false,
-        })?;
-        self.slots[i].state = SlotState::Free;
-        Some(i)
-    }
-
-    /// Queue the read of the block starting at `start` into slot `idx`.
-    fn submit_slot(&mut self, idx: usize, start: u64) -> Result<()> {
-        use std::os::unix::io::AsRawFd;
-        let want_bytes = self.want_at(start) * BYTES_PER_U32 as usize;
-        let slot = &mut self.slots[idx];
-        slot.buf.clear();
-        slot.buf.resize(want_bytes, 0);
-        // SAFETY: the buffer lives in `self.slots` and is neither freed
-        // nor resized until the slot leaves `InFlight` (consumption,
-        // eviction and drop all reap first).
-        let submitted = Instant::now();
-        unsafe {
-            self.ring.submit_read(
-                self.file.as_raw_fd(),
-                slot.buf.as_mut_ptr(),
-                want_bytes,
-                start * BYTES_PER_U32,
-                idx as u64,
-            )
-        }
-        .map_err(|e| IoError::os("io_uring", &self.path, e))?;
-        self.slots[idx].state = SlotState::InFlight { start, submitted };
-        Ok(())
-    }
-
-    /// Keep the pipeline full: queue reads for the upcoming refill
-    /// positions into whatever slots are available. Best-effort — a
-    /// submission failure here surfaces on the refill that needs the
-    /// block.
-    fn top_up(&mut self) {
-        self.reap();
-        let (plan, n) = self.planned_from(self.file_pos);
-        for &p in &plan[..n] {
-            if self.slot_for(p).is_some() {
-                continue;
-            }
-            let Some(idx) = self.acquire_slot(&plan[..n]) else {
-                break;
-            };
-            if self.submit_slot(idx, p).is_err() {
-                break;
-            }
-        }
-    }
-
-    /// Hint that a positioned load of `[pos, pos + len)` is coming
-    /// (the next MGT chunk): queue its first blocks now so they
-    /// complete while the current chunk's scan pass computes. Advisory
-    /// and never charged — the accounting happens when the announced
-    /// `seek_to(pos)` + reads consume the blocks.
-    pub fn pre_read(&mut self, pos: u64, len: usize) {
-        self.reap();
-        let (plan, n) = self.planned_from(pos.min(self.len_u32));
-        let end = pos + len as u64;
-        for &p in &plan[..n] {
-            if p >= end {
-                break;
-            }
-            if self.slot_for(p).is_some() {
-                continue;
-            }
-            let Some(idx) = self.acquire_slot(&plan[..n]) else {
-                break;
-            };
-            if self.submit_slot(idx, p).is_err() {
-                break;
-            }
-        }
-    }
-
-    /// Take the block at `file_pos` (waiting on the kernel if it is
-    /// still in flight, submitting it if it was never queued), charge
-    /// it, and top the pipeline back up. Returns the `u32`s now
-    /// buffered — 0 at end of file, where the buffered reader's empty
-    /// `read(2)` is mirrored by a zero-byte charge.
-    fn refill(&mut self) -> Result<usize> {
-        let started = Instant::now();
-        if self.want_at(self.file_pos) == 0 {
-            // EOF: the buffered twin issues a real zero-byte read(2)
-            // here, device wait included — mirror both so io_time and
-            // wall stay comparable across backends under emulation
-            // (nothing is ever submitted ahead for EOF, so the full
-            // latency is honest).
-            if !self.read_latency.is_zero() {
-                std::thread::sleep(self.read_latency);
-            }
-            self.cur.clear();
-            self.pos = 0;
-            self.stats.record_read(0, started.elapsed());
-            return Ok(0);
-        }
-        self.reap();
-        let idx = match self.slot_for(self.file_pos) {
-            Some(i) => i,
-            None => {
-                let (plan, n) = self.planned_from(self.file_pos);
-                let mut idx = self.acquire_slot(&plan[..n]);
-                while idx.is_none() {
-                    // Every slot is in flight for stale positions: wait
-                    // for any completion and evict it.
-                    self.ring
-                        .wait()
-                        .map_err(|e| IoError::os("io_uring", &self.path, e))?;
-                    self.reap();
-                    idx = self.acquire_slot(&plan[..n]);
+                if let SlotState::InFlight { start, submitted } = slot.state {
+                    slot.state = SlotState::Ready {
+                        start,
+                        submitted,
+                        res,
+                    };
                 }
-                let idx = idx.expect("acquire_slot loops until a slot frees up");
-                self.submit_slot(idx, self.file_pos)?;
-                idx
-            }
-        };
-        while matches!(self.slots[idx].state, SlotState::InFlight { .. }) {
-            self.ring
-                .wait()
-                .map_err(|e| IoError::os("io_uring", &self.path, e))?;
-            self.reap();
-        }
-        let state = std::mem::replace(&mut self.slots[idx].state, SlotState::Free);
-        let SlotState::Ready { submitted, res, .. } = state else {
-            unreachable!("slot was just waited into Ready");
-        };
-        let n_bytes = res.map_err(|e| IoError::os("read", &self.path, e))?;
-        // The emulated device serves a block `latency` after it was
-        // queued; sleep only the part compute did not already hide.
-        if !self.read_latency.is_zero() {
-            let since = submitted.elapsed();
-            if since < self.read_latency {
-                std::thread::sleep(self.read_latency - since);
             }
         }
-        // Whole u32s only (a short tail can only mean concurrent
-        // truncation; file length is fixed at open).
-        let n_bytes = n_bytes / BYTES_PER_U32 as usize * BYTES_PER_U32 as usize;
-        std::mem::swap(&mut self.cur, &mut self.slots[idx].buf);
-        self.cur.truncate(n_bytes);
-        self.pos = 0;
-        // Charge device activity: at least the emulated latency, or the
-        // real wall this refill blocked (whichever is larger), matching
-        // the other backends' per-refill charges.
-        self.stats
-            .record_read(n_bytes as u64, started.elapsed().max(self.read_latency));
-        let n_u32 = n_bytes / BYTES_PER_U32 as usize;
-        self.file_pos += n_u32 as u64;
-        self.top_up();
-        Ok(n_u32)
-    }
 
-    /// Seek to `pos` and read exactly `len` values into `out` (cleared
-    /// first); errors if the range reaches past end of file. The
-    /// accounting twin of [`U32Reader::read_exact_range`] — and the MGT
-    /// chunk-load path: combined with [`pre_read`](Self::pre_read) the
-    /// blocks are usually already completed when this runs.
-    pub fn read_exact_range(&mut self, pos: u64, len: usize, out: &mut Vec<u32>) -> Result<()> {
-        out.clear();
-        U32Source::seek_to(self, pos)?;
-        let got = U32Source::read_into(self, out, len)?;
-        if got != len {
-            return Err(IoError::malformed(
-                &self.path,
-                format!("chunk [{pos}, {pos}+{len}) reaches past end of file"),
-            ));
+        /// The slot (ready or in flight) holding the block at `start`.
+        fn slot_for(&self, start: u64) -> Option<usize> {
+            self.slots.iter().position(|s| match s.state {
+                SlotState::InFlight { start: p, .. } | SlotState::Ready { start: p, .. } => {
+                    p == start
+                }
+                SlotState::Free => false,
+            })
         }
-        Ok(())
-    }
 
-    /// Wait out every in-flight read so no kernel write can land in a
-    /// freed buffer. Called on drop.
-    fn drain(&mut self) {
-        loop {
-            self.reap();
-            let in_flight = self
+        /// A slot that can take a new submission: a free one, else a ready
+        /// one whose block is not in `protect` (evicted, never charged).
+        fn acquire_slot(&mut self, protect: &[u64]) -> Option<usize> {
+            if let Some(i) = self
                 .slots
                 .iter()
-                .any(|s| matches!(s.state, SlotState::InFlight { .. }));
-            if !in_flight {
-                return;
+                .position(|s| matches!(s.state, SlotState::Free))
+            {
+                return Some(i);
             }
-            if self.ring.wait().is_err() {
-                // Cannot prove the reads finished: leak the buffers
-                // rather than hand the kernel freed memory.
-                for slot in &mut self.slots {
-                    if matches!(slot.state, SlotState::InFlight { .. }) {
-                        std::mem::forget(std::mem::take(&mut slot.buf));
-                    }
+            let i = self.slots.iter().position(|s| match s.state {
+                SlotState::Ready { start, .. } => !protect.contains(&start),
+                _ => false,
+            })?;
+            self.slots[i].state = SlotState::Free;
+            Some(i)
+        }
+
+        /// Queue the read of the block starting at `start` into slot `idx`.
+        fn submit_slot(&mut self, idx: usize, start: u64) -> std::io::Result<()> {
+            use std::os::unix::io::AsRawFd;
+            let want_bytes = self.want_at(start) * BYTES_PER_U32 as usize;
+            let slot = &mut self.slots[idx];
+            slot.buf.clear();
+            slot.buf.resize(want_bytes, 0);
+            // SAFETY: the buffer lives in `self.slots` and is neither freed
+            // nor resized until the slot leaves `InFlight` (consumption,
+            // eviction and drop all reap first).
+            let submitted = Instant::now();
+            unsafe {
+                self.ring.submit_read(
+                    self.file.as_raw_fd(),
+                    slot.buf.as_mut_ptr(),
+                    want_bytes,
+                    start * BYTES_PER_U32,
+                    idx as u64,
+                )
+            }?;
+            self.slots[idx].state = SlotState::InFlight { start, submitted };
+            Ok(())
+        }
+
+        /// Queue reads for the blocks of the grid from `from` that start
+        /// before `end`, into whatever slots are available — keeping the
+        /// pipeline full after a fetch or reposition, or starting on a
+        /// hinted range. Best-effort: a submission failure here surfaces on
+        /// the fetch that needs the block.
+        fn queue_ahead(&mut self, from: u64, end: u64) {
+            self.reap();
+            let (plan, n) = self.planned_from(from);
+            for &p in plan[..n].iter().take_while(|&&p| p < end) {
+                if self.slot_for(p).is_some() {
+                    continue;
                 }
-                return;
-            }
-        }
-    }
-}
-
-#[cfg(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-))]
-impl Drop for UringSource {
-    fn drop(&mut self) {
-        self.drain();
-    }
-}
-
-#[cfg(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-))]
-impl U32Source for UringSource {
-    fn len_u32(&self) -> u64 {
-        self.len_u32
-    }
-
-    fn position(&self) -> u64 {
-        self.next_index
-    }
-
-    fn seek_to(&mut self, index: u64) -> Result<()> {
-        let index = index.min(self.len_u32);
-        self.stats.record_seek();
-        self.cur.clear();
-        self.pos = 0;
-        self.next_index = index;
-        self.file_pos = index;
-        // Unconsumed read-ahead for the old position simply stops
-        // matching future refills (discarded unchaged); queue the new
-        // position's blocks right away.
-        self.top_up();
-        Ok(())
-    }
-
-    fn read_into(&mut self, out: &mut Vec<u32>, n: usize) -> Result<usize> {
-        let mut got = 0usize;
-        while got < n {
-            if self.pos + 4 > self.cur.len() && self.refill()? == 0 {
-                break;
-            }
-            let avail = (self.cur.len() - self.pos) / 4;
-            let take = avail.min(n - got);
-            let bytes = &self.cur[self.pos..self.pos + take * 4];
-            out.extend(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-            );
-            self.pos += take * 4;
-            got += take;
-        }
-        self.next_index += got as u64;
-        Ok(got)
-    }
-
-    fn skip(&mut self, n: u64) -> Result<()> {
-        let n = n.min(self.len_u32.saturating_sub(self.next_index));
-        let buffered = ((self.cur.len() - self.pos) / 4) as u64;
-        if n <= buffered {
-            self.pos += (n * 4) as usize;
-            self.next_index += n;
-            return Ok(());
-        }
-        let beyond = n - buffered;
-        if beyond <= self.block_u32s as u64 {
-            // Read-through: same coalescing rule (and refill charges)
-            // as `U32Reader::skip`.
-            self.pos = self.cur.len();
-            self.next_index += buffered;
-            let mut left = beyond;
-            while left > 0 {
-                if self.refill()? == 0 {
+                let Some(idx) = self.acquire_slot(&plan[..n]) else {
+                    break;
+                };
+                if self.submit_slot(idx, p).is_err() {
                     break;
                 }
-                let take = ((self.cur.len() / 4) as u64).min(left);
-                self.pos = (take * 4) as usize;
-                self.next_index += take;
-                left -= take;
             }
-            Ok(())
-        } else {
-            self.seek_to(self.next_index + n)
+        }
+
+        /// Wait out every in-flight read so no kernel write can land in a
+        /// freed buffer. Called on drop.
+        fn drain(&mut self) {
+            loop {
+                self.reap();
+                let in_flight = self
+                    .slots
+                    .iter()
+                    .any(|s| matches!(s.state, SlotState::InFlight { .. }));
+                if !in_flight {
+                    return;
+                }
+                if self.ring.wait().is_err() {
+                    // Cannot prove the reads finished: leak the buffers
+                    // rather than hand the kernel freed memory.
+                    for slot in &mut self.slots {
+                        if matches!(slot.state, SlotState::InFlight { .. }) {
+                            std::mem::forget(std::mem::take(&mut slot.buf));
+                        }
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    impl Drop for UringFetch {
+        fn drop(&mut self) {
+            self.drain();
+        }
+    }
+
+    impl BlockFetch for UringFetch {
+        /// Take the block at `at` (waiting on the kernel if it is still in
+        /// flight, submitting it if it was never queued) and top the
+        /// pipeline back up.
+        fn fetch(
+            &mut self,
+            at: u64,
+            _want: usize,
+            latency: Duration,
+            buf: &mut Vec<u8>,
+        ) -> std::io::Result<(usize, Duration)> {
+            let started = Instant::now();
+            self.reap();
+            let idx = match self.slot_for(at) {
+                Some(i) => i,
+                None => {
+                    let (plan, n) = self.planned_from(at);
+                    let mut idx = self.acquire_slot(&plan[..n]);
+                    while idx.is_none() {
+                        // Every slot is in flight for stale positions: wait
+                        // for any completion and evict it.
+                        self.ring.wait()?;
+                        self.reap();
+                        idx = self.acquire_slot(&plan[..n]);
+                    }
+                    let idx = idx.expect("acquire_slot loops until a slot frees up");
+                    self.submit_slot(idx, at)?;
+                    idx
+                }
+            };
+            while matches!(self.slots[idx].state, SlotState::InFlight { .. }) {
+                self.ring.wait()?;
+                self.reap();
+            }
+            let state = std::mem::replace(&mut self.slots[idx].state, SlotState::Free);
+            let SlotState::Ready { submitted, res, .. } = state else {
+                unreachable!("slot was just waited into Ready");
+            };
+            let n_bytes = res?;
+            // The emulated device serves a block `latency` after it was
+            // queued; sleep only the part compute did not already hide.
+            if !latency.is_zero() {
+                let since = submitted.elapsed();
+                if since < latency {
+                    std::thread::sleep(latency - since);
+                }
+            }
+            // Whole u32s only (a short tail can only mean concurrent
+            // truncation; file length is fixed at open).
+            let n_u32 = n_bytes / BYTES_PER_U32 as usize;
+            std::mem::swap(buf, &mut self.slots[idx].buf);
+            buf.truncate(n_u32 * BYTES_PER_U32 as usize);
+            // Charge device activity: at least the emulated latency, or the
+            // real wall this fetch blocked (whichever is larger), matching
+            // the other backends' per-block charges.
+            let took = started.elapsed().max(latency);
+            self.queue_ahead(at + n_u32 as u64, u64::MAX);
+            Ok((n_u32, took))
+        }
+
+        /// Unconsumed read-ahead for the old position simply stops matching
+        /// future fetches (discarded uncharged); queue the new position's
+        /// blocks right away.
+        fn moved_to(&mut self, at: u64) {
+            self.queue_ahead(at, u64::MAX);
+        }
+
+        /// Queue the announced range's first blocks now so they complete
+        /// while the caller computes. The accounting happens when the
+        /// announced `seek_to(pos)` + reads consume the blocks.
+        fn hint(&mut self, pos: u64, len: usize) {
+            self.queue_ahead(pos.min(self.len_u32), pos + len as u64);
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Fallback stub: platforms the backend is not compiled for. `open`
-// reports `Unsupported`; `IoBackend::Uring.resolve()` degrades to
-// `Prefetch` before any engine gets here, so the remaining methods are
-// unreachable by construction.
-// ---------------------------------------------------------------------
 #[cfg(not(all(
     target_os = "linux",
     target_endian = "little",
     target_pointer_width = "64"
 )))]
-#[allow(unused_variables, clippy::missing_const_for_fn)]
+mod imp {
+    //! No ring on this platform: a fetcher nobody can construct.
+    use super::*;
+
+    pub(super) fn probe_kernel() -> bool {
+        false
+    }
+
+    /// Uninhabited: no ring exists on this platform.
+    #[derive(Debug)]
+    pub enum UringFetch {}
+
+    impl UringFetch {
+        pub(super) fn open(path: &Path, _block_u32s: usize) -> Result<(Self, u64)> {
+            Err(unavailable(path))
+        }
+    }
+
+    impl BlockFetch for UringFetch {
+        fn fetch(
+            &mut self,
+            _at: u64,
+            _want: usize,
+            _latency: Duration,
+            _buf: &mut Vec<u8>,
+        ) -> std::io::Result<(usize, Duration)> {
+            match *self {}
+        }
+    }
+}
+
+pub use imp::UringFetch;
+
+/// The asynchronous transport: [`BlockStream`] over [`UringFetch`].
+/// See the module docs.
+pub type UringSource = BlockStream<UringFetch>;
+
+/// The `Unsupported` error of a kernel, platform or operator that
+/// rules `io_uring` out.
+fn unavailable(path: &Path) -> IoError {
+    IoError::os(
+        "io_uring",
+        path,
+        std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "io_uring is unavailable on this kernel or platform \
+             (or disabled via PDTL_URING_DISABLE)",
+        ),
+    )
+}
+
 impl UringSource {
-    /// Unsupported on this platform; always errors.
+    /// Open `path` with the default block size. Fails with
+    /// `Unsupported` when [`uring_supported`] is `false`.
     pub fn open(path: impl AsRef<Path>, stats: Arc<IoStats>) -> Result<Self> {
         Self::with_block(path, stats, DEFAULT_BUF_U32S)
     }
 
-    /// Unsupported on this platform; always errors.
+    /// Open `path` with a block of `block_u32s` values (minimum 1).
     pub fn with_block(
         path: impl AsRef<Path>,
         stats: Arc<IoStats>,
         block_u32s: usize,
     ) -> Result<Self> {
-        let _ = (stats, block_u32s);
-        Err(IoError::os(
-            "io_uring",
-            path.as_ref(),
-            std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "the io_uring backend requires 64-bit little-endian Linux",
-            ),
-        ))
-    }
-
-    /// Unreachable: no constructor succeeds on this platform.
-    pub fn set_read_latency(&mut self, _latency: Duration) {
-        unreachable!("UringSource cannot be constructed on this platform")
-    }
-
-    /// Unreachable: no constructor succeeds on this platform.
-    pub fn len_u32(&self) -> u64 {
-        unreachable!("UringSource cannot be constructed on this platform")
-    }
-
-    /// Unreachable: no constructor succeeds on this platform.
-    pub fn path(&self) -> &Path {
-        unreachable!("UringSource cannot be constructed on this platform")
-    }
-
-    /// Unreachable: no constructor succeeds on this platform.
-    pub fn pre_read(&mut self, _pos: u64, _len: usize) {
-        unreachable!("UringSource cannot be constructed on this platform")
-    }
-
-    /// Unreachable: no constructor succeeds on this platform.
-    pub fn read_exact_range(&mut self, _pos: u64, _len: usize, _out: &mut Vec<u32>) -> Result<()> {
-        unreachable!("UringSource cannot be constructed on this platform")
-    }
-}
-
-#[cfg(not(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-)))]
-impl U32Source for UringSource {
-    fn len_u32(&self) -> u64 {
-        unreachable!("UringSource cannot be constructed on this platform")
-    }
-    fn position(&self) -> u64 {
-        unreachable!("UringSource cannot be constructed on this platform")
-    }
-    fn seek_to(&mut self, _index: u64) -> Result<()> {
-        unreachable!("UringSource cannot be constructed on this platform")
-    }
-    fn read_into(&mut self, _out: &mut Vec<u32>, _n: usize) -> Result<usize> {
-        unreachable!("UringSource cannot be constructed on this platform")
-    }
-    fn skip(&mut self, _n: u64) -> Result<()> {
-        unreachable!("UringSource cannot be constructed on this platform")
+        let (path, block_u32s) = (path.as_ref(), block_u32s.max(1));
+        if !uring_supported() {
+            return Err(unavailable(path));
+        }
+        let (fetch, len_u32) = UringFetch::open(path, block_u32s)?;
+        Ok(Self::over(fetch, path, stats, len_u32, block_u32s, None))
     }
 }
 
@@ -1076,7 +823,9 @@ impl U32Source for UringSource {
 ))]
 mod tests {
     use super::*;
-    use crate::stream::{U32Reader, U32Writer};
+    use crate::stream::{U32Reader, U32Source, U32Writer};
+    use std::path::PathBuf;
+    use std::time::Instant;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("pdtl-uring-tests");
@@ -1117,7 +866,7 @@ mod tests {
         let p = write_vals("seq", &vals);
         let stats = IoStats::new();
         let mut u = UringSource::with_block(&p, stats.clone(), 512).unwrap();
-        assert_eq!(UringSource::len_u32(&u), vals.len() as u64);
+        assert_eq!(u.len_u32(), vals.len() as u64);
         let mut out = Vec::new();
         assert_eq!(
             U32Source::read_into(&mut u, &mut out, vals.len() + 7).unwrap(),
@@ -1203,15 +952,22 @@ mod tests {
         let p = write_vals("preread", &vals);
         let stats = IoStats::new();
         let mut u = UringSource::with_block(&p, stats.clone(), 1000).unwrap();
-        u.pre_read(30_000, 4_000);
-        u.pre_read(49_999, 500); // clamps at the end
-        u.pre_read(60_000, 10); // past the end: ignored
-        assert_eq!(stats.bytes_read(), 0, "hints are never charged");
-        assert_eq!(stats.read_ops(), 0);
-        // The hinted load is then served (and charged) normally.
         let mut out = Vec::new();
-        u.read_exact_range(30_000, 2_500, &mut out).unwrap();
-        assert_eq!(out, &vals[30_000..32_500]);
+        // Each hint is queued when the load before it is done.
+        for (pos, len) in [(30_000, 4_000), (49_999, 500), (60_000, 10)] {
+            u.hint_range(pos, len); // the 2nd clamps at the end, the 3rd is past it
+            u.range_run(0, 10, &mut out).unwrap();
+        }
+        assert_eq!(stats.bytes_read(), 3 * 1000 * 4, "hints are never charged");
+        assert_eq!(stats.read_ops(), 3);
+        // A hinted load is then served (and charged) normally.
+        u.hint_range(30_000, 4_000);
+        u.range_run(0, 10, &mut out).unwrap();
+        assert_eq!(
+            u.range_run(30_000, 2_500, &mut out).unwrap(),
+            &vals[30_000..32_500]
+        );
+        assert_eq!(stats.read_ops(), 4 + 3);
     }
 
     #[test]
@@ -1240,7 +996,7 @@ mod tests {
         let p = write_vals("empty", &[]);
         let stats = IoStats::new();
         let mut u = UringSource::open(&p, stats.clone()).unwrap();
-        assert_eq!(UringSource::len_u32(&u), 0);
+        assert_eq!(u.len_u32(), 0);
         let mut out = Vec::new();
         assert_eq!(U32Source::read_into(&mut u, &mut out, 10).unwrap(), 0);
         U32Source::seek_to(&mut u, 5).unwrap();
@@ -1308,7 +1064,7 @@ mod tests {
         let vals: Vec<u32> = (0..100_000).collect();
         let p = write_vals("drop", &vals);
         let mut u = UringSource::with_block(&p, IoStats::new(), 256).unwrap();
-        u.pre_read(0, 100_000); // queue read-ahead, then drop immediately
+        u.seek_to(0).unwrap(); // queues read-ahead; then drop immediately
         drop(u);
     }
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use pdtl_io::{external_sort_u64, extsort, IoStats, MemoryBudget, U32Reader, U32Writer};
+use pdtl_io::{external_sort_u64, extsort, IoStats, MemoryBudget, U32Reader, U32Source, U32Writer};
 
 fn tmp(name: &str, case: u64) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("pdtl-io-proptests");

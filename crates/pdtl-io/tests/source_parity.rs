@@ -3,7 +3,7 @@
 //! The four backends — blocking [`U32Reader`], read-ahead
 //! [`PrefetchReader`], zero-copy [`MmapSource`], asynchronous
 //! [`UringSource`] — must yield byte-identical `u32` streams, identical
-//! final positions, and identical `bytes_read`/`seeks` for *any* access
+//! final positions, and identical `bytes_read`/`seeks`/`read_ops` for *any* access
 //! pattern (reads, short and long skips, seeks — all clamped at end of
 //! file), at any block size, on any file length including empty. The
 //! property test drives randomized patterns; the explicit tests pin the
@@ -128,13 +128,7 @@ proptest! {
             prop_assert_eq!(pos, b_pos);
             prop_assert_eq!(bytes, b_bytes);
             prop_assert_eq!(seeks, b_seeks);
-            if which != "prefetch" {
-                // The mmap and uring sources mirror the blocking reader
-                // refill for refill; the prefetcher's op granularity
-                // legitimately differs at EOF (it never issues the
-                // empty read).
-                prop_assert_eq!(read_ops, b_ops);
-            }
+            prop_assert_eq!(read_ops, b_ops);
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -169,6 +163,7 @@ fn eof_clamp_edges_agree_across_backends() {
         assert_eq!(got.1, reference.1, "{which}: position");
         assert_eq!(got.2, reference.2, "{which}: bytes_read");
         assert_eq!(got.3, reference.3, "{which}: seeks");
+        assert_eq!(got.4, reference.4, "{which}: read_ops");
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -186,6 +181,7 @@ fn empty_file_edges_agree_across_backends() {
         assert_eq!(got.1, reference.1, "{which}: position");
         assert_eq!(got.2, reference.2, "{which}: bytes_read");
         assert_eq!(got.3, reference.3, "{which}: seeks");
+        assert_eq!(got.4, reference.4, "{which}: read_ops");
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -215,14 +211,15 @@ fn write_varint_fixture(runs: &[Vec<u32>]) -> (PathBuf, Arc<VarintIndex>, Vec<u3
 }
 
 /// Drive `ops` through a [`VarintSource`] over the named transport,
-/// returning `(stream, position, bytes_read, seeks, u32s_decoded)`.
+/// returning `(stream, position, bytes_read, seeks, u32s_decoded,
+/// read_ops)`.
 fn trace_varint(
     which: &str,
     path: &PathBuf,
     index: &Arc<VarintIndex>,
     block: usize,
     ops: &[(u8, u64)],
-) -> (Vec<u32>, u64, u64, u64, u64) {
+) -> (Vec<u32>, u64, u64, u64, u64, u64) {
     let stats = IoStats::new();
     let (out, pos) = match which {
         "blocking" => {
@@ -255,6 +252,7 @@ fn trace_varint(
         stats.bytes_read(),
         stats.seeks(),
         stats.u32s_decoded(),
+        stats.read_ops(),
     )
 }
 
@@ -292,18 +290,19 @@ proptest! {
         // Raw blocking reader is the logical-stream reference.
         let (want_out, want_pos, ..) = trace_backend("blocking", &rpath, block, &ops);
 
-        let (b_out, b_pos, b_bytes, b_seeks, b_dec) =
+        let (b_out, b_pos, b_bytes, b_seeks, b_dec, b_ops) =
             trace_varint("blocking", &vpath, &index, block, &ops);
         prop_assert_eq!(&b_out, &want_out);
         prop_assert_eq!(b_pos, want_pos);
         for which in other_backends() {
-            let (out, pos, bytes, seeks, dec) =
+            let (out, pos, bytes, seeks, dec, read_ops) =
                 trace_varint(which, &vpath, &index, block, &ops);
             prop_assert_eq!(&out, &b_out);
             prop_assert_eq!(pos, b_pos);
             prop_assert_eq!(bytes, b_bytes);
             prop_assert_eq!(seeks, b_seeks);
             prop_assert_eq!(dec, b_dec);
+            prop_assert_eq!(read_ops, b_ops);
         }
         let _ = std::fs::remove_file(&vpath);
         let _ = std::fs::remove_file(&rpath);
@@ -373,6 +372,7 @@ fn varint_runs_straddling_the_decode_buffer_agree_across_transports() {
             assert_eq!(got.2, reference.2, "{which}/{block}: bytes_read");
             assert_eq!(got.3, reference.3, "{which}/{block}: seeks");
             assert_eq!(got.4, reference.4, "{which}/{block}: u32s_decoded");
+            assert_eq!(got.5, reference.5, "{which}/{block}: read_ops");
         }
     }
     let _ = std::fs::remove_file(&vpath);
@@ -416,6 +416,7 @@ fn varint_eof_and_empty_edges_agree_across_transports() {
         assert_eq!(got.2, reference.2, "{which}: bytes_read");
         assert_eq!(got.3, reference.3, "{which}: seeks");
         assert_eq!(got.4, reference.4, "{which}: u32s_decoded");
+        assert_eq!(got.5, reference.5, "{which}: read_ops");
     }
     let _ = std::fs::remove_file(&vpath);
 
@@ -427,7 +428,7 @@ fn varint_eof_and_empty_edges_agree_across_transports() {
     assert_eq!(eref.1, 0);
     for which in other_backends() {
         let got = trace_varint(which, &epath, &eindex, 16, &eops);
-        assert_eq!((got.0, got.1, got.2, got.3, got.4), eref.clone(), "{which}");
+        assert_eq!(got, eref, "{which}");
     }
     let _ = std::fs::remove_file(&epath);
 }
