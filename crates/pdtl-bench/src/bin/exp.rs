@@ -10,16 +10,13 @@
 //! ```
 
 use pdtl_bench::experiments::{run_experiment, ALL_EXPERIMENTS};
+use pdtl_bench::kernelbench;
 use pdtl_bench::workbench::{Profile, Workbench};
-use pdtl_bench::{kernelbench, servebench};
 use pdtl_io::{Codec, IoBackend};
 
 /// Where `exp kernels --json` writes its snapshot (the repo root when
 /// run via `cargo run`).
 const BENCH_JSON: &str = "BENCH_kernels.json";
-
-/// Where `exp serve --json` writes the serve-mode throughput snapshot.
-const SERVE_JSON: &str = "BENCH_serve.json";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -63,7 +60,7 @@ fn main() {
         .collect();
     if ids.is_empty() {
         eprintln!(
-            "usage: exp <all | kernels | serve | id...> [--quick] [--json] [--backend b] [--codec c]"
+            "usage: exp <all | kernels | id...> [--quick] [--json] [--backend b] [--codec c]"
         );
         eprintln!("experiment ids: {}", ALL_EXPERIMENTS.join(" "));
         std::process::exit(2);
@@ -95,20 +92,6 @@ fn main() {
         }
     }
 
-    if ids.iter().any(|i| i == "serve") {
-        let start = std::time::Instant::now();
-        let results = servebench::run_serve_bench();
-        print!("{}", servebench::to_table(&results));
-        if json {
-            servebench::write_json(SERVE_JSON, &results).expect("write serve json");
-            println!("[wrote {SERVE_JSON}]");
-        }
-        println!("[serve soaked in {:.1?}]", start.elapsed());
-        if ids.iter().all(|i| i == "serve" || i == "kernels") {
-            return;
-        }
-    }
-
     let profile = if quick { Profile::Quick } else { Profile::Full };
     let data_dir = std::path::Path::new("target").join("pdtl-data");
     let mut wb = Workbench::new(profile, data_dir);
@@ -118,7 +101,7 @@ fn main() {
     } else {
         ids.iter()
             .map(|s| s.as_str())
-            .filter(|&s| s != "kernels" && s != "serve")
+            .filter(|&s| s != "kernels")
             .collect()
     };
 

@@ -14,7 +14,6 @@
 
 pub mod experiments;
 pub mod kernelbench;
-pub mod servebench;
 pub mod workbench;
 
 pub use workbench::{fmt_duration, fmt_secs, Workbench};

@@ -38,8 +38,8 @@
 //! down.
 //!
 //! The plan is interpreted by the master: node-level faults ship to
-//! nodes inside the Config message's directives tail, short reads ride
-//! the per-worker record tail, and `copyfail` never leaves the master.
+//! nodes inside the Config message's directives record, short reads
+//! ride the per-worker records, and `copyfail` never leaves the master.
 //! Recovery dispatches (range reassignment, the master-local fallback)
 //! deliberately ship no faults — the plan models hosts failing, not the
 //! master's own process.

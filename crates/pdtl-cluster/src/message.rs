@@ -1,27 +1,271 @@
-//! The wire protocol between master and nodes.
+//! The wire protocol: master ↔ node, and serve-mode client ↔ daemon.
 //!
-//! Messages use a compact hand-rolled little-endian binary encoding (tag
-//! byte + fields) so their exact byte sizes are meaningful for the
-//! network accounting: the `Θ(NP)` configuration term and the `Θ(T)`
-//! listing term of Theorem IV.3 are measured from these encodings.
+//! One positional little-endian grammar covers every message: a tag
+//! byte, a `u32` id (node id, query id, or zero), then every field of
+//! the variant in declaration order. A record is its fields in
+//! declaration order; a string or sequence is a `u32` count followed
+//! by its elements; an enum travels as a whole discriminant byte and
+//! an `Option<u64>` as a presence byte plus the `u64`. Nothing is
+//! optional or skipped, so every record has one fixed size and the
+//! exact byte counts are meaningful for the network accounting: the
+//! `Θ(NP)` configuration term and the `Θ(T)` listing term of
+//! Theorem IV.3 are measured from these encodings.
+//!
+//! Decoding is strict: a truncated field, an unknown tag or
+//! discriminant, a bool byte other than 0/1, a non-zero argument an
+//! operation does not use, a declared count the remaining bytes cannot
+//! hold (rejected *before* anything is allocated) and a payload not
+//! consumed to its last byte are all [`ClusterError::Protocol`]. The
+//! encoding is therefore canonical — whatever decodes re-encodes to
+//! the same bytes. Both ends are always the same binary (cluster nodes
+//! are threads of the master's process; `pdtl query` and `pdtl serve`
+//! are one executable), so there is no version negotiation.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pdtl_io::{Codec, IoBackend};
 
 use crate::error::{ClusterError, Result};
 
+/// Most worker threads one serve query may ask for. With
+/// [`MAX_LIST_LIMIT`] it keeps one malformed request from asking the
+/// daemon for unbounded work — or for an answer that outgrows a frame.
+pub const MAX_CORES: u32 = 64;
+/// Most triples one `list` answer echoes back.
+pub const MAX_LIST_LIMIT: u32 = 1 << 22;
+
+/// Bytes of the `u32` payload length that opens a transport frame.
+pub(crate) const FRAME_HEADER: usize = 4;
+
+/// The largest payload either end of a connection writes or buffers
+/// (~48 MiB). Not a setting: it is the size of the biggest legitimate
+/// message, a `QueryResult` echoing [`MAX_LIST_LIMIT`] triples with
+/// [`MAX_CORES`] worker summaries. Nodes ship listings in
+/// [`TRIANGLE_BATCH`]-sized frames, so no other message comes close.
+pub const MAX_FRAME: usize = 5
+    + 4 * 8
+    + (4 + MAX_CORES as usize * WorkerSummary::MIN_LEN)
+    + (4 + MAX_LIST_LIMIT as usize * <(u32, u32, u32)>::MIN_LEN);
+
+/// Triples per `Triangles` frame a node sends (768 KiB of payload):
+/// a listing of `T` triangles costs `⌈T / TRIANGLE_BATCH⌉` frames of
+/// 9 header bytes each (13 with the TCP length prefix) on top of its
+/// `12 T` bytes.
+pub const TRIANGLE_BATCH: usize = 1 << 16;
+
+fn protocol(msg: String) -> ClusterError {
+    ClusterError::Protocol(msg)
+}
+
+/// Little-endian reader over a borrowed payload: every read fails with
+/// a typed error instead of running past the end.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if self.0.len() < n {
+            return Err(protocol(format!(
+                "truncated message: need {n}, have {}",
+                self.0.len()
+            )));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    /// The next value of whatever type the caller's field has.
+    fn get<T: Wire>(&mut self) -> Result<T> {
+        T::get(self)
+    }
+
+    /// A declared element count, rejected unless the remaining bytes
+    /// can hold that many elements of at least `elem` bytes — so no
+    /// caller allocates for a count the input cannot back.
+    fn count(&mut self, elem: usize) -> Result<usize> {
+        let n: u32 = self.get()?;
+        // u32 × a record size cannot overflow u64.
+        if u64::from(n) * elem as u64 > self.0.len() as u64 {
+            return Err(protocol(format!(
+                "count {n} × {elem} bytes exceeds the {} remaining",
+                self.0.len()
+            )));
+        }
+        Ok(n as usize)
+    }
+
+    fn finish(self) -> Result<()> {
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(protocol(format!("{n} trailing bytes"))),
+        }
+    }
+}
+
+/// A value's place in the grammar: how it is appended to a frame
+/// buffer and read back.
+trait Wire: Sized {
+    /// Fewest bytes one value occupies (its exact size when fixed) —
+    /// what a sequence checks its declared count against.
+    const MIN_LEN: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Reader) -> Result<Self>;
+}
+
+/// A string or sequence length. Saturating, never truncating: a
+/// collection past `u32::MAX` elements encodes to more than
+/// [`MAX_FRAME`] bytes, so [`Message::frame`] refuses the message
+/// before any peer could read the clamped count.
+fn put_count(n: usize, out: &mut Vec<u8>) {
+    u32::try_from(n).unwrap_or(u32::MAX).put(out);
+}
+
+macro_rules! wire_int {
+    ($($ty:ty),+) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = std::mem::size_of::<$ty>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader) -> Result<Self> {
+                Ok(<$ty>::from_le_bytes(r.array()?))
+            }
+        }
+    )+};
+}
+wire_int!(u8, u32, u64);
+
+/// A record is its fields in declaration order, nothing between them:
+/// `$len` is the byte total (pinned by `record_lengths_match_encodings`).
+macro_rules! wire_record {
+    ($ty:ident: $len:expr; $($field:ident),+) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize = $len;
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
+            }
+            fn get(r: &mut Reader) -> Result<Self> {
+                Ok($ty { $($field: r.get()?),+ })
+            }
+        }
+    };
+}
+
+impl Wire for bool {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        match r.get::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(protocol(format!("bool byte {b}"))),
+        }
+    }
+}
+
+/// Presence byte plus the `u64`, which is zero when absent.
+impl Wire for Option<u64> {
+    const MIN_LEN: usize = 1 + 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        self.unwrap_or(0).put(out);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        match (r.get()?, r.get()?) {
+            (true, v) => Ok(Some(v)),
+            (false, 0u64) => Ok(None),
+            (false, v) => Err(protocol(format!("absent value carries {v}"))),
+        }
+    }
+}
+
+/// The workspace's one `IoBackend` ↔ wire byte mapping: the backend's
+/// position in [`IoBackend::ALL`]. A platform that cannot serve a
+/// decoded backend falls back in the engine (`IoBackend::resolve`),
+/// never in the decoder.
+impl Wire for IoBackend {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        let d = IoBackend::ALL.iter().position(|b| b == self);
+        out.push(d.expect("IoBackend::ALL lists every backend") as u8);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        let d: u8 = r.get()?;
+        (IoBackend::ALL.get(d as usize).copied())
+            .ok_or_else(|| protocol(format!("unknown backend {d}")))
+    }
+}
+
+impl Wire for Codec {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.discriminant());
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        let d = r.get()?;
+        Codec::from_discriminant(d).ok_or_else(|| protocol(format!("unknown codec {d}")))
+    }
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_count(self.len(), out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        let n = r.count(1)?;
+        std::str::from_utf8(r.take(n)?)
+            .map(str::to_owned)
+            .map_err(|_| protocol("invalid utf-8 string".into()))
+    }
+}
+
+/// A listed triple `(u, v, w)`: the `Θ(T)` bulk of the protocol, so it
+/// moves as one 12-byte copy, not three field reads (3× the MB/s).
+impl Wire for (u32, u32, u32) {
+    const MIN_LEN: usize = 3 * 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut t = [0u8; 12];
+        t[..4].copy_from_slice(&self.0.to_le_bytes());
+        t[4..8].copy_from_slice(&self.1.to_le_bytes());
+        t[8..].copy_from_slice(&self.2.to_le_bytes());
+        out.extend_from_slice(&t);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        let t: [u8; 12] = r.array()?;
+        let word = |i: usize| u32::from_le_bytes([t[i], t[i + 1], t[i + 2], t[i + 3]]);
+        Ok((word(0), word(4), word(8)))
+    }
+}
+
+/// A `u32` count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_count(self.len(), out);
+        out.reserve(self.len() * T::MIN_LEN);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        let n = r.count(T::MIN_LEN)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(r.get()?);
+        }
+        Ok(items)
+    }
+}
+
 /// One logical processor's configuration `C_{i,j}` (Figure 1): its
-/// memory budget, pivot-edge range and MGT engine flags.
-///
-/// **Wire format.** Worker records are *length-prefixed*: each record
-/// is a `u16` byte length followed by that many bytes, of which the
-/// first [`WIRE_LEN`](Self::WIRE_LEN) are the fields below in order;
-/// decoders skip any trailing bytes they do not understand, so the next
-/// engine option extends the record without breaking older decoders (or
-/// this one — see the forward-compat test). PR 3-era `Config` messages
-/// (fixed 29-byte records under the original tag) still decode: the I/O
-/// backend lives in bits 1–2 of the flags byte, positioned so the old
-/// `overlap_io` bit maps onto `Blocking`/`Prefetch` exactly.
+/// memory budget, pivot-edge range and MGT engine flags. On the wire
+/// it is one fixed 40-byte record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerConfig {
     /// Range start (oriented adjacency position).
@@ -38,153 +282,20 @@ pub struct WorkerConfig {
     /// hardware) — see `MgtOptions::io_latency`.
     pub io_latency_us: u32,
     /// Injected read fault: deliver this many `u32`s through the scan
-    /// source, then fail (`MgtOptions::read_fault`). Rides the
-    /// length-prefixed record tail — the flags byte is full (bits 1–2
-    /// hold the backend), and PR 5-era decoders skip the tail — and is
-    /// only encoded when set, so fault-free records stay byte-identical
-    /// to PR 5's.
+    /// source, then fail (`MgtOptions::read_fault`).
     pub read_fault: Option<u64>,
     /// On-disk codec the worker's node writes its oriented replica in
-    /// (`MgtOptions::codec`). Rides the record tail *after* the fault
-    /// tail — tail fields are positional, so the fault tail is emitted
-    /// (presence byte 0) whenever the codec needs encoding — and is
-    /// only encoded when not [`Codec::Raw`], keeping default records
-    /// byte-identical to PR 5's and fault-only records to PR 7's.
-    /// Unknown discriminants from newer encoders decode as `Raw`.
+    /// (`MgtOptions::codec`).
     pub codec: Codec,
 }
 
-/// Wire flag bits of [`WorkerConfig`].
-const FLAG_SCAN_PRUNING: u8 = 1;
-/// Bits 1–2 of the flags byte: the [`IoBackend`] discriminant
-/// (`0 = Blocking`, `1 = Prefetch`, `2 = Mmap`, `3 = Uring`). PR 3
-/// used bit 1 as a bare `overlap_io` flag, which this mapping
-/// subsumes: old `overlap_io = true` bytes decode as `Prefetch`,
-/// `false` as `Blocking`. PR 4 reserved discriminant 3, which its
-/// decoders degrade to the default backend — an old node handed a
-/// `Uring` config therefore runs, it just overlaps with threads
-/// instead of kernel queues. The 2-bit field is now full: a fifth
-/// backend must claim a fresh field in the length-prefixed record
-/// tail (which old decoders skip), not grow this one.
-const BACKEND_SHIFT: u8 = 1;
-const BACKEND_MASK: u8 = 0b110;
-
-impl WorkerConfig {
-    /// Known record bytes: `start` + `end` + `budget_edges` (u64 each),
-    /// flags (u8), `io_latency_us` (u32). Newer encoders may append
-    /// fields after these; the length prefix tells decoders how much
-    /// to skip.
-    pub const WIRE_LEN: usize = 8 + 8 + 8 + 1 + 4;
-
-    /// Record tail bytes appended when `read_fault` is set: a presence
-    /// byte plus the `u64` budget.
-    const FAULT_TAIL_LEN: usize = 1 + 8;
-
-    /// Record tail bytes appended after the fault tail when the codec
-    /// is not [`Codec::Raw`]: the codec discriminant.
-    const CODEC_TAIL_LEN: usize = 1;
-
-    /// Pack the engine flags into the wire byte.
-    fn flags(&self) -> u8 {
-        let backend = match self.backend {
-            IoBackend::Blocking => 0u8,
-            IoBackend::Prefetch => 1,
-            IoBackend::Mmap => 2,
-            IoBackend::Uring => 3,
-        };
-        u8::from(self.scan_pruning) * FLAG_SCAN_PRUNING + (backend << BACKEND_SHIFT)
-    }
-
-    /// Unpack the backend discriminant. Every value of the 2-bit field
-    /// is now assigned; platforms that cannot serve a decoded backend
-    /// degrade at `IoBackend::resolve` time in the engine, never here.
-    fn backend_from_flags(flags: u8) -> IoBackend {
-        match (flags & BACKEND_MASK) >> BACKEND_SHIFT {
-            0 => IoBackend::Blocking,
-            1 => IoBackend::Prefetch,
-            2 => IoBackend::Mmap,
-            _ => IoBackend::Uring,
-        }
-    }
-
-    /// Encode one length-prefixed record. Tail fields are positional
-    /// and appended only as far as needed: nothing for a fault-free
-    /// `Raw` record (byte-identical to PR 5), the fault tail alone for
-    /// a fault-bearing `Raw` record (byte-identical to PR 7), and the
-    /// fault tail (presence byte 0 when no fault) followed by the
-    /// codec byte for a non-raw codec.
-    fn encode_record(&self, b: &mut BytesMut) {
-        let codec_tail = self.codec != Codec::Raw;
-        let fault_tail = self.read_fault.is_some() || codec_tail;
-        let len = Self::WIRE_LEN
-            + if fault_tail { Self::FAULT_TAIL_LEN } else { 0 }
-            + if codec_tail { Self::CODEC_TAIL_LEN } else { 0 };
-        b.put_u16_le(len as u16);
-        b.put_u64_le(self.start);
-        b.put_u64_le(self.end);
-        b.put_u64_le(self.budget_edges);
-        b.put_u8(self.flags());
-        b.put_u32_le(self.io_latency_us);
-        if fault_tail {
-            b.put_u8(u8::from(self.read_fault.is_some()));
-            b.put_u64_le(self.read_fault.unwrap_or(0));
-        }
-        if codec_tail {
-            b.put_u8(self.codec.discriminant());
-        }
-    }
-
-    /// Decode the fixed known fields shared by both wire generations.
-    fn decode_fields(buf: &mut Bytes) -> Self {
-        let (start, end, budget_edges) = (buf.get_u64_le(), buf.get_u64_le(), buf.get_u64_le());
-        let flags = buf.get_u8();
-        WorkerConfig {
-            start,
-            end,
-            budget_edges,
-            scan_pruning: flags & FLAG_SCAN_PRUNING != 0,
-            backend: Self::backend_from_flags(flags),
-            io_latency_us: buf.get_u32_le(),
-            read_fault: None,
-            codec: Codec::Raw,
-        }
-    }
-
-    /// Decode one length-prefixed record, skipping any trailing bytes a
-    /// newer encoder may have appended (forward compatibility).
-    fn decode_record(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 2)?;
-        let len = buf.get_u16_le() as usize;
-        need(buf, len)?;
-        if len < Self::WIRE_LEN {
-            return Err(ClusterError::Protocol(format!(
-                "worker record of {len} bytes, need at least {}",
-                Self::WIRE_LEN
-            )));
-        }
-        let mut cfg = Self::decode_fields(buf);
-        let mut rest = len - Self::WIRE_LEN;
-        if rest >= Self::FAULT_TAIL_LEN {
-            let present = buf.get_u8() != 0;
-            let budget = buf.get_u64_le();
-            cfg.read_fault = present.then_some(budget);
-            rest -= Self::FAULT_TAIL_LEN;
-        }
-        if rest >= Self::CODEC_TAIL_LEN {
-            // Unknown discriminants (a newer master's codec) degrade to
-            // Raw: the node still writes a replica every engine reads.
-            cfg.codec = Codec::from_discriminant(buf.get_u8()).unwrap_or(Codec::Raw);
-            rest -= Self::CODEC_TAIL_LEN;
-        }
-        buf.advance(rest);
-        Ok(cfg)
-    }
-}
+wire_record!(WorkerConfig: 3 * 8 + 1 + 1 + 4 + (1 + 8) + 1;
+    start, end, budget_edges, scan_pruning, backend, io_latency_us, read_fault, codec);
 
 /// A node-level fault directive injected by the master's
 /// [`FaultPlan`](crate::FaultPlan), executed by `serve_node` when the
 /// config arrives. On the wire it is a kind byte plus a `u32` argument
-/// inside the Config message's length-prefixed directives tail.
+/// (zero for every kind but `Delay`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NodeFault {
     /// No injected fault.
@@ -203,7 +314,7 @@ pub enum NodeFault {
 }
 
 impl NodeFault {
-    fn wire_kind(self) -> (u8, u32) {
+    fn to_wire(self) -> (u8, u32) {
         match self {
             NodeFault::None => (0, 0),
             NodeFault::Panic => (1, 0),
@@ -212,69 +323,42 @@ impl NodeFault {
             NodeFault::Delay(ms) => (4, ms),
         }
     }
+}
 
-    fn from_wire(kind: u8, arg: u32) -> Self {
-        match kind {
-            1 => NodeFault::Panic,
-            2 => NodeFault::Drop,
-            3 => NodeFault::Stall,
-            4 => NodeFault::Delay(arg),
-            // Unknown kinds (a newer master) degrade to no fault: a
-            // node that cannot simulate a failure mode just works.
-            _ => NodeFault::None,
+impl Wire for NodeFault {
+    const MIN_LEN: usize = 1 + 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        let (kind, arg) = self.to_wire();
+        kind.put(out);
+        arg.put(out);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        // Canonical: only `Delay` takes an argument; the rest carry zero.
+        match (r.get()?, r.get()?) {
+            (0u8, 0u32) => Ok(NodeFault::None),
+            (1, 0) => Ok(NodeFault::Panic),
+            (2, 0) => Ok(NodeFault::Drop),
+            (3, 0) => Ok(NodeFault::Stall),
+            (4, ms) => Ok(NodeFault::Delay(ms)),
+            (k, arg) => Err(protocol(format!(
+                "unknown fault kind {k} with argument {arg}"
+            ))),
         }
     }
 }
 
-/// Runtime directives for one node dispatch, carried in a
-/// length-prefixed tail after the Config message's worker records
-/// (which PR 5-era decoders ignore, and whose absence this decoder
-/// defaults).
+/// Runtime directives for one node dispatch, the last record of a
+/// `Config` message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeDirectives {
     /// Milliseconds between `Progress` heartbeats while workers run;
-    /// `0` disables heartbeats (the PR 5 behaviour).
+    /// `0` disables heartbeats.
     pub heartbeat_ms: u32,
     /// Injected fault for this dispatch.
     pub fault: NodeFault,
 }
 
-impl NodeDirectives {
-    /// Known tail bytes: heartbeat (u32), fault kind (u8) + arg (u32).
-    const WIRE_LEN: usize = 4 + 1 + 4;
-
-    fn encode_tail(&self, b: &mut BytesMut) {
-        b.put_u16_le(Self::WIRE_LEN as u16);
-        b.put_u32_le(self.heartbeat_ms);
-        let (kind, arg) = self.fault.wire_kind();
-        b.put_u8(kind);
-        b.put_u32_le(arg);
-    }
-
-    /// Decode the directives tail if present; a PR 5-era Config ends at
-    /// the worker records and yields the defaults.
-    fn decode_tail(buf: &mut Bytes) -> Result<Self> {
-        if buf.remaining() < 2 {
-            return Ok(Self::default());
-        }
-        let len = buf.get_u16_le() as usize;
-        need(buf, len)?;
-        if len < Self::WIRE_LEN {
-            // A shorter tail from some future pruned encoding: treat as
-            // absent rather than misparse.
-            buf.advance(len);
-            return Ok(Self::default());
-        }
-        let heartbeat_ms = buf.get_u32_le();
-        let kind = buf.get_u8();
-        let arg = buf.get_u32_le();
-        buf.advance(len - Self::WIRE_LEN);
-        Ok(NodeDirectives {
-            heartbeat_ms,
-            fault: NodeFault::from_wire(kind, arg),
-        })
-    }
-}
+wire_record!(NodeDirectives: 4 + NodeFault::MIN_LEN; heartbeat_ms, fault);
 
 /// One worker's result summary sent back to the master.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,11 +391,15 @@ pub struct WorkerSummary {
     pub wall_nanos: u64,
 }
 
+wire_record!(WorkerSummary: 4 + 11 * 8;
+    worker, start, end, triangles, iterations, cpu_ops, bytes_read, bytes_written, seeks, io_ops,
+    io_nanos, wall_nanos);
+
 /// The analytics operation a serve-mode [`Message::Query`] requests.
 ///
 /// On the wire every operation is one fixed 17-byte record — kind byte,
-/// `u32` arg `a`, `u64` arg `b`, `u32` arg `c` — so adding an operation
-/// never changes message framing. Unused args encode as zero.
+/// `u32` arg `a`, `u64` arg `b`, `u32` arg `c` — and an arg the
+/// operation does not use must be zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryOperation {
     /// Exact triangle count (kind 0).
@@ -345,12 +433,9 @@ pub enum QueryOperation {
 }
 
 impl QueryOperation {
-    /// Record bytes: kind + `a` + `b` + `c`.
-    const WIRE_LEN: usize = 1 + 4 + 8 + 4;
-
-    fn encode(&self, b: &mut BytesMut) {
-        let (kind, a, bb, c) = match *self {
-            QueryOperation::Count => (0u8, 0u32, 0u64, 0u32),
+    fn to_wire(self) -> (u8, u32, u64, u32) {
+        match self {
+            QueryOperation::Count => (0, 0, 0, 0),
             QueryOperation::List { limit } => (1, limit, 0, 0),
             QueryOperation::Clustering => (2, 0, 0, 0),
             QueryOperation::KTruss { k } => (3, k, 0, 0),
@@ -359,32 +444,6 @@ impl QueryOperation {
                 seed,
                 trials,
             } => (4, p_ppm, seed, trials),
-        };
-        b.put_u8(kind);
-        b.put_u32_le(a);
-        b.put_u64_le(bb);
-        b.put_u32_le(c);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        need(buf, Self::WIRE_LEN)?;
-        let kind = buf.get_u8();
-        let a = buf.get_u32_le();
-        let b = buf.get_u64_le();
-        let c = buf.get_u32_le();
-        match kind {
-            0 => Ok(QueryOperation::Count),
-            1 => Ok(QueryOperation::List { limit: a }),
-            2 => Ok(QueryOperation::Clustering),
-            3 => Ok(QueryOperation::KTruss { k: a }),
-            4 => Ok(QueryOperation::Doulion {
-                p_ppm: a,
-                seed: b,
-                trials: c,
-            }),
-            k => Err(ClusterError::Protocol(format!(
-                "unknown operation kind {k}"
-            ))),
         }
     }
 
@@ -400,15 +459,37 @@ impl QueryOperation {
     }
 }
 
+impl Wire for QueryOperation {
+    const MIN_LEN: usize = 1 + 4 + 8 + 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        let (kind, a, b, c) = self.to_wire();
+        kind.put(out);
+        a.put(out);
+        b.put(out);
+        c.put(out);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        // Canonical: the args a kind does not use are zero.
+        match (r.get()?, r.get()?, r.get()?, r.get()?) {
+            (0u8, 0u32, 0u64, 0u32) => Ok(QueryOperation::Count),
+            (1, limit, 0, 0) => Ok(QueryOperation::List { limit }),
+            (2, 0, 0, 0) => Ok(QueryOperation::Clustering),
+            (3, k, 0, 0) => Ok(QueryOperation::KTruss { k }),
+            (4, p_ppm, seed, trials) => Ok(QueryOperation::Doulion {
+                p_ppm,
+                seed,
+                trials,
+            }),
+            (kind, a, b, c) => Err(protocol(format!(
+                "unknown operation kind {kind} with arguments ({a}, {b}, {c})"
+            ))),
+        }
+    }
+}
+
 /// Per-query engine knobs carried by [`Message::Query`] — the serve-mode
 /// analogue of a [`WorkerConfig`]: each query picks its own parallelism,
-/// memory budget, I/O backend and codec.
-///
-/// **Wire format.** A length-prefixed record in the [`WorkerConfig`]
-/// style: `u16` length, then `cores` (u32), `budget_edges` (u64), the
-/// shared flags byte (bit 0 scan pruning, bits 1–2 backend), the codec
-/// discriminant (u8), and `io_latency_us` (u32). Decoders skip trailing
-/// bytes, so future knobs extend the record without a new tag.
+/// memory budget, I/O backend and codec. One fixed 19-byte record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Worker threads for this query; `0` means "server default".
@@ -439,51 +520,8 @@ impl Default for QueryOptions {
     }
 }
 
-impl QueryOptions {
-    /// Known record bytes: cores + budget + flags + codec + latency.
-    const WIRE_LEN: usize = 4 + 8 + 1 + 1 + 4;
-
-    fn encode_record(&self, b: &mut BytesMut) {
-        b.put_u16_le(Self::WIRE_LEN as u16);
-        b.put_u32_le(self.cores);
-        b.put_u64_le(self.budget_edges);
-        let backend = match self.backend {
-            IoBackend::Blocking => 0u8,
-            IoBackend::Prefetch => 1,
-            IoBackend::Mmap => 2,
-            IoBackend::Uring => 3,
-        };
-        b.put_u8(u8::from(self.scan_pruning) * FLAG_SCAN_PRUNING + (backend << BACKEND_SHIFT));
-        b.put_u8(self.codec.discriminant());
-        b.put_u32_le(self.io_latency_us);
-    }
-
-    fn decode_record(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 2)?;
-        let len = buf.get_u16_le() as usize;
-        need(buf, len)?;
-        if len < Self::WIRE_LEN {
-            return Err(ClusterError::Protocol(format!(
-                "query options record of {len} bytes, need at least {}",
-                Self::WIRE_LEN
-            )));
-        }
-        let cores = buf.get_u32_le();
-        let budget_edges = buf.get_u64_le();
-        let flags = buf.get_u8();
-        let codec = Codec::from_discriminant(buf.get_u8()).unwrap_or(Codec::Raw);
-        let io_latency_us = buf.get_u32_le();
-        buf.advance(len - Self::WIRE_LEN);
-        Ok(QueryOptions {
-            cores,
-            budget_edges,
-            scan_pruning: flags & FLAG_SCAN_PRUNING != 0,
-            backend: WorkerConfig::backend_from_flags(flags),
-            codec,
-            io_latency_us,
-        })
-    }
-}
+wire_record!(QueryOptions: 4 + 8 + 1 + 1 + 1 + 4;
+    cores, budget_edges, scan_pruning, backend, codec, io_latency_us);
 
 /// One catalog entry in a [`Message::StatsResult`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -495,6 +533,9 @@ pub struct CatalogGraphInfo {
     /// Undirected edge count `|E*|`.
     pub m_star: u64,
 }
+
+// Smallest record: an empty name's count, `vertices`, `m_star`.
+wire_record!(CatalogGraphInfo: 4 + 4 + 8; name, vertices, m_star);
 
 /// Aggregate serve-mode counters returned by a stats request.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -543,6 +584,11 @@ impl ServerStats {
     }
 }
 
+// Smallest record: the eight counters and two empty sequences.
+wire_record!(ServerStats: 6 * 8 + 2 * 4 + 2 * 4;
+    served, failed, inflight, rejected_graphs, bytes_read, u32s_decoded, admitted_peak,
+    budget_total, latency_buckets, graphs);
+
 /// Protocol messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -557,8 +603,7 @@ pub enum Message {
         workers: Vec<WorkerConfig>,
         /// Whether to stream triangle lists back.
         listing: bool,
-        /// Heartbeat cadence and injected fault for this dispatch
-        /// (length-prefixed wire tail; defaults when absent).
+        /// Heartbeat cadence and injected fault for this dispatch.
         directives: NodeDirectives,
     },
     /// Node → master: per-worker summaries.
@@ -644,28 +689,33 @@ pub enum Message {
     },
 }
 
-/// PR 3-era `Config` tag: fixed 29-byte worker records, no length
-/// prefix. Decoded for compatibility, never emitted.
-const TAG_CONFIG_LEGACY: u8 = 1;
+// Tags, in variant declaration order. Cluster and serve messages share
+// the tag space — a serve-mode client and a cluster node share one
+// decoder.
+const TAG_CONFIG: u8 = 1;
 const TAG_RESULTS: u8 = 2;
 const TAG_TRIANGLES: u8 = 3;
 const TAG_NODE_ERROR: u8 = 4;
-/// Current `Config` tag: length-prefixed worker records.
-const TAG_CONFIG: u8 = 5;
-const TAG_PROGRESS: u8 = 6;
-const TAG_SHUTDOWN: u8 = 7;
-/// Serve-mode request/response tags (PR 10). They extend the same tag
-/// space — a serve-mode client and a cluster node share one decoder.
-const TAG_QUERY: u8 = 8;
-const TAG_QUERY_RESULT: u8 = 9;
-const TAG_QUERY_ERROR: u8 = 10;
-const TAG_STATS_REQUEST: u8 = 11;
-const TAG_STATS_RESULT: u8 = 12;
+const TAG_PROGRESS: u8 = 5;
+const TAG_SHUTDOWN: u8 = 6;
+const TAG_QUERY: u8 = 7;
+const TAG_QUERY_RESULT: u8 = 8;
+const TAG_QUERY_ERROR: u8 = 9;
+const TAG_STATS_REQUEST: u8 = 10;
+const TAG_STATS_RESULT: u8 = 11;
 
 impl Message {
-    /// Encode into a byte buffer.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
+    /// Append this message's payload to `out` — the one encoder behind
+    /// [`encode`](Self::encode) and [`frame`](Self::frame). Every
+    /// message opens `tag, u32 id`; one without an id carries zero.
+    fn write(&self, out: &mut Vec<u8>) {
+        macro_rules! put {
+            ($tag:expr, $id:expr $(, $field:expr)*) => {{
+                $tag.put(out);
+                $id.put(out);
+                $($field.put(out);)*
+            }};
+        }
         match self {
             Message::Config {
                 node,
@@ -673,61 +723,18 @@ impl Message {
                 workers,
                 listing,
                 directives,
-            } => {
-                b.put_u8(TAG_CONFIG);
-                b.put_u32_le(*node);
-                put_string(&mut b, graph_base);
-                b.put_u8(u8::from(*listing));
-                b.put_u32_le(workers.len() as u32);
-                for w in workers {
-                    w.encode_record(&mut b);
-                }
-                // PR 5-era decoders stop at the last worker record and
-                // ignore this tail.
-                directives.encode_tail(&mut b);
-            }
-            Message::Results { node, workers } => {
-                b.put_u8(TAG_RESULTS);
-                b.put_u32_le(*node);
-                put_summaries(&mut b, workers);
-            }
-            Message::Triangles { node, triples } => {
-                b.put_u8(TAG_TRIANGLES);
-                b.put_u32_le(*node);
-                b.put_u32_le(triples.len() as u32);
-                for &(u, v, w) in triples {
-                    b.put_u32_le(u);
-                    b.put_u32_le(v);
-                    b.put_u32_le(w);
-                }
-            }
-            Message::NodeError { node, detail } => {
-                b.put_u8(TAG_NODE_ERROR);
-                b.put_u32_le(*node);
-                put_string(&mut b, detail);
-            }
-            Message::Progress { node, seq } => {
-                b.put_u8(TAG_PROGRESS);
-                b.put_u32_le(*node);
-                b.put_u32_le(*seq);
-            }
-            Message::Shutdown => {
-                b.put_u8(TAG_SHUTDOWN);
-                // Filler id: every message carries a u32 after the tag.
-                b.put_u32_le(0);
-            }
+            } => put!(TAG_CONFIG, node, graph_base, workers, listing, directives),
+            Message::Results { node, workers } => put!(TAG_RESULTS, node, workers),
+            Message::Triangles { node, triples } => put!(TAG_TRIANGLES, node, triples),
+            Message::NodeError { node, detail } => put!(TAG_NODE_ERROR, node, detail),
+            Message::Progress { node, seq } => put!(TAG_PROGRESS, node, seq),
+            Message::Shutdown => put!(TAG_SHUTDOWN, 0u32),
             Message::Query {
                 id,
                 graph,
                 op,
                 options,
-            } => {
-                b.put_u8(TAG_QUERY);
-                b.put_u32_le(*id);
-                put_string(&mut b, graph);
-                op.encode(&mut b);
-                options.encode_record(&mut b);
-            }
+            } => put!(TAG_QUERY, id, graph, op, options),
             Message::QueryResult {
                 id,
                 triangles,
@@ -736,283 +743,113 @@ impl Message {
                 wall_nanos,
                 workers,
                 triples,
-            } => {
-                b.put_u8(TAG_QUERY_RESULT);
-                b.put_u32_le(*id);
-                b.put_u64_le(*triangles);
-                b.put_u64_le(*value_bits);
-                b.put_u64_le(*aux);
-                b.put_u64_le(*wall_nanos);
-                put_summaries(&mut b, workers);
-                b.put_u32_le(triples.len() as u32);
-                for &(u, v, w) in triples {
-                    b.put_u32_le(u);
-                    b.put_u32_le(v);
-                    b.put_u32_le(w);
-                }
-            }
-            Message::QueryError { id, detail } => {
-                b.put_u8(TAG_QUERY_ERROR);
-                b.put_u32_le(*id);
-                put_string(&mut b, detail);
-            }
-            Message::StatsRequest => {
-                b.put_u8(TAG_STATS_REQUEST);
-                b.put_u32_le(0);
-            }
-            Message::StatsResult { stats } => {
-                b.put_u8(TAG_STATS_RESULT);
-                b.put_u32_le(0);
-                b.put_u64_le(stats.served);
-                b.put_u64_le(stats.failed);
-                b.put_u32_le(stats.inflight);
-                b.put_u32_le(stats.rejected_graphs);
-                b.put_u64_le(stats.bytes_read);
-                b.put_u64_le(stats.u32s_decoded);
-                b.put_u64_le(stats.admitted_peak);
-                b.put_u64_le(stats.budget_total);
-                b.put_u32_le(stats.latency_buckets.len() as u32);
-                for &count in &stats.latency_buckets {
-                    b.put_u64_le(count);
-                }
-                b.put_u32_le(stats.graphs.len() as u32);
-                for g in &stats.graphs {
-                    put_string(&mut b, &g.name);
-                    b.put_u32_le(g.vertices);
-                    b.put_u64_le(g.m_star);
-                }
-            }
-        }
-        b.freeze()
-    }
-
-    /// Decode a buffer produced by [`encode`](Self::encode).
-    pub fn decode(mut buf: Bytes) -> Result<Self> {
-        if buf.remaining() < 5 {
-            return Err(ClusterError::Protocol("short message".into()));
-        }
-        let tag = buf.get_u8();
-        let node = buf.get_u32_le();
-        match tag {
-            TAG_CONFIG => {
-                let graph_base = get_string(&mut buf)?;
-                need(&buf, 5)?;
-                let listing = buf.get_u8() != 0;
-                let count = buf.get_u32_le() as usize;
-                let workers = (0..count)
-                    .map(|_| WorkerConfig::decode_record(&mut buf))
-                    .collect::<Result<Vec<_>>>()?;
-                let directives = NodeDirectives::decode_tail(&mut buf)?;
-                Ok(Message::Config {
-                    node,
-                    graph_base,
-                    workers,
-                    listing,
-                    directives,
-                })
-            }
-            TAG_CONFIG_LEGACY => {
-                // PR 3-era encoding: fixed-size records, no prefix. The
-                // flags-byte layout is shared, so the old overlap_io
-                // bit maps onto Blocking/Prefetch directly.
-                let graph_base = get_string(&mut buf)?;
-                need(&buf, 5)?;
-                let listing = buf.get_u8() != 0;
-                let count = buf.get_u32_le() as usize;
-                need(&buf, count * WorkerConfig::WIRE_LEN)?;
-                let workers = (0..count)
-                    .map(|_| WorkerConfig::decode_fields(&mut buf))
-                    .collect();
-                Ok(Message::Config {
-                    node,
-                    graph_base,
-                    workers,
-                    listing,
-                    directives: NodeDirectives::default(),
-                })
-            }
-            TAG_RESULTS => {
-                let workers = get_summaries(&mut buf)?;
-                Ok(Message::Results { node, workers })
-            }
-            TAG_TRIANGLES => {
-                need(&buf, 4)?;
-                let count = buf.get_u32_le() as usize;
-                need(&buf, count * 12)?;
-                let triples = (0..count)
-                    .map(|_| (buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le()))
-                    .collect();
-                Ok(Message::Triangles { node, triples })
-            }
-            TAG_NODE_ERROR => {
-                let detail = get_string(&mut buf)?;
-                Ok(Message::NodeError { node, detail })
-            }
-            TAG_PROGRESS => {
-                need(&buf, 4)?;
-                let seq = buf.get_u32_le();
-                Ok(Message::Progress { node, seq })
-            }
-            TAG_SHUTDOWN => Ok(Message::Shutdown),
-            TAG_QUERY => {
-                let graph = get_string(&mut buf)?;
-                let op = QueryOperation::decode(&mut buf)?;
-                let options = QueryOptions::decode_record(&mut buf)?;
-                Ok(Message::Query {
-                    id: node,
-                    graph,
-                    op,
-                    options,
-                })
-            }
-            TAG_QUERY_RESULT => {
-                need(&buf, 4 * 8)?;
-                let triangles = buf.get_u64_le();
-                let value_bits = buf.get_u64_le();
-                let aux = buf.get_u64_le();
-                let wall_nanos = buf.get_u64_le();
-                let workers = get_summaries(&mut buf)?;
-                need(&buf, 4)?;
-                let count = buf.get_u32_le() as usize;
-                need(&buf, count * 12)?;
-                let triples = (0..count)
-                    .map(|_| (buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le()))
-                    .collect();
-                Ok(Message::QueryResult {
-                    id: node,
-                    triangles,
-                    value_bits,
-                    aux,
-                    wall_nanos,
-                    workers,
-                    triples,
-                })
-            }
-            TAG_QUERY_ERROR => {
-                let detail = get_string(&mut buf)?;
-                Ok(Message::QueryError { id: node, detail })
-            }
-            TAG_STATS_REQUEST => Ok(Message::StatsRequest),
-            TAG_STATS_RESULT => {
-                need(&buf, 8 + 8 + 4 + 4 + 8 * 4)?;
-                let served = buf.get_u64_le();
-                let failed = buf.get_u64_le();
-                let inflight = buf.get_u32_le();
-                let rejected_graphs = buf.get_u32_le();
-                let bytes_read = buf.get_u64_le();
-                let u32s_decoded = buf.get_u64_le();
-                let admitted_peak = buf.get_u64_le();
-                let budget_total = buf.get_u64_le();
-                need(&buf, 4)?;
-                let buckets = buf.get_u32_le() as usize;
-                need(&buf, buckets * 8)?;
-                let latency_buckets = (0..buckets).map(|_| buf.get_u64_le()).collect();
-                need(&buf, 4)?;
-                let count = buf.get_u32_le() as usize;
-                let graphs = (0..count)
-                    .map(|_| {
-                        let name = get_string(&mut buf)?;
-                        need(&buf, 4 + 8)?;
-                        Ok(CatalogGraphInfo {
-                            name,
-                            vertices: buf.get_u32_le(),
-                            m_star: buf.get_u64_le(),
-                        })
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Message::StatsResult {
-                    stats: ServerStats {
-                        served,
-                        failed,
-                        inflight,
-                        rejected_graphs,
-                        bytes_read,
-                        u32s_decoded,
-                        admitted_peak,
-                        budget_total,
-                        latency_buckets,
-                        graphs,
-                    },
-                })
-            }
-            t => Err(ClusterError::Protocol(format!("unknown tag {t}"))),
+            } => put!(
+                TAG_QUERY_RESULT,
+                id,
+                triangles,
+                value_bits,
+                aux,
+                wall_nanos,
+                workers,
+                triples
+            ),
+            Message::QueryError { id, detail } => put!(TAG_QUERY_ERROR, id, detail),
+            Message::StatsRequest => put!(TAG_STATS_REQUEST, 0u32),
+            Message::StatsResult { stats } => put!(TAG_STATS_RESULT, 0u32, stats),
         }
     }
 
-    /// Encoded size in bytes (what the network accounting charges).
+    /// Encode the payload (no frame header) into a fresh buffer.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write(&mut out);
+        out
+    }
+
+    /// Encode as one transport frame, `[u32 payload length | payload]`,
+    /// in a single buffer — the workspace's one frame writer. The
+    /// header is reserved up front, so a socket send is one
+    /// `write_all`. A payload past [`MAX_FRAME`] is a typed error, not
+    /// a truncated length.
+    pub fn frame(&self) -> Result<Vec<u8>> {
+        let mut out = vec![0u8; FRAME_HEADER];
+        self.write(&mut out);
+        let len = out.len() - FRAME_HEADER;
+        if len > MAX_FRAME {
+            return Err(protocol(format!(
+                "payload of {len} bytes exceeds the {MAX_FRAME}-byte frame cap"
+            )));
+        }
+        // MAX_FRAME < u32::MAX, so the cast is exact.
+        out[..FRAME_HEADER].copy_from_slice(&(len as u32).to_le_bytes());
+        Ok(out)
+    }
+
+    /// Decode a payload produced by [`encode`](Self::encode), owned or
+    /// borrowed. Strict: see the module docs.
+    pub fn decode(buf: impl AsRef<[u8]>) -> Result<Self> {
+        let mut r = Reader(buf.as_ref());
+        let (tag, id): (u8, u32) = (r.get()?, r.get()?);
+        // Canonical: a message without an id carries zero.
+        if id != 0 && matches!(tag, TAG_SHUTDOWN | TAG_STATS_REQUEST | TAG_STATS_RESULT) {
+            return Err(protocol(format!("tag {tag} carries id {id}, expected 0")));
+        }
+        let msg = match tag {
+            TAG_CONFIG => Message::Config {
+                node: id,
+                graph_base: r.get()?,
+                workers: r.get()?,
+                listing: r.get()?,
+                directives: r.get()?,
+            },
+            TAG_RESULTS => Message::Results {
+                node: id,
+                workers: r.get()?,
+            },
+            TAG_TRIANGLES => Message::Triangles {
+                node: id,
+                triples: r.get()?,
+            },
+            TAG_NODE_ERROR => Message::NodeError {
+                node: id,
+                detail: r.get()?,
+            },
+            TAG_PROGRESS => Message::Progress {
+                node: id,
+                seq: r.get()?,
+            },
+            TAG_SHUTDOWN => Message::Shutdown,
+            TAG_QUERY => Message::Query {
+                id,
+                graph: r.get()?,
+                op: r.get()?,
+                options: r.get()?,
+            },
+            TAG_QUERY_RESULT => Message::QueryResult {
+                id,
+                triangles: r.get()?,
+                value_bits: r.get()?,
+                aux: r.get()?,
+                wall_nanos: r.get()?,
+                workers: r.get()?,
+                triples: r.get()?,
+            },
+            TAG_QUERY_ERROR => Message::QueryError {
+                id,
+                detail: r.get()?,
+            },
+            TAG_STATS_REQUEST => Message::StatsRequest,
+            TAG_STATS_RESULT => Message::StatsResult { stats: r.get()? },
+            t => return Err(protocol(format!("unknown tag {t}"))),
+        };
+        r.finish()?;
+        Ok(msg)
+    }
+
+    /// Encoded payload size in bytes (what the network accounting
+    /// charges).
     pub fn wire_size(&self) -> u64 {
         self.encode().len() as u64
-    }
-}
-
-/// Encode a `u32` count followed by the fixed 92-byte summary records
-/// (shared by `Results` and `QueryResult`).
-fn put_summaries(b: &mut BytesMut, workers: &[WorkerSummary]) {
-    b.put_u32_le(workers.len() as u32);
-    for w in workers {
-        b.put_u32_le(w.worker);
-        for v in [
-            w.start,
-            w.end,
-            w.triangles,
-            w.iterations,
-            w.cpu_ops,
-            w.bytes_read,
-            w.bytes_written,
-            w.seeks,
-            w.io_ops,
-            w.io_nanos,
-            w.wall_nanos,
-        ] {
-            b.put_u64_le(v);
-        }
-    }
-}
-
-fn get_summaries(buf: &mut Bytes) -> Result<Vec<WorkerSummary>> {
-    need(buf, 4)?;
-    let count = buf.get_u32_le() as usize;
-    need(buf, count * (4 + 11 * 8))?;
-    Ok((0..count)
-        .map(|_| WorkerSummary {
-            worker: buf.get_u32_le(),
-            start: buf.get_u64_le(),
-            end: buf.get_u64_le(),
-            triangles: buf.get_u64_le(),
-            iterations: buf.get_u64_le(),
-            cpu_ops: buf.get_u64_le(),
-            bytes_read: buf.get_u64_le(),
-            bytes_written: buf.get_u64_le(),
-            seeks: buf.get_u64_le(),
-            io_ops: buf.get_u64_le(),
-            io_nanos: buf.get_u64_le(),
-            wall_nanos: buf.get_u64_le(),
-        })
-        .collect())
-}
-
-fn put_string(b: &mut BytesMut, s: &str) {
-    b.put_u32_le(s.len() as u32);
-    b.put_slice(s.as_bytes());
-}
-
-fn get_string(buf: &mut Bytes) -> Result<String> {
-    need(buf, 4)?;
-    let len = buf.get_u32_le() as usize;
-    need(buf, len)?;
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec())
-        .map_err(|_| ClusterError::Protocol("invalid utf-8 string".into()))
-}
-
-fn need(buf: &Bytes, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        Err(ClusterError::Protocol(format!(
-            "truncated message: need {n}, have {}",
-            buf.remaining()
-        )))
-    } else {
-        Ok(())
     }
 }
 
@@ -1037,53 +874,25 @@ mod tests {
         }
     }
 
+    fn sample_worker(backend: IoBackend) -> WorkerConfig {
+        WorkerConfig {
+            start: 7,
+            end: 900,
+            budget_edges: 4096,
+            scan_pruning: false,
+            backend,
+            io_latency_us: 50,
+            read_fault: None,
+            codec: Codec::Raw,
+        }
+    }
+
     #[test]
     fn config_round_trip() {
         let msg = Message::Config {
             node: 3,
             graph_base: "/data/node3/oriented".into(),
-            workers: vec![
-                WorkerConfig {
-                    start: 0,
-                    end: 100,
-                    budget_edges: 50,
-                    scan_pruning: true,
-                    backend: IoBackend::Blocking,
-                    io_latency_us: 0,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-                WorkerConfig {
-                    start: 100,
-                    end: 220,
-                    budget_edges: 50,
-                    scan_pruning: false,
-                    backend: IoBackend::Prefetch,
-                    io_latency_us: 50,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-                WorkerConfig {
-                    start: 220,
-                    end: 300,
-                    budget_edges: 50,
-                    scan_pruning: true,
-                    backend: IoBackend::Mmap,
-                    io_latency_us: 7,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-                WorkerConfig {
-                    start: 300,
-                    end: 420,
-                    budget_edges: 50,
-                    scan_pruning: true,
-                    backend: IoBackend::Uring,
-                    io_latency_us: 0,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-            ],
+            workers: IoBackend::ALL.map(sample_worker).to_vec(),
             listing: true,
             directives: NodeDirectives::default(),
         };
@@ -1091,128 +900,56 @@ mod tests {
     }
 
     #[test]
-    fn pr3_era_config_still_decodes() {
-        // A Config message exactly as PR 3 encoded it: old tag byte,
-        // fixed 29-byte worker records, flags bit 1 = overlap_io. The
-        // overlap bit must map onto Blocking/Prefetch.
-        let mut b = BytesMut::new();
-        b.put_u8(1); // TAG_CONFIG_LEGACY
-        b.put_u32_le(3); // node
-        put_string(&mut b, "/data/node3/oriented");
-        b.put_u8(1); // listing
-        b.put_u32_le(2); // worker count
-        for (flags, latency) in [(0b01u8, 0u32), (0b11, 50)] {
-            b.put_u64_le(10);
-            b.put_u64_le(20);
-            b.put_u64_le(64);
-            b.put_u8(flags);
-            b.put_u32_le(latency);
-        }
-        let decoded = Message::decode(b.freeze()).unwrap();
-        let Message::Config { workers, node, .. } = decoded else {
-            panic!("expected Config, got {decoded:?}");
-        };
-        assert_eq!(node, 3);
-        assert_eq!(
-            workers,
-            vec![
-                WorkerConfig {
-                    start: 10,
-                    end: 20,
-                    budget_edges: 64,
-                    scan_pruning: true,
-                    backend: IoBackend::Blocking, // overlap_io = false
-                    io_latency_us: 0,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-                WorkerConfig {
-                    start: 10,
-                    end: 20,
-                    budget_edges: 64,
-                    scan_pruning: true,
-                    backend: IoBackend::Prefetch, // overlap_io = true
-                    io_latency_us: 50,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn forward_compat_decoder_skips_unknown_record_tail() {
-        // A future encoder appends a field to each worker record and
-        // bumps the length prefix; this decoder must parse the fields
-        // it knows and skip the rest, for every worker in the message.
-        let workers = [(0u64, 100u64, 0b011u8), (100, 250, 0b101)];
-        let mut b = BytesMut::new();
-        b.put_u8(5); // TAG_CONFIG
-        b.put_u32_le(9);
-        put_string(&mut b, "/g");
-        b.put_u8(0);
-        b.put_u32_le(workers.len() as u32);
-        for &(start, end, flags) in &workers {
-            b.put_u16_le(29 + 6); // future record: 6 extra bytes
-            b.put_u64_le(start);
-            b.put_u64_le(end);
-            b.put_u64_le(1024);
-            b.put_u8(flags);
-            b.put_u32_le(0);
-            b.put_slice(b"future"); // the unknown field
-        }
-        let decoded = Message::decode(b.freeze()).unwrap();
-        let Message::Config { workers: got, .. } = decoded else {
-            panic!("expected Config, got {decoded:?}");
-        };
-        assert_eq!(got.len(), 2);
-        assert_eq!((got[0].start, got[0].end), (0, 100));
-        assert_eq!(got[0].backend, IoBackend::Prefetch);
-        assert!(got[0].scan_pruning);
-        assert_eq!((got[1].start, got[1].end), (100, 250));
-        assert_eq!(got[1].backend, IoBackend::Mmap);
-        assert!(got[1].scan_pruning);
-    }
-
-    #[test]
-    fn backend_discriminants_cover_the_two_bit_field() {
-        // PR 4 reserved discriminant 3 and degraded it to the default
-        // backend; it now names Uring, so decoding wire bytes written
-        // by a newer (uring-aware) encoder yields Uring here — while
-        // the old decoder's degradation path keeps those same bytes
-        // runnable on PR 4-era nodes. The field is full: growing it
-        // would reinterpret old flag bytes, so a fifth backend must use
-        // the record tail.
-        assert_eq!(WorkerConfig::backend_from_flags(0b000), IoBackend::Blocking);
-        assert_eq!(WorkerConfig::backend_from_flags(0b010), IoBackend::Prefetch);
-        assert_eq!(WorkerConfig::backend_from_flags(0b100), IoBackend::Mmap);
-        assert_eq!(WorkerConfig::backend_from_flags(0b110), IoBackend::Uring);
-        // scan_pruning (bit 0) never bleeds into the backend field.
-        assert_eq!(WorkerConfig::backend_from_flags(0b111), IoBackend::Uring);
-        assert_eq!(WorkerConfig::backend_from_flags(0b001), IoBackend::Blocking);
-    }
-
-    #[test]
     fn uring_config_round_trips_through_the_wire() {
-        // The discriminant-3 encoding decodes bit-exactly, alongside
-        // the forward-compat record-tail skip.
-        let cfg = WorkerConfig {
-            start: 7,
-            end: 900,
-            budget_edges: 4096,
-            scan_pruning: false,
-            backend: IoBackend::Uring,
-            io_latency_us: 50,
-            read_fault: None,
-            codec: Codec::Raw,
+        // Every backend has its own whole byte: its index in
+        // `IoBackend::ALL`, after the three u64s and the pruning byte.
+        for (d, &backend) in IoBackend::ALL.iter().enumerate() {
+            let cfg = sample_worker(backend);
+            let mut encoded = Vec::new();
+            cfg.put(&mut encoded);
+            assert_eq!(encoded[24], 0, "pruning byte");
+            assert_eq!(encoded[25], d as u8, "{backend:?}");
+            let mut r = Reader(&encoded);
+            assert_eq!(r.get::<WorkerConfig>().unwrap(), cfg);
+            r.finish().unwrap();
+        }
+        assert_eq!(IoBackend::ALL[3], IoBackend::Uring);
+    }
+
+    #[test]
+    fn record_lengths_match_encodings() {
+        // The `wire_record!` length literals against real encodings:
+        // exact for fixed records, the empty-sequence floor otherwise.
+        fn len(v: &impl Wire) -> usize {
+            let mut out = Vec::new();
+            v.put(&mut out);
+            out.len()
+        }
+        let worker = sample_worker(IoBackend::Mmap);
+        let faulty = WorkerConfig {
+            read_fault: Some(9),
+            ..worker
         };
-        let mut b = BytesMut::new();
-        cfg.encode_record(&mut b);
-        let encoded = b.freeze();
-        // flags byte: backend 3 in bits 1-2, pruning bit clear
-        assert_eq!(encoded[2 + 24], 0b110);
-        let mut buf = encoded;
-        assert_eq!(WorkerConfig::decode_record(&mut buf).unwrap(), cfg);
+        let graph = CatalogGraphInfo {
+            name: String::new(),
+            vertices: 1,
+            m_star: 2,
+        };
+        for (got, declared) in [
+            (len(&worker), WorkerConfig::MIN_LEN),
+            (len(&faulty), 40), // a set fault changes no length
+            (len(&NodeDirectives::default()), NodeDirectives::MIN_LEN),
+            (len(&NodeFault::Delay(7)), NodeFault::MIN_LEN),
+            (len(&sample_summary(1)), WorkerSummary::MIN_LEN),
+            (len(&QueryOptions::default()), QueryOptions::MIN_LEN),
+            (len(&QueryOperation::Count), QueryOperation::MIN_LEN),
+            (len(&graph), CatalogGraphInfo::MIN_LEN),
+            (len(&ServerStats::default()), ServerStats::MIN_LEN),
+        ] {
+            assert_eq!(got, declared);
+        }
+        // ~48 MiB, and representable in the u32 frame header.
+        assert!(MAX_FRAME > 12 * MAX_LIST_LIMIT as usize && MAX_FRAME < u32::MAX as usize);
     }
 
     #[test]
@@ -1220,33 +957,21 @@ mod tests {
         let msg = Message::Config {
             node: 0,
             graph_base: "x".into(),
-            workers: vec![WorkerConfig {
-                start: 0,
-                end: 1,
-                budget_edges: 1,
-                scan_pruning: true,
-                backend: IoBackend::Prefetch,
-                io_latency_us: 0,
-                read_fault: None,
-                codec: Codec::Raw,
-            }],
+            workers: vec![sample_worker(IoBackend::Prefetch)],
             listing: false,
             directives: NodeDirectives::default(),
         };
         // record cut mid-field
         let enc = msg.encode();
-        assert!(Message::decode(enc.slice(0..enc.len() - 3)).is_err());
-        // a length prefix smaller than the known fields
-        let mut b = BytesMut::new();
-        b.put_u8(5);
-        b.put_u32_le(0);
-        put_string(&mut b, "x");
-        b.put_u8(0);
-        b.put_u32_le(1);
-        b.put_u16_le(4); // too short to hold the known fields
-        b.put_u32_le(0);
-        let err = Message::decode(b.freeze()).unwrap_err();
-        assert!(err.to_string().contains("worker record"), "{err}");
+        assert!(Message::decode(&enc[..enc.len() - 3]).is_err());
+        // one worker declared, four bytes of record present
+        let mut b = vec![TAG_CONFIG];
+        0u32.put(&mut b);
+        String::from("x").put(&mut b);
+        1u32.put(&mut b);
+        0u32.put(&mut b);
+        let err = Message::decode(b).unwrap_err();
+        assert!(err.to_string().contains("count 1 × 40"), "{err}");
     }
 
     #[test]
@@ -1286,259 +1011,31 @@ mod tests {
 
     #[test]
     fn config_with_directives_and_read_fault_round_trips() {
-        let msg = Message::Config {
-            node: 2,
-            graph_base: "/data/node2/oriented".into(),
-            workers: vec![
-                WorkerConfig {
-                    start: 0,
-                    end: 64,
-                    budget_edges: 32,
-                    scan_pruning: true,
-                    backend: IoBackend::Prefetch,
-                    io_latency_us: 0,
-                    read_fault: Some(1000),
-                    codec: Codec::Raw,
-                },
-                WorkerConfig {
-                    start: 64,
-                    end: 128,
-                    budget_edges: 32,
-                    scan_pruning: true,
-                    backend: IoBackend::Mmap,
-                    io_latency_us: 0,
-                    read_fault: None,
-                    codec: Codec::Raw,
-                },
-            ],
-            listing: false,
-            directives: NodeDirectives {
-                heartbeat_ms: 250,
-                fault: NodeFault::Delay(40),
-            },
-        };
-        assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
         for fault in [
             NodeFault::None,
             NodeFault::Panic,
             NodeFault::Drop,
             NodeFault::Stall,
+            NodeFault::Delay(40),
         ] {
             let msg = Message::Config {
-                node: 0,
-                graph_base: "/g".into(),
-                workers: vec![],
-                listing: true,
+                node: 2,
+                graph_base: "/data/node2/oriented".into(),
+                workers: vec![
+                    WorkerConfig {
+                        read_fault: Some(1000),
+                        ..sample_worker(IoBackend::Prefetch)
+                    },
+                    sample_worker(IoBackend::Mmap),
+                ],
+                listing: false,
                 directives: NodeDirectives {
-                    heartbeat_ms: 0,
+                    heartbeat_ms: 250,
                     fault,
                 },
             };
             assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
         }
-    }
-
-    #[test]
-    fn pr5_era_config_without_tails_still_decodes() {
-        // A Config exactly as PR 5 encoded it: current tag,
-        // length-prefixed 29-byte records, nothing after the last
-        // record. Directives default, no injected faults.
-        let mut b = BytesMut::new();
-        b.put_u8(5); // TAG_CONFIG
-        b.put_u32_le(4);
-        put_string(&mut b, "/data/node4/oriented");
-        b.put_u8(0);
-        b.put_u32_le(1);
-        b.put_u16_le(29);
-        b.put_u64_le(5);
-        b.put_u64_le(55);
-        b.put_u64_le(128);
-        b.put_u8(0b011); // pruning + prefetch
-        b.put_u32_le(0);
-        let decoded = Message::decode(b.freeze()).unwrap();
-        let Message::Config {
-            workers,
-            directives,
-            ..
-        } = decoded
-        else {
-            panic!("expected Config, got {decoded:?}");
-        };
-        assert_eq!(directives, NodeDirectives::default());
-        assert_eq!(workers[0].read_fault, None);
-        assert_eq!((workers[0].start, workers[0].end), (5, 55));
-    }
-
-    #[test]
-    fn pr5_era_decoder_ignores_new_tails() {
-        // Replays PR 5's Config decode loop (records only, trailing
-        // bytes never examined) against the current encoder's output:
-        // an old node handed a directives tail and a fault-bearing
-        // record still reads every field it knows.
-        let msg = Message::Config {
-            node: 6,
-            graph_base: "/data/node6/oriented".into(),
-            workers: vec![WorkerConfig {
-                start: 3,
-                end: 33,
-                budget_edges: 16,
-                scan_pruning: true,
-                backend: IoBackend::Uring,
-                io_latency_us: 9,
-                read_fault: Some(77),
-                codec: Codec::Raw,
-            }],
-            listing: true,
-            directives: NodeDirectives {
-                heartbeat_ms: 100,
-                fault: NodeFault::Panic,
-            },
-        };
-        let mut buf = msg.encode();
-        // -- PR 5 decode loop, verbatim logic --
-        assert_eq!(buf.get_u8(), 5);
-        assert_eq!(buf.get_u32_le(), 6);
-        let graph_base = get_string(&mut buf).unwrap();
-        let listing = buf.get_u8() != 0;
-        let count = buf.get_u32_le() as usize;
-        let mut workers = Vec::new();
-        for _ in 0..count {
-            let len = buf.get_u16_le() as usize;
-            assert!(len >= WorkerConfig::WIRE_LEN);
-            let w = WorkerConfig::decode_fields(&mut buf);
-            buf.advance(len - WorkerConfig::WIRE_LEN); // skip unknown tail
-            workers.push(w);
-        }
-        // -- end PR 5 loop: remaining bytes (directives) were ignored --
-        assert_eq!(graph_base, "/data/node6/oriented");
-        assert!(listing);
-        assert_eq!((workers[0].start, workers[0].end), (3, 33));
-        assert_eq!(workers[0].backend, IoBackend::Uring);
-        assert_eq!(workers[0].read_fault, None); // old decoder: unknown field
-        assert!(buf.remaining() > 0, "directives tail rides after records");
-    }
-
-    #[test]
-    fn codec_rides_the_record_tail() {
-        // The codec byte round-trips in every fault combination, and
-        // the tail stays positional: raw fault-free records are 29
-        // bytes (PR 5 byte-identity), raw fault-bearing records 38
-        // (PR 7 byte-identity), and a non-raw codec always pays the
-        // full 39 — fault tail (presence byte 0 when unset) first,
-        // codec byte after.
-        for (read_fault, codec, expect_len) in [
-            (None, Codec::Raw, 29usize),
-            (Some(77), Codec::Raw, 38),
-            (None, Codec::DeltaVarint, 39),
-            (Some(77), Codec::DeltaVarint, 39),
-        ] {
-            let cfg = WorkerConfig {
-                start: 5,
-                end: 500,
-                budget_edges: 256,
-                scan_pruning: true,
-                backend: IoBackend::Prefetch,
-                io_latency_us: 3,
-                read_fault,
-                codec,
-            };
-            let mut b = BytesMut::new();
-            cfg.encode_record(&mut b);
-            let encoded = b.freeze();
-            assert_eq!(
-                encoded.len(),
-                2 + expect_len,
-                "{read_fault:?} {codec}: record length"
-            );
-            let mut buf = encoded;
-            assert_eq!(WorkerConfig::decode_record(&mut buf).unwrap(), cfg);
-        }
-    }
-
-    #[test]
-    fn pr7_era_decoder_reads_the_fault_through_the_codec_tail() {
-        // Replays PR 7's decode loop (known fields + fault tail, then
-        // advance whatever remains) against the current encoder: a
-        // node that predates the codec field still reads the range,
-        // flags and injected fault of a delta-varint record, and
-        // treats the codec byte as an unknown tail. The fault tail
-        // being emitted with presence byte 0 whenever the codec needs
-        // encoding is exactly what keeps the old decoder from
-        // misparsing the codec byte as a fault presence flag.
-        let cfg = WorkerConfig {
-            start: 11,
-            end: 111,
-            budget_edges: 64,
-            scan_pruning: true,
-            backend: IoBackend::Uring,
-            io_latency_us: 9,
-            read_fault: Some(1234),
-            codec: Codec::DeltaVarint,
-        };
-        let mut b = BytesMut::new();
-        cfg.encode_record(&mut b);
-        let mut buf = b.freeze();
-        // -- PR 7 decode loop, verbatim logic --
-        let len = buf.get_u16_le() as usize;
-        assert!(len >= WorkerConfig::WIRE_LEN);
-        let mut w = WorkerConfig::decode_fields(&mut buf);
-        let mut rest = len - WorkerConfig::WIRE_LEN;
-        if rest >= WorkerConfig::FAULT_TAIL_LEN {
-            let present = buf.get_u8() != 0;
-            let budget = buf.get_u64_le();
-            w.read_fault = present.then_some(budget);
-            rest -= WorkerConfig::FAULT_TAIL_LEN;
-        }
-        buf.advance(rest); // the codec byte, unknown to PR 7
-                           // -- end PR 7 loop --
-        assert_eq!((w.start, w.end), (11, 111));
-        assert_eq!(w.backend, IoBackend::Uring);
-        assert_eq!(w.read_fault, Some(1234));
-        assert_eq!(w.codec, Codec::Raw, "old decoder: unknown field");
-        assert_eq!(buf.remaining(), 0);
-
-        // The fault-free variant too: presence byte 0 must decode as
-        // "no fault" on PR 7, not as a truncated tail.
-        let mut b = BytesMut::new();
-        WorkerConfig {
-            read_fault: None,
-            ..cfg
-        }
-        .encode_record(&mut b);
-        let mut buf = b.freeze();
-        let len = buf.get_u16_le() as usize;
-        let mut w = WorkerConfig::decode_fields(&mut buf);
-        let mut rest = len - WorkerConfig::WIRE_LEN;
-        if rest >= WorkerConfig::FAULT_TAIL_LEN {
-            let present = buf.get_u8() != 0;
-            let budget = buf.get_u64_le();
-            w.read_fault = present.then_some(budget);
-            rest -= WorkerConfig::FAULT_TAIL_LEN;
-        }
-        buf.advance(rest);
-        assert_eq!(w.read_fault, None);
-    }
-
-    #[test]
-    fn unknown_codec_discriminant_degrades_to_raw() {
-        // A newer master's third codec: the fault tail plus an
-        // unassigned codec byte must decode, with the codec degraded
-        // to Raw rather than rejected — the node still writes a
-        // replica every engine can read.
-        let mut b = BytesMut::new();
-        b.put_u16_le((WorkerConfig::WIRE_LEN + 9 + 1) as u16);
-        b.put_u64_le(0);
-        b.put_u64_le(10);
-        b.put_u64_le(4);
-        b.put_u8(0b011);
-        b.put_u32_le(0);
-        b.put_u8(0); // fault tail: absent
-        b.put_u64_le(0);
-        b.put_u8(250); // unassigned codec discriminant
-        let mut buf = b.freeze();
-        let cfg = WorkerConfig::decode_record(&mut buf).unwrap();
-        assert_eq!(cfg.codec, Codec::Raw);
-        assert_eq!(cfg.read_fault, None);
     }
 
     #[test]
@@ -1625,44 +1122,14 @@ mod tests {
     }
 
     #[test]
-    fn query_forward_compat_skips_unknown_options_tail() {
-        // A future client appends an option to the length-prefixed
-        // record; today's server reads the fields it knows and skips
-        // the rest — same contract as WorkerConfig records.
-        let mut b = BytesMut::new();
-        b.put_u8(8); // TAG_QUERY
-        b.put_u32_le(5);
-        put_string(&mut b, "g");
-        QueryOperation::KTruss { k: 3 }.encode(&mut b);
-        b.put_u16_le((QueryOptions::WIRE_LEN + 4) as u16);
-        b.put_u32_le(2); // cores
-        b.put_u64_le(512); // budget
-        b.put_u8(0b101); // pruning + mmap
-        b.put_u8(1); // delta-varint
-        b.put_u32_le(0); // latency
-        b.put_slice(b"next"); // the unknown field
-        let decoded = Message::decode(b.freeze()).unwrap();
-        let Message::Query { options, op, .. } = decoded else {
-            panic!("expected Query, got {decoded:?}");
-        };
-        assert_eq!(op, QueryOperation::KTruss { k: 3 });
-        assert_eq!(options.cores, 2);
-        assert_eq!(options.backend, IoBackend::Mmap);
-        assert_eq!(options.codec, Codec::DeltaVarint);
-    }
-
-    #[test]
     fn unknown_operation_kind_rejected() {
-        let mut b = BytesMut::new();
-        b.put_u8(8); // TAG_QUERY
-        b.put_u32_le(0);
-        put_string(&mut b, "g");
-        b.put_u8(99); // unassigned kind
-        b.put_u32_le(0);
-        b.put_u64_le(0);
-        b.put_u32_le(0);
-        QueryOptions::default().encode_record(&mut b);
-        let err = Message::decode(b.freeze()).unwrap_err();
+        let mut b = vec![TAG_QUERY];
+        0u32.put(&mut b);
+        String::from("g").put(&mut b);
+        b.push(99); // unassigned kind
+        b.extend_from_slice(&[0; 16]);
+        QueryOptions::default().put(&mut b);
+        let err = Message::decode(b).unwrap_err();
         assert!(err.to_string().contains("operation kind"), "{err}");
     }
 
@@ -1679,7 +1146,7 @@ mod tests {
         };
         let enc = msg.encode();
         for cut in [3usize, 20, enc.len() - 5] {
-            assert!(Message::decode(enc.slice(0..cut)).is_err(), "cut at {cut}");
+            assert!(Message::decode(&enc[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -1707,12 +1174,20 @@ mod tests {
         };
         // 1 tag + 4 node + 4 count + 100 * 12
         assert_eq!(msg.wire_size(), 9 + 1200);
+        // a frame is the same payload behind its u32 length
+        let frame = msg.frame().unwrap();
+        assert_eq!(frame[..FRAME_HEADER], 1209u32.to_le_bytes());
+        assert_eq!(frame[FRAME_HEADER..], msg.encode());
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Message::decode(Bytes::from_static(&[])).is_err());
-        assert!(Message::decode(Bytes::from_static(&[9, 0, 0, 0, 0])).is_err());
+        assert!(Message::decode([]).is_err());
+        assert!(Message::decode([0, 0, 0, 0, 0]).is_err()); // no tag 0
+        assert!(Message::decode([TAG_QUERY_RESULT, 0, 0, 0, 0]).is_err());
+        assert!(Message::decode([TAG_SHUTDOWN, 1, 0, 0, 0]).is_err()); // id on an id-less tag
+        let err = Message::decode([TAG_SHUTDOWN, 0, 0, 0, 0, 0]).unwrap_err();
+        assert!(err.to_string().contains("1 trailing bytes"), "{err}");
     }
 
     #[test]

@@ -26,7 +26,9 @@ use pdtl_core::WorkerReport;
 use pdtl_io::{IoStats, MemoryBudget};
 
 use crate::error::{ClusterError, Result};
-use crate::message::{Message, NodeDirectives, NodeFault, WorkerConfig, WorkerSummary};
+use crate::message::{
+    Message, NodeDirectives, NodeFault, WorkerConfig, WorkerSummary, TRIANGLE_BATCH,
+};
 use crate::transport::Transport;
 
 /// A raisable flag worker loops can wait on with a timeout, so the
@@ -142,8 +144,13 @@ fn serve_one<T: Transport>(
     });
     match outcome {
         Ok((summaries, triples)) => {
-            if listing {
-                transport.send(&Message::Triangles { node, triples })?;
+            // Fixed-size batches, so no listing outgrows a frame; the
+            // master buffers them and commits on `Results`.
+            for batch in triples.chunks(TRIANGLE_BATCH) {
+                transport.send(&Message::Triangles {
+                    node,
+                    triples: batch.to_vec(),
+                })?;
             }
             transport.send(&Message::Results {
                 node,
@@ -260,15 +267,19 @@ mod tests {
     }
 
     fn oriented_base(tag: &str) -> (String, u64, u64) {
-        let g = rmat(7, 41).unwrap();
+        oriented_base_of(tag, &rmat(7, 41).unwrap())
+    }
+
+    /// Orient `g` to disk: (replica base, `|E*|`, triangle count).
+    fn oriented_base_of(tag: &str, g: &pdtl_graph::Graph) -> (String, u64, u64) {
         let stats = IoStats::new();
-        let dg = DiskGraph::write(&g, tmpbase(&format!("{tag}-in")), &stats).unwrap();
+        let dg = DiskGraph::write(g, tmpbase(&format!("{tag}-in")), &stats).unwrap();
         let base = tmpbase(&format!("{tag}-or"));
         let (og, _) = orient_to_disk(&dg, &base, 2, &stats).unwrap();
         (
             base.to_string_lossy().into_owned(),
             og.m_star(),
-            triangle_count(&g),
+            triangle_count(g),
         )
     }
 
@@ -352,6 +363,71 @@ mod tests {
         assert_eq!(workers[0].triangles, expected);
         // the Θ(T) term is real traffic
         assert!(traffic.triangle_bytes() >= expected * 12);
+    }
+
+    #[test]
+    fn listing_larger_than_one_batch_arrives_complete_and_exactly_once() {
+        // K80 has C(80,3) = 82 160 triangles: more than one
+        // TRIANGLE_BATCH, so the listing crosses a frame boundary.
+        let g = pdtl_graph::gen::classic::complete(80).unwrap();
+        let (base, m_star, _) = oriented_base_of("batch", &g);
+        let mut expected = pdtl_graph::verify::triangle_list(&g);
+        expected.sort_unstable();
+        assert!(expected.len() > TRIANGLE_BATCH);
+        let config = Message::Config {
+            node: 1,
+            graph_base: base,
+            workers: vec![worker(0, m_star)],
+            listing: true,
+            directives: NodeDirectives::default(),
+        };
+
+        fn gather<T: Transport>(
+            master: &T,
+            config: &Message,
+        ) -> (Vec<usize>, Vec<(u32, u32, u32)>) {
+            master.send(config).unwrap();
+            let (mut frames, mut listed) = (Vec::new(), Vec::new());
+            loop {
+                match master.recv().unwrap() {
+                    Message::Triangles { triples, .. } => {
+                        frames.push(triples.len());
+                        listed.extend(triples);
+                    }
+                    Message::Results { .. } => break,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            master.send(&Message::Shutdown).unwrap();
+            for t in &mut listed {
+                let mut v = [t.0, t.1, t.2];
+                v.sort_unstable();
+                *t = (v[0], v[1], v[2]);
+            }
+            listed.sort_unstable();
+            (frames, listed)
+        }
+
+        let (master, remote) = in_proc_pair(NetTraffic::new());
+        let handle = std::thread::spawn(move || serve_node(&remote));
+        let in_proc = gather(&master, &config);
+        handle.join().unwrap().unwrap();
+
+        let traffic = NetTraffic::new();
+        let node = crate::tcp::TcpNode::spawn(1, traffic.clone()).unwrap();
+        let master = crate::transport::TcpTransport::connect(&node.addr, traffic.clone()).unwrap();
+        let tcp = gather(&master, &config);
+        node.join().unwrap();
+
+        for (frames, listed) in [in_proc, tcp] {
+            assert_eq!(frames, [TRIANGLE_BATCH, expected.len() - TRIANGLE_BATCH]);
+            assert_eq!(listed, expected, "every triangle, none twice");
+        }
+        // Θ(T): 12 bytes a triple plus 13 a frame (9 header, 4 length).
+        assert_eq!(
+            traffic.triangle_bytes(),
+            12 * expected.len() as u64 + 2 * 13
+        );
     }
 
     #[test]

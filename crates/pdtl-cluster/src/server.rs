@@ -6,7 +6,7 @@
 //! its integrity manifest at registration, then oriented to disk per
 //! codec — and a [`Server`] answers concurrent [`Message::Query`]
 //! requests against the warm replicas over the existing TCP transport
-//! and [`Message`] framing (tags 8–12; no second protocol).
+//! and [`Message`] framing (no second protocol).
 //!
 //! Resource discipline matches the one-shot path:
 //!
@@ -32,12 +32,10 @@ use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use pdtl_analytics::{clustering, ktruss};
 use pdtl_core::mgt::MgtOptions;
@@ -49,21 +47,27 @@ use pdtl_io::{BudgetLedger, Codec, IoStats, MemoryBudget};
 
 use crate::error::{ClusterError, Result};
 use crate::message::{
-    CatalogGraphInfo, Message, QueryOperation, QueryOptions, ServerStats, WorkerSummary,
+    CatalogGraphInfo, Message, QueryOperation, QueryOptions, ServerStats, WorkerSummary, MAX_CORES,
+    MAX_LIST_LIMIT,
 };
 use crate::netmodel::NetTraffic;
 use crate::node::summarize;
-use crate::transport::{TcpTransport, Transport};
+use crate::transport::{lock, TcpTransport, Transport};
 
 /// How long connection threads sleep in `recv_deadline` between stop
 /// checks: the upper bound on how stale an idle connection's view of a
 /// shutdown can be.
 const POLL: Duration = Duration::from_millis(100);
 
-/// Caps on per-query parameters, so one malformed request cannot ask
-/// the daemon for unbounded work.
-const MAX_CORES: u32 = 64;
-const MAX_LIST_LIMIT: u32 = 1 << 22;
+/// How many consecutive [`POLL`]s (2 s) a peer may sit on a frame it
+/// has started and not finished before the connection is dropped: a
+/// request is under a kilobyte, so a frame that long in flight is a
+/// stalled or slow-loris client holding a thread and a buffer.
+const FRAME_PATIENCE: u32 = 20;
+
+/// Cap on DOULION trials, so one malformed request cannot ask the
+/// daemon for unbounded work (the caps a frame size depends on,
+/// `MAX_CORES` and `MAX_LIST_LIMIT`, live with the wire grammar).
 const MAX_TRIALS: u32 = 4096;
 
 // ---------------------------------------------------------------------
@@ -343,10 +347,10 @@ pub struct Server {
 impl Server {
     /// Bind, spawn the worker pool and the accept loop, and return.
     pub fn spawn(catalog: Catalog, config: ServeConfig) -> Result<Server> {
-        if config.workers == 0 || config.default_cores == 0 {
-            return Err(ClusterError::Config(
-                "serve: workers and default_cores must be >= 1".into(),
-            ));
+        if config.workers == 0 || !(1..=MAX_CORES as usize).contains(&config.default_cores) {
+            return Err(ClusterError::Config(format!(
+                "serve: workers must be >= 1 and default_cores in 1..={MAX_CORES}"
+            )));
         }
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| ClusterError::Io(pdtl_io::IoError::os("bind", &config.addr, e)))?;
@@ -370,17 +374,21 @@ impl Server {
             config,
         });
 
-        let (jobs_tx, jobs_rx) = unbounded::<Job>();
+        let (jobs_tx, jobs_rx) = channel::<Job>();
+        let jobs_rx: Arc<Mutex<Receiver<Job>>> = Arc::new(Mutex::new(jobs_rx));
         let workers = (0..shared.config.workers)
             .map(|_| {
                 let shared = shared.clone();
-                let rx: Receiver<Job> = jobs_rx.clone();
-                std::thread::spawn(move || {
+                let rx = jobs_rx.clone();
+                std::thread::spawn(move || loop {
+                    // The lock is held to dequeue only (the guard drops
+                    // with this statement), never while a query runs.
                     // `recv` errors only once every sender is dropped —
                     // the shutdown drain: finish what is queued, exit.
-                    while let Ok(job) = rx.recv() {
-                        run_query(&shared, job);
-                    }
+                    let Ok(job) = lock(&rx).recv() else {
+                        return;
+                    };
+                    run_query(&shared, job);
                 })
             })
             .collect();
@@ -400,7 +408,7 @@ impl Server {
                         let jobs_tx = jobs_tx.clone();
                         let handle =
                             std::thread::spawn(move || serve_conn(&shared, stream, &jobs_tx));
-                        conns.lock().push(handle);
+                        lock(&conns).push(handle);
                     }
                     Err(_) => {
                         if shared.stop.load(Ordering::SeqCst) {
@@ -459,7 +467,7 @@ impl Server {
         }
         // Connection threads notice `stop` within one POLL and exit,
         // dropping their job senders.
-        for h in self.conns.lock().drain(..) {
+        for h in lock(&self.conns).drain(..) {
             let _ = h.join();
         }
         // With every sender gone the channel closes; workers finish the
@@ -488,11 +496,20 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream, jobs: &Sender<Job>) {
         return;
     };
     let conn = Arc::new(transport);
+    let mut stalled = 0;
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match conn.recv_deadline(POLL) {
+        let event = conn.recv_deadline(POLL);
+        stalled = match event {
+            Err(ClusterError::Timeout { .. }) if conn.mid_frame() => stalled + 1,
+            _ => 0,
+        };
+        if stalled > FRAME_PATIENCE {
+            return;
+        }
+        match event {
             Ok(Message::Query {
                 id,
                 graph,
@@ -539,7 +556,9 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream, jobs: &Sender<Job>) {
                 });
             }
             Err(ClusterError::Timeout { .. }) => continue,
-            Err(_) => return, // disconnect or garbage: drop the connection
+            // Disconnect, garbage or an oversized frame: drop the
+            // connection.
+            Err(_) => return,
         }
     }
 }

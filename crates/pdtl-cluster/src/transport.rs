@@ -6,6 +6,12 @@
 //! (loopback or an actual network). Every sent message is charged to the
 //! shared [`NetTraffic`] counters by traffic class.
 //!
+//! Both transports move the single `[u32 length | payload]` buffer
+//! [`Message::frame`] builds: the channel hands it over whole, the
+//! socket writes it with one `write_all`. [`MAX_FRAME`] bounds both
+//! directions — `frame` refuses a larger payload, the reader a larger
+//! declared length before buffering any of it.
+//!
 //! Receives come in two flavours: blocking [`recv`](Transport::recv)
 //! and deadline-bounded [`recv_deadline`](Transport::recv_deadline),
 //! which the fault-tolerant runner polls so a dead or wedged node
@@ -16,15 +22,12 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-
 use crate::error::{ClusterError, Result};
-use crate::message::Message;
+use crate::message::{Message, FRAME_HEADER, MAX_FRAME};
 use crate::netmodel::NetTraffic;
 
 /// A bidirectional, message-oriented endpoint.
@@ -38,6 +41,14 @@ pub trait Transport: Send + Sync {
     /// time. Partial data read before the deadline is retained for the
     /// next call.
     fn recv_deadline(&self, timeout: Duration) -> Result<Message>;
+}
+
+/// Lock ignoring poison: every guarded value here (a receiver, a
+/// stream, a frame buffer whose cursor moves only after a frame is
+/// cut) is valid at every step, so a thread that panicked while
+/// holding the lock must not wedge the connection for the others.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn charge(traffic: &NetTraffic, msg: &Message, bytes: u64) {
@@ -58,26 +69,28 @@ fn charge(traffic: &NetTraffic, msg: &Message, bytes: u64) {
     }
 }
 
-/// In-process transport endpoint over crossbeam channels.
+/// In-process transport endpoint: frames move through `std::sync::mpsc`
+/// channels (the receiver behind a mutex, as the TCP reader is, so the
+/// endpoint is `Sync`).
 pub struct InProcTransport {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
+    tx: Sender<Vec<u8>>,
+    rx: Mutex<Receiver<Vec<u8>>>,
     traffic: Arc<NetTraffic>,
 }
 
 /// Create a connected pair of in-process endpoints sharing `traffic`.
 pub fn in_proc_pair(traffic: Arc<NetTraffic>) -> (InProcTransport, InProcTransport) {
-    let (atx, brx) = unbounded();
-    let (btx, arx) = unbounded();
+    let (atx, brx) = channel();
+    let (btx, arx) = channel();
     (
         InProcTransport {
             tx: atx,
-            rx: arx,
+            rx: Mutex::new(arx),
             traffic: traffic.clone(),
         },
         InProcTransport {
             tx: btx,
-            rx: brx,
+            rx: Mutex::new(brx),
             traffic,
         },
     )
@@ -85,82 +98,90 @@ pub fn in_proc_pair(traffic: Arc<NetTraffic>) -> (InProcTransport, InProcTranspo
 
 impl Transport for InProcTransport {
     fn send(&self, msg: &Message) -> Result<()> {
-        let encoded = msg.encode();
-        charge(&self.traffic, msg, encoded.len() as u64);
+        let frame = msg.frame()?;
+        // no socket, so the length header is not traffic
+        charge(&self.traffic, msg, (frame.len() - FRAME_HEADER) as u64);
         self.tx
-            .send(encoded)
+            .send(frame)
             .map_err(|_| ClusterError::Disconnected("in-proc peer"))
     }
 
     fn recv(&self) -> Result<Message> {
-        let raw = self
-            .rx
+        let frame = lock(&self.rx)
             .recv()
             .map_err(|_| ClusterError::Disconnected("in-proc peer"))?;
-        Message::decode(raw)
+        Message::decode(&frame[FRAME_HEADER..])
     }
 
     fn recv_deadline(&self, timeout: Duration) -> Result<Message> {
-        let raw = self.rx.recv_timeout(timeout).map_err(|e| match e {
+        let frame = lock(&self.rx).recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => ClusterError::Timeout {
                 peer: "in-proc peer",
                 after: timeout,
             },
             RecvTimeoutError::Disconnected => ClusterError::Disconnected("in-proc peer"),
         })?;
-        Message::decode(raw)
+        Message::decode(&frame[FRAME_HEADER..])
     }
 }
 
 /// Reader half of a [`TcpTransport`]: the stream plus an accumulation
 /// buffer so a deadline can expire mid-frame without losing the bytes
-/// already read.
+/// already read. Unconsumed bytes are `buf[start..]`.
 struct FrameReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    start: usize,
 }
 
 impl FrameReader {
-    /// Extract one complete `[u32 len | payload]` frame from the front
-    /// of the buffer, if present.
-    fn take_frame(&mut self) -> Option<Bytes> {
-        if self.buf.len() < 4 {
-            return None;
+    /// Cut one complete `[u32 len | payload]` frame off the front of
+    /// the buffered bytes, if present, and decode it in place — the
+    /// workspace's one frame cutter. A declared length past
+    /// [`MAX_FRAME`] is rejected on the header alone, before a byte of
+    /// the payload is waited for or buffered.
+    fn take_frame(&mut self) -> Result<Option<Message>> {
+        let pending = &self.buf[self.start..];
+        let Some(header) = pending.first_chunk::<FRAME_HEADER>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*header) as usize;
+        if len > MAX_FRAME {
+            return Err(ClusterError::Protocol(format!(
+                "peer declared a {len}-byte frame, cap is {MAX_FRAME}"
+            )));
         }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-        if self.buf.len() < 4 + len {
-            return None;
-        }
-        let payload = Bytes::from(&self.buf[4..4 + len]);
-        self.buf.drain(..4 + len);
-        Some(payload)
+        let Some(payload) = pending.get(FRAME_HEADER..FRAME_HEADER + len) else {
+            return Ok(None);
+        };
+        let msg = Message::decode(payload);
+        self.start += FRAME_HEADER + len;
+        msg.map(Some)
     }
 
-    /// Read until a full frame is available, or `deadline` (when set)
-    /// passes. `None` blocks indefinitely.
-    fn recv_frame(&mut self, deadline: Option<Instant>) -> Result<Bytes> {
+    /// Read until a full frame is available, or `wait` (when set) has
+    /// passed. `None` blocks indefinitely.
+    fn recv_frame(&mut self, wait: Option<Duration>) -> Result<Message> {
+        let deadline = wait.map(|w| Instant::now() + w);
+        let timed_out = || ClusterError::Timeout {
+            peer: "tcp peer",
+            after: wait.unwrap_or_default(),
+        };
         loop {
-            if let Some(payload) = self.take_frame() {
-                return Ok(payload);
+            if let Some(msg) = self.take_frame()? {
+                return Ok(msg);
             }
-            let timeout = match deadline {
-                None => None,
-                Some(d) => {
-                    let Some(left) = d
-                        .checked_duration_since(Instant::now())
-                        .filter(|l| !l.is_zero())
-                    else {
-                        return Err(ClusterError::Timeout {
-                            peer: "tcp peer",
-                            after: Duration::ZERO,
-                        });
-                    };
-                    Some(left)
-                }
-            };
+            // Every complete frame is consumed: compact once, moving
+            // at most the partial frame at the tail.
+            self.buf.drain(..self.start);
+            self.start = 0;
             // `set_read_timeout(Some(ZERO))` is an error on std
-            // sockets; the filter above guarantees non-zero.
-            self.stream.set_read_timeout(timeout).map_err(|e| {
+            // sockets, and zero left is the deadline passing anyway.
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                return Err(timed_out());
+            }
+            self.stream.set_read_timeout(left).map_err(|e| {
                 ClusterError::Io(pdtl_io::IoError::os("set_read_timeout", "tcp", e))
             })?;
             let mut chunk = [0u8; 16 * 1024];
@@ -173,10 +194,7 @@ impl FrameReader {
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    return Err(ClusterError::Timeout {
-                        peer: "tcp peer",
-                        after: Duration::ZERO,
-                    })
+                    return Err(timed_out())
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => return Err(ClusterError::Disconnected("tcp peer")),
@@ -193,15 +211,18 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Wrap an established stream.
+    /// Wrap an established stream — accepted or connected, cluster or
+    /// serve. Frames are written whole, so Nagle's algorithm could
+    /// only delay them: it is switched off.
     pub fn from_stream(stream: TcpStream, traffic: Arc<NetTraffic>) -> Result<Self> {
-        let reader = stream
-            .try_clone()
-            .map_err(|e| ClusterError::Io(pdtl_io::IoError::os("clone", "tcp", e)))?;
+        let os = |op, e| ClusterError::Io(pdtl_io::IoError::os(op, "tcp", e));
+        stream.set_nodelay(true).map_err(|e| os("set_nodelay", e))?;
+        let reader = stream.try_clone().map_err(|e| os("clone", e))?;
         Ok(Self {
             reader: Mutex::new(FrameReader {
                 stream: reader,
                 buf: Vec::new(),
+                start: 0,
             }),
             writer: Mutex::new(stream),
             traffic,
@@ -215,37 +236,29 @@ impl TcpTransport {
         Self::from_stream(stream, traffic)
     }
 
-    fn recv_inner(&self, deadline: Option<Instant>, timeout: Duration) -> Result<Message> {
-        let mut r = self.reader.lock();
-        let payload = r.recv_frame(deadline).map_err(|e| match e {
-            // Stamp the caller's timeout onto the error for display.
-            ClusterError::Timeout { peer, .. } => ClusterError::Timeout {
-                peer,
-                after: timeout,
-            },
-            other => other,
-        })?;
-        Message::decode(payload)
+    /// Whether the peer has started a frame it has not finished.
+    pub(crate) fn mid_frame(&self) -> bool {
+        let r = lock(&self.reader);
+        r.buf.len() > r.start
     }
 }
 
 impl Transport for TcpTransport {
     fn send(&self, msg: &Message) -> Result<()> {
-        let encoded = msg.encode();
+        let frame = msg.frame()?;
         // frame header + payload both cross the wire
-        charge(&self.traffic, msg, encoded.len() as u64 + 4);
-        let mut w = self.writer.lock();
-        w.write_all(&(encoded.len() as u32).to_le_bytes())
-            .and_then(|_| w.write_all(&encoded))
+        charge(&self.traffic, msg, frame.len() as u64);
+        lock(&self.writer)
+            .write_all(&frame)
             .map_err(|e| ClusterError::Io(pdtl_io::IoError::os("send", "tcp", e)))
     }
 
     fn recv(&self) -> Result<Message> {
-        self.recv_inner(None, Duration::ZERO)
+        lock(&self.reader).recv_frame(None)
     }
 
     fn recv_deadline(&self, timeout: Duration) -> Result<Message> {
-        self.recv_inner(Some(Instant::now() + timeout), timeout)
+        lock(&self.reader).recv_frame(Some(timeout))
     }
 }
 
@@ -353,19 +366,25 @@ mod tests {
         assert_eq!(traffic.config_bytes(), 0);
     }
 
+    /// A connected loopback pair charging `traffic`: (connecting end,
+    /// accepted end).
+    fn tcp_pair(traffic: &Arc<NetTraffic>) -> (TcpTransport, TcpTransport) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let near = TcpTransport::connect(&addr, traffic.clone()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let far = TcpTransport::from_stream(stream, traffic.clone()).unwrap();
+        (near, far)
+    }
+
     #[test]
     fn tcp_round_trip_over_loopback() {
         let traffic = NetTraffic::new();
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let t2 = traffic.clone();
+        let (client, far) = tcp_pair(&traffic);
         let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let t = TcpTransport::from_stream(stream, t2).unwrap();
-            let msg = t.recv().unwrap();
-            t.send(&msg).unwrap(); // echo
+            let msg = far.recv().unwrap();
+            far.send(&msg).unwrap(); // echo
         });
-        let client = TcpTransport::connect(&addr, traffic.clone()).unwrap();
         let msg = config_msg();
         client.send(&msg).unwrap();
         assert_eq!(client.recv().unwrap(), msg);
@@ -376,18 +395,12 @@ mod tests {
 
     #[test]
     fn tcp_deadline_times_out_then_delivers() {
-        let traffic = NetTraffic::new();
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let t2 = traffic.clone();
-        let (release_tx, release_rx) = unbounded::<()>();
+        let (client, far) = tcp_pair(&NetTraffic::new());
+        let (release_tx, release_rx) = channel::<()>();
         let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let t = TcpTransport::from_stream(stream, t2).unwrap();
             release_rx.recv().unwrap(); // hold the reply until told
-            t.send(&Message::Progress { node: 2, seq: 1 }).unwrap();
+            far.send(&Message::Progress { node: 2, seq: 1 }).unwrap();
         });
-        let client = TcpTransport::connect(&addr, traffic).unwrap();
         // nothing sent yet: deadline expires as a Timeout
         assert!(matches!(
             client.recv_deadline(Duration::from_millis(10)),
@@ -410,16 +423,14 @@ mod tests {
         let traffic = NetTraffic::new();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let (release_tx, release_rx) = unbounded::<()>();
+        let (release_tx, release_rx) = channel::<()>();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             let msg = Message::NodeError {
                 node: 5,
                 detail: "split across reads".into(),
             };
-            let encoded = msg.encode();
-            let mut framed = (encoded.len() as u32).to_le_bytes().to_vec();
-            framed.extend_from_slice(&encoded);
+            let framed = msg.frame().unwrap();
             let mid = framed.len() / 2;
             stream.write_all(&framed[..mid]).unwrap();
             stream.flush().unwrap();
@@ -447,19 +458,60 @@ mod tests {
 
     #[test]
     fn tcp_disconnect_reported_on_deadline_recv() {
-        let traffic = NetTraffic::new();
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            drop(stream); // immediate close
-        });
-        let client = TcpTransport::connect(&addr, NetTraffic::new()).unwrap();
-        drop(traffic);
-        server.join().unwrap();
+        let (client, far) = tcp_pair(&NetTraffic::new());
+        drop(far); // immediate close
         assert!(matches!(
             client.recv_deadline(Duration::from_secs(30)),
             Err(ClusterError::Disconnected(_))
         ));
+    }
+
+    #[test]
+    fn tcp_small_frames_do_not_wait_for_a_timer() {
+        // One write per frame on a TCP_NODELAY socket: a round trip is
+        // microseconds. Header and payload as two writes under Nagle +
+        // delayed ACK cost ~88 ms each, ~9 s for this loop.
+        let (near, far) = tcp_pair(&NetTraffic::new());
+        let echo = std::thread::spawn(move || loop {
+            match far.recv().unwrap() {
+                Message::Shutdown => return,
+                msg => far.send(&msg).unwrap(),
+            }
+        });
+        let begin = Instant::now();
+        for seq in 0..100 {
+            let ping = Message::Progress { node: 1, seq };
+            near.send(&ping).unwrap();
+            assert_eq!(near.recv().unwrap(), ping);
+        }
+        let took = begin.elapsed();
+        near.send(&Message::Shutdown).unwrap();
+        echo.join().unwrap();
+        assert!(took < Duration::from_secs(2), "100 round trips: {took:?}");
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_in_both_directions() {
+        // Outbound: a payload past MAX_FRAME is a typed error on both
+        // transports, never a truncated length on the wire.
+        let huge = Message::NodeError {
+            node: 0,
+            detail: "x".repeat(MAX_FRAME),
+        };
+        let (near, mut far) = tcp_pair(&NetTraffic::new());
+        assert!(matches!(near.send(&huge), Err(ClusterError::Protocol(_))));
+        let (a, _b) = in_proc_pair(NetTraffic::new());
+        assert!(matches!(a.send(&huge), Err(ClusterError::Protocol(_))));
+        drop(huge);
+
+        // Inbound: the declared length alone is enough to reject; the
+        // reader does not wait for (or buffer) the payload.
+        let raw = lock(&near.writer);
+        (&*raw)
+            .write_all(&(MAX_FRAME as u32 + 1).to_le_bytes())
+            .unwrap();
+        let err = far.recv_deadline(Duration::from_secs(30)).unwrap_err();
+        assert!(matches!(err, ClusterError::Protocol(_)), "{err}");
+        assert!(far.reader.get_mut().unwrap().buf.len() <= FRAME_HEADER);
     }
 }

@@ -80,8 +80,8 @@ pub enum IoBackend {
 pub const BACKEND_ENV: &str = "PDTL_IO_BACKEND";
 
 impl IoBackend {
-    /// Every backend, in wire-discriminant order (the order of the
-    /// flags-byte encoding in the cluster's `WorkerConfig`).
+    /// Every backend, in wire-discriminant order: a backend's index
+    /// here is its byte in the cluster's wire records.
     pub const ALL: [IoBackend; 4] = [
         IoBackend::Blocking,
         IoBackend::Prefetch,

@@ -33,7 +33,7 @@ fn main() {
         // from kernel submission queues (no prefetch threads) and
         // degrades to the thread-based prefetcher on kernels without
         // it; the choice ships to every worker in its wire
-        // WorkerConfig (flags-byte discriminant 3).
+        // WorkerConfig (backend byte 3).
         mgt: MgtOptions {
             backend: IoBackend::Uring,
             ..MgtOptions::default()

@@ -1,15 +1,17 @@
 //! Serve-mode integration tests: concurrent queries against a resident
 //! catalog daemon must be bit-identical to one-shot runs, admission
 //! must respect the memory budget without deadlocking, and the daemon
-//! must survive corrupt catalog entries, hostile parameters, stalled
-//! queries and mid-query client disconnects.
+//! must survive corrupt catalog entries, hostile parameters, hostile
+//! frames, stalled queries and mid-query client disconnects.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pdtl::analytics::{clustering, ktruss};
 use pdtl::cluster::{
-    Catalog, ClusterError, QueryOperation, QueryOptions, ServeClient, ServeConfig, Server,
+    Catalog, ClusterError, Message, QueryOperation, QueryOptions, ServeClient, ServeConfig, Server,
 };
 use pdtl::graph::gen::rmat::rmat;
 use pdtl::graph::verify::{triangle_count, triangle_list};
@@ -497,5 +499,76 @@ fn client_shutdown_drains_inflight_queries() {
 
     let reply = inflight.recv_reply().unwrap();
     assert_eq!(reply.triangles, expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Resident set of this process — the daemon runs inside it — in MiB.
+fn rss_mib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with("VmRSS:")).unwrap();
+    let kib: u64 = line.split_whitespace().nth(1).unwrap().parse().unwrap();
+    kib / 1024
+}
+
+/// Block until the daemon closes `stream` (EOF or reset); panics if it
+/// is still open after 30 s.
+fn assert_dropped(mut stream: TcpStream, who: &str) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    match stream.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e)
+            if !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("{who}: connection still open: {other:?}"),
+    }
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn hostile_frames_cost_a_connection_not_the_daemon() {
+    let g = rmat(6, 17).unwrap();
+    let (dir, server) = boot("hostile", &[("g", &g)], ServeConfig::default());
+    let expected = triangle_count(&g);
+    // An idle connection with nothing in flight is never the target.
+    let mut idle = ServeClient::connect(&server.addr()).unwrap();
+
+    // A header declaring a 4 GiB frame, with 64 MiB streamed at it: the
+    // daemon must hang up on the header, not buffer what follows.
+    let before = rss_mib();
+    let mut bomb = TcpStream::connect(server.addr()).unwrap();
+    bomb.write_all(&u32::MAX.to_le_bytes()).unwrap();
+    let junk = vec![0u8; 1 << 20];
+    for _ in 0..64 {
+        if bomb.write_all(&junk).is_err() {
+            break; // the daemon already hung up
+        }
+    }
+    assert_dropped(bomb, "oversized frame");
+    let grew = rss_mib().saturating_sub(before);
+    assert!(grew < 32, "daemon buffered a hostile frame: +{grew} MiB");
+
+    // Half a frame, then silence: dropped once the daemon's patience
+    // for an unfinished frame runs out.
+    let frame = Message::StatsRequest.frame().unwrap();
+    let mut loris = TcpStream::connect(server.addr()).unwrap();
+    loris.write_all(&frame[..frame.len() / 2]).unwrap();
+    assert_dropped(loris, "stalled frame");
+
+    // Old and new clients are served as if nothing happened.
+    for client in [
+        &mut idle,
+        &mut ServeClient::connect(&server.addr()).unwrap(),
+    ] {
+        let reply = client
+            .query("g", QueryOperation::Count, QueryOptions::default())
+            .unwrap();
+        assert_eq!(reply.triangles, expected);
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.served, stats.failed), (2, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
