@@ -9,10 +9,8 @@
 
 pub mod approx;
 pub mod clustering;
-pub mod incremental;
 pub mod ktruss;
 
 pub use approx::{doulion, doulion_mean, ApproxCount};
 pub use clustering::{clustering_coefficients, global_clustering, transitivity, ClusteringReport};
-pub use incremental::IncrementalTriangles;
 pub use ktruss::{k_truss, max_truss, TrussDecomposition};

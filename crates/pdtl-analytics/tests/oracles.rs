@@ -7,15 +7,13 @@
 //! * k-truss — a fixed-point "delete weak edges until stable" oracle,
 //!   no peeling order shared with the implementation;
 //! * DOULION — seeded concentration around the exact count, exactness
-//!   at `p = 1`, and determinism;
-//! * incremental counting — exact recount and re-anchor after random
-//!   insert/delete batches.
+//!   at `p = 1`, and determinism.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use pdtl_analytics::{clustering, doulion, doulion_mean, ktruss, IncrementalTriangles};
+use pdtl_analytics::{clustering, doulion, doulion_mean, ktruss};
 use pdtl_graph::gen::classic::complete;
 use pdtl_graph::verify::{triangle_count, triangle_list};
 use pdtl_graph::Graph;
@@ -130,30 +128,6 @@ proptest! {
         let approx = doulion(&g, 1.0, seed).unwrap();
         prop_assert_eq!(approx.estimate, triangle_count(&g) as f64);
         prop_assert_eq!(approx.kept_edges, g.num_edges());
-    }
-
-    #[test]
-    fn incremental_recounts_and_reanchors_under_updates(
-        ops in prop::collection::vec((0..20u32, 0..20u32, 0..4u32), 1..120),
-    ) {
-        let mut inc = IncrementalTriangles::new(20);
-        for (i, &(u, v, kind)) in ops.iter().enumerate() {
-            if kind == 0 {
-                inc.delete(u, v);
-            } else {
-                inc.insert(u, v);
-            }
-            // Every few updates, check the running count against the
-            // exact oracle on the materialised graph, and re-anchor:
-            // a counter rebuilt from that graph must agree exactly.
-            if i % 16 == 0 || i + 1 == ops.len() {
-                let snapshot = inc.to_graph();
-                prop_assert_eq!(inc.triangles(), triangle_count(&snapshot));
-                let reanchored = IncrementalTriangles::from_graph(&snapshot);
-                prop_assert_eq!(reanchored.triangles(), inc.triangles());
-                prop_assert_eq!(reanchored.num_edges(), inc.num_edges());
-            }
-        }
     }
 }
 

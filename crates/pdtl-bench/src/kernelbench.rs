@@ -1,9 +1,9 @@
 //! Programmatic kernel benchmarks with a JSON emitter.
 //!
-//! `exp kernels [--json]` runs the same hot-kernel set as the
-//! `kernels` criterion bench target — sorted-array intersection, the
-//! in-memory MGT chunk loop, orientation, load balancing, generation —
-//! under the same names, and (with `--json`) writes
+//! `exp kernels [--json]` runs the hot-kernel set — sorted-array
+//! intersection, the in-memory MGT chunk loop, orientation, load
+//! balancing, generation — under criterion-style names, and (with
+//! `--json`) writes
 //! `BENCH_kernels.json` mapping bench name → mean ns/iter. CI runs this
 //! once per push and uploads the file, so every PR leaves a comparable
 //! perf data point; the committed snapshot at the repo root is the
@@ -28,9 +28,8 @@ use pdtl_graph::gen::rmat::rmat;
 use pdtl_graph::DiskGraph;
 use pdtl_io::{Codec, IoBackend, IoStats, MemoryBudget, U32Writer};
 
-/// The kernel workload, defined once so the criterion target
-/// (`benches/kernels.rs`) and this JSON runner measure the *same*
-/// inputs under the same names and cannot drift apart.
+/// The kernel workload, defined once so this runner and `benchmark/`'s
+/// intersection probes measure the *same* inputs.
 pub mod workload {
     /// `(|a|, |b|)` size pairs for the intersection kernels.
     pub const INTERSECT_PAIRS: [(usize, usize); 3] = [(1000, 1000), (100, 10_000), (10, 100_000)];

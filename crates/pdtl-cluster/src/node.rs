@@ -19,7 +19,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use pdtl_core::balance::EdgeRange;
-use pdtl_core::mgt::{mgt_count_range_opt, MgtOptions};
+use pdtl_core::mgt::MgtOptions;
 use pdtl_core::orient::OrientedGraph;
 use pdtl_core::sink::{CollectSink, CountSink, TriangleSink};
 use pdtl_core::WorkerReport;
@@ -136,7 +136,12 @@ fn serve_one<T: Transport>(
             // through the sleep.
             stop.wait_for(Duration::from_millis(ms as u64));
         }
-        let outcome = run_workers(graph_base, workers, listing);
+        let outcome = if listing {
+            run_workers(graph_base, workers, CollectSink::default)
+                .map(|(summaries, sinks)| (summaries, CollectSink::concat(sinks)))
+        } else {
+            run_workers(graph_base, workers, || CountSink).map(|(s, _)| (s, Vec::new()))
+        };
         // Raise before the scope joins the heartbeat thread, so the
         // reply below is strictly after the last Progress.
         stop.raise();
@@ -167,68 +172,35 @@ fn serve_one<T: Transport>(
     Ok(())
 }
 
-/// Run the node's worker threads; returns per-worker summaries and (when
-/// listing) all collected triangles.
-#[allow(clippy::type_complexity)]
-pub fn run_workers(
+/// Run one worker per config over the replica at `graph_base`, each
+/// with its own `make_sink()` sink, through the engine's shared fan-out
+/// ([`pdtl_core::run_workers`]); returns the per-worker summaries and
+/// the sinks, in config order.
+pub fn run_workers<S: TriangleSink + Send>(
     graph_base: &str,
     configs: &[WorkerConfig],
-    listing: bool,
-) -> Result<(Vec<WorkerSummary>, Vec<(u32, u32, u32)>)> {
-    let stats = IoStats::new();
-    let og = OrientedGraph::open(graph_base, &stats)?;
-    let og_ref = &og;
+    make_sink: impl Fn() -> S,
+) -> Result<(Vec<WorkerSummary>, Vec<S>)> {
+    let og = OrientedGraph::open(graph_base, &IoStats::new())?;
+    let jobs: Vec<_> = configs.iter().map(worker_job).collect();
+    let (reports, sinks) = pdtl_core::run_workers(&og, &jobs, make_sink)?;
+    Ok((reports.iter().map(summarize).collect(), sinks))
+}
 
-    type WorkerOut = (WorkerReport, Vec<(u32, u32, u32)>);
-    let mut slots: Vec<Option<pdtl_core::Result<WorkerOut>>> =
-        (0..configs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, cfg) in configs.iter().enumerate() {
-            handles.push(scope.spawn(move || -> pdtl_core::Result<WorkerOut> {
-                let stats = IoStats::new();
-                let range = EdgeRange {
-                    start: cfg.start,
-                    end: cfg.end,
-                };
-                let budget = MemoryBudget::edges(cfg.budget_edges as usize);
-                let opts = MgtOptions {
-                    scan_pruning: cfg.scan_pruning,
-                    backend: cfg.backend,
-                    io_latency: std::time::Duration::from_micros(cfg.io_latency_us as u64),
-                    read_fault: cfg.read_fault,
-                    codec: cfg.codec,
-                };
-                if listing {
-                    let mut sink = CollectSink::default();
-                    let mut r = mgt_count_range_opt(og_ref, range, budget, &mut sink, stats, opts)?;
-                    r.worker = i;
-                    Ok((r, sink.triangles))
-                } else {
-                    let mut sink = CountSink;
-                    sink.flush().ok();
-                    let mut r = mgt_count_range_opt(og_ref, range, budget, &mut sink, stats, opts)?;
-                    r.worker = i;
-                    Ok((r, Vec::new()))
-                }
-            }));
-        }
-        for (i, h) in handles.into_iter().enumerate() {
-            slots[i] =
-                Some(h.join().unwrap_or_else(|_| {
-                    Err(pdtl_core::CoreError::WorkerPanic(format!("worker {i}")))
-                }));
-        }
-    });
-
-    let mut summaries = Vec::with_capacity(configs.len());
-    let mut triples = Vec::new();
-    for slot in slots.into_iter().flatten() {
-        let (r, t) = slot?;
-        summaries.push(summarize(&r));
-        triples.extend(t);
-    }
-    Ok((summaries, triples))
+/// What a wire [`WorkerConfig`] asks the engine to run.
+fn worker_job(cfg: &WorkerConfig) -> (EdgeRange, MemoryBudget, MgtOptions) {
+    let range = EdgeRange {
+        start: cfg.start,
+        end: cfg.end,
+    };
+    let opts = MgtOptions {
+        scan_pruning: cfg.scan_pruning,
+        backend: cfg.backend,
+        io_latency: Duration::from_micros(cfg.io_latency_us as u64),
+        read_fault: cfg.read_fault,
+        codec: cfg.codec,
+    };
+    (range, MemoryBudget::edges(cfg.budget_edges as usize), opts)
 }
 
 /// Convert a core [`WorkerReport`] into its wire summary.
@@ -596,6 +568,61 @@ mod tests {
         };
         assert_eq!(node, 5);
         assert!(detail.contains("injected short read"), "{detail}");
+    }
+
+    #[test]
+    fn worker_failures_surface_the_same_through_node_and_local_runner() {
+        // One fan-out serves both runners, so a worker that panics and
+        // a worker that fails must come back from each as the same
+        // typed error, naming the same worker.
+        use pdtl_core::{CoreError, LocalConfig, LocalRunner};
+
+        struct PanicSink;
+        impl TriangleSink for PanicSink {
+            fn emit(&mut self, _: u32, _: u32, _: u32) {
+                panic!("sink refuses");
+            }
+        }
+
+        let (base, m_star, expected) = oriented_base("fanout");
+        assert!(expected > 0, "the sink must be reached");
+        let og = OrientedGraph::open(&base, &IoStats::new()).unwrap();
+        let local = |mgt| {
+            LocalRunner::new(LocalConfig {
+                cores: 1,
+                budget: MemoryBudget::edges(256),
+                mgt,
+                ..Default::default()
+            })
+            .unwrap()
+        };
+        let cfg = worker(0, m_star);
+
+        let via_node = run_workers(&base, &[cfg], || PanicSink).map(drop);
+        let via_local = local(worker_job(&cfg).2)
+            .run_oriented_with_sinks(&og, || PanicSink)
+            .map(drop);
+        for err in [via_node.unwrap_err(), via_local.unwrap_err().into()] {
+            let ClusterError::Core(CoreError::WorkerPanic(who)) = err else {
+                panic!("expected WorkerPanic, got {err}");
+            };
+            assert_eq!(who, "worker 0");
+        }
+
+        let faulty = WorkerConfig {
+            read_fault: Some(8),
+            ..cfg
+        };
+        let via_node = run_workers(&base, &[faulty], || CountSink).map(drop);
+        let via_local = local(worker_job(&faulty).2)
+            .run_oriented_with_sinks(&og, || CountSink)
+            .map(drop);
+        let (via_node, via_local) = (via_node.unwrap_err(), via_local.unwrap_err());
+        assert!(via_node.to_string().contains("injected short read"));
+        assert_eq!(
+            via_node.to_string(),
+            ClusterError::from(via_local).to_string()
+        );
     }
 
     #[test]

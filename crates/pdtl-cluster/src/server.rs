@@ -645,10 +645,18 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
         job.op,
         QueryOperation::Clustering | QueryOperation::KTruss { .. } | QueryOperation::Doulion { .. }
     );
-    let cost = (cores as u64) * opts.budget_edges + if needs_graph { entry.m_star } else { 0 };
-    let _lease = shared
-        .ledger
-        .admit(cost)
+    // The budget is a `u64` straight off the socket: a product that
+    // wraps must be refused like any other cost the ledger cannot hold,
+    // not admitted at whatever it wrapped to.
+    let resident = if needs_graph { entry.m_star } else { 0 };
+    let _lease = (cores as u64)
+        .checked_mul(opts.budget_edges)
+        .and_then(|chunks| chunks.checked_add(resident))
+        .ok_or(pdtl_io::IoError::BudgetTooSmall {
+            needed: usize::MAX,
+            available: shared.ledger.total() as usize,
+        })
+        .and_then(|cost| shared.ledger.admit(cost))
         .map_err(|e| format!("admission: {e}"))?;
 
     match job.op {
@@ -785,20 +793,13 @@ fn run_mgt(
     let (report, sinks) = if listing {
         runner
             .run_oriented_with_sinks(og, CollectSink::default)
-            .map(|(r, sinks)| {
-                let mut all = Vec::new();
-                for s in sinks {
-                    all.extend(s.triangles);
-                }
-                (r, all)
-            })
-            .map_err(|e| e.to_string())?
+            .map(|(r, sinks)| (r, CollectSink::concat(sinks)))
     } else {
         runner
             .run_oriented_with_sinks(og, || CountSink)
             .map(|(r, _)| (r, Vec::new()))
-            .map_err(|e| e.to_string())?
-    };
+    }
+    .map_err(|e| e.to_string())?;
     let bytes: u64 = report.workers.iter().map(|w| w.io.bytes_read).sum();
     let decoded: u64 = report.workers.iter().map(|w| w.io.u32s_decoded).sum();
     shared.mgt_bytes_read.fetch_add(bytes, Ordering::Relaxed);

@@ -40,5 +40,7 @@ pub use metrics::{PhaseReport, RunReport, WorkerReport};
 pub use mgt::{mgt_count_range, mgt_count_range_opt, mgt_in_memory, mgt_in_memory_opt, MgtOptions};
 pub use order::DegreeOrder;
 pub use orient::{orient_csr, orient_to_disk, OrientedCsr, OrientedGraph};
-pub use runner::{count_triangles, count_triangles_with, LocalConfig, LocalRunner, ScratchDir};
+pub use runner::{
+    count_triangles, count_triangles_with, run_workers, LocalConfig, LocalRunner, ScratchDir,
+};
 pub use sink::{CollectSink, CountSink, FileSink, TriangleSink};

@@ -36,10 +36,10 @@
 //! ([`IoBackend::open`], the single place one is chosen):
 //!
 //! * [`IoBackend::Prefetch`] (the default) overlaps I/O with
-//!   intersection work: chunk `k+1` loads on a background thread while
-//!   chunk `k`'s scan pass computes ([`ChunkPrefetcher`]), and the scan
-//!   stream is read ahead by a [`pdtl_io::PrefetchReader`], which also
-//!   keeps the pruned scan's coalesced short skips sequential on disk.
+//!   intersection work: a [`pdtl_io::PrefetchReader`]'s background
+//!   thread reads the scan stream ahead (keeping the pruned scan's
+//!   coalesced short skips sequential on disk), another's reads the
+//!   hinted chunk `k+1` while chunk `k`'s scan pass computes.
 //! * [`IoBackend::Mmap`] maps the oriented adjacency once
 //!   ([`pdtl_io::MmapSource`]) and lends both the scan stream and the
 //!   `edg` chunks *zero-copy*: the chunk index is built directly over
@@ -92,13 +92,12 @@
 use std::sync::Arc;
 
 use pdtl_io::{
-    ChunkPrefetcher, Codec, CpuIoTimer, FaultySource, IoBackend, IoStats, MemoryBudget, U32Source,
-    VarintSource,
+    Codec, CpuIoTimer, FaultySource, IoBackend, IoStats, MemoryBudget, U32Source, VarintSource,
 };
 
 use crate::balance::EdgeRange;
 use crate::error::Result;
-use crate::intersect::{intersect_adaptive_visit_counted_with, simd_level};
+use crate::intersect::{intersect_adaptive_visit_counted_with, simd_level, SimdLevel};
 use crate::metrics::WorkerReport;
 use crate::orient::{OrientedCsr, OrientedGraph};
 use crate::sink::TriangleSink;
@@ -209,6 +208,7 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
     // one for the scan pass, one for chunk loads.
     let open = |backend: IoBackend| backend.open(&og.disk.adj_path(), &stats, opts.io_latency);
     let (served, scan) = open(opts.backend)?;
+    let (_, chunks) = open(served)?;
     // The scan stream is wrapped in `FaultySource` so `read_fault` can
     // cut data delivery at a deterministic offset; an unset fault is an
     // unlimited budget (a compare + subtract per out-list, and the
@@ -231,21 +231,8 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
         })?;
         let decoding = |transport| VarintSource::new(transport, index.clone(), stats.clone());
         let scan = FaultySource::new(decoding(scan)?, fault_budget);
-        let chunks = ChunkLoader::Source(Box::new(decoding(open(served)?.1)?));
-        mgt_disk_loop(og, range, budget, sink, opts, chunks, scan)?
+        mgt_disk_loop(og, range, budget, sink, opts, decoding(chunks)?, scan)?
     } else {
-        let chunks = if served == IoBackend::Prefetch {
-            // The thread-based overlapper loads whole chunks ahead, not
-            // blocks: its loader thread reads synchronously.
-            let mut reader = og.disk.open_adj(&stats)?;
-            reader.set_read_latency(opts.io_latency);
-            ChunkLoader::Overlapped(OverlappedChunks {
-                prefetcher: ChunkPrefetcher::new(reader)?,
-                in_flight: None,
-            })
-        } else {
-            ChunkLoader::Source(Box::new(open(served)?.1))
-        };
         let scan = FaultySource::new(scan, fault_budget);
         mgt_disk_loop(og, range, budget, sink, opts, chunks, scan)?
     };
@@ -271,87 +258,17 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
     })
 }
 
-/// Source of `edg` chunks for the disk engine, returning each chunk as
-/// a slice so the storage stays the source's choice: the prefetch
-/// backend serves a chunk loaded whole in the background (and
-/// immediately starts on the next), every other stream loads through
-/// [`U32Source::range_run`] — into `scratch`, or, for the mapped
-/// adjacency, as a window of the mapping with no copy at all.
-enum ChunkLoader {
-    Overlapped(OverlappedChunks),
-    Source(Box<dyn U32Source>),
-}
-
-impl ChunkLoader {
-    /// The values of `[pos, pos + len)`, backed either by `scratch` or
-    /// by the source itself. `next` is the following chunk's
-    /// `(pos, len)`, which the source starts on (or hints to the
-    /// kernel) once this one is loaded.
-    fn load<'a>(
-        &'a mut self,
-        pos: u64,
-        len: usize,
-        next: Option<(u64, usize)>,
-        scratch: &'a mut Vec<u32>,
-    ) -> Result<&'a [u32]> {
-        match self {
-            ChunkLoader::Overlapped(chunks) => chunks.load(pos, len, next, scratch),
-            ChunkLoader::Source(source) => {
-                if let Some((npos, nlen)) = next {
-                    source.hint_range(npos, nlen);
-                }
-                Ok(source.range_run(pos, len, scratch)?)
-            }
-        }
-    }
-}
-
-struct OverlappedChunks {
-    prefetcher: ChunkPrefetcher,
-    /// The request already in flight, if any.
-    in_flight: Option<(u64, usize)>,
-}
-
-impl OverlappedChunks {
-    fn load<'a>(
-        &'a mut self,
-        pos: u64,
-        len: usize,
-        next: Option<(u64, usize)>,
-        scratch: &'a mut Vec<u32>,
-    ) -> Result<&'a [u32]> {
-        if self.in_flight != Some((pos, len)) {
-            if self.in_flight.is_some() {
-                // A stale request is outstanding (a caller deviated
-                // from the announced `next`): drain it so its result
-                // cannot be handed out as this chunk's data.
-                let _ = self.prefetcher.take();
-            }
-            // First chunk of the range (nothing requested ahead yet).
-            self.prefetcher.request(pos, len, Vec::new());
-        }
-        let loaded = self.prefetcher.take()?;
-        let spare = std::mem::replace(scratch, loaded);
-        self.in_flight = next;
-        if let Some((npos, nlen)) = next {
-            // Chunk k+1 loads while chunk k's scan pass computes.
-            self.prefetcher.request(npos, nlen, spare);
-        }
-        Ok(&scratch[..])
-    }
-}
-
-/// The disk engine's chunk/scan loop, generic over the scan stream's
+/// The disk engine's chunk/scan loop, generic over the two streams'
 /// layer stack (raw cursor, or a decoder above it) so per-out-list
 /// calls stay direct; backends differ only behind the cursor's block
 /// fetches. Returns `(triangles, cpu_ops, iterations)`.
-fn mgt_disk_loop<S: TriangleSink, R: U32Source>(
+fn mgt_disk_loop<S: TriangleSink, C: U32Source, R: U32Source>(
     og: &OrientedGraph,
     range: EdgeRange,
     budget: MemoryBudget,
     sink: &mut S,
     opts: MgtOptions,
-    mut chunks: ChunkLoader,
+    mut chunks: C,
     mut scan_reader: R,
 ) -> Result<(u64, u64, u64)> {
     let offsets = &og.offsets;
@@ -376,21 +293,21 @@ fn mgt_disk_loop<S: TriangleSink, R: U32Source>(
         iterations += 1;
 
         // -- chunk load: edg + ind ------------------------------------
+        // Announce the chunk after this one first: a stream that reads
+        // ahead starts on it once this one is loaded, during the scan.
         let chunk_end = pos + len as u64;
-        let next = (chunk_end < range.end).then(|| {
-            (
-                chunk_end,
-                (range.end - chunk_end).min(chunk_cap as u64) as usize,
-            )
-        });
-        let edg = chunks.load(pos, len, next, &mut edg_buf)?;
-        let (vlow, vhigh) = build_chunk_index(offsets, pos, chunk_end, &mut ind);
-        cpu_ops += len as u64 + ind.len() as u64;
+        if chunk_end < range.end {
+            let next_len = (range.end - chunk_end).min(chunk_cap as u64) as usize;
+            chunks.hint_range(chunk_end, next_len);
+        }
+        let edg = chunks.range_run(pos, len, &mut edg_buf)?;
+        let window = build_chunk_index(offsets, pos, chunk_end, &mut ind);
+        cpu_ops += len as u64 + window.ind.len() as u64;
 
         // -- scan pass ------------------------------------------------
         // Only u < vhigh can hold a window vertex: out-neighbours ascend
         // in rank space, so every v ∈ N(u) satisfies v > u.
-        let scan_cap = if opts.scan_pruning { vhigh } else { n };
+        let scan_cap = if opts.scan_pruning { window.vhigh } else { n };
         scan_reader.seek_to(0)?;
         for u in 0..scan_cap {
             let du = (offsets[u as usize + 1] - offsets[u as usize]) as usize;
@@ -399,35 +316,16 @@ fn mgt_disk_loop<S: TriangleSink, R: U32Source>(
             }
             if opts.scan_pruning {
                 let (bmin, bmax) = og.bounds[u as usize];
-                if bmax < vlow || bmin > vhigh {
+                if bmax < window.vlow || bmin > window.vhigh {
                     scan_reader.skip(du as u64)?;
                     cpu_ops += 1;
                     continue;
                 }
             }
             let nm = scan_reader.next_run(du, &mut nm_buf)?;
-            cpu_ops += du as u64;
-
-            // N+(u): entries of nm with resident out-edges. nm is sorted,
-            // so restrict to [vlow, vhigh] first.
-            let lo_i = nm.partition_point(|&x| x < vlow);
-            let hi_i = nm.partition_point(|&x| x <= vhigh);
-            let iu = ids[u as usize];
-            for idx in lo_i..hi_i {
-                let v = nm[idx];
-                let (seg_off, seg_len) = ind[(v - vlow) as usize];
-                if seg_len == 0 {
-                    continue;
-                }
-                let ev = &edg[seg_off as usize..(seg_off + seg_len) as usize];
-                let iv = ids[v as usize];
-                let (t, cmps) =
-                    intersect_adaptive_visit_counted_with(simd, &nm[idx + 1..], ev, |w| {
-                        sink.emit(iu, iv, ids[w as usize])
-                    });
-                triangles += t;
-                cpu_ops += cmps;
-            }
+            let (t, cmps) = window.join(simd, ids, edg, u, nm, sink);
+            triangles += t;
+            cpu_ops += du as u64 + cmps;
         }
 
         pos = chunk_end;
@@ -438,13 +336,13 @@ fn mgt_disk_loop<S: TriangleSink, R: U32Source>(
 /// Build the dense chunk index for the resident window `[pos,
 /// chunk_end)`: `ind[v - vlow] = (offset within the chunk, length)` for
 /// every vertex with resident out-edges. Shared by the disk and
-/// in-memory engines so they cannot drift. Returns `(vlow, vhigh)`.
-fn build_chunk_index(
+/// in-memory engines so they cannot drift.
+fn build_chunk_index<'a>(
     offsets: &[u64],
     pos: u64,
     chunk_end: u64,
-    ind: &mut Vec<(u32, u32)>,
-) -> (u32, u32) {
+    ind: &'a mut Vec<(u32, u32)>,
+) -> ChunkIndex<'a> {
     let vlow = vertex_of(offsets, pos);
     let vhigh = vertex_of(offsets, chunk_end - 1);
     ind.clear();
@@ -456,7 +354,55 @@ fn build_chunk_index(
             ind[(v - vlow) as usize] = ((seg_start - pos) as u32, (seg_end - seg_start) as u32);
         }
     }
-    (vlow, vhigh)
+    ChunkIndex { vlow, vhigh, ind }
+}
+
+/// The resident window of one iteration: its vertices `[vlow, vhigh]`
+/// and their segments of the `edg` chunk.
+struct ChunkIndex<'a> {
+    vlow: u32,
+    vhigh: u32,
+    ind: &'a [(u32, u32)],
+}
+
+impl ChunkIndex<'_> {
+    /// Algorithm 2's join of one out-list `nm = N(u)` with the resident
+    /// chunk `edg`: for each `v ∈ N⁺(u)` (entries of `nm` with resident
+    /// out-edges — `nm` is sorted, so restrict to `[vlow, vhigh]`
+    /// first), intersect the suffix of `nm` after `v` with `v`'s
+    /// segment and emit `(u, v, w)` in original ids. Returns
+    /// `(triangles, comparisons)`. Always inlined: as a call per
+    /// out-list it cost the multi-pass engine 7% of `calc_s`.
+    #[inline(always)]
+    fn join<S: TriangleSink>(
+        &self,
+        simd: SimdLevel,
+        ids: &[u32],
+        edg: &[u32],
+        u: u32,
+        nm: &[u32],
+        sink: &mut S,
+    ) -> (u64, u64) {
+        let lo_i = nm.partition_point(|&x| x < self.vlow);
+        let hi_i = nm.partition_point(|&x| x <= self.vhigh);
+        let iu = ids[u as usize];
+        let (mut triangles, mut cmps) = (0u64, 0u64);
+        for idx in lo_i..hi_i {
+            let v = nm[idx];
+            let (seg_off, seg_len) = self.ind[(v - self.vlow) as usize];
+            if seg_len == 0 {
+                continue;
+            }
+            let ev = &edg[seg_off as usize..(seg_off + seg_len) as usize];
+            let iv = ids[v as usize];
+            let (t, c) = intersect_adaptive_visit_counted_with(simd, &nm[idx + 1..], ev, |w| {
+                sink.emit(iu, iv, ids[w as usize])
+            });
+            triangles += t;
+            cmps += c;
+        }
+        (triangles, cmps)
+    }
 }
 
 /// Index of the vertex owning adjacency position `pos` (vertices with
@@ -497,48 +443,23 @@ pub fn mgt_in_memory_opt<S: TriangleSink>(
     let mut pos = 0u64;
     while pos < m_star {
         let chunk_end = (pos + chunk_cap).min(m_star);
-        let (vlow, vhigh) = build_chunk_index(&o.offsets, pos, chunk_end, &mut ind);
         let edg = &o.adj[pos as usize..chunk_end as usize];
-        cpu_ops += edg.len() as u64 + ind.len() as u64;
+        let window = build_chunk_index(&o.offsets, pos, chunk_end, &mut ind);
+        cpu_ops += edg.len() as u64 + window.ind.len() as u64;
 
-        let scan_cap = if opts.scan_pruning { vhigh } else { n };
+        let scan_cap = if opts.scan_pruning { window.vhigh } else { n };
         for u in 0..scan_cap {
             let nm = o.out(u);
             if nm.is_empty() {
                 continue;
             }
-            if opts.scan_pruning && (*nm.last().unwrap() < vlow || nm[0] > vhigh) {
+            if opts.scan_pruning && (*nm.last().unwrap() < window.vlow || nm[0] > window.vhigh) {
                 cpu_ops += 1;
                 continue;
             }
-            cpu_ops += nm.len() as u64;
-            // Single-chunk fast path: when the chunk spans every vertex
-            // the window is the whole list and the two binary searches
-            // would just return its bounds.
-            let (lo_i, hi_i) = if vlow == 0 && vhigh == n - 1 {
-                (0, nm.len())
-            } else {
-                (
-                    nm.partition_point(|&x| x < vlow),
-                    nm.partition_point(|&x| x <= vhigh),
-                )
-            };
-            let iu = ids[u as usize];
-            for idx in lo_i..hi_i {
-                let v = nm[idx];
-                let (seg_off, seg_len) = ind[(v - vlow) as usize];
-                if seg_len == 0 {
-                    continue;
-                }
-                let ev = &edg[seg_off as usize..(seg_off + seg_len) as usize];
-                let iv = ids[v as usize];
-                let (t, cmps) =
-                    intersect_adaptive_visit_counted_with(simd, &nm[idx + 1..], ev, |w| {
-                        sink.emit(iu, iv, ids[w as usize])
-                    });
-                triangles += t;
-                cpu_ops += cmps;
-            }
+            let (t, cmps) = window.join(simd, ids, edg, u, nm, sink);
+            triangles += t;
+            cpu_ops += nm.len() as u64 + cmps;
         }
         pos = chunk_end;
     }
@@ -1054,9 +975,9 @@ mod tests {
         // offsets: v0: [0,3), v1: [3,4), v2: [4,8)
         let offsets = [0u64, 3, 4, 8];
         let mut ind = Vec::new();
-        let (vlow, vhigh) = build_chunk_index(&offsets, 2, 6, &mut ind);
-        assert_eq!((vlow, vhigh), (0, 2));
+        let w = build_chunk_index(&offsets, 2, 6, &mut ind);
+        assert_eq!((w.vlow, w.vhigh), (0, 2));
         // v0 contributes [2,3), v1 all of [3,4), v2 [4,6)
-        assert_eq!(ind, vec![(0, 1), (1, 1), (2, 2)]);
+        assert_eq!(w.ind, [(0, 1), (1, 1), (2, 2)]);
     }
 }

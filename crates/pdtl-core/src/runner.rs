@@ -14,12 +14,13 @@ use std::time::Instant;
 use pdtl_graph::{DiskGraph, Graph};
 use pdtl_io::{IoStats, MemoryBudget};
 
+use crate::balance::EdgeRange;
 use crate::balance::{split_ranges, BalanceStrategy};
 use crate::error::{CoreError, Result};
-use crate::metrics::RunReport;
+use crate::metrics::{RunReport, WorkerReport};
 use crate::mgt::{mgt_count_range_opt, MgtOptions};
-use crate::orient::orient_to_disk_with;
-use crate::sink::{CollectSink, CountSink};
+use crate::orient::{orient_to_disk_with, OrientedGraph};
+use crate::sink::{CollectSink, CountSink, TriangleSink};
 
 /// Configuration of a single-machine run.
 #[derive(Debug, Clone)]
@@ -82,11 +83,7 @@ impl LocalRunner {
         work_dir: &Path,
     ) -> Result<(RunReport, Vec<(u32, u32, u32)>)> {
         let (report, sinks) = self.run_with_sinks(input, work_dir, CollectSink::default)?;
-        let mut all = Vec::new();
-        for s in sinks {
-            all.extend(s.triangles);
-        }
-        Ok((report, all))
+        Ok((report, CollectSink::concat(sinks)))
     }
 
     /// Generic driver: one sink per worker, built by `make_sink`.
@@ -97,7 +94,7 @@ impl LocalRunner {
         make_sink: F,
     ) -> Result<(RunReport, Vec<S>)>
     where
-        S: crate::sink::TriangleSink + Send,
+        S: TriangleSink + Send,
         F: Fn() -> S,
     {
         std::fs::create_dir_all(work_dir)
@@ -144,70 +141,28 @@ impl LocalRunner {
     /// requirement.
     pub fn run_oriented_with_sinks<S, F>(
         &self,
-        og: &crate::orient::OrientedGraph,
+        og: &OrientedGraph,
         make_sink: F,
     ) -> Result<(RunReport, Vec<S>)>
     where
-        S: crate::sink::TriangleSink + Send,
+        S: TriangleSink + Send,
         F: Fn() -> S,
     {
         let wall_start = Instant::now();
 
-        // Phase 2: load balancing (Section IV-B1).
-        let (ranges, balancing) = match (self.config.balance, og.in_degrees()) {
-            (BalanceStrategy::InDegree, Some(in_degrees)) => split_ranges(
-                &og.offsets,
-                &in_degrees,
-                self.config.cores,
-                BalanceStrategy::InDegree,
-            ),
-            _ => {
-                let zeros = vec![0u32; og.num_vertices() as usize];
-                split_ranges(
-                    &og.offsets,
-                    &zeros,
-                    self.config.cores,
-                    BalanceStrategy::EqualEdges,
-                )
-            }
+        // Phase 2: load balancing (Section IV-B1); the equal-edges
+        // split reads no weights.
+        let (weights, strategy) = match (self.config.balance, og.in_degrees()) {
+            (BalanceStrategy::InDegree, Some(w)) => (w, BalanceStrategy::InDegree),
+            _ => (Vec::new(), BalanceStrategy::EqualEdges),
         };
+        let (ranges, balancing) = split_ranges(&og.offsets, &weights, self.config.cores, strategy);
 
         // Phase 3: one MGT worker per core.
-        let budget = self.config.budget;
-        let mgt_opts = self.config.mgt;
-        let mut results: Vec<Option<Result<(crate::metrics::WorkerReport, S)>>> =
-            (0..ranges.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (i, &range) in ranges.iter().enumerate() {
-                let mut sink = make_sink();
-                handles.push(scope.spawn(move || {
-                    let stats = IoStats::new();
-                    mgt_count_range_opt(og, range, budget, &mut sink, stats, mgt_opts).map(
-                        |mut r| {
-                            r.worker = i;
-                            (r, sink)
-                        },
-                    )
-                }));
-            }
-            for (i, h) in handles.into_iter().enumerate() {
-                results[i] = Some(
-                    h.join()
-                        .unwrap_or_else(|_| Err(CoreError::WorkerPanic(format!("worker {i}")))),
-                );
-            }
-        });
-
-        let mut workers = Vec::with_capacity(results.len());
-        let mut sinks = Vec::with_capacity(results.len());
-        let mut triangles = 0u64;
-        for r in results.into_iter().flatten() {
-            let (w, s) = r?;
-            triangles += w.triangles;
-            workers.push(w);
-            sinks.push(s);
-        }
+        let (budget, mgt) = (self.config.budget, self.config.mgt);
+        let jobs: Vec<_> = ranges.iter().map(|&r| (r, budget, mgt)).collect();
+        let (workers, sinks) = run_workers(og, &jobs, make_sink)?;
+        let triangles = workers.iter().map(|w| w.triangles).sum();
 
         Ok((
             RunReport {
@@ -220,6 +175,44 @@ impl LocalRunner {
             sinks,
         ))
     }
+}
+
+/// The worker fan-out of every runner (local cores, a cluster node's
+/// cores): one MGT worker per `(range, budget, options)` job over `og`,
+/// each on its own scoped thread with its own [`IoStats`] and its own
+/// `make_sink()` sink. Reports (numbered) and sinks come back in job
+/// order; the first failed job's error is returned, a panicked
+/// worker's as [`CoreError::WorkerPanic`], after every worker has been
+/// joined.
+pub fn run_workers<S, F>(
+    og: &OrientedGraph,
+    jobs: &[(EdgeRange, MemoryBudget, MgtOptions)],
+    make_sink: F,
+) -> Result<(Vec<WorkerReport>, Vec<S>)>
+where
+    S: TriangleSink + Send,
+    F: Fn() -> S,
+{
+    let results: Vec<Result<(WorkerReport, S)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (jobs.iter().enumerate())
+            .map(|(i, &(range, budget, opts))| {
+                let mut sink = make_sink();
+                scope.spawn(move || {
+                    let stats = IoStats::new();
+                    let mut report =
+                        mgt_count_range_opt(og, range, budget, &mut sink, stats, opts)?;
+                    report.worker = i;
+                    Ok((report, sink))
+                })
+            })
+            .collect();
+        let joined = handles.into_iter().enumerate().map(|(i, h)| {
+            h.join()
+                .unwrap_or_else(|_| Err(CoreError::WorkerPanic(format!("worker {i}"))))
+        });
+        joined.collect()
+    });
+    results.into_iter().collect()
 }
 
 /// Convenience: count the triangles of an in-memory [`Graph`] with the

@@ -9,11 +9,11 @@
 //!
 //! * [`Blocking`](IoBackend::Blocking) — [`U32Reader`], one synchronous
 //!   read per block. The reference the ablations compare against.
-//! * [`Prefetch`](IoBackend::Prefetch) — [`PrefetchReader`] +
-//!   `ChunkPrefetcher`, background threads keep blocks read ahead so
-//!   device waits hide behind compute. Wins when reads actually block
-//!   (cold cache, emulated latency), costs a hand-off + synchronisation
-//!   when they don't.
+//! * [`Prefetch`](IoBackend::Prefetch) — [`PrefetchReader`], a
+//!   background thread per stream keeps blocks (and the hinted next
+//!   chunk) read ahead so device waits hide behind compute. Wins when
+//!   reads actually block (cold cache, emulated latency), costs a
+//!   hand-off + synchronisation when they don't.
 //! * [`Mmap`](IoBackend::Mmap) — [`MmapSource`], the file mapped into
 //!   the address space and lent zero-copy. Wins on page-cache-resident
 //!   graphs where every `read(2)` copy is pure overhead; falls back to
@@ -59,8 +59,8 @@ use crate::{IoStats, MmapSource, PrefetchReader, U32Reader, UringSource};
 pub enum IoBackend {
     /// Synchronous buffered reads ([`U32Reader`]).
     Blocking,
-    /// Background read-ahead ([`PrefetchReader`]
-    /// for scans, `ChunkPrefetcher` for chunk loads).
+    /// Background read-ahead ([`PrefetchReader`]), for scans and
+    /// hinted chunk loads alike.
     #[default]
     Prefetch,
     /// Zero-copy memory mapping ([`MmapSource`]);

@@ -63,8 +63,10 @@ impl MemoryBudget {
     }
 
     /// Check the paper's small-degree assumption `d* <= cM` for a given
-    /// maximum oriented degree; the MGT engine handles violations with an
-    /// incremental fallback, but callers may want to warn.
+    /// maximum oriented degree. The MGT engine needs no fallback when it
+    /// fails (a list split across chunks still has each position resident
+    /// exactly once; only the CPU bound loosens), but callers may want
+    /// to warn.
     pub fn satisfies_small_degree(&self, d_star_max: u32) -> bool {
         (d_star_max as usize) <= self.chunk_edges()
     }

@@ -19,7 +19,7 @@
 //!   that cursor over four fetchers, so backend ablations compare pure
 //!   scheduling, not different I/O plans:
 //!   [`U32Reader`] (synchronous reads), [`PrefetchReader`] (a read-ahead
-//!   thread; [`ChunkPrefetcher`] is its whole-chunk sibling),
+//!   thread, re-aimed at the next chunk by [`BlockFetch::hint`]),
 //!   [`MmapSource`] (the file mapped and lent zero-copy) and
 //!   [`UringSource`] (several block reads in flight through `io_uring`,
 //!   no threads). [`IoBackend::open`] picks one at run time; consumers
@@ -66,7 +66,7 @@ pub use error::{IoError, Result};
 pub use extsort::{external_sort_u64, merge_sorted_files};
 pub use fault::FaultySource;
 pub use mmap::{mmap_supported, MmapFetch, MmapSource};
-pub use prefetch::{ChunkPrefetcher, PrefetchReader, ProducerFetch};
+pub use prefetch::{PrefetchReader, ProducerFetch};
 pub use stats::IoStats;
 pub use stream::{
     BlockFetch, BlockStream, PreadFetch, U32Reader, U32Source, U32Writer, BYTES_PER_U32,

@@ -4,26 +4,24 @@
 //! reads with intersection work, and with the blocking [`U32Reader`]
 //! every one of those reads stalls the worker (Theorem IV.2's
 //! `|E|²/(MB)` multi-pass term is pure I/O wait). This module provides
-//! the two overlap primitives the engines build on:
+//! the thread-based overlap primitive the engines build on,
+//! [`PrefetchReader`]: the stream cursor over a fetcher whose
+//! background thread keeps up to [`PREFETCH_DEPTH`] block-sized buffers
+//! ahead of the consumer, so sequential scans (including bound-pruned
+//! scans, whose short skips read through) never block on the next
+//! block. Blocks stay raw bytes until the consumer decodes what it
+//! actually reads, so skipped regions cost no decode — the same cost
+//! profile as the blocking reader, minus the read stalls. A positioned
+//! load announced through [`BlockFetch::hint`] re-aims the same thread:
+//! the MGT engine announces chunk `k+1` when chunk `k` is handed over,
+//! so the next `edg` array is read whole during the current scan pass.
 //!
-//! * [`PrefetchReader`] — the stream cursor over a fetcher whose
-//!   background thread keeps up to [`PREFETCH_DEPTH`] block-sized
-//!   buffers ahead of the consumer, so sequential scans (including
-//!   bound-pruned scans, whose short skips read through) never block on
-//!   the next block. Blocks stay raw bytes until the consumer decodes
-//!   what it actually reads, so skipped regions cost no decode — the
-//!   same cost profile as the blocking reader, minus the read stalls.
-//! * [`ChunkPrefetcher`] — positioned whole-range loads on a background
-//!   thread; the MGT engine requests chunk `k+1` the moment chunk `k`
-//!   is handed over, so the next `edg` array loads during the current
-//!   scan pass.
-//!
-//! **Accounting contract:** both primitives report through the same
-//! [`IoStats`](crate::IoStats) as their blocking twins and count
+//! **Accounting contract:** the reader reports through the same
+//! [`IoStats`](crate::IoStats) as its blocking twin and counts
 //! *exactly the same* `bytes_read`, `read_ops` and `seeks` for the
 //! same logical access pattern — the one [`BlockStream`] cursor does the charging, when the
 //! consumer takes a block, and read-ahead blocks discarded by a
-//! reposition are never charged. That is what makes
+//! reposition (hinted or not) are never charged. That is what makes
 //! `IoBackend::Prefetch` a pure scheduling change rather than a
 //! different I/O plan.
 //!
@@ -37,7 +35,6 @@
 //! wall accordingly.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -56,15 +53,24 @@ struct Shared {
     produce: Condvar,
     /// Signalled when a block (or EOF/error) is ready for the consumer.
     consume: Condvar,
+    /// Total `u32`s in the file, and the block size in `u32`s.
+    len_u32: u64,
+    block_u32s: usize,
 }
 
 #[derive(Debug)]
 struct State {
-    /// Bumped by every consumer reposition; blocks from older epochs
-    /// are recycled, never delivered.
+    /// Bumped by every reposition; blocks from older epochs are
+    /// recycled, never delivered.
     epoch: u64,
     /// Next `u32` index the producer should read for the current epoch.
     read_at: u64,
+    /// Blocks the producer may hold ready in the current epoch:
+    /// [`PREFETCH_DEPTH`], or a whole hinted range if that is more.
+    depth: usize,
+    /// Where the current epoch started, while it is a hint's and the
+    /// consumer has not followed it yet.
+    hinted: Option<u64>,
     /// Emulated device latency of the blocks the producer starts on.
     latency: Duration,
     /// Filled byte blocks (in file order) with their read times.
@@ -76,6 +82,20 @@ struct State {
     /// Producer-side failure, delivered to the consumer once.
     error: Option<std::io::Error>,
     shutdown: bool,
+}
+
+impl State {
+    /// Start a new epoch reading from `at`, holding up to `depth`
+    /// blocks; what was read for the old one is recycled uncharged.
+    fn aim(&mut self, at: u64, depth: usize) {
+        self.epoch += 1;
+        self.read_at = at;
+        self.depth = depth;
+        self.eof = false;
+        self.error = None;
+        self.free
+            .extend(self.queue.drain(..).map(|(block, _)| block));
+    }
 }
 
 /// The read-ahead fetcher: a background thread fills the next
@@ -102,11 +122,12 @@ impl PrefetchReader {
     /// the process).
     pub fn new(reader: U32Reader) -> Result<Self> {
         let path = reader.path().to_path_buf();
-        let (len_u32, block_u32s) = (reader.len_u32(), reader.block_u32s());
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 epoch: 0,
                 read_at: reader.fetch_pos(),
+                depth: PREFETCH_DEPTH,
+                hinted: None,
                 latency: reader.read_latency(),
                 queue: VecDeque::new(),
                 free: Vec::new(),
@@ -116,12 +137,14 @@ impl PrefetchReader {
             }),
             produce: Condvar::new(),
             consume: Condvar::new(),
+            len_u32: reader.len_u32(),
+            block_u32s: reader.block_u32s(),
         });
         reader.try_map_fetch(|file| {
             let producer_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name("pdtl-prefetch".into())
-                .spawn(move || producer(file, len_u32, block_u32s, producer_shared))
+                .spawn(move || producer(file, producer_shared))
                 .map_err(|e| IoError::os("spawn", path, e))?;
             Ok(ProducerFetch {
                 shared,
@@ -134,17 +157,22 @@ impl PrefetchReader {
 impl BlockFetch for ProducerFetch {
     /// Take the next ready block from the producer, which reads in
     /// file order from the last reposition — the order the cursor
-    /// fetches in — so `at` needs no checking. The charge is the
-    /// producer's read time: the device was busy that long, however
-    /// little of it the consumer waited out.
+    /// fetches in — so `at` needs checking only against a hint the
+    /// consumer did not follow (a hint never changes what a fetch
+    /// returns). The charge is the producer's read time: the device was
+    /// busy that long, however little of it the consumer waited out.
     fn fetch(
         &mut self,
-        _at: u64,
+        at: u64,
         _want: usize,
         latency: Duration,
         buf: &mut Vec<u8>,
     ) -> std::io::Result<(usize, Duration)> {
         let mut st = self.shared.state.lock().unwrap();
+        if st.hinted.take().is_some_and(|hinted| hinted != at) {
+            st.aim(at, PREFETCH_DEPTH);
+            self.shared.produce.notify_one();
+        }
         st.latency = latency;
         loop {
             if let Some((block, took)) = st.queue.pop_front() {
@@ -166,15 +194,25 @@ impl BlockFetch for ProducerFetch {
         }
     }
 
+    /// A move to the hinted position keeps what the hint read ahead;
+    /// any other starts a new epoch there.
     fn moved_to(&mut self, at: u64) {
         let mut st = self.shared.state.lock().unwrap();
-        st.epoch += 1;
-        st.read_at = at;
-        st.eof = false;
-        st.error = None;
-        while let Some((b, _)) = st.queue.pop_front() {
-            st.free.push(b);
+        if st.hinted.take() != Some(at) {
+            st.aim(at, PREFETCH_DEPTH);
+            self.shared.produce.notify_one();
         }
+    }
+
+    /// Re-aim the read-ahead at the announced range and let it hold the
+    /// whole of it — the memory a second chunk buffer would take — so
+    /// the load arrives while the caller computes on the previous one.
+    fn hint(&mut self, pos: u64, len: usize) {
+        let pos = pos.min(self.shared.len_u32);
+        let depth = len.div_ceil(self.shared.block_u32s).max(PREFETCH_DEPTH);
+        let mut st = self.shared.state.lock().unwrap();
+        st.aim(pos, depth);
+        st.hinted = Some(pos);
         self.shared.produce.notify_one();
     }
 }
@@ -193,7 +231,7 @@ impl Drop for ProducerFetch {
 }
 
 /// The background read loop of a [`ProducerFetch`].
-fn producer(mut file: PreadFetch, len_u32: u64, block_u32s: usize, shared: Arc<Shared>) {
+fn producer(mut file: PreadFetch, shared: Arc<Shared>) {
     loop {
         // Decide what to read (or stop) under the lock.
         let (epoch, at, latency, mut out) = {
@@ -202,8 +240,8 @@ fn producer(mut file: PreadFetch, len_u32: u64, block_u32s: usize, shared: Arc<S
                 if st.shutdown {
                     return;
                 }
-                if !st.eof && st.error.is_none() && st.queue.len() < PREFETCH_DEPTH {
-                    if st.read_at >= len_u32 {
+                if !st.eof && st.error.is_none() && st.queue.len() < st.depth {
+                    if st.read_at >= shared.len_u32 {
                         st.eof = true;
                         shared.consume.notify_one();
                         continue;
@@ -247,7 +285,7 @@ fn producer(mut file: PreadFetch, len_u32: u64, block_u32s: usize, shared: Arc<S
         // Read one block outside the lock, straight into the buffer
         // (the same fill-or-EOF read the blocking fetcher issues). The
         // emulated device wait is charged with it, as there.
-        let want = (len_u32 - at).min(block_u32s as u64) as usize;
+        let want = (shared.len_u32 - at).min(shared.block_u32s as u64) as usize;
         let start = Instant::now();
         let result = file.read_block(at, want, &mut out);
         let took = start.elapsed() + latency;
@@ -275,105 +313,12 @@ fn producer(mut file: PreadFetch, len_u32: u64, block_u32s: usize, shared: Arc<S
     }
 }
 
-/// A request to load `[pos, pos + len)` of a `u32` file, with a spare
-/// buffer to fill.
-type ChunkRequest = (u64, usize, Vec<u32>);
-
-/// Positioned whole-range loads on a background thread.
-///
-/// The MGT engine requests chunk `k+1` as soon as chunk `k` is handed
-/// over, so the next `edg` chunk loads from disk while the current scan
-/// pass computes. Loads go through an owned [`U32Reader`] (one
-/// `seek_to` + `read_into` per chunk), so `bytes_read` and `seeks`
-/// match the blocking chunk loader exactly.
-#[derive(Debug)]
-pub struct ChunkPrefetcher {
-    requests: Option<std::sync::mpsc::Sender<ChunkRequest>>,
-    results: std::sync::mpsc::Receiver<Result<Vec<u32>>>,
-    handle: Option<JoinHandle<()>>,
-    /// Set on drop so the worker discards queued requests instead of
-    /// performing (and then throwing away) their reads.
-    closed: Arc<std::sync::atomic::AtomicBool>,
-    path: PathBuf,
-}
-
-impl ChunkPrefetcher {
-    /// Move `reader` to a background thread that serves load requests.
-    /// Errors if the background thread cannot be spawned.
-    pub fn new(mut reader: U32Reader) -> Result<Self> {
-        let path = reader.path().to_path_buf();
-        let (req_tx, req_rx) = std::sync::mpsc::channel::<ChunkRequest>();
-        let (res_tx, res_rx) = std::sync::mpsc::channel::<Result<Vec<u32>>>();
-        let closed = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let thread_closed = Arc::clone(&closed);
-        let handle = std::thread::Builder::new()
-            .name("pdtl-chunk-prefetch".into())
-            .spawn(move || {
-                for (pos, len, mut buf) in req_rx {
-                    if thread_closed.load(std::sync::atomic::Ordering::Acquire) {
-                        // Consumer hung up: drain without reading, so
-                        // error-path teardown never waits on a chunk
-                        // load (or its emulated device latency) whose
-                        // result nobody will take.
-                        continue;
-                    }
-                    let loaded = reader
-                        .read_exact_range(pos, len, &mut buf)
-                        .map(|()| std::mem::take(&mut buf));
-                    if res_tx.send(loaded).is_err() {
-                        return; // consumer gone
-                    }
-                }
-            })
-            .map_err(|e| IoError::os("spawn", &path, e))?;
-        Ok(Self {
-            requests: Some(req_tx),
-            results: res_rx,
-            handle: Some(handle),
-            closed,
-            path,
-        })
-    }
-
-    /// Enqueue the load of `[pos, pos + len)`; `spare` is recycled as
-    /// the destination buffer. Results arrive in request order via
-    /// [`take`](Self::take).
-    pub fn request(&self, pos: u64, len: usize, spare: Vec<u32>) {
-        if let Some(tx) = &self.requests {
-            // A send failure surfaces as an error on the next `take`.
-            let _ = tx.send((pos, len, spare));
-        }
-    }
-
-    /// Block until the oldest outstanding request completes and return
-    /// its chunk.
-    pub fn take(&mut self) -> Result<Vec<u32>> {
-        self.results.recv().map_err(|_| {
-            IoError::os(
-                "prefetch",
-                &self.path,
-                std::io::Error::other("chunk prefetch thread terminated"),
-            )
-        })?
-    }
-}
-
-impl Drop for ChunkPrefetcher {
-    fn drop(&mut self) {
-        self.closed
-            .store(true, std::sync::atomic::Ordering::Release);
-        self.requests.take(); // hang up; the thread drains and exits
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stream::U32Writer;
     use crate::IoStats;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("pdtl-prefetch-tests");
@@ -488,40 +433,75 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chunk_prefetcher_serves_requests_in_order() {
-        let vals: Vec<u32> = (0..10_000).collect();
-        let p = write_vals("chunks", &vals);
+    /// A reader over `0..n` in 100-value blocks, every block read
+    /// costing an emulated `latency_ms`.
+    fn slow_reader(name: &str, n: u32, latency_ms: u64) -> (PrefetchReader, Arc<IoStats>) {
+        let p = write_vals(name, &(0..n).collect::<Vec<u32>>());
         let stats = IoStats::new();
-        let mut pf = ChunkPrefetcher::new(U32Reader::open(&p, stats.clone()).unwrap()).unwrap();
-        pf.request(0, 100, Vec::new());
-        pf.request(5_000, 250, Vec::new());
-        pf.request(9_990, 10, Vec::new());
-        assert_eq!(pf.take().unwrap(), &vals[0..100]);
-        assert_eq!(pf.take().unwrap(), &vals[5_000..5_250]);
-        assert_eq!(pf.take().unwrap(), &vals[9_990..10_000]);
-        assert_eq!(stats.seeks(), 3, "one seek per positioned chunk load");
+        let mut r = U32Reader::with_buffer(&p, stats.clone(), 100).unwrap();
+        r.set_read_latency(Duration::from_millis(latency_ms));
+        (PrefetchReader::new(r).unwrap(), stats)
     }
 
     #[test]
-    fn chunk_prefetcher_reports_out_of_range_loads() {
-        let vals: Vec<u32> = (0..100).collect();
-        let p = write_vals("chunk-oob", &vals);
-        let mut pf = ChunkPrefetcher::new(U32Reader::open(&p, IoStats::new()).unwrap()).unwrap();
-        pf.request(50, 100, Vec::new());
-        let err = pf.take().unwrap_err();
-        assert!(err.to_string().contains("past end of file"), "{err}");
+    fn hinted_range_arrives_while_the_caller_computes() {
+        // Six blocks at 30 ms each: 180 ms of device time if the load
+        // starts when it is asked for, none of it left to wait out if
+        // the hint started it 600 ms earlier.
+        let (mut r, stats) = slow_reader("hint-hit", 50_000, 30);
+        let mut buf = Vec::new();
+        r.hint_range(20_000, 600);
+        assert_eq!(r.range_run(0, 100, &mut buf).unwrap()[99], 99);
+        std::thread::sleep(Duration::from_millis(600)); // "the scan pass"
+        let start = Instant::now();
+        let run = r.range_run(20_000, 600, &mut buf).unwrap();
+        let waited = start.elapsed();
+        assert_eq!((run[0], run[599]), (20_000, 20_599));
+        assert!(
+            waited < Duration::from_millis(90),
+            "a hinted load must not wait out its blocks again: {waited:?}"
+        );
+        assert_eq!(stats.bytes_read(), 7 * 100 * 4);
+        assert_eq!((stats.seeks(), stats.read_ops()), (2, 7));
+    }
+
+    #[test]
+    fn hint_not_followed_is_discarded_uncharged() {
+        let (mut r, stats) = slow_reader("hint-miss", 50_000, 1);
+        let mut buf = Vec::new();
+        r.hint_range(20_000, 600);
+        r.range_run(0, 100, &mut buf).unwrap();
+        std::thread::sleep(Duration::from_millis(50)); // let it read ahead
+        let run = r.range_run(40_000, 150, &mut buf).unwrap();
+        assert_eq!((run[0], run[149]), (40_000, 40_149));
+        // Reading on from there fetches at a position no hint named.
+        r.hint_range(100, 100);
+        assert_eq!(r.range_run(300, 100, &mut buf).unwrap()[0], 300);
+        assert_eq!(r.next_run(100, &mut buf).unwrap()[0], 400);
+        assert_eq!(
+            stats.bytes_read(),
+            (1 + 2 + 1 + 1) * 100 * 4,
+            "only consumed blocks are charged, never a hint's read-ahead"
+        );
+        assert_eq!(stats.seeks(), 3);
     }
 
     #[test]
     fn drop_joins_background_threads_cleanly() {
         let vals: Vec<u32> = (0..100_000).collect();
         let p = write_vals("drop", &vals);
-        // Drop with read-ahead in flight and requests outstanding.
+        // Drop with read-ahead in flight…
         let r = PrefetchReader::new(U32Reader::open(&p, IoStats::new()).unwrap()).unwrap();
         drop(r);
-        let pf = ChunkPrefetcher::new(U32Reader::open(&p, IoStats::new()).unwrap()).unwrap();
-        pf.request(0, 50_000, Vec::new());
-        drop(pf);
+        // …and with a hinted epoch of 400 slow blocks barely begun.
+        let (mut r, _) = slow_reader("drop-hinted", 50_000, 20);
+        r.hint_range(10_000, 40_000);
+        r.range_run(0, 100, &mut Vec::new()).unwrap();
+        let start = Instant::now();
+        drop(r);
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "drop must not drain the hint"
+        );
     }
 }

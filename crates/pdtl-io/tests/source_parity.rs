@@ -72,40 +72,91 @@ fn drive(src: &mut impl U32Source, ops: &[(u8, u64)]) -> (Vec<u32>, u64) {
     (out, src.position())
 }
 
-/// Run the pattern through one backend, returning
-/// `(stream, position, bytes_read, seeks, read_ops)`.
-type Trace = (Vec<u32>, u64, u64, u64, u64);
+/// What a pattern produced through one source, and what it cost.
+#[derive(Debug, PartialEq)]
+struct Trace {
+    stream: Vec<u32>,
+    position: u64,
+    bytes_read: u64,
+    seeks: u64,
+    read_ops: u64,
+    u32s_decoded: u64,
+}
 
-fn trace_backend(which: &str, path: &PathBuf, block: usize, ops: &[(u8, u64)]) -> Trace {
-    let stats = IoStats::new();
-    let (out, pos) = match which {
-        "blocking" => {
-            let mut r = U32Reader::with_buffer(path, stats.clone(), block).unwrap();
-            drive(&mut r, ops)
+impl Trace {
+    /// The first field in which `self` differs from `want`.
+    fn differs_in(&self, want: &Trace) -> Option<&'static str> {
+        [
+            (self.stream != want.stream, "stream"),
+            (self.position != want.position, "position"),
+            (self.bytes_read != want.bytes_read, "bytes_read"),
+            (self.seeks != want.seeks, "seeks"),
+            (self.read_ops != want.read_ops, "read_ops"),
+            (self.u32s_decoded != want.u32s_decoded, "u32s_decoded"),
+        ]
+        .into_iter()
+        .find_map(|(differs, field)| differs.then_some(field))
+    }
+}
+
+/// Open `path` through the named transport; with an index, under a
+/// [`VarintSource`] decoding it.
+fn open_source(
+    which: &str,
+    path: &PathBuf,
+    index: Option<&Arc<VarintIndex>>,
+    block: usize,
+    stats: &Arc<IoStats>,
+) -> Box<dyn U32Source> {
+    fn layer<T: U32Source + 'static>(
+        transport: T,
+        index: Option<&Arc<VarintIndex>>,
+        stats: &Arc<IoStats>,
+    ) -> Box<dyn U32Source> {
+        match index {
+            Some(index) => {
+                Box::new(VarintSource::new(transport, index.clone(), stats.clone()).unwrap())
+            }
+            None => Box::new(transport),
         }
-        "prefetch" => {
-            let mut r =
-                PrefetchReader::new(U32Reader::with_buffer(path, stats.clone(), block).unwrap())
-                    .unwrap();
-            drive(&mut r, ops)
-        }
-        "mmap" => {
-            let mut m = MmapSource::with_block(path, stats.clone(), block).unwrap();
-            drive(&mut m, ops)
-        }
-        "uring" => {
-            let mut u = UringSource::with_block(path, stats.clone(), block).unwrap();
-            drive(&mut u, ops)
-        }
+    }
+    let blocking = || U32Reader::with_buffer(path, stats.clone(), block).unwrap();
+    match which {
+        "blocking" => layer(blocking(), index, stats),
+        "prefetch" => layer(PrefetchReader::new(blocking()).unwrap(), index, stats),
+        "mmap" => layer(
+            MmapSource::with_block(path, stats.clone(), block).unwrap(),
+            index,
+            stats,
+        ),
+        "uring" => layer(
+            UringSource::with_block(path, stats.clone(), block).unwrap(),
+            index,
+            stats,
+        ),
         other => panic!("unknown backend {other}"),
-    };
-    (
-        out,
-        pos,
-        stats.bytes_read(),
-        stats.seeks(),
-        stats.read_ops(),
-    )
+    }
+}
+
+/// Drive `ops` through the named transport — with an index, through a
+/// [`VarintSource`] over it, so positions are decoded ones.
+fn trace(
+    which: &str,
+    path: &PathBuf,
+    index: Option<&Arc<VarintIndex>>,
+    block: usize,
+    ops: &[(u8, u64)],
+) -> Trace {
+    let stats = IoStats::new();
+    let (stream, position) = drive(&mut open_source(which, path, index, block, &stats), ops);
+    Trace {
+        stream,
+        position,
+        bytes_read: stats.bytes_read(),
+        seeks: stats.seeks(),
+        read_ops: stats.read_ops(),
+        u32s_decoded: stats.u32s_decoded(),
+    }
 }
 
 proptest! {
@@ -120,15 +171,10 @@ proptest! {
         let vals: Vec<u32> = (0..len as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
         let path = write_fixture(&vals);
 
-        let (b_out, b_pos, b_bytes, b_seeks, b_ops) =
-            trace_backend("blocking", &path, block, &ops);
+        let reference = trace("blocking", &path, None, block, &ops);
         for which in other_backends() {
-            let (out, pos, bytes, seeks, read_ops) = trace_backend(which, &path, block, &ops);
-            prop_assert_eq!(&out, &b_out);
-            prop_assert_eq!(pos, b_pos);
-            prop_assert_eq!(bytes, b_bytes);
-            prop_assert_eq!(seeks, b_seeks);
-            prop_assert_eq!(read_ops, b_ops);
+            let got = trace(which, &path, None, block, &ops);
+            prop_assert_eq!((which, got.differs_in(&reference)), (which, None));
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -151,19 +197,15 @@ fn eof_clamp_edges_agree_across_backends() {
         (1, 999),       // skip to the last value
         (0, 5),         // read it
     ];
-    let reference = trace_backend("blocking", &path, 64, &ops);
+    let reference = trace("blocking", &path, None, 64, &ops);
     assert_eq!(
-        &reference.0[reference.0.len() - 1..],
-        &[999],
+        reference.stream.last(),
+        Some(&999),
         "sanity: the pattern ends on the last value"
     );
     for which in other_backends() {
-        let got = trace_backend(which, &path, 64, &ops);
-        assert_eq!(got.0, reference.0, "{which}: stream");
-        assert_eq!(got.1, reference.1, "{which}: position");
-        assert_eq!(got.2, reference.2, "{which}: bytes_read");
-        assert_eq!(got.3, reference.3, "{which}: seeks");
-        assert_eq!(got.4, reference.4, "{which}: read_ops");
+        let got = trace(which, &path, None, 64, &ops);
+        assert_eq!(got.differs_in(&reference), None, "{which}");
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -172,16 +214,12 @@ fn eof_clamp_edges_agree_across_backends() {
 fn empty_file_edges_agree_across_backends() {
     let path = write_fixture(&[]);
     let ops: Vec<(u8, u64)> = vec![(0, 10), (2, 5), (1, u64::MAX), (0, 1)];
-    let reference = trace_backend("blocking", &path, 16, &ops);
-    assert!(reference.0.is_empty());
-    assert_eq!(reference.1, 0, "position clamps to the empty length");
+    let reference = trace("blocking", &path, None, 16, &ops);
+    assert!(reference.stream.is_empty());
+    assert_eq!(reference.position, 0, "position clamps to the empty length");
     for which in other_backends() {
-        let got = trace_backend(which, &path, 16, &ops);
-        assert_eq!(got.0, reference.0, "{which}: stream");
-        assert_eq!(got.1, reference.1, "{which}: position");
-        assert_eq!(got.2, reference.2, "{which}: bytes_read");
-        assert_eq!(got.3, reference.3, "{which}: seeks");
-        assert_eq!(got.4, reference.4, "{which}: read_ops");
+        let got = trace(which, &path, None, 16, &ops);
+        assert_eq!(got.differs_in(&reference), None, "{which}");
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -208,52 +246,6 @@ fn write_varint_fixture(runs: &[Vec<u32>]) -> (PathBuf, Arc<VarintIndex>, Vec<u3
     let bytes = w.finish().unwrap();
     let index = Arc::new(VarintIndex::new(decoded, bytes).unwrap());
     (p, index, logical)
-}
-
-/// Drive `ops` through a [`VarintSource`] over the named transport,
-/// returning `(stream, position, bytes_read, seeks, u32s_decoded,
-/// read_ops)`.
-fn trace_varint(
-    which: &str,
-    path: &PathBuf,
-    index: &Arc<VarintIndex>,
-    block: usize,
-    ops: &[(u8, u64)],
-) -> (Vec<u32>, u64, u64, u64, u64, u64) {
-    let stats = IoStats::new();
-    let (out, pos) = match which {
-        "blocking" => {
-            let inner = U32Reader::with_buffer(path, stats.clone(), block).unwrap();
-            let mut s = VarintSource::new(inner, index.clone(), stats.clone()).unwrap();
-            drive(&mut s, ops)
-        }
-        "prefetch" => {
-            let inner =
-                PrefetchReader::new(U32Reader::with_buffer(path, stats.clone(), block).unwrap())
-                    .unwrap();
-            let mut s = VarintSource::new(inner, index.clone(), stats.clone()).unwrap();
-            drive(&mut s, ops)
-        }
-        "mmap" => {
-            let inner = MmapSource::with_block(path, stats.clone(), block).unwrap();
-            let mut s = VarintSource::new(inner, index.clone(), stats.clone()).unwrap();
-            drive(&mut s, ops)
-        }
-        "uring" => {
-            let inner = UringSource::with_block(path, stats.clone(), block).unwrap();
-            let mut s = VarintSource::new(inner, index.clone(), stats.clone()).unwrap();
-            drive(&mut s, ops)
-        }
-        other => panic!("unknown backend {other}"),
-    };
-    (
-        out,
-        pos,
-        stats.bytes_read(),
-        stats.seeks(),
-        stats.u32s_decoded(),
-        stats.read_ops(),
-    )
 }
 
 /// Shrink a flat value pool into per-vertex strictly-increasing runs:
@@ -288,21 +280,14 @@ proptest! {
         let rpath = write_fixture(&logical);
 
         // Raw blocking reader is the logical-stream reference.
-        let (want_out, want_pos, ..) = trace_backend("blocking", &rpath, block, &ops);
+        let want = trace("blocking", &rpath, None, block, &ops);
 
-        let (b_out, b_pos, b_bytes, b_seeks, b_dec, b_ops) =
-            trace_varint("blocking", &vpath, &index, block, &ops);
-        prop_assert_eq!(&b_out, &want_out);
-        prop_assert_eq!(b_pos, want_pos);
+        let reference = trace("blocking", &vpath, Some(&index), block, &ops);
+        prop_assert_eq!(&reference.stream, &want.stream);
+        prop_assert_eq!(reference.position, want.position);
         for which in other_backends() {
-            let (out, pos, bytes, seeks, dec, read_ops) =
-                trace_varint(which, &vpath, &index, block, &ops);
-            prop_assert_eq!(&out, &b_out);
-            prop_assert_eq!(pos, b_pos);
-            prop_assert_eq!(bytes, b_bytes);
-            prop_assert_eq!(seeks, b_seeks);
-            prop_assert_eq!(dec, b_dec);
-            prop_assert_eq!(read_ops, b_ops);
+            let got = trace(which, &vpath, Some(&index), block, &ops);
+            prop_assert_eq!((which, got.differs_in(&reference)), (which, None));
         }
         let _ = std::fs::remove_file(&vpath);
         let _ = std::fs::remove_file(&rpath);
@@ -360,19 +345,18 @@ fn varint_runs_straddling_the_decode_buffer_agree_across_transports() {
     // raw blocking trace rather than reconstructed here.
     let rpath = write_fixture(&logical);
     for block in [64, 4 * 1024, 16 * 1024] {
-        let (want_out, want_pos, ..) = trace_backend("blocking", &rpath, block, &ops);
-        let reference = trace_varint("blocking", &vpath, &index, block, &ops);
-        assert_eq!(reference.0, want_out, "block {block}: stream");
-        assert_eq!(reference.1, want_pos, "block {block}: position");
-        assert_eq!(reference.4, want_out.len() as u64, "block {block}: decoded");
+        let want = trace("blocking", &rpath, None, block, &ops);
+        let reference = trace("blocking", &vpath, Some(&index), block, &ops);
+        assert_eq!(reference.stream, want.stream, "block {block}: stream");
+        assert_eq!(reference.position, want.position, "block {block}");
+        assert_eq!(
+            reference.u32s_decoded,
+            want.stream.len() as u64,
+            "block {block}"
+        );
         for which in other_backends() {
-            let got = trace_varint(which, &vpath, &index, block, &ops);
-            assert_eq!(got.0, reference.0, "{which}/{block}: stream");
-            assert_eq!(got.1, reference.1, "{which}/{block}: position");
-            assert_eq!(got.2, reference.2, "{which}/{block}: bytes_read");
-            assert_eq!(got.3, reference.3, "{which}/{block}: seeks");
-            assert_eq!(got.4, reference.4, "{which}/{block}: u32s_decoded");
-            assert_eq!(got.5, reference.5, "{which}/{block}: read_ops");
+            let got = trace(which, &vpath, Some(&index), block, &ops);
+            assert_eq!(got.differs_in(&reference), None, "{which}/{block}");
         }
     }
     let _ = std::fs::remove_file(&vpath);
@@ -398,37 +382,179 @@ fn varint_eof_and_empty_edges_agree_across_transports() {
         (1, logical.len() as u64 - 1),
         (0, 5),
     ];
-    let reference = trace_varint("blocking", &vpath, &index, 64, &ops);
+    let reference = trace("blocking", &vpath, Some(&index), 64, &ops);
     assert_eq!(
-        reference.0.last(),
+        reference.stream.last(),
         logical.last(),
         "sanity: the pattern ends on the last decoded value"
     );
     assert_eq!(
-        reference.1,
+        reference.position,
         logical.len() as u64,
         "position clamps at decoded EOF"
     );
     for which in other_backends() {
-        let got = trace_varint(which, &vpath, &index, 64, &ops);
-        assert_eq!(got.0, reference.0, "{which}: stream");
-        assert_eq!(got.1, reference.1, "{which}: position");
-        assert_eq!(got.2, reference.2, "{which}: bytes_read");
-        assert_eq!(got.3, reference.3, "{which}: seeks");
-        assert_eq!(got.4, reference.4, "{which}: u32s_decoded");
-        assert_eq!(got.5, reference.5, "{which}: read_ops");
+        let got = trace(which, &vpath, Some(&index), 64, &ops);
+        assert_eq!(got.differs_in(&reference), None, "{which}");
     }
     let _ = std::fs::remove_file(&vpath);
 
     let (epath, eindex, elogical) = write_varint_fixture(&[Vec::new(), Vec::new()]);
     assert!(elogical.is_empty());
     let eops: Vec<(u8, u64)> = vec![(0, 10), (2, 5), (1, u64::MAX), (0, 1)];
-    let eref = trace_varint("blocking", &epath, &eindex, 16, &eops);
-    assert!(eref.0.is_empty());
-    assert_eq!(eref.1, 0);
+    let eref = trace("blocking", &epath, Some(&eindex), 16, &eops);
+    assert!(eref.stream.is_empty());
+    assert_eq!(eref.position, 0);
     for which in other_backends() {
-        let got = trace_varint(which, &epath, &eindex, 16, &eops);
+        let got = trace(which, &epath, Some(&eindex), 16, &eops);
         assert_eq!(got, eref, "{which}");
     }
     let _ = std::fs::remove_file(&epath);
+}
+
+/// One step of a chunk walk: the calls the MGT chunk loader makes, and
+/// the ones a caller that strays from its announcement would.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Hint(u64, usize),
+    Range(u64, usize),
+    Next(usize),
+    Skip(u64),
+}
+
+/// Walk `steps`, checking every delivered run against the in-memory
+/// `logical` stream and every failed load for the typed error; returns
+/// `(position, bytes_read, seeks, read_ops)` after each step.
+fn walk(
+    which: &str,
+    path: &PathBuf,
+    index: Option<&Arc<VarintIndex>>,
+    block: usize,
+    logical: &[u32],
+    steps: &[Step],
+) -> Vec<(u64, u64, u64, u64)> {
+    let stats = IoStats::new();
+    let mut src = open_source(which, path, index, block, &stats);
+    let mut scratch = Vec::new();
+    let clamp = |at: u64, n: usize| {
+        let from = at.min(logical.len() as u64) as usize;
+        &logical[from..(from + n).min(logical.len())]
+    };
+    let mut after = Vec::new();
+    for (i, &step) in steps.iter().enumerate() {
+        let at = src.position();
+        match step {
+            Step::Hint(pos, len) => src.hint_range(pos, len),
+            Step::Range(pos, len) if pos + len as u64 <= logical.len() as u64 => {
+                let run = src.range_run(pos, len, &mut scratch).unwrap();
+                assert_eq!(run, clamp(pos, len), "{which} step {i} {step:?}");
+            }
+            Step::Range(pos, len) => {
+                let err = src
+                    .range_run(pos, len, &mut scratch)
+                    .unwrap_err()
+                    .to_string();
+                assert!(err.contains("past end of file"), "{which}: {err}");
+            }
+            Step::Next(n) => {
+                let run = src.next_run(n, &mut scratch).unwrap();
+                assert_eq!(run, clamp(at, n), "{which} step {i} {step:?}");
+            }
+            Step::Skip(n) => src.skip(n).unwrap(),
+        }
+        after.push((
+            src.position(),
+            stats.bytes_read(),
+            stats.seeks(),
+            stats.read_ops(),
+        ));
+    }
+    after
+}
+
+#[test]
+fn hinted_chunk_walks_agree_across_transports_and_codecs() {
+    // 60 runs of 1..=34 strictly increasing values: 946 logical
+    // values, walked at a 64-value block.
+    let runs: Vec<Vec<u32>> = (0..60u32)
+        .map(|r| (0..r % 34 + 1).map(|i| 3 * r + i * (r % 5 + 1)).collect())
+        .collect();
+    let (vpath, index, logical) = write_varint_fixture(&runs);
+    let rpath = write_fixture(&logical);
+    let len = logical.len() as u64;
+    assert_eq!(len, 946);
+    const BLOCK: usize = 64;
+
+    let mut walks: Vec<Vec<Step>> = Vec::new();
+    // The engine's pattern: contiguous chunks from `start`, each
+    // announced before the one ahead of it is loaded, the last clamped
+    // at end of file — of 1 value, sub-block, exactly one block, and
+    // several blocks.
+    for (start, chunk) in [(926, 1usize), (37, 10), (0, BLOCK), (5, BLOCK), (3, 200)] {
+        let mut steps = Vec::new();
+        let mut pos = start;
+        while pos < len {
+            let this = chunk.min((len - pos) as usize);
+            let next = pos + this as u64;
+            if next < len {
+                steps.push(Step::Hint(next, chunk.min((len - next) as usize)));
+            }
+            steps.push(Step::Range(pos, this));
+            pos = next;
+        }
+        walks.push(steps);
+    }
+    // A caller that loads somewhere else than it announced, twice.
+    walks.push(vec![
+        Step::Hint(500, 100),
+        Step::Range(0, BLOCK),
+        Step::Range(300, 70),
+        Step::Hint(370, 70),
+        Step::Range(100, 5),
+        Step::Range(370, 70),
+    ]);
+    // Sequential reads and skips right after a hinted load: inside the
+    // window, across it (the hint's read-ahead is elsewhere), landing
+    // exactly on the hinted position, and a long skip.
+    walks.push(vec![
+        Step::Hint(500, 100),
+        Step::Range(0, 50),
+        Step::Next(10),
+        Step::Next(30),
+        Step::Skip(5),
+        Step::Next(100),
+        Step::Hint(128, 64),
+        Step::Range(0, 128),
+        Step::Next(70),
+        Step::Hint(900, 10),
+        Step::Range(200, 3),
+        Step::Skip(20),
+        Step::Skip(400),
+        Step::Next(10),
+    ]);
+    // Hints at, across and past end of file.
+    walks.push(vec![
+        Step::Hint(len + 50, 10),
+        Step::Range(10, 5),
+        Step::Range(len + 50, 10),
+        Step::Hint(len - 3, 10),
+        Step::Range(0, 1),
+        Step::Range(len - 3, 3),
+        Step::Hint(len, 0),
+        Step::Range(7, 7),
+        Step::Range(len, 0),
+        Step::Next(4),
+    ]);
+
+    for (codec, path, index) in [("raw", &rpath, None), ("varint", &vpath, Some(&index))] {
+        for steps in &walks {
+            let reference = walk("blocking", path, index, BLOCK, &logical, steps);
+            for which in other_backends() {
+                let got = walk(which, path, index, BLOCK, &logical, steps);
+                assert_eq!(got, reference, "{codec}/{which}: {steps:?}");
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&vpath);
+    let _ = std::fs::remove_file(&rpath);
 }

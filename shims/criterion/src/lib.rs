@@ -1,7 +1,7 @@
 //! Offline stand-in for the `criterion` crate.
 //!
 //! Provides the bench-definition surface the workspace's benches use
-//! (`Criterion`, `benchmark_group`, `bench_function`,
+//! (`Criterion`, `benchmark_group`, a group's `bench_function` /
 //! `bench_with_input`, `BenchmarkId`, `criterion_group!`,
 //! `criterion_main!`) with a simple but honest timer: each benchmark is
 //! warmed up, then run for a fixed measurement window, and the mean,
@@ -48,15 +48,6 @@ impl From<String> for BenchmarkId {
     fn from(s: String) -> Self {
         BenchmarkId { id: s }
     }
-}
-
-/// Throughput annotation; accepted and ignored by the shim's reporter.
-#[derive(Debug, Clone, Copy)]
-pub enum Throughput {
-    /// Elements processed per iteration.
-    Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
 }
 
 /// Timing loop handle passed to benchmark closures.
@@ -142,42 +133,22 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Parse CLI arguments (already done in `default`; kept for API
-    /// compatibility).
-    pub fn configure_from_args(self) -> Self {
-        self
-    }
-
-    /// Override the measurement window.
-    pub fn measurement_time(mut self, d: Duration) -> Self {
-        self.measurement = d;
-        self
-    }
-
     /// Open a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             criterion: self,
             name: name.into(),
-            measurement: None,
         }
     }
 
-    /// Run one stand-alone benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        let window = self.measurement;
-        self.run_one(name.to_string(), window, f);
-        self
-    }
-
-    fn run_one<F: FnMut(&mut Bencher)>(&mut self, full_name: String, window: Duration, mut f: F) {
+    fn run_one<F: FnMut(&mut Bencher)>(&mut self, full_name: String, mut f: F) {
         if let Some(filter) = &self.filter {
             if !full_name.contains(filter.as_str()) {
                 return;
             }
         }
         let mut b = Bencher {
-            measurement: window,
+            measurement: self.measurement,
             report: None,
         };
         f(&mut b);
@@ -198,27 +169,9 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
-    measurement: Option<Duration>,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Accepted for API compatibility; the shim's sampling is adaptive.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Override the measurement window for this group only (like real
-    /// criterion, the override dies with the group).
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.measurement = Some(d);
-        self
-    }
-
-    /// Accepted and ignored (the shim reports raw times only).
-    pub fn throughput(&mut self, _t: Throughput) -> &mut Self {
-        self
-    }
-
     /// Run one benchmark in the group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(
         &mut self,
@@ -226,8 +179,7 @@ impl BenchmarkGroup<'_> {
         f: F,
     ) -> &mut Self {
         let full = format!("{}/{}", self.name, id.into().id);
-        let window = self.measurement.unwrap_or(self.criterion.measurement);
-        self.criterion.run_one(full, window, f);
+        self.criterion.run_one(full, f);
         self
     }
 
@@ -239,8 +191,7 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let full = format!("{}/{}", self.name, id.into().id);
-        let window = self.measurement.unwrap_or(self.criterion.measurement);
-        self.criterion.run_one(full, window, |b| f(b, input));
+        self.criterion.run_one(full, |b| f(b, input));
         self
     }
 
@@ -254,12 +205,6 @@ macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         pub fn $group() {
             let mut criterion = $crate::Criterion::default();
-            $($target(&mut criterion);)+
-        }
-    };
-    (name = $group:ident; config = $cfg:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $group() {
-            let mut criterion = $cfg;
             $($target(&mut criterion);)+
         }
     };

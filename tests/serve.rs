@@ -288,24 +288,28 @@ fn admission_blocks_without_deadlock_and_never_oversubscribes() {
         stats.budget_total
     );
 
-    // A query that could never fit is a typed rejection, not a hang.
+    // A query that could never fit is a typed rejection, not a hang —
+    // also when `cores × budget` wraps a `u64` (4 × 2^62 = 0: admitted
+    // free, whole graph resident) or overflows it outright.
     let mut client = ServeClient::connect(&addr).unwrap();
-    let err = client
-        .query(
-            "g",
-            QueryOperation::Count,
-            QueryOptions {
-                cores: 4,
-                budget_edges: 1 << 40,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-    match err {
-        ClusterError::Query { detail, .. } => {
-            assert!(detail.contains("budget too small"), "{detail}")
+    for budget_edges in [1 << 40, 1 << 62, u64::MAX] {
+        let err = client
+            .query(
+                "g",
+                QueryOperation::Count,
+                QueryOptions {
+                    cores: 4,
+                    budget_edges,
+                    ..Default::default()
+                },
+            )
+            .unwrap_err();
+        match err {
+            ClusterError::Query { detail, .. } => {
+                assert!(detail.contains("budget too small"), "{detail}")
+            }
+            other => panic!("expected a typed query rejection, got {other}"),
         }
-        other => panic!("expected a typed query rejection, got {other}"),
     }
 
     // Out-of-range parameters are rejected at the boundary — no panic
@@ -337,7 +341,7 @@ fn admission_blocks_without_deadlock_and_never_oversubscribes() {
     let reply = client.query("g", QueryOperation::Count, options).unwrap();
     assert_eq!(reply.triangles, expected);
     let stats = server.shutdown();
-    assert_eq!(stats.failed, 3);
+    assert_eq!(stats.failed, 5);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
