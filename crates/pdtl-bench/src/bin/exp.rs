@@ -69,8 +69,8 @@ fn main() {
     if ids.iter().any(|i| i == "kernels") {
         // The SIMD feature level, resolved I/O backend, and resolved
         // codec go into the regeneration log so a BENCH_kernels.json
-        // diff is attributable to the environment (a snapshot from an
-        // SSE2-only runner is not comparable to an AVX2 one, and a
+        // diff is attributable to the environment (a snapshot from a
+        // runner without AVX2 is not comparable to one with it, and a
         // delta-varint default shifts every engine row).
         println!(
             "[simd: {} (host supports {})] [backend: {}] [codec: {}]",

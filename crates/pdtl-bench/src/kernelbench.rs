@@ -1,22 +1,24 @@
 //! Programmatic kernel benchmarks with a JSON emitter.
 //!
 //! `exp kernels [--json]` runs the hot-kernel set — sorted-array
-//! intersection, the in-memory MGT chunk loop, orientation, load
-//! balancing, generation — under criterion-style names, and (with
-//! `--json`) writes
+//! intersection (and the hash-set inner loop the paper rejected), the
+//! in-memory MGT chunk loop, orientation, load balancing, generation —
+//! under `group/bench/param` names, and (with `--json`) writes
 //! `BENCH_kernels.json` mapping bench name → mean ns/iter. CI runs this
 //! once per push and uploads the file, so every PR leaves a comparable
 //! perf data point; the committed snapshot at the repo root is the
 //! current baseline.
 //!
-//! The timing loop mirrors the criterion shim: one warmup run, then
-//! repeat for a measurement window (`PDTL_BENCH_MS`, default 200 ms per
-//! bench) recording per-iteration wall times.
+//! The timing loop: one warmup run, then repeat for a measurement
+//! window (`PDTL_BENCH_MS`, default 200 ms per bench) recording
+//! per-iteration wall times.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use pdtl_baselines::inmem::forward_oriented;
 use pdtl_core::intersect::{
     intersect_gallop_visit, intersect_visit, intersect_visit_counted_with, SimdLevel,
 };
@@ -33,6 +35,8 @@ use pdtl_io::{Codec, IoBackend, IoStats, MemoryBudget, U32Writer};
 pub mod workload {
     /// `(|a|, |b|)` size pairs for the intersection kernels.
     pub const INTERSECT_PAIRS: [(usize, usize); 3] = [(1000, 1000), (100, 10_000), (10, 100_000)];
+    /// `(scale, seed)` of the graph the `inner_loop` pair counts on.
+    pub const INNER_LOOP_RMAT: (u32, u64) = (9, 11);
     /// Memory budgets (edges) for the in-memory MGT sweep.
     pub const MGT_BUDGETS: [usize; 3] = [1 << 20, 1 << 14, 1 << 11];
     /// `(scale, seed)` of the RMAT graph the MGT sweep runs on.
@@ -94,8 +98,7 @@ pub mod workload {
 /// One benchmark's aggregated timing.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
-    /// Benchmark name (`group/bench/param`), matching the criterion
-    /// target's naming.
+    /// Benchmark name (`group/bench/param`).
     pub name: String,
     /// Mean wall time per iteration, nanoseconds.
     pub mean_ns: f64,
@@ -159,6 +162,37 @@ pub fn run_kernel_benches() -> Vec<BenchResult> {
             window,
             || intersect_visit_counted_with(SimdLevel::Off, &a, &b, |_| {}).0,
         ));
+    }
+
+    // The paper's §IV-A1 finding, restated: the same forward count
+    // over the same oriented graph, once intersecting sorted out-lists
+    // (the compact-forward baseline) and once probing prebuilt
+    // per-vertex hash sets (smaller into larger) — "more than 10×"
+    // there, the ratio of these two rows here.
+    {
+        let (scale, seed) = workload::INNER_LOOP_RMAT;
+        let o = orient_csr(&rmat(scale, seed).expect("rmat"));
+        let sets: Vec<HashSet<u32>> = (0..o.num_vertices())
+            .map(|u| o.out(u).iter().copied().collect())
+            .collect();
+        let arrays = || forward_oriented(&o);
+        let hashsets = || -> u64 {
+            (0..o.num_vertices())
+                .flat_map(|u| o.out(u).iter().map(move |&v| (u, v)))
+                .map(|(u, v)| {
+                    let (su, sv) = (&sets[u as usize], &sets[v as usize]);
+                    let (small, large) = if su.len() <= sv.len() {
+                        (su, sv)
+                    } else {
+                        (sv, su)
+                    };
+                    small.iter().filter(|w| large.contains(w)).count() as u64
+                })
+                .sum()
+        };
+        assert_eq!(arrays(), hashsets(), "both inner loops count the same");
+        out.push(time_one("inner_loop/arrays", window, arrays));
+        out.push(time_one("inner_loop/hashsets", window, hashsets));
     }
 
     // in-memory MGT across budgets
@@ -372,6 +406,9 @@ mod tests {
         }
         assert!(json.contains("\"varint_decode/1m\""));
         assert!(json.contains("\"intersect/linear_scalar/1000x1000\""));
+        for inner in ["arrays", "hashsets"] {
+            assert!(json.contains(&format!("\"inner_loop/{inner}\"")));
+        }
         assert!(json.contains("\"u32_writer/write_all_1m\""));
         // one "name": value line per bench, no trailing comma
         assert_eq!(json.matches(':').count(), results.len());

@@ -38,5 +38,5 @@ pub use message::{
 };
 pub use netmodel::{NetModel, NetTraffic};
 pub use report::{ClusterReport, NodeReport};
-pub use runner::{ClusterConfig, ClusterRunner, FailurePolicy, RetryPolicy, TransportKind};
+pub use runner::{ClusterConfig, ClusterRunner, RetryPolicy, TransportKind};
 pub use server::{Catalog, QueryReply, ServeClient, ServeConfig, Server};

@@ -14,8 +14,8 @@
 //!
 //! # Failure model
 //!
-//! Under the default [`FailurePolicy::Tolerant`] the gather phase is an
-//! event loop that polls every live node with a short
+//! There is one gather loop and it tolerates failure: an event loop
+//! that polls every live node with a short
 //! [`Transport::recv_deadline`] and drives three mechanisms:
 //!
 //! * **Detection** — nodes heartbeat (`Message::Progress`) every
@@ -23,9 +23,10 @@
 //!   longer than [`ClusterConfig::node_deadline`] is declared failed,
 //!   distinguishing a wedged node from a merely slow one. Disconnects
 //!   and `NodeError` replies fail a node immediately.
-//! * **Retry** — a failed node is respawned (same id, same replica) up
-//!   to [`RetryPolicy::max_attempts`] dispatches, with deterministic
-//!   exponential backoff between attempts.
+//! * **Retry** — a failed replica copy is repeated and a failed node is
+//!   respawned (same id, same replica) through the same loop
+//!   (`Gather::retry`): up to [`RetryPolicy::max_attempts`] attempts of
+//!   each, with deterministic exponential backoff between attempts.
 //! * **Reassignment** — a node that exhausts its budget is recorded in
 //!   [`ClusterReport::failed_nodes`] and its unfinished ranges are
 //!   re-dispatched to surviving nodes (every node holds a full
@@ -34,10 +35,6 @@
 //!   fallback node. Each range is counted exactly once: results from a
 //!   dispatch that later fails are discarded wholesale, and a range's
 //!   summary is committed only when its `Results` message validates.
-//!
-//! [`FailurePolicy::FailFast`] is the escape hatch that preserves the
-//! original semantics: the first failure aborts the run with the
-//! original error.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -46,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use pdtl_core::balance::{split_ranges, BalanceStrategy};
 use pdtl_core::mgt::MgtOptions;
-use pdtl_core::orient::orient_to_disk_with;
+use pdtl_core::orient::{orient_to_disk_with, OrientedGraph};
 use pdtl_graph::{DiskGraph, Manifest};
 use pdtl_io::diskfault::{DiskFaultKind, DiskFaultSpec};
 use pdtl_io::{IoStats, MemoryBudget};
@@ -75,8 +72,9 @@ pub enum TransportKind {
 /// Retry/backoff parameters for replica copies and node dispatches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total dispatch attempts per node (>= 1): the first dispatch
-    /// plus up to `max_attempts - 1` respawns.
+    /// Total attempts (>= 1) at each stage of a node's life — its
+    /// replica copy, then its dispatches: the first attempt plus up to
+    /// `max_attempts - 1` repeats.
     pub max_attempts: u32,
     /// Base backoff delay; the wait before retry `k` grows
     /// exponentially from it.
@@ -112,23 +110,6 @@ impl RetryPolicy {
     }
 }
 
-/// How the master reacts to node failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailurePolicy {
-    /// Abort the run on the first node failure with the original
-    /// error — the behaviour before fault tolerance existed.
-    FailFast,
-    /// Detect failures, respawn with backoff, and reassign the ranges
-    /// of nodes that exhaust their retry budget (the default).
-    Tolerant(RetryPolicy),
-}
-
-impl Default for FailurePolicy {
-    fn default() -> Self {
-        FailurePolicy::Tolerant(RetryPolicy::default())
-    }
-}
-
 /// Configuration of a distributed run.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -149,16 +130,15 @@ pub struct ClusterConfig {
     /// MGT engine knobs, shipped to every worker via its
     /// [`WorkerConfig`].
     pub mgt: MgtOptions,
-    /// Failure handling: retry/reassign (default) or abort on the
-    /// first error.
-    pub policy: FailurePolicy,
+    /// Retry/backoff budget for replica copies and node dispatches;
+    /// what outlives it is reassigned.
+    pub retry: RetryPolicy,
     /// Interval between node `Progress` heartbeats while workers run;
     /// zero disables heartbeats (and with them the silence deadline).
     pub heartbeat: Duration,
     /// How long a node may stay silent — no heartbeat, no reply —
-    /// before the master declares it failed. Enforced only under
-    /// [`FailurePolicy::Tolerant`] and only when heartbeats are on;
-    /// keep it several multiples of `heartbeat`.
+    /// before the master declares it failed. Enforced only when
+    /// heartbeats are on; keep it several multiples of `heartbeat`.
     pub node_deadline: Duration,
     /// Injected faults. The default reads the `PDTL_FAULT` environment
     /// variable (the same override pattern as `PDTL_IO_BACKEND`),
@@ -177,7 +157,7 @@ impl Default for ClusterConfig {
             net: NetModel::default(),
             transport: TransportKind::default(),
             mgt: MgtOptions::default(),
-            policy: FailurePolicy::default(),
+            retry: RetryPolicy::default(),
             heartbeat: Duration::from_millis(50),
             node_deadline: Duration::from_secs(5),
             fault: FaultPlan::default_from_env(),
@@ -185,7 +165,7 @@ impl Default for ClusterConfig {
     }
 }
 
-/// The serving thread behind a dispatch, joined to surface its error.
+/// The serving thread behind a dispatch, joined when the run ends.
 type NodeHandle = JoinHandle<Result<()>>;
 
 /// A live dispatch: one open connection to a serving node thread.
@@ -222,9 +202,12 @@ struct Slot {
     id: usize,
     /// Replica path dispatches against this slot read from.
     base: String,
+    /// Wall time and size of the replica copy that landed (zero for
+    /// the master's original and for a copy that never did).
     copy: Duration,
     copy_bytes: u64,
-    /// Dispatch attempts made (the retry budget counts these).
+    /// Attempts made at the slot's current stage — replica copy, then
+    /// dispatches (the retry budget counts these).
     attempts: u32,
     state: SlotState,
     /// Committed per-worker summaries, in acceptance order.
@@ -240,12 +223,12 @@ struct Slot {
 }
 
 impl Slot {
-    fn new(id: usize, base: String, copy: Duration, copy_bytes: u64, local: bool) -> Self {
+    fn new(id: usize, base: String, local: bool) -> Self {
         Slot {
             id,
             base,
-            copy,
-            copy_bytes,
+            copy: Duration::ZERO,
+            copy_bytes: 0,
             attempts: 0,
             state: SlotState::Dead,
             summaries: Vec::new(),
@@ -261,6 +244,8 @@ impl Slot {
 struct Gather<'a> {
     cfg: &'a ClusterConfig,
     traffic: Arc<NetTraffic>,
+    /// The fault plan's remaining charges.
+    faults: ResolvedFaults,
     /// All `N·P` ranges as `(start, end)` pairs, by global index.
     ranges: Vec<(u64, u64)>,
     /// Exactly-once ledger: `completed[g]` is set when range `g`'s
@@ -279,10 +264,6 @@ struct Gather<'a> {
 }
 
 impl Gather<'_> {
-    fn heartbeat_ms(&self) -> u32 {
-        self.cfg.heartbeat.as_millis().min(u32::MAX as u128) as u32
-    }
-
     fn spawn_endpoint(&self, id: usize, local: bool) -> Result<(Box<dyn Transport>, NodeHandle)> {
         let kind = if local {
             TransportKind::InProc
@@ -305,53 +286,59 @@ impl Gather<'_> {
         })
     }
 
-    fn worker_configs(&self, assigned: &[usize], read_fault: Option<u64>) -> Vec<WorkerConfig> {
-        assigned
-            .iter()
-            .map(|&g| {
-                let (start, end) = self.ranges[g];
-                WorkerConfig {
-                    start,
-                    end,
+    /// The `Config` record dispatching `assigned` to slot `i` — the one
+    /// builder under initial, respawn and recovery dispatches.
+    fn config(
+        &self,
+        i: usize,
+        assigned: &[usize],
+        fault: NodeFault,
+        read_fault: Option<u64>,
+    ) -> Message {
+        let mgt = &self.cfg.mgt;
+        Message::Config {
+            node: self.slots[i].id as u32,
+            graph_base: self.slots[i].base.clone(),
+            workers: assigned
+                .iter()
+                .map(|&g| WorkerConfig {
+                    start: self.ranges[g].0,
+                    end: self.ranges[g].1,
                     budget_edges: self.cfg.budget.edges as u64,
-                    scan_pruning: self.cfg.mgt.scan_pruning,
-                    backend: self.cfg.mgt.backend,
-                    io_latency_us: self.cfg.mgt.io_latency.as_micros().min(u32::MAX as u128) as u32,
+                    scan_pruning: mgt.scan_pruning,
+                    backend: mgt.backend,
+                    io_latency_us: mgt.io_latency.as_micros().min(u32::MAX as u128) as u32,
                     read_fault,
-                    codec: self.cfg.mgt.codec,
-                }
-            })
-            .collect()
+                    codec: mgt.codec,
+                })
+                .collect(),
+            listing: self.cfg.listing,
+            directives: NodeDirectives {
+                heartbeat_ms: self.cfg.heartbeat.as_millis().min(u32::MAX as u128) as u32,
+                fault,
+            },
+        }
     }
 
-    /// One dispatch attempt: spawn a fresh node thread for slot `i`
-    /// and send it `assigned`. Consumes fault charges when `faulted`.
-    fn try_dispatch(
-        &mut self,
-        i: usize,
-        assigned: Vec<usize>,
-        faulted: bool,
-        faults: &mut ResolvedFaults,
-    ) -> Result<()> {
+    /// One dispatch attempt of `assigned` to slot `i`: over the slot's
+    /// open connection when its last dispatch completed, to a freshly
+    /// spawned node thread otherwise. Consumes fault charges when
+    /// `faulted`. A connection that will not take the record is retired,
+    /// so the next attempt spawns afresh from the slot's replica.
+    fn try_dispatch(&mut self, i: usize, assigned: &[usize], faulted: bool) -> Result<()> {
         let (id, local) = (self.slots[i].id, self.slots[i].local);
         self.slots[i].attempts += 1;
         let (fault, read_fault) = if faulted {
-            faults.dispatch_faults(id)
+            self.faults.dispatch_faults(id)
         } else {
             (NodeFault::None, None)
         };
-        let (endpoint, handle) = self.spawn_endpoint(id, local)?;
-        let config = Message::Config {
-            node: id as u32,
-            graph_base: self.slots[i].base.clone(),
-            workers: self.worker_configs(&assigned, read_fault),
-            listing: self.cfg.listing,
-            directives: NodeDirectives {
-                heartbeat_ms: self.heartbeat_ms(),
-                fault,
-            },
+        let (endpoint, handle) = match std::mem::replace(&mut self.slots[i].state, SlotState::Dead)
+        {
+            SlotState::Done(live) => (live.endpoint, live.handle),
+            _ => self.spawn_endpoint(id, local)?,
         };
-        if let Err(e) = endpoint.send(&config) {
+        if let Err(e) = endpoint.send(&self.config(i, assigned, fault, read_fault)) {
             drop(endpoint);
             self.reap.push(handle);
             return Err(e);
@@ -359,7 +346,7 @@ impl Gather<'_> {
         self.slots[i].state = SlotState::Running(Live {
             endpoint,
             handle,
-            assigned,
+            assigned: assigned.to_vec(),
             faulted,
             triples: Vec::new(),
             last_heard: Instant::now(),
@@ -368,66 +355,85 @@ impl Gather<'_> {
         Ok(())
     }
 
-    /// Start slot `i` under the run's policy: a dispatch failure
-    /// aborts under fail-fast and enters the retry machinery under
-    /// tolerance.
-    fn start(
-        &mut self,
-        i: usize,
-        assigned: Vec<usize>,
-        faulted: bool,
-        faults: &mut ResolvedFaults,
-    ) -> Result<()> {
-        match self.try_dispatch(i, assigned.clone(), faulted, faults) {
-            Ok(()) => Ok(()),
-            Err(e) => match self.cfg.policy {
-                FailurePolicy::FailFast => Err(e),
-                FailurePolicy::Tolerant(rp) => {
-                    self.slots[i].last_error = e.to_string();
-                    self.respawn(i, assigned, faulted, &rp, faults);
-                    Ok(())
-                }
-            },
+    /// One replica-copy attempt for slot `i`: copy the oriented graph
+    /// to the slot's base, apply any injected corruption, and digest the
+    /// landed files against the manifest they shipped with — a mismatch
+    /// is a failed copy, and the retry re-copies from the healthy master
+    /// original (self-healing).
+    fn try_copy(&mut self, i: usize, og: &OrientedGraph, stats: &Arc<IoStats>) -> Result<()> {
+        let id = self.slots[i].id;
+        self.slots[i].attempts += 1;
+        let started = Instant::now();
+        if self.faults.copy_fail(id) {
+            return Err(pdtl_io::IoError::malformed(
+                "<fault-injected>",
+                format!("injected replica copy failure for node {id}"),
+            )
+            .into());
         }
+        let base = Path::new(&self.slots[i].base);
+        let bytes = og.replicate_to(base, stats)?;
+        if let Some(target) = self.faults.corrupt_replica(id) {
+            // Injected silent media corruption on the landed replica,
+            // seeded per (node, attempt) so CI legs are reproducible.
+            DiskFaultSpec {
+                kind: DiskFaultKind::BitFlip,
+                target,
+                seed: 0x5D15_C0DE ^ ((id as u64) << 8) ^ u64::from(self.slots[i].attempts),
+            }
+            .apply(base)?;
+        }
+        verify_replica(base)?;
+        self.traffic.add_graph(bytes);
+        self.slots[i].copy = started.elapsed();
+        self.slots[i].copy_bytes = bytes;
+        Ok(())
     }
 
-    /// Retry slot `i`'s dispatch with backoff until it sticks or the
-    /// attempt budget runs out; terminal failure marks the node dead
-    /// and leaves its ranges for reassignment.
-    fn respawn(
+    /// The one retry loop, under replica copies and node dispatches
+    /// alike: run `op` against slot `i` until it succeeds or the slot's
+    /// attempt budget ([`RetryPolicy::max_attempts`]; `op` counts its
+    /// own attempts) is spent, backing off before every repeat. `failure`
+    /// is the error of an attempt already made and lost — a dispatch
+    /// that died in flight. Exhaustion records the node as failed and
+    /// leaves the slot dead, its ranges for reassignment.
+    fn retry(
         &mut self,
         i: usize,
-        assigned: Vec<usize>,
-        faulted: bool,
-        rp: &RetryPolicy,
-        faults: &mut ResolvedFaults,
-    ) {
+        mut failure: Option<String>,
+        mut op: impl FnMut(&mut Self) -> Result<()>,
+    ) -> bool {
         loop {
-            if self.slots[i].attempts >= rp.max_attempts {
-                self.failed.push(self.slots[i].id);
-                self.slots[i].state = SlotState::Dead;
-                return;
+            if let Some(detail) = failure.take() {
+                let policy = &self.cfg.retry;
+                let slot = &mut self.slots[i];
+                slot.last_error = detail;
+                if slot.attempts >= policy.max_attempts {
+                    slot.state = SlotState::Dead;
+                    self.failed.push(slot.id);
+                    return false;
+                }
+                self.retries += 1;
+                std::thread::sleep(policy.backoff(slot.id, slot.attempts));
             }
-            self.retries += 1;
-            std::thread::sleep(rp.backoff(self.slots[i].id, self.slots[i].attempts));
-            match self.try_dispatch(i, assigned.clone(), faulted, faults) {
-                Ok(()) => return,
-                Err(e) => self.slots[i].last_error = e.to_string(),
+            match op(self) {
+                Ok(()) => return true,
+                Err(e) => failure = Some(e.to_string()),
             }
         }
     }
 
-    /// Record a failed dispatch of slot `i` and respawn it (tolerant
-    /// mode): the endpoint is dropped (unblocking the node thread,
+    /// Dispatch `assigned` to slot `i`, retrying under the policy.
+    fn start(&mut self, i: usize, assigned: Vec<usize>, faulted: bool) {
+        self.retry(i, None, |g| g.try_dispatch(i, &assigned, faulted));
+    }
+
+    /// The one failure entry point for a dispatch in flight on slot
+    /// `i` — error reply, bad `Results`, disconnect or deadline
+    /// silence: the endpoint is dropped (unblocking the node thread,
     /// which is reaped later), its buffered triangles are discarded,
-    /// and the same ranges are re-dispatched.
-    fn fail_tolerant(
-        &mut self,
-        i: usize,
-        detail: String,
-        rp: &RetryPolicy,
-        faults: &mut ResolvedFaults,
-    ) {
+    /// and the same ranges are re-dispatched under the retry policy.
+    fn fail(&mut self, i: usize, detail: String) {
         let state = std::mem::replace(&mut self.slots[i].state, SlotState::Dead);
         let SlotState::Running(live) = state else {
             self.slots[i].state = state;
@@ -435,8 +441,9 @@ impl Gather<'_> {
         };
         drop(live.endpoint);
         self.reap.push(live.handle);
-        self.slots[i].last_error = detail;
-        self.respawn(i, live.assigned, live.faulted, rp, faults);
+        self.retry(i, Some(detail), |g| {
+            g.try_dispatch(i, &live.assigned, live.faulted)
+        });
     }
 
     /// Validate and commit a `Results` message from slot `i`. An `Err`
@@ -505,118 +512,55 @@ impl Gather<'_> {
         Ok(())
     }
 
-    /// The tolerant gather loop: poll every running slot with a short
-    /// deadline, commit results, and route every failure — error
-    /// reply, disconnect, or deadline silence — through retry.
-    fn gather_tolerant(&mut self, rp: &RetryPolicy, faults: &mut ResolvedFaults) {
+    /// The gather loop: poll every running slot with a short deadline,
+    /// commit results, and route every failure — error reply,
+    /// disconnect, or deadline silence — through [`fail`](Self::fail).
+    fn gather(&mut self) {
         while self
             .slots
             .iter()
             .any(|s| matches!(s.state, SlotState::Running(_)))
         {
             for i in 0..self.slots.len() {
-                let event = match &mut self.slots[i].state {
-                    SlotState::Running(live) => live.endpoint.recv_deadline(POLL),
-                    _ => continue,
+                let SlotState::Running(live) = &mut self.slots[i].state else {
+                    continue;
                 };
+                let event = live.endpoint.recv_deadline(POLL);
+                if event.is_ok() {
+                    live.last_heard = Instant::now();
+                }
                 match event {
-                    Ok(Message::Progress { .. }) => {
-                        if let SlotState::Running(live) = &mut self.slots[i].state {
-                            live.last_heard = Instant::now();
-                        }
-                    }
-                    Ok(Message::Triangles { triples, .. }) => {
-                        if let SlotState::Running(live) = &mut self.slots[i].state {
-                            live.triples.extend(triples);
-                            live.last_heard = Instant::now();
-                        }
-                    }
+                    Ok(Message::Progress { .. }) => {}
+                    Ok(Message::Triangles { triples, .. }) => live.triples.extend(triples),
                     Ok(Message::Results { node, workers }) => {
                         if let Err(detail) = self.accept(i, node, workers) {
-                            self.fail_tolerant(i, detail, rp, faults);
+                            self.fail(i, detail);
                         }
                     }
-                    Ok(Message::NodeError { detail, .. }) => {
-                        self.fail_tolerant(i, detail, rp, faults);
-                    }
-                    Ok(other) => {
-                        self.fail_tolerant(
-                            i,
-                            format!("unexpected message from node: {other:?}"),
-                            rp,
-                            faults,
-                        );
-                    }
+                    Ok(Message::NodeError { detail, .. }) => self.fail(i, detail),
+                    Ok(other) => self.fail(i, format!("unexpected message from node: {other:?}")),
                     Err(ClusterError::Timeout { .. }) => {
-                        let silent_too_long = self.cfg.heartbeat > Duration::ZERO
-                            && matches!(
-                                &self.slots[i].state,
-                                SlotState::Running(live)
-                                    if live.last_heard.elapsed() > self.cfg.node_deadline
-                            );
-                        if silent_too_long {
-                            self.fail_tolerant(
+                        if self.cfg.heartbeat > Duration::ZERO
+                            && live.last_heard.elapsed() > self.cfg.node_deadline
+                        {
+                            self.fail(
                                 i,
                                 format!("no progress within {:?}", self.cfg.node_deadline),
-                                rp,
-                                faults,
                             );
                         }
                     }
-                    Err(e) => self.fail_tolerant(i, e.to_string(), rp, faults),
+                    Err(e) => self.fail(i, e.to_string()),
                 }
-            }
-        }
-    }
-
-    /// Re-dispatch `assigned` over slot `i`'s still-open connection
-    /// (recovery: no fault charges are consumed).
-    fn redispatch(
-        &mut self,
-        i: usize,
-        assigned: Vec<usize>,
-        rp: &RetryPolicy,
-        faults: &mut ResolvedFaults,
-    ) {
-        let state = std::mem::replace(&mut self.slots[i].state, SlotState::Dead);
-        let SlotState::Done(mut live) = state else {
-            self.slots[i].state = state;
-            return;
-        };
-        let config = Message::Config {
-            node: self.slots[i].id as u32,
-            graph_base: self.slots[i].base.clone(),
-            workers: self.worker_configs(&assigned, None),
-            listing: self.cfg.listing,
-            directives: NodeDirectives {
-                heartbeat_ms: self.heartbeat_ms(),
-                fault: NodeFault::None,
-            },
-        };
-        self.slots[i].attempts += 1;
-        match live.endpoint.send(&config) {
-            Ok(()) => {
-                live.assigned = assigned;
-                live.faulted = false;
-                live.last_heard = Instant::now();
-                live.started = Instant::now();
-                self.slots[i].state = SlotState::Running(live);
-            }
-            Err(e) => {
-                // The survivor's connection broke: retire it and let
-                // the retry machinery respawn it from its replica.
-                drop(live.endpoint);
-                self.reap.push(live.handle);
-                self.slots[i].last_error = e.to_string();
-                self.respawn(i, assigned, false, rp, faults);
             }
         }
     }
 
     /// Reassign every uncompleted range until none remain: distribute
     /// orphans over surviving nodes, or — when no node survives — over
-    /// a master-local in-process fallback.
-    fn recover(&mut self, rp: &RetryPolicy, faults: &mut ResolvedFaults) -> Result<()> {
+    /// a master-local in-process fallback. Recovery dispatches consume
+    /// no fault charges: the plan models remote hosts failing, not the
+    /// recovery path or the master's own process.
+    fn recover(&mut self) -> Result<()> {
         let mut fallback_used = false;
         loop {
             let missing: Vec<usize> = (0..self.ranges.len())
@@ -625,7 +569,8 @@ impl Gather<'_> {
             if missing.is_empty() {
                 return Ok(());
             }
-            let survivors: Vec<usize> = (0..self.slots.len())
+            self.reassigned += missing.len() as u64;
+            let mut survivors: Vec<usize> = (0..self.slots.len())
                 .filter(|&i| matches!(self.slots[i].state, SlotState::Done(_)))
                 .collect();
             if survivors.is_empty() {
@@ -644,35 +589,21 @@ impl Gather<'_> {
                     });
                 }
                 fallback_used = true;
-                self.reassigned += missing.len() as u64;
-                self.slots.push(Slot::new(
-                    0,
-                    self.master_base.clone(),
-                    Duration::ZERO,
-                    0,
-                    true,
-                ));
-                let i = self.slots.len() - 1;
-                self.slots[i].reassigned = missing.len() as u64;
-                // Recovery dispatch: the fallback runs in the master's
-                // own process, so the fault plan (which models remote
-                // hosts failing) never applies to it.
-                self.start(i, missing, false, faults)?;
-            } else {
-                let mut groups: Vec<Vec<usize>> = vec![Vec::new(); survivors.len()];
-                for (k, g) in missing.into_iter().enumerate() {
-                    groups[k % survivors.len()].push(g);
-                }
-                for (&i, group) in survivors.iter().zip(groups) {
-                    if group.is_empty() {
-                        continue;
-                    }
-                    self.reassigned += group.len() as u64;
+                survivors.push(self.slots.len());
+                self.slots
+                    .push(Slot::new(0, self.master_base.clone(), true));
+            }
+            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); survivors.len()];
+            for (k, g) in missing.into_iter().enumerate() {
+                groups[k % survivors.len()].push(g);
+            }
+            for (i, group) in survivors.into_iter().zip(groups) {
+                if !group.is_empty() {
                     self.slots[i].reassigned += group.len() as u64;
-                    self.redispatch(i, group, rp, faults);
+                    self.start(i, group, false);
                 }
             }
-            self.gather_tolerant(rp, faults);
+            self.gather();
         }
     }
 
@@ -694,80 +625,6 @@ impl Gather<'_> {
             let _ = handle.join();
         }
     }
-
-    /// The fail-fast gather: sequentially drain each node, aborting
-    /// the whole run on the first failure with the original error.
-    fn gather_fail_fast(&mut self) -> Result<()> {
-        for i in 0..self.slots.len() {
-            loop {
-                let event = match &mut self.slots[i].state {
-                    SlotState::Running(live) => live.endpoint.recv(),
-                    SlotState::Done(_) => break,
-                    SlotState::Dead => {
-                        return Err(ClusterError::NodeFailed {
-                            node: self.slots[i].id,
-                            attempts: self.slots[i].attempts,
-                            detail: self.slots[i].last_error.clone(),
-                        })
-                    }
-                };
-                match event {
-                    Ok(Message::Progress { .. }) => {}
-                    Ok(Message::Triangles { triples, .. }) => {
-                        if let SlotState::Running(live) = &mut self.slots[i].state {
-                            live.triples.extend(triples);
-                        }
-                    }
-                    Ok(Message::Results { node, workers }) => {
-                        self.accept(i, node, workers)
-                            .map_err(ClusterError::Protocol)?;
-                    }
-                    Ok(Message::NodeError { node, detail }) => {
-                        return Err(ClusterError::NodeFailed {
-                            node: node as usize,
-                            attempts: self.slots[i].attempts,
-                            detail,
-                        });
-                    }
-                    Ok(other) => {
-                        return Err(ClusterError::Protocol(format!(
-                            "unexpected message from node: {other:?}"
-                        )));
-                    }
-                    Err(e) => return Err(self.surface_death(i, e)),
-                }
-            }
-            // Retire this node before draining the next: shut it down
-            // and surface any panic, exactly like the pre-tolerance
-            // gather did.
-            let state = std::mem::replace(&mut self.slots[i].state, SlotState::Dead);
-            if let SlotState::Done(live) = state {
-                let _ = live.endpoint.send(&Message::Shutdown);
-                drop(live.endpoint);
-                live.handle
-                    .join()
-                    .map_err(|payload| ClusterError::node_panic(self.slots[i].id, payload))??;
-            }
-        }
-        Ok(())
-    }
-
-    /// A transport error ended slot `i`'s dispatch under fail-fast:
-    /// reap the node thread to surface the underlying panic or error,
-    /// falling back to the transport error itself.
-    fn surface_death(&mut self, i: usize, original: ClusterError) -> ClusterError {
-        let state = std::mem::replace(&mut self.slots[i].state, SlotState::Dead);
-        let SlotState::Running(live) = state else {
-            self.slots[i].state = state;
-            return original;
-        };
-        drop(live.endpoint);
-        match live.handle.join() {
-            Err(payload) => ClusterError::node_panic(self.slots[i].id, payload),
-            Ok(Err(e)) => e,
-            Ok(Ok(())) => original,
-        }
-    }
 }
 
 /// The distributed PDTL runner (master side).
@@ -785,10 +642,8 @@ impl ClusterRunner {
         if config.cores_per_node == 0 {
             return Err(ClusterError::Config("cores_per_node must be >= 1".into()));
         }
-        if let FailurePolicy::Tolerant(rp) = config.policy {
-            if rp.max_attempts == 0 {
-                return Err(ClusterError::Config("max_attempts must be >= 1".into()));
-            }
+        if config.retry.max_attempts == 0 {
+            return Err(ClusterError::Config("max_attempts must be >= 1".into()));
         }
         Ok(Self { config })
     }
@@ -831,10 +686,10 @@ impl ClusterRunner {
         let (ranges, balancing) =
             split_ranges(&og.offsets, &in_degrees, total_workers, cfg.balance);
 
-        let mut faults = cfg.fault.resolve(cfg.nodes);
         let mut g = Gather {
             cfg,
             traffic: traffic.clone(),
+            faults: cfg.fault.resolve(cfg.nodes),
             ranges: ranges.iter().map(|r| (r.start, r.end)).collect(),
             completed: vec![false; ranges.len()],
             slots: Vec::with_capacity(cfg.nodes),
@@ -849,107 +704,31 @@ impl ClusterRunner {
         // 3. Master's node starts immediately on the original oriented
         //    copy; remote nodes start as their replicas land ("the
         //    nodes start calculating as soon as they receive the
-        //    files"). Replica copies are themselves retried under the
-        //    tolerant policy.
-        g.slots.push(Slot::new(
-            0,
-            g.master_base.clone(),
-            Duration::ZERO,
-            0,
-            false,
-        ));
-        g.start(0, (0..cfg.cores_per_node).collect(), true, &mut faults)?;
-
-        for id in 1..cfg.nodes {
-            let node_base = work_dir.join(format!("node{id}")).join("oriented");
-            let mut copied = None;
-            let mut copy_attempts = 0u32;
-            let mut copy_error = String::new();
-            loop {
-                copy_attempts += 1;
-                let copy_start = Instant::now();
-                let outcome: Result<u64> = if faults.copy_fail(id) {
-                    Err(pdtl_io::IoError::malformed(
-                        "<fault-injected>",
-                        format!("injected replica copy failure for node {id}"),
-                    )
-                    .into())
-                } else {
-                    og.replicate_to(&node_base, &master_stats)
-                        .map_err(ClusterError::from)
-                        .and_then(|bytes| {
-                            if let Some(target) = faults.corrupt_replica(id) {
-                                // Injected silent media corruption on the
-                                // landed replica, seeded per (node,
-                                // attempt) so CI legs are reproducible.
-                                DiskFaultSpec {
-                                    kind: DiskFaultKind::BitFlip,
-                                    target,
-                                    seed: 0x5D15_C0DE
-                                        ^ ((id as u64) << 8)
-                                        ^ u64::from(copy_attempts),
-                                }
-                                .apply(&node_base)?;
-                            }
-                            // Digest the replica against the manifest it
-                            // shipped with; a mismatch is a copy failure
-                            // and re-enters the retry loop below, which
-                            // re-copies from the healthy master original
-                            // (self-healing).
-                            verify_replica(&node_base)?;
-                            Ok(bytes)
-                        })
-                };
-                match outcome {
-                    Ok(bytes) => {
-                        copied = Some((copy_start.elapsed(), bytes));
-                        break;
-                    }
-                    Err(e) => match cfg.policy {
-                        FailurePolicy::FailFast => return Err(e),
-                        FailurePolicy::Tolerant(rp) if copy_attempts < rp.max_attempts => {
-                            copy_error = e.to_string();
-                            g.retries += 1;
-                            std::thread::sleep(rp.backoff(id, copy_attempts));
-                        }
-                        FailurePolicy::Tolerant(_) => {
-                            copy_error = e.to_string();
-                            break;
-                        }
-                    },
-                }
-            }
-            let base = node_base.to_string_lossy().into_owned();
-            match copied {
-                Some((copy, bytes)) => {
-                    traffic.add_graph(bytes);
-                    g.slots.push(Slot::new(id, base, copy, bytes, false));
-                    let i = g.slots.len() - 1;
-                    let assigned =
-                        (id * cfg.cores_per_node..(id + 1) * cfg.cores_per_node).collect();
-                    g.start(i, assigned, true, &mut faults)?;
-                }
-                None => {
-                    // The node never got a replica: record the failure
-                    // and leave its ranges for reassignment.
-                    let mut slot = Slot::new(id, base, Duration::ZERO, 0, false);
-                    slot.attempts = copy_attempts;
-                    slot.last_error = copy_error;
-                    g.slots.push(slot);
-                    g.failed.push(id);
-                }
+        //    files"). A node whose replica never lands stays dead, its
+        //    ranges left for reassignment; one whose replica lands gets
+        //    a fresh attempt budget for its dispatches. (Slot `id` is
+        //    node `id` here; only the fallback slot comes later.)
+        for id in 0..cfg.nodes {
+            let base = match id {
+                0 => g.master_base.clone(),
+                _ => work_dir
+                    .join(format!("node{id}"))
+                    .join("oriented")
+                    .to_string_lossy()
+                    .into_owned(),
+            };
+            g.slots.push(Slot::new(id, base, false));
+            if id == 0 || g.retry(id, None, |g| g.try_copy(id, &og, &master_stats)) {
+                g.slots[id].attempts = 0;
+                let assigned = (id * cfg.cores_per_node..(id + 1) * cfg.cores_per_node).collect();
+                g.start(id, assigned, true);
             }
         }
 
-        // 4. Gather, with failure handling per the policy.
-        match cfg.policy {
-            FailurePolicy::FailFast => g.gather_fail_fast()?,
-            FailurePolicy::Tolerant(rp) => {
-                g.gather_tolerant(&rp, &mut faults);
-                g.recover(&rp, &mut faults)?;
-                g.finish();
-            }
-        }
+        // 4. Gather, then reassign whatever failed nodes left behind.
+        g.gather();
+        g.recover()?;
+        g.finish();
         debug_assert!(g.completed.iter().all(|&c| c), "every range accounted");
 
         // 5. Fold slot accounts into per-node reports (a node id can
@@ -1004,7 +783,7 @@ impl ClusterRunner {
 /// Full-digest a freshly landed replica against the manifest it
 /// shipped with. A replica without a manifest (copied from a
 /// pre-integrity base) is accepted as-is; any digest or length
-/// mismatch is a typed error the copy loop treats as a failed copy.
+/// mismatch is a typed error the copy attempt fails with.
 fn verify_replica(base: &Path) -> Result<()> {
     if let Some(m) = Manifest::load(base)? {
         m.verify_full(base)?;
@@ -1045,7 +824,7 @@ mod tests {
             net: NetModel::default(),
             transport: TransportKind::default(),
             mgt: Default::default(),
-            policy: FailurePolicy::default(),
+            retry: RetryPolicy::default(),
             heartbeat: Duration::from_millis(25),
             node_deadline: Duration::from_secs(5),
             fault: FaultPlan::none(),
@@ -1082,7 +861,7 @@ mod tests {
         assert!(report.network.config > 0);
         assert!(report.network.result > 0);
         assert_eq!(report.network.triangles, 0, "no listing traffic");
-        // the tolerant runner shuts nodes down over the control plane
+        // the runner shuts nodes down over the control plane
         assert!(report.network.control > 0);
     }
 
@@ -1146,10 +925,7 @@ mod tests {
         assert!(ClusterRunner::new(cfg(0, 1)).is_err());
         assert!(ClusterRunner::new(cfg(1, 0)).is_err());
         let mut zero_attempts = cfg(2, 1);
-        zero_attempts.policy = FailurePolicy::Tolerant(RetryPolicy {
-            max_attempts: 0,
-            ..Default::default()
-        });
+        zero_attempts.retry.max_attempts = 0;
         assert!(ClusterRunner::new(zero_attempts).is_err());
     }
 
@@ -1178,20 +954,6 @@ mod tests {
             .run(&input, &tmpdir("naive-run"))
             .unwrap();
         assert_eq!(report.triangles, expected);
-    }
-
-    #[test]
-    fn fail_fast_still_exact_without_faults() {
-        let (input, expected, _, _) = write_input("failfast", 58);
-        let mut c = cfg(2, 2);
-        c.policy = FailurePolicy::FailFast;
-        let report = ClusterRunner::new(c)
-            .unwrap()
-            .run(&input, &tmpdir("failfast-run"))
-            .unwrap();
-        assert_eq!(report.triangles, expected);
-        assert_eq!(report.retries, 0);
-        assert!(report.failed_nodes.is_empty());
     }
 
     #[test]

@@ -70,6 +70,12 @@ const FRAME_PATIENCE: u32 = 20;
 /// `MAX_CORES` and `MAX_LIST_LIMIT`, live with the wire grammar).
 const MAX_TRIALS: u32 = 4096;
 
+/// Cap on `QueryOptions::io_latency_us`, which a pool worker sleeps
+/// once per block read: unchecked, one frame could park a worker for
+/// 71 minutes a block and a few frames the whole pool. 10 ms is five
+/// times what any slow-query injection in the tree asks for.
+const MAX_IO_LATENCY_US: u32 = 10_000;
+
 // ---------------------------------------------------------------------
 // Catalog
 // ---------------------------------------------------------------------
@@ -636,6 +642,12 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
         c if c > MAX_CORES => return Err(format!("cores {c} exceeds the cap of {MAX_CORES}")),
         c => c as usize,
     };
+    if opts.io_latency_us > MAX_IO_LATENCY_US {
+        return Err(format!(
+            "io latency {} us exceeds the cap of {MAX_IO_LATENCY_US} us",
+            opts.io_latency_us
+        ));
+    }
     validate_op(&job.op)?;
 
     // Worst-case resident cost in edges: each MGT worker holds up to a

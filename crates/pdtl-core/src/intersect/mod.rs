@@ -18,22 +18,25 @@
 //! * [`intersect_gallop_visit`] — galloping (exponential search) from the
 //!   smaller side, `O(|a| log(|b|/|a|))`; wins when sizes are lopsided,
 //!   which happens constantly on scale-free graphs (a hub's list against
-//!   a leaf's). The ablation bench quantifies the crossover.
-//! * [`intersect_adaptive_visit`] — picks between the two by size ratio;
-//!   this is what the engine uses.
+//!   a leaf's).
+//! * [`intersect_count`] — picks between the two by size ratio, as the
+//!   engine's [`intersect_adaptive_visit_counted_with`] does.
 //!
-//! Each kernel has a `*_counted` variant returning `(matches,
-//! comparisons)`, where comparisons are the *actual* element comparisons
-//! performed — `O(s log(l/s))` for galloping, not `s + l` — so
-//! `WorkerReport::cpu_ops` reflects the work really done.
+//! The three `*_counted_with` entry points take an explicit
+//! [`SimdLevel`] and return `(matches, comparisons)`, where comparisons
+//! are the *actual* element comparisons performed — `O(s log(l/s))` for
+//! galloping, not `s + l` — so `WorkerReport::cpu_ops` reflects the work
+//! really done. Every entry point, plain or counted, goes through the
+//! one private `dispatch`, which owns the ratio-tier × level decision.
 //!
 //! # The SIMD tier
 //!
-//! On x86_64 each ratio tier additionally has `std::arch` kernels
-//! (the private `x86` submodule): an SSE2/AVX2 rotate-and-compare
-//! block merge for
-//! interleaved shapes, vectorized advance loops for skewed shapes, and
-//! a vector-probed gallop for lopsided shapes. The level is detected at
+//! On x86_64 with AVX2 each ratio tier additionally has an 8-lane
+//! `std::arch` kernel (the private `x86` submodule): a
+//! rotate-and-compare block merge for interleaved shapes, block-skipping
+//! advance loops for skewed shapes, and a vector-probed gallop for
+//! lopsided shapes. There is one vector level: a host without AVX2 runs
+//! the scalar tier, as every non-x86 host does. The level is detected at
 //! runtime ([`SimdLevel::detect`], cached by [`simd_level`]) with the
 //! [`PDTL_SIMD`](SIMD_ENV) env var as the kill-switch/ablation knob,
 //! mirroring `PDTL_IO_BACKEND`. Two contracts make the tier invisible
@@ -41,17 +44,17 @@
 //!
 //! 1. **Semantics** — every SIMD kernel visits exactly the scalar
 //!    kernel's matches, in the same ascending order.
-//! 2. **Accounting** — the `*_counted` variants report the comparison
+//! 2. **Accounting** — the counted entry points report the comparison
 //!    count *the scalar kernel of the same ratio tier would have
 //!    performed*, derived from scalar-identical cursor state or probe
 //!    replay after the fact (the merges' `i + j - matches`,
 //!    `scalar::gallop_probe_cost`) — no
-//!    counter runs in any vector loop. `WorkerReport::cpu_ops`, the
-//!    arboricity bound tests and the crossover ablations are therefore
-//!    bit-identical across `PDTL_SIMD` levels; only wall time moves.
+//!    counter runs in any vector loop. `WorkerReport::cpu_ops` and the
+//!    arboricity bound tests are therefore bit-identical across
+//!    `PDTL_SIMD` levels; only wall time moves.
 //!
 //! Ratio-tier boundaries (`ADVANCE_RATIO`, `GALLOP_RATIO`) are
-//! shared by every level for the same reason: the level selects an
+//! shared by both levels for the same reason: the level selects an
 //! implementation *within* a tier, never a different tier.
 //!
 //! The kernels require strictly increasing (duplicate-free) inputs —
@@ -65,17 +68,17 @@ mod x86;
 use std::sync::OnceLock;
 
 /// Size ratio beyond which galloping beats the linear merge. Justified
-/// by the `gallop_crossover` ablation bench, which sweeps ratios 1–10⁴
-/// into a 100k-element set *and* measures the three kernel-bench shapes
-/// directly (this container, min/iter): ratio 1 (`1000x1000`) linear
-/// 1.2 µs vs gallop 3.4 µs — linear wins 3×; ratio 10 (10k into 100k)
-/// break-even; ratio 100 (`100x10000`) linear 5.8 µs vs gallop 1.3 µs;
-/// ratio 10⁴ (`10x100000`) linear 41 µs vs gallop 0.24 µs. The
+/// by the `exp kernels` rows `intersect/{linear,gallop,linear_scalar}/*`,
+/// which time both kernels on the three `kernelbench::workload` shapes
+/// (this container, min/iter): ratio 1 (`1000x1000`) linear 1.2 µs vs
+/// gallop 3.4 µs — linear wins 3×; ratio 100 (`100x10000`) linear
+/// 5.8 µs vs gallop 1.3 µs; ratio 10⁴ (`10x100000`) linear 41 µs vs
+/// gallop 0.24 µs; 10k into 100k (ratio 10) measured break-even. The
 /// crossover sits just above 10, so gallop whenever the ratio
 /// exceeds 12. Re-measured under the AVX2 tier (PR 6): the block-skip
 /// advance loops move the vector crossover up — at ratio 100 they now
 /// edge out gallop (15.0 vs 17.4 µs) and at ratio 10 the two are at
-/// parity (84 vs 81 µs) — while the scalar sweep still flips hard at
+/// parity (84 vs 81 µs) — while the scalar tier still flips hard at
 /// ratio 100 (advance 57 µs vs gallop 17 µs). The boundary is shared
 /// across levels (that sharing keeps `cpu_ops` level-invariant), and
 /// 12 stays the right compromise: it trades a ~15% AVX2 loss on
@@ -88,20 +91,21 @@ const GALLOP_RATIO: usize = 12;
 /// and the advance loops' per-frontier re-test adds ~50% comparisons
 /// (the PR 2 `1000x1000` regression, 1.33 → 2.01 µs); above it, one
 /// side produces multi-element runs and the single-comparison advance
-/// steps beat the three-way branch (`100x10000` 10.4 → 6.2 µs in PR 2).
+/// steps beat the three-way branch (`100x10000` 10.4 → 6.2 µs in PR 2;
+/// both shapes are `exp kernels` rows, `intersect/linear_scalar/*`).
 /// Any threshold in (1, 10] separates the bench shapes; 4 leaves margin
 /// on both sides. The SIMD tier widens the gap in both directions (the
 /// block merge wins interleaved shapes, the vectorized advance loops
 /// win skewed ones) without moving the crossover, so the constant is
-/// shared by every `PDTL_SIMD` level — which is also what keeps
+/// shared by both `PDTL_SIMD` levels — which is also what keeps
 /// `cpu_ops` level-invariant per shape.
 const ADVANCE_RATIO: usize = 4;
 
-/// Minimum `min(|a|, |b|)` for the SSE2 block merge (one 4-lane block).
-#[cfg(target_arch = "x86_64")]
-const MERGE_SSE2_MIN: usize = 4;
 /// Minimum `max(|a|, |b|)` before the block-skipping advance loops pay
-/// for their setup; tiny lists stay scalar.
+/// for their setup; tiny lists stay scalar. (The block merge has no
+/// floor: below one 8-lane block per side its masked small/stream
+/// stages take over, and they beat the scalar merge on every
+/// interleaved shape.)
 #[cfg(target_arch = "x86_64")]
 const SIMD_SKEW_MIN: usize = 16;
 /// Minimum `max(|a|, |b|)` for the vector-probed gallop. Much higher
@@ -113,20 +117,21 @@ const SIMD_SKEW_MIN: usize = 16;
 const GALLOP_SIMD_MIN: usize = 128;
 
 /// Environment variable overriding the detected SIMD level
-/// (`off` | `sse2` | `avx2` | `auto`, case-insensitive). The
-/// kill-switch and ablation knob for the vectorized kernels, mirroring
+/// (`off` | `avx2` | `auto`, case-insensitive). The kill-switch and
+/// ablation knob for the vectorized kernels, mirroring
 /// `PDTL_IO_BACKEND`: `off` forces the scalar kernels everywhere,
-/// `sse2`/`avx2` cap the level (never exceeding what the host supports),
-/// `auto` (or unset, or unrecognised) uses [`SimdLevel::detect`]. Read
-/// once, on first kernel use, and cached for the process ([`simd_level`]).
+/// `avx2` asks for the vector tier (and gets it only where the host
+/// has it), `auto` (or unset, or unrecognised) uses
+/// [`SimdLevel::detect`]. Read once, on first kernel use, and cached
+/// for the process ([`simd_level`]).
 pub const SIMD_ENV: &str = "PDTL_SIMD";
 
 /// Which intersection-kernel implementation tier runs: scalar
-/// everywhere, or one of the x86_64 vector levels.
+/// everywhere, or the x86_64 AVX2 kernels.
 ///
-/// Levels are ordered (`Off < Sse2 < Avx2`), so capping a requested
-/// level at what the host supports is [`min`](Ord::min) — which is what
-/// [`resolve`](Self::resolve) does:
+/// Naming a level is always safe: [`resolve`](Self::resolve) caps it at
+/// what the host supports, and every kernel entry point resolves the
+/// level it is handed before acting on it.
 ///
 /// ```
 /// use pdtl_core::intersect::SimdLevel;
@@ -147,21 +152,18 @@ pub enum SimdLevel {
     /// Scalar kernels only (the portable fallback and the ablation
     /// baseline; `PDTL_SIMD=off`).
     Off,
-    /// 4-lane `std::arch` kernels (baseline on every x86_64).
-    Sse2,
     /// 8-lane `std::arch` kernels (requires runtime-detected AVX2).
     Avx2,
 }
 
 impl SimdLevel {
     /// Every level, lowest to highest.
-    pub const ALL: [SimdLevel; 3] = [SimdLevel::Off, SimdLevel::Sse2, SimdLevel::Avx2];
+    pub const ALL: [SimdLevel; 2] = [SimdLevel::Off, SimdLevel::Avx2];
 
     /// Stable lowercase name (bench row / log / env spelling).
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Off => "off",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
@@ -172,46 +174,45 @@ impl SimdLevel {
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "off" | "scalar" => Some(SimdLevel::Off),
-            "sse2" => Some(SimdLevel::Sse2),
             "avx2" => Some(SimdLevel::Avx2),
             _ => None,
         }
     }
 
     /// The best level the running host supports: [`Avx2`](Self::Avx2)
-    /// where runtime detection finds it, otherwise [`Sse2`](Self::Sse2)
-    /// on x86_64 (architecturally guaranteed), otherwise
+    /// where runtime detection finds it on x86_64, otherwise
     /// [`Off`](Self::Off).
     pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                SimdLevel::Avx2
-            } else {
-                SimdLevel::Sse2
-            }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return SimdLevel::Avx2;
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            SimdLevel::Off
-        }
+        SimdLevel::Off
     }
 
     /// The level requested by [`SIMD_ENV`]: an explicit level capped at
     /// what the host supports, or [`detect`](Self::detect) when the
     /// variable is unset, `auto`, or unrecognised.
     pub fn from_env() -> Self {
-        match std::env::var(SIMD_ENV) {
-            Ok(v) => SimdLevel::parse(&v).map_or_else(SimdLevel::detect, SimdLevel::resolve),
-            Err(_) => SimdLevel::detect(),
-        }
+        Self::from_request(std::env::var(SIMD_ENV).ok().as_deref())
+    }
+
+    /// [`from_env`](Self::from_env) on the variable's value.
+    fn from_request(value: Option<&str>) -> Self {
+        value
+            .and_then(SimdLevel::parse)
+            .map_or_else(SimdLevel::detect, SimdLevel::resolve)
     }
 
     /// Cap this level at what the running host can execute — requesting
-    /// `avx2` on an SSE2-only host yields `sse2`, never an illegal
-    /// instruction.
+    /// `avx2` on a host without it yields `off`, never an illegal
+    /// instruction. `Off` resolves without consulting the CPU.
+    #[inline]
     pub fn resolve(self) -> Self {
-        self.min(Self::detect())
+        match self {
+            SimdLevel::Off => SimdLevel::Off,
+            SimdLevel::Avx2 => Self::detect(),
+        }
     }
 }
 
@@ -234,43 +235,91 @@ pub fn simd_level() -> SimdLevel {
     *LEVEL.get_or_init(SimdLevel::from_env)
 }
 
-/// `(min, max)` of the two slice lengths — the shape every dispatch
-/// tier keys on. One definition, three dispatch sites (merge-form
-/// choice, gallop choice, SIMD gates), so the tiers cannot disagree on
-/// what "the ratio" means.
-#[inline]
-fn ordered_lens(a: &[u32], b: &[u32]) -> (usize, usize) {
-    if a.len() <= b.len() {
-        (a.len(), b.len())
+/// What an entry point asks [`dispatch`] for.
+#[derive(Clone, Copy)]
+enum Kernel {
+    /// A linear merge, whatever the length ratio.
+    Merge,
+    /// Galloping, whatever the length ratio.
+    Gallop,
+    /// Galloping past `GALLOP_RATIO`, a linear merge below it.
+    Adaptive,
+}
+
+/// The one ratio-tier × level decision, under every entry point: pick
+/// the tier from the request and the length ratio (gallop, advance-loop
+/// merge or interleaved merge), then run that tier's AVX2 kernel where
+/// the level allows and its length gate says it pays, the scalar kernel
+/// otherwise. Always inlined, so the constant `kernel` folds away and
+/// the engine's inner loop sees only the branches of its own request.
+#[inline(always)]
+fn dispatch(
+    kernel: Kernel,
+    level: SimdLevel,
+    a: &[u32],
+    b: &[u32],
+    mut visit: impl FnMut(u32),
+) -> (u64, u64) {
+    let (s, l) = (a.len().min(b.len()), a.len().max(b.len()));
+    if s == 0 {
+        return (0, 0);
+    }
+    let lopsided = s * GALLOP_RATIO < l;
+    let gallop = match kernel {
+        Kernel::Merge => false,
+        Kernel::Gallop => true,
+        Kernel::Adaptive => lopsided,
+    };
+    let skewed = l >= ADVANCE_RATIO * s;
+    #[cfg(target_arch = "x86_64")]
+    if level.resolve() == SimdLevel::Avx2 {
+        // SAFETY (the three calls below): `resolve` yields `Avx2` only
+        // where `is_x86_feature_detected!("avx2")` held on this CPU —
+        // whatever level the caller named — and both slices are
+        // non-empty (checked above).
+        if !gallop && !skewed {
+            return unsafe { x86::merge_avx2(a, b, &mut visit) };
+        }
+        if !gallop && l >= SIMD_SKEW_MIN {
+            return unsafe { x86::advance_avx2(a, b, &mut visit) };
+        }
+        // The vector-probed frontier only pays inside the gallop regime:
+        // on interleaved shapes forced through `Kernel::Gallop` the
+        // per-element window compare is pure overhead over the 1–3
+        // scalar probes it replaces (measured 2× slower on the
+        // `intersect/gallop/1000x1000` row), so those run the scalar
+        // kernel — as do small large sides (`GALLOP_SIMD_MIN`).
+        if gallop && lopsided && l >= GALLOP_SIMD_MIN {
+            return unsafe { x86::gallop_avx2(a, b, &mut visit) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = level;
+    if gallop {
+        scalar::gallop_counted(a, b, visit)
+    } else if skewed {
+        scalar::advance_counted(a, b, visit)
     } else {
-        (b.len(), a.len())
+        scalar::interleaved_counted(a, b, visit)
     }
 }
 
-/// Visit every element of `a ∩ b` in ascending order. Returns the count.
+/// Visit every element of `a ∩ b` in ascending order with a linear
+/// merge at the ambient [`simd_level`]. Returns the count.
 #[inline]
 pub fn intersect_visit(a: &[u32], b: &[u32], visit: impl FnMut(u32)) -> u64 {
-    intersect_visit_counted(a, b, visit).0
+    dispatch(Kernel::Merge, simd_level(), a, b, visit).0
 }
 
-/// Merge intersection returning `(matches, comparisons)`.
+/// Merge intersection at an explicit [`SimdLevel`], returning
+/// `(matches, comparisons)`.
 ///
-/// Dispatches on length ratio: tightly interleaved (near-equal-length)
-/// inputs take the branch-predictable three-way merge, skewed inputs
-/// take the advance-loop merge (see `ADVANCE_RATIO`). Both are
-/// `O(|a| + |b|)` with at most `2(|a| + |b|)` counted comparisons and
-/// produce identical output (property-tested). Runs the vectorized
-/// kernel of the ambient [`simd_level`] when one applies.
-#[inline]
-pub fn intersect_visit_counted(a: &[u32], b: &[u32], visit: impl FnMut(u32)) -> (u64, u64) {
-    intersect_visit_counted_with(simd_level(), a, b, visit)
-}
-
-/// [`intersect_visit_counted`] at an explicit [`SimdLevel`] — the
-/// ablation entry point (`level` is capped at the host's capability by
-/// the kernels' gates, so any level is safe to request on any host).
-///
-/// The level changes wall time only, never the returned pair or the
+/// Tightly interleaved (near-equal-length) inputs take the
+/// branch-predictable three-way merge, skewed inputs take the
+/// advance-loop merge (see `ADVANCE_RATIO`). Both are `O(|a| + |b|)`
+/// with at most `2(|a| + |b|)` counted comparisons and produce
+/// identical output (property-tested). Any level is safe to request on
+/// any host; it changes wall time only, never the returned pair or the
 /// visit sequence:
 ///
 /// ```
@@ -292,92 +341,23 @@ pub fn intersect_visit_counted_with(
     b: &[u32],
     visit: impl FnMut(u32),
 ) -> (u64, u64) {
-    if a.is_empty() || b.is_empty() {
-        return (0, 0);
-    }
-    let (s, l) = ordered_lens(a, b);
-    if l >= ADVANCE_RATIO * s {
-        advance_tier(level, l, a, b, visit)
-    } else {
-        merge_tier(level, s, a, b, visit)
-    }
+    dispatch(Kernel::Merge, level, a, b, visit)
 }
 
-/// The interleaved-merge tier: block merge at the given level, scalar
-/// three-way merge otherwise.
-#[inline]
-fn merge_tier(
-    level: SimdLevel,
-    s: usize,
-    a: &[u32],
-    b: &[u32],
-    mut visit: impl FnMut(u32),
-) -> (u64, u64) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // No length floor at AVX2: below 8-lane blocks the masked
-        // small/stream stages take over, and they beat the scalar merge
-        // on every interleaved shape (unlike the 4-lane SSE2 blocks,
-        // which need a full block per side to pay off).
-        if level >= SimdLevel::Avx2 {
-            // SAFETY: Avx2 only survives `resolve`/the gates on hosts
-            // where `is_x86_feature_detected!("avx2")` held.
-            return unsafe { x86::merge_avx2(a, b, &mut visit) };
-        }
-        if level >= SimdLevel::Sse2 && s >= MERGE_SSE2_MIN {
-            // SAFETY: SSE2 is architecturally guaranteed on x86_64.
-            return unsafe { x86::merge_sse2(a, b, &mut visit) };
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (level, s);
-    scalar::interleaved_counted(a, b, visit)
-}
-
-/// The advance-loop tier: vectorized advance loops at the given level,
-/// scalar advance loops otherwise.
-#[inline]
-fn advance_tier(
-    level: SimdLevel,
-    l: usize,
-    a: &[u32],
-    b: &[u32],
-    mut visit: impl FnMut(u32),
-) -> (u64, u64) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level >= SimdLevel::Avx2 && l >= SIMD_SKEW_MIN {
-            // SAFETY: as in `merge_tier`.
-            return unsafe { x86::advance_avx2(a, b, &mut visit) };
-        }
-        if level >= SimdLevel::Sse2 && l >= SIMD_SKEW_MIN / 2 {
-            // SAFETY: SSE2 is architecturally guaranteed on x86_64.
-            return unsafe { x86::advance_sse2(a, b, &mut visit) };
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (level, l);
-    scalar::advance_counted(a, b, visit)
-}
-
-/// Galloping intersection: exponential-probe each element of the smaller
-/// slice into the remainder of the larger one. Returns the count.
+/// Galloping intersection at the ambient [`simd_level`]:
+/// exponential-probe each element of the smaller slice into the
+/// remainder of the larger one. Returns the count.
 #[inline]
 pub fn intersect_gallop_visit(a: &[u32], b: &[u32], visit: impl FnMut(u32)) -> u64 {
-    intersect_gallop_visit_counted(a, b, visit).0
+    dispatch(Kernel::Gallop, simd_level(), a, b, visit).0
 }
 
-/// Galloping intersection returning `(matches, comparisons)`. Every
-/// probe of the large slice (exponential step or binary-search midpoint)
-/// counts as one comparison — at the ambient [`simd_level`] the probes
-/// are located by vector compare, but the *reported* count is the
-/// scalar probe sequence's, replayed arithmetically.
-#[inline]
-pub fn intersect_gallop_visit_counted(a: &[u32], b: &[u32], visit: impl FnMut(u32)) -> (u64, u64) {
-    intersect_gallop_visit_counted_with(simd_level(), a, b, visit)
-}
-
-/// [`intersect_gallop_visit_counted`] at an explicit [`SimdLevel`].
+/// Galloping intersection at an explicit [`SimdLevel`], returning
+/// `(matches, comparisons)`. Every probe of the large slice
+/// (exponential step or binary-search midpoint) counts as one
+/// comparison — at `Avx2` the probes are located by vector compare, but
+/// the *reported* count is the scalar probe sequence's, replayed
+/// arithmetically.
 ///
 /// ```
 /// use pdtl_core::intersect::{intersect_gallop_visit_counted_with, SimdLevel};
@@ -395,54 +375,17 @@ pub fn intersect_gallop_visit_counted_with(
     level: SimdLevel,
     a: &[u32],
     b: &[u32],
-    mut visit: impl FnMut(u32),
-) -> (u64, u64) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let (s, l) = ordered_lens(a, b);
-        // The vector-probed frontier only pays inside the gallop regime
-        // (`GALLOP_RATIO`): on interleaved shapes forced through this
-        // entry point the per-element window compare is pure overhead
-        // over the 1–3 scalar probes it replaces (measured 2× slower on
-        // the forced-gallop `1000x1000` bench row), so those run the
-        // scalar kernel — as do small large sides (`GALLOP_SIMD_MIN`).
-        if l >= GALLOP_SIMD_MIN && s * GALLOP_RATIO < l {
-            if level >= SimdLevel::Avx2 {
-                // SAFETY: as in `merge_tier`.
-                return unsafe { x86::gallop_avx2(a, b, &mut visit) };
-            }
-            if level >= SimdLevel::Sse2 {
-                // SAFETY: SSE2 is architecturally guaranteed on x86_64.
-                return unsafe { x86::gallop_sse2(a, b, &mut visit) };
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = level;
-    scalar::gallop_counted(a, b, visit)
-}
-
-/// Adaptive intersection: gallop when sizes are lopsided, merge
-/// otherwise. Equal output on all inputs (property-tested).
-#[inline]
-pub fn intersect_adaptive_visit(a: &[u32], b: &[u32], visit: impl FnMut(u32)) -> u64 {
-    intersect_adaptive_visit_counted(a, b, visit).0
-}
-
-/// Adaptive intersection returning `(matches, comparisons)`.
-#[inline]
-pub fn intersect_adaptive_visit_counted(
-    a: &[u32],
-    b: &[u32],
     visit: impl FnMut(u32),
 ) -> (u64, u64) {
-    intersect_adaptive_visit_counted_with(simd_level(), a, b, visit)
+    dispatch(Kernel::Gallop, level, a, b, visit)
 }
 
-/// [`intersect_adaptive_visit_counted`] at an explicit [`SimdLevel`] —
-/// what the crossover ablation sweeps. The ratio boundaries
-/// (`ADVANCE_RATIO`, `GALLOP_RATIO`) are shared by every level, so the
-/// counted comparisons are level-invariant shape by shape.
+/// Adaptive intersection at an explicit [`SimdLevel`] — gallop when
+/// sizes are lopsided, merge otherwise — returning `(matches,
+/// comparisons)`; this is what the engine calls. Equal output on all
+/// inputs (property-tested). The ratio boundaries (`ADVANCE_RATIO`,
+/// `GALLOP_RATIO`) are shared by both levels, so the counted
+/// comparisons are level-invariant shape by shape.
 ///
 /// ```
 /// use pdtl_core::intersect::{intersect_adaptive_visit_counted_with, SimdLevel};
@@ -460,23 +403,22 @@ pub fn intersect_adaptive_visit_counted_with(
     b: &[u32],
     visit: impl FnMut(u32),
 ) -> (u64, u64) {
-    let (s, l) = ordered_lens(a, b);
-    if s * GALLOP_RATIO < l {
-        intersect_gallop_visit_counted_with(level, a, b, visit)
-    } else {
-        intersect_visit_counted_with(level, a, b, visit)
-    }
+    dispatch(Kernel::Adaptive, level, a, b, visit)
 }
 
-/// Count-only adaptive intersection.
+/// Count-only adaptive intersection at the ambient [`simd_level`].
 #[inline]
 pub fn intersect_count(a: &[u32], b: &[u32]) -> u64 {
-    intersect_adaptive_visit(a, b, |_| {})
+    dispatch(Kernel::Adaptive, simd_level(), a, b, |_| {}).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn adaptive(a: &[u32], b: &[u32], visit: impl FnMut(u32)) -> (u64, u64) {
+        intersect_adaptive_visit_counted_with(simd_level(), a, b, visit)
+    }
 
     fn collect(
         f: impl Fn(&[u32], &[u32], &mut dyn FnMut(u32)) -> u64,
@@ -552,7 +494,7 @@ mod tests {
             b.dedup();
             let (n1, o1) = collect(|a, b, v| intersect_visit(a, b, v), &a, &b);
             let (n2, o2) = collect(|a, b, v| intersect_gallop_visit(a, b, v), &a, &b);
-            let (n3, o3) = collect(|a, b, v| intersect_adaptive_visit(a, b, v), &a, &b);
+            let (n3, o3) = collect(|a, b, v| adaptive(a, b, v).0, &a, &b);
             assert_eq!((n1, &o1), (n2, &o2), "trial {trial}");
             assert_eq!((n1, &o1), (n3, &o3), "trial {trial}");
         }
@@ -574,7 +516,7 @@ mod tests {
                 let mut o2 = Vec::new();
                 let (n2, _) = scalar::advance_counted(x, y, |v| o2.push(v));
                 let mut o3 = Vec::new();
-                let (n3, _) = intersect_visit_counted(x, y, |v| o3.push(v));
+                let (n3, _) = intersect_visit_counted_with(simd_level(), x, y, |v| o3.push(v));
                 assert_eq!((n1, &o1), (n2, &o2), "{la}x{lb}");
                 assert_eq!((n1, &o1), (n3, &o3), "{la}x{lb}");
             }
@@ -585,7 +527,7 @@ mod tests {
     fn visit_order_is_ascending() {
         let a: Vec<u32> = (0..200).step_by(2).collect();
         let b: Vec<u32> = (0..200).step_by(3).collect();
-        let (_, out) = collect(|a, b, v| intersect_adaptive_visit(a, b, v), &a, &b);
+        let (_, out) = collect(|a, b, v| adaptive(a, b, v).0, &a, &b);
         assert!(out.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -593,7 +535,7 @@ mod tests {
     fn merge_comparisons_are_linear() {
         let a: Vec<u32> = (0..500).map(|x| x * 2).collect();
         let b: Vec<u32> = (0..500).map(|x| x * 2 + 1).collect();
-        let (m, cmps) = intersect_visit_counted(&a, &b, |_| {});
+        let (m, cmps) = intersect_visit_counted_with(simd_level(), &a, &b, |_| {});
         assert_eq!(m, 0);
         // advance steps are bounded by |a| + |b|; the per-frontier match
         // re-test adds at most one comparison per advance
@@ -606,13 +548,13 @@ mod tests {
         // s elements probed into l: O(s * log(l/s)), far below s + l.
         let small: Vec<u32> = (0..16u32).map(|x| x * 6000).collect();
         let large: Vec<u32> = (0..100_000).collect();
-        let (m, cmps) = intersect_gallop_visit_counted(&small, &large, |_| {});
+        let (m, cmps) = intersect_gallop_visit_counted_with(simd_level(), &small, &large, |_| {});
         assert_eq!(m, 16);
         assert!(
             cmps < 16 * 2 * (17 + 2),
             "gallop should be O(s log(l/s)) comparisons, got {cmps}"
         );
-        let (_, merge_cmps) = intersect_visit_counted(&small, &large, |_| {});
+        let (_, merge_cmps) = intersect_visit_counted_with(simd_level(), &small, &large, |_| {});
         assert!(cmps < merge_cmps / 10, "{cmps} vs merge {merge_cmps}");
     }
 
@@ -620,8 +562,8 @@ mod tests {
     fn counted_variants_agree_with_plain() {
         let a: Vec<u32> = (0..300).step_by(3).collect();
         let b: Vec<u32> = (0..300).step_by(7).collect();
-        let (plain, _) = collect(|a, b, v| intersect_adaptive_visit(a, b, v), &a, &b);
-        let (counted, cmps) = intersect_adaptive_visit_counted(&a, &b, |_| {});
+        let (plain, _) = collect(|a, b, v| adaptive(a, b, v).0, &a, &b);
+        let (counted, cmps) = adaptive(&a, &b, |_| {});
         assert_eq!(plain, counted);
         assert!(cmps > 0);
     }
@@ -636,6 +578,11 @@ mod tests {
         assert_eq!(SimdLevel::parse("scalar"), Some(SimdLevel::Off));
         assert_eq!(SimdLevel::parse("auto"), None, "auto is not a level");
         assert_eq!(SimdLevel::parse("gibberish"), None);
+        assert_eq!(SimdLevel::parse("sse2"), None, "one vector level");
+        // PDTL_SIMD=sse2 is unrecognised now, so it means `auto`.
+        assert_eq!(SimdLevel::from_request(Some("sse2")), SimdLevel::detect());
+        assert_eq!(SimdLevel::from_request(Some("off")), SimdLevel::Off);
+        assert_eq!(SimdLevel::from_request(None), SimdLevel::detect());
     }
 
     #[test]
@@ -645,8 +592,6 @@ mod tests {
             assert!(l.resolve() <= l, "resolve never raises the level");
         }
         assert_eq!(SimdLevel::Off.resolve(), SimdLevel::Off);
-        #[cfg(target_arch = "x86_64")]
-        assert!(SimdLevel::detect() >= SimdLevel::Sse2, "SSE2 is baseline");
     }
 
     #[test]
@@ -672,12 +617,11 @@ mod tests {
                 let scalar = intersect_adaptive_visit_counted_with(SimdLevel::Off, x, y, |v| {
                     so.push(v);
                 });
-                for level in [SimdLevel::Sse2, SimdLevel::Avx2] {
-                    let mut vo = Vec::new();
-                    let got = intersect_adaptive_visit_counted_with(level, x, y, |v| vo.push(v));
-                    assert_eq!(got, scalar, "{la}x{lb} at {level}");
-                    assert_eq!(vo, so, "{la}x{lb} at {level} visit order");
-                }
+                let mut vo = Vec::new();
+                let got =
+                    intersect_adaptive_visit_counted_with(SimdLevel::Avx2, x, y, |v| vo.push(v));
+                assert_eq!(got, scalar, "{la}x{lb} at avx2");
+                assert_eq!(vo, so, "{la}x{lb} at avx2 visit order");
             }
         }
     }

@@ -20,6 +20,16 @@
 /// `j`, or both (on a match), so the step count is recoverable as
 /// `i + j - matches` — one comparison per step, none of the counter's
 /// loop-carried dependency.
+///
+/// The stop cursors are a function of the input, not of the path: the
+/// loop exits at the first exhaustion, so the side with the smaller
+/// maximum `m = min(a.last(), b.last())` is fully consumed and the
+/// other side has consumed precisely its elements below `m`, plus `m`
+/// itself iff it matched (both sides are exhausted on equal maxima).
+/// That closed form is what lets the AVX2 block merge — which discards
+/// whole blocks, each bounded by the opposite block's max, and so drops
+/// nothing below `m` either — jump its cursors there and report this
+/// kernel's count.
 #[inline]
 pub(super) fn interleaved_counted(a: &[u32], b: &[u32], mut visit: impl FnMut(u32)) -> (u64, u64) {
     let (mut i, mut j) = (0usize, 0usize);

@@ -26,7 +26,8 @@
 //!   [`U32Reader::skip`](pdtl_io::U32Reader::skip) instead of read,
 //!   cutting `bytes_read` in the multi-pass regime where MGT's I/O bound
 //!   actually bites. [`MgtOptions::scan_pruning`] gates both (on by
-//!   default; the ablation bench and I/O tests compare).
+//!   default; `scan_pruning_cuts_bytes_read_in_multipass_runs` and the
+//!   I/O tests compare).
 //!
 //! On top of that, [`MgtOptions::backend`] selects how the remaining
 //! I/O is performed. The I/O *plan* — which blocks of the adjacency are

@@ -38,10 +38,10 @@ fn main() {
             backend: IoBackend::Uring,
             ..MgtOptions::default()
         },
-        // Default failure handling: detect via heartbeats, retry with
-        // backoff, reassign ranges off nodes that stay down. Export
+        // Failure handling: detect via heartbeats, retry with backoff
+        // (this budget), reassign ranges off nodes that stay down. Export
         // PDTL_FAULT (e.g. `seed=42;kill=1`) to watch it recover.
-        policy: Default::default(),
+        retry: Default::default(),
         heartbeat: std::time::Duration::from_millis(50),
         node_deadline: std::time::Duration::from_secs(5),
         fault: pdtl::cluster::FaultPlan::default_from_env(),

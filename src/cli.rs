@@ -2,7 +2,7 @@
 //!
 //! Subcommands:
 //!
-//! * `gen <dataset> <out-base> [--scale f] [--seed s]` — generate a
+//! * `gen <dataset> <out-base> [--scale f]` — generate a
 //!   dataset stand-in into PDTL binary format;
 //! * `import <edges.txt> <out-base>` — convert a SNAP text edge list;
 //! * `export <base> <edges.txt>` — write a graph back to text;
@@ -13,11 +13,9 @@
 //!   selects the oriented graph's on-disk encoding (delta-varint cuts
 //!   the multi-pass `bytes_read`);
 //! * `cluster <base> [--nodes n] [--cores p] [--memory edges] [--tcp]
-//!   [--backend b] [--codec c] [--fail-fast] [--fault plan]` —
-//!   distributed exact count; `--fail-fast` aborts on the first node
-//!   failure instead of retrying/reassigning, and `--fault` injects a
-//!   deterministic fault plan (same grammar as `PDTL_FAULT`, e.g.
-//!   `seed=42;kill=1`);
+//!   [--backend b] [--codec c] [--fault plan]` — distributed exact
+//!   count; `--fault` injects a deterministic fault plan (same grammar
+//!   as `PDTL_FAULT`, e.g. `seed=42;kill=1`);
 //! * `list <base> <out.bin> [--cores p]` — triangle listing to file;
 //! * `verify <base>` — full integrity verification: open the graph
 //!   (structural + quick manifest checks) and digest every file
@@ -32,14 +30,15 @@
 //!   [--trials t] [--limit l] [--cores p] [--memory edges]
 //!   [--backend b] [--codec c]` — one serve-mode request.
 //!
+//! A flag the command does not take is a usage error, not a no-op.
 //! Parsing is kept dependency-free and fully unit-tested; the binary is
 //! a thin wrapper around [`run`].
 
 use std::path::{Path, PathBuf};
 
 use pdtl_cluster::{
-    Catalog, ClusterConfig, ClusterRunner, FailurePolicy, FaultPlan, QueryOperation, QueryOptions,
-    ServeClient, ServeConfig, Server, TransportKind,
+    Catalog, ClusterConfig, ClusterRunner, FaultPlan, QueryOperation, QueryOptions, ServeClient,
+    ServeConfig, Server, TransportKind,
 };
 use pdtl_core::mgt::MgtOptions;
 use pdtl_core::{BalanceStrategy, LocalConfig, LocalRunner, ScratchDir};
@@ -107,8 +106,6 @@ pub enum Command {
         tcp: bool,
         /// I/O backend override (`None` = default / `PDTL_IO_BACKEND`).
         backend: Option<IoBackend>,
-        /// Abort on the first node failure instead of retrying.
-        fail_fast: bool,
         /// Fault-injection plan (`None` = default / `PDTL_FAULT`).
         fault: Option<String>,
         /// On-disk codec override (`None` = default / `PDTL_CODEC`).
@@ -173,16 +170,36 @@ pub const USAGE: &str = "usage: pdtl \
 <gen|import|export|stats|count|cluster|list|verify|serve|query> ... \
 (see crate docs for flags)";
 
+/// The `--flags` a command takes (`None`: no such command).
+fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "import" | "export" | "stats" | "verify" => &[],
+        "gen" => &["scale"],
+        "count" => &["cores", "memory", "naive", "backend", "codec"],
+        "cluster" => &[
+            "nodes", "cores", "memory", "tcp", "backend", "codec", "fault",
+        ],
+        "list" => &["cores"],
+        "serve" => &["addr", "workers", "cores", "memory"],
+        "query" => &[
+            "k", "p", "seed", "trials", "limit", "cores", "memory", "backend", "codec",
+        ],
+        _ => return None,
+    })
+}
+
 /// Parse an argument vector (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut pos: Vec<&String> = Vec::new();
+    let mut named: Vec<&str> = Vec::new();
     let mut flags: std::collections::HashMap<String, String> = Default::default();
     let mut bools: std::collections::HashSet<String> = Default::default();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            named.push(name);
             match name {
-                "naive" | "tcp" | "fail-fast" => {
+                "naive" | "tcp" => {
                     bools.insert(name.to_string());
                 }
                 _ => {
@@ -224,6 +241,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }
         };
     let cmd = pos.first().ok_or(USAGE.to_string())?.as_str();
+    let unknown_command = || format!("unknown command {cmd:?}\n{USAGE}");
+    let takes = flags_of(cmd).ok_or_else(unknown_command)?;
+    if let Some(name) = named.iter().find(|name| !takes.contains(name)) {
+        return Err(format!("{cmd}: unknown flag --{name}"));
+    }
     let need = |i: usize, what: &str| -> Result<PathBuf, String> {
         pos.get(i)
             .map(PathBuf::from)
@@ -267,7 +289,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             memory: get_usize(&flags, "memory", 1 << 20)?,
             tcp: bools.contains("tcp"),
             backend: get_backend(&flags)?,
-            fail_fast: bools.contains("fail-fast"),
             fault: flags.get("fault").cloned(),
             codec: get_codec(&flags)?,
         }),
@@ -352,7 +373,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             };
             Ok(Command::Query { addr, request })
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        _ => Err(unknown_command()),
     }
 }
 
@@ -488,7 +509,6 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
             memory,
             tcp,
             backend,
-            fail_fast,
             fault,
             codec,
         } => {
@@ -510,11 +530,6 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
                     TransportKind::InProc
                 },
                 mgt,
-                policy: if fail_fast {
-                    FailurePolicy::FailFast
-                } else {
-                    FailurePolicy::default()
-                },
                 fault: match fault {
                     Some(plan) => {
                         FaultPlan::parse(&plan).map_err(|e| format!("bad --fault: {e}"))?
@@ -786,7 +801,6 @@ mod tests {
                 memory: 1 << 20,
                 tcp: false,
                 backend: None,
-                fail_fast: false,
                 fault: None,
                 codec: None
             }
@@ -795,10 +809,7 @@ mod tests {
 
     #[test]
     fn parses_cluster_fault_flags() {
-        let cmd = parse(&args(
-            "cluster /tmp/g --tcp --fail-fast --fault seed=42;kill=1",
-        ))
-        .unwrap();
+        let cmd = parse(&args("cluster /tmp/g --tcp --fault seed=42;kill=1")).unwrap();
         assert_eq!(
             cmd,
             Command::Cluster {
@@ -808,7 +819,6 @@ mod tests {
                 memory: 1 << 20,
                 tcp: true,
                 backend: None,
-                fail_fast: true,
                 fault: Some("seed=42;kill=1".into()),
                 codec: None
             }
@@ -954,6 +964,21 @@ mod tests {
         assert!(parse(&args("gen")).is_err());
         assert!(parse(&args("count /g --cores notanumber")).is_err());
         assert!(parse(&args("count /g --memory")).is_err());
+        // A flag the command does not take is refused, not filed away
+        // with the next token as its value: misspelt, removed, or
+        // belonging to another command.
+        for (line, flag) in [
+            ("count /g --coers 8", "coers"),
+            ("cluster /g --fail-fast --tcp", "fail-fast"),
+            ("count /g --tcp", "tcp"),
+            ("stats /g --cores 2", "cores"),
+        ] {
+            let cmd = line.split(' ').next().unwrap();
+            assert_eq!(
+                parse(&args(line)).unwrap_err(),
+                format!("{cmd}: unknown flag --{flag}")
+            );
+        }
     }
 
     #[test]
@@ -1181,7 +1206,6 @@ mod tests {
                 memory: 512,
                 tcp: false,
                 backend: None,
-                fail_fast: false,
                 fault: None,
                 codec: Some(Codec::DeltaVarint),
             },

@@ -13,9 +13,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use pdtl::cluster::{
-    ClusterConfig, ClusterRunner, FailurePolicy, FaultPlan, RetryPolicy, TransportKind,
-};
+use pdtl::cluster::{ClusterConfig, ClusterRunner, FaultPlan, RetryPolicy, TransportKind};
 use pdtl::core::orient::orient_to_disk_with;
 use pdtl::core::{LocalConfig, LocalRunner, MgtOptions};
 use pdtl::graph::datasets::Dataset;
@@ -203,11 +201,11 @@ fn cluster_cfg(codec: Codec, transport: TransportKind, fault: &str) -> ClusterCo
             codec,
             ..Default::default()
         },
-        policy: FailurePolicy::Tolerant(RetryPolicy {
+        retry: RetryPolicy {
             max_attempts: 3,
             base_delay: Duration::from_millis(2),
             seed: 7,
-        }),
+        },
         heartbeat: Duration::from_millis(10),
         node_deadline: Duration::from_millis(400),
         fault: FaultPlan::parse(fault).unwrap(),

@@ -1,7 +1,7 @@
 //! Fault-injection tests of the cluster runtime: seeded node kills,
 //! transient crashes, stalls, slow nodes, truncated replicas and failed
-//! copies must all leave the triangle count exact (Tolerant) or abort
-//! promptly (FailFast), with honest failure counters.
+//! copies must all leave the triangle count exact, with honest failure
+//! counters.
 //!
 //! Every fault here is driven by a deterministic [`FaultPlan`]; no test
 //! uses wall-clock sleeps for synchronization — detection happens through
@@ -10,8 +10,7 @@
 use std::time::Duration;
 
 use pdtl::cluster::{
-    ClusterConfig, ClusterReport, ClusterRunner, FailurePolicy, FaultPlan, RetryPolicy,
-    TransportKind,
+    ClusterConfig, ClusterReport, ClusterRunner, FaultPlan, RetryPolicy, TransportKind,
 };
 use pdtl::graph::datasets::Dataset;
 use pdtl::graph::verify::triangle_count;
@@ -38,11 +37,11 @@ fn cfg(nodes: usize, transport: TransportKind, fault: &str) -> ClusterConfig {
         cores_per_node: 2,
         budget: MemoryBudget::edges(2048),
         transport,
-        policy: FailurePolicy::Tolerant(RetryPolicy {
+        retry: RetryPolicy {
             max_attempts: 3,
             base_delay: Duration::from_millis(2),
             seed: 7,
-        }),
+        },
         heartbeat: Duration::from_millis(10),
         node_deadline: Duration::from_millis(400),
         fault: FaultPlan::parse(fault).unwrap(),
@@ -173,7 +172,10 @@ fn short_reads_recover_or_reassign() {
 }
 
 /// A failed replica copy is retried (transient) or routes the node's
-/// ranges elsewhere (persistent); the count stays exact.
+/// ranges elsewhere (persistent); the count stays exact. Copies and
+/// dispatches share one retry loop, each stage with its own
+/// `max_attempts` (3 here): two failures cost two retries and no node,
+/// three cost the node — for a copy exactly as for a dispatch.
 #[test]
 fn copy_failures_retry_then_reassign() {
     let g = graph();
@@ -192,19 +194,20 @@ fn copy_failures_retry_then_reassign() {
     let persistent = run(&g, cfg(3, TransportKind::InProc, "copyfail@1"), "copyfail").unwrap();
     assert_eq!(persistent.triangles, expected);
     assert_eq!(persistent.failed_nodes, vec![1]);
-}
 
-/// FailFast preserves the pre-fault-tolerance contract: the first node
-/// failure aborts the whole run with the node's own error.
-#[test]
-fn fail_fast_aborts_on_first_failure() {
-    let g = graph();
-    for (plan, tag) in [("panic@1", "ff-panic"), ("copyfail@1", "ff-copy")] {
-        let mut c = cfg(3, TransportKind::InProc, plan);
-        c.policy = FailurePolicy::FailFast;
-        let err = run(&g, c, tag).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains('1'), "{tag}: error names the node: {msg}");
+    for kind in ["copyfail", "panic"] {
+        let plan = format!("{kind}@1x2");
+        let within = run(&g, cfg(3, TransportKind::InProc, &plan), &plan).unwrap();
+        assert_eq!(within.triangles, expected, "{plan}");
+        assert_eq!(within.retries, 2, "{plan}");
+        assert!(within.failed_nodes.is_empty(), "{plan}");
+
+        let plan = format!("{kind}@1x3");
+        let spent = run(&g, cfg(3, TransportKind::InProc, &plan), &plan).unwrap();
+        assert_eq!(spent.triangles, expected, "{plan}");
+        assert_eq!(spent.retries, 2, "{plan}");
+        assert_eq!(spent.failed_nodes, vec![1], "{plan}");
+        assert!(spent.reassigned_ranges >= 1, "{plan}");
     }
 }
 

@@ -327,6 +327,23 @@ fn admission_blocks_without_deadlock_and_never_oversubscribes() {
         .unwrap_err();
     assert!(matches!(err, ClusterError::Query { .. }), "{err}");
 
+    // So is an emulated device latency that would park a pool worker
+    // for minutes per block.
+    let err = client
+        .query(
+            "g",
+            QueryOperation::Count,
+            QueryOptions {
+                io_latency_us: u32::MAX,
+                ..options
+            },
+        )
+        .unwrap_err();
+    match err {
+        ClusterError::Query { detail, .. } => assert!(detail.contains("io latency"), "{detail}"),
+        other => panic!("expected a typed query rejection, got {other}"),
+    }
+
     // Unknown graphs too.
     let err = client
         .query("missing", QueryOperation::Count, QueryOptions::default())
@@ -341,7 +358,7 @@ fn admission_blocks_without_deadlock_and_never_oversubscribes() {
     let reply = client.query("g", QueryOperation::Count, options).unwrap();
     assert_eq!(reply.triangles, expected);
     let stats = server.shutdown();
-    assert_eq!(stats.failed, 5);
+    assert_eq!(stats.failed, 6);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

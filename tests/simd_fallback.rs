@@ -8,8 +8,8 @@
 //! same `cpu_ops` a vectorized run reports (the accounting contract).
 
 use pdtl::core::intersect::{
-    intersect_adaptive_visit_counted, intersect_adaptive_visit_counted_with,
-    intersect_visit_counted, intersect_visit_counted_with, simd_level, SimdLevel, SIMD_ENV,
+    intersect_adaptive_visit_counted_with, intersect_count, intersect_visit,
+    intersect_visit_counted_with, simd_level, SimdLevel, SIMD_ENV,
 };
 use pdtl::core::mgt::mgt_in_memory;
 use pdtl::core::orient::orient_csr;
@@ -28,21 +28,21 @@ fn kill_switch_pins_the_process_to_scalar() {
     assert_eq!(simd_level(), SimdLevel::Off, "env override wins");
 
     // The plain entry points now ARE the scalar kernels: identical
-    // pairs and visit sequences to an explicit SimdLevel::Off call on
+    // counts and visit sequences to an explicit SimdLevel::Off call on
     // shapes that would otherwise take every vector tier.
     let shapes: [(usize, usize); 3] = [(1000, 1000), (100, 1000), (10, 10_000)];
     for (la, lb) in shapes {
         let a: Vec<u32> = (0..la as u32).map(|x| x * 3).collect();
         let b: Vec<u32> = (0..lb as u32).map(|x| x * 2).collect();
         let mut plain_order = Vec::new();
-        let plain = intersect_visit_counted(&a, &b, |v| plain_order.push(v));
+        let plain = intersect_visit(&a, &b, |v| plain_order.push(v));
         let mut off_order = Vec::new();
         let off = intersect_visit_counted_with(SimdLevel::Off, &a, &b, |v| off_order.push(v));
-        assert_eq!(plain, off, "{la}x{lb}");
+        assert_eq!(plain, off.0, "{la}x{lb}");
         assert_eq!(plain_order, off_order, "{la}x{lb}");
         assert_eq!(
-            intersect_adaptive_visit_counted(&a, &b, |_| {}),
-            intersect_adaptive_visit_counted_with(SimdLevel::Off, &a, &b, |_| {}),
+            intersect_count(&a, &b),
+            intersect_adaptive_visit_counted_with(SimdLevel::Off, &a, &b, |_| {}).0,
             "{la}x{lb} adaptive"
         );
     }
