@@ -168,7 +168,13 @@ pub fn run_kernel_benches() -> Vec<BenchResult> {
     // over the same oriented graph, once intersecting sorted out-lists
     // (the compact-forward baseline) and once probing prebuilt
     // per-vertex hash sets (smaller into larger) — "more than 10×"
-    // there, the ratio of these two rows here.
+    // there, the ratio of these two rows here. `mark_probe` is the
+    // third way to find the same triangles and the one the engine
+    // uses: `mgt_in_memory` with the whole graph resident, whose join
+    // marks N(u) in an n-bit array and probes each w ∈ N(v) — still a
+    // dense array, not a hash structure. Its ratio to `arrays` is why
+    // the engine left the merge (the row also pays the engine's chunk
+    // index and scan loop, which `arrays` does not).
     {
         let (scale, seed) = workload::INNER_LOOP_RMAT;
         let o = orient_csr(&rmat(scale, seed).expect("rmat"));
@@ -190,9 +196,13 @@ pub fn run_kernel_benches() -> Vec<BenchResult> {
                 })
                 .sum()
         };
+        let resident = MemoryBudget::edges(workload::MGT_BUDGETS[0]);
+        let mark_probe = || mgt_in_memory(&o, resident, &mut CountSink).0;
         assert_eq!(arrays(), hashsets(), "both inner loops count the same");
+        assert_eq!(arrays(), mark_probe(), "mark-and-probe counts the same");
         out.push(time_one("inner_loop/arrays", window, arrays));
         out.push(time_one("inner_loop/hashsets", window, hashsets));
+        out.push(time_one("inner_loop/mark_probe", window, mark_probe));
     }
 
     // in-memory MGT across budgets
@@ -406,7 +416,7 @@ mod tests {
         }
         assert!(json.contains("\"varint_decode/1m\""));
         assert!(json.contains("\"intersect/linear_scalar/1000x1000\""));
-        for inner in ["arrays", "hashsets"] {
+        for inner in ["arrays", "hashsets", "mark_probe"] {
             assert!(json.contains(&format!("\"inner_loop/{inner}\"")));
         }
         assert!(json.contains("\"u32_writer/write_all_1m\""));

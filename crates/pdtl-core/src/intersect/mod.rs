@@ -1,8 +1,14 @@
 //! Sorted-array intersection kernels.
 //!
-//! The inner loop of the modified MGT: reporting `N(u) ∩ E_v` for each
-//! `v ∈ N⁺(u)`. The paper's key implementation finding (§IV-A1) is that
-//! sorted arrays beat any hash structure by more than 10× here, so these
+//! The primitive of the comparison engines: the in-memory baselines
+//! (`pdtl-baselines`: compact-forward, edge-iterator and the
+//! PATRIC / OPT-like / PowerGraph re-implementations), the
+//! benchmark's oracle and its `intersect.*` probes all report
+//! `N(u) ∩ N(v)` through these kernels. The modified MGT itself no
+//! longer merges — its join marks `N(u)` in a dense bit array and probes
+//! ([`crate::mgt`], step 2) — so nothing here is on the engine's hot
+//! path. The paper's implementation finding (§IV-A1) is that arrays
+//! beat any hash structure by more than 10× in this loop, so these
 //! kernels are plain merges over sorted `u32` slices.
 //!
 //! * [`intersect_visit`] — two-pointer merge, `O(|a| + |b|)`, with two
@@ -19,14 +25,14 @@
 //!   smaller side, `O(|a| log(|b|/|a|))`; wins when sizes are lopsided,
 //!   which happens constantly on scale-free graphs (a hub's list against
 //!   a leaf's).
-//! * [`intersect_count`] — picks between the two by size ratio, as the
-//!   engine's [`intersect_adaptive_visit_counted_with`] does.
+//! * [`intersect_count`] — picks between the two by size ratio, as
+//!   [`intersect_adaptive_visit_counted_with`] does.
 //!
 //! The three `*_counted_with` entry points take an explicit
 //! [`SimdLevel`] and return `(matches, comparisons)`, where comparisons
 //! are the *actual* element comparisons performed — `O(s log(l/s))` for
-//! galloping, not `s + l` — so `WorkerReport::cpu_ops` reflects the work
-//! really done. Every entry point, plain or counted, goes through the
+//! galloping, not `s + l` — so a caller that reports work reports the
+//! work really done. Every entry point, plain or counted, goes through the
 //! one private `dispatch`, which owns the ratio-tier × level decision.
 //!
 //! # The SIMD tier
@@ -49,9 +55,11 @@
 //!    performed*, derived from scalar-identical cursor state or probe
 //!    replay after the fact (the merges' `i + j - matches`,
 //!    `scalar::gallop_probe_cost`) — no
-//!    counter runs in any vector loop. `WorkerReport::cpu_ops` and the
-//!    arboricity bound tests are therefore bit-identical across
-//!    `PDTL_SIMD` levels; only wall time moves.
+//!    counter runs in any vector loop. Counted work is therefore
+//!    bit-identical across `PDTL_SIMD` levels; only wall time moves.
+//!    (`WorkerReport::cpu_ops` is level-invariant for a simpler
+//!    reason: the engine's join counts marks and probes and calls no
+//!    kernel.)
 //!
 //! Ratio-tier boundaries (`ADVANCE_RATIO`, `GALLOP_RATIO`) are
 //! shared by both levels for the same reason: the level selects an
@@ -80,7 +88,8 @@ use std::sync::OnceLock;
 /// edge out gallop (15.0 vs 17.4 µs) and at ratio 10 the two are at
 /// parity (84 vs 81 µs) — while the scalar tier still flips hard at
 /// ratio 100 (advance 57 µs vs gallop 17 µs). The boundary is shared
-/// across levels (that sharing keeps `cpu_ops` level-invariant), and
+/// across levels (that sharing keeps the counted comparisons
+/// level-invariant), and
 /// 12 stays the right compromise: it trades a ~15% AVX2 loss on
 /// ratio-100 shapes for the scalar path's 3.3× win there, and every
 /// other (level, ratio) cell agrees with it.
@@ -97,8 +106,8 @@ const GALLOP_RATIO: usize = 12;
 /// on both sides. The SIMD tier widens the gap in both directions (the
 /// block merge wins interleaved shapes, the vectorized advance loops
 /// win skewed ones) without moving the crossover, so the constant is
-/// shared by both `PDTL_SIMD` levels — which is also what keeps
-/// `cpu_ops` level-invariant per shape.
+/// shared by both `PDTL_SIMD` levels — which is also what keeps the
+/// counted comparisons level-invariant per shape.
 const ADVANCE_RATIO: usize = 4;
 
 /// Minimum `max(|a|, |b|)` before the block-skipping advance loops pay
@@ -251,7 +260,7 @@ enum Kernel {
 /// merge or interleaved merge), then run that tier's AVX2 kernel where
 /// the level allows and its length gate says it pays, the scalar kernel
 /// otherwise. Always inlined, so the constant `kernel` folds away and
-/// the engine's inner loop sees only the branches of its own request.
+/// a caller's inner loop sees only the branches of its own request.
 #[inline(always)]
 fn dispatch(
     kernel: Kernel,
@@ -382,7 +391,8 @@ pub fn intersect_gallop_visit_counted_with(
 
 /// Adaptive intersection at an explicit [`SimdLevel`] — gallop when
 /// sizes are lopsided, merge otherwise — returning `(matches,
-/// comparisons)`; this is what the engine calls. Equal output on all
+/// comparisons)`; [`intersect_count`] is this at the cached level.
+/// Equal output on all
 /// inputs (property-tested). The ratio boundaries (`ADVANCE_RATIO`,
 /// `GALLOP_RATIO`) are shared by both levels, so the counted
 /// comparisons are level-invariant shape by shape.

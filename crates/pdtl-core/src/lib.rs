@@ -13,9 +13,10 @@
 //! 3. **MGT** ([`mgt`]): each processor runs the modified Massive Graph
 //!    Triangulation engine (Algorithm 2) over its range: load `Θ(cM)`
 //!    oriented edges into the `edg`/`ind` arrays, then stream every
-//!    vertex's out-list through the `nm`/`nmp` scratch arrays and report
-//!    triangles by sorted-array intersection — arrays, not hash sets,
-//!    which the paper found >10× faster.
+//!    vertex's out-list through the `nm` scratch array and report
+//!    triangles by marking it in a dense bit array and probing the
+//!    resident segments it reaches — arrays, not hash sets, which the
+//!    paper found >10× faster.
 //! 4. **Aggregation** ([`runner`]): the multicore [`LocalRunner`] wires the
 //!    phases together on one machine; the distributed runner lives in
 //!    `pdtl-cluster`.

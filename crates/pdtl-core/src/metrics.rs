@@ -48,7 +48,8 @@ pub struct WorkerReport {
     pub triangles: u64,
     /// Chunk iterations performed (`R = ceil(S / cM)`).
     pub iterations: u64,
-    /// Elementary CPU operations (array scans + intersection steps).
+    /// Elementary CPU operations (array scans + the join's marks and
+    /// probes).
     pub cpu_ops: u64,
     /// The worker's I/O counters.
     pub io: IoSnapshot,

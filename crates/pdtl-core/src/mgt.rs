@@ -10,15 +10,21 @@
 //!    `v - vlow`) each resident vertex's segment offset and length.
 //! 2. **Scan** — stream vertex out-lists `N(u)` from disk into the `nm`
 //!    array; compute `N⁺(u)` (those `v ∈ N(u)` with resident out-edges)
-//!    via O(1) `ind` probes; for each such `v`, intersect the *suffix*
-//!    `nm[idx+1..]` with `v`'s resident segment and report `(u, v, w)`
-//!    per common `w`.
+//!    via O(1) `ind` probes; then join `N(u)` with the chunk by
+//!    **mark and probe**: set the bit of every entry of `nm` above the
+//!    first such `v` in a per-worker `n`-bit array, report `(u, v, w)`
+//!    for each `w` in each `v`'s resident segment whose bit is set, and
+//!    clear the bits again (`ChunkIndex::join`). The marks are the
+//!    paper's "arrays, not hash structures" (§IV-A1) once more — `ind`
+//!    is already a dense array indexed by vertex — and the probes cost
+//!    `Σ_v d⁺(v)·d⁻(v)`, inside Theorem IV.3's `O(α|E|)`.
 //!
 //! Rank space buys the hot path two structural wins:
 //!
-//! * **Suffix intersection** — every `w` completing a triangle satisfies
-//!   `w ∈ N(v)` and hence `w > v` numerically, so only the tail of `nm`
-//!   after the pivot can match: roughly half the merge work disappears.
+//! * **The suffix rule for free** — every `w` completing a triangle
+//!   satisfies `w ∈ N(v)` and hence `w > v` numerically, so a probe
+//!   from `v`'s segment can only land on marks above `v`: no test
+//!   separates the part of `N(u)` before the pivot from the part after.
 //! * **Scan pruning** — a chunk resident on `[vlow, vhigh]` can only be
 //!   hit by scanned vertices `u < vhigh` (out-neighbours ascend), so the
 //!   scan stops there; and a vertex whose precomputed `(min, max)`
@@ -28,6 +34,15 @@
 //!   actually bites. [`MgtOptions::scan_pruning`] gates both (on by
 //!   default; `scan_pruning_cuts_bytes_read_in_multipass_runs` and the
 //!   I/O tests compare).
+//!
+//! The join replaced a sorted merge of `nm[idx+1..]` with each segment
+//! (~180 list elements per `(u, v)` pair on RMAT-17 at ~2.7 ns each —
+//! mispredicted merge branches, not memory); a probe is a load, a shift
+//! and an add. The merge kernels of [`crate::intersect`] remain the
+//! primitive of the baselines and of the benchmark's oracle. Memory per
+//! worker beside the `Θ(M)` chunk: `n/8` bytes of marks and up to
+//! `4·d*_max` bytes of compacted hits (listing sinks only), next to the
+//! `20n` bytes per graph of `offsets` + `bounds` + `ids`.
 //!
 //! On top of that, [`MgtOptions::backend`] selects how the remaining
 //! I/O is performed. The I/O *plan* — which blocks of the adjacency are
@@ -75,10 +90,11 @@
 //! ([`IoStats::record_decoded`](pdtl_io::IoStats::record_decoded)), so
 //! reports show both dimensions.
 //!
-//! Everything is sorted arrays — the paper found set/map structures >10×
-//! slower (§IV-A1). Each triangle is found exactly once because its pivot
-//! edge `(v, w)` occupies exactly one adjacency position, which belongs
-//! to exactly one processor's range and is resident in exactly one chunk.
+//! Everything is arrays, sorted or dense — the paper found set/map
+//! structures >10× slower (§IV-A1). Each triangle is found exactly once
+//! because its pivot edge `(v, w)` occupies exactly one adjacency
+//! position, which belongs to exactly one processor's range and is
+//! resident in exactly one chunk.
 //! Triangles are translated back to original ids at the sink boundary
 //! through the graph's [`RankMap`](pdtl_graph::RankMap), so the output
 //! contract (original ids, cone vertex first) is unchanged.
@@ -98,7 +114,6 @@ use pdtl_io::{
 
 use crate::balance::EdgeRange;
 use crate::error::Result;
-use crate::intersect::{intersect_adaptive_visit_counted_with, simd_level, SimdLevel};
 use crate::metrics::WorkerReport;
 use crate::orient::{OrientedCsr, OrientedGraph};
 use crate::sink::TriangleSink;
@@ -281,12 +296,10 @@ fn mgt_disk_loop<S: TriangleSink, C: U32Source, R: U32Source>(
     let mut edg_buf: Vec<u32> = Vec::with_capacity(chunk_cap.min(range.len() as usize));
     let mut ind: Vec<(u32, u32)> = Vec::new();
     let mut nm_buf: Vec<u32> = Vec::with_capacity(og.d_star_max as usize);
+    let mut scratch = JoinScratch::new(n);
     let mut triangles = 0u64;
     let mut cpu_ops = 0u64;
     let mut iterations = 0u64;
-    // Resolved once per loop, not once per intersection: the inner loop
-    // issues one adaptive intersection per scanned neighbour.
-    let simd = simd_level();
 
     let mut pos = range.start;
     while pos < range.end {
@@ -324,10 +337,11 @@ fn mgt_disk_loop<S: TriangleSink, C: U32Source, R: U32Source>(
                 }
             }
             let nm = scan_reader.next_run(du, &mut nm_buf)?;
-            let (t, cmps) = window.join(simd, ids, edg, u, nm, sink);
+            let (t, ops) = window.join(&mut scratch, ids, edg, u, nm, sink);
             triangles += t;
-            cpu_ops += du as u64 + cmps;
+            cpu_ops += du as u64 + ops;
         }
+        debug_assert!(scratch.is_clear(), "join left marks behind");
 
         pos = chunk_end;
     }
@@ -368,16 +382,35 @@ struct ChunkIndex<'a> {
 
 impl ChunkIndex<'_> {
     /// Algorithm 2's join of one out-list `nm = N(u)` with the resident
-    /// chunk `edg`: for each `v ∈ N⁺(u)` (entries of `nm` with resident
-    /// out-edges — `nm` is sorted, so restrict to `[vlow, vhigh]`
-    /// first), intersect the suffix of `nm` after `v` with `v`'s
-    /// segment and emit `(u, v, w)` in original ids. Returns
-    /// `(triangles, comparisons)`. Always inlined: as a call per
-    /// out-list it cost the multi-pass engine 7% of `calc_s`.
+    /// chunk `edg`, as one mark-and-probe pass (Chiba–Nishizeki's
+    /// marking scheme over the dense vertex range):
+    ///
+    /// 1. **mark** — set the bit of every entry of `nm` above the first
+    ///    `v ∈ N⁺(u)` (entries of `nm` with resident out-edges; `nm` is
+    ///    sorted, so restrict to `[vlow, vhigh]` first);
+    /// 2. **probe** — for each such `v`, every `w` in `v`'s resident
+    ///    segment whose bit is set closes the triangle `(u, v, w)`.
+    ///    Out-neighbours ascend, so every probed `w > v`: marks at or
+    ///    below `v` are never read and the suffix rule needs no test;
+    /// 3. **clear** — unset exactly what step 1 set.
+    ///
+    /// The probe is one load, one shift and one add per `w`, with no
+    /// branch on the outcome — the sorted merge this replaces spent its
+    /// time in mispredicted compare branches, not in memory. That is
+    /// why counting and listing differ: a counting sink
+    /// ([`TriangleSink::COUNTS_ONLY`]) sums the bits, and a listing
+    /// sink gets its hits compacted branch-free first and translated to
+    /// original ids after, so neither loop branches per probe. Triples
+    /// come out in the merge's order: `v` ascending, then `w`
+    /// ascending.
+    ///
+    /// Returns `(triangles, marks + probes)`; the marks and the hits
+    /// live in the worker's [`JoinScratch`]. Always inlined: as a call
+    /// per out-list it cost the multi-pass engine 7% of `calc_s`.
     #[inline(always)]
     fn join<S: TriangleSink>(
         &self,
-        simd: SimdLevel,
+        scratch: &mut JoinScratch,
         ids: &[u32],
         edg: &[u32],
         u: u32,
@@ -385,24 +418,100 @@ impl ChunkIndex<'_> {
         sink: &mut S,
     ) -> (u64, u64) {
         let lo_i = nm.partition_point(|&x| x < self.vlow);
-        let hi_i = nm.partition_point(|&x| x <= self.vhigh);
+        // The last entry of `nm` has nothing above it to pair with.
+        let hi_i = nm
+            .partition_point(|&x| x <= self.vhigh)
+            .min(nm.len().saturating_sub(1));
+        let segment = |v: u32| self.ind[(v - self.vlow) as usize];
+        let Some(first) = (lo_i..hi_i).find(|&idx| segment(nm[idx]).1 != 0) else {
+            return (0, 0);
+        };
+        let marked = &nm[first + 1..];
+        scratch.mark(marked);
         let iu = ids[u as usize];
-        let (mut triangles, mut cmps) = (0u64, 0u64);
-        for idx in lo_i..hi_i {
-            let v = nm[idx];
-            let (seg_off, seg_len) = self.ind[(v - self.vlow) as usize];
-            if seg_len == 0 {
-                continue;
-            }
+        let (mut triangles, mut probes) = (0u64, 0u64);
+        for &v in &nm[first..hi_i] {
+            let (seg_off, seg_len) = segment(v);
             let ev = &edg[seg_off as usize..(seg_off + seg_len) as usize];
-            let iv = ids[v as usize];
-            let (t, c) = intersect_adaptive_visit_counted_with(simd, &nm[idx + 1..], ev, |w| {
-                sink.emit(iu, iv, ids[w as usize])
-            });
-            triangles += t;
-            cmps += c;
+            probes += ev.len() as u64;
+            if S::COUNTS_ONLY {
+                triangles += scratch.count_marked(ev);
+            } else {
+                let iv = ids[v as usize];
+                let hits = scratch.marked_of(ev);
+                for &w in hits {
+                    sink.emit(iu, iv, ids[w as usize]);
+                }
+                triangles += hits.len() as u64;
+            }
         }
-        (triangles, cmps)
+        scratch.clear(marked);
+        (triangles, marked.len() as u64 + probes)
+    }
+}
+
+/// Per-worker scratch of [`ChunkIndex::join`]: `n/8` bytes of marks and
+/// up to `4·d*_max` bytes of hits (the module doc sets them beside what
+/// a worker already holds).
+struct JoinScratch {
+    /// One bit per vertex, all zero between joins.
+    marks: Vec<u64>,
+    /// The marked entries of the segment probed last (listing sinks
+    /// only; grows to the longest segment seen).
+    hits: Vec<u32>,
+}
+
+impl JoinScratch {
+    fn new(n: u32) -> Self {
+        Self {
+            marks: vec![0; (n as usize).div_ceil(64)],
+            hits: Vec::new(),
+        }
+    }
+
+    fn mark(&mut self, ws: &[u32]) {
+        for &w in ws {
+            self.marks[(w >> 6) as usize] |= 1 << (w & 63);
+        }
+    }
+
+    /// Undo [`Self::mark`]`(ws)`: no other bit is set, so zeroing the
+    /// words `ws` touches clears exactly the bits it set.
+    fn clear(&mut self, ws: &[u32]) {
+        for &w in ws {
+            self.marks[(w >> 6) as usize] = 0;
+        }
+    }
+
+    fn is_clear(&self) -> bool {
+        self.marks.iter().all(|&word| word == 0)
+    }
+
+    #[inline(always)]
+    fn bit(&self, w: u32) -> u64 {
+        (self.marks[(w >> 6) as usize] >> (w & 63)) & 1
+    }
+
+    /// How many of `ws` are marked.
+    #[inline(always)]
+    fn count_marked(&self, ws: &[u32]) -> u64 {
+        ws.iter().map(|&w| self.bit(w)).sum()
+    }
+
+    /// The marked entries of `ws`, in order: every `w` is stored at the
+    /// cursor and the cursor advances by its bit, so a miss is
+    /// overwritten by the next entry.
+    #[inline(always)]
+    fn marked_of(&mut self, ws: &[u32]) -> &[u32] {
+        if self.hits.len() < ws.len() {
+            self.hits.resize(ws.len(), 0);
+        }
+        let mut k = 0usize;
+        for &w in ws {
+            self.hits[k] = w;
+            k += self.bit(w) as usize;
+        }
+        &self.hits[..k]
     }
 }
 
@@ -439,7 +548,7 @@ pub fn mgt_in_memory_opt<S: TriangleSink>(
     let mut triangles = 0u64;
     let mut cpu_ops = 0u64;
     let mut ind: Vec<(u32, u32)> = Vec::new();
-    let simd = simd_level();
+    let mut scratch = JoinScratch::new(n);
 
     let mut pos = 0u64;
     while pos < m_star {
@@ -458,10 +567,11 @@ pub fn mgt_in_memory_opt<S: TriangleSink>(
                 cpu_ops += 1;
                 continue;
             }
-            let (t, cmps) = window.join(simd, ids, edg, u, nm, sink);
+            let (t, ops) = window.join(&mut scratch, ids, edg, u, nm, sink);
             triangles += t;
-            cpu_ops += nm.len() as u64 + cmps;
+            cpu_ops += nm.len() as u64 + ops;
         }
+        debug_assert!(scratch.is_clear(), "join left marks behind");
         pos = chunk_end;
     }
     let _ = sink.flush();
@@ -959,6 +1069,101 @@ mod tests {
             ops < 8 * m,
             "planar graph: ops {ops} should be O(|E|) = O({m})"
         );
+    }
+
+    /// The join's contract, spelled without it: per chunk, per `u`,
+    /// per resident `v ∈ N(u)` ascending, the `w` of `v`'s resident
+    /// segment that are also in `N(u)` above `v` — what a sorted merge
+    /// of `N(u)`'s suffix with the segment visits, in its order.
+    fn reference_listing(o: &OrientedCsr, chunk: u64) -> Vec<(u32, u32, u32)> {
+        let ids = o.map.ids();
+        let mut out = Vec::new();
+        let mut pos = 0u64;
+        while pos < o.m_star() {
+            let end = (pos + chunk).min(o.m_star());
+            for u in 0..o.num_vertices() {
+                let nm = o.out(u);
+                for (idx, &v) in nm.iter().enumerate() {
+                    let lo = o.offsets[v as usize].max(pos);
+                    let hi = o.offsets[v as usize + 1].min(end);
+                    for &w in o.adj.get(lo as usize..hi as usize).unwrap_or(&[]) {
+                        if nm[idx + 1..].binary_search(&w).is_ok() {
+                            out.push((ids[u as usize], ids[v as usize], ids[w as usize]));
+                        }
+                    }
+                }
+            }
+            pos = end;
+        }
+        out
+    }
+
+    #[test]
+    fn join_lists_in_merge_order_counts_alike_and_leaves_no_marks() {
+        use pdtl_graph::gen::classic::erdos_renyi;
+        use pdtl_graph::gen::models::barabasi_albert;
+        for (g, tag) in [
+            (erdos_renyi(70, 700, 1).unwrap(), "er70"),
+            (erdos_renyi(131, 1500, 2).unwrap(), "er131"),
+            (barabasi_albert(200, 6, 3).unwrap(), "ba200"),
+        ] {
+            let o = orient_csr(&g);
+            let (n, ids) = (o.num_vertices(), o.map.ids());
+            assert_ne!(n % 64, 0, "{tag}: the last mark word is partial");
+            assert!(o.d_star_max >= 7, "{tag}: lists span >= 3 chunks of 1..=3");
+            let (og, _) = disk_oriented(&g, tag);
+            // Chunks of exactly 1, 2, 3, 7, 64 edges, and one chunk.
+            for edges in [1usize, 2, 3, 7, 64, 1 << 30] {
+                let budget = MemoryBudget::edges(edges).with_load_factor(1.0);
+                let chunk = budget.chunk_edges() as u64;
+                let expected = reference_listing(&o, chunk);
+                assert_eq!(expected.len() as u64, triangle_count(&g), "{tag} {edges}");
+                assert!(
+                    expected.iter().any(|t| t.2 == ids[n as usize - 1]),
+                    "{tag}: vertex n-1 closes a triangle"
+                );
+
+                // Join by join: the same sequence, no mark left behind.
+                let mut got = CollectSink::default();
+                let mut scratch = JoinScratch::new(n);
+                let mut ind = Vec::new();
+                let mut pos = 0u64;
+                while pos < o.m_star() {
+                    let end = (pos + chunk).min(o.m_star());
+                    let window = build_chunk_index(&o.offsets, pos, end, &mut ind);
+                    let edg = &o.adj[pos as usize..end as usize];
+                    for u in (0..n).filter(|&u| o.d_star(u) > 0) {
+                        window.join(&mut scratch, ids, edg, u, o.out(u), &mut got);
+                        assert!(scratch.is_clear(), "{tag} {edges}: u {u} at {pos}");
+                    }
+                    pos = end;
+                }
+                assert_eq!(got.triangles, expected, "{tag} {edges}: join sequence");
+
+                // Both engines, listing and counting: same sequence,
+                // same count, same cpu_ops whichever sink runs.
+                let mut mem = CollectSink::default();
+                let listed = mgt_in_memory(&o, budget, &mut mem);
+                assert_eq!(mem.triangles, expected, "{tag} {edges}: in-memory sequence");
+                assert_eq!(mgt_in_memory(&o, budget, &mut CountSink), listed);
+
+                let range = EdgeRange {
+                    start: og.m_star() / 5,
+                    end: og.m_star(),
+                };
+                let mut disk = CollectSink::default();
+                let listed =
+                    mgt_count_range(&og, range, budget, &mut disk, IoStats::new()).unwrap();
+                let counted =
+                    mgt_count_range(&og, range, budget, &mut CountSink, IoStats::new()).unwrap();
+                assert_eq!(listed.triangles as usize, disk.triangles.len());
+                assert_eq!(
+                    (counted.triangles, counted.cpu_ops),
+                    (listed.triangles, listed.cpu_ops),
+                    "{tag} {edges}: disk count vs listing"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,13 @@ use pdtl_io::{IoStats, Result, U32Writer};
 
 /// Consumer of reported triangles.
 pub trait TriangleSink {
+    /// `true` when [`emit`](Self::emit) ignores its arguments, so the
+    /// engine may count a pivot's triangles without producing them
+    /// (its join then sums mark bits instead of compacting hits). A
+    /// constant rather than a method: the choice is made per sink type
+    /// at compile time, so no probe carries a branch for it.
+    const COUNTS_ONLY: bool = false;
+
     /// Called once per triangle, `u` the cone vertex, `(v, w)` the pivot
     /// edge (so `u ≺ v ≺ w` in the degree order).
     fn emit(&mut self, u: u32, v: u32, w: u32);
@@ -31,6 +38,8 @@ pub trait TriangleSink {
 pub struct CountSink;
 
 impl TriangleSink for CountSink {
+    const COUNTS_ONLY: bool = true;
+
     #[inline(always)]
     fn emit(&mut self, _u: u32, _v: u32, _w: u32) {}
 }
@@ -84,7 +93,8 @@ impl FileSink {
         self.written
     }
 
-    /// Flush and close, returning the triangle count.
+    /// Flush and close, returning the triangle count — or the first
+    /// write failure, after which no further triple reached the file.
     pub fn finish(self) -> Result<u64> {
         self.writer.finish()?;
         Ok(self.written)
@@ -93,16 +103,19 @@ impl FileSink {
 
 impl TriangleSink for FileSink {
     fn emit(&mut self, u: u32, v: u32, w: u32) {
-        // Buffered writes can only fail on flush; defer errors to
-        // flush()/finish() to keep the hot path infallible.
+        // A failed write is sticky in the writer (it drops what
+        // follows and repeats the error), so the hot path stays
+        // infallible and flush()/finish() report it.
         let _ = self.writer.write(u);
         let _ = self.writer.write(v);
         let _ = self.writer.write(w);
         self.written += 1;
     }
 
+    /// Reports a failed write; the buffer itself is flushed by
+    /// [`FileSink::finish`].
     fn flush(&mut self) -> Result<()> {
-        Ok(())
+        self.writer.check()
     }
 }
 
@@ -150,5 +163,20 @@ mod tests {
         assert_eq!(got, vec![(1, 2, 3), (7, 8, 9)]);
         // output IO is counted — the T/B term exists
         assert_eq!(stats.bytes_written(), 24);
+    }
+
+    /// `/dev/full` fails every write with ENOSPC.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn file_sink_reports_a_full_disk() {
+        let mut s = FileSink::create("/dev/full", IoStats::new()).unwrap();
+        s.flush().unwrap();
+        // Nine writer buffers of triples (16 Ki values each).
+        for t in 0..50_000u32 {
+            s.emit(t, t + 1, t + 2);
+        }
+        let err = s.flush().unwrap_err().to_string();
+        assert!(err.contains("/dev/full"), "{err}");
+        assert_eq!(s.finish().unwrap_err().to_string(), err);
     }
 }

@@ -9,8 +9,11 @@
 //!
 //! The implementation is the standard reflected table-driven form over
 //! the Castagnoli polynomial `0x1EDC6F41` (reflected `0x82F63B78`),
-//! verified against the canonical check vector
-//! `crc32c(b"123456789") == 0xE3069283`.
+//! eight bytes per step (slicing-by-8: table `k` advances a byte that
+//! sits `k` positions before the end of the step, so the eight lookups
+//! of a step are independent) with a bytewise tail, verified against
+//! the canonical check vector `crc32c(b"123456789") == 0xE3069283` and
+//! against the one-byte-per-step loop.
 
 use std::io::Read;
 use std::path::Path;
@@ -20,9 +23,11 @@ use crate::error::{IoError, Result};
 /// Reflected Castagnoli polynomial.
 const POLY: u32 = 0x82F6_3B78;
 
-/// 256-entry lookup table, built at compile time.
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The lookup tables, built at compile time: `TABLES[0]` is the
+/// classic byte table, `TABLES[k][b]` is byte `b` followed by `k` zero
+/// bytes.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -35,13 +40,32 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
+
+/// One byte per step: the tail of [`Crc32c::update`], and the reference
+/// its eight-byte steps are tested against.
+fn update_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc
+}
 
 /// Streaming CRC32C hasher.
 ///
@@ -66,10 +90,19 @@ impl Crc32c {
     /// Feed `bytes` into the digest.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut crc = self.state;
-        for &b in bytes {
-            crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        let mut steps = bytes.chunks_exact(8);
+        for s in &mut steps {
+            let lo = crc ^ u32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+            crc = TABLES[7][(lo & 0xFF) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][s[4] as usize]
+                ^ TABLES[2][s[5] as usize]
+                ^ TABLES[1][s[6] as usize]
+                ^ TABLES[0][s[7] as usize];
         }
-        self.state = crc;
+        self.state = update_bytewise(crc, steps.remainder());
     }
 
     /// Finish and return the digest. The hasher may keep being fed;
@@ -139,6 +172,33 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finalize(), crc32c(&data));
+    }
+
+    #[test]
+    fn eight_byte_steps_match_the_bytewise_loop_at_every_split() {
+        // Seeded lengths in 0..=4 KiB (the ends included), each fed as
+        // two `update` calls split at every position, so every head /
+        // tail length meets every step alignment.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut lens = vec![0usize, 1, 7, 8, 9, 4095, 4096];
+        lens.extend((0..6).map(|_| (next() % 4097) as usize));
+        for len in lens {
+            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let expected = !update_bytewise(!0, &data);
+            assert_eq!(crc32c(&data), expected, "len {len}");
+            for split in 0..=len {
+                let mut h = Crc32c::new();
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                assert_eq!(h.finalize(), expected, "len {len} split {split}");
+            }
+        }
     }
 
     #[test]

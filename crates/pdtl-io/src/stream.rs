@@ -637,6 +637,9 @@ pub struct U32Writer {
     /// round up, and the flush condition must not depend on that).
     cap: usize,
     written_u32: u64,
+    /// The first write failure. Nothing is buffered or written after
+    /// it, and every later call reports it again.
+    failed: Option<std::io::Error>,
 }
 
 impl U32Writer {
@@ -661,16 +664,34 @@ impl U32Writer {
             buf: Vec::with_capacity(cap),
             cap,
             written_u32: 0,
+            failed: None,
         })
     }
 
-    /// Number of values written so far (including buffered ones).
+    /// Number of values accepted so far (including buffered ones;
+    /// values offered after a failed write are dropped, not counted).
     pub fn written_u32(&self) -> u64 {
         self.written_u32
     }
 
+    /// `Err` with the first write failure, if there was one. A failure
+    /// is final: the buffer it hit may have landed in part, so the
+    /// writer accepts nothing further and `write` / `write_all` /
+    /// `finish` all return it from then on.
+    pub fn check(&self) -> Result<()> {
+        match &self.failed {
+            None => Ok(()),
+            Some(e) => Err(IoError::os(
+                "write",
+                &self.path,
+                std::io::Error::new(e.kind(), e.to_string()),
+            )),
+        }
+    }
+
     /// Append one value.
     pub fn write(&mut self, v: u32) -> Result<()> {
+        self.check()?;
         self.buf.extend_from_slice(&v.to_le_bytes());
         self.written_u32 += 1;
         if self.buf.len() >= self.cap {
@@ -682,6 +703,7 @@ impl U32Writer {
     /// Append a slice of values, encoding buffer-sized runs at a time
     /// (one capacity check per run, not one per value).
     pub fn write_all(&mut self, vs: &[u32]) -> Result<()> {
+        self.check()?;
         let mut rest = vs;
         while !rest.is_empty() {
             if self.buf.len() >= self.cap {
@@ -706,13 +728,19 @@ impl U32Writer {
             return Ok(());
         }
         let start = Instant::now();
-        self.file
-            .write_all(&self.buf)
-            .map_err(|e| IoError::os("write", &self.path, e))?;
-        self.stats
-            .record_write(self.buf.len() as u64, start.elapsed());
+        let wrote = self.file.write_all(&self.buf);
+        let len = self.buf.len() as u64;
         self.buf.clear();
-        Ok(())
+        match wrote {
+            Ok(()) => {
+                self.stats.record_write(len, start.elapsed());
+                Ok(())
+            }
+            Err(e) => {
+                self.failed = Some(e);
+                self.check()
+            }
+        }
     }
 
     /// Flush buffers and make the file durable; must be called before
@@ -722,6 +750,7 @@ impl U32Writer {
     /// lands a replica — cannot lose acknowledged bytes, which is the
     /// contract the integrity manifest's digests are recorded against.
     pub fn finish(mut self) -> Result<u64> {
+        self.check()?;
         self.flush_buf()?;
         self.file
             .flush()
@@ -747,6 +776,38 @@ mod tests {
         let dir = std::env::temp_dir().join("pdtl-io-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{name}-{}", std::process::id()))
+    }
+
+    /// `/dev/full` accepts the open and fails every write with ENOSPC.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_write_is_sticky_and_stops_buffering() {
+        let stats = IoStats::new();
+        let mut w = U32Writer::with_buffer("/dev/full", stats.clone(), 16).unwrap();
+        let cap = w.cap;
+        let mut first_err = None;
+        for v in 0..100u32 {
+            let r = if v % 2 == 0 {
+                w.write(v)
+            } else {
+                w.write_all(&[v, v])
+            };
+            assert!(w.buf.len() <= cap + 4, "buffered {} bytes", w.buf.len());
+            match (&first_err, r) {
+                (None, Err(e)) => first_err = Some((v, e.to_string())),
+                (Some((_, msg)), r) => assert_eq!(&r.unwrap_err().to_string(), msg),
+                (None, Ok(())) => {}
+            }
+        }
+        let (at, msg) = first_err.expect("the first full buffer fails");
+        assert!(at < 16, "failed at value {at}");
+        assert!(msg.contains("/dev/full"), "{msg}");
+        // Values offered after the failure are dropped, not kept.
+        assert!(w.buf.is_empty());
+        assert!(w.written_u32() <= 17);
+        assert_eq!(w.check().unwrap_err().to_string(), msg);
+        assert_eq!(w.finish().unwrap_err().to_string(), msg);
+        assert_eq!(stats.bytes_written(), 0);
     }
 
     #[test]

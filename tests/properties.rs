@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use pdtl::core::intersect::intersect_visit;
 use pdtl::core::mgt::mgt_in_memory;
 use pdtl::core::orient::orient_csr;
 use pdtl::core::sink::{CollectSink, CountSink};
@@ -77,6 +78,42 @@ proptest! {
         let mut expected = triangle_list(&g);
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn mgt_lists_in_sorted_merge_order(
+        g in arb_graph(40, 300),
+        budget in 1usize..160,
+    ) {
+        // The engine marks and probes; the triples it emits, and their
+        // order (so a `FileSink`'s bytes), are those of the sorted
+        // merge it replaced: per chunk, per u, per resident v ∈ N(u),
+        // N(u)'s suffix after v merged with v's resident segment.
+        let o = orient_csr(&g);
+        let ids = o.map.ids();
+        let budget = MemoryBudget::edges(budget);
+        let chunk = budget.chunk_edges() as u64;
+        let mut expected = Vec::new();
+        let mut pos = 0u64;
+        while pos < o.m_star() {
+            let end = (pos + chunk).min(o.m_star());
+            for u in 0..o.num_vertices() {
+                let nm = o.out(u);
+                for (idx, &v) in nm.iter().enumerate() {
+                    let lo = o.offsets[v as usize].max(pos);
+                    let hi = o.offsets[v as usize + 1].min(end);
+                    if lo < hi {
+                        intersect_visit(&nm[idx + 1..], &o.adj[lo as usize..hi as usize], |w| {
+                            expected.push((ids[u as usize], ids[v as usize], ids[w as usize]));
+                        });
+                    }
+                }
+            }
+            pos = end;
+        }
+        let mut sink = CollectSink::default();
+        mgt_in_memory(&o, budget, &mut sink);
+        prop_assert_eq!(sink.triangles, expected);
     }
 
     #[test]
