@@ -437,6 +437,34 @@ mod tests {
     }
 
     #[test]
+    fn rerun_on_one_work_dir_with_the_codec_flipped() {
+        // The oriented base is rewritten in place; what the previous
+        // codec left there must not leak into the next run.
+        let g = rmat(8, 26).unwrap();
+        let dir = tmpdir("codec-flip");
+        let stats = IoStats::new();
+        let input = DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
+        use pdtl_io::Codec::{DeltaVarint, Raw};
+        for codec in [Raw, DeltaVarint, Raw, DeltaVarint] {
+            let runner = LocalRunner::new(LocalConfig {
+                cores: 2,
+                budget: MemoryBudget::edges(256),
+                mgt: MgtOptions {
+                    codec,
+                    ..MgtOptions::default()
+                },
+                ..Default::default()
+            })
+            .unwrap();
+            let report = runner.run(&input, &dir).unwrap();
+            assert_eq!(report.triangles, triangle_count(&g), "{codec:?}");
+            let oriented = DiskGraph::open(dir.join("oriented"), &stats).unwrap();
+            assert_eq!(oriented.codec(), codec);
+            oriented.verify_full().unwrap();
+        }
+    }
+
+    #[test]
     fn scratch_dir_removes_itself_on_drop() {
         let dir = std::env::temp_dir().join(format!("pdtl-scratch-test-{}", std::process::id()));
         {

@@ -94,11 +94,7 @@ impl DiskGraph {
         stats: &Arc<IoStats>,
     ) -> Result<Self> {
         let base = base.as_ref().to_path_buf();
-        if let Some(parent) = base.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| IoError::os("mkdir", parent, e))?;
-            }
-        }
+        begin_write(&base, codec)?;
         let mut degw = U32Writer::create(deg_path(&base), stats.clone())?;
         for u in 0..graph.num_vertices() {
             degw.write(graph.degree(u))?;
@@ -385,6 +381,36 @@ impl DiskGraph {
     }
 }
 
+/// Start a graph write at `base` under `codec`; every writer of a graph
+/// base (here and the orientation in `pdtl-core`) calls this before its
+/// first data file. Creates the parent directory, then removes what an
+/// earlier write at the same base left that this one will not
+/// overwrite: the old `.mft` *first*, so a crash mid-rewrite can never
+/// leave the previous commit record beside new data, then the
+/// `.hdr`/`.vix` sidecars a raw write does not produce — left in place,
+/// [`Manifest::capture`] would digest them as members and
+/// [`DiskGraph::open`] would believe the stale header.
+pub fn begin_write(base: &Path, codec: Codec) -> Result<()> {
+    if let Some(parent) = base.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent).map_err(|e| IoError::os("mkdir", parent, e))?;
+        }
+    }
+    let stale: &[&str] = match codec {
+        Codec::Raw => &[MFT_EXT, ".hdr", ".vix"],
+        Codec::DeltaVarint => &[MFT_EXT],
+    };
+    for ext in stale {
+        let p = suffixed(base, ext);
+        match std::fs::remove_file(&p) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(IoError::os("remove", &p, e).into()),
+        }
+    }
+    Ok(())
+}
+
 /// Write the `.hdr` sidecar declaring `codec` and the decoded
 /// adjacency length for the graph at `base`. Called by compressed
 /// writers (including the orientation recompress pass); raw graphs
@@ -442,11 +468,7 @@ pub fn from_sorted_packed_edges(
     stats: &Arc<IoStats>,
 ) -> Result<DiskGraph> {
     let base = base.as_ref().to_path_buf();
-    if let Some(parent) = base.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(|e| IoError::os("mkdir", parent, e))?;
-        }
-    }
+    begin_write(&base, Codec::Raw)?;
     let records = pdtl_io::extsort::read_u64_records(edge_file, stats)?;
     let mut degw = U32Writer::create(deg_path(&base), stats.clone())?;
     let mut adjw = U32Writer::create(adj_path(&base), stats.clone())?;
@@ -672,6 +694,42 @@ mod tests {
             dg.file_set(),
             vec![dg.deg_path(), dg.adj_path(), dg.mft_path()]
         );
+    }
+
+    #[test]
+    fn rewrite_under_the_other_codec_leaves_no_stale_sidecars() {
+        // raw -> varint -> raw at one base: each write must come back
+        // under its own codec with exactly its own file set, whatever
+        // the previous one left.
+        let stats = IoStats::new();
+        let g = crate::gen::rmat::rmat(8, 3).unwrap();
+        let base = tmpbase("flip");
+        for codec in [Codec::Raw, Codec::DeltaVarint, Codec::Raw] {
+            let dg = DiskGraph::write_with(&g, &base, codec, &stats).unwrap();
+            assert_eq!(dg.codec(), codec);
+            let mut expect = vec![dg.deg_path(), dg.adj_path()];
+            if codec == Codec::DeltaVarint {
+                expect.extend([dg.hdr_path(), dg.vix_path()]);
+            }
+            expect.push(dg.mft_path());
+            assert_eq!(dg.file_set(), expect, "{codec:?}");
+            assert_eq!(dg.verify_full().unwrap().unwrap().files, expect.len() - 1);
+            assert_eq!(dg.load_csr(&stats).unwrap(), g, "{codec:?}");
+        }
+    }
+
+    #[test]
+    fn a_failed_rewrite_leaves_no_commit_record() {
+        // The old manifest goes first: a rewrite that dies part-way
+        // must not leave the previous commit record beside new data.
+        let stats = IoStats::new();
+        let base = tmpbase("uncommit");
+        let dg = DiskGraph::write(&sample(), &base, &stats).unwrap();
+        std::fs::remove_file(dg.adj_path()).unwrap();
+        std::fs::create_dir(dg.adj_path()).unwrap();
+        assert!(DiskGraph::write(&sample(), &base, &stats).is_err());
+        assert!(!dg.mft_path().exists());
+        std::fs::remove_dir(dg.adj_path()).unwrap();
     }
 
     #[test]
