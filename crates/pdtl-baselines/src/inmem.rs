@@ -1,6 +1,6 @@
 //! Textbook in-memory triangle counters.
 //!
-//! Three classical algorithms, sequential and rayon-parallel, used as
+//! Three classical algorithms, sequential and multicore, used as
 //! correctness anchors and as the compute kernel of the OPT-like and
 //! PowerGraph-like systems:
 //!
@@ -14,8 +14,8 @@
 
 use pdtl_core::intersect::intersect_count;
 use pdtl_core::orient::{orient_csr, OrientedCsr};
+use pdtl_core::par;
 use pdtl_graph::Graph;
-use rayon::prelude::*;
 
 /// Node-iterator: for each vertex `v` and each neighbour pair
 /// `u < w ∈ N(v)`, test edge `{u, w}`. Every triangle is seen from each
@@ -63,31 +63,34 @@ pub fn forward(g: &Graph) -> u64 {
     forward_oriented(&orient_csr(g))
 }
 
-/// Rayon-parallel compact-forward: vertices processed in parallel, the
-/// per-vertex work reduced with a sum. Deterministic result.
+/// Multicore compact-forward: one contiguous vertex range per host
+/// thread, the per-range counts summed. Deterministic result.
 pub fn forward_parallel(o: &OrientedCsr) -> u64 {
-    (0..o.num_vertices())
-        .into_par_iter()
-        .map(|u| {
-            o.out(u)
-                .iter()
-                .map(|&v| intersect_count(o.out(u), o.out(v)))
-                .sum::<u64>()
-        })
+    let at = |u: usize| -> u64 {
+        let out_u = o.out(u as u32);
+        out_u
+            .iter()
+            .map(|&v| intersect_count(out_u, o.out(v)))
+            .sum()
+    };
+    let n = o.num_vertices() as usize;
+    par::map_chunks(n, par::host_threads(), |us| us.map(at).sum::<u64>())
+        .into_iter()
         .sum()
 }
 
-/// Rayon-parallel edge-iterator (3× counting, divided once).
+/// Multicore edge-iterator (3× counting, divided once).
 pub fn edge_iterator_parallel(g: &Graph) -> u64 {
-    let triple: u64 = (0..g.num_vertices())
-        .into_par_iter()
-        .map(|u| {
-            g.neighbors(u)
-                .iter()
-                .filter(|&&v| u < v)
-                .map(|&v| intersect_count(g.neighbors(u), g.neighbors(v)))
-                .sum::<u64>()
-        })
+    let at = |u: usize| -> u64 {
+        let ns = g.neighbors(u as u32);
+        ns.iter()
+            .filter(|&&v| (u as u32) < v)
+            .map(|&v| intersect_count(ns, g.neighbors(v)))
+            .sum()
+    };
+    let n = g.num_vertices() as usize;
+    let triple: u64 = par::map_chunks(n, par::host_threads(), |us| us.map(at).sum::<u64>())
+        .into_iter()
         .sum();
     debug_assert_eq!(triple % 3, 0);
     triple / 3

@@ -21,10 +21,10 @@ use std::sync::Arc;
 
 use pdtl_core::intersect::intersect_count;
 use pdtl_core::orient::orient_csr;
+use pdtl_core::par;
 use pdtl_graph::disk::offsets_from_degrees;
 use pdtl_graph::{DiskGraph, Graph};
 use pdtl_io::{external_sort_u64, IoStats, MemoryBudget, TimeBreakdown, U32Reader, U32Source};
-use rayon::prelude::*;
 
 use crate::error::Result;
 
@@ -143,26 +143,17 @@ pub fn count(
     let m_star = *db.offsets.last().unwrap();
     let fits = (m_star as usize) <= budget.edges;
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads.max(1))
-        .build()
-        .map_err(|e| crate::BaselineError::Config(e.to_string()))?;
-
     let triangles = if fits {
         // Whole oriented graph in memory: parallel compact-forward.
         let (offsets, adj) = db.disk.load_parts(stats)?;
         let out = |u: u32| &adj[offsets[u as usize] as usize..offsets[u as usize + 1] as usize];
-        pool.install(|| {
-            (0..(offsets.len() - 1) as u32)
-                .into_par_iter()
-                .map(|u| {
-                    out(u)
-                        .iter()
-                        .map(|&v| intersect_count(out(u), out(v)))
-                        .sum::<u64>()
-                })
-                .sum()
-        })
+        let at = |u: usize| -> u64 {
+            let out_u = out(u as u32);
+            out_u.iter().map(|&v| intersect_count(out_u, out(v))).sum()
+        };
+        par::map_chunks(offsets.len() - 1, threads, |us| us.map(at).sum::<u64>())
+            .into_iter()
+            .sum()
     } else {
         // Out-of-core: batches of cone vertices; each pivot list fetched
         // with a positioned read — OPT's random-I/O penalty.

@@ -19,9 +19,9 @@
 //!   that makes PowerGraph's total time ~2× its calc time (Figure 13).
 
 use pdtl_core::intersect::intersect_count;
+use pdtl_core::par;
 use pdtl_graph::gen::rng::SplitMix64;
 use pdtl_graph::Graph;
-use rayon::prelude::*;
 
 use crate::error::{BaselineError, Result};
 
@@ -201,23 +201,23 @@ pub fn run_gas<P: VertexProgram>(
 ) -> Result<GasOutcome<P::Data>> {
     let n = dg.n as usize;
     // Gather phase: per machine, local partial accumulators.
-    let partials: Vec<std::collections::HashMap<u32, P::Acc>> = dg
-        .machine_edges
-        .par_iter()
-        .map(|edges| {
-            let mut local: std::collections::HashMap<u32, P::Acc> = Default::default();
-            for &(u, v) in edges {
-                prog.gather(u, v, local.entry(u).or_insert_with(|| prog.init()));
-                prog.gather(v, u, local.entry(v).or_insert_with(|| prog.init()));
-            }
-            local
-        })
-        .collect();
+    let gather = |edges: &Vec<(u32, u32)>| {
+        let mut local: std::collections::HashMap<u32, P::Acc> = Default::default();
+        for &(u, v) in edges {
+            prog.gather(u, v, local.entry(u).or_insert_with(|| prog.init()));
+            prog.gather(v, u, local.entry(v).or_insert_with(|| prog.init()));
+        }
+        local
+    };
+    let machines = &dg.machine_edges;
+    let partials = par::map_chunks(machines.len(), par::host_threads(), |ms| {
+        machines[ms].iter().map(gather).collect::<Vec<_>>()
+    });
 
     // Mirror → master merge (network traffic: one partial per mirror).
     let mut network_bytes = 0u64;
     let mut acc: Vec<Option<P::Acc>> = vec![None; n];
-    for (machine, local) in partials.into_iter().enumerate() {
+    for (machine, local) in partials.into_iter().flatten().enumerate() {
         for (v, partial) in local {
             let master = dg.replicas[v as usize].first().copied().unwrap_or(0) as usize;
             if machine != master {
@@ -354,16 +354,16 @@ pub fn triangle_count(g: &Graph, config: PowerGraphConfig) -> Result<PowerGraphR
     // exactly 3 edges.
     let calc_start = std::time::Instant::now();
     let data = &outcome.data;
-    let triple: u64 = dg
-        .machine_edges
-        .par_iter()
-        .map(|edges| {
-            edges
-                .iter()
-                .map(|&(u, v)| intersect_count(&data[u as usize], &data[v as usize]))
-                .sum::<u64>()
-        })
-        .sum();
+    let machines = &dg.machine_edges;
+    let triple: u64 = par::map_chunks(machines.len(), par::host_threads(), |ms| {
+        machines[ms]
+            .iter()
+            .flatten()
+            .map(|&(u, v)| intersect_count(&data[u as usize], &data[v as usize]))
+            .sum::<u64>()
+    })
+    .into_iter()
+    .sum();
     debug_assert_eq!(triple % 3, 0);
     let calc = calc_start.elapsed();
 

@@ -23,7 +23,7 @@ use pdtl_core::intersect::{
     intersect_gallop_visit, intersect_visit, intersect_visit_counted_with, SimdLevel,
 };
 use pdtl_core::mgt::{mgt_count_range_opt, mgt_in_memory, MgtOptions};
-use pdtl_core::orient::{orient_csr, orient_csr_threads, orient_to_disk_with};
+use pdtl_core::orient::{orient_csr, orient_to_disk_with};
 use pdtl_core::sink::CountSink;
 use pdtl_core::{split_ranges, BalanceStrategy, EdgeRange};
 use pdtl_graph::gen::rmat::rmat;
@@ -43,8 +43,6 @@ pub mod workload {
     pub const MGT_RMAT: (u32, u64) = (10, 1);
     /// `(scale, seed)` of the orientation bench's graph.
     pub const ORIENT_RMAT: (u32, u64) = (10, 2);
-    /// Core counts of the orientation ablation rows.
-    pub const ORIENT_CORES: [usize; 3] = [1, 2, 4];
     /// `(scale, seed)` of the load-balancing bench's graph.
     pub const BALANCE_RMAT: (u32, u64) = (12, 3);
     /// `(scale, seed)` of the generator bench (`rmat_k8`).
@@ -216,16 +214,9 @@ pub fn run_kernel_benches() -> Vec<BenchResult> {
         ));
     }
 
-    // orientation, plus the cores ablation over the sharded gather
+    // orientation
     let g2 = rmat(workload::ORIENT_RMAT.0, workload::ORIENT_RMAT.1).expect("rmat");
     out.push(time_one("orient_csr_rmat10", window, || orient_csr(&g2)));
-    for &cores in &workload::ORIENT_CORES {
-        out.push(time_one(
-            &format!("orient_csr_rmat10/cores_{cores}"),
-            window,
-            || orient_csr_threads(&g2, cores),
-        ));
-    }
 
     // load balancing
     let g3 = rmat(workload::BALANCE_RMAT.0, workload::BALANCE_RMAT.1).expect("rmat");
@@ -410,7 +401,6 @@ mod tests {
             assert!(json.contains(&format!("\"mgt_disk/backend_{backend}\"")));
             assert!(json.contains(&format!("\"mgt_disk_simlat50us/backend_{backend}\"")));
         }
-        assert!(json.contains("\"orient_csr_rmat10/cores_2\""));
         for codec in ["raw", "delta-varint"] {
             assert!(json.contains(&format!("\"mgt_disk/codec_{codec}\"")));
         }

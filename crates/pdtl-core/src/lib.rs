@@ -22,7 +22,8 @@
 //!    `pdtl-cluster`.
 //!
 //! [`theory`] encodes the paper's complexity bounds (Theorems IV.2/IV.3)
-//! so tests can assert that measured work stays within them.
+//! so tests can assert that measured work stays within them. [`par`] is
+//! the one data-parallel map the orientation and the baselines run on.
 
 pub mod balance;
 pub mod error;
@@ -31,6 +32,7 @@ pub mod metrics;
 pub mod mgt;
 pub mod order;
 pub mod orient;
+pub mod par;
 pub mod runner;
 pub mod sink;
 pub mod theory;

@@ -70,10 +70,10 @@ use pdtl_graph::{DiskGraph, Graph};
 use pdtl_io::{
     Codec, CpuIoTimer, IoStats, U32Reader, U32Source, U32Writer, VarintAdjWriter, VarintIndex,
 };
-use rayon::prelude::*;
 
 use crate::error::Result;
 use crate::metrics::PhaseReport;
+use crate::par;
 
 /// `(min, max)` out-neighbour bounds of a vertex with no out-edges.
 pub const EMPTY_BOUNDS: (u32, u32) = (u32::MAX, 0);
@@ -127,80 +127,24 @@ impl OrientedCsr {
     }
 }
 
-/// Orient an in-memory graph into rank space, using every available
-/// core (see [`orient_csr_threads`]).
+/// Orient an in-memory graph into rank space: a branchless counting
+/// transpose. A sequential count pass fixes the layout, then a scatter
+/// walks *target* ranks in ascending order, so every out-list lands
+/// sorted with no sorting at all. Both passes are branchless: the keep
+/// test (`rank above mine`) holds for half the entries with no pattern,
+/// so conditional increments replace branches and discarded scatter
+/// writes land in a spare slot via cmov. The multicore orientation is
+/// the disk path, [`orient_to_disk_with`], which the tests hold this
+/// one equal to.
 pub fn orient_csr(g: &Graph) -> OrientedCsr {
-    orient_csr_threads(g, rayon::current_num_threads())
-}
-
-/// Orient an in-memory graph into rank space across `threads` cores.
-///
-/// Two strategies behind one deterministic output (byte-identical CSR
-/// either way, asserted by the thread-invariance test):
-///
-/// * **One core — branchless counting transpose.** A sequential count
-///   pass, then a scatter walking *target* ranks in ascending order so
-///   every out-list lands sorted with no sorting at all. Both passes
-///   are branchless: the keep test (`rank above mine`) holds for half
-///   the entries with no pattern, so conditional increments replace
-///   branches and discarded scatter writes land in a dummy slot via
-///   cmov. This is what bought back the PR 2 relabeling regression
-///   (`orient_csr_rmat10` 51.8 → 131 µs at PR 2; the branchless
-///   transpose runs the hot passes in roughly half that).
-/// * **Multiple cores — sharded gather.** Per-rank cursors make the
-///   transpose unshardable, so parallel runs gather instead: each
-///   contiguous *rank* range owns a contiguous, disjoint slice of the
-///   output CSR and gathers + sorts its own out-lists inside the rayon
-///   scope (the shim runs a real `std::thread::scope`), with an
-///   in-order concat at the end. The per-list sorts cost
-///   `O(Σ d* log d*)` — repaid by the missing second adjacency scan
-///   and the parallelism.
-pub fn orient_csr_threads(g: &Graph, threads: usize) -> OrientedCsr {
     let degrees = g.degrees();
     let map = RankMap::by_degree(&degrees);
     let ranks = map.ranks();
     let n = g.num_vertices();
-    // Clamp to cores actually available: the sharded gather costs
-    // `O(Σ d* log d*)` in per-list sorts, repaid only by real
-    // parallelism. Requesting more shards than cores (the PR 5
-    // `orient_csr/cores_{2,4}` rows, ~95 µs vs 76 µs sequential on the
-    // 1-core CI container) just pays the sorts with no overlap — so the
-    // shard count never exceeds `available_parallelism`, and oversized
-    // requests on a 1-core host take the branchless transpose instead.
-    let threads = threads
-        .max(1)
-        .min(n.max(1) as usize)
-        .min(rayon::current_num_threads().max(1));
-
-    // Rank-indexed original degrees double as the load model: scanning
-    // rank r costs deg(to_id(r)) neighbour visits.
     let orig_degrees: Vec<u32> = (0..n).map(|r| degrees[map.to_id(r) as usize]).collect();
 
-    let (adj, d_star) = if threads == 1 {
-        orient_transpose(g, &map, ranks)
-    } else {
-        orient_gather_sharded(g, &map, ranks, &orig_degrees, threads)
-    };
-    let offsets = offsets_from_degrees(&d_star);
-    let d_star_max = d_star.iter().copied().max().unwrap_or(0);
-
-    OrientedCsr {
-        offsets,
-        adj,
-        map,
-        orig_degrees,
-        d_star_max,
-    }
-}
-
-/// Sequential branchless counting transpose: count pass in id order,
-/// scatter pass in ascending target-rank order (out-lists come out
-/// sorted by construction). Returns `(adj, d_star)` in rank space.
-fn orient_transpose(g: &Graph, map: &RankMap, ranks: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let n = g.num_vertices();
-
-    // Pass 1: oriented out-degree per source rank (sequential scan;
-    // each source rank is written exactly once — ranks are a bijection).
+    // Pass 1: oriented out-degree per source rank (each source rank is
+    // written exactly once — ranks are a bijection).
     let mut d_star = vec![0u32; n as usize];
     for u in 0..n {
         let ru = ranks[u as usize];
@@ -210,86 +154,38 @@ fn orient_transpose(g: &Graph, map: &RankMap, ranks: &[u32]) -> (Vec<u32>, Vec<u
         }
         d_star[ru as usize] = kept;
     }
-    let mut cursor: Vec<u64> = Vec::with_capacity(n as usize);
-    let mut acc = 0u64;
-    for &d in &d_star {
-        cursor.push(acc);
-        acc += d as u64;
-    }
+    let offsets = offsets_from_degrees(&d_star);
+    let m_star = *offsets.last().unwrap() as usize;
 
     // Pass 2: walk target ranks ascending; each kept arc appends its
     // target to the source's bucket, so buckets fill in ascending
-    // order. Discarded writes go to the spare slot at `acc` via cmov,
-    // keeping the loop branch-free.
-    let dummy = acc as usize;
-    let mut adj = vec![0u32; acc as usize + 1];
+    // order. Discarded writes go to the spare slot at `m_star`.
+    let mut cursor = offsets[..n as usize].to_vec();
+    let mut adj = vec![0u32; m_star + 1];
     for rv in 0..n {
         let v = map.to_id(rv);
         for &w in g.neighbors(v) {
             let rw = ranks[w as usize] as usize;
             let keep = (rw as u32) < rv;
-            let idx = if keep { cursor[rw] as usize } else { dummy };
-            // SAFETY: kept writes target `cursor[rw] < acc` (cursors
+            let idx = if keep { cursor[rw] as usize } else { m_star };
+            // SAFETY: kept writes target `cursor[rw] < m_star` (cursors
             // advance once per kept arc, and pass 1 counted exactly
-            // `acc` of them); discarded writes target the spare slot
-            // `acc`. The buffer holds `acc + 1` values. (The bounds
-            // check is real money here: the loop runs 2|E| times.)
+            // `m_star` of them); discarded writes target the spare slot
+            // `m_star`. The buffer holds `m_star + 1` values. (The
+            // bounds check is real money here: the loop runs 2|E| times.)
             unsafe { *adj.get_unchecked_mut(idx) = rv };
             cursor[rw] += u64::from(keep);
         }
     }
-    adj.truncate(acc as usize);
-    (adj, d_star)
-}
+    adj.truncate(m_star);
 
-/// Parallel sharded gather: each contiguous rank range gathers and
-/// sorts its own out-lists into its own slice. Returns
-/// `(adj, d_star)` in rank space, byte-identical to the transpose.
-fn orient_gather_sharded(
-    g: &Graph,
-    map: &RankMap,
-    ranks: &[u32],
-    orig_degrees: &[u32],
-    threads: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    let scan_offsets = offsets_from_degrees(orig_degrees);
-
-    // Gather one rank range's sorted out-lists, branchlessly: store
-    // every rank image, advance the cursor only for kept ones.
-    let build = |(r0, r1): (u32, u32)| -> (Vec<u32>, Vec<u32>) {
-        let vol = (scan_offsets[r1 as usize] - scan_offsets[r0 as usize]) as usize;
-        let mut adj_part = vec![0u32; vol];
-        let mut d_part = Vec::with_capacity((r1 - r0) as usize);
-        let mut cur = 0usize;
-        for r in r0..r1 {
-            let v = map.to_id(r);
-            let start = cur;
-            for &w in g.neighbors(v) {
-                let rw = ranks[w as usize];
-                // SAFETY: `cur` counts kept entries, which never exceed
-                // the neighbour visits so far; the buffer holds the
-                // range's full degree volume, so `cur < vol` whenever a
-                // visit remains.
-                unsafe { *adj_part.get_unchecked_mut(cur) = rw };
-                cur += usize::from(rw > r);
-            }
-            sort_out_list(&mut adj_part[start..cur]);
-            d_part.push((cur - start) as u32);
-        }
-        adj_part.truncate(cur);
-        (adj_part, d_part)
-    };
-
-    let parts = vertex_partition(&scan_offsets, threads);
-    let built: Vec<(Vec<u32>, Vec<u32>)> = parts.par_iter().map(|&p| build(p)).collect();
-
-    let mut adj = Vec::with_capacity(g.num_edges() as usize);
-    let mut d_star = Vec::with_capacity(g.num_vertices() as usize);
-    for (adj_part, d_part) in built {
-        adj.extend_from_slice(&adj_part);
-        d_star.extend_from_slice(&d_part);
+    OrientedCsr {
+        offsets,
+        adj,
+        map,
+        d_star_max: d_star.iter().copied().max().unwrap_or(0),
+        orig_degrees,
     }
-    (adj, d_star)
 }
 
 /// An oriented graph stored on disk in PDTL format (rank space), plus
@@ -677,29 +573,31 @@ fn orient_blocked(
     let ranks = map.ranks();
 
     // Contiguous vertex ranges with ~equal adjacency volume per core.
+    // Both passes hand each host thread one contiguous run of them, so
+    // a request for more cores than the host has costs no extra threads.
     let parts = vertex_partition(&in_offsets, threads);
 
     // Pass 1: sequential scan, count each vertex's oriented out-degree
     // (neighbours of larger rank).
-    let counted: Vec<Result<Vec<u32>>> = parts
-        .par_iter()
-        .map(|&(v_begin, v_end)| -> Result<Vec<u32>> {
-            let mut reader = input.open_adj(stats)?;
-            reader.seek_to(in_offsets[v_begin as usize])?;
-            let mut kept = Vec::with_capacity((v_end - v_begin) as usize);
-            let mut nbuf: Vec<u32> = Vec::new();
-            for u in v_begin..v_end {
-                let du = (in_offsets[u as usize + 1] - in_offsets[u as usize]) as usize;
-                nbuf.clear();
-                reader.read_into(&mut nbuf, du)?;
-                let ru = ranks[u as usize];
-                kept.push(nbuf.iter().filter(|&&v| ranks[v as usize] > ru).count() as u32);
-            }
-            Ok(kept)
-        })
-        .collect();
+    let count_part = |&(v_begin, v_end): &(u32, u32)| -> Result<Vec<u32>> {
+        let mut reader = input.open_adj(stats)?;
+        reader.seek_to(in_offsets[v_begin as usize])?;
+        let mut kept = Vec::with_capacity((v_end - v_begin) as usize);
+        let mut nbuf: Vec<u32> = Vec::new();
+        for u in v_begin..v_end {
+            let du = (in_offsets[u as usize + 1] - in_offsets[u as usize]) as usize;
+            nbuf.clear();
+            reader.read_into(&mut nbuf, du)?;
+            let ru = ranks[u as usize];
+            kept.push(nbuf.iter().filter(|&&v| ranks[v as usize] > ru).count() as u32);
+        }
+        Ok(kept)
+    };
+    let counted = par::map_chunks(parts.len(), par::host_threads(), |run| {
+        parts[run].iter().map(count_part).collect::<Vec<_>>()
+    });
     let mut d_star_orig = Vec::with_capacity(n as usize);
-    for c in counted {
+    for c in counted.into_iter().flatten() {
         d_star_orig.extend(c?);
     }
     debug_assert_eq!(d_star_orig.len(), n as usize);
@@ -730,47 +628,47 @@ fn orient_blocked(
     }
     // Per-worker list of (rank, out-neighbour bounds) it wrote.
     type WrittenBounds = Vec<(u32, (u32, u32))>;
-    let written: Vec<Result<WrittenBounds>> = parts
-        .par_iter()
-        .map(|&(v_begin, v_end)| -> Result<WrittenBounds> {
-            let mut reader = input.open_adj(stats)?;
-            reader.seek_to(in_offsets[v_begin as usize])?;
-            let out = File::options()
-                .write(true)
-                .open(&adj_p)
-                .map_err(|e| pdtl_io::IoError::os("open", &adj_p, e))?;
-            let mut block = ScatterBlock::new(out, &adj_p, stats, block_words);
-            let mut nbuf: Vec<u32> = Vec::new();
-            let mut list: Vec<u32> = Vec::new();
-            let non_empty = (v_begin..v_end)
-                .filter(|&u| d_star_rank[ranks[u as usize] as usize] > 0)
-                .count();
-            let mut seen = Vec::with_capacity(non_empty);
-            for u in v_begin..v_end {
-                let du = (in_offsets[u as usize + 1] - in_offsets[u as usize]) as usize;
-                nbuf.clear();
-                reader.read_into(&mut nbuf, du)?;
-                let ru = ranks[u as usize];
-                list.clear();
-                list.extend(
-                    nbuf.iter()
-                        .map(|&v| ranks[v as usize])
-                        .filter(|&rv| rv > ru),
-                );
-                if list.is_empty() {
-                    continue;
-                }
-                list.sort_unstable();
-                seen.push((ru, (list[0], *list.last().unwrap())));
-                block.push(rank_offsets[ru as usize], &list)?;
+    let scatter_part = |&(v_begin, v_end): &(u32, u32)| -> Result<WrittenBounds> {
+        let mut reader = input.open_adj(stats)?;
+        reader.seek_to(in_offsets[v_begin as usize])?;
+        let out = File::options()
+            .write(true)
+            .open(&adj_p)
+            .map_err(|e| pdtl_io::IoError::os("open", &adj_p, e))?;
+        let mut block = ScatterBlock::new(out, &adj_p, stats, block_words);
+        let mut nbuf: Vec<u32> = Vec::new();
+        let mut list: Vec<u32> = Vec::new();
+        let non_empty = (v_begin..v_end)
+            .filter(|&u| d_star_rank[ranks[u as usize] as usize] > 0)
+            .count();
+        let mut seen = Vec::with_capacity(non_empty);
+        for u in v_begin..v_end {
+            let du = (in_offsets[u as usize + 1] - in_offsets[u as usize]) as usize;
+            nbuf.clear();
+            reader.read_into(&mut nbuf, du)?;
+            let ru = ranks[u as usize];
+            list.clear();
+            list.extend(
+                nbuf.iter()
+                    .map(|&v| ranks[v as usize])
+                    .filter(|&rv| rv > ru),
+            );
+            if list.is_empty() {
+                continue;
             }
-            block.flush()?;
-            Ok(seen)
-        })
-        .collect();
+            list.sort_unstable();
+            seen.push((ru, (list[0], *list.last().unwrap())));
+            block.push(rank_offsets[ru as usize], &list)?;
+        }
+        block.flush()?;
+        Ok(seen)
+    };
+    let written = par::map_chunks(parts.len(), par::host_threads(), |run| {
+        parts[run].iter().map(scatter_part).collect::<Vec<_>>()
+    });
 
     let mut bounds = vec![EMPTY_BOUNDS; n as usize];
-    for w in written {
+    for w in written.into_iter().flatten() {
         for (r, b) in w? {
             bounds[r as usize] = b;
         }
@@ -834,27 +732,6 @@ fn orient_blocked(
     ))
 }
 
-/// Sort one gathered out-list. Oriented out-lists are short on average
-/// (`|E| / |V|` entries), where `sort_unstable`'s dispatch overhead
-/// costs more than the sort itself — inline insertion sort covers the
-/// common case, the general sort the heavy tail.
-#[inline]
-fn sort_out_list(s: &mut [u32]) {
-    if s.len() > 24 {
-        s.sort_unstable();
-        return;
-    }
-    for i in 1..s.len() {
-        let x = s[i];
-        let mut j = i;
-        while j > 0 && s[j - 1] > x {
-            s[j] = s[j - 1];
-            j -= 1;
-        }
-        s[j] = x;
-    }
-}
-
 /// Split vertices into `parts` contiguous ranges with roughly equal
 /// adjacency volume. Returns `(v_begin, v_end)` pairs covering `0..n`.
 pub fn vertex_partition(offsets: &[u64], parts: usize) -> Vec<(u32, u32)> {
@@ -910,54 +787,6 @@ mod tests {
         for g in [complete(8).unwrap(), wheel(9).unwrap(), rmat(7, 1).unwrap()] {
             let o = orient_csr(&g);
             assert_eq!(o.m_star(), g.num_edges(), "|E*| = |E|");
-        }
-    }
-
-    #[test]
-    fn csr_orientation_is_thread_count_invariant() {
-        // The sharded gather must produce bit-identical output for any
-        // core count (contiguous rank ranges, in-order concat).
-        for (g, tag) in [
-            (rmat(8, 2).unwrap(), "rmat"),
-            (star(50).unwrap(), "star"),
-            (Graph::empty(17), "empty"),
-        ] {
-            let reference = orient_csr_threads(&g, 1);
-            for threads in [2usize, 3, 8, 64] {
-                let o = orient_csr_threads(&g, threads);
-                assert_eq!(o, reference, "{tag} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn thread_request_is_clamped_to_available_cores() {
-        // The PR 5 `orient_csr/cores_{2,4}` regression: sharding past
-        // the machine's parallelism pays the gather's per-list sorts
-        // with no overlap to repay them. Outside a pool the clamp must
-        // bound requests by `current_num_threads`; inside a pool the
-        // sharded path must still run (and match the transpose) so a
-        // 1-core CI container keeps covering it.
-        let g = rmat(8, 7).unwrap();
-        let reference = orient_csr_threads(&g, 1);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let sharded = pool.install(|| orient_csr_threads(&g, 4));
-        assert_eq!(sharded, reference, "sharded gather == transpose");
-
-        // And the direct comparison, independent of any clamp: both
-        // strategies produce byte-identical CSRs at any shard count.
-        let degrees = g.degrees();
-        let map = RankMap::by_degree(&degrees);
-        let ranks = map.ranks();
-        let n = g.num_vertices();
-        let orig: Vec<u32> = (0..n).map(|r| degrees[map.to_id(r) as usize]).collect();
-        let transposed = orient_transpose(&g, &map, ranks);
-        for shards in [2usize, 5, 64] {
-            let gathered = orient_gather_sharded(&g, &map, ranks, &orig, shards);
-            assert_eq!(gathered, transposed, "shards={shards}");
         }
     }
 
@@ -1041,21 +870,29 @@ mod tests {
 
     #[test]
     fn disk_orientation_matches_csr() {
-        let g = rmat(8, 6).unwrap();
-        let stats = IoStats::new();
-        let dg = DiskGraph::write(&g, tmpbase("dm-in"), &stats).unwrap();
-        for threads in [1usize, 3, 8] {
-            let (og, report) =
-                orient_to_disk(&dg, tmpbase(&format!("dm-out{threads}")), threads, &stats).unwrap();
+        // A hub and an edgeless graph beside the random one: nothing
+        // else orients them both ways.
+        for (g, tag) in [
+            (rmat(8, 6).unwrap(), "rmat"),
+            (star(50).unwrap(), "star"),
+            (Graph::empty(17), "empty"),
+        ] {
+            let stats = IoStats::new();
+            let dg = DiskGraph::write(&g, tmpbase(&format!("dm-in-{tag}")), &stats).unwrap();
             let expect = orient_csr(&g);
-            assert_eq!(og.offsets, expect.offsets, "threads={threads}");
-            assert_eq!(og.d_star_max, expect.d_star_max);
-            assert_eq!(og.map, expect.map);
-            let (offsets, adj) = og.disk.load_parts(&stats).unwrap();
-            assert_eq!(offsets, expect.offsets);
-            assert_eq!(adj, expect.adj);
-            assert!(report.cpu_ops > 0);
-            assert_eq!(report.threads, threads);
+            for threads in [1usize, 3, 8] {
+                let base = tmpbase(&format!("dm-out-{tag}{threads}"));
+                let (og, report) = orient_to_disk(&dg, base, threads, &stats).unwrap();
+                assert_eq!(og.offsets, expect.offsets, "{tag} threads={threads}");
+                assert_eq!(og.d_star_max, expect.d_star_max);
+                assert_eq!(og.map, expect.map);
+                assert_eq!(og.orig_degrees.as_ref(), Some(&expect.orig_degrees));
+                let (offsets, adj) = og.disk.load_parts(&stats).unwrap();
+                assert_eq!(offsets, expect.offsets);
+                assert_eq!(adj, expect.adj, "{tag} threads={threads}");
+                assert!(report.cpu_ops > 0);
+                assert_eq!(report.threads, threads);
+            }
         }
     }
 

@@ -6,7 +6,8 @@
 //! contiguous range → atomic aggregation. Workers are long-lived
 //! `std::thread`s, each owning its file handles, scratch arrays, I/O
 //! counters and sink — per-worker state, not data-parallel iteration,
-//! which is why this uses scoped threads rather than rayon.
+//! which is why [`run_workers`] spawns its own scoped threads rather
+//! than mapping over [`par::map_chunks`](crate::par::map_chunks).
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;

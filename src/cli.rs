@@ -213,15 +213,18 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             pos.push(a);
         }
     }
-    let get_usize = |flags: &std::collections::HashMap<String, String>,
-                     key: &str,
-                     default: usize|
-     -> Result<usize, String> {
+    // Parsed at the width of the field it fills — the wire width for a
+    // query — so an out-of-range value is refused, never wrapped.
+    fn get_num<T: std::str::FromStr>(
+        flags: &std::collections::HashMap<String, String>,
+        key: &str,
+        default: T,
+    ) -> Result<T, String> {
         match flags.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("bad --{key}: {v:?}")),
         }
-    };
+    }
     let get_backend =
         |flags: &std::collections::HashMap<String, String>| -> Result<Option<IoBackend>, String> {
             match flags.get("backend") {
@@ -276,17 +279,17 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }),
         "count" => Ok(Command::Count {
             base: need(1, "input base")?,
-            cores: get_usize(&flags, "cores", 4)?,
-            memory: get_usize(&flags, "memory", 1 << 20)?,
+            cores: get_num(&flags, "cores", 4)?,
+            memory: get_num(&flags, "memory", 1 << 20)?,
             naive: bools.contains("naive"),
             backend: get_backend(&flags)?,
             codec: get_codec(&flags)?,
         }),
         "cluster" => Ok(Command::Cluster {
             base: need(1, "input base")?,
-            nodes: get_usize(&flags, "nodes", 2)?,
-            cores: get_usize(&flags, "cores", 2)?,
-            memory: get_usize(&flags, "memory", 1 << 20)?,
+            nodes: get_num(&flags, "nodes", 2)?,
+            cores: get_num(&flags, "cores", 2)?,
+            memory: get_num(&flags, "memory", 1 << 20)?,
             tcp: bools.contains("tcp"),
             backend: get_backend(&flags)?,
             fault: flags.get("fault").cloned(),
@@ -295,7 +298,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "list" => Ok(Command::List {
             base: need(1, "input base")?,
             out: need(2, "output file")?,
-            cores: get_usize(&flags, "cores", 4)?,
+            cores: get_num(&flags, "cores", 4)?,
         }),
         "verify" => Ok(Command::Verify {
             base: need(1, "input base")?,
@@ -306,9 +309,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .get("addr")
                 .cloned()
                 .unwrap_or_else(|| "127.0.0.1:0".into()),
-            workers: get_usize(&flags, "workers", 4)?,
-            cores: get_usize(&flags, "cores", 2)?,
-            memory: get_usize(&flags, "memory", 1 << 22)?,
+            workers: get_num(&flags, "workers", 4)?,
+            cores: get_num(&flags, "cores", 2)?,
+            memory: get_num(&flags, "memory", 1 << 22)?,
         }),
         "query" => {
             let addr = pos
@@ -330,11 +333,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     let op = match opname {
                         "count" => QueryOperation::Count,
                         "list" => QueryOperation::List {
-                            limit: get_usize(&flags, "limit", 1000)? as u32,
+                            limit: get_num(&flags, "limit", 1000)?,
                         },
                         "clustering" => QueryOperation::Clustering,
                         "ktruss" => QueryOperation::KTruss {
-                            k: get_usize(&flags, "k", 3)? as u32,
+                            k: get_num(&flags, "k", 3)?,
                         },
                         "doulion" => {
                             let p: f64 = match flags.get("p") {
@@ -346,8 +349,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                             }
                             QueryOperation::Doulion {
                                 p_ppm: (p * 1_000_000.0).round() as u32,
-                                seed: get_usize(&flags, "seed", 42)? as u64,
-                                trials: get_usize(&flags, "trials", 8)? as u32,
+                                seed: get_num(&flags, "seed", 42)?,
+                                trials: get_num(&flags, "trials", 8)?,
                             }
                         }
                         other => {
@@ -358,8 +361,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         }
                     };
                     let options = QueryOptions {
-                        cores: get_usize(&flags, "cores", 0)? as u32,
-                        budget_edges: get_usize(&flags, "memory", 1 << 20)? as u64,
+                        cores: get_num(&flags, "cores", 0)?,
+                        budget_edges: get_num(&flags, "memory", 1 << 20)?,
                         backend: get_backend(&flags)?.unwrap_or_else(IoBackend::default_from_env),
                         codec: get_codec(&flags)?.unwrap_or_else(Codec::default_from_env),
                         ..Default::default()
@@ -964,6 +967,19 @@ mod tests {
         assert!(parse(&args("gen")).is_err());
         assert!(parse(&args("count /g --cores notanumber")).is_err());
         assert!(parse(&args("count /g --memory")).is_err());
+        // A query flag past its wire width is refused, not wrapped into
+        // a small value the daemon's caps would then accept.
+        for (op, flag, value) in [
+            ("list", "limit", "4294967297"),
+            ("ktruss", "k", "4294967299"),
+            ("doulion", "trials", "4294967304"),
+            ("count", "cores", "4294967296"),
+        ] {
+            assert_eq!(
+                parse(&args(&format!("query h:1 g {op} --{flag} {value}"))).unwrap_err(),
+                format!("bad --{flag}: {value:?}")
+            );
+        }
         // A flag the command does not take is refused, not filed away
         // with the next token as its value: misspelt, removed, or
         // belonging to another command.
