@@ -12,44 +12,46 @@
 use pdtl_bench::experiments::{run_experiment, ALL_EXPERIMENTS};
 use pdtl_bench::kernelbench;
 use pdtl_bench::workbench::{Profile, Workbench};
+use pdtl_core::mgt::MgtOptions;
 use pdtl_io::{Codec, IoBackend};
 
 /// Where `exp kernels --json` writes its snapshot (the repo root when
 /// run via `cargo run`).
 const BENCH_JSON: &str = "BENCH_kernels.json";
 
+/// Remove `--<flag> <value>` from `args` and parse the value, exiting
+/// with a usage error when it is missing or not one of `choices`.
+fn take_flag<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    choices: &str,
+    parse: fn(&str) -> Option<T>,
+) -> Option<T> {
+    let i = args.iter().position(|a| a == flag)?;
+    let Some(value) = args.get(i + 1).and_then(|v| parse(v)) else {
+        eprintln!("{flag} needs one of {choices}");
+        std::process::exit(2);
+    };
+    args.drain(i..=i + 1);
+    Some(value)
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--backend <b>` pins the default I/O backend for every engine run
-    // in this process via the same env override the CI matrix uses
-    // (consumed by `MgtOptions::default`). The dedicated kernel-bench
-    // backend rows still measure all four explicitly.
-    if let Some(i) = args.iter().position(|a| a == "--backend") {
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("--backend needs a value (blocking|prefetch|mmap|uring)");
-            std::process::exit(2);
-        };
-        if IoBackend::parse(value).is_none() {
-            eprintln!("bad --backend {value:?} (blocking|prefetch|mmap|uring)");
-            std::process::exit(2);
-        }
-        std::env::set_var(pdtl_io::BACKEND_ENV, value);
-        args.drain(i..=i + 1);
+    // `--backend <b>` and `--codec <c>` pin the engine knobs of every
+    // experiment run (`Workbench::mgt`). The kernel-bench backend and
+    // codec rows still measure every choice explicitly.
+    let mut mgt = MgtOptions::default();
+    if let Some(backend) = take_flag(
+        &mut args,
+        "--backend",
+        "blocking|prefetch|mmap|uring",
+        IoBackend::parse,
+    ) {
+        mgt.backend = backend;
     }
-    // `--codec <c>` likewise pins the on-disk graph codec via the
-    // PDTL_CODEC env override (consumed by `MgtOptions::default`). The
-    // dedicated `mgt_disk/codec_*` rows still measure both explicitly.
-    if let Some(i) = args.iter().position(|a| a == "--codec") {
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("--codec needs a value (raw|delta-varint)");
-            std::process::exit(2);
-        };
-        if Codec::parse(value).is_none() {
-            eprintln!("bad --codec {value:?} (raw|delta-varint)");
-            std::process::exit(2);
-        }
-        std::env::set_var(pdtl_io::CODEC_ENV, value);
-        args.drain(i..=i + 1);
+    if let Some(codec) = take_flag(&mut args, "--codec", "raw|delta-varint", Codec::parse) {
+        mgt.codec = codec;
     }
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
     let json = args.iter().any(|a| a == "--json");
@@ -67,17 +69,17 @@ fn main() {
     }
 
     if ids.iter().any(|i| i == "kernels") {
-        // The SIMD feature level, resolved I/O backend, and resolved
-        // codec go into the regeneration log so a BENCH_kernels.json
-        // diff is attributable to the environment (a snapshot from a
-        // runner without AVX2 is not comparable to one with it, and a
-        // delta-varint default shifts every engine row).
+        // The SIMD level and the default backend (as this host
+        // resolves it) and codec go into the regeneration log, so a
+        // BENCH_kernels.json diff is attributable to the host (a
+        // snapshot from a runner without AVX2 is not comparable to one
+        // with it).
+        let defaults = MgtOptions::default();
         println!(
-            "[simd: {} (host supports {})] [backend: {}] [codec: {}]",
+            "[simd: {}] [backend: {}] [codec: {}]",
             pdtl_core::intersect::simd_level(),
-            pdtl_core::intersect::SimdLevel::detect(),
-            IoBackend::default_from_env().resolve(),
-            Codec::default_from_env(),
+            defaults.backend.resolve(),
+            defaults.codec,
         );
         let start = std::time::Instant::now();
         let results = kernelbench::run_kernel_benches();
@@ -95,6 +97,7 @@ fn main() {
     let profile = if quick { Profile::Quick } else { Profile::Full };
     let data_dir = std::path::Path::new("target").join("pdtl-data");
     let mut wb = Workbench::new(profile, data_dir);
+    wb.mgt = mgt;
 
     let selected: Vec<&str> = if ids.iter().any(|i| i == "all") {
         ALL_EXPERIMENTS.to_vec()

@@ -245,9 +245,8 @@ pub fn run_kernel_benches() -> Vec<BenchResult> {
         let g = rmat(workload::DISK_RMAT.0, workload::DISK_RMAT.1).expect("rmat");
         let stats = IoStats::new();
         let input = DiskGraph::write(&g, dir.join("g"), &stats).expect("write");
-        // The backend rows are pinned to the raw codec so snapshots
-        // stay comparable whatever PDTL_CODEC the run inherits; the
-        // codec rows below measure the encoding choice explicitly.
+        // The backend rows run the raw codec; the codec rows below
+        // measure the encoding choice explicitly.
         let (og, _) = orient_to_disk_with(&input, dir.join("oriented"), 2, Codec::Raw, &stats)
             .expect("orient");
         let full = EdgeRange {

@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use pdtl_cluster::{ClusterConfig, ClusterReport, ClusterRunner, NetModel};
 use pdtl_core::balance::BalanceStrategy;
+use pdtl_core::mgt::MgtOptions;
 use pdtl_core::{LocalConfig, LocalRunner, RunReport};
 use pdtl_graph::datasets::Dataset;
 use pdtl_graph::{DiskGraph, Graph};
@@ -86,6 +87,9 @@ pub struct Workbench {
     pub cost: CostModel,
     /// Network model for modeled copy times.
     pub net: NetModel,
+    /// Engine knobs of every local and cluster run (`exp --backend`,
+    /// `exp --codec`).
+    pub mgt: MgtOptions,
     graphs: HashMap<String, (Graph, DiskGraph)>,
     run_id: u64,
 }
@@ -101,6 +105,7 @@ impl Workbench {
             data_dir,
             cost: CostModel::default(),
             net: NetModel::default(),
+            mgt: MgtOptions::default(),
             graphs: HashMap::new(),
             run_id: 0,
         }
@@ -180,7 +185,7 @@ impl Workbench {
             cores,
             budget,
             balance,
-            ..Default::default()
+            mgt: self.mgt,
         })
         .expect("local config");
         let report = runner.run(&input, &dir).expect("local run");
@@ -204,8 +209,8 @@ impl Workbench {
             budget,
             balance: BalanceStrategy::InDegree,
             listing: false,
-            net: self.net,
             transport: pdtl_cluster::TransportKind::InProc,
+            mgt: self.mgt,
             ..Default::default()
         })
         .expect("cluster config");

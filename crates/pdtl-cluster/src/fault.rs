@@ -1,14 +1,13 @@
 //! Deterministic fault injection for the cluster runtime.
 //!
-//! A [`FaultPlan`] describes which nodes misbehave and how, either
-//! programmatically (the `ClusterConfig::fault` field) or through the
-//! `PDTL_FAULT` environment variable — the same override pattern as
-//! `PDTL_IO_BACKEND`/`PDTL_SIMD`, which is how the CI fault matrix runs
-//! the whole suite under injected failures.
+//! A [`FaultPlan`] describes which nodes misbehave and how. It is set
+//! on the `ClusterConfig::fault` field (empty by default), built in code
+//! or parsed by [`FaultPlan::parse`] from the grammar below — which is
+//! what `pdtl cluster --fault <plan>` takes.
 //!
 //! # Grammar
 //!
-//! `PDTL_FAULT` holds `;`-separated directives:
+//! A plan is `;`-separated directives:
 //!
 //! * `<kind>@<node>[x<times>][:<arg>]` — inject `kind` on node `node`.
 //!   `times` bounds how many dispatch attempts observe the fault
@@ -37,6 +36,11 @@
 //! respawn), node 2 is slow. `seed=42;kill=2` — two seeded victims stay
 //! down.
 //!
+//! A directive must be able to fire: `ClusterRunner::new` refuses one
+//! naming a node the cluster does not have, or a copy fault (`copyfail`,
+//! `corrupt`) on node 0, whose graph is the master's original and is
+//! never copied. Seeded kills clamp `k` to the node count instead.
+//!
 //! The plan is interpreted by the master: node-level faults ship to
 //! nodes inside the Config message's directives record, short reads
 //! ride the per-worker records, and `copyfail` never leaves the master.
@@ -48,10 +52,6 @@ use pdtl_io::diskfault::FaultTarget;
 
 use crate::error::{ClusterError, Result};
 use crate::message::NodeFault;
-
-/// Environment variable consulted by `ClusterConfig::default()` for a
-/// fault plan, mirroring `PDTL_IO_BACKEND`.
-pub const FAULT_ENV: &str = "PDTL_FAULT";
 
 /// `times` value meaning "every dispatch attempt": the host stays down.
 const PERSISTENT: u32 = u32::MAX;
@@ -91,8 +91,31 @@ pub struct FaultSpec {
     pub times: u32,
 }
 
+/// The directive as the plan grammar spells it (`corrupt@1x2:adj`).
+impl std::fmt::Display for FaultSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (kind, arg) = match self.kind {
+            FaultKind::Panic => ("panic", None),
+            FaultKind::Drop => ("drop", None),
+            FaultKind::Stall => ("stall", None),
+            FaultKind::Delay(ms) => ("delay", Some(ms.to_string())),
+            FaultKind::ShortRead(n) => ("shortread", Some(n.to_string())),
+            FaultKind::CopyFail => ("copyfail", None),
+            FaultKind::CorruptReplica(t) => ("corrupt", Some(t.ext()[1..].to_string())),
+        };
+        write!(f, "{kind}@{}", self.node)?;
+        if self.times != PERSISTENT {
+            write!(f, "x{}", self.times)?;
+        }
+        match arg {
+            Some(arg) => write!(f, ":{arg}"),
+            None => Ok(()),
+        }
+    }
+}
+
 /// A deterministic fault-injection plan (see the module docs for the
-/// `PDTL_FAULT` grammar).
+/// grammar).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Explicit fault directives.
@@ -113,7 +136,7 @@ impl FaultPlan {
         self.specs.is_empty() && self.seeded_kills.is_none()
     }
 
-    /// Parse the `PDTL_FAULT` grammar.
+    /// Parse the plan grammar (module docs).
     pub fn parse(s: &str) -> Result<Self> {
         let mut plan = FaultPlan::default();
         let (mut seed, mut kill) = (None, None);
@@ -131,28 +154,11 @@ impl FaultPlan {
             (None, None) => {}
             _ => {
                 return Err(ClusterError::Config(
-                    "PDTL_FAULT: seed= and kill= must appear together".into(),
+                    "fault plan: seed= and kill= must appear together".into(),
                 ))
             }
         }
         Ok(plan)
-    }
-
-    /// Read the plan from [`FAULT_ENV`]; unset or empty means no
-    /// faults. An unparsable value is a configuration error surfaced at
-    /// run time, not silently ignored.
-    pub fn from_env() -> Result<Self> {
-        match std::env::var(FAULT_ENV) {
-            Ok(v) if !v.trim().is_empty() => Self::parse(&v),
-            _ => Ok(Self::default()),
-        }
-    }
-
-    /// Like [`from_env`](Self::from_env) but panicking on a malformed
-    /// value, for use in `Default` impls (same contract as
-    /// `IoBackend::default_from_env`: a bad env var fails loudly).
-    pub fn default_from_env() -> Self {
-        Self::from_env().unwrap_or_else(|e| panic!("{FAULT_ENV}: {e}"))
     }
 
     /// Expand the plan against a concrete node count: seeded kills
@@ -197,12 +203,12 @@ fn seeded_victims(seed: u64, k: u32, nodes: usize) -> Vec<u32> {
 
 fn parse_num<T: std::str::FromStr>(v: &str, ctx: &str) -> Result<T> {
     v.parse()
-        .map_err(|_| ClusterError::Config(format!("PDTL_FAULT: bad number in `{ctx}`")))
+        .map_err(|_| ClusterError::Config(format!("fault plan: bad number in `{ctx}`")))
 }
 
 /// Parse one `<kind>@<node>[x<times>][:<arg>]` directive.
 fn parse_spec(part: &str) -> Result<FaultSpec> {
-    let bad = |why: &str| ClusterError::Config(format!("PDTL_FAULT: {why} in `{part}`"));
+    let bad = |why: &str| ClusterError::Config(format!("fault plan: {why} in `{part}`"));
     let (kind_s, rest) = part.split_once('@').ok_or_else(|| bad("missing `@node`"))?;
     let (target, arg) = match rest.split_once(':') {
         Some((t, a)) => (t, Some(a)),
@@ -356,6 +362,11 @@ mod tests {
             ]
         );
         assert_eq!(plan.seeded_kills, None);
+        let spelled: Vec<String> = plan.specs.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            spelled.join(";"),
+            "panic@1x1;delay@2:50;shortread@0x2:1000;copyfail@3"
+        );
 
         let seeded = FaultPlan::parse("seed=42;kill=2").unwrap();
         assert!(seeded.specs.is_empty());
@@ -467,16 +478,5 @@ mod tests {
                 assert_eq!(r.dispatch_faults(node as usize).0, NodeFault::None);
             }
         }
-    }
-
-    #[test]
-    fn env_round_trip() {
-        // Not parallel-safe with other env tests in this process; use a
-        // dedicated var guard by running through the public API only
-        // when unset.
-        if std::env::var(FAULT_ENV).is_err() {
-            assert!(FaultPlan::from_env().unwrap().is_empty());
-        }
-        assert!(FaultPlan::parse("seed=1;kill=1").unwrap().seeded_kills == Some((1, 1)));
     }
 }

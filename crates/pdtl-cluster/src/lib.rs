@@ -32,7 +32,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use error::{ClusterError, Result};
-pub use fault::{FaultKind, FaultPlan, FaultSpec, FAULT_ENV};
+pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use message::{
     CatalogGraphInfo, Message, NodeDirectives, NodeFault, QueryOperation, QueryOptions, ServerStats,
 };

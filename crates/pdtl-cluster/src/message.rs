@@ -513,8 +513,8 @@ impl Default for QueryOptions {
             cores: 0,
             budget_edges: 1 << 20,
             scan_pruning: true,
-            backend: IoBackend::default_from_env(),
-            codec: Codec::default_from_env(),
+            backend: IoBackend::Prefetch,
+            codec: Codec::Raw,
             io_latency_us: 0,
         }
     }

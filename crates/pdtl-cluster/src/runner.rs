@@ -49,9 +49,9 @@ use pdtl_io::diskfault::{DiskFaultKind, DiskFaultSpec};
 use pdtl_io::{IoStats, MemoryBudget};
 
 use crate::error::{ClusterError, Result};
-use crate::fault::{FaultPlan, ResolvedFaults};
+use crate::fault::{FaultKind, FaultPlan, ResolvedFaults};
 use crate::message::{Message, NodeDirectives, NodeFault, WorkerConfig, WorkerSummary};
-use crate::netmodel::{NetModel, NetTraffic};
+use crate::netmodel::NetTraffic;
 use crate::node::serve_node;
 use crate::report::{ClusterReport, NetSnapshot, NodeReport};
 use crate::transport::{in_proc_pair, TcpTransport, Transport};
@@ -123,8 +123,6 @@ pub struct ClusterConfig {
     pub balance: BalanceStrategy,
     /// Collect full triangle lists (the `Θ(T)` network term).
     pub listing: bool,
-    /// Interconnect model for modeled copy times.
-    pub net: NetModel,
     /// Transport carrying the protocol messages.
     pub transport: TransportKind,
     /// MGT engine knobs, shipped to every worker via its
@@ -140,9 +138,8 @@ pub struct ClusterConfig {
     /// before the master declares it failed. Enforced only when
     /// heartbeats are on; keep it several multiples of `heartbeat`.
     pub node_deadline: Duration,
-    /// Injected faults. The default reads the `PDTL_FAULT` environment
-    /// variable (the same override pattern as `PDTL_IO_BACKEND`),
-    /// falling back to no faults.
+    /// Injected faults (none by default); every directive must be able
+    /// to fire on this cluster, see [`ClusterRunner::new`].
     pub fault: FaultPlan,
 }
 
@@ -154,13 +151,12 @@ impl Default for ClusterConfig {
             budget: MemoryBudget::default(),
             balance: BalanceStrategy::InDegree,
             listing: false,
-            net: NetModel::default(),
             transport: TransportKind::default(),
             mgt: MgtOptions::default(),
             retry: RetryPolicy::default(),
             heartbeat: Duration::from_millis(50),
             node_deadline: Duration::from_secs(5),
-            fault: FaultPlan::default_from_env(),
+            fault: FaultPlan::none(),
         }
     }
 }
@@ -375,7 +371,7 @@ impl Gather<'_> {
         let bytes = og.replicate_to(base, stats)?;
         if let Some(target) = self.faults.corrupt_replica(id) {
             // Injected silent media corruption on the landed replica,
-            // seeded per (node, attempt) so CI legs are reproducible.
+            // seeded per (node, attempt) so runs are reproducible.
             DiskFaultSpec {
                 kind: DiskFaultKind::BitFlip,
                 target,
@@ -634,7 +630,11 @@ pub struct ClusterRunner {
 }
 
 impl ClusterRunner {
-    /// Build a runner, validating the configuration.
+    /// Build a runner, validating the configuration — including that
+    /// every explicit fault directive can fire: one naming a node the
+    /// cluster does not have, or a copy fault on node 0 (whose graph is
+    /// the master's original, never copied), would leave a fault run
+    /// silently fault-free. Seeded kills clamp to the node count.
     pub fn new(config: ClusterConfig) -> Result<Self> {
         if config.nodes == 0 {
             return Err(ClusterError::Config("nodes must be >= 1".into()));
@@ -644,6 +644,22 @@ impl ClusterRunner {
         }
         if config.retry.max_attempts == 0 {
             return Err(ClusterError::Config("max_attempts must be >= 1".into()));
+        }
+        for spec in &config.fault.specs {
+            let copy = matches!(
+                spec.kind,
+                FaultKind::CopyFail | FaultKind::CorruptReplica(_)
+            );
+            let why = if spec.node as usize >= config.nodes {
+                format!("the cluster has nodes 0..{}", config.nodes)
+            } else if copy && spec.node == 0 {
+                "node 0 runs on the master's original, which is never copied".into()
+            } else {
+                continue;
+            };
+            return Err(ClusterError::Config(format!(
+                "fault `{spec}` can never fire: {why}"
+            )));
         }
         Ok(Self { config })
     }
@@ -794,6 +810,7 @@ fn verify_replica(base: &Path) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netmodel::NetModel;
     use pdtl_core::theory;
     use pdtl_graph::gen::rmat::rmat;
     use pdtl_graph::verify::triangle_count;
@@ -821,7 +838,6 @@ mod tests {
             budget: MemoryBudget::edges(512),
             balance: BalanceStrategy::InDegree,
             listing: false,
-            net: NetModel::default(),
             transport: TransportKind::default(),
             mgt: Default::default(),
             retry: RetryPolicy::default(),
@@ -927,6 +943,35 @@ mod tests {
         let mut zero_attempts = cfg(2, 1);
         zero_attempts.retry.max_attempts = 0;
         assert!(ClusterRunner::new(zero_attempts).is_err());
+    }
+
+    #[test]
+    fn fault_specs_that_can_never_fire_are_rejected() {
+        let with_fault = |nodes, plan: &str| {
+            let mut c = cfg(nodes, 1);
+            c.fault = FaultPlan::parse(plan).unwrap();
+            ClusterRunner::new(c)
+        };
+        for (nodes, plan) in [
+            (2, "panic@5"),
+            (2, "delay@2:10"),
+            (3, "copyfail@0"),
+            (3, "corrupt@0x1:adj"),
+            (3, "panic@1;copyfail@3"),
+        ] {
+            let err = with_fault(nodes, plan).unwrap_err().to_string();
+            assert!(err.contains("can never fire"), "{plan}: {err}");
+        }
+        let err = with_fault(2, "corrupt@0x1:adj").unwrap_err().to_string();
+        assert!(err.contains("`corrupt@0x1:adj`"), "names the spec: {err}");
+        for (nodes, plan) in [
+            (2, "panic@1"),
+            (1, "panic@0x1;shortread@0:8"),
+            (3, "copyfail@2;corrupt@1:mft"),
+            (2, "seed=1;kill=5"),
+        ] {
+            assert!(with_fault(nodes, plan).is_ok(), "{plan} on {nodes} nodes");
+        }
     }
 
     #[test]

@@ -271,11 +271,6 @@ pub struct ServeConfig {
     pub default_cores: usize,
     /// Total admission budget in edges across all in-flight queries.
     pub admission: MemoryBudget,
-    /// Codecs to pre-orient each catalog graph for; a query for a
-    /// codec outside this list is a typed rejection.
-    pub codecs: Vec<Codec>,
-    /// Orientation parallelism at registration.
-    pub orient_threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -285,8 +280,6 @@ impl Default for ServeConfig {
             workers: 4,
             default_cores: 2,
             admission: MemoryBudget::default(),
-            codecs: vec![Codec::Raw, Codec::DeltaVarint],
-            orient_threads: 4,
         }
     }
 }
@@ -777,16 +770,11 @@ fn run_mgt(
     listing: bool,
 ) -> MgtOutcome {
     let og = entry.oriented_for(opts.codec).ok_or_else(|| {
+        let serving: Vec<&str> = entry.oriented.iter().map(|(c, _)| c.name()).collect();
         format!(
             "codec {} is not in this server's catalog (serving: {})",
             opts.codec.name(),
-            shared
-                .config
-                .codecs
-                .iter()
-                .map(|c| c.name())
-                .collect::<Vec<_>>()
-                .join(", ")
+            serving.join(", ")
         )
     })?;
     let runner = LocalRunner::new(LocalConfig {

@@ -42,11 +42,11 @@
 //! rotate-and-compare block merge for interleaved shapes, block-skipping
 //! advance loops for skewed shapes, and a vector-probed gallop for
 //! lopsided shapes. There is one vector level: a host without AVX2 runs
-//! the scalar tier, as every non-x86 host does. The level is detected at
-//! runtime ([`SimdLevel::detect`], cached by [`simd_level`]) with the
-//! [`PDTL_SIMD`](SIMD_ENV) env var as the kill-switch/ablation knob,
-//! mirroring `PDTL_IO_BACKEND`. Two contracts make the tier invisible
-//! to everything downstream:
+//! the scalar tier, as every non-x86 host does. The plain entry points
+//! run the level detected at runtime ([`simd_level`]); the `*_with`
+//! entry points take the level as an argument, which is how the scalar
+//! tier is measured and tested on an AVX2 host. Two contracts make the
+//! tier invisible to everything downstream:
 //!
 //! 1. **Semantics** — every SIMD kernel visits exactly the scalar
 //!    kernel's matches, in the same ascending order.
@@ -56,7 +56,7 @@
 //!    replay after the fact (the merges' `i + j - matches`,
 //!    `scalar::gallop_probe_cost`) — no
 //!    counter runs in any vector loop. Counted work is therefore
-//!    bit-identical across `PDTL_SIMD` levels; only wall time moves.
+//!    bit-identical across levels; only wall time moves.
 //!    (`WorkerReport::cpu_ops` is level-invariant for a simpler
 //!    reason: the engine's join counts marks and probes and calls no
 //!    kernel.)
@@ -72,8 +72,6 @@
 mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
-
-use std::sync::OnceLock;
 
 /// Size ratio beyond which galloping beats the linear merge. Justified
 /// by the `exp kernels` rows `intersect/{linear,gallop,linear_scalar}/*`,
@@ -106,7 +104,7 @@ const GALLOP_RATIO: usize = 12;
 /// on both sides. The SIMD tier widens the gap in both directions (the
 /// block merge wins interleaved shapes, the vectorized advance loops
 /// win skewed ones) without moving the crossover, so the constant is
-/// shared by both `PDTL_SIMD` levels — which is also what keeps the
+/// shared by both levels — which is also what keeps the
 /// counted comparisons level-invariant per shape.
 const ADVANCE_RATIO: usize = 4;
 
@@ -125,16 +123,6 @@ const SIMD_SKEW_MIN: usize = 16;
 #[cfg(target_arch = "x86_64")]
 const GALLOP_SIMD_MIN: usize = 128;
 
-/// Environment variable overriding the detected SIMD level
-/// (`off` | `avx2` | `auto`, case-insensitive). The kill-switch and
-/// ablation knob for the vectorized kernels, mirroring
-/// `PDTL_IO_BACKEND`: `off` forces the scalar kernels everywhere,
-/// `avx2` asks for the vector tier (and gets it only where the host
-/// has it), `auto` (or unset, or unrecognised) uses
-/// [`SimdLevel::detect`]. Read once, on first kernel use, and cached
-/// for the process ([`simd_level`]).
-pub const SIMD_ENV: &str = "PDTL_SIMD";
-
 /// Which intersection-kernel implementation tier runs: scalar
 /// everywhere, or the x86_64 AVX2 kernels.
 ///
@@ -145,12 +133,7 @@ pub const SIMD_ENV: &str = "PDTL_SIMD";
 /// ```
 /// use pdtl_core::intersect::SimdLevel;
 ///
-/// // Every level's canonical name parses back to itself…
-/// for l in SimdLevel::ALL {
-///     assert_eq!(SimdLevel::parse(l.name()), Some(l));
-/// }
-/// // …case-insensitively.
-/// assert_eq!(SimdLevel::parse("AVX2"), Some(SimdLevel::Avx2));
+/// assert_eq!(SimdLevel::Avx2.name(), "avx2");
 ///
 /// // `resolve` never yields a level this host cannot run:
 /// assert!(SimdLevel::Avx2.resolve() <= SimdLevel::detect());
@@ -159,7 +142,7 @@ pub const SIMD_ENV: &str = "PDTL_SIMD";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
     /// Scalar kernels only (the portable fallback and the ablation
-    /// baseline; `PDTL_SIMD=off`).
+    /// baseline).
     Off,
     /// 8-lane `std::arch` kernels (requires runtime-detected AVX2).
     Avx2,
@@ -169,22 +152,11 @@ impl SimdLevel {
     /// Every level, lowest to highest.
     pub const ALL: [SimdLevel; 2] = [SimdLevel::Off, SimdLevel::Avx2];
 
-    /// Stable lowercase name (bench row / log / env spelling).
+    /// Stable lowercase name (bench row / log spelling).
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Off => "off",
             SimdLevel::Avx2 => "avx2",
-        }
-    }
-
-    /// Parse a level name, case-insensitively. `scalar` is accepted as
-    /// an alias for `off`. `auto` is *not* a level — callers wanting
-    /// the `auto` semantics use [`SimdLevel::from_env`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" | "scalar" => Some(SimdLevel::Off),
-            "avx2" => Some(SimdLevel::Avx2),
-            _ => None,
         }
     }
 
@@ -197,20 +169,6 @@ impl SimdLevel {
             return SimdLevel::Avx2;
         }
         SimdLevel::Off
-    }
-
-    /// The level requested by [`SIMD_ENV`]: an explicit level capped at
-    /// what the host supports, or [`detect`](Self::detect) when the
-    /// variable is unset, `auto`, or unrecognised.
-    pub fn from_env() -> Self {
-        Self::from_request(std::env::var(SIMD_ENV).ok().as_deref())
-    }
-
-    /// [`from_env`](Self::from_env) on the variable's value.
-    fn from_request(value: Option<&str>) -> Self {
-        value
-            .and_then(SimdLevel::parse)
-            .map_or_else(SimdLevel::detect, SimdLevel::resolve)
     }
 
     /// Cap this level at what the running host can execute — requesting
@@ -232,16 +190,15 @@ impl std::fmt::Display for SimdLevel {
 }
 
 /// The process-wide SIMD level every plain (non-`_with`) kernel entry
-/// point dispatches on: [`SimdLevel::from_env`], resolved once on first
-/// use and cached.
+/// point dispatches on: [`SimdLevel::detect`] (the standard library
+/// caches the CPU feature probe).
 ///
 /// ```
 /// use pdtl_core::intersect::{simd_level, SimdLevel};
 /// assert!(simd_level() <= SimdLevel::detect());
 /// ```
 pub fn simd_level() -> SimdLevel {
-    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(SimdLevel::from_env)
+    SimdLevel::detect()
 }
 
 /// What an entry point asks [`dispatch`] for.
@@ -391,7 +348,7 @@ pub fn intersect_gallop_visit_counted_with(
 
 /// Adaptive intersection at an explicit [`SimdLevel`] — gallop when
 /// sizes are lopsided, merge otherwise — returning `(matches,
-/// comparisons)`; [`intersect_count`] is this at the cached level.
+/// comparisons)`; [`intersect_count`] is this at the detected level.
 /// Equal output on all
 /// inputs (property-tested). The ratio boundaries (`ADVANCE_RATIO`,
 /// `GALLOP_RATIO`) are shared by both levels, so the counted
@@ -580,19 +537,11 @@ mod tests {
 
     #[test]
     fn level_names_round_trip() {
+        assert_eq!(SimdLevel::Off.name(), "off");
+        assert_eq!(SimdLevel::Avx2.name(), "avx2");
         for l in SimdLevel::ALL {
-            assert_eq!(SimdLevel::parse(l.name()), Some(l));
-            assert_eq!(SimdLevel::parse(&l.name().to_uppercase()), Some(l));
             assert_eq!(l.to_string(), l.name());
         }
-        assert_eq!(SimdLevel::parse("scalar"), Some(SimdLevel::Off));
-        assert_eq!(SimdLevel::parse("auto"), None, "auto is not a level");
-        assert_eq!(SimdLevel::parse("gibberish"), None);
-        assert_eq!(SimdLevel::parse("sse2"), None, "one vector level");
-        // PDTL_SIMD=sse2 is unrecognised now, so it means `auto`.
-        assert_eq!(SimdLevel::from_request(Some("sse2")), SimdLevel::detect());
-        assert_eq!(SimdLevel::from_request(Some("off")), SimdLevel::Off);
-        assert_eq!(SimdLevel::from_request(None), SimdLevel::detect());
     }
 
     #[test]

@@ -120,8 +120,9 @@ use crate::sink::TriangleSink;
 
 /// Tuning knobs of the MGT engines (ablation surface).
 ///
-/// `MgtOptions::default()` honours the `PDTL_IO_BACKEND` environment
-/// override; struct-update syntax pins individual knobs:
+/// `MgtOptions::default()` is fixed — pruning on, the prefetch backend,
+/// no emulated latency, no injected fault, the raw codec — and
+/// struct-update syntax pins individual knobs:
 ///
 /// ```
 /// use pdtl_core::mgt::{mgt_in_memory_opt, MgtOptions};
@@ -152,10 +153,8 @@ pub struct MgtOptions {
     /// compute with threads, [`IoBackend::Uring`] does the same through
     /// kernel submission queues, [`IoBackend::Mmap`] serves
     /// page-cache-resident graphs zero-copy, [`IoBackend::Blocking`] is
-    /// the synchronous reference.
-    /// The `PDTL_IO_BACKEND` env var overrides the default, which is
-    /// how the CI matrix runs the suite under each backend. Ignored by
-    /// the in-memory engine, which has no I/O at all.
+    /// the synchronous reference. Ignored by the in-memory engine,
+    /// which has no I/O at all.
     pub backend: IoBackend,
     /// Emulated per-block-read device latency
     /// ([`pdtl_io::BlockStream::set_read_latency`]), the I/O analogue of the
@@ -177,9 +176,7 @@ pub struct MgtOptions {
     /// cluster ships to workers so every node writes the same format);
     /// the disk engine itself always honours the codec recorded in the
     /// graph's header, so an engine handed a raw graph reads it raw
-    /// regardless of this setting. The `PDTL_CODEC` env var overrides
-    /// the default, which is how the CI matrix runs the suite under
-    /// each codec.
+    /// regardless of this setting.
     pub codec: Codec,
 }
 
@@ -187,10 +184,10 @@ impl Default for MgtOptions {
     fn default() -> Self {
         Self {
             scan_pruning: true,
-            backend: IoBackend::default_from_env(),
+            backend: IoBackend::Prefetch,
             io_latency: std::time::Duration::ZERO,
             read_fault: None,
-            codec: Codec::default_from_env(),
+            codec: Codec::Raw,
         }
     }
 }

@@ -505,9 +505,7 @@ impl<'a, W: Write + Seek> ScatterBlock<'a, W> {
 
 /// Orient `input` (an undirected PDTL-format graph on disk) into the
 /// rank-space pair `out_base{.deg,.adj}` (plus `.map`/`.bnd`) using
-/// `threads` cores, storing the adjacency under the default codec
-/// ([`Codec::default_from_env`], so the `PDTL_CODEC` matrix exercises
-/// compression everywhere).
+/// `threads` cores, storing the adjacency raw ([`Codec::Raw`]).
 ///
 /// Returns the oriented graph and a [`PhaseReport`] with the phase's wall
 /// time, CPU/I-O split and counted work (this is the quantity Table II
@@ -518,7 +516,7 @@ pub fn orient_to_disk(
     threads: usize,
     stats: &Arc<IoStats>,
 ) -> Result<(OrientedGraph, PhaseReport)> {
-    orient_to_disk_with(input, out_base, threads, Codec::default_from_env(), stats)
+    orient_to_disk_with(input, out_base, threads, Codec::Raw, stats)
 }
 
 /// [`orient_to_disk`] with an explicit adjacency codec.

@@ -33,7 +33,9 @@ use crate::stream::{BlockFetch, BlockStream};
 use crate::{IoStats, MmapSource, PrefetchReader, U32Reader, UringSource};
 
 /// Which fetcher an engine's [`BlockStream`]s read their graph files
-/// through.
+/// through. The default, [`Prefetch`](IoBackend::Prefetch), is fixed;
+/// a caller picks another by setting the field it configures
+/// (`MgtOptions::backend`, the CLI's `--backend`).
 ///
 /// Names round-trip through [`parse`](Self::parse) (which also accepts
 /// the `io_uring` spelling), and [`resolve`](Self::resolve) degrades a
@@ -72,13 +74,6 @@ pub enum IoBackend {
     Uring,
 }
 
-/// Environment variable overriding the default backend
-/// (`blocking` | `prefetch` | `mmap` | `uring`, case-insensitive).
-/// Consumed by `MgtOptions::default`, which is how the CI test matrix
-/// runs the whole suite under each backend without touching any call
-/// site.
-pub const BACKEND_ENV: &str = "PDTL_IO_BACKEND";
-
 impl IoBackend {
     /// Every backend, in wire-discriminant order: a backend's index
     /// here is its byte in the cluster's wire records.
@@ -89,7 +84,7 @@ impl IoBackend {
         IoBackend::Uring,
     ];
 
-    /// Stable lowercase name (bench row / CLI / env spelling).
+    /// Stable lowercase name (bench row / CLI spelling).
     pub fn name(self) -> &'static str {
         match self {
             IoBackend::Blocking => "blocking",
@@ -110,20 +105,6 @@ impl IoBackend {
             "uring" | "io_uring" => Some(IoBackend::Uring),
             _ => None,
         }
-    }
-
-    /// The backend selected by [`BACKEND_ENV`], if set and valid.
-    pub fn from_env() -> Option<Self> {
-        std::env::var(BACKEND_ENV)
-            .ok()
-            .and_then(|v| Self::parse(&v))
-    }
-
-    /// The default backend, honouring the environment override:
-    /// [`Prefetch`](IoBackend::Prefetch) unless [`BACKEND_ENV`] names
-    /// another one.
-    pub fn default_from_env() -> Self {
-        Self::from_env().unwrap_or(IoBackend::Prefetch)
     }
 
     /// Resolve to a backend the current platform can actually run:

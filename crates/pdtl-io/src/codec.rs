@@ -34,7 +34,9 @@ use crate::stats::IoStats;
 use crate::stream::{U32Reader, U32Source, U32Writer};
 
 /// How the logical `u32`s of a graph file are encoded into the bytes a
-/// block transport moves.
+/// block transport moves. The default, [`Raw`](Codec::Raw), is fixed; a
+/// caller picks delta-varint by setting the field it configures
+/// (`MgtOptions::codec`, the CLI's `--codec`).
 ///
 /// Names round-trip through [`parse`](Self::parse), and the wire
 /// discriminant through [`from_discriminant`](Self::from_discriminant):
@@ -61,18 +63,12 @@ pub enum Codec {
     DeltaVarint,
 }
 
-/// Environment variable overriding the default codec
-/// (`raw` | `delta-varint`, case-insensitive). Consumed by
-/// `MgtOptions::default`, which is how the CI matrix runs the whole
-/// suite under each codec without touching any call site.
-pub const CODEC_ENV: &str = "PDTL_CODEC";
-
 impl Codec {
     /// Every codec, in wire-discriminant order (the order of the
     /// record-tail encoding in the cluster's `WorkerConfig`).
     pub const ALL: [Codec; 2] = [Codec::Raw, Codec::DeltaVarint];
 
-    /// Stable lowercase name (bench row / CLI / env spelling).
+    /// Stable lowercase name (bench row / CLI spelling).
     pub fn name(self) -> &'static str {
         match self {
             Codec::Raw => "raw",
@@ -88,17 +84,6 @@ impl Codec {
             "delta-varint" | "delta_varint" | "varint" => Some(Codec::DeltaVarint),
             _ => None,
         }
-    }
-
-    /// The codec selected by [`CODEC_ENV`], if set and valid.
-    pub fn from_env() -> Option<Self> {
-        std::env::var(CODEC_ENV).ok().and_then(|v| Self::parse(&v))
-    }
-
-    /// The default codec, honouring the environment override:
-    /// [`Raw`](Codec::Raw) unless [`CODEC_ENV`] names another one.
-    pub fn default_from_env() -> Self {
-        Self::from_env().unwrap_or(Codec::Raw)
     }
 
     /// Stable single-byte discriminant used by the on-disk format

@@ -1,28 +1,27 @@
-//! Deterministic disk-fault injection (`PDTL_DISK_FAULT`).
+//! Deterministic disk-fault injection.
 //!
-//! The compute-fault plan (`PDTL_FAULT` in `pdtl-cluster`) injects
-//! crashes, stalls and copy failures; this module injects *storage*
-//! faults — the bit flips, truncations and torn writes the integrity
-//! layer exists to catch. A plan names graph files by extension and
-//! mutates them in place, seeded so every CI leg is reproducible:
+//! The compute-fault plan (`FaultPlan` in `pdtl-cluster`, the CLI's
+//! `--fault`) injects crashes, stalls and copy failures; this module
+//! injects *storage* faults — the bit flips, truncations and torn
+//! writes the integrity layer exists to catch. A [`DiskFaultPlan`]
+//! names graph files by extension and mutates them in place, seeded so
+//! every run of a test is reproducible:
 //!
 //! ```text
-//! PDTL_DISK_FAULT="bitflip@adj:97;truncate@bnd:55"
+//! bitflip@adj:97;truncate@bnd:55
 //! ```
 //!
 //! Grammar: `;`-separated specs of the form `<kind>@<target>[:<seed>]`
 //! where `<kind>` is `bitflip` | `truncate` | `torn` and `<target>` is
 //! a graph-file extension without the dot (`deg`, `adj`, `hdr`, `vix`,
 //! `map`, `bnd`, `mft`). The seed defaults to 1 and picks the fault
-//! offset deterministically from the file length.
+//! offset deterministically from the file length. A malformed plan is a
+//! typed error, never the empty plan.
 
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::{IoError, Result};
-
-/// Environment variable holding the disk-fault plan.
-pub const DISK_FAULT_ENV: &str = "PDTL_DISK_FAULT";
 
 /// The graph file a disk fault targets, by extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,7 +168,7 @@ impl DiskFaultSpec {
                 f.read_exact(&mut buf)
                     .map_err(|e| IoError::os("read", &path, e))?;
                 // Bit-inverting guarantees every byte in the window
-                // changes, keeping seeded CI legs deterministic.
+                // changes, keeping seeded plans deterministic.
                 for b in &mut buf {
                     *b = !*b;
                 }
@@ -184,7 +183,7 @@ impl DiskFaultSpec {
     }
 }
 
-/// A parsed `PDTL_DISK_FAULT` plan: zero or more specs applied in order.
+/// A parsed disk-fault plan: zero or more specs applied in order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DiskFaultPlan {
     /// The faults, in plan order.
@@ -206,22 +205,6 @@ impl DiskFaultPlan {
         Ok(DiskFaultPlan { specs })
     }
 
-    /// Parse the plan in [`DISK_FAULT_ENV`], or the empty plan when the
-    /// variable is unset.
-    pub fn from_env() -> Result<DiskFaultPlan> {
-        match std::env::var(DISK_FAULT_ENV) {
-            Ok(v) => Self::parse(&v),
-            Err(_) => Ok(DiskFaultPlan::default()),
-        }
-    }
-
-    /// Like [`from_env`](Self::from_env), but a malformed plan string
-    /// falls back to the empty plan instead of erroring — for
-    /// best-effort call sites like test harness setup.
-    pub fn default_from_env() -> DiskFaultPlan {
-        Self::from_env().unwrap_or_default()
-    }
-
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
@@ -241,7 +224,7 @@ impl DiskFaultPlan {
 }
 
 fn bad_plan(detail: String) -> IoError {
-    IoError::malformed(Path::new(DISK_FAULT_ENV), detail)
+    IoError::malformed(Path::new("<disk fault plan>"), detail)
 }
 
 fn parse_spec(part: &str) -> Result<DiskFaultSpec> {

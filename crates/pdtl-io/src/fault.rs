@@ -18,17 +18,12 @@ use crate::stream::U32Source;
 
 /// A [`U32Source`] that delivers at most `budget` values and then
 /// errors on every subsequent read, emulating a short read / truncated
-/// replica at a deterministic offset. A second mode
-/// ([`with_bitflip`](Self::with_bitflip)) instead corrupts one value
-/// *silently* in flight, modeling media corruption the transport
-/// cannot see — the case only end-to-end digests catch.
+/// replica at a deterministic offset.
 #[derive(Debug)]
 pub struct FaultySource<S> {
     inner: S,
     /// Values still deliverable before the injected failure.
     remaining: u64,
-    /// Silent corruption: XOR `mask` into the value at source `index`.
-    flip: Option<(u64, u32)>,
 }
 
 impl<S: U32Source> FaultySource<S> {
@@ -38,28 +33,13 @@ impl<S: U32Source> FaultySource<S> {
         FaultySource {
             inner,
             remaining: budget,
-            flip: None,
-        }
-    }
-
-    /// Wrap `inner` so the value at source index `index` is delivered
-    /// XOR-ed with `mask` (no read budget). Unlike the short-read mode
-    /// this fault is *silent*: reads succeed and the corrupted value
-    /// flows into the engine, which is exactly why checksummed
-    /// manifests exist — transports cannot detect it.
-    pub fn with_bitflip(inner: S, index: u64, mask: u32) -> Self {
-        FaultySource {
-            inner,
-            remaining: u64::MAX,
-            flip: Some((index, mask)),
         }
     }
 
     /// Whether a request for `n` values may be lent from the inner
-    /// source as is: the budget covers all of it and nothing is to be
-    /// corrupted in flight.
+    /// source as is: the budget covers all of it.
     fn covers(&self, n: usize) -> bool {
-        self.flip.is_none() && self.remaining >= n as u64
+        self.remaining >= n as u64
     }
 
     fn exhausted(&self) -> IoError {
@@ -91,15 +71,8 @@ impl<S: U32Source> U32Source for FaultySource<S> {
             return Err(self.exhausted());
         }
         let allowed = self.remaining.min(n as u64) as usize;
-        let before = self.inner.position();
         let got = self.inner.read_into(out, allowed)?;
         self.remaining -= got as u64;
-        if let Some((index, mask)) = self.flip {
-            if index >= before && index < before + got as u64 {
-                let slot = out.len() - got + (index - before) as usize;
-                out[slot] ^= mask;
-            }
-        }
         if got == 0 && allowed < n {
             // At EOF with the budget smaller than the request: report
             // honest EOF rather than a fault — the budget only fires
@@ -118,7 +91,7 @@ impl<S: U32Source> U32Source for FaultySource<S> {
     }
 
     /// Lends the inner run (zero-copy where the transport lends) while
-    /// the fault does not touch the request; otherwise copies through
+    /// the budget covers the request; otherwise copies through
     /// [`read_into`](Self::read_into), which applies it.
     fn next_run<'a>(&'a mut self, n: usize, scratch: &'a mut Vec<u32>) -> Result<&'a [u32]> {
         if !self.covers(n) {
@@ -205,26 +178,6 @@ mod tests {
         assert_eq!(src.position(), 2);
         assert_eq!(src.read_into(&mut out, 1).unwrap(), 1);
         assert_eq!(out, vec![30]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bitflip_corrupts_silently_at_the_seeded_index() {
-        let dir = temp_dir("flip");
-        let path = write_values(&dir, &[10, 20, 30, 40, 50]);
-        let stats = Arc::new(IoStats::default());
-        let reader = crate::stream::U32Reader::open(&path, stats).unwrap();
-        let mut src = FaultySource::with_bitflip(reader, 3, 0x8000_0001);
-        let mut out = Vec::new();
-        assert_eq!(src.read_into(&mut out, 2).unwrap(), 2);
-        assert_eq!(src.read_into(&mut out, 3).unwrap(), 3);
-        assert_eq!(out, vec![10, 20, 30, 40 ^ 0x8000_0001, 50]);
-        // Re-reading the same index corrupts again: the fault models
-        // bad media, not a one-shot glitch.
-        src.seek_to(3).unwrap();
-        out.clear();
-        assert_eq!(src.read_into(&mut out, 1).unwrap(), 1);
-        assert_eq!(out, vec![40 ^ 0x8000_0001]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

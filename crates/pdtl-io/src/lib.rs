@@ -56,12 +56,12 @@ pub mod stream;
 pub mod timer;
 pub mod uring;
 
-pub use backend::{IoBackend, BACKEND_ENV};
+pub use backend::IoBackend;
 pub use budget::{BudgetLease, BudgetLedger, MemoryBudget};
 pub use checksum::{crc32c, crc32c_of_file, Crc32c};
-pub use codec::{Codec, VarintAdjWriter, VarintIndex, VarintSource, CODEC_ENV};
+pub use codec::{Codec, VarintAdjWriter, VarintIndex, VarintSource};
 pub use cost::{CostModel, ModeledTime};
-pub use diskfault::{DiskFaultKind, DiskFaultPlan, DiskFaultSpec, FaultTarget, DISK_FAULT_ENV};
+pub use diskfault::{DiskFaultKind, DiskFaultPlan, DiskFaultSpec, FaultTarget};
 pub use error::{IoError, Result};
 pub use extsort::{external_sort_u64, merge_sorted_files};
 pub use fault::FaultySource;

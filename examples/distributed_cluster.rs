@@ -6,7 +6,7 @@
 //! cargo run --release --example distributed_cluster
 //! ```
 
-use pdtl::cluster::{ClusterConfig, ClusterRunner, NetModel};
+use pdtl::cluster::{ClusterConfig, ClusterRunner, FaultPlan};
 use pdtl::core::{theory, MgtOptions};
 use pdtl::graph::datasets::Dataset;
 use pdtl::graph::DiskGraph;
@@ -26,7 +26,6 @@ fn main() {
         budget: MemoryBudget::edges(8 << 10),
         balance: Default::default(),
         listing: false,
-        net: NetModel::default(),
         transport: Default::default(),
         // Real cluster nodes stream cold replicas from disk, where
         // overlapped I/O hides device waits. io_uring gets that overlap
@@ -39,12 +38,13 @@ fn main() {
             ..MgtOptions::default()
         },
         // Failure handling: detect via heartbeats, retry with backoff
-        // (this budget), reassign ranges off nodes that stay down. Export
-        // PDTL_FAULT (e.g. `seed=42;kill=1`) to watch it recover.
+        // (this budget), reassign ranges off nodes that stay down. Set a
+        // plan here, or run `pdtl cluster <graph> --fault seed=42;kill=1`,
+        // to watch it recover.
         retry: Default::default(),
         heartbeat: std::time::Duration::from_millis(50),
         node_deadline: std::time::Duration::from_secs(5),
-        fault: pdtl::cluster::FaultPlan::default_from_env(),
+        fault: FaultPlan::none(),
     })
     .expect("config");
     let report = runner.run(&input, &dir).expect("run");

@@ -3,7 +3,9 @@
 //! Subcommands:
 //!
 //! * `gen <dataset> <out-base> [--scale f]` — generate a
-//!   dataset stand-in into PDTL binary format;
+//!   dataset stand-in into PDTL binary format; `--scale` (a factor in
+//!   [1/64, 64]) resizes the real-graph stand-ins, an `rmat-K` graph is
+//!   sized by `K`;
 //! * `import <edges.txt> <out-base>` — convert a SNAP text edge list;
 //! * `export <base> <edges.txt>` — write a graph back to text;
 //! * `stats <base>` — print the Table-I row of a graph;
@@ -14,8 +16,8 @@
 //!   the multi-pass `bytes_read`);
 //! * `cluster <base> [--nodes n] [--cores p] [--memory edges] [--tcp]
 //!   [--backend b] [--codec c] [--fault plan]` — distributed exact
-//!   count; `--fault` injects a deterministic fault plan (same grammar
-//!   as `PDTL_FAULT`, e.g. `seed=42;kill=1`);
+//!   count; `--fault` injects a deterministic fault plan (the
+//!   `FaultPlan` grammar, e.g. `seed=42;kill=1` or `panic@1x1`);
 //! * `list <base> <out.bin> [--cores p]` — triangle listing to file;
 //! * `verify <base>` — full integrity verification: open the graph
 //!   (structural + quick manifest checks) and digest every file
@@ -87,10 +89,10 @@ pub enum Command {
         memory: usize,
         /// Use the naive equal-edges split.
         naive: bool,
-        /// I/O backend override (`None` = default / `PDTL_IO_BACKEND`).
-        backend: Option<IoBackend>,
-        /// On-disk codec override (`None` = default / `PDTL_CODEC`).
-        codec: Option<Codec>,
+        /// I/O backend (`--backend`, default prefetch).
+        backend: IoBackend,
+        /// On-disk codec of the oriented graph (`--codec`, default raw).
+        codec: Codec,
     },
     /// Distributed count.
     Cluster {
@@ -104,12 +106,12 @@ pub enum Command {
         memory: usize,
         /// Use TCP transport.
         tcp: bool,
-        /// I/O backend override (`None` = default / `PDTL_IO_BACKEND`).
-        backend: Option<IoBackend>,
-        /// Fault-injection plan (`None` = default / `PDTL_FAULT`).
-        fault: Option<String>,
-        /// On-disk codec override (`None` = default / `PDTL_CODEC`).
-        codec: Option<Codec>,
+        /// I/O backend (`--backend`, default prefetch).
+        backend: IoBackend,
+        /// Fault-injection plan (`--fault`, default none).
+        fault: FaultPlan,
+        /// On-disk codec of the oriented graph (`--codec`, default raw).
+        codec: Codec,
     },
     /// Triangle listing to a binary file.
     List {
@@ -226,23 +228,20 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
     }
     let get_backend =
-        |flags: &std::collections::HashMap<String, String>| -> Result<Option<IoBackend>, String> {
+        |flags: &std::collections::HashMap<String, String>| -> Result<IoBackend, String> {
             match flags.get("backend") {
-                None => Ok(None),
-                Some(v) => IoBackend::parse(v).map(Some).ok_or(format!(
+                None => Ok(IoBackend::default()),
+                Some(v) => IoBackend::parse(v).ok_or(format!(
                     "bad --backend: {v:?} (blocking|prefetch|mmap|uring)"
                 )),
             }
         };
-    let get_codec =
-        |flags: &std::collections::HashMap<String, String>| -> Result<Option<Codec>, String> {
-            match flags.get("codec") {
-                None => Ok(None),
-                Some(v) => Codec::parse(v)
-                    .map(Some)
-                    .ok_or(format!("bad --codec: {v:?} (raw|delta-varint)")),
-            }
-        };
+    let get_codec = |flags: &std::collections::HashMap<String, String>| -> Result<Codec, String> {
+        match flags.get("codec") {
+            None => Ok(Codec::default()),
+            Some(v) => Codec::parse(v).ok_or(format!("bad --codec: {v:?} (raw|delta-varint)")),
+        }
+    };
     let cmd = pos.first().ok_or(USAGE.to_string())?.as_str();
     let unknown_command = || format!("unknown command {cmd:?}\n{USAGE}");
     let takes = flags_of(cmd).ok_or_else(unknown_command)?;
@@ -255,17 +254,27 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             .ok_or(format!("{cmd}: missing {what}"))
     };
     match cmd {
-        "gen" => Ok(Command::Gen {
-            dataset: pos
+        "gen" => {
+            let dataset = pos
                 .get(1)
                 .ok_or("gen: missing dataset name".to_string())?
-                .to_string(),
-            out: need(2, "output base")?,
-            scale: match flags.get("scale") {
+                .to_string();
+            let scale = match flags.get("scale") {
                 None => 1.0,
-                Some(v) => v.parse().map_err(|_| format!("bad --scale: {v:?}"))?,
-            },
-        }),
+                Some(_) if matches!(dataset_by_name(&dataset), Ok(Dataset::Rmat(_))) => {
+                    return Err("gen: --scale does not apply to rmat-K (K sets its size)".into())
+                }
+                Some(v) => match v.parse::<f64>() {
+                    Ok(f) if (1.0 / 64.0..=64.0).contains(&f) => f,
+                    _ => return Err(format!("bad --scale: {v:?} (want a factor in [1/64, 64])")),
+                },
+            };
+            Ok(Command::Gen {
+                dataset,
+                out: need(2, "output base")?,
+                scale,
+            })
+        }
         "import" => Ok(Command::Import {
             input: need(1, "input file")?,
             out: need(2, "output base")?,
@@ -292,7 +301,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             memory: get_num(&flags, "memory", 1 << 20)?,
             tcp: bools.contains("tcp"),
             backend: get_backend(&flags)?,
-            fault: flags.get("fault").cloned(),
+            fault: match flags.get("fault") {
+                None => FaultPlan::none(),
+                Some(v) => FaultPlan::parse(v).map_err(|e| format!("bad --fault: {e}"))?,
+            },
             codec: get_codec(&flags)?,
         }),
         "list" => Ok(Command::List {
@@ -363,8 +375,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     let options = QueryOptions {
                         cores: get_num(&flags, "cores", 0)?,
                         budget_edges: get_num(&flags, "memory", 1 << 20)?,
-                        backend: get_backend(&flags)?.unwrap_or_else(IoBackend::default_from_env),
-                        codec: get_codec(&flags)?.unwrap_or_else(Codec::default_from_env),
+                        backend: get_backend(&flags)?,
+                        codec: get_codec(&flags)?,
                         ..Default::default()
                     };
                     QueryRequest::Run {
@@ -473,13 +485,11 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
             codec,
         } => {
             let dg = DiskGraph::open(&base, &stats).map_err(|e| fail(&e))?;
-            let mut mgt = MgtOptions::default();
-            if let Some(b) = backend {
-                mgt.backend = b;
-            }
-            if let Some(c) = codec {
-                mgt.codec = c;
-            }
+            let mgt = MgtOptions {
+                backend,
+                codec,
+                ..MgtOptions::default()
+            };
             let runner = LocalRunner::new(LocalConfig {
                 cores,
                 budget: MemoryBudget::edges(memory),
@@ -516,13 +526,11 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
             codec,
         } => {
             let dg = DiskGraph::open(&base, &stats).map_err(|e| fail(&e))?;
-            let mut mgt = MgtOptions::default();
-            if let Some(b) = backend {
-                mgt.backend = b;
-            }
-            if let Some(c) = codec {
-                mgt.codec = c;
-            }
+            let mgt = MgtOptions {
+                backend,
+                codec,
+                ..MgtOptions::default()
+            };
             let runner = ClusterRunner::new(ClusterConfig {
                 nodes,
                 cores_per_node: cores,
@@ -533,12 +541,7 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
                     TransportKind::InProc
                 },
                 mgt,
-                fault: match fault {
-                    Some(plan) => {
-                        FaultPlan::parse(&plan).map_err(|e| format!("bad --fault: {e}"))?
-                    }
-                    None => FaultPlan::default_from_env(),
-                },
+                fault,
                 ..Default::default()
             })
             .map_err(|e| fail(&e))?;
@@ -642,7 +645,6 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
                     workers,
                     default_cores: cores,
                     admission: MemoryBudget::edges(memory),
-                    ..Default::default()
                 },
             )
             .map_err(|e| fail(&e))?;
@@ -765,15 +767,22 @@ mod tests {
 
     #[test]
     fn parses_gen() {
-        let cmd = parse(&args("gen rmat-8 /tmp/g --scale 0.5")).unwrap();
+        let cmd = parse(&args("gen twitter /tmp/g --scale 0.5")).unwrap();
         assert_eq!(
             cmd,
             Command::Gen {
-                dataset: "rmat-8".into(),
+                dataset: "twitter".into(),
                 out: "/tmp/g".into(),
                 scale: 0.5
             }
         );
+        let Command::Gen { scale, .. } = parse(&args("gen rmat-8 /tmp/g")).unwrap() else {
+            panic!("expected Gen");
+        };
+        assert_eq!(scale, 1.0);
+        for edge in ["0.015625", "64"] {
+            assert!(parse(&args(&format!("gen lj /tmp/g --scale {edge}"))).is_ok());
+        }
     }
 
     #[test]
@@ -786,8 +795,8 @@ mod tests {
                 cores: 8,
                 memory: 4096,
                 naive: true,
-                backend: None,
-                codec: None
+                backend: IoBackend::Prefetch,
+                codec: Codec::Raw
             }
         );
     }
@@ -803,9 +812,9 @@ mod tests {
                 cores: 2,
                 memory: 1 << 20,
                 tcp: false,
-                backend: None,
-                fault: None,
-                codec: None
+                backend: IoBackend::Prefetch,
+                fault: FaultPlan::none(),
+                codec: Codec::Raw
             }
         );
     }
@@ -821,12 +830,14 @@ mod tests {
                 cores: 2,
                 memory: 1 << 20,
                 tcp: true,
-                backend: None,
-                fault: Some("seed=42;kill=1".into()),
-                codec: None
+                backend: IoBackend::Prefetch,
+                fault: FaultPlan::parse("seed=42;kill=1").unwrap(),
+                codec: Codec::Raw
             }
         );
         assert!(parse(&args("cluster /tmp/g --fault")).is_err());
+        let err = parse(&args("cluster /tmp/g --fault seed=42")).unwrap_err();
+        assert!(err.starts_with("bad --fault: "), "{err}");
     }
 
     #[test]
@@ -842,13 +853,13 @@ mod tests {
             let Command::Count { backend: got, .. } = cmd else {
                 panic!("expected Count");
             };
-            assert_eq!(got, Some(backend), "{name}");
+            assert_eq!(got, backend, "{name}");
         }
         let cmd = parse(&args("cluster /tmp/g --backend mmap")).unwrap();
         assert!(matches!(
             cmd,
             Command::Cluster {
-                backend: Some(IoBackend::Mmap),
+                backend: IoBackend::Mmap,
                 ..
             }
         ));
@@ -867,13 +878,13 @@ mod tests {
             let Command::Count { codec: got, .. } = cmd else {
                 panic!("expected Count");
             };
-            assert_eq!(got, Some(codec), "{name}");
+            assert_eq!(got, codec, "{name}");
         }
         let cmd = parse(&args("cluster /tmp/g --codec delta-varint")).unwrap();
         assert!(matches!(
             cmd,
             Command::Cluster {
-                codec: Some(Codec::DeltaVarint),
+                codec: Codec::DeltaVarint,
                 ..
             }
         ));
@@ -967,6 +978,17 @@ mod tests {
         assert!(parse(&args("gen")).is_err());
         assert!(parse(&args("count /g --cores notanumber")).is_err());
         assert!(parse(&args("count /g --memory")).is_err());
+        // --scale sizes only the stand-ins, inside [1/64, 64].
+        assert_eq!(
+            parse(&args("gen rmat-8 /g --scale 0.5")).unwrap_err(),
+            "gen: --scale does not apply to rmat-K (K sets its size)"
+        );
+        for v in ["inf", "NaN", "-1", "0", "0.01", "65", "1e300", "x"] {
+            assert_eq!(
+                parse(&args(&format!("gen orkut /g --scale {v}"))).unwrap_err(),
+                format!("bad --scale: {v:?} (want a factor in [1/64, 64])")
+            );
+        }
         // A query flag past its wire width is refused, not wrapped into
         // a small value the daemon's caps would then accept.
         for (op, flag, value) in [
@@ -1026,8 +1048,8 @@ mod tests {
                 cores: 2,
                 memory: 1024,
                 naive: false,
-                backend: Some(IoBackend::Mmap),
-                codec: Some(Codec::DeltaVarint),
+                backend: IoBackend::Mmap,
+                codec: Codec::DeltaVarint,
             },
             &mut out,
         )
@@ -1221,9 +1243,9 @@ mod tests {
                 cores: 2,
                 memory: 512,
                 tcp: false,
-                backend: None,
-                fault: None,
-                codec: Some(Codec::DeltaVarint),
+                backend: IoBackend::Prefetch,
+                fault: FaultPlan::none(),
+                codec: Codec::DeltaVarint,
             },
             &mut out,
         )

@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 
 use pdtl::cluster::{ClusterConfig, ClusterRunner};
-use pdtl::core::{orient_to_disk, BalanceStrategy};
+use pdtl::core::orient::orient_to_disk_with;
+use pdtl::core::{BalanceStrategy, MgtOptions};
 use pdtl::graph::verify::triangle_count;
 use pdtl::graph::{DiskGraph, Graph};
 use pdtl::io::{Codec, IoStats, MemoryBudget};
@@ -33,9 +34,11 @@ proptest! {
         cores in 1usize..4,
         budget in 4usize..2048,
         balanced in any::<bool>(),
+        compressed in any::<bool>(),
         case in any::<u64>(),
     ) {
         let expected = triangle_count(&g);
+        let codec = if compressed { Codec::DeltaVarint } else { Codec::Raw };
         let dir = tmpdir(case);
         let stats = IoStats::new();
         let input = DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
@@ -47,6 +50,10 @@ proptest! {
                 BalanceStrategy::InDegree
             } else {
                 BalanceStrategy::EqualEdges
+            },
+            mgt: MgtOptions {
+                codec,
+                ..Default::default()
             },
             ..Default::default()
         })
@@ -65,12 +72,13 @@ proptest! {
             .sum();
         prop_assert_eq!(covered, g.num_edges());
         // replication traffic is exactly (N-1) * oriented size. What
-        // one replica weighs depends on the session codec — raw is
-        // exactly (|E| + 4n) * 4 (adjacency + degrees + rank map +
-        // scan bounds); delta-varint ships the compressed adjacency
-        // plus the .hdr/.vix sidecars — so orient the same input once
-        // and measure the file set the runner ships.
-        let (oracle, _) = orient_to_disk(&input, dir.join("oracle-or"), 2, &stats).unwrap();
+        // one replica weighs depends on the codec — raw is exactly
+        // (|E| + 4n) * 4 (adjacency + degrees + rank map + scan
+        // bounds); delta-varint ships the compressed adjacency plus the
+        // .hdr/.vix sidecars — so orient the same input once and
+        // measure the file set the runner ships.
+        let (oracle, _) =
+            orient_to_disk_with(&input, dir.join("oracle-or"), 2, codec, &stats).unwrap();
         let replica_bytes: u64 = oracle
             .disk
             .file_set()
@@ -78,7 +86,7 @@ proptest! {
             .map(|p| std::fs::metadata(p).unwrap().len())
             .sum();
         let mft_bytes = std::fs::metadata(oracle.disk.mft_path()).unwrap().len();
-        if oracle.disk.codec() == Codec::Raw {
+        if codec == Codec::Raw {
             prop_assert_eq!(
                 replica_bytes,
                 (g.num_edges() + 4 * g.num_vertices() as u64) * 4 + mft_bytes
@@ -91,8 +99,10 @@ proptest! {
     #[test]
     fn listing_mode_streams_every_triangle(
         g in arb_graph(24, 120),
+        compressed in any::<bool>(),
         case in any::<u64>(),
     ) {
+        let codec = if compressed { Codec::DeltaVarint } else { Codec::Raw };
         let dir = tmpdir(case.wrapping_add(1));
         let stats = IoStats::new();
         let input = DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
@@ -101,6 +111,10 @@ proptest! {
             cores_per_node: 2,
             budget: MemoryBudget::edges(64),
             listing: true,
+            mgt: MgtOptions {
+                codec,
+                ..Default::default()
+            },
             ..Default::default()
         })
         .unwrap()

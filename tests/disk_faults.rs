@@ -4,9 +4,9 @@
 //! reassignment) — never silently counted.
 //!
 //! Every fault is deterministic: single-process corruption goes through
-//! [`DiskFaultSpec`]/[`DiskFaultPlan`] (the `PDTL_DISK_FAULT` grammar),
-//! cluster replica corruption through the `corrupt@<node>` leg of the
-//! PR 7 [`FaultPlan`].
+//! [`DiskFaultSpec`]/[`DiskFaultPlan`] (the disk-fault grammar), cluster
+//! replica corruption through the `corrupt@<node>` directive of the
+//! [`FaultPlan`].
 
 use std::path::Path;
 use std::time::Duration;
@@ -260,51 +260,63 @@ fn persistent_replica_corruption_fails_node_and_reassigns() {
     }
 }
 
-/// The CI disk-fault matrix sets `PDTL_DISK_FAULT` (e.g.
-/// `bitflip@adj:97`) and `PDTL_CODEC`; this test consumes both through
-/// the same env paths as production. Phase 1 corrupts a written input:
-/// if the plan touched any file the count must fail typed, otherwise it
-/// must be exact. Phase 2 corrupts an *oriented* base (which carries
-/// the `.map`/`.bnd`/sidecar targets) and requires the full-digest
-/// tier to object. With the env unset both phases degrade to clean
-/// runs.
+/// Seeded disk-fault plans under both codecs. Phase 1 corrupts a
+/// written input: if the plan touched any file the count must fail
+/// typed, otherwise it must be exact. Phase 2 corrupts an *oriented*
+/// base (which carries the `.map`/`.bnd`/sidecar targets) and requires
+/// the full-digest tier to object. Every plan damages at least one file
+/// across the two phases, so none passes as a clean run.
 #[test]
 fn env_driven_disk_fault_plan_is_detected_or_absent() {
     let g = graph();
     let expected = triangle_count(&g);
-    let codec = Codec::default_from_env();
-    let plan = DiskFaultPlan::default_from_env();
     let stats = IoStats::new();
+    let plans = [
+        "bitflip@adj:97",
+        "truncate@bnd:55",
+        "torn@deg:23",
+        "bitflip@mft:7;truncate@vix:11",
+    ];
+    for codec in Codec::ALL {
+        for text in plans {
+            let plan = DiskFaultPlan::parse(text).unwrap();
+            let tag = format!("plan-{codec:?}-{}", text.replace([';', ':', '@'], "-"));
 
-    let dir = tmpdir("env-input");
-    DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
-    let applied = plan.apply(&dir.join("g")).unwrap();
-    let outcome = try_count(&dir.join("g"), &dir.join("w"), codec);
-    if applied.is_empty() {
-        assert_eq!(outcome.unwrap(), expected);
-    } else {
-        assert_detected("env-input", outcome);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+            let dir = tmpdir(&format!("{tag}-input"));
+            DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
+            let on_input = plan.apply(&dir.join("g")).unwrap();
+            let outcome = try_count(&dir.join("g"), &dir.join("w"), codec);
+            if on_input.is_empty() {
+                assert_eq!(outcome.unwrap(), expected, "{tag}");
+            } else {
+                assert_detected(&tag, outcome);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
 
-    let dir = tmpdir("env-oriented");
-    let input = DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
-    let (og, _) = orient_to_disk_with(&input, dir.join("o"), 2, codec, &stats).unwrap();
-    let base = og.disk.base().to_path_buf();
-    let applied = plan.apply(&base).unwrap();
-    let outcome = match DiskGraph::open(&base, &stats) {
-        Err(e) => Err(e.to_string()),
-        Ok(dg) => match dg.verify_full() {
-            Err(e) => Err(e.to_string()),
-            Ok(_) => Ok(0),
-        },
-    };
-    if applied.is_empty() {
-        assert!(outcome.is_ok(), "clean oriented base must verify");
-    } else {
-        assert_detected("env-oriented", outcome);
+            let dir = tmpdir(&format!("{tag}-oriented"));
+            let input = DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
+            let (og, _) = orient_to_disk_with(&input, dir.join("o"), 2, codec, &stats).unwrap();
+            let base = og.disk.base().to_path_buf();
+            let on_oriented = plan.apply(&base).unwrap();
+            let outcome = match DiskGraph::open(&base, &stats) {
+                Err(e) => Err(e.to_string()),
+                Ok(dg) => match dg.verify_full() {
+                    Err(e) => Err(e.to_string()),
+                    Ok(_) => Ok(0),
+                },
+            };
+            if on_oriented.is_empty() {
+                assert!(outcome.is_ok(), "{tag}: clean oriented base must verify");
+            } else {
+                assert_detected(&tag, outcome);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+            assert!(
+                on_input.len() + on_oriented.len() > 0,
+                "{tag}: the plan must damage some file"
+            );
+        }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Strategy: an arbitrary simple graph, as in `tests/properties.rs`.

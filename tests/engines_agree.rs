@@ -3,11 +3,11 @@
 
 use pdtl::baselines::{cttp, inmem, optlike, patric, powergraph};
 use pdtl::cluster::{ClusterConfig, ClusterRunner};
-use pdtl::core::{count_triangles_with, BalanceStrategy, LocalConfig};
+use pdtl::core::{count_triangles_with, BalanceStrategy, LocalConfig, MgtOptions};
 use pdtl::graph::datasets::Dataset;
 use pdtl::graph::verify::triangle_count;
 use pdtl::graph::{DiskGraph, Graph};
-use pdtl::io::{IoStats, MemoryBudget};
+use pdtl::io::{Codec, IoStats, MemoryBudget};
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()
@@ -20,34 +20,40 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 fn every_engine_count(g: &Graph, tag: &str) -> Vec<(&'static str, u64)> {
     let mut results = Vec::new();
 
-    // PDTL local, multiple configs
-    for (cores, budget) in [(1usize, 1usize << 20), (3, 512)] {
-        let r = count_triangles_with(
-            g,
-            LocalConfig {
-                cores,
-                budget: MemoryBudget::edges(budget),
-                balance: BalanceStrategy::InDegree,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        results.push(("pdtl-local", r.triangles));
-    }
-
-    // PDTL distributed
+    // PDTL local and distributed, under every on-disk codec
     let stats = IoStats::new();
     let input = DiskGraph::write(g, tmpdir(tag).join("g"), &stats).unwrap();
-    let cr = ClusterRunner::new(ClusterConfig {
-        nodes: 2,
-        cores_per_node: 2,
-        budget: MemoryBudget::edges(1024),
-        ..Default::default()
-    })
-    .unwrap()
-    .run(&input, &tmpdir(&format!("{tag}-cluster")))
-    .unwrap();
-    results.push(("pdtl-cluster", cr.triangles));
+    for codec in Codec::ALL {
+        let mgt = MgtOptions {
+            codec,
+            ..Default::default()
+        };
+        for (cores, budget) in [(1usize, 1usize << 20), (3, 512)] {
+            let r = count_triangles_with(
+                g,
+                LocalConfig {
+                    cores,
+                    budget: MemoryBudget::edges(budget),
+                    balance: BalanceStrategy::InDegree,
+                    mgt,
+                },
+            )
+            .unwrap();
+            results.push(("pdtl-local", r.triangles));
+        }
+
+        let cr = ClusterRunner::new(ClusterConfig {
+            nodes: 2,
+            cores_per_node: 2,
+            budget: MemoryBudget::edges(1024),
+            mgt,
+            ..Default::default()
+        })
+        .unwrap()
+        .run(&input, &tmpdir(&format!("{tag}-cluster-{codec}")))
+        .unwrap();
+        results.push(("pdtl-cluster", cr.triangles));
+    }
 
     // in-memory references
     results.push(("node-iterator", inmem::node_iterator(g)));

@@ -228,17 +228,17 @@ fn listing_with_killed_node_has_no_duplicates() {
     assert_eq!(listed.len() as u64, expected, "no duplicate triangles");
 }
 
-/// The CI fault matrix sets `PDTL_FAULT` (e.g. `seed=101;kill=1`); this
-/// run picks it up through the same env path as production and must
-/// stay exact for any plan killing fewer than all nodes. With the env
-/// unset it degrades to a plain fault-free run.
+/// Seeded kill plans killing one, two and three of four nodes: every
+/// run stays exact and reports exactly the `k` victims as failed.
 #[test]
 fn env_driven_plan_stays_exact() {
     let g = graph();
     let expected = triangle_count(&g);
-    let mut c = cfg(4, TransportKind::InProc, "");
-    c.fault = FaultPlan::default_from_env();
-    let report = run(&g, c, "env-plan").unwrap();
-    assert_eq!(report.triangles, expected);
-    assert_eq!(report.node_triangle_sum(), expected);
+    for (seed, kill) in [(101u64, 1usize), (202, 2), (303, 3)] {
+        let plan = format!("seed={seed};kill={kill}");
+        let report = run(&g, cfg(4, TransportKind::InProc, &plan), &plan).unwrap();
+        assert_eq!(report.triangles, expected, "{plan}");
+        assert_eq!(report.node_triangle_sum(), expected, "{plan}");
+        assert_eq!(report.failed_nodes.len(), kill, "{plan}");
+    }
 }

@@ -373,20 +373,14 @@ fn corrupt_catalog_entry_is_rejected_and_the_rest_served() {
     let bad = rmat(6, 2).unwrap();
     DiskGraph::write(&bad, cat_dir.join("bad"), &stats).unwrap();
 
-    // Corrupt via the shared fault grammar (`PDTL_DISK_FAULT` syntax):
+    // Corrupt via the shared disk-fault grammar:
     // one flipped bit deep in the adjacency, invisible to the quick
     // open-time tier, fatal to the full digest at registration.
     let plan = DiskFaultPlan::parse("bitflip@adj:97").unwrap();
     let touched = plan.apply(&cat_dir.join("bad")).unwrap();
     assert!(!touched.is_empty());
 
-    let catalog = Catalog::open(
-        &cat_dir,
-        &dir.join("work"),
-        &[Codec::Raw, Codec::DeltaVarint],
-        2,
-    )
-    .unwrap();
+    let catalog = Catalog::open(&cat_dir, &dir.join("work"), &[Codec::Raw], 2).unwrap();
     assert_eq!(catalog.names(), vec!["good".to_string()]);
     let rejected = catalog.rejected().to_vec();
     assert_eq!(rejected.len(), 1);
@@ -407,6 +401,16 @@ fn corrupt_catalog_entry_is_rejected_and_the_rest_served() {
         .query("bad", QueryOperation::Count, QueryOptions::default())
         .unwrap_err();
     assert!(matches!(err, ClusterError::Query { .. }), "{err}");
+    // A codec the catalog did not orient is a typed rejection naming
+    // what the entry does serve.
+    let varint = QueryOptions {
+        codec: Codec::DeltaVarint,
+        ..Default::default()
+    };
+    let err = client
+        .query("good", QueryOperation::Count, varint)
+        .unwrap_err();
+    assert!(err.to_string().contains("(serving: raw)"), "{err}");
     let stats = client.stats().unwrap();
     assert_eq!(stats.rejected_graphs, 1);
     assert_eq!(stats.graphs.len(), 1);
