@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use pdtl_core::PhaseReport;
+use pdtl_core::{EdgeRange, PhaseReport, PredictedCost};
 use pdtl_io::{CostModel, ModeledTime};
 
 use crate::message::WorkerSummary;
@@ -127,6 +127,9 @@ pub struct ClusterReport {
     pub orientation: PhaseReport,
     /// Master's load-balancing phase.
     pub balancing: PhaseReport,
+    /// The `N·P` planned ranges with their predicted costs, in range
+    /// order.
+    pub plan: Vec<(EdgeRange, PredictedCost)>,
     /// Per-node reports, index = node id.
     pub nodes: Vec<NodeReport>,
     /// Network traffic by class.
@@ -151,6 +154,13 @@ impl ClusterReport {
             .map(|n| n.calc_wall())
             .max()
             .unwrap_or_default()
+    }
+
+    /// Max ÷ mean of every worker's wall across the cluster, the twin of
+    /// [`RunReport::imbalance`](pdtl_core::RunReport::imbalance).
+    pub fn imbalance(&self) -> f64 {
+        let walls = self.nodes.iter().flat_map(|n| &n.workers);
+        pdtl_core::metrics::imbalance(walls.map(|w| Duration::from_nanos(w.wall_nanos)))
     }
 
     /// Average copy wall time over remote (non-master) nodes — the
@@ -242,6 +252,7 @@ mod tests {
             triangles: 20,
             orientation: PhaseReport::default(),
             balancing: PhaseReport::default(),
+            plan: vec![],
             nodes: vec![node(0, 0, &[10, 20]), node(1, 7, &[30, 5])],
             network: NetSnapshot {
                 config: 100,
@@ -261,6 +272,12 @@ mod tests {
     #[test]
     fn calc_wall_is_struggler_node() {
         assert_eq!(report().calc_wall(), Duration::from_millis(30));
+    }
+
+    #[test]
+    fn imbalance_spans_every_node() {
+        // walls 10, 20, 30, 5 ms: max 30 over mean 16.25
+        assert!((report().imbalance() - 30.0 / 16.25).abs() < 1e-12);
     }
 
     #[test]
@@ -301,6 +318,7 @@ mod tests {
             triangles: 0,
             orientation: PhaseReport::default(),
             balancing: PhaseReport::default(),
+            plan: vec![],
             nodes: vec![],
             network: NetSnapshot::default(),
             wall: Duration::ZERO,
@@ -310,6 +328,7 @@ mod tests {
             failed_nodes: vec![],
         };
         assert_eq!(r.calc_wall(), Duration::ZERO);
+        assert_eq!(r.imbalance(), 0.0);
         assert_eq!(r.avg_copy(), Duration::ZERO);
         assert_eq!(r.modeled_avg_copy(&NetModel::default()), 0.0);
     }

@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pdtl_core::balance::{split_ranges, BalanceStrategy};
+use pdtl_core::balance::{plan_ranges, BalanceStrategy};
 use pdtl_core::mgt::MgtOptions;
 use pdtl_core::orient::{orient_to_disk_with, OrientedGraph};
 use pdtl_graph::{DiskGraph, Manifest};
@@ -642,6 +642,12 @@ impl ClusterRunner {
         if config.cores_per_node == 0 {
             return Err(ClusterError::Config("cores_per_node must be >= 1".into()));
         }
+        // A zero budget would run as 1-edge chunks: |E*| iterations.
+        if config.budget.edges == 0 {
+            return Err(ClusterError::Config(
+                "memory budget must be >= 1 edge".into(),
+            ));
+        }
         if config.retry.max_attempts == 0 {
             return Err(ClusterError::Config("max_attempts must be >= 1".into()));
         }
@@ -695,19 +701,15 @@ impl ClusterRunner {
         )?;
 
         // 2. N*P contiguous ranges.
-        let in_degrees = og.in_degrees().ok_or_else(|| {
-            ClusterError::Protocol("oriented graph is missing its original-degree records".into())
-        })?;
         let total_workers = cfg.nodes * cfg.cores_per_node;
-        let (ranges, balancing) =
-            split_ranges(&og.offsets, &in_degrees, total_workers, cfg.balance);
+        let (plan, balancing) = plan_ranges(&og, cfg.budget, total_workers, cfg.balance);
 
         let mut g = Gather {
             cfg,
             traffic: traffic.clone(),
             faults: cfg.fault.resolve(cfg.nodes),
-            ranges: ranges.iter().map(|r| (r.start, r.end)).collect(),
-            completed: vec![false; ranges.len()],
+            ranges: plan.iter().map(|(r, _)| (r.start, r.end)).collect(),
+            completed: vec![false; plan.len()],
             slots: Vec::with_capacity(cfg.nodes),
             listed: cfg.listing.then(Vec::new),
             retries: 0,
@@ -779,6 +781,7 @@ impl ClusterRunner {
             triangles,
             orientation,
             balancing,
+            plan,
             nodes,
             network: NetSnapshot {
                 config: traffic.config_bytes(),
@@ -943,6 +946,12 @@ mod tests {
         let mut zero_attempts = cfg(2, 1);
         zero_attempts.retry.max_attempts = 0;
         assert!(ClusterRunner::new(zero_attempts).is_err());
+        let mut zero_budget = cfg(2, 1);
+        zero_budget.budget = MemoryBudget::edges(0);
+        assert!(matches!(
+            ClusterRunner::new(zero_budget),
+            Err(ClusterError::Config(_))
+        ));
     }
 
     #[test]

@@ -642,6 +642,11 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
         ));
     }
     validate_op(&job.op)?;
+    // Refused before admission: it would be admitted at cost 0 and then
+    // run |E*| one-edge chunk iterations while holding nothing.
+    if opts.budget_edges == 0 {
+        return Err("budget_edges must be >= 1".into());
+    }
 
     // Worst-case resident cost in edges: each MGT worker holds up to a
     // budget's worth of chunk, and the analytics kernels additionally

@@ -8,8 +8,9 @@
 //!    computed sequentially or across all cores (Figure 2).
 //! 2. **Load balancing** ([`balance`]): split the oriented adjacency into
 //!    one *contiguous* range of pivot-edge positions per logical
-//!    processor, either naively (equal edges) or weighted by
-//!    post-orientation in-degrees (Section IV-B1, Figure 9).
+//!    processor, either naively (equal edges) or by predicted cost:
+//!    post-orientation in-degrees (Section IV-B1, Figure 9) plus the
+//!    scan each chunk iteration repeats.
 //! 3. **MGT** ([`mgt`]): each processor runs the modified Massive Graph
 //!    Triangulation engine (Algorithm 2) over its range: load `Θ(cM)`
 //!    oriented edges into the `edg`/`ind` arrays, then stream every
@@ -37,7 +38,9 @@ pub mod runner;
 pub mod sink;
 pub mod theory;
 
-pub use balance::{split_ranges, BalanceStrategy, EdgeRange};
+pub use balance::{
+    plan_ranges, predicted_cost, split_ranges, BalanceStrategy, EdgeRange, PredictedCost,
+};
 pub use error::{CoreError, Result};
 pub use metrics::{PhaseReport, RunReport, WorkerReport};
 pub use mgt::{mgt_count_range, mgt_count_range_opt, mgt_in_memory, mgt_in_memory_opt, MgtOptions};

@@ -9,7 +9,7 @@ use std::time::Duration;
 use pdtl_io::stats::IoSnapshot;
 use pdtl_io::{CostModel, ModeledTime, TimeBreakdown};
 
-use crate::balance::EdgeRange;
+use crate::balance::{EdgeRange, PredictedCost};
 
 /// Measurements of one sequential phase (orientation, load balancing,
 /// aggregation).
@@ -77,6 +77,8 @@ pub struct RunReport {
     pub orientation: PhaseReport,
     /// Load-balancing phase measurements.
     pub balancing: PhaseReport,
+    /// The planned ranges with their predicted costs, in worker order.
+    pub plan: Vec<(EdgeRange, PredictedCost)>,
     /// One report per worker.
     pub workers: Vec<WorkerReport>,
     /// End-to-end wall time.
@@ -93,6 +95,12 @@ impl RunReport {
             .map(|w| w.breakdown.wall)
             .max()
             .unwrap_or_default()
+    }
+
+    /// How far the struggler ran past the average worker: max ÷ mean
+    /// of the worker walls ([`imbalance`]).
+    pub fn imbalance(&self) -> f64 {
+        imbalance(self.workers.iter().map(|w| w.breakdown.wall))
     }
 
     /// Modeled calculation time: max over workers (they run in
@@ -138,6 +146,22 @@ impl RunReport {
     }
 }
 
+/// Max ÷ mean of worker walls: 1 when every worker finishes together,
+/// 0 when none did any work.
+pub fn imbalance(walls: impl IntoIterator<Item = Duration>) -> f64 {
+    let (mut max, mut sum, mut count) = (Duration::ZERO, Duration::ZERO, 0u32);
+    for wall in walls {
+        max = max.max(wall);
+        sum += wall;
+        count += 1;
+    }
+    if sum.is_zero() {
+        0.0
+    } else {
+        max.as_secs_f64() * f64::from(count) / sum.as_secs_f64()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,6 +194,7 @@ mod tests {
                 ..Default::default()
             },
             balancing: PhaseReport::default(),
+            plan: vec![],
             workers: vec![worker(10, 5_000_000, 4), worker(30, 20_000_000, 8)],
             wall: Duration::from_millis(50),
         }
@@ -178,6 +203,13 @@ mod tests {
     #[test]
     fn calc_wall_is_struggler() {
         assert_eq!(report().calc_wall(), Duration::from_millis(30));
+    }
+
+    #[test]
+    fn imbalance_is_max_over_mean_wall() {
+        // walls 10 and 30 ms: max 30 over mean 20
+        assert!((report().imbalance() - 1.5).abs() < 1e-12);
+        assert_eq!(imbalance([]), 0.0);
     }
 
     #[test]
@@ -220,10 +252,12 @@ mod tests {
             triangles: 0,
             orientation: PhaseReport::default(),
             balancing: PhaseReport::default(),
+            plan: vec![],
             workers: vec![],
             wall: Duration::ZERO,
         };
         assert_eq!(r.calc_wall(), Duration::ZERO);
+        assert_eq!(r.imbalance(), 0.0);
         assert_eq!(r.modeled_calc(&CostModel::default()), 0.0);
     }
 }

@@ -515,7 +515,7 @@ impl JoinScratch {
 /// Index of the vertex owning adjacency position `pos` (vertices with
 /// `d* = 0` own no positions and are skipped automatically).
 #[inline]
-fn vertex_of(offsets: &[u64], pos: u64) -> u32 {
+pub(crate) fn vertex_of(offsets: &[u64], pos: u64) -> u32 {
     debug_assert!(pos < *offsets.last().unwrap());
     (offsets.partition_point(|&o| o <= pos) - 1) as u32
 }

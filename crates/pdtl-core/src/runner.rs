@@ -15,8 +15,7 @@ use std::time::Instant;
 use pdtl_graph::{DiskGraph, Graph};
 use pdtl_io::{IoStats, MemoryBudget};
 
-use crate::balance::EdgeRange;
-use crate::balance::{split_ranges, BalanceStrategy};
+use crate::balance::{plan_ranges, BalanceStrategy, EdgeRange};
 use crate::error::{CoreError, Result};
 use crate::metrics::{RunReport, WorkerReport};
 use crate::mgt::{mgt_count_range_opt, MgtOptions};
@@ -59,6 +58,10 @@ impl LocalRunner {
     pub fn new(config: LocalConfig) -> Result<Self> {
         if config.cores == 0 {
             return Err(CoreError::Config("cores must be >= 1".into()));
+        }
+        // A zero budget would run as 1-edge chunks: |E*| iterations.
+        if config.budget.edges == 0 {
+            return Err(CoreError::Config("memory budget must be >= 1 edge".into()));
         }
         Ok(Self { config })
     }
@@ -137,9 +140,8 @@ impl LocalRunner {
     /// produced `og`.
     ///
     /// When `og` was reopened from disk (no recorded original degrees),
-    /// an `InDegree` balance request degrades to `EqualEdges` rather
-    /// than failing: the split is an optimization, not a correctness
-    /// requirement.
+    /// the planner balances without its probe term rather than failing:
+    /// the split is an optimization, not a correctness requirement.
     pub fn run_oriented_with_sinks<S, F>(
         &self,
         og: &OrientedGraph,
@@ -150,18 +152,13 @@ impl LocalRunner {
         F: Fn() -> S,
     {
         let wall_start = Instant::now();
+        let (budget, mgt) = (self.config.budget, self.config.mgt);
 
-        // Phase 2: load balancing (Section IV-B1); the equal-edges
-        // split reads no weights.
-        let (weights, strategy) = match (self.config.balance, og.in_degrees()) {
-            (BalanceStrategy::InDegree, Some(w)) => (w, BalanceStrategy::InDegree),
-            _ => (Vec::new(), BalanceStrategy::EqualEdges),
-        };
-        let (ranges, balancing) = split_ranges(&og.offsets, &weights, self.config.cores, strategy);
+        // Phase 2: load balancing (Section IV-B1).
+        let (plan, balancing) = plan_ranges(og, budget, self.config.cores, self.config.balance);
 
         // Phase 3: one MGT worker per core.
-        let (budget, mgt) = (self.config.budget, self.config.mgt);
-        let jobs: Vec<_> = ranges.iter().map(|&r| (r, budget, mgt)).collect();
+        let jobs: Vec<_> = plan.iter().map(|&(r, _)| (r, budget, mgt)).collect();
         let (workers, sinks) = run_workers(og, &jobs, make_sink)?;
         let triangles = workers.iter().map(|w| w.triangles).sum();
 
@@ -170,6 +167,7 @@ impl LocalRunner {
                 triangles,
                 orientation: crate::metrics::PhaseReport::default(),
                 balancing,
+                plan,
                 workers,
                 wall: wall_start.elapsed(),
             },
@@ -383,7 +381,7 @@ mod tests {
         // The resident-process entry: orienting once and running
         // `run_oriented_with_sinks` repeatedly yields the same count as
         // the one-shot path, including on a *reopened* graph whose
-        // original degrees are gone (InDegree degrades to EqualEdges).
+        // original degrees are gone (planned without the probe term).
         let g = rmat(8, 24).unwrap();
         let expected = triangle_count(&g);
         let dir = tmpdir("oriented-entry");
@@ -403,7 +401,7 @@ mod tests {
             assert_eq!(report.triangles, expected);
             assert_eq!(report.workers.len(), 3);
         }
-        // Reopen from disk: orig_degrees is None, the split degrades.
+        // Reopen from disk: orig_degrees is None, the plan drops probes.
         let reopened = crate::orient::OrientedGraph::open(og.disk.base(), &stats).unwrap();
         assert!(reopened.in_degrees().is_none());
         let (report, _) = runner
@@ -483,6 +481,15 @@ mod tests {
             ..Default::default()
         };
         assert!(LocalRunner::new(cfg).is_err());
+    }
+
+    #[test]
+    fn zero_budget_rejected() {
+        let cfg = LocalConfig {
+            budget: MemoryBudget::edges(0),
+            ..Default::default()
+        };
+        assert!(matches!(LocalRunner::new(cfg), Err(CoreError::Config(_))));
     }
 
     #[test]

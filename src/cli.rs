@@ -17,7 +17,10 @@
 //! * `cluster <base> [--nodes n] [--cores p] [--memory edges] [--tcp]
 //!   [--backend b] [--codec c] [--fault plan]` — distributed exact
 //!   count; `--fault` injects a deterministic fault plan (the
-//!   `FaultPlan` grammar, e.g. `seed=42;kill=1` or `panic@1x1`);
+//!   `FaultPlan` grammar, e.g. `seed=42;kill=1` or `panic@1x1`). Both
+//!   counts print one line per worker after the totals — range,
+//!   iterations, predicted share of the cost, wall, I/O wait — then
+//!   `imbalance: <max/mean worker wall>`; `--memory` must be ≥ 1;
 //! * `list <base> <out.bin> [--cores p]` — triangle listing to file;
 //! * `verify <base>` — full integrity verification: open the graph
 //!   (structural + quick manifest checks) and digest every file
@@ -36,14 +39,16 @@
 //! Parsing is kept dependency-free and fully unit-tested; the binary is
 //! a thin wrapper around [`run`].
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use pdtl_cluster::{
     Catalog, ClusterConfig, ClusterRunner, FaultPlan, QueryOperation, QueryOptions, ServeClient,
     ServeConfig, Server, TransportKind,
 };
 use pdtl_core::mgt::MgtOptions;
-use pdtl_core::{BalanceStrategy, LocalConfig, LocalRunner, ScratchDir};
+use pdtl_core::{BalanceStrategy, EdgeRange, LocalConfig, LocalRunner, PredictedCost, ScratchDir};
 use pdtl_graph::datasets::Dataset;
 use pdtl_graph::{DiskGraph, GraphStats};
 use pdtl_io::{Codec, IoBackend, IoStats, MemoryBudget};
@@ -216,7 +221,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
     }
     // Parsed at the width of the field it fills — the wire width for a
-    // query — so an out-of-range value is refused, never wrapped.
+    // query — so an out-of-range value is refused, never wrapped. A
+    // `--memory` parses as a nonzero type: a zero budget would run |E*|
+    // one-edge chunk iterations (and a query would be admitted free).
     fn get_num<T: std::str::FromStr>(
         flags: &std::collections::HashMap<String, String>,
         key: &str,
@@ -289,7 +296,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "count" => Ok(Command::Count {
             base: need(1, "input base")?,
             cores: get_num(&flags, "cores", 4)?,
-            memory: get_num(&flags, "memory", 1 << 20)?,
+            memory: get_num(&flags, "memory", NonZeroUsize::new(1 << 20).unwrap())?.get(),
             naive: bools.contains("naive"),
             backend: get_backend(&flags)?,
             codec: get_codec(&flags)?,
@@ -298,7 +305,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             base: need(1, "input base")?,
             nodes: get_num(&flags, "nodes", 2)?,
             cores: get_num(&flags, "cores", 2)?,
-            memory: get_num(&flags, "memory", 1 << 20)?,
+            memory: get_num(&flags, "memory", NonZeroUsize::new(1 << 20).unwrap())?.get(),
             tcp: bools.contains("tcp"),
             backend: get_backend(&flags)?,
             fault: match flags.get("fault") {
@@ -323,7 +330,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .unwrap_or_else(|| "127.0.0.1:0".into()),
             workers: get_num(&flags, "workers", 4)?,
             cores: get_num(&flags, "cores", 2)?,
-            memory: get_num(&flags, "memory", 1 << 22)?,
+            memory: get_num(&flags, "memory", NonZeroUsize::new(1 << 22).unwrap())?.get(),
         }),
         "query" => {
             let addr = pos
@@ -374,7 +381,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     };
                     let options = QueryOptions {
                         cores: get_num(&flags, "cores", 0)?,
-                        budget_edges: get_num(&flags, "memory", 1 << 20)?,
+                        budget_edges: get_num(&flags, "memory", NonZeroU64::new(1 << 20).unwrap())?
+                            .get(),
                         backend: get_backend(&flags)?,
                         codec: get_codec(&flags)?,
                         ..Default::default()
@@ -419,6 +427,32 @@ fn work_dir(base: &Path, tag: &str) -> PathBuf {
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "graph".into());
     std::env::temp_dir().join(format!("pdtl-cli-{tag}-{name}-{}", std::process::id()))
+}
+
+/// One worker's line after a count's totals: where `calc` went, and
+/// the planner's predicted share of the cost beside it.
+fn worker_line(
+    out: &mut impl std::io::Write,
+    who: &str,
+    range: EdgeRange,
+    iterations: u64,
+    plan: &[(EdgeRange, PredictedCost)],
+    wall: Duration,
+    io: Duration,
+) -> std::io::Result<()> {
+    let total: u64 = plan.iter().map(|(_, c)| c.picos).sum();
+    let predicted = plan
+        .iter()
+        .find(|(r, _)| *r == range)
+        .map_or(0, |(_, c)| c.picos);
+    writeln!(
+        out,
+        "{who}: range [{}, {}), {iterations} iterations, predicted {:.1}% of cost, \
+         wall {wall:.3?}, io wait {io:.3?}",
+        range.start,
+        range.end,
+        100.0 * predicted as f64 / total.max(1) as f64
+    )
 }
 
 /// Execute a parsed command, writing human output via `out`.
@@ -507,13 +541,21 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
             let report = runner.run(&dg, scratch.path()).map_err(|e| fail(&e))?;
             writeln!(
                 out,
-                "triangles: {}\nwall: {:?} (orientation {:?}, calc {:?})",
+                "triangles: {}\nwall: {:?} (orientation {:?}, balance {:?}, calc {:?})",
                 report.triangles,
                 report.wall,
                 report.orientation.breakdown.wall,
+                report.balancing.breakdown.wall,
                 report.calc_wall()
             )
-            .map_err(|e| fail(&e))
+            .map_err(|e| fail(&e))?;
+            for w in &report.workers {
+                let who = format!("worker {}", w.worker);
+                let (wall, io) = (w.breakdown.wall, w.breakdown.io);
+                worker_line(out, &who, w.range, w.iterations, &report.plan, wall, io)
+                    .map_err(|e| fail(&e))?;
+            }
+            writeln!(out, "imbalance: {:.2}", report.imbalance()).map_err(|e| fail(&e))
         }
         Command::Cluster {
             base,
@@ -557,6 +599,20 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
                 report.network.total()
             )
             .map_err(|e| fail(&e))?;
+            for node in &report.nodes {
+                for w in &node.workers {
+                    let who = format!("node {} worker {}", node.node, w.worker);
+                    let range = EdgeRange {
+                        start: w.start,
+                        end: w.end,
+                    };
+                    let wall = Duration::from_nanos(w.wall_nanos);
+                    let io = Duration::from_nanos(w.io_nanos);
+                    worker_line(out, &who, range, w.iterations, &report.plan, wall, io)
+                        .map_err(|e| fail(&e))?;
+                }
+            }
+            writeln!(out, "imbalance: {:.2}", report.imbalance()).map_err(|e| fail(&e))?;
             if report.retries > 0 || !report.failed_nodes.is_empty() {
                 writeln!(
                     out,
@@ -1002,6 +1058,15 @@ mod tests {
                 format!("bad --{flag}: {value:?}")
             );
         }
+        // A zero budget is refused wherever --memory is taken.
+        for line in [
+            "count /g --memory 0",
+            "cluster /g --memory 0",
+            "serve /d --memory 0",
+            "query h:1 g count --memory 0",
+        ] {
+            assert_eq!(parse(&args(line)).unwrap_err(), "bad --memory: \"0\"");
+        }
         // A flag the command does not take is refused, not filed away
         // with the next token as its value: misspelt, removed, or
         // belonging to another command.
@@ -1062,6 +1127,14 @@ mod tests {
         let g = Dataset::Rmat(7).build().unwrap();
         let expected = pdtl_graph::verify::triangle_count(&g);
         assert!(text.contains(&format!("triangles: {expected}")));
+        // One line per worker, then the imbalance.
+        let workers: Vec<&str> = text.lines().filter(|l| l.starts_with("worker ")).collect();
+        assert_eq!(workers.len(), 2, "{text}");
+        assert!(workers.iter().all(|l| l.contains("% of cost")), "{text}");
+        assert!(
+            text.lines().last().unwrap().starts_with("imbalance: "),
+            "{text}"
+        );
     }
 
     #[test]
@@ -1273,6 +1346,10 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         let expected = pdtl_graph::verify::triangle_count(&g);
         assert!(text.contains(&format!("triangles: {expected}")));
+        // 2 nodes x 2 cores: four worker lines, one imbalance line.
+        let workers = text.lines().filter(|l| l.starts_with("node ")).count();
+        assert_eq!(workers, 4, "{text}");
+        assert_eq!(text.matches("imbalance: ").count(), 1, "{text}");
         assert!(text.contains("listed"));
         // exported file re-imports to the same graph
         let (g2, _) = pdtl_graph::text::read_edge_list(&exported).unwrap();

@@ -363,6 +363,28 @@ fn admission_blocks_without_deadlock_and_never_oversubscribes() {
 }
 
 #[test]
+fn zero_budget_query_is_refused_before_admission() {
+    // Admitted at cost cores × 0 it would then run |E*| one-edge chunk
+    // iterations while holding nothing in the ledger.
+    let g = rmat(6, 5).unwrap();
+    let (dir, server) = boot("zero-budget", &[("g", &g)], ServeConfig::default());
+    let mut client = ServeClient::connect(&server.addr()).unwrap();
+    let options = QueryOptions {
+        budget_edges: 0,
+        ..Default::default()
+    };
+    for op in [QueryOperation::Count, QueryOperation::List { limit: 10 }] {
+        match client.query("g", op, options).unwrap_err() {
+            ClusterError::Query { detail, .. } => assert!(detail.contains("budget"), "{detail}"),
+            other => panic!("expected a typed query rejection, got {other}"),
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.failed, stats.admitted_peak), (2, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn corrupt_catalog_entry_is_rejected_and_the_rest_served() {
     let dir = test_dir("corrupt");
     let cat_dir = dir.join("catalog");
