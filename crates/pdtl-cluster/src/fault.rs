@@ -23,7 +23,7 @@
 //!     delivering that many values (a truncated/dying replica),
 //!   - `copyfail` — the master's replica copy to that node fails,
 //!   - `corrupt:<ext>` — the replica file `<ext>` (`deg`/`adj`/`hdr`/
-//!     `vix`/`map`/`bnd`/`mft`, no dot) is bit-flipped *after* a
+//!     `vix`/`map`/`skt`/`mft`, no dot) is bit-flipped *after* a
 //!     successful copy; post-copy digest verification detects it, so
 //!     `x1` models a transient medium error healed by the re-copy and
 //!     a persistent spec exhausts the retry budget into reassignment.

@@ -628,19 +628,19 @@ mod tests {
     #[test]
     fn node_reports_corrupt_replica_as_node_error() {
         let (base, m_star, _) = oriented_base("corrupt");
-        // Silently flip a bit in the replica's bounds sidecar: the
+        // Silently flip a bit in the replica's sketch sidecar: the
         // quick integrity tier inside `OrientedGraph::open` digests
         // small files, so the node detects it before computing
         // anything and the master gets a typed NodeError (feeding
         // PR 7's range reassignment instead of a wrong count).
         pdtl_io::diskfault::DiskFaultSpec {
             kind: pdtl_io::diskfault::DiskFaultKind::BitFlip,
-            target: pdtl_io::diskfault::FaultTarget::Bnd,
+            target: pdtl_io::diskfault::FaultTarget::Skt,
             seed: 77,
         }
         .apply(Path::new(&base))
         .unwrap()
-        .expect("bounds file exists");
+        .expect("sketch file exists");
         let (master, remote) = in_proc_pair(NetTraffic::new());
         let handle = std::thread::spawn(move || serve_node(&remote));
         master

@@ -29,7 +29,7 @@
 //! w_visit · vhigh + w_scan · scan + w_res · len + w_probe · Σ in(v)
 //! ```
 //!
-//! * `vhigh` — the vertices the scan loop visits (`u < vhigh`): a bounds
+//! * `vhigh` — the vertices the scan loop visits (`u < vhigh`): a sketch
 //!   test each, and a skip for an out-list that misses the window;
 //! * `scan` — the out-list entries the pruned scan reads (below);
 //! * `len` — the resident positions: the chunk load and its `ind` array;
@@ -37,16 +37,31 @@
 //!   resident position of `v`: the paper's in-degree weight.
 //!
 //! The scan volume is exact and costs `O(1)` per chunk. The engine reads
-//! `N(u)` unless `bmax(u) < vlow` or `bmin(u) > vhigh`, and stops at
-//! `u < vhigh`. Out-neighbours ascend, so `bmin(u) > u`:
+//! `N(u)` iff `u < vhigh` and `sketch(u)` meets bits `b0..=b1`, the
+//! buckets of `vlow` and `vhigh` ([`crate::mgt`], "Scan pruning"). Let
+//! `T[b0][b1]` be `Σ d*(u)` over *every* `u` whose sketch meets
+//! `b0..=b1`; the scan reads `T[b0][b1]` less the lists of `u ≥ vhigh`
+//! that meet it. Out-neighbours exceed `u` and buckets ascend with
+//! rank, so no bit of `sketch(u)` lies below `bucket(u)`; for
+//! `u ≥ vhigh` that is `bucket(vhigh) = b1` or more, so such a sketch
+//! meets `b0..=b1` iff `bucket(u) = b1` and it holds its own bucket's
+//! bit. Those `u` run from `vhigh` to `first(b1 + 1)`, the first rank
+//! past bucket `b1`, hence
 //!
-//! 1. `bmin(u) ≤ vhigh` already implies `u < vhigh`, so the volume read
-//!    is that of `{u : bmin(u) ≤ vhigh} − {u : bmax(u) < vlow}`;
-//! 2. `bmax(u) < vlow` implies `bmin(u) ≤ bmax(u) < vlow ≤ vhigh`, so the
-//!    second set lies inside the first;
-//! 3. hence `scan = A(vhigh) − B(vlow)`, with `A(x) = Σ d*(u)` over
-//!    `bmin(u) ≤ x` and `B(x) = Σ d*(u)` over `bmax(u) < x` — two prefix
-//!    arrays built in `O(n)` from the `.bnd` bounds.
+//! ```text
+//! scan(vlow, vhigh) = T[b0][b1] − (S(first(b1 + 1)) − S(vhigh))
+//! ```
+//!
+//! with `S(x) = Σ d*(u)` over `u < x` whose sketch holds `bucket(u)`'s
+//! bit: one `n + 1`-entry prefix. `T` is built in `O(n + Σ popcount +
+//! 64²)` from the sketches' *gaps*, the runs of clear bits before,
+//! between and after their set bits. A window misses a sketch iff it
+//! lies inside one of its gaps, and one sketch's gaps are disjoint, so
+//! `T[b0][b1]` is `|E*|` less `Σ d*(u)` over the gaps `a..=c` with
+//! `a ≤ b0` and `c ≥ b1`: one point per gap (one per set bit, and one
+//! per list) in a 65×65 table, which suffix sums over `c` and prefix
+//! sums over `a` turn into `T`. The bit loop is as costly as the rest of
+//! the model, so it runs beside `S` and the probe prefix.
 //!
 //! In one pass the scan terms are paid once per range and in-degree
 //! dominates, as in the paper; in the multi-pass regime a range of
@@ -64,7 +79,7 @@
 //! smallest feasible `B`, to a millionth of `B` (exact below a million
 //! picoseconds: costs are integers).
 //! [`split_ranges`] runs the same search on the one-iteration model
-//! (resident and probe terms only: it is not given the bounds).
+//! (resident and probe terms only: it is not given the sketches).
 //!
 //! The walk is the optimum when no range costs more than a range holding
 //! it — true of one iteration per range, in one pass or in
@@ -75,29 +90,37 @@
 //! costing the range at every position of the window, `Θ(|E*|)` chunk
 //! evaluations per bound, where the walk needs `Θ(|E*| / cM)`; the walk
 //! stays, and on graphs small enough for exhaustive search its
-//! bottleneck is within 5% of the optimum (3.1% at worst).
+//! bottleneck is within 5% of the optimum (4.5% at worst).
 //!
 //! # Fitted weights
 //!
-//! Picoseconds per unit, fitted once by least squares on relative error
-//! to `WorkerReport` walls: RMAT-17 (seed 11), two workers on the
+//! Picoseconds per unit, fitted by least squares on relative error to
+//! `WorkerReport` walls: RMAT-17 (seed 11), two workers on the
 //! prefetch backend of a 2-core Xeon VM, the cut hand-placed at nine
 //! fractions of `|E*|` from 0.70 to 0.96, at one pass (`M` = 4 Mi edges)
-//! and at `M` = 32 Ki, medians of 12 runs — 36 walls per codec.
+//! and at `M` = 32 Ki, plus RMAT-15 (seed 11) at one pass — 54 walls per
+//! codec. Each wall is the lower quartile of 16 runs interleaved across
+//! the cuts (the host drifts by 10–20 % in phases of minutes, and noise
+//! only adds time); the RMAT-15 walls, 8–35 ms, take the least of four
+//! such quartiles.
 //!
-//! | codec        | `w_visit` | `w_scan` | `w_res` | `w_probe` | mean / max error |
-//! |--------------|----------:|---------:|--------:|----------:|-----------------:|
-//! | raw          | 6 800     | 1 950    | 10 800  | 810       | 2.1 % / 6.8 %    |
-//! | delta-varint | 10 500    | 4 650    | 12 500  | 800       | 1.9 % / 10.7 %   |
+//! | codec        | `w_visit` | `w_scan` | `w_res` | `w_probe` | mean / max error, RMAT-17 | with RMAT-15 |
+//! |--------------|----------:|---------:|--------:|----------:|--------------------------:|-------------:|
+//! | raw          | 6 950     | 1 830    | 11 700  | 870       | 3.1 % / 8.3 %             | 5.9 % / 30 % |
+//! | delta-varint | 10 200    | 4 510    | 10 500  | 850       | 3.2 % / 10.3 %            | 3.2 % / 10 % |
 //!
-//! Without the visit term the fit errs by 3.8 % / 3.9 % on average and
-//! the multi-pass cut lands 1.5–2 % of `|E*|` late: the low range runs
-//! four times the iterations, each paying a loop over every vertex
-//! below its window. The planned cuts sit where the walls cross: 0.816
-//! raw and 0.780 delta-varint at 32 Ki, 0.928 in one pass.
+//! Without the visit term the fit errs by 8.7 % (raw) and 6.5 %
+//! (delta-varint) on average: the low range runs four times the
+//! iterations, each paying a loop over every vertex below its window.
+//! The planned cuts sit where the walls cross: 0.851 raw and 0.824
+//! delta-varint at 32 Ki, 0.928–0.929 in one pass, and 0.902–0.904 at
+//! RMAT-15 in one pass — where a count's measured optimum is 0.91, with
+//! 0.90 and 0.92 within 2.5 % of it and 0.93 7 % slower. A listing
+//! pays per triangle emitted, which no term counts, and is fastest
+//! later (0.93 at RMAT-15).
 
 use crate::metrics::PhaseReport;
-use crate::orient::OrientedGraph;
+use crate::orient::{OrientedGraph, SketchBuckets};
 use crate::par;
 use pdtl_io::{Codec, MemoryBudget, TimeBreakdown};
 use std::time::Instant;
@@ -143,7 +166,7 @@ pub struct PredictedCost {
     /// Positions loaded into chunks (the range's length).
     pub resident: u64,
     /// Vertices the scan loops visit — `vhigh` per iteration, each a
-    /// bounds test and, for an out-list that misses the window, a skip.
+    /// sketch test and, for an out-list that misses the window, a skip.
     pub visited: u64,
     /// Out-list entries the pruned scans read, over all iterations.
     pub scanned: u64,
@@ -181,23 +204,23 @@ impl Weights {
     fn of(codec: Codec) -> Self {
         match codec {
             Codec::Raw => Self {
-                visit: 6_800,
-                scan: 1_950,
-                resident: 10_800,
-                probe: 810,
+                visit: 6_950,
+                scan: 1_830,
+                resident: 11_700,
+                probe: 870,
             },
             Codec::DeltaVarint => Self {
-                visit: 10_500,
-                scan: 4_650,
-                resident: 12_500,
-                probe: 800,
+                visit: 10_200,
+                scan: 4_510,
+                resident: 10_500,
+                probe: 850,
             },
         }
     }
 }
 
-/// The cost model over one oriented graph: `O(n)` prefix arrays, then
-/// `O(log n)` per chunk.
+/// The cost model over one oriented graph: `O(n)` prefix arrays and
+/// the scan table, then `O(log n)` per chunk.
 struct Model<'a> {
     offsets: &'a [u64],
     m_star: u64,
@@ -207,10 +230,8 @@ struct Model<'a> {
     /// `Σ in(w)·d*(w)` over `w < v`, `n + 1` entries; empty when the
     /// in-degrees are unknown (no probe term).
     probes_below: Prefix,
-    /// `A(x)` and `B(x)` of the module doc, `n` entries each; empty
-    /// without bounds (no scan term).
-    read_up_to: Prefix,
-    done_below: Prefix,
+    /// The scan term; `None` without sketches.
+    scan: Option<ScanTable<'a>>,
 }
 
 /// A prefix-sum array, in 32-bit entries when its total fits: the
@@ -237,45 +258,143 @@ impl Prefix {
     }
 }
 
+/// `T` and `S` of the module doc: the pruned scan volume of any chunk
+/// window in `O(1)`.
+struct ScanTable<'a> {
+    buckets: &'a SketchBuckets,
+    /// `T[b0][b1]` at `64·b0 + b1`: `Σ d*(u)` over the sketches meeting
+    /// bits `b0..=b1` (`b0 ≤ b1`).
+    meets: Vec<u64>,
+    /// `S(x)`: `Σ d*(u)` over `u < x` whose sketch holds `bucket(u)`'s
+    /// bit, `n + 1` entries.
+    own: Prefix,
+}
+
+impl ScanTable<'_> {
+    /// Out-list entries the pruned scan of a chunk resident on `[vlow,
+    /// vhigh]` reads: `T[b0][b1] − (S(first(b1 + 1)) − S(vhigh))`.
+    /// Saturating: the sketches come off disk, and a prediction must not
+    /// be what panics on a damaged file.
+    fn scanned(&self, vlow: u32, vhigh: u32) -> u64 {
+        let (b0, b1) = (self.buckets.of(vlow), self.buckets.of(vhigh));
+        let past = self.buckets.first(b1 + 1) as usize;
+        let above = (self.own.at(past)).saturating_sub(self.own.at(vhigh as usize));
+        self.meets[(64 * b0 + b1) as usize].saturating_sub(above)
+    }
+}
+
+/// `T` of the lists `offsets.windows(2)` with sketches `sketch`, from
+/// their gaps (module doc): `T[b0][b1]` is `|E*|` less the volume of
+/// the lists with a gap `a..=c` holding `b0..=b1`, for `b0 ≤ b1`.
+fn meets_table(offsets: &[u64], sketch: &[u64]) -> Vec<u64> {
+    // `gaps[a][c + 1]`: the volume of the lists with the gap `a..=c`. A
+    // gap ends where a set bit or bit 64 begins, so each set bit `p`
+    // closes the gap after the bit before it at `[·][p]`, and every
+    // list closes its last gap at `[·][64]`. An empty gap (`c = a − 1`)
+    // lands on a cell no window reads.
+    let mut gaps = [[0u64; 65]; 65];
+    for (list, &s) in offsets.windows(2).zip(sketch) {
+        let d = list[1] - list[0];
+        let (mut bits, mut a) = (s, 0);
+        while bits != 0 {
+            let p = bits.trailing_zeros() as usize;
+            gaps[a][p] += d;
+            (bits, a) = (bits & (bits - 1), p + 1);
+        }
+        gaps[a][64] += d;
+    }
+    // Sums over `c + 1 > b1`, then over `a ≤ b0`.
+    let m_star = offsets[offsets.len() - 1];
+    let mut missed = [0u64; 64];
+    let mut meets = vec![0u64; 64 * 64];
+    for (b0, (row, t)) in gaps.iter().zip(meets.chunks_exact_mut(64)).enumerate() {
+        let mut past = 0;
+        for b1 in (b0..64).rev() {
+            past += row[b1 + 1];
+            missed[b1] += past;
+            t[b1] = m_star - missed[b1];
+        }
+    }
+    meets
+}
+
+/// `S(x)` for `x` in `0..=n`: `Σ d*(u)` over `u < x` whose sketch holds
+/// `bucket(u)`'s bit. Every entry is at most `|E*|`, which decides the
+/// width.
+fn own_prefix(offsets: &[u64], buckets: &SketchBuckets, sketch: &[u64]) -> Prefix {
+    fn sums<T>(offsets: &[u64], buckets: &SketchBuckets, sketch: &[u64]) -> Vec<T>
+    where
+        T: Copy + Default + std::ops::AddAssign + TryFrom<u64>,
+    {
+        let mut sums = Vec::with_capacity(offsets.len());
+        let mut acc = T::default();
+        sums.push(acc);
+        for b in 0..64 {
+            let ranks = buckets.first(b) as usize..buckets.first(b + 1) as usize;
+            let lists = offsets[ranks.start..=ranks.end].windows(2);
+            for (list, &s) in lists.zip(&sketch[ranks]) {
+                if s >> b & 1 == 1 {
+                    // A `T` holds |E*|, so it holds every d*.
+                    acc += T::try_from(list[1] - list[0]).unwrap_or_default();
+                }
+                sums.push(acc);
+            }
+        }
+        sums
+    }
+    if offsets[offsets.len() - 1] <= u64::from(u32::MAX) {
+        Prefix::Narrow(sums(offsets, buckets, sketch))
+    } else {
+        Prefix::Wide(sums(offsets, buckets, sketch))
+    }
+}
+
 impl<'a> Model<'a> {
     /// The model over `offsets`: the probe term when `in_degrees` are
-    /// given, the scan terms when per-vertex `(min, max)` out-neighbour
-    /// `bounds` are (the one-iteration model has neither).
+    /// given, the scan terms when the per-vertex `sketch` over `buckets`
+    /// is (the one-iteration model has neither).
     fn new<I>(
         offsets: &'a [u64],
         in_degrees: Option<I>,
-        bounds: &[(u32, u32)],
+        sketch: Option<(&'a SketchBuckets, &[u64])>,
         chunk: u64,
         weights: Weights,
     ) -> Self
     where
-        I: Iterator<Item = u32> + Clone + Send + Sync,
+        I: Iterator<Item = u32> + Send,
     {
         let n = offsets.len() - 1;
-        // A, B, then the probe prefix (alone without bounds), built side
-        // by side: fresh memory and cold inputs made these arrays most of
-        // the planner's wall at RMAT-17.
-        let skip = if bounds.len() == n { 0 } else { 2 };
-        let built = par::map_chunks(3 - skip, par::host_threads(), |which| {
-            let build = |i| match i + skip {
-                0 => scan_prefix(offsets, bounds, |(bmin, _)| bmin as usize),
-                1 => scan_prefix(offsets, bounds, |(_, bmax)| bmax as usize + 1),
-                _ => probe_prefix(offsets, in_degrees.clone()),
-            };
-            which.map(build).collect::<Vec<_>>()
-        });
-        let mut built: Vec<Prefix> = built.into_iter().flatten().collect();
-        let probes_below = built.pop().expect("the probe prefix is always built");
-        let mut scan = built.into_iter();
-        let mut next = || scan.next().unwrap_or(Prefix::Wide(Vec::new()));
+        let (scan, probes_below) = match sketch.filter(|(_, s)| s.len() == n) {
+            None => (None, probe_prefix(offsets, in_degrees)),
+            Some((buckets, sketch)) => {
+                // `T` costs as much as the rest of the model — one add
+                // per set bit of every sketch — so it is built beside
+                // `S` and the probe prefix. Those two are the model's
+                // large arrays, and are built off the caller's thread:
+                // freed into the caller's heap they stayed resident
+                // through the workers (+0.3 MiB of a 17 MiB peak).
+                let ((own, probes_below), meets) = par::join(
+                    || {
+                        let own = own_prefix(offsets, buckets, sketch);
+                        (own, probe_prefix(offsets, in_degrees))
+                    },
+                    || meets_table(offsets, sketch),
+                );
+                let scan = ScanTable {
+                    buckets,
+                    meets,
+                    own,
+                };
+                (Some(scan), probes_below)
+            }
+        };
         Self {
             offsets,
             m_star: offsets[n],
             chunk: chunk.max(1),
             weights,
             probes_below,
-            read_up_to: next(),
-            done_below: next(),
+            scan,
         }
     }
 
@@ -289,14 +408,8 @@ impl<'a> Model<'a> {
                 .map(|(&d, l)| d - (l[1] - l[0]) as u32)
         });
         let (chunk, weights) = (budget.chunk_edges() as u64, Weights::of(og.disk.codec()));
-        Self::new(&og.offsets, in_degrees, &og.bounds, chunk, weights)
-    }
-
-    /// Out-list entries the pruned scan of a chunk resident on `[vlow,
-    /// vhigh]` reads: `A(vhigh) − B(vlow)`.
-    fn scanned(&self, vlow: u32, vhigh: u32) -> u64 {
-        let read = self.read_up_to.at(vhigh as usize);
-        read.saturating_sub(self.done_below.at(vlow as usize))
+        let sketch = Some((og.buckets(), &og.sketch[..]));
+        Self::new(&og.offsets, in_degrees, sketch, chunk, weights)
     }
 
     /// `Σ in(w)` over the positions before `x`, which lies in the list
@@ -322,10 +435,9 @@ impl<'a> Model<'a> {
 
     /// One chunk iteration over `[p, q)` resident on `[vlow, vhigh]`.
     fn chunk_cost(&self, p: u64, q: u64, vlow: u32, vhigh: u32) -> PredictedCost {
-        let (visited, scanned) = if self.read_up_to.is_empty() {
-            (0, 0)
-        } else {
-            (u64::from(vhigh), self.scanned(vlow, vhigh))
+        let (visited, scanned) = match &self.scan {
+            None => (0, 0),
+            Some(scan) => (u64::from(vhigh), scan.scanned(vlow, vhigh)),
         };
         let (resident, probes) = (q - p, self.probes_at(q, vhigh) - self.probes_at(p, vlow));
         let w = self.weights;
@@ -456,45 +568,6 @@ fn probe_prefix(offsets: &[u64], in_degrees: Option<impl Iterator<Item = u32>>) 
     Prefix::Wide(sums)
 }
 
-/// `Σ d*(u)` over the vertices `u` whose `key(bounds[u])` is at most
-/// `x`, for `x` in `0..n`: `A` keyed by `bmin`, `B` by `bmax + 1`. Every
-/// entry is at most `|E*|`, which decides the width.
-fn scan_prefix(
-    offsets: &[u64],
-    bounds: &[(u32, u32)],
-    key: impl Fn((u32, u32)) -> usize,
-) -> Prefix {
-    fn sums<T>(offsets: &[u64], bounds: &[(u32, u32)], key: impl Fn((u32, u32)) -> usize) -> Vec<T>
-    where
-        T: Copy + Default + std::ops::AddAssign + TryFrom<u64>,
-    {
-        let n = offsets.len() - 1;
-        let mut sums = vec![T::default(); n + 1];
-        for (list, &b) in offsets.windows(2).zip(bounds) {
-            // Empty lists are skipped, not added as 0: their shared
-            // bounds would chain every add through one entry.
-            if list[1] > list[0] {
-                // A `T` holds |E*|, so it holds every d*.
-                let d = T::try_from(list[1] - list[0]).unwrap_or_default();
-                // Clamped: the bounds come off disk, and a prediction
-                // must not be what panics on a damaged file.
-                sums[key(b).min(n)] += d;
-            }
-        }
-        for x in 1..n {
-            let below = sums[x - 1];
-            sums[x] += below;
-        }
-        sums.truncate(n);
-        sums
-    }
-    if offsets[offsets.len() - 1] <= u64::from(u32::MAX) {
-        Prefix::Narrow(sums(offsets, bounds, key))
-    } else {
-        Prefix::Wide(sums(offsets, bounds, key))
-    }
-}
-
 /// Split `m* = offsets[n]` oriented positions into `parts` contiguous
 /// ranges under `strategy`, with the one-iteration cost model.
 ///
@@ -515,7 +588,7 @@ pub fn split_ranges(
         BalanceStrategy::EqualEdges => (equal_split(offsets[offsets.len() - 1], parts), 0),
         BalanceStrategy::InDegree => {
             let in_degrees = Some(in_degrees.iter().copied());
-            let model = Model::new(offsets, in_degrees, &[], u64::MAX, Weights::of(Codec::Raw));
+            let model = Model::new(offsets, in_degrees, None, u64::MAX, Weights::of(Codec::Raw));
             let (ranges, evals) = model.min_max_cuts(parts);
             (ranges, offsets.len() as u64 + evals)
         }
@@ -548,8 +621,8 @@ pub fn plan_ranges(
         .map(|r| (r, model.range_cost(r)))
         .collect();
     let work = og.offsets.len() as u64 + evals + parts as u64;
-    // The model's three prefix arrays are built side by side.
-    (plan, phase_report(start, work, par::host_threads().min(3)))
+    // `T` is built beside the prefix arrays.
+    (plan, phase_report(start, work, par::host_threads().min(2)))
 }
 
 /// What [`plan_ranges`] predicts for `range` of `og` at `budget`.
@@ -582,7 +655,7 @@ fn equal_split(m_star: u64, parts: usize) -> Vec<EdgeRange> {
 mod tests {
     use super::*;
     use crate::mgt::{mgt_count_range, vertex_of};
-    use crate::orient::{orient_csr, orient_to_disk_with, OrientedCsr, EMPTY_BOUNDS};
+    use crate::orient::{orient_csr, orient_to_disk_with, OrientedCsr};
     use crate::sink::CountSink;
     use pdtl_graph::gen::chunglu::power_law_graph;
     use pdtl_graph::gen::classic::{erdos_renyi, star};
@@ -601,7 +674,7 @@ mod tests {
     /// The one-iteration model `split_ranges` balances.
     fn one_pass_cost(offsets: &[u64], ins: &[u32], r: EdgeRange) -> u64 {
         let ins = Some(ins.iter().copied());
-        Model::new(offsets, ins, &[], u64::MAX, Weights::of(Codec::Raw))
+        Model::new(offsets, ins, None, u64::MAX, Weights::of(Codec::Raw))
             .range_cost(r)
             .picos
     }
@@ -698,30 +771,31 @@ mod tests {
         assert!(report.cpu_ops as usize >= ins.len());
     }
 
-    /// The `.bnd` bounds of an in-memory orientation.
-    fn bounds_of(o: &OrientedCsr) -> Vec<(u32, u32)> {
-        (0..o.num_vertices())
-            .map(|u| match o.out(u) {
-                [] => EMPTY_BOUNDS,
-                nm => (nm[0], nm[nm.len() - 1]),
-            })
-            .collect()
+    /// The `.skt` sketches of an in-memory orientation, and their
+    /// buckets.
+    fn sketches_of(o: &OrientedCsr) -> (SketchBuckets, Vec<u64>) {
+        let buckets = SketchBuckets::new(&o.offsets);
+        let sketch = (0..o.num_vertices())
+            .map(|u| buckets.sketch(o.out(u)))
+            .collect();
+        (buckets, sketch)
     }
 
     /// The full model over an in-memory orientation (raw weights).
-    fn model_of<'a>(o: &'a OrientedCsr, ins: &[u32], chunk: u64) -> Model<'a> {
+    fn model_of<'a>(
+        o: &'a OrientedCsr,
+        sketched: &'a (SketchBuckets, Vec<u64>),
+        ins: &[u32],
+        chunk: u64,
+    ) -> Model<'a> {
         let ins = Some(ins.iter().copied());
-        Model::new(
-            &o.offsets,
-            ins,
-            &bounds_of(o),
-            chunk,
-            Weights::of(Codec::Raw),
-        )
+        let sketch = Some((&sketched.0, &sketched.1[..]));
+        Model::new(&o.offsets, ins, sketch, chunk, Weights::of(Codec::Raw))
     }
 
     /// RMAT-10, a Chung–Lu power law, a star (its hub's out-list is
-    /// empty), and two cliques among isolated vertices.
+    /// empty), two cliques among isolated vertices (`m*` = 31 < 64, so
+    /// most buckets are empty), and an edgeless graph (`m*` = 0).
     fn shapes() -> Vec<(&'static str, Graph)> {
         let mut cliques = Vec::new();
         for (lo, hi) in [(3u32, 9u32), (20, 26)] {
@@ -738,46 +812,82 @@ mod tests {
             ),
             ("star", star(50).unwrap()),
             ("cliques", Graph::from_edges(40, &cliques).unwrap()),
+            ("edgeless", Graph::empty(9)),
         ]
     }
 
+    /// Every chunk window `[vlow, vhigh]` of chunks of 1, 2, 3, 7, 64
+    /// and all positions, from two start phases; on graphs of at most 64
+    /// vertices, every vertex window at all.
+    fn windows(o: &OrientedCsr) -> std::collections::BTreeSet<(u32, u32)> {
+        let mut windows = std::collections::BTreeSet::new();
+        for chunk in [1u64, 2, 3, 7, 64, u64::MAX] {
+            for phase in [0, o.m_star() / 3] {
+                let mut p = phase;
+                while p < o.m_star() {
+                    let q = p.saturating_add(chunk).min(o.m_star());
+                    windows.insert((vertex_of(&o.offsets, p), vertex_of(&o.offsets, q - 1)));
+                    p = q;
+                }
+            }
+        }
+        if o.num_vertices() <= 64 {
+            for vlow in 0..o.num_vertices() {
+                windows.extend((vlow..o.num_vertices()).map(|vhigh| (vlow, vhigh)));
+            }
+        }
+        windows
+    }
+
     #[test]
-    fn scan_volume_is_a_minus_b_on_every_window() {
+    fn sketch_test_has_no_false_negatives_on_every_window() {
         for (tag, g) in shapes() {
             let o = orient_csr(&g);
-            let model = model_of(&o, &[], 1);
+            let (buckets, sketch) = sketches_of(&o);
+            let windows = windows(&o);
+            assert!(windows.len() > 40 || o.m_star() == 0, "{tag}");
+            for &(vlow, vhigh) in &windows {
+                let mask = buckets.window_mask(vlow, vhigh);
+                for u in 0..o.num_vertices() {
+                    let holds = o.out(u).iter().any(|v| (vlow..=vhigh).contains(v));
+                    assert!(
+                        !holds || sketch[u as usize] & mask != 0,
+                        "{tag}: N({u}) meets [{vlow}, {vhigh}] but is skipped"
+                    );
+                }
+            }
+            // m* = 0: every mask is computable and every sketch empty.
+            if o.m_star() == 0 {
+                let last = o.num_vertices() - 1;
+                assert_eq!(buckets.window_mask(0, last), 1);
+                assert!(sketch.iter().all(|&s| s == 0));
+                let sketched = (buckets, sketch);
+                let model = model_of(&o, &sketched, &[], 1);
+                assert_eq!(model.scan.as_ref().unwrap().scanned(0, last), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn scan_volume_is_t_minus_s_on_every_window() {
+        for (tag, g) in shapes().into_iter().filter(|(_, g)| g.num_edges() > 0) {
+            let o = orient_csr(&g);
+            let sketched = sketches_of(&o);
+            let model = model_of(&o, &sketched, &[], 1);
+            let (buckets, sketch) = &sketched;
             // The engine's scan rule, spelled out (mgt.rs): u < vhigh,
-            // empty lists skipped, lists whose bounds miss the window
-            // skipped, every other list read whole.
+            // empty lists skipped, lists whose sketch misses the
+            // window's buckets skipped, every other list read whole.
             let engine = |vlow: u32, vhigh: u32| -> u64 {
+                let mask = buckets.window_mask(vlow, vhigh);
                 (0..vhigh)
-                    .map(|u| o.out(u))
-                    .filter(|nm| !nm.is_empty() && nm[nm.len() - 1] >= vlow && nm[0] <= vhigh)
-                    .map(|nm| nm.len() as u64)
+                    .filter(|&u| sketch[u as usize] & mask != 0)
+                    .map(|u| u64::from(o.d_star(u)))
                     .sum()
             };
-            // Every chunk window of every budget, every start phase.
-            let mut windows = std::collections::BTreeSet::new();
-            for chunk in [1u64, 2, 7, 64, 500, 1 << 20] {
-                for phase in [0, o.m_star() / 3] {
-                    let mut p = phase;
-                    while p < o.m_star() {
-                        let q = (p + chunk).min(o.m_star());
-                        windows.insert((vertex_of(&o.offsets, p), vertex_of(&o.offsets, q - 1)));
-                        p = q;
-                    }
-                }
-            }
-            // Small graphs: every vertex window at all.
-            if o.num_vertices() <= 64 {
-                for vlow in 0..o.num_vertices() {
-                    windows.extend((vlow..o.num_vertices()).map(|vhigh| (vlow, vhigh)));
-                }
-            }
-            assert!(windows.len() > 40, "{tag}: {} windows", windows.len());
-            for &(vlow, vhigh) in &windows {
+            for &(vlow, vhigh) in &windows(&o) {
                 assert_eq!(
-                    model.scanned(vlow, vhigh),
+                    model.scan.as_ref().unwrap().scanned(vlow, vhigh),
                     engine(vlow, vhigh),
                     "{tag}: window [{vlow}, {vhigh}]"
                 );
@@ -797,6 +907,26 @@ mod tests {
         orient_to_disk_with(&dg, tmpbase(&format!("{tag}-or")), 2, codec, &stats)
             .unwrap()
             .0
+    }
+
+    #[test]
+    fn measured_scan_is_the_predicted_scan_under_both_codecs() {
+        let g = rmat(10, 9).unwrap();
+        for codec in Codec::ALL {
+            let og = disk_oriented(&g, &format!("scan-volume-{codec:?}"), codec);
+            for edges in [1 << 20, 2048, 300] {
+                let budget = MemoryBudget::edges(edges);
+                let (plan, _) = plan_ranges(&og, budget, 3, BalanceStrategy::InDegree);
+                for (range, predicted) in plan {
+                    let w = mgt_count_range(&og, range, budget, &mut CountSink, IoStats::new())
+                        .unwrap();
+                    let case = format!("{codec:?} {edges}: {range:?}");
+                    assert_eq!(w.iterations, predicted.iterations, "{case}");
+                    assert_eq!(w.scanned, predicted.scanned, "{case}");
+                    assert!(w.scan_hits <= w.scan_lists && w.scan_lists <= w.scanned);
+                }
+            }
+        }
     }
 
     #[test]
@@ -852,8 +982,8 @@ mod tests {
         // be: the last range's cost must then be read at every cut. There
         // the search is held to what it promises: no smaller bound has a
         // greedy cover, and on these graphs exhaustive search does at
-        // most 5% better (3.1% at worst: rmat(4, 1) at 3-edge chunks,
-        // two parts, 1 261 430 against 1 223 060).
+        // most 5% better (4.5% at worst: erdos_renyi(30, 110, 3) at
+        // 3-edge chunks, two parts, 2 910 710 against 2 785 250).
         let graphs = [
             rmat(4, 1).unwrap(),
             rmat(4, 2).unwrap(),
@@ -866,13 +996,20 @@ mod tests {
             assert!(o.m_star() <= 200, "graph {i}: m* {}", o.m_star());
             let ins = o.in_degrees();
             let ins_iter = Some(ins.iter().copied());
-            let one_pass = Model::new(&o.offsets, ins_iter, &[], u64::MAX, Weights::of(Codec::Raw));
+            let one_pass = Model::new(
+                &o.offsets,
+                ins_iter,
+                None,
+                u64::MAX,
+                Weights::of(Codec::Raw),
+            );
+            let sk = sketches_of(&o);
             for (chunk, model) in [
                 (0, one_pass),
-                (o.m_star(), model_of(&o, &ins, o.m_star())),
-                (3, model_of(&o, &ins, 3)),
-                (8, model_of(&o, &ins, 8)),
-                (25, model_of(&o, &ins, 25)),
+                (o.m_star(), model_of(&o, &sk, &ins, o.m_star())),
+                (3, model_of(&o, &sk, &ins, 3)),
+                (8, model_of(&o, &sk, &ins, 8)),
+                (25, model_of(&o, &sk, &ins, 25)),
             ] {
                 for parts in [2usize, 3] {
                     let (ranges, _) = model.min_max_cuts(parts);

@@ -51,6 +51,15 @@ pub struct WorkerReport {
     /// Elementary CPU operations (array scans + the join's marks and
     /// probes).
     pub cpu_ops: u64,
+    /// Out-list entries the scan passes read — what the planner
+    /// predicts as [`PredictedCost::scanned`].
+    pub scanned: u64,
+    /// Out-lists the scan passes read.
+    pub scan_lists: u64,
+    /// The read out-lists the join used: they held a resident vertex
+    /// with a later entry to pair it with. `scan_hits / scan_lists` is
+    /// the useful share of the pruned scan.
+    pub scan_hits: u64,
     /// The worker's I/O counters.
     pub io: IoSnapshot,
     /// The worker's wall time and CPU/I-O split.
@@ -173,6 +182,9 @@ mod tests {
             triangles: tri,
             iterations: 1,
             cpu_ops,
+            scanned: 0,
+            scan_lists: 0,
+            scan_hits: 0,
             io: IoSnapshot {
                 bytes_read: 1000,
                 read_ops: 2,

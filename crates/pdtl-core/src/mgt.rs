@@ -27,13 +27,35 @@
 //!   separates the part of `N(u)` before the pivot from the part after.
 //! * **Scan pruning** — a chunk resident on `[vlow, vhigh]` can only be
 //!   hit by scanned vertices `u < vhigh` (out-neighbours ascend), so the
-//!   scan stops there; and a vertex whose precomputed `(min, max)`
-//!   out-neighbour bounds miss the window is skipped with
-//!   [`U32Reader::skip`](pdtl_io::U32Reader::skip) instead of read,
-//!   cutting `bytes_read` in the multi-pass regime where MGT's I/O bound
-//!   actually bites. [`MgtOptions::scan_pruning`] gates both (on by
-//!   default; `scan_pruning_cuts_bytes_read_in_multipass_runs` and the
-//!   I/O tests compare).
+//!   scan stops there; and a vertex whose out-list cannot hold a window
+//!   vertex is skipped with [`U32Reader::skip`](pdtl_io::U32Reader::skip)
+//!   instead of read, cutting `bytes_read` in the multi-pass regime
+//!   where MGT's I/O bound actually bites. [`MgtOptions::scan_pruning`]
+//!   gates both (on by default;
+//!   `scan_pruning_cuts_bytes_read_in_multipass_runs` and the I/O tests
+//!   compare).
+//!
+//! # Scan pruning
+//!
+//! The skip test is one AND per out-list: `N(u)` is read iff
+//! `sketch[u] & mask ≠ 0`. Bit `b` of `sketch[u]` (orientation's
+//! `.skt`) says `N(u)` holds a vertex of bucket `b`, one of 64 slices
+//! of rank space of `|E*|/64` positions of out-list volume each
+//! (`orient::SketchBuckets`); `mask` holds the buckets of the window,
+//! `bucket(vlow)..=bucket(vhigh)`. A list holding a window vertex has
+//! that vertex's bit inside the mask, so no list the join needs is
+//! skipped, and a skipped list emits nothing: what the join reports,
+//! and in which order, does not change.
+//!
+//! The test this replaced compared each list's `(min, max)` hull with
+//! the window. On a multi-pass count the hull is mostly empty space
+//! (RMAT-17, `M` = 32 Ki: the join used 12 % of the lists the
+//! low-range worker read); the sketch keeps the gaps a hull fills and
+//! reads 37 % fewer entries in the same 8 bytes per vertex (92.4 M →
+//! 58.4 M over both workers; 45 % fewer at `M` = 1 Ki). Each worker
+//! counts the entries and lists its scans read and the lists the join
+//! used ([`WorkerReport::scanned`] and beside it), and `balance`
+//! predicts `scanned` exactly.
 //!
 //! The join replaced a sorted merge of `nm[idx+1..]` with each segment
 //! (~180 list elements per `(u, v)` pair on RMAT-17 at ~2.7 ns each —
@@ -42,7 +64,7 @@
 //! primitive of the baselines and of the benchmark's oracle. Memory per
 //! worker beside the `Θ(M)` chunk: `n/8` bytes of marks and up to
 //! `4·d*_max` bytes of compacted hits (listing sinks only), next to the
-//! `20n` bytes per graph of `offsets` + `bounds` + `ids`.
+//! `20n` bytes per graph of `offsets` + `sketch` + `ids`.
 //!
 //! On top of that, [`MgtOptions::backend`] selects how the remaining
 //! I/O is performed. The I/O *plan* — which blocks of the adjacency are
@@ -143,8 +165,9 @@ use crate::sink::TriangleSink;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MgtOptions {
     /// Stop each chunk's scan at `vhigh` and seek past out-lists whose
-    /// `(min, max)` bounds cannot overlap the resident window. Disable
-    /// only to measure the ablation (PR 1 behaviour).
+    /// scan sketch misses the resident window (module doc, "Scan
+    /// pruning"). Disable only to measure the ablation (PR 1
+    /// behaviour).
     pub scan_pruning: bool,
     /// How the disk engine performs its chunk and scan I/O. Every
     /// backend counts the exact same `bytes_read` and `seeks` — the
@@ -227,7 +250,7 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
     // unlimited budget (a compare + subtract per out-list, and the
     // transport's borrowed runs pass through untouched).
     let fault_budget = opts.read_fault.unwrap_or(u64::MAX);
-    let (triangles, cpu_ops, iterations) = if og.disk.codec() == Codec::DeltaVarint {
+    let done = if og.disk.codec() == Codec::DeltaVarint {
         // Compressed adjacency: the transports still move the *encoded*
         // bytes, and a `VarintSource` above each decodes runs back into
         // rank space — scan skips, chunk loads and seeks all happen in
@@ -255,9 +278,12 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
     Ok(WorkerReport {
         worker: 0,
         range,
-        triangles,
-        iterations,
-        cpu_ops,
+        triangles: done.triangles,
+        iterations: done.iterations,
+        cpu_ops: done.cpu_ops,
+        scanned: done.scanned,
+        scan_lists: done.scan_lists,
+        scan_hits: done.scan_hits,
         io: pdtl_io::stats::IoSnapshot {
             bytes_read: io_after.bytes_read - io_before.bytes_read,
             bytes_written: io_after.bytes_written - io_before.bytes_written,
@@ -271,10 +297,24 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
     })
 }
 
+/// What one disk worker's chunk/scan loop counted.
+#[derive(Default)]
+struct LoopCounts {
+    triangles: u64,
+    cpu_ops: u64,
+    iterations: u64,
+    /// Out-list entries the scans read.
+    scanned: u64,
+    /// Out-lists the scans read.
+    scan_lists: u64,
+    /// Read out-lists whose join found a resident vertex.
+    scan_hits: u64,
+}
+
 /// The disk engine's chunk/scan loop, generic over the two streams'
 /// layer stack (raw cursor, or a decoder above it) so per-out-list
 /// calls stay direct; backends differ only behind the cursor's block
-/// fetches. Returns `(triangles, cpu_ops, iterations)`.
+/// fetches.
 fn mgt_disk_loop<S: TriangleSink, C: U32Source, R: U32Source>(
     og: &OrientedGraph,
     range: EdgeRange,
@@ -283,7 +323,7 @@ fn mgt_disk_loop<S: TriangleSink, C: U32Source, R: U32Source>(
     opts: MgtOptions,
     mut chunks: C,
     mut scan_reader: R,
-) -> Result<(u64, u64, u64)> {
+) -> Result<LoopCounts> {
     let offsets = &og.offsets;
     let ids = og.map.ids();
     let n = og.num_vertices();
@@ -294,14 +334,12 @@ fn mgt_disk_loop<S: TriangleSink, C: U32Source, R: U32Source>(
     let mut ind: Vec<(u32, u32)> = Vec::new();
     let mut nm_buf: Vec<u32> = Vec::with_capacity(og.d_star_max as usize);
     let mut scratch = JoinScratch::new(n);
-    let mut triangles = 0u64;
-    let mut cpu_ops = 0u64;
-    let mut iterations = 0u64;
+    let mut c = LoopCounts::default();
 
     let mut pos = range.start;
     while pos < range.end {
         let len = (range.end - pos).min(chunk_cap as u64) as usize;
-        iterations += 1;
+        c.iterations += 1;
 
         // -- chunk load: edg + ind ------------------------------------
         // Announce the chunk after this one first: a stream that reads
@@ -313,36 +351,44 @@ fn mgt_disk_loop<S: TriangleSink, C: U32Source, R: U32Source>(
         }
         let edg = chunks.range_run(pos, len, &mut edg_buf)?;
         let window = build_chunk_index(offsets, pos, chunk_end, &mut ind);
-        cpu_ops += len as u64 + window.ind.len() as u64;
+        c.cpu_ops += len as u64 + window.ind.len() as u64;
 
         // -- scan pass ------------------------------------------------
         // Only u < vhigh can hold a window vertex: out-neighbours ascend
-        // in rank space, so every v ∈ N(u) satisfies v > u.
-        let scan_cap = if opts.scan_pruning { window.vhigh } else { n };
+        // in rank space, so every v ∈ N(u) satisfies v > u. Only a list
+        // whose sketch meets the window's buckets can hold one.
+        let (scan_cap, mask) = if opts.scan_pruning {
+            let mask = og.buckets().window_mask(window.vlow, window.vhigh);
+            (window.vhigh, mask)
+        } else {
+            (n, u64::MAX)
+        };
         scan_reader.seek_to(0)?;
         for u in 0..scan_cap {
             let du = (offsets[u as usize + 1] - offsets[u as usize]) as usize;
             if du == 0 {
                 continue;
             }
-            if opts.scan_pruning {
-                let (bmin, bmax) = og.bounds[u as usize];
-                if bmax < window.vlow || bmin > window.vhigh {
-                    scan_reader.skip(du as u64)?;
-                    cpu_ops += 1;
-                    continue;
-                }
+            if og.sketch[u as usize] & mask == 0 {
+                scan_reader.skip(du as u64)?;
+                c.cpu_ops += 1;
+                continue;
             }
             let nm = scan_reader.next_run(du, &mut nm_buf)?;
             let (t, ops) = window.join(&mut scratch, ids, edg, u, nm, sink);
-            triangles += t;
-            cpu_ops += du as u64 + ops;
+            c.triangles += t;
+            c.cpu_ops += du as u64 + ops;
+            c.scanned += du as u64;
+            c.scan_lists += 1;
+            // The join marks something exactly when it found a resident
+            // vertex with an entry above it.
+            c.scan_hits += u64::from(ops > 0);
         }
         debug_assert!(scratch.is_clear(), "join left marks behind");
 
         pos = chunk_end;
     }
-    Ok((triangles, cpu_ops, iterations))
+    Ok(c)
 }
 
 /// Build the dense chunk index for the resident window `[pos,

@@ -45,9 +45,12 @@
 //! Alongside `base{.deg,.adj}` the orientation persists:
 //!
 //! * `base.map` — the rank → original-id table (`|V|` u32s);
-//! * `base.bnd` — per-rank `(min, max)` out-neighbour bounds
-//!   (`2|V|` u32s, `(u32::MAX, 0)` for empty lists), the `Θ(|V|)`
-//!   index MGT's scan pruning seeks past non-overlapping out-lists with.
+//! * `base.skt` — one 64-bit **scan sketch** per rank (`|V|` u64s,
+//!   little-endian, 0 for empty lists): bit `b` is set iff the out-list
+//!   holds a vertex of bucket `b`, one of 64 equal-volume slices of
+//!   rank space. It is the `Θ(|V|)` index MGT's scan pruning skips
+//!   out-lists that miss a chunk's window with (mgt.rs, "Scan
+//!   pruning"), and it holds for every budget.
 //!
 //! Under [`Codec::DeltaVarint`] ([`orient_to_disk_with`]) the `.adj`
 //! is additionally recompressed: rank space makes every out-list a
@@ -75,8 +78,68 @@ use crate::error::Result;
 use crate::metrics::PhaseReport;
 use crate::par;
 
-/// `(min, max)` out-neighbour bounds of a vertex with no out-edges.
-pub const EMPTY_BOUNDS: (u32, u32) = (u32::MAX, 0);
+/// The 64 slices of rank space a scan sketch records. Rank `v` lies in
+/// bucket `⌊64·offsets[v] / m*⌋` (63 for the vertices past the last
+/// out-list; 0 throughout when `m* = 0`), so each bucket starts
+/// `|E*|/64` positions of out-list volume after the one before and
+/// the map holds for any chunk size. Buckets ascend with rank, so the
+/// vertices of `[vlow, vhigh]` lie in buckets `bucket(vlow)..=
+/// bucket(vhigh)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SketchBuckets {
+    /// `first[b]`: the smallest rank in bucket `b` or above; `first[64]`
+    /// is `n`.
+    first: [u32; 65],
+}
+
+impl SketchBuckets {
+    /// The buckets of the oriented CSR `offsets` (`n + 1` entries).
+    pub(crate) fn new(offsets: &[u64]) -> Self {
+        let n = offsets.len() - 1;
+        let m_star = u128::from(offsets[n]);
+        let mut first = [n as u32; 65];
+        first[0] = 0;
+        for (b, f) in first.iter_mut().enumerate().take(64).skip(1) {
+            // bucket(v) ≥ b ⟺ offsets[v] ≥ ⌈b·m*/64⌉; at least 1, so an
+            // edgeless graph is all bucket 0.
+            let start = (b as u128 * m_star).div_ceil(64).max(1);
+            *f = offsets[..n].partition_point(|&o| u128::from(o) < start) as u32;
+        }
+        Self { first }
+    }
+
+    /// The bucket of rank `v`.
+    pub(crate) fn of(&self, v: u32) -> u32 {
+        self.first[1..64].partition_point(|&f| f <= v) as u32
+    }
+
+    /// The first rank of bucket `b` or above (`b` ≤ 64; `n` at 64).
+    pub(crate) fn first(&self, b: u32) -> u32 {
+        self.first[b as usize]
+    }
+
+    /// The sketch bits a list holding a vertex of `[vlow, vhigh]` must
+    /// meet: buckets `bucket(vlow)..=bucket(vhigh)`.
+    pub(crate) fn window_mask(&self, vlow: u32, vhigh: u32) -> u64 {
+        (u64::MAX << self.of(vlow)) & (u64::MAX >> (63 - self.of(vhigh)))
+    }
+
+    /// The sketch of the out-list `list`, one lookup per entry
+    /// (orientation uses a per-rank table instead).
+    #[cfg(test)]
+    pub(crate) fn sketch(&self, list: &[u32]) -> u64 {
+        list.iter().fold(0, |s, &v| s | 1 << self.of(v))
+    }
+
+    /// The bucket of every rank, `n` bytes: orientation's lookup table.
+    fn per_rank(&self) -> Vec<u8> {
+        let mut table = Vec::with_capacity(self.first[64] as usize);
+        for b in 0..64 {
+            table.resize(self.first[b + 1] as usize, b as u8);
+        }
+        table
+    }
+}
 
 /// An oriented graph held in memory (used by baselines and the
 /// in-memory MGT variant). Vertices are **ranks**: adjacency, offsets
@@ -190,8 +253,8 @@ pub fn orient_csr(g: &Graph) -> OrientedCsr {
 
 /// An oriented graph stored on disk in PDTL format (rank space), plus
 /// the in-memory metadata every MGT worker needs: `offsets`, `d*_max`,
-/// the rank map for the sink boundary, and the per-vertex out-neighbour
-/// bounds driving scan pruning.
+/// the rank map for the sink boundary, and the per-vertex scan sketches
+/// driving scan pruning.
 #[derive(Debug, Clone)]
 pub struct OrientedGraph {
     /// The oriented `.deg`/`.adj` pair (rank order).
@@ -205,10 +268,13 @@ pub struct OrientedGraph {
     /// The rank ↔ original-id bijection; the sink boundary translates
     /// ranks back through it so listings emit original ids.
     pub map: RankMap,
-    /// Per-rank `(min, max)` out-neighbour bounds ([`EMPTY_BOUNDS`] for
-    /// empty lists); MGT skips out-lists whose bounds cannot overlap a
-    /// chunk's resident window.
-    pub bounds: Vec<(u32, u32)>,
+    /// Per-rank scan sketches over [`buckets`](Self::buckets) (0 for
+    /// empty lists); MGT skips out-lists whose sketch misses a chunk's
+    /// window mask.
+    pub(crate) sketch: Vec<u64>,
+    /// The rank-space slices the sketch bits name, derived from
+    /// `offsets`.
+    buckets: SketchBuckets,
     /// Original undirected degrees by rank; present when produced by
     /// [`orient_to_disk`], absent when reopened from disk (only the
     /// master needs them, for load balancing).
@@ -224,6 +290,11 @@ impl OrientedGraph {
     /// fenceposts); `None` for a raw graph.
     pub fn varint_index(&self) -> Option<&Arc<VarintIndex>> {
         self.varint.as_ref()
+    }
+
+    /// The rank-space slices the [`sketch`](Self::sketch) bits name.
+    pub(crate) fn buckets(&self) -> &SketchBuckets {
+        &self.buckets
     }
 
     /// `|E*|`.
@@ -256,15 +327,17 @@ impl OrientedGraph {
         suffixed(base.as_ref(), ".map")
     }
 
-    /// Path of the out-neighbour-bounds file for `base`.
-    pub fn bnd_path(base: impl AsRef<Path>) -> PathBuf {
-        suffixed(base.as_ref(), ".bnd")
+    /// Path of the scan-sketch file for `base`.
+    pub fn skt_path(base: impl AsRef<Path>) -> PathBuf {
+        suffixed(base.as_ref(), ".skt")
     }
 
     /// Reopen an oriented graph previously written to `base` (e.g. a
     /// replica copied to another node). Rebuilds offsets and `d*_max`
     /// from the oriented degree file and reloads the rank map and scan
-    /// bounds from `base.map` / `base.bnd`.
+    /// sketches from `base.map` / `base.skt`. A base without `.skt` —
+    /// one oriented before the sketch replaced per-list bounds — is an
+    /// error naming the missing file, never a miscount.
     ///
     /// ```
     /// use pdtl_core::mgt::{mgt_count_range, MgtOptions};
@@ -310,17 +383,18 @@ impl OrientedGraph {
             )
             .into());
         }
-        let bounds = read_bounds(&Self::bnd_path(base), degrees.len(), stats)?;
+        let sketch = read_sketch(&Self::skt_path(base), degrees.len(), stats)?;
         let varint = match disk.codec() {
             Codec::Raw => None,
             Codec::DeltaVarint => Some(disk.varint_index(offsets.clone(), stats)?),
         };
         Ok(Self {
             disk,
+            buckets: SketchBuckets::new(&offsets),
             offsets,
             d_star_max,
             map,
-            bounds,
+            sketch,
             orig_degrees: None,
             varint,
         })
@@ -329,7 +403,7 @@ impl OrientedGraph {
     /// Replicate the oriented graph to `new_base` (a node's local
     /// disk). Delegates to [`DiskGraph::copy_to`], whose
     /// [`file_set`](DiskGraph::file_set) enumeration ships every file
-    /// the base carries — `.deg`, `.adj`, `.map`, `.bnd`, the
+    /// the base carries — `.deg`, `.adj`, `.map`, `.skt`, the
     /// compressed-format sidecars when present, and the `.mft`
     /// integrity manifest (copied last, so the replica can verify its
     /// own digests after the copy) — so a new extension cannot
@@ -346,30 +420,32 @@ fn suffixed(base: &Path, ext: &str) -> PathBuf {
     PathBuf::from(os)
 }
 
-fn read_bounds(path: &Path, n: usize, stats: &Arc<IoStats>) -> Result<Vec<(u32, u32)>> {
+/// A `.skt` file is `n` little-endian u64s: `2n` u32 words, low first.
+fn read_sketch(path: &Path, n: usize, stats: &Arc<IoStats>) -> Result<Vec<u64>> {
     let mut r = U32Reader::open(path, stats.clone())?;
-    let flat = r.read_all()?;
-    if flat.len() != 2 * n {
+    let words = r.read_all()?;
+    if words.len() != 2 * n {
         return Err(pdtl_io::IoError::malformed(
             path,
             format!(
-                "bounds file holds {} values, expected {}",
-                flat.len(),
+                "sketch file holds {} words, expected {}",
+                words.len(),
                 2 * n
             ),
         )
         .into());
     }
-    Ok(flat.chunks_exact(2).map(|c| (c[0], c[1])).collect())
+    let join = |w: &[u32]| u64::from(w[0]) | u64::from(w[1]) << 32;
+    Ok(words.chunks_exact(2).map(join).collect())
 }
 
-fn write_bounds(path: &Path, bounds: &[(u32, u32)], stats: &Arc<IoStats>) -> Result<()> {
+fn write_sketch(path: &Path, sketch: &[u64], stats: &Arc<IoStats>) -> Result<()> {
     let mut w = U32Writer::create(path, stats.clone())?;
-    let mut flat: Vec<u32> = Vec::new();
-    for chunk in bounds.chunks(8192) {
-        flat.clear();
-        flat.extend(chunk.iter().flat_map(|&(lo, hi)| [lo, hi]));
-        w.write_all(&flat)?;
+    let mut words: Vec<u32> = Vec::new();
+    for chunk in sketch.chunks(8192) {
+        words.clear();
+        words.extend(chunk.iter().flat_map(|&s| [s as u32, (s >> 32) as u32]));
+        w.write_all(&words)?;
     }
     w.finish()?;
     Ok(())
@@ -504,7 +580,7 @@ impl<'a, W: Write + Seek> ScatterBlock<'a, W> {
 }
 
 /// Orient `input` (an undirected PDTL-format graph on disk) into the
-/// rank-space pair `out_base{.deg,.adj}` (plus `.map`/`.bnd`) using
+/// rank-space pair `out_base{.deg,.adj}` (plus `.map`/`.skt`) using
 /// `threads` cores, storing the adjacency raw ([`Codec::Raw`]).
 ///
 /// Returns the oriented graph and a [`PhaseReport`] with the phase's wall
@@ -624,9 +700,10 @@ fn orient_blocked(
         f.set_len(m_star * 4)
             .map_err(|e| pdtl_io::IoError::os("truncate", &adj_p, e))?;
     }
-    // Per-worker list of (rank, out-neighbour bounds) it wrote.
-    type WrittenBounds = Vec<(u32, (u32, u32))>;
-    let scatter_part = |&(v_begin, v_end): &(u32, u32)| -> Result<WrittenBounds> {
+    let buckets = SketchBuckets::new(&rank_offsets);
+    let bucket_of = buckets.per_rank();
+    // Each worker returns the sketches of its vertices, in id order.
+    let scatter_part = |&(v_begin, v_end): &(u32, u32)| -> Result<Vec<u64>> {
         let mut reader = input.open_adj(stats)?;
         reader.seek_to(in_offsets[v_begin as usize])?;
         let out = File::options()
@@ -636,11 +713,8 @@ fn orient_blocked(
         let mut block = ScatterBlock::new(out, &adj_p, stats, block_words);
         let mut nbuf: Vec<u32> = Vec::new();
         let mut list: Vec<u32> = Vec::new();
-        let non_empty = (v_begin..v_end)
-            .filter(|&u| d_star_rank[ranks[u as usize] as usize] > 0)
-            .count();
-        let mut seen = Vec::with_capacity(non_empty);
-        for u in v_begin..v_end {
+        let mut sketches = vec![0u64; (v_end - v_begin) as usize];
+        for (u, sketch) in (v_begin..v_end).zip(&mut sketches) {
             let du = (in_offsets[u as usize + 1] - in_offsets[u as usize]) as usize;
             nbuf.clear();
             reader.read_into(&mut nbuf, du)?;
@@ -655,20 +729,23 @@ fn orient_blocked(
                 continue;
             }
             list.sort_unstable();
-            seen.push((ru, (list[0], *list.last().unwrap())));
+            *sketch = list
+                .iter()
+                .fold(0, |s, &rv| s | 1 << bucket_of[rv as usize]);
             block.push(rank_offsets[ru as usize], &list)?;
         }
         block.flush()?;
-        Ok(seen)
+        Ok(sketches)
     };
     let written = par::map_chunks(parts.len(), par::host_threads(), |run| {
         parts[run].iter().map(scatter_part).collect::<Vec<_>>()
     });
+    drop(bucket_of);
 
-    let mut bounds = vec![EMPTY_BOUNDS; n as usize];
-    for w in written.into_iter().flatten() {
-        for (r, b) in w? {
-            bounds[r as usize] = b;
+    let mut sketch = vec![0u64; n as usize];
+    for (&(v_begin, _), w) in parts.iter().zip(written.into_iter().flatten()) {
+        for (u, s) in (v_begin..).zip(w?) {
+            sketch[ranks[u as usize] as usize] = s;
         }
     }
     // The scattered writes went through per-worker handles; one sync
@@ -679,7 +756,7 @@ fn orient_blocked(
         .open(&adj_p)
         .and_then(|f| f.sync_all())
         .map_err(|e| pdtl_io::IoError::os("sync", &adj_p, e))?;
-    write_bounds(&OrientedGraph::bnd_path(&out_base), &bounds, stats)?;
+    write_sketch(&OrientedGraph::skt_path(&out_base), &sketch, stats)?;
 
     let mut varint = None;
     if codec == Codec::DeltaVarint {
@@ -722,7 +799,8 @@ fn orient_blocked(
             offsets: rank_offsets,
             d_star_max,
             map,
-            bounds,
+            sketch,
+            buckets,
             orig_degrees: Some(orig_degrees_rank),
             varint,
         },
@@ -736,7 +814,7 @@ pub fn vertex_partition(offsets: &[u64], parts: usize) -> Vec<(u32, u32)> {
     let n = (offsets.len() - 1) as u32;
     let total = *offsets.last().unwrap();
     let parts = parts.max(1);
-    let mut bounds = Vec::with_capacity(parts);
+    let mut ranges = Vec::with_capacity(parts);
     let mut begin = 0u32;
     for i in 0..parts {
         let target = total * (i as u64 + 1) / parts as u64;
@@ -745,10 +823,10 @@ pub fn vertex_partition(offsets: &[u64], parts: usize) -> Vec<(u32, u32)> {
         if i == parts - 1 {
             end = n;
         }
-        bounds.push((begin, end));
+        ranges.push((begin, end));
         begin = end;
     }
-    bounds
+    ranges
 }
 
 fn diff_snapshot(
@@ -894,21 +972,88 @@ mod tests {
         }
     }
 
+    /// `⌊64·offsets[v] / m*⌋`, capped at 63 — the definition, spelled
+    /// without [`SketchBuckets`].
+    fn bucket_by_formula(offsets: &[u64], v: u32) -> u32 {
+        let m_star = *offsets.last().unwrap();
+        if m_star == 0 {
+            return 0;
+        }
+        (64 * offsets[v as usize] / m_star).min(63) as u32
+    }
+
     #[test]
-    fn bounds_describe_out_lists() {
+    fn buckets_follow_the_formula_on_every_shape() {
+        // A star's leaves are 49 one-entry lists (m* < 64: empty
+        // buckets), the edgeless graph has m* = 0 (no division), and
+        // RMAT ends in a run of zero-out-degree ranks (bucket 63).
+        for (tag, g) in [
+            ("rmat", rmat(9, 3).unwrap()),
+            ("star", star(50).unwrap()),
+            ("k5", complete(5).unwrap()),
+            ("empty", Graph::empty(9)),
+        ] {
+            let o = orient_csr(&g);
+            let buckets = SketchBuckets::new(&o.offsets);
+            let n = o.num_vertices();
+            assert_eq!(buckets.first(64), n, "{tag}");
+            assert_eq!(
+                buckets.per_rank(),
+                (0..n)
+                    .map(|v| bucket_by_formula(&o.offsets, v) as u8)
+                    .collect::<Vec<_>>(),
+                "{tag}"
+            );
+            for v in 0..n {
+                let b = buckets.of(v);
+                assert_eq!(b, bucket_by_formula(&o.offsets, v), "{tag}: rank {v}");
+                assert!(buckets.first(b) <= v && v < buckets.first(b + 1), "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn sketches_describe_out_lists() {
         let g = rmat(7, 19).unwrap();
         let stats = IoStats::new();
-        let dg = DiskGraph::write(&g, tmpbase("bnd-in"), &stats).unwrap();
-        let (og, _) = orient_to_disk(&dg, tmpbase("bnd-out"), 3, &stats).unwrap();
+        let dg = DiskGraph::write(&g, tmpbase("skt-in"), &stats).unwrap();
+        let (og, _) = orient_to_disk(&dg, tmpbase("skt-out"), 3, &stats).unwrap();
         let expect = orient_csr(&g);
+        assert_eq!(og.buckets(), &SketchBuckets::new(&expect.offsets));
         for r in 0..og.num_vertices() {
-            let out = expect.out(r);
-            if out.is_empty() {
-                assert_eq!(og.bounds[r as usize], EMPTY_BOUNDS);
-            } else {
-                assert_eq!(og.bounds[r as usize], (out[0], *out.last().unwrap()));
-                assert!(og.bounds[r as usize].0 > r, "bounds live above the rank");
+            let want = (expect.out(r).iter())
+                .fold(0u64, |s, &v| s | 1 << bucket_by_formula(&expect.offsets, v));
+            let got = og.sketch[r as usize];
+            assert_eq!(got, want, "rank {r}");
+            assert_eq!(got, og.buckets().sketch(expect.out(r)));
+            // Out-neighbours lie above r, so no bit sits below its bucket.
+            assert_eq!(got >> og.buckets().of(r) << og.buckets().of(r), got);
+        }
+    }
+
+    #[test]
+    fn a_base_oriented_with_bounds_is_refused_by_name() {
+        // The sketch file has the size the per-list bounds file had: a
+        // base that carries only `.bnd` must fail at open, naming the
+        // `.skt` it lacks, whether or not its manifest survived.
+        let g = rmat(6, 27).unwrap();
+        let stats = IoStats::new();
+        let dg = DiskGraph::write(&g, tmpbase("stale-in"), &stats).unwrap();
+        for keep_manifest in [true, false] {
+            let base = tmpbase(&format!("stale-or-{keep_manifest}"));
+            let (og, _) = orient_to_disk(&dg, &base, 2, &stats).unwrap();
+            std::fs::rename(OrientedGraph::skt_path(&base), suffixed(&base, ".bnd")).unwrap();
+            if !keep_manifest {
+                std::fs::remove_file(og.disk.mft_path()).unwrap();
             }
+            let err = OrientedGraph::open(&base, &stats).unwrap_err();
+            let path = match &err {
+                crate::CoreError::Io(pdtl_io::IoError::Os { path, .. }) => path,
+                crate::CoreError::Graph(pdtl_graph::GraphError::Truncated { path, .. }) => path,
+                other => panic!("manifest {keep_manifest}: untyped failure {other}"),
+            };
+            assert_eq!(path, &OrientedGraph::skt_path(&base), "{err}");
+            assert!(err.to_string().contains(".skt"), "{err}");
         }
     }
 
@@ -920,7 +1065,7 @@ mod tests {
         stats.reset();
         let (_og, report) = orient_to_disk(&dg, tmpbase("io-out"), 2, &stats).unwrap();
         // Reads the degree file + two full adjacency scans; writes at
-        // least the oriented pair plus the map and bounds.
+        // least the oriented pair plus the map and sketches.
         assert!(report.io.bytes_read >= dg.size_bytes());
         assert!(report.io.bytes_written >= (g.num_edges() + g.num_vertices() as u64) * 4);
     }
@@ -936,13 +1081,14 @@ mod tests {
         assert_eq!(reopened.offsets, og.offsets);
         assert_eq!(reopened.d_star_max, og.d_star_max);
         assert_eq!(reopened.map, og.map);
-        assert_eq!(reopened.bounds, og.bounds);
+        assert_eq!(reopened.sketch, og.sketch);
+        assert_eq!(reopened.buckets(), og.buckets());
         assert!(reopened.orig_degrees.is_none());
         assert!(reopened.in_degrees().is_none());
     }
 
     #[test]
-    fn replicate_ships_map_and_bounds() {
+    fn replicate_ships_map_and_sketch() {
         let g = rmat(6, 9).unwrap();
         let stats = IoStats::new();
         let dg = DiskGraph::write(&g, tmpbase("rep-in"), &stats).unwrap();
@@ -955,7 +1101,7 @@ mod tests {
         let replica = OrientedGraph::open(&replica_base, &stats).unwrap();
         assert_eq!(replica.offsets, og.offsets);
         assert_eq!(replica.map, og.map);
-        assert_eq!(replica.bounds, og.bounds);
+        assert_eq!(replica.sketch, og.sketch);
     }
 
     #[test]
@@ -967,7 +1113,7 @@ mod tests {
         let (vc, _) =
             orient_to_disk_with(&dg, tmpbase("vc-var"), 2, Codec::DeltaVarint, &stats).unwrap();
         assert_eq!(vc.offsets, raw.offsets);
-        assert_eq!(vc.bounds, raw.bounds);
+        assert_eq!(vc.sketch, raw.sketch);
         assert_eq!(vc.disk.codec(), Codec::DeltaVarint);
         assert_eq!(
             vc.disk.adj_len(),
@@ -1031,7 +1177,8 @@ mod tests {
     fn raw_files_are_byte_identical_to_the_per_vertex_scatter() {
         // Golden digests taken at the commit before the scatter block,
         // when pass 2 issued one `seek` + `write` per out-list: same
-        // graph, same four raw files, at any thread count.
+        // graph, same four raw files, at any thread count. The `.skt`
+        // digest was taken when the sketch replaced the bounds file.
         let g = rmat(9, 5).unwrap();
         let stats = IoStats::new();
         let dg = DiskGraph::write(&g, tmpbase("rawgold-in"), &stats).unwrap();
@@ -1042,7 +1189,7 @@ mod tests {
             assert_eq!(digest(&base, ".deg"), (2048, 0xb94d_c6ac));
             assert_eq!(digest(&base, ".adj"), (19276, 0xf969_c841));
             assert_eq!(digest(&base, ".map"), (2048, 0x4938_34ea));
-            assert_eq!(digest(&base, ".bnd"), (4096, 0xe3df_c1e5));
+            assert_eq!(digest(&base, ".skt"), (4096, 0x138d_a896));
             assert_eq!(report.io.bytes_written, 27468, "the four files, once");
         }
     }
@@ -1108,7 +1255,7 @@ mod tests {
             let dg = DiskGraph::write(&g, tmpbase("prop-in"), &stats).unwrap();
             let base = tmpbase("prop-or");
             let files = |base: &Path| -> Vec<Vec<u8>> {
-                [".adj", ".deg", ".map", ".bnd"]
+                [".adj", ".deg", ".map", ".skt"]
                     .iter()
                     .map(|ext| std::fs::read(suffixed(base, ext)).unwrap())
                     .collect()
@@ -1249,8 +1396,8 @@ mod tests {
             assert_eq!(og.disk.codec(), codec);
             assert_eq!(og.varint_index().is_some(), codec == Codec::DeltaVarint);
             let exts: &[&str] = match codec {
-                Codec::Raw => &[".deg", ".adj", ".map", ".bnd", ".mft"],
-                Codec::DeltaVarint => &[".deg", ".adj", ".hdr", ".vix", ".map", ".bnd", ".mft"],
+                Codec::Raw => &[".deg", ".adj", ".map", ".skt", ".mft"],
+                Codec::DeltaVarint => &[".deg", ".adj", ".hdr", ".vix", ".map", ".skt", ".mft"],
             };
             let files: Vec<PathBuf> = exts.iter().map(|ext| suffixed(&base, ext)).collect();
             assert_eq!(og.disk.file_set(), files, "{codec:?}");
@@ -1314,11 +1461,11 @@ mod tests {
         let g = rmat(7, 9).unwrap();
         let o = orient_csr(&g);
         for parts in [1usize, 2, 5, 16] {
-            let bounds = vertex_partition(&o.offsets, parts);
-            assert_eq!(bounds.len(), parts);
-            assert_eq!(bounds[0].0, 0);
-            assert_eq!(bounds[parts - 1].1, o.num_vertices());
-            for w in bounds.windows(2) {
+            let ranges = vertex_partition(&o.offsets, parts);
+            assert_eq!(ranges.len(), parts);
+            assert_eq!(ranges[0].0, 0);
+            assert_eq!(ranges[parts - 1].1, o.num_vertices());
+            for w in ranges.windows(2) {
                 assert_eq!(w[0].1, w[1].0, "contiguous");
             }
         }
@@ -1329,9 +1476,9 @@ mod tests {
         let g = rmat(9, 10).unwrap();
         let deg = g.degrees();
         let offsets = offsets_from_degrees(&deg);
-        let bounds = vertex_partition(&offsets, 4);
+        let ranges = vertex_partition(&offsets, 4);
         let total = *offsets.last().unwrap() as f64;
-        for &(b, e) in &bounds {
+        for &(b, e) in &ranges {
             let vol = (offsets[e as usize] - offsets[b as usize]) as f64;
             assert!(
                 vol < 0.5 * total,
@@ -1348,6 +1495,6 @@ mod tests {
         let (og, _) = orient_to_disk(&dg, tmpbase("empty-out"), 2, &stats).unwrap();
         assert_eq!(og.m_star(), 0);
         assert_eq!(og.d_star_max, 0);
-        assert!(og.bounds.iter().all(|&b| b == EMPTY_BOUNDS));
+        assert!(og.sketch.iter().all(|&s| s == 0));
     }
 }

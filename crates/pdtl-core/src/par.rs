@@ -1,6 +1,7 @@
-//! The workspace's one data-parallel primitive: a `Sync` closure mapped
+//! The workspace's data-parallel primitives: a `Sync` closure mapped
 //! over contiguous chunks of `0..n` on scoped threads — the shape of the
-//! disk orientation's two passes and of the baselines' counters. The MGT
+//! disk orientation's two passes and of the baselines' counters — and
+//! two unlike closures run side by side (`join`, the planner's). The MGT
 //! workers are not this shape: [`run_workers`](crate::runner::run_workers)
 //! moves an owned sink into one thread per job, because its `P` is the
 //! paper's processor count, not a pool size.
@@ -45,6 +46,27 @@ where
     })
 }
 
+/// Run `a` and `b` side by side — `a` on a scoped thread when the host
+/// has more than one, `b` on the caller — and return both results. A
+/// panic in `a` resumes on the caller after `b` has finished.
+pub(crate) fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    RA: Send,
+    B: FnOnce() -> RB,
+{
+    if host_threads() == 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    thread::scope(|s| {
+        let ha = s.spawn(a);
+        let rb = b();
+        let ra = ha.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+        (ra, rb)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,6 +94,22 @@ mod tests {
         }
         let ids = map_chunks(9, 3, |_| thread::current().id());
         assert!(ids.iter().all(|&id| id != me));
+    }
+
+    #[test]
+    fn join_returns_both_results_and_surfaces_a_panic() {
+        let v: Vec<u32> = (0..10).collect();
+        let (sum, len) = join(|| v.iter().sum::<u32>(), || v.len());
+        assert_eq!((sum, len), (45, 10));
+        let b_ran = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            join(
+                || panic!("a fails"),
+                || b_ran.fetch_add(1, Ordering::SeqCst),
+            )
+        }));
+        assert!(caught.is_err());
+        assert_eq!(b_ran.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -296,6 +296,7 @@ mod tests {
     use pdtl_graph::gen::classic::{complete, wheel};
     use pdtl_graph::gen::rmat::rmat;
     use pdtl_graph::verify::triangle_count;
+    use pdtl_io::Codec;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -374,6 +375,54 @@ mod tests {
         canon.sort_unstable();
         canon.dedup();
         assert_eq!(canon.len(), 19, "no duplicates across workers");
+    }
+
+    #[test]
+    fn listings_are_byte_identical_to_the_hull_pruned_engine() {
+        // A list the sketch skips emits nothing, so the listing does
+        // not move: `(len, crc32c)` of the triples' bytes, taken when
+        // the scan skipped by each list's `(min, max)` hull, on ranges
+        // that do not depend on the cost model. The planner's ranges
+        // list the same bytes as an unpruned scan over them.
+        let g = rmat(9, 31).unwrap();
+        let stats = IoStats::new();
+        let input = DiskGraph::write(&g, tmpdir("listing-bytes").join("g"), &stats).unwrap();
+        let bytes = |t: &[(u32, u32, u32)]| -> Vec<u8> {
+            t.iter()
+                .flat_map(|&(u, v, w)| [u, v, w])
+                .flat_map(u32::to_le_bytes)
+                .collect()
+        };
+        let golden = [
+            (Codec::Raw, 1 << 20, (358_908, 0x8114_d386)),
+            (Codec::Raw, 512, (358_908, 0x3b0b_1f64)),
+            (Codec::DeltaVarint, 64, (358_908, 0x0f48_6d67)),
+        ];
+        for (codec, edges, want) in golden {
+            let listing = |balance, scan_pruning| {
+                let runner = LocalRunner::new(LocalConfig {
+                    cores: 3,
+                    budget: MemoryBudget::edges(edges),
+                    balance,
+                    mgt: MgtOptions {
+                        codec,
+                        scan_pruning,
+                        ..MgtOptions::default()
+                    },
+                })
+                .unwrap();
+                let dir = tmpdir(&format!("listing-bytes-{codec:?}-{edges}"));
+                bytes(&runner.run_listing(&input, &dir).unwrap().1)
+            };
+            let equal = listing(BalanceStrategy::EqualEdges, true);
+            let case = format!("{codec:?} {edges}");
+            assert_eq!((equal.len(), pdtl_io::crc32c(&equal)), want, "{case}");
+            assert_eq!(
+                listing(BalanceStrategy::InDegree, true),
+                listing(BalanceStrategy::InDegree, false),
+                "{case}"
+            );
+        }
     }
 
     #[test]

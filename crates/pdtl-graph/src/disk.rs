@@ -216,11 +216,11 @@ impl DiskGraph {
 
     /// Every file extension a graph base may carry: the core pair, the
     /// compressed-format sidecars, the orientation sidecars (rank map
-    /// and suffix bounds) that `OrientedGraph` adds, and the integrity
+    /// and scan sketch) that `OrientedGraph` adds, and the integrity
     /// manifest — which sorts last so replication copies it after the
     /// data it covers.
     pub const ALL_EXTS: [&'static str; 7] =
-        [".deg", ".adj", ".hdr", ".vix", ".map", ".bnd", MFT_EXT];
+        [".deg", ".adj", ".hdr", ".vix", ".map", ".skt", MFT_EXT];
 
     /// The files that actually exist for this base, in [`ALL_EXTS`]
     /// order — the single enumeration replication, cleanup and tests

@@ -1,7 +1,7 @@
 //! Per-graph integrity manifests (`.mft`).
 //!
 //! A graph base is up to six data files (`.deg`/`.adj`/`.hdr`/`.vix`/
-//! `.map`/`.bnd`); nothing in the original format verifies their bytes,
+//! `.map`/`.skt`); nothing in the original format verifies their bytes,
 //! so a bit-flipped adjacency run or a truncated sidecar either panics
 //! or — worse — silently changes the triangle count. The manifest
 //! closes that hole: one `.mft` sidecar per base recording each data
@@ -58,10 +58,10 @@ pub const MFT_EXT: &str = ".mft";
 /// The data files a manifest may cover, in extension-code order. The
 /// manifest never lists itself; `DiskGraph::ALL_EXTS` is this list
 /// plus [`MFT_EXT`].
-pub const DATA_EXTS: [&str; 6] = [".deg", ".adj", ".hdr", ".vix", ".map", ".bnd"];
+pub const DATA_EXTS: [&str; 6] = [".deg", ".adj", ".hdr", ".vix", ".map", ".skt"];
 
 /// Files at most this many bytes are fully digested by the quick
-/// verification tier (so `.hdr`, `.vix`, `.map`, `.bnd` on typical
+/// verification tier (so `.hdr`, `.vix`, `.map`, `.skt` on typical
 /// graphs are always covered at open time).
 pub const QUICK_DIGEST_MAX: u64 = 4096;
 
@@ -287,7 +287,7 @@ mod tests {
     fn fake_graph(base: &Path) {
         std::fs::write(suffixed(base, ".deg"), vec![1u8; 40]).unwrap();
         std::fs::write(suffixed(base, ".adj"), vec![2u8; 8000]).unwrap();
-        std::fs::write(suffixed(base, ".bnd"), vec![3u8; 80]).unwrap();
+        std::fs::write(suffixed(base, ".skt"), vec![3u8; 80]).unwrap();
     }
 
     #[test]
@@ -333,10 +333,10 @@ mod tests {
         std::fs::write(&adj, &keep).unwrap();
 
         // Flip a bit in a small file: caught by the quick digest.
-        let bnd = suffixed(&base, ".bnd");
-        let mut b = std::fs::read(&bnd).unwrap();
+        let skt = suffixed(&base, ".skt");
+        let mut b = std::fs::read(&skt).unwrap();
         b[10] ^= 0x40;
-        std::fs::write(&bnd, &b).unwrap();
+        std::fs::write(&skt, &b).unwrap();
         assert!(matches!(
             m.verify_quick(&base).unwrap_err(),
             GraphError::Corrupt { .. }
@@ -391,7 +391,7 @@ mod tests {
         let base = tmpbase("missing");
         fake_graph(&base);
         let m = Manifest::capture_and_store(&base).unwrap();
-        std::fs::remove_file(suffixed(&base, ".bnd")).unwrap();
+        std::fs::remove_file(suffixed(&base, ".skt")).unwrap();
         assert!(matches!(
             m.verify_quick(&base).unwrap_err(),
             GraphError::Truncated { actual: 0, .. }

@@ -8,13 +8,13 @@
 //! every run of a test is reproducible:
 //!
 //! ```text
-//! bitflip@adj:97;truncate@bnd:55
+//! bitflip@adj:97;truncate@skt:55
 //! ```
 //!
 //! Grammar: `;`-separated specs of the form `<kind>@<target>[:<seed>]`
 //! where `<kind>` is `bitflip` | `truncate` | `torn` and `<target>` is
 //! a graph-file extension without the dot (`deg`, `adj`, `hdr`, `vix`,
-//! `map`, `bnd`, `mft`). The seed defaults to 1 and picks the fault
+//! `map`, `skt`, `mft`). The seed defaults to 1 and picks the fault
 //! offset deterministically from the file length. A malformed plan is a
 //! typed error, never the empty plan.
 
@@ -36,8 +36,8 @@ pub enum FaultTarget {
     Vix,
     /// The rank map (`.map`).
     Map,
-    /// The per-rank bounds sidecar (`.bnd`).
-    Bnd,
+    /// The per-rank scan-sketch sidecar (`.skt`).
+    Skt,
     /// The integrity manifest itself (`.mft`).
     Mft,
 }
@@ -50,7 +50,7 @@ impl FaultTarget {
         FaultTarget::Hdr,
         FaultTarget::Vix,
         FaultTarget::Map,
-        FaultTarget::Bnd,
+        FaultTarget::Skt,
         FaultTarget::Mft,
     ];
 
@@ -62,7 +62,7 @@ impl FaultTarget {
             FaultTarget::Hdr => ".hdr",
             FaultTarget::Vix => ".vix",
             FaultTarget::Map => ".map",
-            FaultTarget::Bnd => ".bnd",
+            FaultTarget::Skt => ".skt",
             FaultTarget::Mft => ".mft",
         }
     }
@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn parses_full_grammar() {
-        let plan = DiskFaultPlan::parse("bitflip@adj:97; truncate@bnd:55;torn@deg").unwrap();
+        let plan = DiskFaultPlan::parse("bitflip@adj:97; truncate@skt:55;torn@deg").unwrap();
         assert_eq!(
             plan.specs,
             vec![
@@ -271,7 +271,7 @@ mod tests {
                 },
                 DiskFaultSpec {
                     kind: DiskFaultKind::Truncate,
-                    target: FaultTarget::Bnd,
+                    target: FaultTarget::Skt,
                     seed: 55
                 },
                 DiskFaultSpec {
@@ -322,11 +322,11 @@ mod tests {
             path
         };
         let deg = mk(".deg", 800);
-        let bnd = mk(".bnd", 640);
-        let plan = DiskFaultPlan::parse("truncate@bnd:9999;torn@deg:3").unwrap();
+        let skt = mk(".skt", 640);
+        let plan = DiskFaultPlan::parse("truncate@skt:9999;torn@deg:3").unwrap();
         let hit = plan.apply(&base).unwrap();
         assert_eq!(hit.len(), 2);
-        assert!(std::fs::metadata(&bnd).unwrap().len() < 640);
+        assert!(std::fs::metadata(&skt).unwrap().len() < 640);
         let after = std::fs::read(&deg).unwrap();
         assert_eq!(after.len(), 800);
         assert!(after.contains(&!0x3Cu8));

@@ -19,7 +19,9 @@
 //!   count; `--fault` injects a deterministic fault plan (the
 //!   `FaultPlan` grammar, e.g. `seed=42;kill=1` or `panic@1x1`). Both
 //!   counts print one line per worker after the totals — range,
-//!   iterations, predicted share of the cost, wall, I/O wait — then
+//!   iterations, predicted share of the cost, wall, I/O wait; `count`
+//!   adds the entries its scans read beside the predicted number and
+//!   the share of the lists read that the join used — then
 //!   `imbalance: <max/mean worker wall>`; `--memory` must be ≥ 1;
 //! * `list <base> <out.bin> [--cores p]` — triangle listing to file;
 //! * `verify <base>` — full integrity verification: open the graph
@@ -48,7 +50,9 @@ use pdtl_cluster::{
     ServeConfig, Server, TransportKind,
 };
 use pdtl_core::mgt::MgtOptions;
-use pdtl_core::{BalanceStrategy, EdgeRange, LocalConfig, LocalRunner, PredictedCost, ScratchDir};
+use pdtl_core::{
+    BalanceStrategy, EdgeRange, LocalConfig, LocalRunner, PredictedCost, ScratchDir, WorkerReport,
+};
 use pdtl_graph::datasets::Dataset;
 use pdtl_graph::{DiskGraph, GraphStats};
 use pdtl_io::{Codec, IoBackend, IoStats, MemoryBudget};
@@ -430,7 +434,11 @@ fn work_dir(base: &Path, tag: &str) -> PathBuf {
 }
 
 /// One worker's line after a count's totals: where `calc` went, and
-/// the planner's predicted share of the cost beside it.
+/// the planner's predicted share of the cost beside it. A local worker
+/// also reports its scan (`scan`): the entries read beside the
+/// planner's prediction, and the share of the lists read that the join
+/// used.
+#[allow(clippy::too_many_arguments)]
 fn worker_line(
     out: &mut impl std::io::Write,
     who: &str,
@@ -439,20 +447,31 @@ fn worker_line(
     plan: &[(EdgeRange, PredictedCost)],
     wall: Duration,
     io: Duration,
+    scan: Option<&WorkerReport>,
 ) -> std::io::Result<()> {
     let total: u64 = plan.iter().map(|(_, c)| c.picos).sum();
     let predicted = plan
         .iter()
         .find(|(r, _)| *r == range)
-        .map_or(0, |(_, c)| c.picos);
-    writeln!(
+        .map_or_else(PredictedCost::default, |&(_, c)| c);
+    write!(
         out,
         "{who}: range [{}, {}), {iterations} iterations, predicted {:.1}% of cost, \
          wall {wall:.3?}, io wait {io:.3?}",
         range.start,
         range.end,
-        100.0 * predicted as f64 / total.max(1) as f64
-    )
+        100.0 * predicted.picos as f64 / total.max(1) as f64
+    )?;
+    if let Some(w) = scan {
+        write!(
+            out,
+            ", scanned {} (predicted {}), useful {:.1}%",
+            w.scanned,
+            predicted.scanned,
+            100.0 * w.scan_hits as f64 / w.scan_lists.max(1) as f64
+        )?;
+    }
+    writeln!(out)
 }
 
 /// Execute a parsed command, writing human output via `out`.
@@ -552,8 +571,17 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
             for w in &report.workers {
                 let who = format!("worker {}", w.worker);
                 let (wall, io) = (w.breakdown.wall, w.breakdown.io);
-                worker_line(out, &who, w.range, w.iterations, &report.plan, wall, io)
-                    .map_err(|e| fail(&e))?;
+                worker_line(
+                    out,
+                    &who,
+                    w.range,
+                    w.iterations,
+                    &report.plan,
+                    wall,
+                    io,
+                    Some(w),
+                )
+                .map_err(|e| fail(&e))?;
             }
             writeln!(out, "imbalance: {:.2}", report.imbalance()).map_err(|e| fail(&e))
         }
@@ -608,7 +636,7 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
                     };
                     let wall = Duration::from_nanos(w.wall_nanos);
                     let io = Duration::from_nanos(w.io_nanos);
-                    worker_line(out, &who, range, w.iterations, &report.plan, wall, io)
+                    worker_line(out, &who, range, w.iterations, &report.plan, wall, io, None)
                         .map_err(|e| fail(&e))?;
                 }
             }
@@ -1131,6 +1159,14 @@ mod tests {
         let workers: Vec<&str> = text.lines().filter(|l| l.starts_with("worker ")).collect();
         assert_eq!(workers.len(), 2, "{text}");
         assert!(workers.iter().all(|l| l.contains("% of cost")), "{text}");
+        // Each worker's scan read what the planner predicted.
+        for line in &workers {
+            let (_, scan) = line.split_once(", scanned ").expect(line);
+            let (measured, rest) = scan.split_once(" (predicted ").expect(line);
+            let (predicted, rest) = rest.split_once("), useful ").expect(line);
+            assert_eq!(measured, predicted, "{line}");
+            assert!(rest.ends_with('%'), "{line}");
+        }
         assert!(
             text.lines().last().unwrap().starts_with("imbalance: "),
             "{text}"

@@ -93,7 +93,7 @@ fn cluster_network_within_theorem_iv3() {
     let input = DiskGraph::write(&g, tmpdir("net").join("g"), &stats).unwrap();
     // What one replica weighs depends on the on-disk codec (raw:
     // exactly (|E| + 4n) * 4 for adjacency + degrees + rank map +
-    // pruning bounds; delta-varint: the compressed adjacency plus the
+    // scan sketches; delta-varint: the compressed adjacency plus the
     // .hdr/.vix sidecars), so orient the same input once under the
     // session default and measure the file set the runner will ship.
     // Every replica also carries the constant-size integrity manifest.
@@ -109,7 +109,7 @@ fn cluster_network_within_theorem_iv3() {
         assert_eq!(
             replica_bytes,
             (g.num_edges() + 4 * g.num_vertices() as u64) * 4 + mft_bytes,
-            "raw replica: |E| adjacency + n degrees + n rank map + 2n bounds + manifest"
+            "raw replica: |E| adjacency + n degrees + n rank map + 2n sketch words + manifest"
         );
     } else {
         assert!(

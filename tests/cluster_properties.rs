@@ -74,7 +74,7 @@ proptest! {
         // replication traffic is exactly (N-1) * oriented size. What
         // one replica weighs depends on the codec — raw is exactly
         // (|E| + 4n) * 4 (adjacency + degrees + rank map + scan
-        // bounds); delta-varint ships the compressed adjacency plus the
+        // sketches); delta-varint ships the compressed adjacency plus the
         // .hdr/.vix sidecars — so orient the same input once and
         // measure the file set the runner ships.
         let (oracle, _) =

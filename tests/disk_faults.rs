@@ -144,7 +144,7 @@ fn every_oriented_file_is_covered_by_verification() {
 fn same_length_garbage_sidecars_are_rejected_at_open() {
     let g = graph();
     let stats = IoStats::new();
-    for ext in [".hdr", ".vix", ".bnd", ".mft"] {
+    for ext in [".hdr", ".vix", ".skt", ".mft"] {
         let tag = format!("garbage{ext}");
         let dir = tmpdir(&tag);
         let input = DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
@@ -263,7 +263,7 @@ fn persistent_replica_corruption_fails_node_and_reassigns() {
 /// Seeded disk-fault plans under both codecs. Phase 1 corrupts a
 /// written input: if the plan touched any file the count must fail
 /// typed, otherwise it must be exact. Phase 2 corrupts an *oriented*
-/// base (which carries the `.map`/`.bnd`/sidecar targets) and requires
+/// base (which carries the `.map`/`.skt`/sidecar targets) and requires
 /// the full-digest tier to object. Every plan damages at least one file
 /// across the two phases, so none passes as a clean run.
 #[test]
@@ -273,7 +273,7 @@ fn env_driven_disk_fault_plan_is_detected_or_absent() {
     let stats = IoStats::new();
     let plans = [
         "bitflip@adj:97",
-        "truncate@bnd:55",
+        "truncate@skt:55",
         "torn@deg:23",
         "bitflip@mft:7;truncate@vix:11",
     ];
