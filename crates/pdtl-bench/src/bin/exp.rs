@@ -69,15 +69,12 @@ fn main() {
     }
 
     if ids.iter().any(|i| i == "kernels") {
-        // The SIMD level and the default backend (as this host
-        // resolves it) and codec go into the regeneration log, so a
-        // BENCH_kernels.json diff is attributable to the host (a
-        // snapshot from a runner without AVX2 is not comparable to one
-        // with it).
+        // The default backend (as this host resolves it) and codec go
+        // into the regeneration log, so a BENCH_kernels.json diff is
+        // attributable to the host.
         let defaults = MgtOptions::default();
         println!(
-            "[simd: {}] [backend: {}] [codec: {}]",
-            pdtl_core::intersect::simd_level(),
+            "[backend: {}] [codec: {}]",
             defaults.backend.resolve(),
             defaults.codec,
         );

@@ -19,9 +19,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use pdtl_baselines::inmem::forward_oriented;
-use pdtl_core::intersect::{
-    intersect_gallop_visit, intersect_visit, intersect_visit_counted_with, SimdLevel,
-};
+use pdtl_core::intersect::{intersect_gallop_visit, intersect_visit};
 use pdtl_core::mgt::{mgt_count_range_opt, mgt_in_memory, MgtOptions};
 use pdtl_core::orient::{orient_csr, orient_to_disk_with};
 use pdtl_core::sink::CountSink;
@@ -152,27 +150,17 @@ pub fn run_kernel_benches() -> Vec<BenchResult> {
             window,
             || intersect_gallop_visit(&a, &b, |_| {}),
         ));
-        // Forced-scalar ablation row: the same shape through the same
-        // ratio dispatch with the SIMD tier off, so every snapshot
-        // carries its own vectorization speedup measurement.
-        out.push(time_one(
-            &format!("intersect/linear_scalar/{a_len}x{b_len}"),
-            window,
-            || intersect_visit_counted_with(SimdLevel::Off, &a, &b, |_| {}).0,
-        ));
     }
 
     // The paper's §IV-A1 finding, restated: the same forward count
-    // over the same oriented graph, once intersecting sorted out-lists
-    // (the compact-forward baseline) and once probing prebuilt
-    // per-vertex hash sets (smaller into larger) — "more than 10×"
-    // there, the ratio of these two rows here. `mark_probe` is the
-    // third way to find the same triangles and the one the engine
-    // uses: `mgt_in_memory` with the whole graph resident, whose join
-    // marks N(u) in an n-bit array and probes each w ∈ N(v) — still a
-    // dense array, not a hash structure. Its ratio to `arrays` is why
-    // the engine left the merge (the row also pays the engine's chunk
-    // index and scan loop, which `arrays` does not).
+    // over the same oriented graph, once on dense arrays and once
+    // probing prebuilt per-vertex hash sets (smaller into larger) —
+    // "more than 10×" there, the ratio of these two rows here.
+    // `arrays` is the compact-forward baseline, which marks N⁺(u) in an
+    // n-bit array and probes each w ∈ N⁺(v); `mark_probe` finds the
+    // same triangles the same way inside the engine — `mgt_in_memory`
+    // with the whole graph resident — so its ratio to `arrays` is what
+    // the engine's chunk index and scan loop cost.
     {
         let (scale, seed) = workload::INNER_LOOP_RMAT;
         let o = orient_csr(&rmat(scale, seed).expect("rmat"));
@@ -404,7 +392,6 @@ mod tests {
             assert!(json.contains(&format!("\"mgt_disk/codec_{codec}\"")));
         }
         assert!(json.contains("\"varint_decode/1m\""));
-        assert!(json.contains("\"intersect/linear_scalar/1000x1000\""));
         for inner in ["arrays", "hashsets", "mark_probe"] {
             assert!(json.contains(&format!("\"inner_loop/{inner}\"")));
         }

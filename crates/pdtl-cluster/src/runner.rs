@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use pdtl_core::balance::{plan_ranges, BalanceStrategy};
 use pdtl_core::mgt::MgtOptions;
 use pdtl_core::orient::{orient_to_disk_with, OrientedGraph};
-use pdtl_graph::{DiskGraph, Manifest};
+use pdtl_graph::{DiskGraph, GraphError, Manifest};
 use pdtl_io::diskfault::{DiskFaultKind, DiskFaultSpec};
 use pdtl_io::{IoStats, MemoryBudget};
 
@@ -800,13 +800,18 @@ impl ClusterRunner {
 }
 
 /// Full-digest a freshly landed replica against the manifest it
-/// shipped with. A replica without a manifest (copied from a
-/// pre-integrity base) is accepted as-is; any digest or length
-/// mismatch is a typed error the copy attempt fails with.
+/// shipped with. The master orients its own base, and orientation
+/// always writes a manifest, so a replica without one is a failed copy
+/// — as is any digest or length mismatch — and the retry re-copies it.
 fn verify_replica(base: &Path) -> Result<()> {
-    if let Some(m) = Manifest::load(base)? {
-        m.verify_full(base)?;
-    }
+    let Some(m) = Manifest::load(base)? else {
+        return Err(GraphError::Corrupt {
+            path: Manifest::path_for(base),
+            detail: "replica landed without its manifest".into(),
+        }
+        .into());
+    };
+    m.verify_full(base)?;
     Ok(())
 }
 
@@ -1008,6 +1013,21 @@ mod tests {
             .run(&input, &tmpdir("naive-run"))
             .unwrap();
         assert_eq!(report.triangles, expected);
+    }
+
+    #[test]
+    fn a_replica_without_its_manifest_is_a_failed_copy() {
+        let (input, _, _, _) = write_input("no-mft", 58);
+        let dir = tmpdir("no-mft-run");
+        let stats = IoStats::new();
+        let codec = MgtOptions::default().codec;
+        let (og, _) = orient_to_disk_with(&input, dir.join("oriented"), 1, codec, &stats).unwrap();
+        let replica = dir.join("node1").join("oriented");
+        og.replicate_to(&replica, &stats).unwrap();
+        verify_replica(&replica).unwrap();
+        std::fs::remove_file(Manifest::path_for(&replica)).unwrap();
+        let err = verify_replica(&replica).unwrap_err().to_string();
+        assert!(err.contains("without its manifest"), "{err}");
     }
 
     #[test]

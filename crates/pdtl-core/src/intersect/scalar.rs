@@ -1,16 +1,7 @@
-//! Portable scalar intersection kernels, plus the count-reconstruction
-//! helpers that keep the SIMD tier accounting-identical to them.
-//!
-//! Three kernels, one per dispatch tier (see the module docs): the
-//! three-way-branch merge for tightly interleaved inputs, the
-//! advance-loop merge for skewed ones, and galloping for lopsided ones.
-//! These are the *reference semantics*: a SIMD kernel may walk the data
-//! any way it likes, but must visit the same elements in the same order
-//! and report the comparison count its scalar twin would have reported.
-//! For the merges that count is a closed form over the final cursor
-//! positions (`i + j - matches`, a function of the input rather than
-//! the path — unit-tested below); for galloping it is a deterministic
-//! replay of the probe sequence ([`gallop_probe_cost`]).
+//! The scalar intersection kernels, one per dispatch tier (see the
+//! module docs): the three-way-branch merge for tightly interleaved
+//! inputs, the advance-loop merge for skewed ones, and galloping for
+//! lopsided ones. Each returns `(matches, comparisons)`.
 
 /// The three-way-branch merge: one comparison per step, the fast path
 /// on inputs whose elements interleave (near-equal lengths). Callers
@@ -26,10 +17,6 @@
 /// maximum `m = min(a.last(), b.last())` is fully consumed and the
 /// other side has consumed precisely its elements below `m`, plus `m`
 /// itself iff it matched (both sides are exhausted on equal maxima).
-/// That closed form is what lets the AVX2 block merge — which discards
-/// whole blocks, each bounded by the opposite block's max, and so drops
-/// nothing below `m` either — jump its cursors there and report this
-/// kernel's count.
 #[inline]
 pub(super) fn interleaved_counted(a: &[u32], b: &[u32], mut visit: impl FnMut(u32)) -> (u64, u64) {
     let (mut i, mut j) = (0usize, 0usize);
@@ -140,49 +127,6 @@ pub(super) fn gallop_counted(a: &[u32], b: &[u32], mut visit: impl FnMut(u32)) -
     (matches, cmps)
 }
 
-/// The probes [`gallop_counted`] charges for one element of the small
-/// side, replayed arithmetically.
-///
-/// Given the frontier `f` (first index `>= lo0` whose value is `>= x`,
-/// or `len`), every comparison outcome of the scalar gallop is
-/// determined: an exponential probe at `hi` succeeds iff `hi >= f`, a
-/// binary midpoint `mid` orders below/above `x` as `mid < f` / `mid > f`,
-/// and hits `x` exactly at `mid == f` when `matched`. Replaying the
-/// probe sequence against those outcomes reproduces the scalar count
-/// without touching memory — which is what lets the SIMD gallop locate
-/// `f` with vector compares and still report scalar-identical
-/// `cpu_ops`. After the element, the scalar frontier is
-/// `f + usize::from(matched)`.
-#[inline]
-pub(super) fn gallop_probe_cost(lo0: usize, f: usize, matched: bool, len: usize) -> u64 {
-    let mut cost = 0u64;
-    let mut lo = lo0;
-    let mut hi = lo0;
-    let mut step = 1usize;
-    while hi < len {
-        cost += 1;
-        if hi >= f {
-            break;
-        }
-        lo = hi + 1;
-        hi = lo + step;
-        step <<= 1;
-    }
-    let mut right = (hi + 1).min(len);
-    while lo < right {
-        let mid = lo + (right - lo) / 2;
-        cost += 1;
-        if mid < f {
-            lo = mid + 1;
-        } else if mid > f || !matched {
-            right = mid;
-        } else {
-            break; // the Equal arm: mid == f and large[f] == x
-        }
-    }
-    cost
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,11 +149,10 @@ mod tests {
 
     #[test]
     fn interleaved_count_is_a_closed_form_over_the_stop_cursors() {
-        // The contract the SIMD block merges lean on: the scalar merge's
-        // final cursor positions are a function of the input (exhausted
-        // side fully consumed, the other side consumed everything below
-        // `m = min(maxes)` plus a matched `m`), and the count is
-        // `i + j - matches` over them.
+        // The merge's final cursor positions are a function of the
+        // input (exhausted side fully consumed, the other side consumed
+        // everything below `m = min(maxes)` plus a matched `m`), and the
+        // count is `i + j - matches` over them.
         for seed in 0..60u64 {
             let a = pseudo_set(seed * 2 + 1, 1 + (seed as usize * 7) % 200, 400);
             let b = pseudo_set(seed * 2 + 2, 1 + (seed as usize * 13) % 200, 400);
@@ -236,31 +179,6 @@ mod tests {
                 (i_stop + j_stop) as u64 - m,
                 "seed {seed}: a={a:?} b={b:?}"
             );
-        }
-    }
-
-    #[test]
-    fn gallop_probe_cost_replays_the_scalar_probes() {
-        for seed in 0..40u64 {
-            let small = pseudo_set(seed * 2 + 1, 1 + (seed as usize * 3) % 24, 4000);
-            let large = pseudo_set(seed * 2 + 2, 200 + (seed as usize * 17) % 800, 4000);
-            if small.is_empty() || large.is_empty() || small.len() > large.len() {
-                continue;
-            }
-            let (_, cmps) = gallop_counted(&small, &large, |_| {});
-            // Replay: walk the small side maintaining the frontier by hand.
-            let mut total = 0u64;
-            let mut lo = 0usize;
-            for &x in &small {
-                let f = lo + large[lo..].partition_point(|&y| y < x);
-                let matched = f < large.len() && large[f] == x;
-                total += gallop_probe_cost(lo, f, matched, large.len());
-                lo = f + usize::from(matched);
-                if lo >= large.len() {
-                    break;
-                }
-            }
-            assert_eq!(cmps, total, "seed {seed}");
         }
     }
 }

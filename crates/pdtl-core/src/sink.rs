@@ -11,7 +11,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use pdtl_io::{IoStats, Result, U32Writer};
+use pdtl_io::{IoError, IoStats, Result, U32Writer};
 
 /// Consumer of reported triangles.
 pub trait TriangleSink {
@@ -131,13 +131,20 @@ impl TriangleSink for FileSink {
     }
 }
 
-/// Read a [`FileSink`] file back as triples (verification helper).
+/// Read a [`FileSink`] file back as triples (verification helper). A
+/// file that ends inside a triple is malformed, not a shorter listing.
 pub fn read_triangle_file(
     path: impl AsRef<Path>,
     stats: Arc<IoStats>,
 ) -> Result<Vec<(u32, u32, u32)>> {
-    let mut r = pdtl_io::U32Reader::open(path, stats)?;
-    let vals = r.read_all()?;
+    let path = path.as_ref();
+    let vals = pdtl_io::U32Reader::open(path, stats)?.read_all()?;
+    if vals.len() % 3 != 0 {
+        return Err(IoError::malformed(
+            path,
+            format!("{} words is not a whole number of triples", vals.len()),
+        ));
+    }
     Ok(vals.chunks_exact(3).map(|c| (c[0], c[1], c[2])).collect())
 }
 
@@ -195,6 +202,26 @@ mod tests {
         assert_eq!(got, vec![(1, 2, 3), (7, 8, 9)]);
         // output IO is counted — the T/B term exists
         assert_eq!(stats.bytes_written(), 24);
+    }
+
+    #[test]
+    fn a_file_cut_inside_a_triple_is_malformed() {
+        let dir = std::env::temp_dir().join("pdtl-sink-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        for extra in [1u32, 2] {
+            let path = dir.join(format!("cut-{extra}-{}", std::process::id()));
+            let stats = IoStats::new();
+            let mut w = U32Writer::create(&path, stats.clone()).unwrap();
+            for v in 0..6 + extra {
+                w.write(v).unwrap();
+            }
+            w.finish().unwrap();
+            let err = read_triangle_file(&path, stats).unwrap_err();
+            assert!(matches!(err, IoError::Malformed { .. }), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains(&path.display().to_string()), "{msg}");
+            assert!(msg.contains(&format!("{} words", 6 + extra)), "{msg}");
+        }
     }
 
     /// `/dev/full` fails every write with ENOSPC.
