@@ -383,9 +383,9 @@ pub struct WorkerSummary {
     pub seeks: u64,
     /// Read + write operations.
     pub io_ops: u64,
-    /// Nanoseconds of I/O activity. Under the prefetch backend this
-    /// runs concurrently with compute (device time, not stall time),
-    /// so it may approach or exceed `wall_nanos`.
+    /// Nanoseconds of I/O activity. Under the uring backend this runs
+    /// concurrently with compute (device time, not stall time), so it
+    /// may approach or exceed `wall_nanos`.
     pub io_nanos: u64,
     /// Worker wall time in nanoseconds.
     pub wall_nanos: u64,

@@ -9,11 +9,11 @@
 //!
 //! * [`Blocking`](IoBackend::Blocking) — [`U32Reader`], one synchronous
 //!   read per block. The reference the ablations compare against.
-//! * [`Prefetch`](IoBackend::Prefetch) — [`PrefetchReader`], a
-//!   background thread per stream keeps blocks (and the hinted next
-//!   chunk) read ahead so device waits hide behind compute. Wins when
-//!   reads actually block (cold cache, emulated latency), costs a
-//!   hand-off + synchronisation when they don't.
+//! * [`Prefetch`](IoBackend::Prefetch) — [`PrefetchReader`], the
+//!   blocking reads with kernel read-ahead advice: the file advised
+//!   `SEQUENTIAL`, the hinted next chunk `WILLNEED`, so the page cache
+//!   fills while the engine computes. No thread of its own; emulated
+//!   latency is paid per block, as by `Blocking`.
 //! * [`Mmap`](IoBackend::Mmap) — [`MmapSource`], the file mapped into
 //!   the address space and lent zero-copy. Wins on page-cache-resident
 //!   graphs where every `read(2)` copy is pure overhead; falls back to
@@ -21,8 +21,8 @@
 //! * [`Uring`](IoBackend::Uring) — [`UringSource`], block reads driven
 //!   through `io_uring` submission/completion queues with depth > 1 and
 //!   *no* extra threads: the kernel overlaps device waits with compute.
-//!   Falls back to `Prefetch` (the thread-based overlapper) on kernels
-//!   without `io_uring`.
+//!   Falls back to `Prefetch` (kernel read-ahead) on kernels without
+//!   `io_uring`.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -53,7 +53,7 @@ use crate::{IoStats, MmapSource, PrefetchReader, U32Reader, UringSource};
 /// assert_eq!(IoBackend::parse("io_uring"), Some(IoBackend::Uring));
 ///
 /// // `resolve` never yields a backend this platform cannot run:
-/// // io_uring degrades to the thread-based prefetcher where missing.
+/// // io_uring degrades to kernel read-ahead where missing.
 /// let r = IoBackend::Uring.resolve();
 /// assert!(r == IoBackend::Uring || r == IoBackend::Prefetch);
 /// ```
@@ -61,8 +61,8 @@ use crate::{IoStats, MmapSource, PrefetchReader, U32Reader, UringSource};
 pub enum IoBackend {
     /// Synchronous buffered reads ([`U32Reader`]).
     Blocking,
-    /// Background read-ahead ([`PrefetchReader`]), for scans and
-    /// hinted chunk loads alike.
+    /// Synchronous reads the kernel reads ahead of
+    /// ([`PrefetchReader`]), for scans and hinted chunk loads alike.
     #[default]
     Prefetch,
     /// Zero-copy memory mapping ([`MmapSource`]);
@@ -111,8 +111,8 @@ impl IoBackend {
     /// [`Mmap`](IoBackend::Mmap) degrades to
     /// [`Blocking`](IoBackend::Blocking) where the mapping syscalls are
     /// unavailable, [`Uring`](IoBackend::Uring) degrades to
-    /// [`Prefetch`](IoBackend::Prefetch) — the thread-based overlapper,
-    /// its closest behavioural twin — where the kernel lacks (or has
+    /// [`Prefetch`](IoBackend::Prefetch) — read-ahead without a ring —
+    /// where the kernel lacks (or has
     /// disabled) `io_uring`; the first two are always supported.
     pub fn resolve(self) -> Self {
         match self {
@@ -130,7 +130,7 @@ impl IoBackend {
     /// at run time after `resolve()` vets the platform (RLIMIT_MEMLOCK
     /// on 5.6–5.11 kernels, fd exhaustion, seccomp applied post-probe).
     /// Degradation is the `Uring` backend's contract, so it then falls
-    /// back to the thread-based overlapper rather than failing the
+    /// back to kernel read-ahead rather than failing the
     /// caller; genuine file errors resurface identically there.
     pub fn open(
         self,
@@ -138,12 +138,7 @@ impl IoBackend {
         stats: &Arc<IoStats>,
         latency: Duration,
     ) -> Result<(IoBackend, BlockStream<Box<dyn BlockFetch>>)> {
-        let blocking = || -> Result<U32Reader> {
-            let mut reader = U32Reader::open(path, stats.clone())?;
-            // Set before a producer thread inherits it and reads ahead.
-            reader.set_read_latency(latency);
-            Ok(reader)
-        };
+        let blocking = || -> Result<U32Reader> { U32Reader::open(path, stats.clone()) };
         let overlapped = || Ok(PrefetchReader::new(blocking()?)?.boxed());
         let mut served = self.resolve();
         let mut stream = match served {

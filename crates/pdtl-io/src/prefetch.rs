@@ -1,324 +1,152 @@
-//! Overlapped (read-ahead) streaming: hide disk latency behind compute.
+//! Kernel read-ahead: blocking reads, with the access pattern told to
+//! the page cache.
 //!
-//! The MGT engine's inner loop alternates chunk loads and scan-pass
-//! reads with intersection work, and with the blocking [`U32Reader`]
-//! every one of those reads stalls the worker (Theorem IV.2's
-//! `|E|²/(MB)` multi-pass term is pure I/O wait). This module provides
-//! the thread-based overlap primitive the engines build on,
-//! [`PrefetchReader`]: the stream cursor over a fetcher whose
-//! background thread keeps up to [`PREFETCH_DEPTH`] block-sized buffers
-//! ahead of the consumer, so sequential scans (including bound-pruned
-//! scans, whose short skips read through) never block on the next
-//! block. Blocks stay raw bytes until the consumer decodes what it
-//! actually reads, so skipped regions cost no decode — the same cost
-//! profile as the blocking reader, minus the read stalls. A positioned
-//! load announced through [`BlockFetch::hint`] re-aims the same thread:
-//! the MGT engine announces chunk `k+1` when chunk `k` is handed over,
-//! so the next `edg` array is read whole during the current scan pass.
+//! The MGT engine's two streams have access patterns the kernel can act
+//! on without a thread of ours: the scan pass reads the oriented
+//! adjacency front to back once per chunk iteration, and the chunk
+//! loader announces each next chunk ([`BlockFetch::hint`]) while the
+//! current one's scan computes. [`PrefetchReader`] is the blocking
+//! cursor with that advice given — `posix_fadvise(SEQUENTIAL)` over the
+//! whole file when it is opened, which widens the kernel's read-ahead
+//! window for the scan, and `posix_fadvise(WILLNEED)` over each hinted
+//! range, which starts the page cache filling chunk `k+1` in the
+//! background while chunk `k`'s scan runs.
 //!
-//! **Accounting contract:** the reader reports through the same
-//! [`IoStats`](crate::IoStats) as its blocking twin and counts
-//! *exactly the same* `bytes_read`, `read_ops` and `seeks` for the
-//! same logical access pattern — the one [`BlockStream`] cursor does the charging, when the
-//! consumer takes a block, and read-ahead blocks discarded by a
-//! reposition (hinted or not) are never charged. That is what makes
-//! `IoBackend::Prefetch` a pure scheduling change rather than a
-//! different I/O plan.
+//! **Accounting contract:** the fetcher *is* the blocking one
+//! ([`PreadFetch`]) plus advice, so the reader counts exactly the same
+//! `bytes_read`, `read_ops` and `seeks` as [`U32Reader`] for the same
+//! access pattern, and pays an emulated device latency
+//! ([`set_read_latency`](BlockStream::set_read_latency)) the same way:
+//! once per block, on the caller's thread. Overlapping *emulated* waits
+//! with compute is the `io_uring` backend's job
+//! ([`UringSource`](crate::UringSource)), whose in-flight reads model a
+//! device queue; advice can only hide the waits of a real device.
 //!
-//! One deliberate asymmetry: `io_time` measures *device activity*
-//! (each consumed block is charged its producer-side read duration,
-//! emulated latency included). For a blocking reader that equals the
-//! caller's stall time; for an overlapped reader the activity runs
-//! concurrently with compute, so a worker's `io_time` can approach —
-//! or exceed — its wall time even though it barely stalled. That is
-//! the point of overlapping; `CpuIoTimer` clamps its breakdown to the
-//! wall accordingly.
+//! Advice exists on 64-bit little-endian Linux (the gate of the other
+//! `extern "C"` bindings in this crate); elsewhere it is a no-op and the
+//! reader is the blocking one.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::fs::File;
+use std::time::Duration;
 
-use crate::error::{IoError, Result};
-use crate::stream::{BlockFetch, BlockStream, PreadFetch, U32Reader, U32Source};
+use crate::error::Result;
+use crate::stream::{BlockFetch, BlockStream, PreadFetch, U32Reader, BYTES_PER_U32};
 
-/// Blocks the producer keeps ready ahead of the consumer.
-pub const PREFETCH_DEPTH: usize = 4;
+#[cfg(all(
+    target_os = "linux",
+    target_endian = "little",
+    target_pointer_width = "64"
+))]
+mod sys {
+    //! The one advice call. `std` already links libc, so — like the
+    //! mapping and ring bindings — no new dependency is introduced.
+    use std::os::raw::c_int;
 
-/// Shared producer/consumer state of a [`PrefetchReader`].
-#[derive(Debug)]
-struct Shared {
-    state: Mutex<State>,
-    /// Signalled when the producer should look for work.
-    produce: Condvar,
-    /// Signalled when a block (or EOF/error) is ready for the consumer.
-    consume: Condvar,
-    /// Total `u32`s in the file, and the block size in `u32`s.
-    len_u32: u64,
-    block_u32s: usize,
-}
+    pub const POSIX_FADV_SEQUENTIAL: c_int = 2;
+    pub const POSIX_FADV_WILLNEED: c_int = 3;
 
-#[derive(Debug)]
-struct State {
-    /// Bumped by every reposition; blocks from older epochs are
-    /// recycled, never delivered.
-    epoch: u64,
-    /// Next `u32` index the producer should read for the current epoch.
-    read_at: u64,
-    /// Blocks the producer may hold ready in the current epoch:
-    /// [`PREFETCH_DEPTH`], or a whole hinted range if that is more.
-    depth: usize,
-    /// Where the current epoch started, while it is a hint's and the
-    /// consumer has not followed it yet.
-    hinted: Option<u64>,
-    /// Emulated device latency of the blocks the producer starts on.
-    latency: Duration,
-    /// Filled byte blocks (in file order) with their read times.
-    queue: VecDeque<(Vec<u8>, Duration)>,
-    /// Recycled block buffers.
-    free: Vec<Vec<u8>>,
-    /// Current epoch reached end-of-file.
-    eof: bool,
-    /// Producer-side failure, delivered to the consumer once.
-    error: Option<std::io::Error>,
-    shutdown: bool,
-}
-
-impl State {
-    /// Start a new epoch reading from `at`, holding up to `depth`
-    /// blocks; what was read for the old one is recycled uncharged.
-    fn aim(&mut self, at: u64, depth: usize) {
-        self.epoch += 1;
-        self.read_at = at;
-        self.depth = depth;
-        self.eof = false;
-        self.error = None;
-        self.free
-            .extend(self.queue.drain(..).map(|(block, _)| block));
+    extern "C" {
+        /// `off_t` is 64-bit on every target this module compiles for.
+        pub fn posix_fadvise(fd: c_int, offset: i64, len: i64, advice: c_int) -> c_int;
     }
 }
 
-/// The read-ahead fetcher: a background thread fills the next
-/// block-sized buffers while the cursor's consumer works through the
-/// current one, and a fetch takes the oldest ready block.
-#[derive(Debug)]
-pub struct ProducerFetch {
-    shared: Arc<Shared>,
-    handle: Option<JoinHandle<()>>,
+/// What the kernel is told about a stream's file.
+#[derive(Debug, Clone, Copy)]
+enum Advice {
+    /// The whole file is read front to back, repeatedly.
+    Sequential,
+    /// A byte range is read soon.
+    WillNeed,
 }
 
-/// A read-ahead [`U32Source`]: [`BlockStream`] over [`ProducerFetch`].
+/// Give the kernel `advice` about `len` bytes of `file` from `offset`
+/// (`len` 0 means to the end of the file). Advisory only: a kernel that
+/// declines changes nothing this stream reads or counts, so the result
+/// is ignored.
+#[cfg(all(
+    target_os = "linux",
+    target_endian = "little",
+    target_pointer_width = "64"
+))]
+fn advise(file: &File, offset: u64, len: u64, advice: Advice) {
+    use std::os::unix::io::AsRawFd;
+    let advice = match advice {
+        Advice::Sequential => sys::POSIX_FADV_SEQUENTIAL,
+        Advice::WillNeed => sys::POSIX_FADV_WILLNEED,
+    };
+    let (Ok(offset), Ok(len)) = (i64::try_from(offset), i64::try_from(len)) else {
+        return;
+    };
+    // SAFETY: `posix_fadvise` reads only its integer arguments, and the
+    // descriptor stays open while `file` is borrowed.
+    unsafe {
+        let _ = sys::posix_fadvise(file.as_raw_fd(), offset, len, advice);
+    }
+}
+
+/// No advice on this platform.
+#[cfg(not(all(
+    target_os = "linux",
+    target_endian = "little",
+    target_pointer_width = "64"
+)))]
+fn advise(_file: &File, _offset: u64, _len: u64, _advice: Advice) {}
+
+/// The read-ahead fetcher: the blocking fetcher, with every hinted range
+/// advised `WILLNEED` so the kernel reads it while the caller computes.
+#[derive(Debug)]
+pub struct AdvisedFetch(PreadFetch);
+
+/// A [`U32Source`](crate::U32Source) the kernel reads ahead of:
+/// [`BlockStream`] over [`AdvisedFetch`].
 ///
 /// Construct one from an (unconsumed) [`U32Reader`] via
 /// [`PrefetchReader::new`]; it inherits the reader's file, block size,
 /// emulated latency and [`IoStats`](crate::IoStats).
-pub type PrefetchReader = BlockStream<ProducerFetch>;
+pub type PrefetchReader = BlockStream<AdvisedFetch>;
 
 impl PrefetchReader {
-    /// Wrap `reader`, taking over its file and cursor state; the
-    /// producer starts reading ahead where the reader's window ends.
-    /// Errors if the background thread cannot be spawned (the engines'
-    /// whole API is `Result`-based, so thread exhaustion must not abort
-    /// the process).
+    /// Take over `reader`'s file and cursor state and advise the whole
+    /// file `SEQUENTIAL`. Never fails; it returns a `Result` like every
+    /// other transport constructor.
     pub fn new(reader: U32Reader) -> Result<Self> {
-        let path = reader.path().to_path_buf();
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                epoch: 0,
-                read_at: reader.fetch_pos(),
-                depth: PREFETCH_DEPTH,
-                hinted: None,
-                latency: reader.read_latency(),
-                queue: VecDeque::new(),
-                free: Vec::new(),
-                eof: false,
-                error: None,
-                shutdown: false,
-            }),
-            produce: Condvar::new(),
-            consume: Condvar::new(),
-            len_u32: reader.len_u32(),
-            block_u32s: reader.block_u32s(),
-        });
-        reader.try_map_fetch(|file| {
-            let producer_shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name("pdtl-prefetch".into())
-                .spawn(move || producer(file, producer_shared))
-                .map_err(|e| IoError::os("spawn", path, e))?;
-            Ok(ProducerFetch {
-                shared,
-                handle: Some(handle),
-            })
-        })
+        Ok(reader.map_fetch(|pread| {
+            advise(pread.file(), 0, 0, Advice::Sequential);
+            AdvisedFetch(pread)
+        }))
     }
 }
 
-impl BlockFetch for ProducerFetch {
-    /// Take the next ready block from the producer, which reads in
-    /// file order from the last reposition — the order the cursor
-    /// fetches in — so `at` needs checking only against a hint the
-    /// consumer did not follow (a hint never changes what a fetch
-    /// returns). The charge is the producer's read time: the device was
-    /// busy that long, however little of it the consumer waited out.
+impl BlockFetch for AdvisedFetch {
     fn fetch(
         &mut self,
         at: u64,
-        _want: usize,
+        want: usize,
         latency: Duration,
         buf: &mut Vec<u8>,
     ) -> std::io::Result<(usize, Duration)> {
-        let mut st = self.shared.state.lock().unwrap();
-        if st.hinted.take().is_some_and(|hinted| hinted != at) {
-            st.aim(at, PREFETCH_DEPTH);
-            self.shared.produce.notify_one();
-        }
-        st.latency = latency;
-        loop {
-            if let Some((block, took)) = st.queue.pop_front() {
-                let old = std::mem::replace(buf, block);
-                if old.capacity() > 0 {
-                    st.free.push(old);
-                }
-                self.shared.produce.notify_one();
-                return Ok((buf.len() / 4, took));
-            }
-            if let Some(e) = st.error.take() {
-                return Err(e);
-            }
-            if st.eof {
-                buf.clear();
-                return Ok((0, Duration::ZERO));
-            }
-            st = self.shared.consume.wait(st).unwrap();
-        }
+        self.0.fetch(at, want, latency, buf)
     }
 
-    /// A move to the hinted position keeps what the hint read ahead;
-    /// any other starts a new epoch there.
-    fn moved_to(&mut self, at: u64) {
-        let mut st = self.shared.state.lock().unwrap();
-        if st.hinted.take() != Some(at) {
-            st.aim(at, PREFETCH_DEPTH);
-            self.shared.produce.notify_one();
-        }
-    }
-
-    /// Re-aim the read-ahead at the announced range and let it hold the
-    /// whole of it — the memory a second chunk buffer would take — so
-    /// the load arrives while the caller computes on the previous one.
+    /// `WILLNEED` on the announced range. Nothing is read or charged
+    /// here: the announced load reads and counts its blocks as any load
+    /// does, from the page cache if the kernel got there first.
     fn hint(&mut self, pos: u64, len: usize) {
-        let pos = pos.min(self.shared.len_u32);
-        let depth = len.div_ceil(self.shared.block_u32s).max(PREFETCH_DEPTH);
-        let mut st = self.shared.state.lock().unwrap();
-        st.aim(pos, depth);
-        st.hinted = Some(pos);
-        self.shared.produce.notify_one();
-    }
-}
-
-impl Drop for ProducerFetch {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            self.shared.produce.notify_one();
+        if len > 0 {
+            let (offset, len) = (pos * BYTES_PER_U32, len as u64 * BYTES_PER_U32);
+            advise(self.0.file(), offset, len, Advice::WillNeed);
         }
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The background read loop of a [`ProducerFetch`].
-fn producer(mut file: PreadFetch, shared: Arc<Shared>) {
-    loop {
-        // Decide what to read (or stop) under the lock.
-        let (epoch, at, latency, mut out) = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if !st.eof && st.error.is_none() && st.queue.len() < st.depth {
-                    if st.read_at >= shared.len_u32 {
-                        st.eof = true;
-                        shared.consume.notify_one();
-                        continue;
-                    }
-                    let out = st.free.pop().unwrap_or_default();
-                    break (st.epoch, st.read_at, st.latency, out);
-                }
-                st = shared.produce.wait(st).unwrap();
-            }
-        };
-
-        // The emulated device wait runs first, *interruptibly*: a
-        // consumer reposition (epoch bump) notifies `produce`, so the
-        // producer abandons a stale wait immediately instead of
-        // serialising stale sleeps in front of the new epoch's first
-        // block. Real sleeps would make every scan rewind pay for
-        // whatever read-ahead was in flight.
-        if !latency.is_zero() {
-            let deadline = Instant::now() + latency;
-            let mut st = shared.state.lock().unwrap();
-            let abandoned = loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != epoch {
-                    break true;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break false;
-                }
-                let (back, _) = shared.produce.wait_timeout(st, deadline - now).unwrap();
-                st = back;
-            };
-            if abandoned {
-                st.free.push(out);
-                continue;
-            }
-        }
-
-        // Read one block outside the lock, straight into the buffer
-        // (the same fill-or-EOF read the blocking fetcher issues). The
-        // emulated device wait is charged with it, as there.
-        let want = (shared.len_u32 - at).min(shared.block_u32s as u64) as usize;
-        let start = Instant::now();
-        let result = file.read_block(at, want, &mut out);
-        let took = start.elapsed() + latency;
-
-        // Publish under the lock, unless a reposition obsoleted us.
-        let mut st = shared.state.lock().unwrap();
-        if st.epoch != epoch {
-            if out.capacity() > 0 {
-                st.free.push(out);
-            }
-            continue;
-        }
-        match result {
-            Ok(0) => st.eof = true,
-            Ok(n) => {
-                st.read_at = at + n as u64;
-                st.queue.push_back((out, took));
-            }
-            Err(e) => {
-                st.error = Some(e);
-                st.eof = true; // deliver the error once, then EOF
-            }
-        }
-        shared.consume.notify_one();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::U32Writer;
+    use crate::stream::{U32Source, U32Writer};
     use crate::IoStats;
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("pdtl-prefetch-tests");
@@ -371,12 +199,12 @@ mod tests {
         assert_eq!(
             prefetch_stats.bytes_read(),
             blocking_stats.bytes_read(),
-            "prefetching must not change the byte accounting"
+            "read-ahead advice must not change the byte accounting"
         );
         assert_eq!(
             prefetch_stats.seeks(),
             blocking_stats.seeks(),
-            "prefetching must not change the seek accounting"
+            "read-ahead advice must not change the seek accounting"
         );
     }
 
@@ -402,10 +230,9 @@ mod tests {
         let mut r =
             PrefetchReader::new(U32Reader::with_buffer(&p, stats.clone(), 100).unwrap()).unwrap();
         let mut out = Vec::new();
-        // Consume one block, give the producer time to read ahead,
-        // then jump: the read-ahead must not be charged.
+        // Consume one block, then jump: whatever the kernel read ahead
+        // of it is never charged.
         r.read_into(&mut out, 100).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
         r.seek_to(40_000).unwrap();
         out.clear();
         r.read_into(&mut out, 100).unwrap();
@@ -444,34 +271,11 @@ mod tests {
     }
 
     #[test]
-    fn hinted_range_arrives_while_the_caller_computes() {
-        // Six blocks at 30 ms each: 180 ms of device time if the load
-        // starts when it is asked for, none of it left to wait out if
-        // the hint started it 600 ms earlier.
-        let (mut r, stats) = slow_reader("hint-hit", 50_000, 30);
-        let mut buf = Vec::new();
-        r.hint_range(20_000, 600);
-        assert_eq!(r.range_run(0, 100, &mut buf).unwrap()[99], 99);
-        std::thread::sleep(Duration::from_millis(600)); // "the scan pass"
-        let start = Instant::now();
-        let run = r.range_run(20_000, 600, &mut buf).unwrap();
-        let waited = start.elapsed();
-        assert_eq!((run[0], run[599]), (20_000, 20_599));
-        assert!(
-            waited < Duration::from_millis(90),
-            "a hinted load must not wait out its blocks again: {waited:?}"
-        );
-        assert_eq!(stats.bytes_read(), 7 * 100 * 4);
-        assert_eq!((stats.seeks(), stats.read_ops()), (2, 7));
-    }
-
-    #[test]
     fn hint_not_followed_is_discarded_uncharged() {
         let (mut r, stats) = slow_reader("hint-miss", 50_000, 1);
         let mut buf = Vec::new();
         r.hint_range(20_000, 600);
         r.range_run(0, 100, &mut buf).unwrap();
-        std::thread::sleep(Duration::from_millis(50)); // let it read ahead
         let run = r.range_run(40_000, 150, &mut buf).unwrap();
         assert_eq!((run[0], run[149]), (40_000, 40_149));
         // Reading on from there fetches at a position no hint named.
@@ -484,24 +288,7 @@ mod tests {
             "only consumed blocks are charged, never a hint's read-ahead"
         );
         assert_eq!(stats.seeks(), 3);
-    }
-
-    #[test]
-    fn drop_joins_background_threads_cleanly() {
-        let vals: Vec<u32> = (0..100_000).collect();
-        let p = write_vals("drop", &vals);
-        // Drop with read-ahead in flight…
-        let r = PrefetchReader::new(U32Reader::open(&p, IoStats::new()).unwrap()).unwrap();
-        drop(r);
-        // …and with a hinted epoch of 400 slow blocks barely begun.
-        let (mut r, _) = slow_reader("drop-hinted", 50_000, 20);
-        r.hint_range(10_000, 40_000);
-        r.range_run(0, 100, &mut Vec::new()).unwrap();
-        let start = Instant::now();
-        drop(r);
-        assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "drop must not drain the hint"
-        );
+        // Advice is not a device read: five blocks, five emulated waits.
+        assert!(stats.io_time() >= Duration::from_millis(5));
     }
 }

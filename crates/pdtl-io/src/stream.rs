@@ -126,8 +126,8 @@ pub(crate) fn open_u32_file(path: &Path) -> Result<(File, u64)> {
 }
 
 /// The blocking fetcher: one synchronous positioned read per block.
-/// Also the read primitive of the prefetch producer thread, so the two
-/// cannot treat short reads differently.
+/// Also the reads of the prefetch transport, which only adds kernel
+/// read-ahead advice, so the two cannot treat short reads differently.
 #[derive(Debug)]
 pub struct PreadFetch {
     file: File,
@@ -136,30 +136,17 @@ pub struct PreadFetch {
 }
 
 impl PreadFetch {
-    /// Read the block of `want` values at index `at` into `buf`
-    /// (seeking only if the OS cursor is elsewhere); returns the values
-    /// read. File length is a multiple of 4 and fixed at open time, so
-    /// a short or ragged tail can only mean concurrent truncation and
-    /// is cut to whole `u32`s.
-    pub(crate) fn read_block(
-        &mut self,
-        at: u64,
-        want: usize,
-        buf: &mut Vec<u8>,
-    ) -> std::io::Result<usize> {
-        if self.cursor.take() != Some(at) {
-            self.file.seek(SeekFrom::Start(at * BYTES_PER_U32))?;
-        }
-        buf.resize(want * BYTES_PER_U32 as usize, 0);
-        let filled = fill_block(&mut self.file, buf)?;
-        buf.truncate(filled / BYTES_PER_U32 as usize * BYTES_PER_U32 as usize);
-        let n = buf.len() / BYTES_PER_U32 as usize;
-        self.cursor = Some(at + n as u64);
-        Ok(n)
+    /// The file read from, for advice that does not move its cursor.
+    pub(crate) fn file(&self) -> &File {
+        &self.file
     }
 }
 
 impl BlockFetch for PreadFetch {
+    /// Read the block (seeking only if the OS cursor is elsewhere).
+    /// File length is a multiple of 4 and fixed at open time, so a
+    /// short or ragged tail can only mean concurrent truncation and is
+    /// cut to whole `u32`s.
     fn fetch(
         &mut self,
         at: u64,
@@ -171,7 +158,14 @@ impl BlockFetch for PreadFetch {
         if !latency.is_zero() {
             std::thread::sleep(latency);
         }
-        let n = self.read_block(at, want, buf)?;
+        if self.cursor.take() != Some(at) {
+            self.file.seek(SeekFrom::Start(at * BYTES_PER_U32))?;
+        }
+        buf.resize(want * BYTES_PER_U32 as usize, 0);
+        let filled = fill_block(&mut self.file, buf)?;
+        buf.truncate(filled / BYTES_PER_U32 as usize * BYTES_PER_U32 as usize);
+        let n = buf.len() / BYTES_PER_U32 as usize;
+        self.cursor = Some(at + n as u64);
         Ok((n, start.elapsed()))
     }
 }
@@ -267,12 +261,9 @@ impl<F: BlockFetch> BlockStream<F> {
 
     /// The same cursor — position, window and settings intact — over
     /// the fetcher `wrap` builds from this one.
-    pub(crate) fn try_map_fetch<G: BlockFetch>(
-        self,
-        wrap: impl FnOnce(F) -> Result<G>,
-    ) -> Result<BlockStream<G>> {
-        Ok(BlockStream {
-            fetch: wrap(self.fetch)?,
+    pub(crate) fn map_fetch<G: BlockFetch>(self, wrap: impl FnOnce(F) -> G) -> BlockStream<G> {
+        BlockStream {
+            fetch: wrap(self.fetch),
             path: self.path,
             stats: self.stats,
             len_u32: self.len_u32,
@@ -284,7 +275,7 @@ impl<F: BlockFetch> BlockStream<F> {
             read_latency: self.read_latency,
             lent: self.lent,
             hinted: self.hinted,
-        })
+        }
     }
 
     /// Erase the fetcher type, so one consumer can be built over
@@ -294,8 +285,7 @@ impl<F: BlockFetch> BlockStream<F> {
     where
         F: 'static,
     {
-        self.try_map_fetch(|f| Ok(Box::new(f) as Box<dyn BlockFetch>))
-            .expect("boxing a fetcher cannot fail")
+        self.map_fetch(|f| Box::new(f) as Box<dyn BlockFetch>)
     }
 
     /// Emulate a storage device with the given per-block latency, paid
@@ -311,21 +301,6 @@ impl<F: BlockFetch> BlockStream<F> {
     /// recreate the device waits the paper's multi-pass bound is about.
     pub fn set_read_latency(&mut self, latency: Duration) {
         self.read_latency = latency;
-    }
-
-    /// The emulated per-block device latency.
-    pub(crate) fn read_latency(&self) -> Duration {
-        self.read_latency
-    }
-
-    /// Block size in `u32`s.
-    pub(crate) fn block_u32s(&self) -> usize {
-        self.block_u32s
-    }
-
-    /// Index the next block fetch starts at (the window's end).
-    pub(crate) fn fetch_pos(&self) -> u64 {
-        self.next_index + (self.filled - self.pos) as u64
     }
 
     /// Fetch the block after an exhausted window and charge it. At end

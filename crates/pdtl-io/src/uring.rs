@@ -1,9 +1,9 @@
 //! Asynchronous block streaming over `io_uring`: real device queue
 //! depth without prefetch threads.
 //!
-//! The [`PrefetchReader`](crate::PrefetchReader) hides device latency
-//! by spending a thread per stream on blocking `read(2)` calls.
-//! [`UringSource`] gets the same overlap from the kernel instead: block
+//! The [`PrefetchReader`](crate::PrefetchReader) issues one blocking
+//! `read(2)` per block and leaves read-ahead to the page cache.
+//! [`UringSource`] overlaps the reads themselves with compute: block
 //! reads are submitted to an `io_uring` submission queue and complete
 //! asynchronously, so up to [`URING_DEPTH`] block-sized reads are in
 //! flight per stream with *zero* extra threads, no producer/consumer
@@ -41,8 +41,7 @@ use crate::stats::IoStats;
 use crate::stream::{BlockFetch, BlockStream, DEFAULT_BUF_U32S};
 
 /// Block-sized reads kept in flight (or ready) ahead of the consumer —
-/// the queue depth of the backend, and the async analogue of
-/// [`PREFETCH_DEPTH`](crate::prefetch::PREFETCH_DEPTH).
+/// the queue depth of the backend.
 pub const URING_DEPTH: usize = 4;
 
 /// Environment kill-switch: when set (non-empty),

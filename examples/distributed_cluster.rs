@@ -29,9 +29,9 @@ fn main() {
         transport: Default::default(),
         // Real cluster nodes stream cold replicas from disk, where
         // overlapped I/O hides device waits. io_uring gets that overlap
-        // from kernel submission queues (no prefetch threads) and
-        // degrades to the thread-based prefetcher on kernels without
-        // it; the choice ships to every worker in its wire
+        // from kernel submission queues and degrades to the prefetch
+        // backend (blocking reads plus kernel read-ahead advice) on
+        // kernels without it; the choice ships to every worker in its wire
         // WorkerConfig (backend byte 3).
         mgt: MgtOptions {
             backend: IoBackend::Uring,
