@@ -89,7 +89,7 @@
 //!   instead of threads: block reads are queued on an `io_uring`
 //!   submission queue with depth > 1 ([`pdtl_io::UringSource`]), so the
 //!   next chunk and the scan read-ahead complete asynchronously while
-//!   the engine computes — no producer threads, no hand-off copies.
+//!   the engine computes — no extra threads, no hand-off copies.
 //!   Kernels without `io_uring` degrade to `Prefetch` automatically.
 //! * [`IoBackend::Blocking`] is the PR 2 synchronous behaviour, kept as
 //!   the ablation baseline.
@@ -823,9 +823,9 @@ mod tests {
         assert_eq!(bytes_ov, bytes_bl, "identical bytes_read");
         assert_eq!(seeks_ov, seeks_bl, "identical seeks");
         // The wall-clock claim is asserted for optimized builds only:
-        // debug builds time unoptimized mutex/condvar/decode paths (on
-        // possibly single-core CI boxes), which is not the comparison
-        // the overlap is about. Release runs cut ~20% here; on a
+        // debug builds time unoptimized cursor/decode paths (on possibly
+        // single-core CI boxes), which is not the comparison the
+        // overlap is about. Release runs cut ~35% here; on a
         // machine saturated by other work, PDTL_SKIP_PERF_ASSERTS=1
         // opts out of the strict inequality (counts/bytes/seeks above
         // are always asserted).

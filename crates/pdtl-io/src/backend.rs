@@ -69,7 +69,7 @@ pub enum IoBackend {
     /// resolves to `Blocking` where mapping is unsupported.
     Mmap,
     /// Asynchronous `io_uring` reads ([`UringSource`])
-    /// with queue depth > 1 and no prefetch threads; resolves to
+    /// with queue depth > 1 and no extra threads; resolves to
     /// `Prefetch` where `io_uring` is unavailable.
     Uring,
 }
@@ -138,18 +138,18 @@ impl IoBackend {
         stats: &Arc<IoStats>,
         latency: Duration,
     ) -> Result<(IoBackend, BlockStream<Box<dyn BlockFetch>>)> {
-        let blocking = || -> Result<U32Reader> { U32Reader::open(path, stats.clone()) };
-        let overlapped = || Ok(PrefetchReader::new(blocking()?)?.boxed());
+        let blocking = || U32Reader::open(path, stats.clone());
+        let advised = || Ok(PrefetchReader::new(blocking()?)?.boxed());
         let mut served = self.resolve();
         let mut stream = match served {
             IoBackend::Blocking => blocking()?.boxed(),
             IoBackend::Mmap => MmapSource::open(path, stats.clone())?.boxed(),
-            IoBackend::Prefetch => overlapped()?,
+            IoBackend::Prefetch => advised()?,
             IoBackend::Uring => match UringSource::open(path, stats.clone()) {
                 Ok(ring) => ring.boxed(),
                 Err(_) => {
                     served = IoBackend::Prefetch;
-                    overlapped()?
+                    advised()?
                 }
             },
         };

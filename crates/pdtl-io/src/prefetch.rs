@@ -27,10 +27,16 @@
 //! reader is the blocking one.
 
 use std::fs::File;
+use std::os::raw::c_int;
 use std::time::Duration;
 
 use crate::error::Result;
 use crate::stream::{BlockFetch, BlockStream, PreadFetch, U32Reader, BYTES_PER_U32};
+
+/// The whole file is read front to back, repeatedly.
+const POSIX_FADV_SEQUENTIAL: c_int = 2;
+/// A byte range is read soon.
+const POSIX_FADV_WILLNEED: c_int = 3;
 
 #[cfg(all(
     target_os = "linux",
@@ -42,22 +48,10 @@ mod sys {
     //! mapping and ring bindings — no new dependency is introduced.
     use std::os::raw::c_int;
 
-    pub const POSIX_FADV_SEQUENTIAL: c_int = 2;
-    pub const POSIX_FADV_WILLNEED: c_int = 3;
-
     extern "C" {
         /// `off_t` is 64-bit on every target this module compiles for.
         pub fn posix_fadvise(fd: c_int, offset: i64, len: i64, advice: c_int) -> c_int;
     }
-}
-
-/// What the kernel is told about a stream's file.
-#[derive(Debug, Clone, Copy)]
-enum Advice {
-    /// The whole file is read front to back, repeatedly.
-    Sequential,
-    /// A byte range is read soon.
-    WillNeed,
 }
 
 /// Give the kernel `advice` about `len` bytes of `file` from `offset`
@@ -69,12 +63,8 @@ enum Advice {
     target_endian = "little",
     target_pointer_width = "64"
 ))]
-fn advise(file: &File, offset: u64, len: u64, advice: Advice) {
+fn advise(file: &File, offset: u64, len: u64, advice: c_int) {
     use std::os::unix::io::AsRawFd;
-    let advice = match advice {
-        Advice::Sequential => sys::POSIX_FADV_SEQUENTIAL,
-        Advice::WillNeed => sys::POSIX_FADV_WILLNEED,
-    };
     let (Ok(offset), Ok(len)) = (i64::try_from(offset), i64::try_from(len)) else {
         return;
     };
@@ -91,7 +81,7 @@ fn advise(file: &File, offset: u64, len: u64, advice: Advice) {
     target_endian = "little",
     target_pointer_width = "64"
 )))]
-fn advise(_file: &File, _offset: u64, _len: u64, _advice: Advice) {}
+fn advise(_file: &File, _offset: u64, _len: u64, _advice: c_int) {}
 
 /// The read-ahead fetcher: the blocking fetcher, with every hinted range
 /// advised `WILLNEED` so the kernel reads it while the caller computes.
@@ -112,7 +102,7 @@ impl PrefetchReader {
     /// other transport constructor.
     pub fn new(reader: U32Reader) -> Result<Self> {
         Ok(reader.map_fetch(|pread| {
-            advise(pread.file(), 0, 0, Advice::Sequential);
+            advise(pread.file(), 0, 0, POSIX_FADV_SEQUENTIAL);
             AdvisedFetch(pread)
         }))
     }
@@ -135,7 +125,7 @@ impl BlockFetch for AdvisedFetch {
     fn hint(&mut self, pos: u64, len: usize) {
         if len > 0 {
             let (offset, len) = (pos * BYTES_PER_U32, len as u64 * BYTES_PER_U32);
-            advise(self.0.file(), offset, len, Advice::WillNeed);
+            advise(self.0.file(), offset, len, POSIX_FADV_WILLNEED);
         }
     }
 }

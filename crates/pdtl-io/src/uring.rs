@@ -1,5 +1,5 @@
 //! Asynchronous block streaming over `io_uring`: real device queue
-//! depth without prefetch threads.
+//! depth without extra threads.
 //!
 //! The [`PrefetchReader`](crate::PrefetchReader) issues one blocking
 //! `read(2)` per block and leaves read-ahead to the page cache.
@@ -488,7 +488,7 @@ mod imp {
     /// follow and handed over (buffer swapped, not copied) when asked for.
     /// A [`hint`](BlockFetch::hint) queues a *future* range's first blocks
     /// — how chunk `k+1` loads in the kernel while chunk `k`'s scan pass
-    /// computes, with no prefetch thread.
+    /// computes, with no thread of its own.
     #[derive(Debug)]
     pub struct UringFetch {
         slots: Vec<Slot>,
