@@ -73,29 +73,25 @@
 //! backend is only the fetcher that delivers those blocks
 //! ([`IoBackend::open`], the single place one is chosen):
 //!
-//! * [`IoBackend::Prefetch`] (the default) reads like `Blocking` and
-//!   leaves the overlap to the kernel: a [`pdtl_io::PrefetchReader`]
-//!   advises its file `SEQUENTIAL` (the scan's read-ahead window
-//!   widens) and the hinted chunk `k+1` `WILLNEED`, so the page cache
-//!   fills it while chunk `k`'s scan pass computes — no thread of its
-//!   own.
+//! * [`IoBackend::Prefetch`] (the default) reads exactly as `Blocking`
+//!   does: [`pdtl_io::PrefetchReader`] is [`pdtl_io::U32Reader`].
 //! * [`IoBackend::Mmap`] maps the oriented adjacency once
 //!   ([`pdtl_io::MmapSource`]) and lends both the scan stream and the
 //!   `edg` chunks *zero-copy*: the chunk index is built directly over
 //!   the mapped region, so chunk "loads" become pointer arithmetic plus
 //!   accounting — the fastest backend when the graph sits in the page
 //!   cache. Unsupported platforms degrade to `Blocking` automatically.
-//! * [`IoBackend::Uring`] drives the same overlap through the kernel
-//!   instead of threads: block reads are queued on an `io_uring`
+//! * [`IoBackend::Uring`] overlaps device waits with compute through
+//!   the kernel instead of threads: block reads are queued on an `io_uring`
 //!   submission queue with depth > 1 ([`pdtl_io::UringSource`]), so the
 //!   next chunk and the scan read-ahead complete asynchronously while
 //!   the engine computes — no extra threads, no hand-off copies.
 //!   Kernels without `io_uring` degrade to `Prefetch` automatically.
-//! * [`IoBackend::Blocking`] is the PR 2 synchronous behaviour, kept as
-//!   the ablation baseline.
+//! * [`IoBackend::Blocking`] is the synchronous behaviour, kept as the
+//!   ablation baseline.
 //!
 //! Switching backends is therefore a pure scheduling change — one
-//! accounting, four fetchers: the engine counts the exact same
+//! accounting, three fetchers: the engine counts the exact same
 //! `bytes_read`, `read_ops` and `seeks` whichever backend runs, which
 //! the integration and property tests assert. Device waits can be
 //! recreated deterministically on warm page caches via
@@ -173,7 +169,7 @@ pub struct MgtOptions {
     /// How the disk engine performs its chunk and scan I/O. Every
     /// backend counts the exact same `bytes_read` and `seeks` — the
     /// choice is a scheduling/copy change, not a different I/O plan:
-    /// [`IoBackend::Prefetch`] (default) asks the kernel to read ahead,
+    /// [`IoBackend::Prefetch`] (default) reads as `Blocking` does,
     /// [`IoBackend::Uring`] keeps reads in flight on kernel submission
     /// queues while the engine computes, [`IoBackend::Mmap`] serves
     /// page-cache-resident graphs zero-copy, [`IoBackend::Blocking`] is
@@ -238,6 +234,19 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
     stats: Arc<IoStats>,
     opts: MgtOptions,
 ) -> Result<WorkerReport> {
+    mgt_count_range_served(og, range, budget, sink, stats, opts).map(|(_, report)| report)
+}
+
+/// [`mgt_count_range_opt`], also returning the backend that served the
+/// run ([`IoBackend::open`] may fall back from the one configured).
+fn mgt_count_range_served<S: TriangleSink>(
+    og: &OrientedGraph,
+    range: EdgeRange,
+    budget: MemoryBudget,
+    sink: &mut S,
+    stats: Arc<IoStats>,
+    opts: MgtOptions,
+) -> Result<(IoBackend, WorkerReport)> {
     let timer = CpuIoTimer::start(stats.clone());
     let io_before = stats.snapshot();
 
@@ -276,7 +285,7 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
     sink.flush()?;
 
     let io_after = stats.snapshot();
-    Ok(WorkerReport {
+    let report = WorkerReport {
         worker: 0,
         range,
         triangles: done.triangles,
@@ -295,7 +304,8 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
             u32s_decoded: io_after.u32s_decoded - io_before.u32s_decoded,
         },
         breakdown: timer.finish(),
-    })
+    };
+    Ok((served, report))
 }
 
 /// What one disk worker's chunk/scan loop counted.
@@ -789,14 +799,15 @@ mod tests {
         // `latency` after submission, so queued reads overlap even on
         // one CPU; what cannot be hidden (first block after each scan
         // rewind) still bounds the win, keeping the comparison honest.
-        // Min-of-3 runs per mode. Where io_uring is unavailable the
-        // backend degrades to a reader that pays every wait, and only
-        // the accounting is compared.
+        // Min-of-3 runs per mode. Where the ring does not serve a run
+        // (io_uring unavailable, or failing at open) the engine falls
+        // back to a reader that pays every wait, and only the
+        // accounting is compared.
         let g = rmat(12, 18).unwrap();
         let (og, _) = disk_oriented(&g, "overlap-wall");
         let run = |backend: IoBackend| {
             let s = IoStats::new();
-            let r = mgt_count_range_opt(
+            mgt_count_range_served(
                 &og,
                 full_range(&og),
                 MemoryBudget::edges(4096),
@@ -808,20 +819,31 @@ mod tests {
                     ..MgtOptions::default()
                 },
             )
-            .unwrap();
-            (r.triangles, r.io.bytes_read, r.io.seeks, r.breakdown.wall)
+            .unwrap()
         };
-        let best = |backend| (0..3).map(|_| run(backend)).min_by_key(|r| r.3).unwrap();
-        let (t_ov, bytes_ov, seeks_ov, wall_ov) = best(IoBackend::Uring);
-        let (t_bl, bytes_bl, seeks_bl, wall_bl) = best(IoBackend::Blocking);
+        // The fastest of three runs, and whether `backend` served all three.
+        let best = |backend| {
+            let runs: Vec<_> = (0..3).map(|_| run(backend)).collect();
+            let served = runs.iter().all(|(by, _)| *by == backend);
+            let (_, r) = runs
+                .into_iter()
+                .min_by_key(|(_, r)| r.breakdown.wall)
+                .unwrap();
+            (served, r)
+        };
+        let (ring_served, ov) = best(IoBackend::Uring);
+        let (_, bl) = best(IoBackend::Blocking);
+        let (wall_ov, wall_bl) = (ov.breakdown.wall, bl.breakdown.wall);
         println!(
             "uring backend wall at 50µs/block device latency: {wall_ov:?} vs blocking \
-             {wall_bl:?} ({:.1}% cut; {bytes_ov} bytes, {seeks_ov} seeks each)",
-            100.0 * (1.0 - wall_ov.as_secs_f64() / wall_bl.as_secs_f64())
+             {wall_bl:?} ({:.1}% cut; {} bytes, {} seeks each)",
+            100.0 * (1.0 - wall_ov.as_secs_f64() / wall_bl.as_secs_f64()),
+            ov.io.bytes_read,
+            ov.io.seeks
         );
-        assert_eq!(t_ov, t_bl, "identical triangle counts");
-        assert_eq!(bytes_ov, bytes_bl, "identical bytes_read");
-        assert_eq!(seeks_ov, seeks_bl, "identical seeks");
+        assert_eq!(ov.triangles, bl.triangles, "identical triangle counts");
+        assert_eq!(ov.io.bytes_read, bl.io.bytes_read, "identical bytes_read");
+        assert_eq!(ov.io.seeks, bl.io.seeks, "identical seeks");
         // The wall-clock claim is asserted for optimized builds only:
         // debug builds time unoptimized cursor/decode paths (on possibly
         // single-core CI boxes), which is not the comparison the
@@ -829,10 +851,11 @@ mod tests {
         // machine saturated by other work, PDTL_SKIP_PERF_ASSERTS=1
         // opts out of the strict inequality (counts/bytes/seeks above
         // are always asserted).
-        if cfg!(debug_assertions)
-            || !pdtl_io::uring_supported()
-            || std::env::var_os("PDTL_SKIP_PERF_ASSERTS").is_some()
-        {
+        if cfg!(debug_assertions) || std::env::var_os("PDTL_SKIP_PERF_ASSERTS").is_some() {
+            return;
+        }
+        if !ring_served {
+            println!("wall assertion skipped: io_uring did not serve every uring run");
             return;
         }
         assert!(

@@ -5,15 +5,14 @@
 //! [`BlockStream`], which fixes the I/O plan and does all the
 //! accounting (`bytes_read` / `read_ops` / `seeks`, counted per block
 //! *touched*). A backend only chooses the fetcher that delivers the
-//! blocks — one accounting, four fetchers:
+//! blocks — one accounting, three fetchers behind four names:
 //!
 //! * [`Blocking`](IoBackend::Blocking) — [`U32Reader`], one synchronous
 //!   read per block. The reference the ablations compare against.
-//! * [`Prefetch`](IoBackend::Prefetch) — [`PrefetchReader`], the
-//!   blocking reads with kernel read-ahead advice: the file advised
-//!   `SEQUENTIAL`, the hinted next chunk `WILLNEED`, so the page cache
-//!   fills while the engine computes. No thread of its own; emulated
-//!   latency is paid per block, as by `Blocking`.
+//! * [`Prefetch`](IoBackend::Prefetch) — the default, read exactly as
+//!   `Blocking` reads ([`PrefetchReader`](crate::PrefetchReader) is
+//!   [`U32Reader`]). The name stays because it is the default, the
+//!   uring fallback's label and wire byte 1.
 //! * [`Mmap`](IoBackend::Mmap) — [`MmapSource`], the file mapped into
 //!   the address space and lent zero-copy. Wins on page-cache-resident
 //!   graphs where every `read(2)` copy is pure overhead; falls back to
@@ -21,7 +20,7 @@
 //! * [`Uring`](IoBackend::Uring) — [`UringSource`], block reads driven
 //!   through `io_uring` submission/completion queues with depth > 1 and
 //!   *no* extra threads: the kernel overlaps device waits with compute.
-//!   Falls back to `Prefetch` (kernel read-ahead) on kernels without
+//!   Falls back to `Prefetch` (blocking reads) on kernels without
 //!   `io_uring`.
 
 use std::path::Path;
@@ -30,7 +29,7 @@ use std::time::Duration;
 
 use crate::error::Result;
 use crate::stream::{BlockFetch, BlockStream};
-use crate::{IoStats, MmapSource, PrefetchReader, U32Reader, UringSource};
+use crate::{IoStats, MmapSource, U32Reader, UringSource};
 
 /// Which fetcher an engine's [`BlockStream`]s read their graph files
 /// through. The default, [`Prefetch`](IoBackend::Prefetch), is fixed;
@@ -53,7 +52,7 @@ use crate::{IoStats, MmapSource, PrefetchReader, U32Reader, UringSource};
 /// assert_eq!(IoBackend::parse("io_uring"), Some(IoBackend::Uring));
 ///
 /// // `resolve` never yields a backend this platform cannot run:
-/// // io_uring degrades to kernel read-ahead where missing.
+/// // io_uring degrades to the default where missing.
 /// let r = IoBackend::Uring.resolve();
 /// assert!(r == IoBackend::Uring || r == IoBackend::Prefetch);
 /// ```
@@ -61,8 +60,8 @@ use crate::{IoStats, MmapSource, PrefetchReader, U32Reader, UringSource};
 pub enum IoBackend {
     /// Synchronous buffered reads ([`U32Reader`]).
     Blocking,
-    /// Synchronous reads the kernel reads ahead of
-    /// ([`PrefetchReader`]), for scans and hinted chunk loads alike.
+    /// The default: synchronous reads exactly as `Blocking`
+    /// ([`PrefetchReader`](crate::PrefetchReader) is [`U32Reader`]).
     #[default]
     Prefetch,
     /// Zero-copy memory mapping ([`MmapSource`]);
@@ -111,7 +110,7 @@ impl IoBackend {
     /// [`Mmap`](IoBackend::Mmap) degrades to
     /// [`Blocking`](IoBackend::Blocking) where the mapping syscalls are
     /// unavailable, [`Uring`](IoBackend::Uring) degrades to
-    /// [`Prefetch`](IoBackend::Prefetch) — read-ahead without a ring —
+    /// [`Prefetch`](IoBackend::Prefetch) — blocking reads —
     /// where the kernel lacks (or has
     /// disabled) `io_uring`; the first two are always supported.
     pub fn resolve(self) -> Self {
@@ -130,26 +129,24 @@ impl IoBackend {
     /// at run time after `resolve()` vets the platform (RLIMIT_MEMLOCK
     /// on 5.6–5.11 kernels, fd exhaustion, seccomp applied post-probe).
     /// Degradation is the `Uring` backend's contract, so it then falls
-    /// back to kernel read-ahead rather than failing the
-    /// caller; genuine file errors resurface identically there.
+    /// back to `Prefetch` rather than failing the caller; genuine file
+    /// errors resurface identically there.
     pub fn open(
         self,
         path: &Path,
         stats: &Arc<IoStats>,
         latency: Duration,
     ) -> Result<(IoBackend, BlockStream<Box<dyn BlockFetch>>)> {
-        let blocking = || U32Reader::open(path, stats.clone());
-        let advised = || Ok(PrefetchReader::new(blocking()?)?.boxed());
+        let blocking = || Ok(U32Reader::open(path, stats.clone())?.boxed());
         let mut served = self.resolve();
         let mut stream = match served {
-            IoBackend::Blocking => blocking()?.boxed(),
+            IoBackend::Blocking | IoBackend::Prefetch => blocking()?,
             IoBackend::Mmap => MmapSource::open(path, stats.clone())?.boxed(),
-            IoBackend::Prefetch => advised()?,
             IoBackend::Uring => match UringSource::open(path, stats.clone()) {
                 Ok(ring) => ring.boxed(),
                 Err(_) => {
                     served = IoBackend::Prefetch;
-                    advised()?
+                    blocking()?
                 }
             },
         };

@@ -15,12 +15,11 @@
 //!   streams over files, the unit of every PDTL graph file (`.deg` /
 //!   `.adj`). `BlockStream` is the one read cursor: position, block
 //!   window, the skip rule and all read accounting live there, over a
-//!   [`BlockFetch`] that only delivers blocks. The four transports are
-//!   that cursor over four fetchers, so backend ablations compare pure
+//!   [`BlockFetch`] that only delivers blocks. The transports are that
+//!   cursor over three fetchers, so backend ablations compare pure
 //!   scheduling, not different I/O plans:
-//!   [`U32Reader`] (synchronous reads), [`PrefetchReader`] (the same
-//!   reads with kernel read-ahead advice, the next chunk advised by
-//!   [`BlockFetch::hint`]),
+//!   [`U32Reader`] (synchronous reads; [`PrefetchReader`] is the same
+//!   type under the `prefetch` backend's name),
 //!   [`MmapSource`] (the file mapped and lent zero-copy) and
 //!   [`UringSource`] (several block reads in flight through `io_uring`,
 //!   no threads). [`IoBackend::open`] picks one at run time; consumers
@@ -67,7 +66,7 @@ pub use error::{IoError, Result};
 pub use extsort::{external_sort_u64, merge_sorted_files};
 pub use fault::FaultySource;
 pub use mmap::{mmap_supported, MmapFetch, MmapSource};
-pub use prefetch::{AdvisedFetch, PrefetchReader};
+pub use prefetch::PrefetchReader;
 pub use stats::IoStats;
 pub use stream::{
     BlockFetch, BlockStream, PreadFetch, U32Reader, U32Source, U32Writer, BYTES_PER_U32,

@@ -1,132 +1,29 @@
-//! Kernel read-ahead: blocking reads, with the access pattern told to
-//! the page cache.
+//! The `prefetch` backend's transport: the blocking reader, under the
+//! name the default backend and the benchmark harness use.
 //!
-//! The MGT engine's two streams have access patterns the kernel can act
-//! on without a thread of ours: the scan pass reads the oriented
-//! adjacency front to back once per chunk iteration, and the chunk
-//! loader announces each next chunk ([`BlockFetch::hint`]) while the
-//! current one's scan computes. [`PrefetchReader`] is the blocking
-//! cursor with that advice given — `posix_fadvise(SEQUENTIAL)` over the
-//! whole file when it is opened, which widens the kernel's read-ahead
-//! window for the scan, and `posix_fadvise(WILLNEED)` over each hinted
-//! range, which starts the page cache filling chunk `k+1` in the
-//! background while chunk `k`'s scan runs.
+//! [`PrefetchReader`] *is* [`U32Reader`]: one synchronous read per
+//! block on the caller's thread, so it counts exactly the same
+//! `bytes_read`, `read_ops` and `seeks` and pays an emulated device
+//! latency ([`set_read_latency`](crate::BlockStream::set_read_latency))
+//! the same way, once per block. Overlapping device waits with compute
+//! is the `io_uring` backend's job ([`UringSource`](crate::UringSource)),
+//! whose in-flight reads model a device queue.
 //!
-//! **Accounting contract:** the fetcher *is* the blocking one
-//! ([`PreadFetch`]) plus advice, so the reader counts exactly the same
-//! `bytes_read`, `read_ops` and `seeks` as [`U32Reader`] for the same
-//! access pattern, and pays an emulated device latency
-//! ([`set_read_latency`](BlockStream::set_read_latency)) the same way:
-//! once per block, on the caller's thread. Overlapping *emulated* waits
-//! with compute is the `io_uring` backend's job
-//! ([`UringSource`](crate::UringSource)), whose in-flight reads model a
-//! device queue; advice can only hide the waits of a real device.
-//!
-//! Advice exists on 64-bit little-endian Linux (the gate of the other
-//! `extern "C"` bindings in this crate); elsewhere it is a no-op and the
-//! reader is the blocking one.
-
-use std::fs::File;
-use std::os::raw::c_int;
-use std::time::Duration;
+//! The names exist because the benchmark harness compiles against
+//! them; once it stops naming [`PrefetchReader`] and
+//! `IoBackend::Prefetch`, both can be deleted.
 
 use crate::error::Result;
-use crate::stream::{BlockFetch, BlockStream, PreadFetch, U32Reader, BYTES_PER_U32};
+use crate::stream::U32Reader;
 
-/// The whole file is read front to back, repeatedly.
-const POSIX_FADV_SEQUENTIAL: c_int = 2;
-/// A byte range is read soon.
-const POSIX_FADV_WILLNEED: c_int = 3;
-
-#[cfg(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-))]
-mod sys {
-    //! The one advice call. `std` already links libc, so — like the
-    //! mapping and ring bindings — no new dependency is introduced.
-    use std::os::raw::c_int;
-
-    extern "C" {
-        /// `off_t` is 64-bit on every target this module compiles for.
-        pub fn posix_fadvise(fd: c_int, offset: i64, len: i64, advice: c_int) -> c_int;
-    }
-}
-
-/// Give the kernel `advice` about `len` bytes of `file` from `offset`
-/// (`len` 0 means to the end of the file). Advisory only: a kernel that
-/// declines changes nothing this stream reads or counts, so the result
-/// is ignored.
-#[cfg(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-))]
-fn advise(file: &File, offset: u64, len: u64, advice: c_int) {
-    use std::os::unix::io::AsRawFd;
-    let (Ok(offset), Ok(len)) = (i64::try_from(offset), i64::try_from(len)) else {
-        return;
-    };
-    // SAFETY: `posix_fadvise` reads only its integer arguments, and the
-    // descriptor stays open while `file` is borrowed.
-    unsafe {
-        let _ = sys::posix_fadvise(file.as_raw_fd(), offset, len, advice);
-    }
-}
-
-/// No advice on this platform.
-#[cfg(not(all(
-    target_os = "linux",
-    target_endian = "little",
-    target_pointer_width = "64"
-)))]
-fn advise(_file: &File, _offset: u64, _len: u64, _advice: c_int) {}
-
-/// The read-ahead fetcher: the blocking fetcher, with every hinted range
-/// advised `WILLNEED` so the kernel reads it while the caller computes.
-#[derive(Debug)]
-pub struct AdvisedFetch(PreadFetch);
-
-/// A [`U32Source`](crate::U32Source) the kernel reads ahead of:
-/// [`BlockStream`] over [`AdvisedFetch`].
-///
-/// Construct one from an (unconsumed) [`U32Reader`] via
-/// [`PrefetchReader::new`]; it inherits the reader's file, block size,
-/// emulated latency and [`IoStats`](crate::IoStats).
-pub type PrefetchReader = BlockStream<AdvisedFetch>;
+/// The blocking transport, under the `prefetch` backend's name.
+pub type PrefetchReader = U32Reader;
 
 impl PrefetchReader {
-    /// Take over `reader`'s file and cursor state and advise the whole
-    /// file `SEQUENTIAL`. Never fails; it returns a `Result` like every
-    /// other transport constructor.
+    /// Return `reader` unchanged. Never fails; it returns a `Result`
+    /// like every other transport constructor.
     pub fn new(reader: U32Reader) -> Result<Self> {
-        Ok(reader.map_fetch(|pread| {
-            advise(pread.file(), 0, 0, POSIX_FADV_SEQUENTIAL);
-            AdvisedFetch(pread)
-        }))
-    }
-}
-
-impl BlockFetch for AdvisedFetch {
-    fn fetch(
-        &mut self,
-        at: u64,
-        want: usize,
-        latency: Duration,
-        buf: &mut Vec<u8>,
-    ) -> std::io::Result<(usize, Duration)> {
-        self.0.fetch(at, want, latency, buf)
-    }
-
-    /// `WILLNEED` on the announced range. Nothing is read or charged
-    /// here: the announced load reads and counts its blocks as any load
-    /// does, from the page cache if the kernel got there first.
-    fn hint(&mut self, pos: u64, len: usize) {
-        if len > 0 {
-            let (offset, len) = (pos * BYTES_PER_U32, len as u64 * BYTES_PER_U32);
-            advise(self.0.file(), offset, len, POSIX_FADV_WILLNEED);
-        }
+        Ok(reader)
     }
 }
 
@@ -137,6 +34,7 @@ mod tests {
     use crate::IoStats;
     use std::path::PathBuf;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("pdtl-prefetch-tests");
@@ -189,12 +87,12 @@ mod tests {
         assert_eq!(
             prefetch_stats.bytes_read(),
             blocking_stats.bytes_read(),
-            "read-ahead advice must not change the byte accounting"
+            "the prefetch name must not change the byte accounting"
         );
         assert_eq!(
             prefetch_stats.seeks(),
             blocking_stats.seeks(),
-            "read-ahead advice must not change the seek accounting"
+            "the prefetch name must not change the seek accounting"
         );
     }
 
@@ -220,8 +118,8 @@ mod tests {
         let mut r =
             PrefetchReader::new(U32Reader::with_buffer(&p, stats.clone(), 100).unwrap()).unwrap();
         let mut out = Vec::new();
-        // Consume one block, then jump: whatever the kernel read ahead
-        // of it is never charged.
+        // Consume one block, then jump: the block skipped over is never
+        // read, so never charged.
         r.read_into(&mut out, 100).unwrap();
         r.seek_to(40_000).unwrap();
         out.clear();
@@ -275,10 +173,10 @@ mod tests {
         assert_eq!(
             stats.bytes_read(),
             (1 + 2 + 1 + 1) * 100 * 4,
-            "only consumed blocks are charged, never a hint's read-ahead"
+            "only consumed blocks are charged, never a hinted range"
         );
         assert_eq!(stats.seeks(), 3);
-        // Advice is not a device read: five blocks, five emulated waits.
+        // A hint is not a device read: five blocks, five emulated waits.
         assert!(stats.io_time() >= Duration::from_millis(5));
     }
 }

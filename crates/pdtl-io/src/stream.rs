@@ -8,10 +8,10 @@
 //! * [`BlockStream`] — *the* stream contract: position, block window,
 //!   end-of-file clamps, `read_into` across block boundaries, the
 //!   three-way `skip` rule and every [`IoStats`] charge, written once
-//!   over the [`BlockFetch`] seam. The four transports ([`U32Reader`],
-//!   [`PrefetchReader`](crate::PrefetchReader),
+//!   over the [`BlockFetch`] seam. The transports ([`U32Reader`] — also
+//!   named [`PrefetchReader`](crate::PrefetchReader) —
 //!   [`MmapSource`](crate::MmapSource), [`UringSource`](crate::UringSource))
-//!   are this cursor over four fetchers, so they cannot count
+//!   are this cursor over three fetchers, so they cannot count
 //!   differently: a fetcher decides how (and how early) a block arrives,
 //!   never which blocks are touched or what is charged for them.
 //! * [`U32Source`] — the seam consumers program against: the cursor
@@ -126,20 +126,12 @@ pub(crate) fn open_u32_file(path: &Path) -> Result<(File, u64)> {
 }
 
 /// The blocking fetcher: one synchronous positioned read per block.
-/// Also the reads of the prefetch transport, which only adds kernel
-/// read-ahead advice, so the two cannot treat short reads differently.
+/// The `blocking` and `prefetch` backends both read through it.
 #[derive(Debug)]
 pub struct PreadFetch {
     file: File,
     /// Index the OS file cursor sits at; `None` after a failed read.
     cursor: Option<u64>,
-}
-
-impl PreadFetch {
-    /// The file read from, for advice that does not move its cursor.
-    pub(crate) fn file(&self) -> &File {
-        &self.file
-    }
 }
 
 impl BlockFetch for PreadFetch {

@@ -1,8 +1,8 @@
 //! Asynchronous block streaming over `io_uring`: real device queue
 //! depth without extra threads.
 //!
-//! The [`PrefetchReader`](crate::PrefetchReader) issues one blocking
-//! `read(2)` per block and leaves read-ahead to the page cache.
+//! The [`U32Reader`](crate::U32Reader) issues one blocking `read(2)`
+//! per block and leaves read-ahead to the page cache.
 //! [`UringSource`] overlaps the reads themselves with compute: block
 //! reads are submitted to an `io_uring` submission queue and complete
 //! asynchronously, so up to [`URING_DEPTH`] block-sized reads are in

@@ -1,8 +1,8 @@
 //! Cross-backend accounting contract of the [`U32Source`] seam.
 //!
-//! The four backends — blocking [`U32Reader`], read-ahead
-//! [`PrefetchReader`], zero-copy [`MmapSource`], asynchronous
-//! [`UringSource`] — must yield byte-identical `u32` streams, identical
+//! The four backends — blocking [`U32Reader`], [`PrefetchReader`] (the
+//! same type under the default backend's name), zero-copy
+//! [`MmapSource`], asynchronous [`UringSource`] — must yield byte-identical `u32` streams, identical
 //! final positions, and identical `bytes_read`/`seeks`/`read_ops` for *any* access
 //! pattern (reads, short and long skips, seeks — all clamped at end of
 //! file), at any block size, on any file length including empty. The

@@ -29,10 +29,10 @@ fn main() {
         transport: Default::default(),
         // Real cluster nodes stream cold replicas from disk, where
         // overlapped I/O hides device waits. io_uring gets that overlap
-        // from kernel submission queues and degrades to the prefetch
-        // backend (blocking reads plus kernel read-ahead advice) on
-        // kernels without it; the choice ships to every worker in its wire
-        // WorkerConfig (backend byte 3).
+        // from kernel submission queues and degrades to the default
+        // prefetch backend (blocking reads) on kernels without it; the
+        // choice ships to every worker in its wire WorkerConfig
+        // (backend byte 3).
         mgt: MgtOptions {
             backend: IoBackend::Uring,
             ..MgtOptions::default()
