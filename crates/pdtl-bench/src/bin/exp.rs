@@ -4,105 +4,86 @@
 //! exp all                  # every experiment, Full profile
 //! exp table6 fig9          # selected experiments
 //! exp all --quick          # tiny graphs (CI / smoke test)
-//! exp kernels --json       # kernel micro-benches -> BENCH_kernels.json
 //! exp all --backend mmap   # force one I/O backend for every engine run
 //! exp all --codec delta-varint  # force one on-disk codec likewise
 //! ```
 
 use pdtl_bench::experiments::{run_experiment, ALL_EXPERIMENTS};
-use pdtl_bench::kernelbench;
 use pdtl_bench::workbench::{Profile, Workbench};
 use pdtl_core::mgt::MgtOptions;
 use pdtl_io::{Codec, IoBackend};
 
-/// Where `exp kernels --json` writes its snapshot (the repo root when
-/// run via `cargo run`).
-const BENCH_JSON: &str = "BENCH_kernels.json";
+const USAGE: &str = "usage: exp <all | id...> [--quick] [--backend b] [--codec c]";
 
-/// Remove `--<flag> <value>` from `args` and parse the value, exiting
-/// with a usage error when it is missing or not one of `choices`.
-fn take_flag<T>(
-    args: &mut Vec<String>,
-    flag: &str,
-    choices: &str,
-    parse: fn(&str) -> Option<T>,
-) -> Option<T> {
-    let i = args.iter().position(|a| a == flag)?;
-    let Some(value) = args.get(i + 1).and_then(|v| parse(v)) else {
-        eprintln!("{flag} needs one of {choices}");
-        std::process::exit(2);
+/// A parsed command line.
+#[derive(Debug)]
+struct Args {
+    /// Experiment ids (or `all`), in the order given.
+    ids: Vec<String>,
+    quick: bool,
+    /// The engine knobs `--backend` / `--codec` pin for every run.
+    mgt: MgtOptions,
+}
+
+/// Parse the arguments after the program name. An unknown flag, or a
+/// `--backend` / `--codec` without a valid value, is an error.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        ids: Vec::new(),
+        quick: false,
+        mgt: MgtOptions::default(),
     };
-    args.drain(i..=i + 1);
-    Some(value)
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" | "-q" => parsed.quick = true,
+            "--backend" => {
+                parsed.mgt.backend = it
+                    .next()
+                    .and_then(|v| IoBackend::parse(v))
+                    .ok_or("--backend needs one of blocking|prefetch|mmap|uring")?;
+            }
+            "--codec" => {
+                parsed.mgt.codec = it
+                    .next()
+                    .and_then(|v| Codec::parse(v))
+                    .ok_or("--codec needs one of raw|delta-varint")?;
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            id => parsed.ids.push(id.to_string()),
+        }
+    }
+    Ok(parsed)
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--backend <b>` and `--codec <c>` pin the engine knobs of every
-    // experiment run (`Workbench::mgt`). The kernel-bench backend and
-    // codec rows still measure every choice explicitly.
-    let mut mgt = MgtOptions::default();
-    if let Some(backend) = take_flag(
-        &mut args,
-        "--backend",
-        "blocking|prefetch|mmap|uring",
-        IoBackend::parse,
-    ) {
-        mgt.backend = backend;
-    }
-    if let Some(codec) = take_flag(&mut args, "--codec", "raw|delta-varint", Codec::parse) {
-        mgt.codec = codec;
-    }
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let json = args.iter().any(|a| a == "--json");
-    let ids: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with('-'))
-        .cloned()
-        .collect();
-    if ids.is_empty() {
-        eprintln!(
-            "usage: exp <all | kernels | id...> [--quick] [--json] [--backend b] [--codec c]"
-        );
-        eprintln!("experiment ids: {}", ALL_EXPERIMENTS.join(" "));
-        std::process::exit(2);
-    }
-
-    if ids.iter().any(|i| i == "kernels") {
-        // The default backend (as this host resolves it) and codec go
-        // into the regeneration log, so a BENCH_kernels.json diff is
-        // attributable to the host.
-        let defaults = MgtOptions::default();
-        println!(
-            "[backend: {}] [codec: {}]",
-            defaults.backend.resolve(),
-            defaults.codec,
-        );
-        let start = std::time::Instant::now();
-        let results = kernelbench::run_kernel_benches();
-        print!("{}", kernelbench::to_table(&results));
-        if json {
-            kernelbench::write_json(BENCH_JSON, &results).expect("write bench json");
-            println!("[wrote {BENCH_JSON}]");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&args) {
+        Ok(args) if !args.ids.is_empty() => args,
+        Ok(_) => {
+            eprintln!("{USAGE}");
+            eprintln!("experiment ids: {}", ALL_EXPERIMENTS.join(" "));
+            std::process::exit(2);
         }
-        println!("[kernels measured in {:.1?}]", start.elapsed());
-        if ids.len() == 1 {
-            return;
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(2);
         }
-    }
+    };
 
-    let profile = if quick { Profile::Quick } else { Profile::Full };
+    let profile = if args.quick {
+        Profile::Quick
+    } else {
+        Profile::Full
+    };
     let data_dir = std::path::Path::new("target").join("pdtl-data");
     let mut wb = Workbench::new(profile, data_dir);
-    wb.mgt = mgt;
+    wb.mgt = args.mgt;
 
-    let selected: Vec<&str> = if ids.iter().any(|i| i == "all") {
+    let selected: Vec<&str> = if args.ids.iter().any(|i| i == "all") {
         ALL_EXPERIMENTS.to_vec()
     } else {
-        ids.iter()
-            .map(|s| s.as_str())
-            .filter(|&s| s != "kernels")
-            .collect()
+        args.ids.iter().map(|s| s.as_str()).collect()
     };
 
     println!(
@@ -122,5 +103,42 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for line in ["all --quik", "fig2 --json", "--bogus fig2", "all -x"] {
+            let err = parse(line).unwrap_err();
+            assert!(err.starts_with("unknown flag -"), "{line}: {err}");
+        }
+        assert!(parse("all --backend").is_err());
+        assert!(parse("all --backend tape").is_err());
+        assert!(parse("all --codec gzip").is_err());
+    }
+
+    #[test]
+    fn known_flags_still_parse() {
+        for line in ["all --quick", "fig2 -q"] {
+            let args = parse(line).unwrap();
+            assert!(args.quick, "{line}");
+        }
+        let args = parse("table6 fig9 --backend mmap --codec delta-varint").unwrap();
+        assert_eq!(args.ids, ["table6", "fig9"]);
+        assert!(!args.quick);
+        assert_eq!(args.mgt.backend, IoBackend::Mmap);
+        assert_eq!(args.mgt.codec, Codec::DeltaVarint);
+        let defaults = parse("all").unwrap().mgt;
+        assert_eq!(defaults.backend, MgtOptions::default().backend);
+        assert_eq!(defaults.codec, MgtOptions::default().codec);
     }
 }

@@ -43,14 +43,17 @@
 
 mod scalar;
 
-/// Size ratio beyond which galloping beats the linear merge. Justified
-/// by the `exp kernels` rows `intersect/{linear,gallop}/*`, which time
-/// both kernels on the three `kernelbench::workload` shapes (min/iter):
-/// ratio 1 (`1000x1000`) linear 1.2 µs vs gallop 3.4 µs — linear wins
-/// 3×; ratio 100 (`100x10000`) linear 5.8 µs vs gallop 1.3 µs; ratio
-/// 10⁴ (`10x100000`) linear 41 µs vs gallop 0.24 µs; 10k into 100k
-/// (ratio 10) measured break-even. The crossover sits just above 10, so
-/// gallop whenever the ratio exceeds 12.
+/// Size ratio beyond which galloping beats the linear merge. Measured
+/// on the benchmark's intersection shapes (min/iter): ratio 1
+/// (`1000x1000`) linear 1.2 µs vs gallop 3.4 µs — linear wins 3×;
+/// ratio 100 (`100x10000`) linear 5.8 µs vs gallop 1.3 µs; ratio 10⁴
+/// (`10x100000`) linear 41 µs vs gallop 0.24 µs; 10k into 100k (ratio
+/// 10) break-even. The crossover sits just above 10, so gallop whenever
+/// the ratio exceeds 12. The benchmark's `intersect.linear_ns.*` and
+/// `intersect.gallop_ns.10x100000` rows re-time the linear merge on all
+/// three shapes and galloping on the lopsided one;
+/// `tests/intersect_reference.rs` holds both kernels to a naive
+/// reference on them.
 const GALLOP_RATIO: usize = 12;
 
 /// Size ratio beyond which the advance-loop merge beats the three-way
@@ -59,9 +62,10 @@ const GALLOP_RATIO: usize = 12;
 /// (`1000x1000` 1.33 → 2.01 µs through the advance loops); above it,
 /// one side produces multi-element runs and the single-comparison
 /// advance steps beat the three-way branch (`100x10000` 10.4 → 6.2 µs;
-/// both shapes are `exp kernels` rows, `intersect/linear/*`). Any
-/// threshold in (1, 10] separates the bench shapes; 4 leaves margin on
-/// both sides.
+/// both shapes are `intersect.linear_ns.*` rows, and
+/// `tests/intersect_reference.rs` pins the merge's comparison counts on
+/// them). Any threshold in (1, 10] separates the bench shapes; 4 leaves
+/// margin on both sides.
 const ADVANCE_RATIO: usize = 4;
 
 /// The intersection kernels' implementation tier. There is one, scalar.
