@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use pdtl_analytics::{clustering, ktruss};
 use pdtl_core::mgt::MgtOptions;
 use pdtl_core::orient::{orient_to_disk_with, OrientedGraph};
-use pdtl_core::sink::{CollectSink, CountSink};
+use pdtl_core::sink::{CollectSink, CountSink, LimitSink, TriangleSink};
 use pdtl_core::{BalanceStrategy, LocalConfig, LocalRunner, RunReport, ScratchDir};
 use pdtl_graph::DiskGraph;
 use pdtl_io::{BudgetLedger, Codec, IoStats, MemoryBudget};
@@ -671,17 +671,18 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
 
     match job.op {
         QueryOperation::Count => {
-            let (report, _) = run_mgt(shared, &entry, &opts, cores, false)?;
+            let (report, _) = run_mgt(shared, &entry, &opts, cores, || CountSink)?;
             Ok(reply_from(&report, 0, 0, vec![]))
         }
         QueryOperation::List { limit } => {
-            let (report, mut triples) = run_mgt(shared, &entry, &opts, cores, true)?;
-            let listed = triples.len() as u64;
-            triples.truncate(limit as usize);
+            let make_sink = || LimitSink::new(limit as usize);
+            let (report, sinks) = run_mgt(shared, &entry, &opts, cores, make_sink)?;
+            let (triples, listed) = LimitSink::concat(sinks);
             Ok(reply_from(&report, 0, listed, triples))
         }
         QueryOperation::Clustering => {
-            let (report, triples) = run_mgt(shared, &entry, &opts, cores, true)?;
+            let (report, sinks) = run_mgt(shared, &entry, &opts, cores, CollectSink::default)?;
+            let triples = CollectSink::concat(sinks);
             let g = entry
                 .input
                 .load_csr(&shared.catalog.io)
@@ -696,7 +697,8 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
             ))
         }
         QueryOperation::KTruss { k } => {
-            let (report, triples) = run_mgt(shared, &entry, &opts, cores, true)?;
+            let (report, sinks) = run_mgt(shared, &entry, &opts, cores, CollectSink::default)?;
+            let triples = CollectSink::concat(sinks);
             let g = entry
                 .input
                 .load_csr(&shared.catalog.io)
@@ -761,19 +763,17 @@ fn reply_from(
     }
 }
 
-/// What an engine run hands back to the per-operation dispatch: the
-/// run report plus the collected triples (empty unless listing).
-type MgtOutcome = std::result::Result<(RunReport, Vec<(u32, u32, u32)>), String>;
-
 /// One MGT run against the catalog's warm oriented replica for the
-/// query's codec, with the query's own backend/budget/latency knobs.
-fn run_mgt(
+/// query's codec, with the query's own backend/budget/latency knobs and
+/// one `make_sink()` sink per worker; returns the report and the sinks
+/// in worker order.
+fn run_mgt<S: TriangleSink + Send>(
     shared: &Shared,
     entry: &CatalogEntry,
     opts: &QueryOptions,
     cores: usize,
-    listing: bool,
-) -> MgtOutcome {
+    make_sink: impl FnMut() -> S,
+) -> std::result::Result<(RunReport, Vec<S>), String> {
     let og = entry.oriented_for(opts.codec).ok_or_else(|| {
         let serving: Vec<&str> = entry.oriented.iter().map(|(c, _)| c.name()).collect();
         format!(
@@ -795,16 +795,9 @@ fn run_mgt(
         },
     })
     .map_err(|e| e.to_string())?;
-    let (report, sinks) = if listing {
-        runner
-            .run_oriented_with_sinks(og, CollectSink::default)
-            .map(|(r, sinks)| (r, CollectSink::concat(sinks)))
-    } else {
-        runner
-            .run_oriented_with_sinks(og, || CountSink)
-            .map(|(r, _)| (r, Vec::new()))
-    }
-    .map_err(|e| e.to_string())?;
+    let (report, sinks) = runner
+        .run_oriented_with_sinks(og, make_sink)
+        .map_err(|e| e.to_string())?;
     let bytes: u64 = report.workers.iter().map(|w| w.io.bytes_read).sum();
     let decoded: u64 = report.workers.iter().map(|w| w.io.u32s_decoded).sum();
     shared.mgt_bytes_read.fetch_add(bytes, Ordering::Relaxed);

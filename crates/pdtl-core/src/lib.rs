@@ -49,4 +49,4 @@ pub use orient::{orient_csr, orient_to_disk, OrientedCsr, OrientedGraph};
 pub use runner::{
     count_triangles, count_triangles_with, run_workers, LocalConfig, LocalRunner, ScratchDir,
 };
-pub use sink::{CollectSink, CountSink, FileSink, TriangleSink};
+pub use sink::{CollectSink, CountSink, FileSink, LimitSink, TriangleSink};

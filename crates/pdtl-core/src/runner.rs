@@ -9,18 +9,19 @@
 //! which is why [`run_workers`] spawns its own scoped threads rather
 //! than mapping over [`par::map_chunks`](crate::par::map_chunks).
 
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use pdtl_graph::{DiskGraph, Graph};
-use pdtl_io::{IoStats, MemoryBudget};
+use pdtl_io::{IoError, IoStats, MemoryBudget};
 
 use crate::balance::{plan_ranges, BalanceStrategy, EdgeRange};
 use crate::error::{CoreError, Result};
 use crate::metrics::{RunReport, WorkerReport};
 use crate::mgt::{mgt_count_range_opt, MgtOptions};
 use crate::orient::{orient_to_disk_with, OrientedGraph};
-use crate::sink::{CollectSink, CountSink, TriangleSink};
+use crate::sink::{CollectSink, CountSink, FileSink, TriangleSink};
 
 /// Configuration of a single-machine run.
 #[derive(Debug, Clone)]
@@ -90,7 +91,50 @@ impl LocalRunner {
         Ok((report, CollectSink::concat(sinks)))
     }
 
-    /// Generic driver: one sink per worker, built by `make_sink`.
+    /// List every triangle of `input` into the file at `out`, 3 × `u32`
+    /// little-endian per triangle, cone vertex first — the one
+    /// file-listing entry point (`pdtl list`). Each worker streams its
+    /// range through its own [`FileSink`] on a part file in `work_dir`,
+    /// and the parts are appended to `out` in worker order. Ranges are
+    /// contiguous, so the bytes are [`run_listing`](Self::run_listing)'s
+    /// triples written through one sink, while a worker holds one
+    /// writer buffer instead of its triples. `out` is created only once
+    /// every worker has finished. Returns the report and the triangles
+    /// written.
+    pub fn run_listing_to_file(
+        &self,
+        input: &DiskGraph,
+        work_dir: &Path,
+        out: &Path,
+    ) -> Result<(RunReport, u64)> {
+        std::fs::create_dir_all(work_dir).map_err(|e| IoError::os("mkdir", work_dir, e))?;
+        let stats = IoStats::new();
+        let parts: Vec<PathBuf> = (0..self.config.cores)
+            .map(|i| work_dir.join(format!("part-{i}")))
+            .collect();
+        let mut unclaimed = (parts.iter())
+            .map(|part| FileSink::create(part, stats.clone()))
+            .collect::<pdtl_io::Result<Vec<_>>>()?
+            .into_iter();
+        let (report, sinks) = self.run_with_sinks(input, work_dir, || {
+            unclaimed
+                .next()
+                .expect("the planner plans one range per core")
+        })?;
+        let mut file = File::create(out).map_err(|e| IoError::os("create", out, e))?;
+        let mut written = 0;
+        for (sink, part) in sinks.into_iter().zip(&parts) {
+            written += sink.finish()?;
+            let mut from = File::open(part).map_err(|e| IoError::os("open", part, e))?;
+            std::io::copy(&mut from, &mut file).map_err(|e| IoError::os("append", out, e))?;
+            std::fs::remove_file(part).map_err(|e| IoError::os("remove", part, e))?;
+        }
+        file.sync_all().map_err(|e| IoError::os("sync", out, e))?;
+        Ok((report, written))
+    }
+
+    /// Generic driver: one sink per worker, built by `make_sink` in
+    /// worker order.
     pub fn run_with_sinks<S, F>(
         &self,
         input: &DiskGraph,
@@ -99,10 +143,9 @@ impl LocalRunner {
     ) -> Result<(RunReport, Vec<S>)>
     where
         S: TriangleSink + Send,
-        F: Fn() -> S,
+        F: FnMut() -> S,
     {
-        std::fs::create_dir_all(work_dir)
-            .map_err(|e| pdtl_io::IoError::os("mkdir", work_dir, e))?;
+        std::fs::create_dir_all(work_dir).map_err(|e| IoError::os("mkdir", work_dir, e))?;
         // Full-digest the input against its integrity manifest before
         // spending any compute on it: the quick tier inside
         // `DiskGraph::open` cannot see a bit flip deep in a large
@@ -149,7 +192,7 @@ impl LocalRunner {
     ) -> Result<(RunReport, Vec<S>)>
     where
         S: TriangleSink + Send,
-        F: Fn() -> S,
+        F: FnMut() -> S,
     {
         let wall_start = Instant::now();
         let (budget, mgt) = (self.config.budget, self.config.mgt);
@@ -179,18 +222,18 @@ impl LocalRunner {
 /// The worker fan-out of every runner (local cores, a cluster node's
 /// cores): one MGT worker per `(range, budget, options)` job over `og`,
 /// each on its own scoped thread with its own [`IoStats`] and its own
-/// `make_sink()` sink. Reports (numbered) and sinks come back in job
-/// order; the first failed job's error is returned, a panicked
-/// worker's as [`CoreError::WorkerPanic`], after every worker has been
-/// joined.
+/// `make_sink()` sink, made in job order. Reports (numbered) and sinks
+/// come back in job order; the first failed job's error is returned, a
+/// panicked worker's as [`CoreError::WorkerPanic`], after every worker
+/// has been joined.
 pub fn run_workers<S, F>(
     og: &OrientedGraph,
     jobs: &[(EdgeRange, MemoryBudget, MgtOptions)],
-    make_sink: F,
+    mut make_sink: F,
 ) -> Result<(Vec<WorkerReport>, Vec<S>)>
 where
     S: TriangleSink + Send,
-    F: Fn() -> S,
+    F: FnMut() -> S,
 {
     let results: Vec<Result<(WorkerReport, S)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (jobs.iter().enumerate())
@@ -232,7 +275,7 @@ impl ScratchDir {
     /// removed when the guard drops.
     pub fn create(path: impl Into<PathBuf>) -> Result<Self> {
         let path = path.into();
-        std::fs::create_dir_all(&path).map_err(|e| pdtl_io::IoError::os("mkdir", &path, e))?;
+        std::fs::create_dir_all(&path).map_err(|e| IoError::os("mkdir", &path, e))?;
         Ok(Self(path))
     }
 
@@ -423,6 +466,51 @@ mod tests {
                 "{case}"
             );
         }
+    }
+
+    #[test]
+    fn streamed_listing_is_byte_identical_to_the_collected_one() {
+        // `run_listing` then one `FileSink` is what `pdtl list` wrote
+        // before it streamed. An RMAT graph beside a long path: the
+        // path's edges close no triangle, so a worker on them lists
+        // nothing while the others split the RMAT graph's triangles.
+        let rmat = rmat(7, 31).unwrap();
+        let mut edges: Vec<(u32, u32)> = rmat.edges().collect();
+        edges.extend((128..1000).map(|v| (v, v + 1)));
+        let g = Graph::from_edges(1001, &edges).unwrap();
+        let t = triangle_count(&g);
+        let dir = tmpdir("streamed");
+        let stats = IoStats::new();
+        let input = DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
+        let mut empty_parts = 0;
+        for cores in [1, 2, 3, 5] {
+            let runner = LocalRunner::new(LocalConfig {
+                cores,
+                budget: MemoryBudget::edges(64),
+                ..Default::default()
+            })
+            .unwrap();
+            let collected = dir.join(format!("collected-{cores}"));
+            let (_, triangles) = runner.run_listing(&input, &dir.join("work")).unwrap();
+            let mut sink = FileSink::create(&collected, stats.clone()).unwrap();
+            for &(u, v, w) in &triangles {
+                sink.emit(u, v, w);
+            }
+            sink.finish().unwrap();
+
+            let streamed = dir.join(format!("streamed-{cores}"));
+            let (report, written) = runner
+                .run_listing_to_file(&input, &dir.join("work"), &streamed)
+                .unwrap();
+            assert_eq!((written, report.triangles), (t, t), "{cores} cores");
+            let bytes = std::fs::read(&streamed).unwrap();
+            assert_eq!(bytes, std::fs::read(&collected).unwrap(), "{cores} cores");
+            assert!(!dir.join("work").join("part-0").exists(), "parts removed");
+            let listing = report.workers.iter().filter(|w| w.triangles > 0).count();
+            assert!(listing >= cores.min(2), "parts in order: {cores} cores");
+            empty_parts += cores - listing;
+        }
+        assert!(empty_parts > 0, "no worker listed nothing");
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! `(u, v, w)` — cone vertex first, then the pivot edge — and the sink
 //! decides what to do with it. Counting uses the zero-cost [`CountSink`]
 //! (the paper's experiments measure counting "to allow comparison with
-//! alternative implementations"); listing writes triples through
-//! [`CollectSink`] or the buffered on-disk [`FileSink`], whose output
-//! cost is the `T/B` term of Theorem IV.2.
+//! alternative implementations"). Listing to a file gives each worker
+//! its own buffered on-disk [`FileSink`], so a worker holds one writer
+//! buffer rather than its triples and the output cost — the `T/B` term
+//! of Theorem IV.2 — is written at the writer's bulk speed.
+//! [`CollectSink`] holds a run's triples in memory (tests, examples,
+//! the analytics that take a triangle slice) and [`LimitSink`] the
+//! first `limit` of them (`pdtl serve`'s listing preview).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -83,12 +87,55 @@ impl TriangleSink for CollectSink {
     }
 }
 
+/// Keeps the first `limit` triples a worker emits and only counts the
+/// rest: a listing preview (`pdtl serve`'s `list --limit`) holds
+/// `limit` triples per worker, not the worker's share of `T`.
+#[derive(Debug, Clone)]
+pub struct LimitSink {
+    limit: usize,
+    kept: Vec<(u32, u32, u32)>,
+    seen: u64,
+}
+
+impl LimitSink {
+    /// A sink keeping at most `limit` triples.
+    pub fn new(limit: usize) -> Self {
+        Self {
+            limit,
+            kept: Vec::new(),
+            seen: 0,
+        }
+    }
+
+    /// The first `limit` triples of a run, in worker order — the
+    /// prefix of [`CollectSink::concat`]'s listing — and the number of
+    /// triples the workers emitted.
+    pub fn concat(sinks: Vec<LimitSink>) -> (Vec<(u32, u32, u32)>, u64) {
+        let limit = sinks.first().map_or(0, |s| s.limit);
+        let seen = sinks.iter().map(|s| s.seen).sum();
+        let kept = sinks.into_iter().flat_map(|s| s.kept).take(limit);
+        (kept.collect(), seen)
+    }
+}
+
+impl TriangleSink for LimitSink {
+    fn emit(&mut self, u: u32, v: u32, w: u32) {
+        if self.kept.len() < self.limit {
+            self.kept.push((u, v, w));
+        }
+        self.seen += 1;
+    }
+}
+
 /// Streams triples to a binary file (3 × `u32` little-endian per
-/// triangle) through a counted writer.
+/// triangle) through a counted writer. On the file-listing path each
+/// worker owns one, on a part file of its own
+/// ([`LocalRunner::run_listing_to_file`](crate::LocalRunner::run_listing_to_file)),
+/// so the `T/B` output term is written at the writer's bulk speed
+/// while the worker holds one buffer, not its triples.
 #[derive(Debug)]
 pub struct FileSink {
     writer: U32Writer,
-    written: u64,
 }
 
 impl FileSink {
@@ -96,32 +143,29 @@ impl FileSink {
     pub fn create(path: impl AsRef<Path>, stats: Arc<IoStats>) -> Result<Self> {
         Ok(Self {
             writer: U32Writer::create(path, stats)?,
-            written: 0,
         })
     }
 
-    /// Triangles written so far.
+    /// Whole triangles the writer accepted: after a write failure the
+    /// count stops, because the writer drops what follows.
     pub fn written(&self) -> u64 {
-        self.written
+        self.writer.written_u32() / 3
     }
 
     /// Flush and close, returning the triangle count — or the first
     /// write failure, after which no further triple reached the file.
     pub fn finish(self) -> Result<u64> {
-        self.writer.finish()?;
-        Ok(self.written)
+        Ok(self.writer.finish()? / 3)
     }
 }
 
 impl TriangleSink for FileSink {
+    #[inline]
     fn emit(&mut self, u: u32, v: u32, w: u32) {
         // A failed write is sticky in the writer (it drops what
         // follows and repeats the error), so the hot path stays
         // infallible and flush()/finish() report it.
-        let _ = self.writer.write(u);
-        let _ = self.writer.write(v);
-        let _ = self.writer.write(w);
-        self.written += 1;
+        let _ = self.writer.write_triple(u, v, w);
     }
 
     /// Reports a failed write; the buffer itself is flushed by
@@ -181,6 +225,19 @@ mod tests {
     }
 
     #[test]
+    fn limit_sinks_keep_the_prefix_of_the_listing() {
+        let sink = |lo: u32, n: u32| {
+            let mut s = LimitSink::new(4);
+            (lo..lo + n).for_each(|i| s.emit(i, i, i));
+            s
+        };
+        let (kept, seen) = LimitSink::concat(vec![sink(0, 2), sink(2, 0), sink(2, 9)]);
+        assert_eq!(kept.iter().map(|t| t.0).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(seen, 11);
+        assert_eq!(LimitSink::concat(Vec::new()), (Vec::new(), 0));
+    }
+
+    #[test]
     fn count_sink_is_noop() {
         let mut s = CountSink;
         s.emit(1, 2, 3);
@@ -236,6 +293,30 @@ mod tests {
         }
         let err = s.flush().unwrap_err().to_string();
         assert!(err.contains("/dev/full"), "{err}");
+        // The count stops at the failure: the first buffer (16 Ki
+        // values, the last triple straddling it) failed, and the
+        // triples offered after it were dropped, not counted.
+        assert_eq!(s.written(), 16 * 1024 / 3);
+        s.emit(1, 2, 3);
+        assert_eq!(s.written(), 16 * 1024 / 3);
         assert_eq!(s.finish().unwrap_err().to_string(), err);
+    }
+
+    #[test]
+    fn file_sink_triples_straddle_every_flush() {
+        // 16 Ki values a buffer is not a multiple of 3, so a triple
+        // straddles every flush; three buffers and a bit round-trip.
+        let dir = std::env::temp_dir().join("pdtl-sink-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("straddle-{}", std::process::id()));
+        let stats = IoStats::new();
+        let want: Vec<_> = (0..20_000u32).map(|i| (i, !i, i.rotate_left(7))).collect();
+        let mut s = FileSink::create(&path, stats.clone()).unwrap();
+        for &(u, v, w) in &want {
+            s.emit(u, v, w);
+        }
+        assert_eq!(s.finish().unwrap(), want.len() as u64);
+        assert_eq!(read_triangle_file(&path, stats.clone()).unwrap(), want);
+        assert_eq!(stats.bytes_written(), 12 * want.len() as u64);
     }
 }

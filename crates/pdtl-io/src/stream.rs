@@ -667,6 +667,25 @@ impl U32Writer {
         Ok(())
     }
 
+    /// Append one triple — a listing's record — with one failure test
+    /// and one room test, inlined into the caller. A triple that would
+    /// fill the buffer takes [`write_all`](Self::write_all)'s path, so
+    /// flushes land exactly where per-value writes put them and the
+    /// buffer never passes `cap`.
+    #[inline]
+    pub fn write_triple(&mut self, u: u32, v: u32, w: u32) -> Result<()> {
+        if self.failed.is_some() || self.buf.len() + 3 * BYTES_PER_U32 as usize >= self.cap {
+            return self.write_all(&[u, v, w]);
+        }
+        let mut bytes = [0u8; 12];
+        bytes[..4].copy_from_slice(&u.to_le_bytes());
+        bytes[4..8].copy_from_slice(&v.to_le_bytes());
+        bytes[8..].copy_from_slice(&w.to_le_bytes());
+        self.buf.extend_from_slice(&bytes);
+        self.written_u32 += 3;
+        Ok(())
+    }
+
     /// Append a slice of values, encoding buffer-sized runs at a time
     /// (one capacity check per run, not one per value).
     pub fn write_all(&mut self, vs: &[u32]) -> Result<()> {
@@ -754,10 +773,10 @@ mod tests {
         let cap = w.cap;
         let mut first_err = None;
         for v in 0..100u32 {
-            let r = if v % 2 == 0 {
-                w.write(v)
-            } else {
-                w.write_all(&[v, v])
+            let r = match v % 3 {
+                0 => w.write(v),
+                1 => w.write_all(&[v, v]),
+                _ => w.write_triple(v, v, v),
             };
             assert!(w.buf.len() <= cap + 4, "buffered {} bytes", w.buf.len());
             match (&first_err, r) {
@@ -1135,6 +1154,37 @@ mod tests {
         );
         let mut r = U32Reader::open(&p_bulk, stats).unwrap();
         assert_eq!(r.read_all().unwrap(), vals);
+    }
+
+    #[test]
+    fn triples_mixed_with_other_writes_match_one_bulk_write() {
+        // Buffers of 1, 2, 4 and 5 values: a triple never fits the
+        // small ones, and straddles every flush of the others.
+        let vals: Vec<u32> = (0..200).map(|i| i * 7 + 3).collect();
+        let stats = IoStats::new();
+        let p_bulk = tmp("mixed-bulk");
+        let mut w = U32Writer::create(&p_bulk, stats.clone()).unwrap();
+        w.write_all(&vals).unwrap();
+        w.finish().unwrap();
+        let want = std::fs::read(&p_bulk).unwrap();
+        for buf in [1, 2, 4, 5] {
+            let p = tmp(&format!("mixed-{buf}"));
+            let mut w = U32Writer::with_buffer(&p, stats.clone(), buf).unwrap();
+            let mut rest = &vals[..];
+            for step in 0.. {
+                let n = [3, 1, 3, 2, 3, 3, 5][step % 7].min(rest.len());
+                let (now, later) = rest.split_at(n);
+                match now {
+                    [] => break,
+                    &[u, v, x] if step % 7 != 4 => w.write_triple(u, v, x).unwrap(),
+                    &[v] => w.write(v).unwrap(),
+                    _ => w.write_all(now).unwrap(),
+                }
+                rest = later;
+            }
+            assert_eq!(w.finish().unwrap(), vals.len() as u64, "buffer {buf}");
+            assert_eq!(std::fs::read(&p).unwrap(), want, "buffer {buf}");
+        }
     }
 
     #[test]

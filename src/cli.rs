@@ -665,17 +665,9 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
             })
             .map_err(|e| fail(&e))?;
             let scratch = ScratchDir::create(work_dir(&base, "list")).map_err(|e| fail(&e))?;
-            let (report, triangles) = runner
-                .run_listing(&dg, scratch.path())
+            let (report, written) = runner
+                .run_listing_to_file(&dg, scratch.path(), &path)
                 .map_err(|e| fail(&e))?;
-            let sink_stats = IoStats::new();
-            let mut sink =
-                pdtl_core::sink::FileSink::create(&path, sink_stats).map_err(|e| fail(&e))?;
-            use pdtl_core::sink::TriangleSink;
-            for (u, v, w) in triangles {
-                sink.emit(u, v, w);
-            }
-            let written = sink.finish().map_err(|e| fail(&e))?;
             writeln!(
                 out,
                 "listed {} triangles to {} ({} bytes)",

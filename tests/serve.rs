@@ -13,6 +13,8 @@ use pdtl::analytics::{clustering, ktruss};
 use pdtl::cluster::{
     Catalog, ClusterError, Message, QueryOperation, QueryOptions, ServeClient, ServeConfig, Server,
 };
+use pdtl::core::{LocalConfig, LocalRunner};
+use pdtl::graph::gen::classic::complete;
 use pdtl::graph::gen::rmat::rmat;
 use pdtl::graph::verify::{triangle_count, triangle_list};
 use pdtl::graph::{DiskGraph, Graph};
@@ -359,6 +361,51 @@ fn admission_blocks_without_deadlock_and_never_oversubscribes() {
     assert_eq!(reply.triangles, expected);
     let stats = server.shutdown();
     assert_eq!(stats.failed, 6);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn list_limit_replies_with_the_prefix_of_the_full_listing() {
+    // A clique is triangle-dense (T = C(n, 3)), so every worker lists
+    // thousands of triples: the limits below cut inside the first
+    // worker's share, around an even split, and past the end.
+    let g = complete(40).unwrap();
+    let t = triangle_count(&g);
+    let (dir, server) = boot("list-limit", &[("k", &g)], ServeConfig::default());
+    let mut client = ServeClient::connect(&server.addr()).unwrap();
+    let input = DiskGraph::open(dir.join("catalog").join("k"), &IoStats::new()).unwrap();
+    for cores in 1..=3 {
+        let options = QueryOptions {
+            cores,
+            budget_edges: 128,
+            ..Default::default()
+        };
+        // The whole listing in worker order, as a one-shot run plans it.
+        let runner = LocalRunner::new(LocalConfig {
+            cores: cores as usize,
+            budget: MemoryBudget::edges(128),
+            ..Default::default()
+        })
+        .unwrap();
+        let work = dir.join(format!("one-shot-{cores}"));
+        let (_, listing) = runner.run_listing(&input, &work).unwrap();
+        let list = |client: &mut ServeClient, limit: u32| {
+            let op = QueryOperation::List { limit };
+            client.query("k", op, options).unwrap()
+        };
+        let full = list(&mut client, t as u32);
+        assert_eq!((full.triangles, full.aux), (t, t), "{cores} cores");
+        assert_eq!(full.triples, listing, "{cores} cores");
+        assert_eq!(canon(listing), canon(triangle_list(&g)));
+        let (t32, share) = (t as u32, t as u32 / cores);
+        for limit in [0, 1, 1000, share - 1, share, share + 1, t32 - 1, t32 + 5] {
+            let reply = list(&mut client, limit);
+            let prefix = &full.triples[..limit.min(t32) as usize];
+            assert_eq!(reply.triples, prefix, "{cores} cores, limit {limit}");
+            assert_eq!((reply.triangles, reply.aux), (t, t), "{cores} cores");
+        }
+    }
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
