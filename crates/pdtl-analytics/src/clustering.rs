@@ -9,8 +9,11 @@
 //!   triplets.
 //!
 //! The per-vertex counts come from any triangle listing — these
-//! functions consume the `(u, v, w)` triples PDTL emits.
+//! functions consume the `(u, v, w)` triples PDTL emits, either as a
+//! slice or streamed into one [`VertexCountSink`] per engine worker,
+//! which holds `n` counters instead of the worker's triples.
 
+use pdtl_core::sink::TriangleSink;
 use pdtl_graph::Graph;
 
 /// Summary of a clustering analysis.
@@ -26,20 +29,52 @@ pub struct ClusteringReport {
     pub triangles: u64,
 }
 
+/// Per-vertex triangle counts of the triples it is offered: one per
+/// engine worker lets clustering consume the listing as it streams.
+#[derive(Debug, Clone)]
+pub struct VertexCountSink(Vec<u64>);
+
+impl VertexCountSink {
+    /// Zeroed counters for vertices `0..n`.
+    pub fn new(n: u32) -> Self {
+        Self(vec![0; n as usize])
+    }
+
+    /// The per-vertex counts of a run over vertices `0..n`: the sum
+    /// over its workers' sinks (zeros when no worker ran).
+    pub fn merge(n: u32, sinks: Vec<VertexCountSink>) -> Vec<u64> {
+        let mut counts = vec![0; n as usize];
+        for s in sinks {
+            counts.iter_mut().zip(s.0).for_each(|(c, x)| *c += x);
+        }
+        counts
+    }
+}
+
+impl TriangleSink for VertexCountSink {
+    fn emit(&mut self, u: u32, v: u32, w: u32) {
+        self.0[u as usize] += 1;
+        self.0[v as usize] += 1;
+        self.0[w as usize] += 1;
+    }
+}
+
 /// Accumulate per-vertex triangle counts from listed triples.
 pub fn per_vertex_counts(n: u32, triangles: &[(u32, u32, u32)]) -> Vec<u64> {
-    let mut counts = vec![0u64; n as usize];
+    let mut sink = VertexCountSink::new(n);
     for &(u, v, w) in triangles {
-        counts[u as usize] += 1;
-        counts[v as usize] += 1;
-        counts[w as usize] += 1;
+        sink.emit(u, v, w);
     }
-    counts
+    sink.0
 }
 
 /// Local clustering coefficients from a triangle listing.
 pub fn clustering_coefficients(g: &Graph, triangles: &[(u32, u32, u32)]) -> Vec<f64> {
-    let counts = per_vertex_counts(g.num_vertices(), triangles);
+    local_from_counts(g, &per_vertex_counts(g.num_vertices(), triangles))
+}
+
+/// Local clustering coefficients from per-vertex triangle counts.
+pub fn local_from_counts(g: &Graph, counts: &[u64]) -> Vec<f64> {
     (0..g.num_vertices())
         .map(|v| {
             let d = g.degree(v) as u64;
@@ -54,7 +89,12 @@ pub fn clustering_coefficients(g: &Graph, triangles: &[(u32, u32, u32)]) -> Vec<
 
 /// Average clustering coefficient over vertices of degree >= 2.
 pub fn global_clustering(g: &Graph, triangles: &[(u32, u32, u32)]) -> f64 {
-    let local = clustering_coefficients(g, triangles);
+    global_from_counts(g, &per_vertex_counts(g.num_vertices(), triangles))
+}
+
+/// Average clustering coefficient from per-vertex triangle counts.
+pub fn global_from_counts(g: &Graph, counts: &[u64]) -> f64 {
+    let local = local_from_counts(g, counts);
     let eligible: Vec<f64> = (0..g.num_vertices())
         .filter(|&v| g.degree(v) >= 2)
         .map(|v| local[v as usize])
@@ -144,6 +184,23 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1), (2, 3), (3, 4), (4, 2)]).unwrap();
         let r = analyze(&g, &triangle_list(&g));
         assert!((r.global - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn worker_sinks_merge_to_the_listing_counts() {
+        let g = wheel(8).unwrap();
+        let list = triangle_list(&g);
+        let mut sinks = vec![VertexCountSink::new(8), VertexCountSink::new(8)];
+        for (i, &(u, v, w)) in list.iter().enumerate() {
+            sinks[i % 2].emit(u, v, w);
+        }
+        let counts = VertexCountSink::merge(8, sinks);
+        assert_eq!(counts, per_vertex_counts(8, &list));
+        assert_eq!(
+            global_from_counts(&g, &counts).to_bits(),
+            global_clustering(&g, &list).to_bits()
+        );
+        assert_eq!(VertexCountSink::merge(3, Vec::new()), [0; 3]);
     }
 
     #[test]

@@ -37,7 +37,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pdtl_analytics::{clustering, ktruss};
+use pdtl_analytics::clustering::{self, VertexCountSink};
+use pdtl_analytics::ktruss;
 use pdtl_core::mgt::MgtOptions;
 use pdtl_core::orient::{orient_to_disk_with, OrientedGraph};
 use pdtl_core::sink::{CollectSink, CountSink, LimitSink, TriangleSink};
@@ -681,13 +682,14 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
             Ok(reply_from(&report, 0, listed, triples))
         }
         QueryOperation::Clustering => {
-            let (report, sinks) = run_mgt(shared, &entry, &opts, cores, CollectSink::default)?;
-            let triples = CollectSink::concat(sinks);
+            let make_sink = || VertexCountSink::new(entry.vertices);
+            let (report, sinks) = run_mgt(shared, &entry, &opts, cores, make_sink)?;
+            let counts = VertexCountSink::merge(entry.vertices, sinks);
             let g = entry
                 .input
                 .load_csr(&shared.catalog.io)
                 .map_err(|e| e.to_string())?;
-            let global = clustering::global_clustering(&g, &triples);
+            let global = clustering::global_from_counts(&g, &counts);
             let trans = clustering::transitivity(&g, report.triangles);
             Ok(reply_from(
                 &report,
