@@ -118,6 +118,14 @@
 //! 0.90 and 0.92 within 2.5 % of it and 0.93 7 % slower. A listing
 //! pays per triangle emitted, which no term counts, and is fastest
 //! later (0.93 at RMAT-15).
+//!
+//! These weights were fitted to the join's former bit marks. The same
+//! protocol on the byte-mark join reads raw 6 140 / 3 910 / 11 700 /
+//! 666 and delta-varint 12 500 / 4 680 / 17 000 / 814; they are not
+//! used. The raw set lets the greedy walk fall up to 13 % short of
+//! exhaustive search on small multi-pass graphs, past the 5 % the
+//! planner's test holds it to, and the delta-varint set's earlier cut
+//! made a 32 Ki count slower (ROADMAP, cost-aware balancing).
 
 use crate::metrics::PhaseReport;
 use crate::orient::{OrientedGraph, SketchBuckets};

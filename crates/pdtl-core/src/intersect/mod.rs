@@ -4,7 +4,7 @@
 //! the PATRIC / OPT-like / PowerGraph re-implementations
 //! (`pdtl-baselines`) and the benchmark's `intersect.*` probes report
 //! `N(u) ∩ N(v)` through these kernels. The modified MGT itself does not
-//! merge — its join marks `N(u)` in a dense bit array and probes
+//! merge — its join marks `N(u)` in a dense byte array and probes
 //! ([`crate::mgt`], step 2) — and neither does the compact-forward
 //! baseline, so nothing here is on the engine's hot path. The paper's
 //! implementation finding (§IV-A1) is that arrays beat any hash

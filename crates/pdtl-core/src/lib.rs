@@ -15,7 +15,7 @@
 //!    Triangulation engine (Algorithm 2) over its range: load `Θ(cM)`
 //!    oriented edges into the `edg`/`ind` arrays, then stream every
 //!    vertex's out-list through the `nm` scratch array and report
-//!    triangles by marking it in a dense bit array and probing the
+//!    triangles by marking it in a dense byte array and probing the
 //!    resident segments it reaches — arrays, not hash sets, which the
 //!    paper found >10× faster.
 //! 4. **Aggregation** ([`runner`]): the multicore [`LocalRunner`] wires the

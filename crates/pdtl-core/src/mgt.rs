@@ -11,10 +11,10 @@
 //! 2. **Scan** — stream vertex out-lists `N(u)` from disk into the `nm`
 //!    array; compute `N⁺(u)` (those `v ∈ N(u)` with resident out-edges)
 //!    via O(1) `ind` probes; then join `N(u)` with the chunk by
-//!    **mark and probe**: set the bit of every entry of `nm` above the
-//!    first such `v` in a per-worker `n`-bit array, report `(u, v, w)`
-//!    for each `w` in each `v`'s resident segment whose bit is set, and
-//!    clear the bits again (`ChunkIndex::join`). The marks are the
+//!    **mark and probe**: set the byte of every entry of `nm` above the
+//!    first such `v` in a per-worker `n`-byte array, report `(u, v, w)`
+//!    for each `w` in each `v`'s resident segment whose byte is set, and
+//!    clear the bytes again (`ChunkIndex::join`). The marks are the
 //!    paper's "arrays, not hash structures" (§IV-A1) once more — `ind`
 //!    is already a dense array indexed by vertex — and the probes cost
 //!    `Σ_v d⁺(v)·d⁻(v)`, inside Theorem IV.3's `O(α|E|)`.
@@ -59,12 +59,15 @@
 //!
 //! The join replaced a sorted merge of `nm[idx+1..]` with each segment
 //! (~180 list elements per `(u, v)` pair on RMAT-17 at ~2.7 ns each —
-//! mispredicted merge branches, not memory); a probe is a load, a shift
+//! mispredicted merge branches, not memory); a probe is one byte load
 //! and an add. The merge kernels of [`crate::intersect`] remain the
-//! primitive of the baselines and of the benchmark's oracle. Memory per
-//! worker beside the `Θ(M)` chunk: `n/8` bytes of marks and up to
+//! primitive of the baselines. Memory per worker beside the `Θ(M)`
+//! chunk: `n` bytes of marks (128 KiB at RMAT-17) and up to
 //! `4·d*_max` bytes of compacted hits (listing sinks only), next to the
-//! `20n` bytes per graph of `offsets` + `sketch` + `ids`.
+//! `20n` bytes per graph of `offsets` + `sketch` + `ids`. A byte per
+//! vertex rather than a bit takes the index shift, the variable shift
+//! and the mask off every probe (ARCHITECTURE, "Why a byte per vertex,
+//! not a bit").
 //!
 //! On top of that, [`MgtOptions::backend`] selects how the remaining
 //! I/O is performed. The I/O *plan* — which blocks of the adjacency are
@@ -439,20 +442,20 @@ impl ChunkIndex<'_> {
     /// chunk `edg`, as one mark-and-probe pass (Chiba–Nishizeki's
     /// marking scheme over the dense vertex range):
     ///
-    /// 1. **mark** — set the bit of every entry of `nm` above the first
+    /// 1. **mark** — set the byte of every entry of `nm` above the first
     ///    `v ∈ N⁺(u)` (entries of `nm` with resident out-edges; `nm` is
     ///    sorted, so restrict to `[vlow, vhigh]` first);
     /// 2. **probe** — for each such `v`, every `w` in `v`'s resident
-    ///    segment whose bit is set closes the triangle `(u, v, w)`.
+    ///    segment whose byte is set closes the triangle `(u, v, w)`.
     ///    Out-neighbours ascend, so every probed `w > v`: marks at or
     ///    below `v` are never read and the suffix rule needs no test;
     /// 3. **clear** — unset exactly what step 1 set.
     ///
-    /// The probe is one load, one shift and one add per `w`, with no
+    /// The probe is one byte load and one add per `w`, with no
     /// branch on the outcome — the sorted merge this replaces spent its
     /// time in mispredicted compare branches, not in memory. That is
     /// why counting and listing differ: a counting sink
-    /// ([`TriangleSink::COUNTS_ONLY`]) sums the bits, and a listing
+    /// ([`TriangleSink::COUNTS_ONLY`]) sums the bytes, and a listing
     /// sink gets its hits compacted branch-free first and translated to
     /// original ids after, so neither loop branches per probe. Triples
     /// come out in the merge's order: `v` ascending, then `w`
@@ -504,12 +507,12 @@ impl ChunkIndex<'_> {
     }
 }
 
-/// Per-worker scratch of [`ChunkIndex::join`]: `n/8` bytes of marks and
+/// Per-worker scratch of [`ChunkIndex::join`]: `n` bytes of marks and
 /// up to `4·d*_max` bytes of hits (the module doc sets them beside what
 /// a worker already holds).
 struct JoinScratch {
-    /// One bit per vertex, all zero between joins.
-    marks: Vec<u64>,
+    /// One byte per vertex, 1 = marked, all zero between joins.
+    marks: Vec<u8>,
     /// The marked entries of the segment probed last (listing sinks
     /// only; grows to the longest segment seen).
     hits: Vec<u32>,
@@ -518,42 +521,52 @@ struct JoinScratch {
 impl JoinScratch {
     fn new(n: u32) -> Self {
         Self {
-            marks: vec![0; (n as usize).div_ceil(64)],
+            marks: vec![0; n as usize],
             hits: Vec::new(),
         }
     }
 
     fn mark(&mut self, ws: &[u32]) {
         for &w in ws {
-            self.marks[(w >> 6) as usize] |= 1 << (w & 63);
+            self.marks[w as usize] = 1;
         }
     }
 
-    /// Undo [`Self::mark`]`(ws)`: no other bit is set, so zeroing the
-    /// words `ws` touches clears exactly the bits it set.
+    /// Undo [`Self::mark`]`(ws)`.
     fn clear(&mut self, ws: &[u32]) {
         for &w in ws {
-            self.marks[(w >> 6) as usize] = 0;
+            self.marks[w as usize] = 0;
         }
     }
 
     fn is_clear(&self) -> bool {
-        self.marks.iter().all(|&word| word == 0)
+        self.marks.iter().all(|&m| m == 0)
     }
 
-    #[inline(always)]
-    fn bit(&self, w: u32) -> u64 {
-        (self.marks[(w >> 6) as usize] >> (w & 63)) & 1
-    }
-
-    /// How many of `ws` are marked.
+    /// How many of `ws` are marked: the mark bytes summed in four
+    /// independent accumulators, so consecutive probes do not wait on
+    /// one add chain. A segment is shorter than `2³²`, so no lane
+    /// overflows.
     #[inline(always)]
     fn count_marked(&self, ws: &[u32]) -> u64 {
-        ws.iter().map(|&w| self.bit(w)).sum()
+        let m = &self.marks;
+        let mut acc = [0u32; 4];
+        let quads = ws.chunks_exact(4);
+        let tail = quads.remainder();
+        for q in quads {
+            acc[0] += u32::from(m[q[0] as usize]);
+            acc[1] += u32::from(m[q[1] as usize]);
+            acc[2] += u32::from(m[q[2] as usize]);
+            acc[3] += u32::from(m[q[3] as usize]);
+        }
+        for &w in tail {
+            acc[0] += u32::from(m[w as usize]);
+        }
+        acc.iter().map(|&a| u64::from(a)).sum()
     }
 
     /// The marked entries of `ws`, in order: every `w` is stored at the
-    /// cursor and the cursor advances by its bit, so a miss is
+    /// cursor and the cursor advances by its mark, so a miss is
     /// overwritten by the next entry.
     #[inline(always)]
     fn marked_of(&mut self, ws: &[u32]) -> &[u32] {
@@ -563,7 +576,7 @@ impl JoinScratch {
         let mut k = 0usize;
         for &w in ws {
             self.hits[k] = w;
-            k += self.bit(w) as usize;
+            k += usize::from(self.marks[w as usize]);
         }
         &self.hits[..k]
     }
@@ -1237,6 +1250,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn byte_marks_count_and_compact_every_segment_length() {
+        let n = 37u32;
+        let mut scratch = JoinScratch::new(n);
+        // Vertex 0, vertex n - 1 and a scatter between them.
+        let marked: Vec<u32> = vec![0, 3, 4, 9, 17, 18, 30, n - 1];
+        scratch.mark(&marked);
+        let is_marked = |w: u32| marked.contains(&w);
+        // Every remainder of the 4-way unroll, twice over; vertex 0 and
+        // vertex n - 1 land both in a quad and in the remainder.
+        for len in 0..=9usize {
+            for start in [0u32, 1, 2, 3, n - 9] {
+                let ws: Vec<u32> = (0..len as u32).map(|i| (start + 4 * i) % n).collect();
+                let naive = ws.iter().filter(|&&w| is_marked(w)).count() as u64;
+                assert_eq!(scratch.count_marked(&ws), naive, "len {len} from {start}");
+                let hits: Vec<u32> = ws.iter().copied().filter(|&w| is_marked(w)).collect();
+                assert_eq!(scratch.marked_of(&ws), hits, "len {len} from {start}");
+            }
+        }
+        let all: Vec<u32> = (0..n).collect();
+        assert_eq!(scratch.count_marked(&all), marked.len() as u64);
+        assert_eq!(scratch.marked_of(&all), marked);
+        assert!(!scratch.is_clear());
+        scratch.clear(&marked);
+        assert!(scratch.is_clear());
+        assert_eq!(scratch.count_marked(&all), 0);
+        assert!(scratch.marked_of(&all).is_empty());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use pdtl_io::{IoError, IoStats, Result, U32Writer};
 pub trait TriangleSink {
     /// `true` when [`emit`](Self::emit) ignores its arguments, so the
     /// engine may count a pivot's triangles without producing them
-    /// (its join then sums mark bits instead of compacting hits). A
+    /// (its join then sums mark bytes instead of compacting hits). A
     /// constant rather than a method: the choice is made per sink type
     /// at compile time, so no probe carries a branch for it.
     const COUNTS_ONLY: bool = false;

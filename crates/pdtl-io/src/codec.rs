@@ -770,11 +770,23 @@ impl<T: U32Source> U32Source for VarintSource<T> {
             return Ok(());
         }
         self.settle();
+        let (run_start, run_end) = (
+            self.index.decoded[self.vertex],
+            self.index.decoded[self.vertex + 1],
+        );
+        // Exactly one whole run (the pruned scan): the next run starts
+        // at the byte this one ends on — zero-degree runs between them
+        // hold no bytes — so no fencepost search is needed.
+        if self.pos == run_start && target == run_end {
+            self.byte_skip_to(self.index.bytes[self.vertex + 1])?;
+            self.vertex += 1;
+            self.pos = target;
+            self.next = 0;
+            return Ok(());
+        }
         // Only from inside a run to further inside it must the values
         // in between be decoded (the next one is a gap from them).
-        if self.pos > self.index.decoded[self.vertex]
-            && target < self.index.decoded[self.vertex + 1]
-        {
+        if self.pos > run_start && target < run_end {
             return self.discard_in_run(target - self.pos);
         }
         // Anything else starts from a run's first byte, which the index
@@ -1258,6 +1270,49 @@ mod tests {
         assert_eq!(out, [runs[long][4]]);
         src.seek_to(start + 3).unwrap();
         assert_eq!(src.values_decoded(), 5 + 3);
+    }
+
+    #[test]
+    fn whole_run_skips_move_by_the_index_alone() {
+        // The pruned scan: from each run start, either read the run or
+        // skip exactly it. Zero-degree runs sit between them (the scan
+        // passes them by without a call), and the stream spans several
+        // refills of the decode buffer.
+        let runs = make_runs(12_000, 47);
+        assert!(runs.iter().any(|r| r.is_empty()));
+        let (index, p) = write_fixture("whole-runs", &runs);
+        // A refill fetches at most `FETCH_WORDS` words.
+        assert!(index.encoded_bytes() > 3 * 4 * FETCH_WORDS as u64);
+        for keep in [2usize, 3, 7] {
+            let stats = IoStats::new();
+            let mut src = open_source(&index, &p, &stats);
+            let (mut out, mut want) = (Vec::new(), Vec::new());
+            for (i, run) in runs.iter().enumerate() {
+                if run.is_empty() {
+                    continue;
+                }
+                if i % keep == 0 {
+                    src.read_into(&mut out, run.len()).unwrap();
+                    want.extend_from_slice(run);
+                } else {
+                    let before = src.values_decoded();
+                    src.skip(run.len() as u64).unwrap();
+                    assert_eq!(src.values_decoded(), before, "run {i}: skip decoded");
+                }
+                assert_eq!(src.position(), index.decoded[i + 1], "run {i}");
+            }
+            assert_eq!(out, want, "every {keep}th run read");
+            assert_eq!(src.values_decoded(), want.len() as u64);
+            assert_eq!(src.position(), index.decoded_len());
+            // At end-of-file a skip is a no-op and a seek still lands.
+            src.skip(1).unwrap();
+            assert_eq!(src.position(), index.decoded_len());
+            let mid = runs.iter().position(|r| r.len() >= 3).unwrap();
+            src.seek_to(index.decoded[mid] + 1).unwrap();
+            out.clear();
+            src.read_into(&mut out, 2).unwrap();
+            assert_eq!(out, runs[mid][1..3]);
+        }
     }
 
     /// Hand-assembled stream: `runs` are raw encoded bytes per vertex,
