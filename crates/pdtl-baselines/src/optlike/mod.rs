@@ -20,7 +20,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pdtl_core::intersect::intersect_count;
-use pdtl_core::orient::orient_csr;
+use pdtl_core::orient::{orient_csr, require_raw_input};
 use pdtl_core::par;
 use pdtl_graph::disk::offsets_from_degrees;
 use pdtl_graph::{DiskGraph, Graph};
@@ -50,6 +50,7 @@ pub fn create_database(
     out_base: &Path,
     stats: &Arc<IoStats>,
 ) -> Result<OptDatabase> {
+    require_raw_input(input)?;
     let timer = pdtl_io::CpuIoTimer::start(stats.clone());
     let before = stats.total_bytes();
 

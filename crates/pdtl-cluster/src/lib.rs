@@ -22,6 +22,7 @@
 
 pub mod error;
 pub mod fault;
+mod master;
 pub mod message;
 pub mod netmodel;
 pub mod node;

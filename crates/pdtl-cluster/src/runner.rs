@@ -14,27 +14,17 @@
 //!
 //! # Failure model
 //!
-//! There is one gather loop and it tolerates failure: an event loop
-//! that polls every live node with a short
-//! [`Transport::recv_deadline`] and drives three mechanisms:
-//!
-//! * **Detection** — nodes heartbeat (`Message::Progress`) every
-//!   [`ClusterConfig::heartbeat`] while working; a node silent for
-//!   longer than [`ClusterConfig::node_deadline`] is declared failed,
-//!   distinguishing a wedged node from a merely slow one. Disconnects
-//!   and `NodeError` replies fail a node immediately.
-//! * **Retry** — a failed replica copy is repeated and a failed node is
-//!   respawned (same id, same replica) through the same loop
-//!   (`Gather::retry`): up to [`RetryPolicy::max_attempts`] attempts of
-//!   each, with deterministic exponential backoff between attempts.
-//! * **Reassignment** — a node that exhausts its budget is recorded in
-//!   [`ClusterReport::failed_nodes`] and its unfinished ranges are
-//!   re-dispatched to surviving nodes (every node holds a full
-//!   replica, so any node can compute any range). If *no* node
-//!   survives, the master computes the orphans itself on an in-process
-//!   fallback node. Each range is counted exactly once: results from a
-//!   dispatch that later fails are discarded wholesale, and a range's
-//!   summary is committed only when its `Results` message validates.
+//! Every decision — that a node failed, whether to retry it (up to
+//! [`RetryPolicy::max_attempts`] per stage, after a deterministic
+//! backoff), where its ranges go, which `Results` commit — is made by
+//! one pure state machine in `master.rs`. This module is the one loop
+//! that drives it, owning the connections, node threads, replica copies
+//! and the clock. It polls every dispatch in flight with a short
+//! [`Transport::recv_deadline`], and a backoff is a deadline waited out
+//! while every other node is polled. Nodes heartbeat every
+//! [`ClusterConfig::heartbeat`], so a node silent past
+//! [`ClusterConfig::node_deadline`] is wedged, not slow. Details:
+//! `docs/ARCHITECTURE.md`, "Failure model".
 
 use std::path::Path;
 use std::sync::Arc;
@@ -45,15 +35,16 @@ use pdtl_core::balance::{plan_ranges, BalanceStrategy};
 use pdtl_core::mgt::MgtOptions;
 use pdtl_core::orient::{orient_to_disk_with, OrientedGraph};
 use pdtl_graph::{DiskGraph, GraphError, Manifest};
-use pdtl_io::diskfault::{DiskFaultKind, DiskFaultSpec};
+use pdtl_io::diskfault::DiskFaultSpec;
 use pdtl_io::{IoStats, MemoryBudget};
 
 use crate::error::{ClusterError, Result};
-use crate::fault::{FaultKind, FaultPlan, ResolvedFaults};
-use crate::message::{Message, NodeDirectives, NodeFault, WorkerConfig, WorkerSummary};
+use crate::fault::{FaultKind, FaultPlan};
+use crate::master::{Do, Event, Master, What};
+use crate::message::Message;
 use crate::netmodel::NetTraffic;
 use crate::node::serve_node;
-use crate::report::{ClusterReport, NetSnapshot, NodeReport};
+use crate::report::{ClusterReport, NetSnapshot};
 use crate::transport::{in_proc_pair, TcpTransport, Transport};
 
 /// How long each poll of a live node waits before rotating to the next.
@@ -73,7 +64,8 @@ pub enum TransportKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (>= 1) at each stage of a node's life — its
-    /// replica copy, then its dispatches: the first attempt plus up to
+    /// replica copy, its own ranges, then each batch of ranges
+    /// reassigned to it: the first attempt plus up to
     /// `max_attempts - 1` repeats.
     pub max_attempts: u32,
     /// Base backoff delay; the wait before retry `k` grows
@@ -126,7 +118,7 @@ pub struct ClusterConfig {
     /// Transport carrying the protocol messages.
     pub transport: TransportKind,
     /// MGT engine knobs, shipped to every worker via its
-    /// [`WorkerConfig`].
+    /// [`WorkerConfig`](crate::message::WorkerConfig).
     pub mgt: MgtOptions,
     /// Retry/backoff budget for replica copies and node dispatches;
     /// what outlives it is reassigned.
@@ -161,459 +153,176 @@ impl Default for ClusterConfig {
     }
 }
 
-/// The serving thread behind a dispatch, joined when the run ends.
+/// The serving thread behind a connection, joined when the run ends.
 type NodeHandle = JoinHandle<Result<()>>;
 
-/// A live dispatch: one open connection to a serving node thread.
-struct Live {
+/// One open connection to a serving node thread.
+struct Conn {
     endpoint: Box<dyn Transport>,
     handle: NodeHandle,
-    /// Global range indices of the in-flight dispatch.
-    assigned: Vec<usize>,
-    /// Whether this dispatch consumed injected-fault charges (initial
-    /// and respawn dispatches do; recovery dispatches never do — the
-    /// plan models remote hosts failing, not the recovery path).
-    faulted: bool,
-    /// Triangles buffered for the current dispatch; merged into the
-    /// run's listing only when its `Results` validates, discarded on
-    /// failure, so a re-dispatched range never lists twice.
-    triples: Vec<(u32, u32, u32)>,
-    last_heard: Instant,
+    /// The dispatch sent over it last; its frames answer this number.
+    dispatch: u64,
     started: Instant,
+    last_heard: Instant,
 }
 
-/// Liveness of one node slot.
-enum SlotState {
-    /// A dispatch is in flight.
-    Running(Live),
-    /// The last dispatch completed; the connection stays open so the
-    /// slot can absorb reassigned ranges or a final `Shutdown`.
-    Done(Live),
-    /// Not serving: never started, terminally failed, or shut down.
-    Dead,
-}
-
-/// One node's accumulated account across all its dispatches.
-struct Slot {
-    id: usize,
-    /// Replica path dispatches against this slot read from.
-    base: String,
-    /// Wall time and size of the replica copy that landed (zero for
-    /// the master's original and for a copy that never did).
-    copy: Duration,
-    copy_bytes: u64,
-    /// Attempts made at the slot's current stage — replica copy, then
-    /// dispatches (the retry budget counts these).
-    attempts: u32,
-    state: SlotState,
-    /// Committed per-worker summaries, in acceptance order.
-    summaries: Vec<WorkerSummary>,
-    /// Busy wall time summed over successful dispatches.
-    wall: Duration,
-    /// Ranges absorbed from failed peers.
-    reassigned: u64,
-    /// Always spawn this slot's node in-process (the master-local
-    /// fallback), regardless of the configured transport.
-    local: bool,
-    last_error: String,
-}
-
-impl Slot {
-    fn new(id: usize, base: String, local: bool) -> Self {
-        Slot {
-            id,
-            base,
-            copy: Duration::ZERO,
-            copy_bytes: 0,
-            attempts: 0,
-            state: SlotState::Dead,
-            summaries: Vec::new(),
-            wall: Duration::ZERO,
-            reassigned: 0,
-            local,
-            last_error: String::new(),
-        }
-    }
-}
-
-/// Mutable state of one run's dispatch/gather machinery.
-struct Gather<'a> {
+/// Performs what [`Master`] decides, and reports back.
+struct Driver<'a> {
     cfg: &'a ClusterConfig,
     traffic: Arc<NetTraffic>,
-    /// The fault plan's remaining charges.
-    faults: ResolvedFaults,
-    /// All `N·P` ranges as `(start, end)` pairs, by global index.
-    ranges: Vec<(u64, u64)>,
-    /// Exactly-once ledger: `completed[g]` is set when range `g`'s
-    /// summary is committed, and checked before any commit.
-    completed: Vec<bool>,
-    slots: Vec<Slot>,
-    listed: Option<Vec<(u32, u32, u32)>>,
-    retries: u64,
-    reassigned: u64,
-    failed: Vec<usize>,
-    /// Handles of failed dispatches, joined once every endpoint is
-    /// dropped (joining earlier could block on a wedged node).
+    og: &'a OrientedGraph,
+    stats: &'a Arc<IoStats>,
+    /// Open connections, by node.
+    conns: Vec<Option<Conn>>,
+    /// Backoff deadlines: `(when, node, dispatch)`.
+    waits: Vec<(Instant, usize, u64)>,
+    /// Threads behind dropped connections, joined at the end (joining
+    /// earlier could block on a wedged node).
     reap: Vec<NodeHandle>,
-    /// The master's own oriented copy, for the local fallback node.
-    master_base: String,
 }
 
-impl Gather<'_> {
-    fn spawn_endpoint(&self, id: usize, local: bool) -> Result<(Box<dyn Transport>, NodeHandle)> {
-        let kind = if local {
-            TransportKind::InProc
-        } else {
-            self.cfg.transport
-        };
-        Ok(match kind {
-            TransportKind::InProc => {
+impl Driver<'_> {
+    /// The one loop. Actions are performed depth first — one answered at
+    /// once (a copy, a `Config` that does not go out) is stepped before
+    /// the next, so each node starts as soon as its replica lands. Then
+    /// a round feeds back the passed backoff deadlines and one poll of
+    /// each dispatch in flight, none waiting past the earliest deadline;
+    /// with nothing to poll (every live node backing off) it parks. Once
+    /// the master has finished, every node is shut down.
+    fn run(&mut self, master: &mut Master) {
+        let silence = (!self.cfg.heartbeat.is_zero()).then_some(self.cfg.node_deadline);
+        let mut todo = master.start();
+        loop {
+            todo.reverse();
+            while let Some((i, dispatch, what)) = todo.pop() {
+                if let Some(what) = self.perform(i, dispatch, what) {
+                    todo.extend(master.step((i, dispatch, what)).into_iter().rev());
+                }
+            }
+            if master.finished() {
+                return self.finish();
+            }
+            let now = Instant::now();
+            let (due, later) = self.waits.drain(..).partition(|w| w.0 <= now);
+            self.waits = later;
+            let mut events: Vec<Event> = due
+                .into_iter()
+                .map(|(_, i, d)| (i, d, What::Woke))
+                .collect();
+            let wait = self
+                .waits
+                .iter()
+                .fold(POLL, |w, &(when, ..)| w.min(when - now));
+            let mut polled = false;
+            for (i, conn) in self.conns.iter_mut().enumerate() {
+                let Some(conn) = conn.as_mut().filter(|c| master.awaits(i, c.dispatch)) else {
+                    continue;
+                };
+                polled = true;
+                let what = match conn.endpoint.recv_deadline(wait) {
+                    Ok(msg) => {
+                        conn.last_heard = Instant::now();
+                        What::Frame(msg, conn.started.elapsed())
+                    }
+                    Err(ClusterError::Timeout { .. }) => {
+                        match silence.filter(|&d| conn.last_heard.elapsed() > d) {
+                            Some(d) => What::Lost(format!("no progress within {d:?}")),
+                            None => continue,
+                        }
+                    }
+                    Err(e) => What::Lost(e.to_string()),
+                };
+                events.push((i, conn.dispatch, what));
+            }
+            if !polled && events.is_empty() {
+                std::thread::park_timeout(wait);
+            }
+            todo = events.into_iter().flat_map(|e| master.step(e)).collect();
+        }
+    }
+
+    /// Perform one action; returns its answer when it has one at once.
+    fn perform(&mut self, i: usize, dispatch: u64, what: Do) -> Option<What> {
+        match what {
+            Do::Copy(base, corrupt) => {
+                let started = Instant::now();
+                let landed = self.copy(Path::new(&base), corrupt);
+                let landed = landed.map(|bytes| (started.elapsed(), bytes));
+                Some(What::Copied(landed.map_err(|e| e.to_string())))
+            }
+            Do::Dispatch(config, local) => {
+                let sent = self.dispatch(i, dispatch, &config, local);
+                sent.err().map(|e| What::Lost(e.to_string()))
+            }
+            Do::Retire => {
+                self.reap
+                    .extend(self.conns[i].take().map(|conn| conn.handle));
+                None
+            }
+            Do::Wait(delay) => {
+                self.waits.push((Instant::now() + delay, i, dispatch));
+                None
+            }
+        }
+    }
+
+    /// Copy the oriented graph to `base`, apply any injected corruption,
+    /// and digest the landed files against the manifest they shipped
+    /// with — a mismatch is a failed copy, and the retry re-copies from
+    /// the healthy master original (self-healing).
+    fn copy(&self, base: &Path, corrupt: Option<DiskFaultSpec>) -> Result<u64> {
+        let bytes = self.og.replicate_to(base, self.stats)?;
+        if let Some(spec) = corrupt {
+            spec.apply(base)?;
+        }
+        verify_replica(base)?;
+        self.traffic.add_graph(bytes);
+        Ok(bytes)
+    }
+
+    /// Send `config` over node `i`'s idle connection, or a fresh one to
+    /// a new node thread (in-process when `local`). A connection that
+    /// will not take it is dropped: the next attempt starts afresh.
+    fn dispatch(&mut self, i: usize, dispatch: u64, config: &Message, local: bool) -> Result<()> {
+        let (endpoint, handle) = match self.conns[i].take() {
+            Some(conn) => (conn.endpoint, conn.handle),
+            None if local || self.cfg.transport == TransportKind::InProc => {
                 let (master_end, node_end) = in_proc_pair(self.traffic.clone());
                 let handle = std::thread::spawn(move || serve_node(&node_end));
                 (Box::new(master_end) as Box<dyn Transport>, handle)
             }
-            TransportKind::Tcp => {
-                let node = crate::tcp::TcpNode::spawn(id, self.traffic.clone())?;
-                let addr = node.addr.clone();
-                let handle = std::thread::spawn(move || node.join());
-                let master_end = TcpTransport::connect(&addr, self.traffic.clone())?;
-                (Box::new(master_end), handle)
+            None => {
+                let node = crate::tcp::TcpNode::spawn(i, self.traffic.clone())?;
+                let endpoint = TcpTransport::connect(&node.addr, self.traffic.clone())?;
+                (
+                    Box::new(endpoint) as _,
+                    std::thread::spawn(move || node.join()),
+                )
             }
-        })
-    }
-
-    /// The `Config` record dispatching `assigned` to slot `i` — the one
-    /// builder under initial, respawn and recovery dispatches.
-    fn config(
-        &self,
-        i: usize,
-        assigned: &[usize],
-        fault: NodeFault,
-        read_fault: Option<u64>,
-    ) -> Message {
-        let mgt = &self.cfg.mgt;
-        Message::Config {
-            node: self.slots[i].id as u32,
-            graph_base: self.slots[i].base.clone(),
-            workers: assigned
-                .iter()
-                .map(|&g| WorkerConfig {
-                    start: self.ranges[g].0,
-                    end: self.ranges[g].1,
-                    budget_edges: self.cfg.budget.edges as u64,
-                    scan_pruning: mgt.scan_pruning,
-                    backend: mgt.backend,
-                    io_latency_us: mgt.io_latency.as_micros().min(u32::MAX as u128) as u32,
-                    read_fault,
-                    codec: mgt.codec,
-                })
-                .collect(),
-            listing: self.cfg.listing,
-            directives: NodeDirectives {
-                heartbeat_ms: self.cfg.heartbeat.as_millis().min(u32::MAX as u128) as u32,
-                fault,
-            },
-        }
-    }
-
-    /// One dispatch attempt of `assigned` to slot `i`: over the slot's
-    /// open connection when its last dispatch completed, to a freshly
-    /// spawned node thread otherwise. Consumes fault charges when
-    /// `faulted`. A connection that will not take the record is retired,
-    /// so the next attempt spawns afresh from the slot's replica.
-    fn try_dispatch(&mut self, i: usize, assigned: &[usize], faulted: bool) -> Result<()> {
-        let (id, local) = (self.slots[i].id, self.slots[i].local);
-        self.slots[i].attempts += 1;
-        let (fault, read_fault) = if faulted {
-            self.faults.dispatch_faults(id)
-        } else {
-            (NodeFault::None, None)
         };
-        let (endpoint, handle) = match std::mem::replace(&mut self.slots[i].state, SlotState::Dead)
-        {
-            SlotState::Done(live) => (live.endpoint, live.handle),
-            _ => self.spawn_endpoint(id, local)?,
-        };
-        if let Err(e) = endpoint.send(&self.config(i, assigned, fault, read_fault)) {
-            drop(endpoint);
+        if let Err(e) = endpoint.send(config) {
             self.reap.push(handle);
             return Err(e);
         }
-        self.slots[i].state = SlotState::Running(Live {
+        let now = Instant::now();
+        let (started, last_heard) = (now, now);
+        self.conns[i] = Some(Conn {
             endpoint,
             handle,
-            assigned: assigned.to_vec(),
-            faulted,
-            triples: Vec::new(),
-            last_heard: Instant::now(),
-            started: Instant::now(),
+            dispatch,
+            started,
+            last_heard,
         });
         Ok(())
     }
 
-    /// One replica-copy attempt for slot `i`: copy the oriented graph
-    /// to the slot's base, apply any injected corruption, and digest the
-    /// landed files against the manifest they shipped with — a mismatch
-    /// is a failed copy, and the retry re-copies from the healthy master
-    /// original (self-healing).
-    fn try_copy(&mut self, i: usize, og: &OrientedGraph, stats: &Arc<IoStats>) -> Result<()> {
-        let id = self.slots[i].id;
-        self.slots[i].attempts += 1;
-        let started = Instant::now();
-        if self.faults.copy_fail(id) {
-            return Err(pdtl_io::IoError::malformed(
-                "<fault-injected>",
-                format!("injected replica copy failure for node {id}"),
-            )
-            .into());
-        }
-        let base = Path::new(&self.slots[i].base);
-        let bytes = og.replicate_to(base, stats)?;
-        if let Some(target) = self.faults.corrupt_replica(id) {
-            // Injected silent media corruption on the landed replica,
-            // seeded per (node, attempt) so runs are reproducible.
-            DiskFaultSpec {
-                kind: DiskFaultKind::BitFlip,
-                target,
-                seed: 0x5D15_C0DE ^ ((id as u64) << 8) ^ u64::from(self.slots[i].attempts),
-            }
-            .apply(base)?;
-        }
-        verify_replica(base)?;
-        self.traffic.add_graph(bytes);
-        self.slots[i].copy = started.elapsed();
-        self.slots[i].copy_bytes = bytes;
-        Ok(())
-    }
-
-    /// The one retry loop, under replica copies and node dispatches
-    /// alike: run `op` against slot `i` until it succeeds or the slot's
-    /// attempt budget ([`RetryPolicy::max_attempts`]; `op` counts its
-    /// own attempts) is spent, backing off before every repeat. `failure`
-    /// is the error of an attempt already made and lost — a dispatch
-    /// that died in flight. Exhaustion records the node as failed and
-    /// leaves the slot dead, its ranges for reassignment.
-    fn retry(
-        &mut self,
-        i: usize,
-        mut failure: Option<String>,
-        mut op: impl FnMut(&mut Self) -> Result<()>,
-    ) -> bool {
-        loop {
-            if let Some(detail) = failure.take() {
-                let policy = &self.cfg.retry;
-                let slot = &mut self.slots[i];
-                slot.last_error = detail;
-                if slot.attempts >= policy.max_attempts {
-                    slot.state = SlotState::Dead;
-                    self.failed.push(slot.id);
-                    return false;
-                }
-                self.retries += 1;
-                std::thread::sleep(policy.backoff(slot.id, slot.attempts));
-            }
-            match op(self) {
-                Ok(()) => return true,
-                Err(e) => failure = Some(e.to_string()),
-            }
-        }
-    }
-
-    /// Dispatch `assigned` to slot `i`, retrying under the policy.
-    fn start(&mut self, i: usize, assigned: Vec<usize>, faulted: bool) {
-        self.retry(i, None, |g| g.try_dispatch(i, &assigned, faulted));
-    }
-
-    /// The one failure entry point for a dispatch in flight on slot
-    /// `i` — error reply, bad `Results`, disconnect or deadline
-    /// silence: the endpoint is dropped (unblocking the node thread,
-    /// which is reaped later), its buffered triangles are discarded,
-    /// and the same ranges are re-dispatched under the retry policy.
-    fn fail(&mut self, i: usize, detail: String) {
-        let state = std::mem::replace(&mut self.slots[i].state, SlotState::Dead);
-        let SlotState::Running(live) = state else {
-            self.slots[i].state = state;
-            return;
-        };
-        drop(live.endpoint);
-        self.reap.push(live.handle);
-        self.retry(i, Some(detail), |g| {
-            g.try_dispatch(i, &live.assigned, live.faulted)
-        });
-    }
-
-    /// Validate and commit a `Results` message from slot `i`. An `Err`
-    /// carries the mismatch detail and leaves the slot running so the
-    /// caller can fail it (the dispatch's ranges stay uncommitted).
-    fn accept(
-        &mut self,
-        i: usize,
-        from: u32,
-        workers: Vec<WorkerSummary>,
-    ) -> std::result::Result<(), String> {
-        let state = std::mem::replace(&mut self.slots[i].state, SlotState::Dead);
-        let mut live = match state {
-            SlotState::Running(l) => l,
-            other => {
-                self.slots[i].state = other;
-                return Err("Results from a node with no dispatch in flight".into());
-            }
-        };
-        let check = || -> std::result::Result<(), String> {
-            if from as usize != self.slots[i].id {
-                return Err(format!(
-                    "Results claim node {from}, slot is node {}",
-                    self.slots[i].id
-                ));
-            }
-            if workers.len() != live.assigned.len() {
-                return Err(format!(
-                    "{} summaries for {} assigned ranges",
-                    workers.len(),
-                    live.assigned.len()
-                ));
-            }
-            for (s, &g) in workers.iter().zip(live.assigned.iter()) {
-                let (start, end) = self.ranges[g];
-                if s.start != start || s.end != end {
-                    return Err(format!(
-                        "summary for [{}, {}) does not match assigned range [{start}, {end})",
-                        s.start, s.end
-                    ));
-                }
-                if self.completed[g] {
-                    return Err(format!("range [{start}, {end}) already counted"));
-                }
-            }
-            Ok(())
-        };
-        if let Err(detail) = check() {
-            live.triples.clear();
-            self.slots[i].state = SlotState::Running(live);
-            return Err(detail);
-        }
-        for &g in &live.assigned {
-            self.completed[g] = true;
-        }
-        if let Some(list) = self.listed.as_mut() {
-            list.append(&mut live.triples);
-        } else {
-            live.triples.clear();
-        }
-        let slot = &mut self.slots[i];
-        slot.wall += live.started.elapsed();
-        slot.summaries.extend(workers);
-        live.assigned.clear();
-        slot.state = SlotState::Done(live);
-        Ok(())
-    }
-
-    /// The gather loop: poll every running slot with a short deadline,
-    /// commit results, and route every failure — error reply,
-    /// disconnect, or deadline silence — through [`fail`](Self::fail).
-    fn gather(&mut self) {
-        while self
-            .slots
-            .iter()
-            .any(|s| matches!(s.state, SlotState::Running(_)))
-        {
-            for i in 0..self.slots.len() {
-                let SlotState::Running(live) = &mut self.slots[i].state else {
-                    continue;
-                };
-                let event = live.endpoint.recv_deadline(POLL);
-                if event.is_ok() {
-                    live.last_heard = Instant::now();
-                }
-                match event {
-                    Ok(Message::Progress { .. }) => {}
-                    Ok(Message::Triangles { triples, .. }) => live.triples.extend(triples),
-                    Ok(Message::Results { node, workers }) => {
-                        if let Err(detail) = self.accept(i, node, workers) {
-                            self.fail(i, detail);
-                        }
-                    }
-                    Ok(Message::NodeError { detail, .. }) => self.fail(i, detail),
-                    Ok(other) => self.fail(i, format!("unexpected message from node: {other:?}")),
-                    Err(ClusterError::Timeout { .. }) => {
-                        if self.cfg.heartbeat > Duration::ZERO
-                            && live.last_heard.elapsed() > self.cfg.node_deadline
-                        {
-                            self.fail(
-                                i,
-                                format!("no progress within {:?}", self.cfg.node_deadline),
-                            );
-                        }
-                    }
-                    Err(e) => self.fail(i, e.to_string()),
-                }
-            }
-        }
-    }
-
-    /// Reassign every uncompleted range until none remain: distribute
-    /// orphans over surviving nodes, or — when no node survives — over
-    /// a master-local in-process fallback. Recovery dispatches consume
-    /// no fault charges: the plan models remote hosts failing, not the
-    /// recovery path or the master's own process.
-    fn recover(&mut self) -> Result<()> {
-        let mut fallback_used = false;
-        loop {
-            let missing: Vec<usize> = (0..self.ranges.len())
-                .filter(|&g| !self.completed[g])
-                .collect();
-            if missing.is_empty() {
-                return Ok(());
-            }
-            self.reassigned += missing.len() as u64;
-            let mut survivors: Vec<usize> = (0..self.slots.len())
-                .filter(|&i| matches!(self.slots[i].state, SlotState::Done(_)))
-                .collect();
-            if survivors.is_empty() {
-                if fallback_used {
-                    let detail = self
-                        .slots
-                        .iter()
-                        .rev()
-                        .map(|s| s.last_error.clone())
-                        .find(|e| !e.is_empty())
-                        .unwrap_or_else(|| "no surviving node".into());
-                    return Err(ClusterError::NodeFailed {
-                        node: 0,
-                        attempts: self.slots.iter().map(|s| s.attempts).sum(),
-                        detail,
-                    });
-                }
-                fallback_used = true;
-                survivors.push(self.slots.len());
-                self.slots
-                    .push(Slot::new(0, self.master_base.clone(), true));
-            }
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); survivors.len()];
-            for (k, g) in missing.into_iter().enumerate() {
-                groups[k % survivors.len()].push(g);
-            }
-            for (i, group) in survivors.into_iter().zip(groups) {
-                if !group.is_empty() {
-                    self.slots[i].reassigned += group.len() as u64;
-                    self.start(i, group, false);
-                }
-            }
-            self.gather();
-        }
-    }
-
-    /// Shut every surviving node down and join all node threads. Safe
-    /// only once no dispatch is in flight: endpoints are dropped
-    /// first, so even wedged or panicked threads unblock and exit.
+    /// Shut every open connection down and join all node threads.
+    /// Endpoints are dropped first, so even wedged or panicked threads
+    /// unblock and exit.
     fn finish(&mut self) {
-        for slot in &mut self.slots {
-            let state = std::mem::replace(&mut slot.state, SlotState::Dead);
-            if let SlotState::Done(live) | SlotState::Running(live) = state {
-                let _ = live.endpoint.send(&Message::Shutdown);
-                drop(live.endpoint);
-                self.reap.push(live.handle);
-            }
+        for conn in self.conns.iter_mut().filter_map(Option::take) {
+            let _ = conn.endpoint.send(&Message::Shutdown);
+            self.reap.push(conn.handle);
         }
         for handle in self.reap.drain(..) {
             // Failures were already accounted when they happened; a
@@ -634,7 +343,9 @@ impl ClusterRunner {
     /// every explicit fault directive can fire: one naming a node the
     /// cluster does not have, or a copy fault on node 0 (whose graph is
     /// the master's original, never copied), would leave a fault run
-    /// silently fault-free. Seeded kills clamp to the node count.
+    /// silently fault-free. Seeded kills clamp to the node count. So
+    /// would `mgt.read_fault`, which no cluster worker reads: the fault
+    /// plan's `shortread@<node>:<u32s>` is the cluster's short read.
     pub fn new(config: ClusterConfig) -> Result<Self> {
         if config.nodes == 0 {
             return Err(ClusterError::Config("nodes must be >= 1".into()));
@@ -650,6 +361,11 @@ impl ClusterRunner {
         }
         if config.retry.max_attempts == 0 {
             return Err(ClusterError::Config("max_attempts must be >= 1".into()));
+        }
+        if config.mgt.read_fault.is_some() {
+            let fix = "use a `shortread@<node>:<u32s>` fault directive";
+            let why = format!("`mgt.read_fault` can never fire on a cluster: {fix}");
+            return Err(ClusterError::Config(why));
         }
         for spec in &config.fault.specs {
             let copy = matches!(
@@ -704,85 +420,32 @@ impl ClusterRunner {
         let total_workers = cfg.nodes * cfg.cores_per_node;
         let (plan, balancing) = plan_ranges(&og, cfg.budget, total_workers, cfg.balance);
 
-        let mut g = Gather {
+        // 3–4. Node 0 starts at once on the master's original, every
+        //    other node as soon as its replica lands ("the nodes start
+        //    calculating as soon as they receive the files"); gather.
+        let bases = (0..cfg.nodes)
+            .map(|id| match id {
+                0 => oriented_base.clone(),
+                _ => work_dir.join(format!("node{id}")).join("oriented"),
+            })
+            .map(|base| base.to_string_lossy().into_owned())
+            .collect();
+        let ranges = plan.iter().map(|(r, _)| (r.start, r.end)).collect();
+        let mut master = Master::new(cfg, ranges, bases);
+        let mut driver = Driver {
             cfg,
             traffic: traffic.clone(),
-            faults: cfg.fault.resolve(cfg.nodes),
-            ranges: plan.iter().map(|(r, _)| (r.start, r.end)).collect(),
-            completed: vec![false; plan.len()],
-            slots: Vec::with_capacity(cfg.nodes),
-            listed: cfg.listing.then(Vec::new),
-            retries: 0,
-            reassigned: 0,
-            failed: Vec::new(),
+            og: &og,
+            stats: &master_stats,
+            conns: (0..cfg.nodes).map(|_| None).collect(),
+            waits: Vec::new(),
             reap: Vec::new(),
-            master_base: oriented_base.to_string_lossy().into_owned(),
         };
-
-        // 3. Master's node starts immediately on the original oriented
-        //    copy; remote nodes start as their replicas land ("the
-        //    nodes start calculating as soon as they receive the
-        //    files"). A node whose replica never lands stays dead, its
-        //    ranges left for reassignment; one whose replica lands gets
-        //    a fresh attempt budget for its dispatches. (Slot `id` is
-        //    node `id` here; only the fallback slot comes later.)
-        for id in 0..cfg.nodes {
-            let base = match id {
-                0 => g.master_base.clone(),
-                _ => work_dir
-                    .join(format!("node{id}"))
-                    .join("oriented")
-                    .to_string_lossy()
-                    .into_owned(),
-            };
-            g.slots.push(Slot::new(id, base, false));
-            if id == 0 || g.retry(id, None, |g| g.try_copy(id, &og, &master_stats)) {
-                g.slots[id].attempts = 0;
-                let assigned = (id * cfg.cores_per_node..(id + 1) * cfg.cores_per_node).collect();
-                g.start(id, assigned, true);
-            }
-        }
-
-        // 4. Gather, then reassign whatever failed nodes left behind.
-        g.gather();
-        g.recover()?;
-        g.finish();
-        debug_assert!(g.completed.iter().all(|&c| c), "every range accounted");
-
-        // 5. Fold slot accounts into per-node reports (a node id can
-        //    own several slots after the master-local fallback).
-        let mut nodes: Vec<NodeReport> = Vec::new();
-        for slot in &g.slots {
-            if slot.summaries.is_empty() {
-                continue;
-            }
-            if let Some(existing) = nodes.iter_mut().find(|n| n.node == slot.id) {
-                existing.workers.extend(slot.summaries.iter().cloned());
-                existing.wall += slot.wall;
-                existing.reassigned_ranges += slot.reassigned;
-            } else {
-                nodes.push(NodeReport {
-                    node: slot.id,
-                    copy: slot.copy,
-                    copy_bytes: slot.copy_bytes,
-                    workers: slot.summaries.clone(),
-                    wall: slot.wall,
-                    reassigned_ranges: slot.reassigned,
-                });
-            }
-        }
-        nodes.sort_by_key(|n| n.node);
-        let mut failed_nodes = g.failed.clone();
-        failed_nodes.sort_unstable();
-        failed_nodes.dedup();
-
-        let triangles = nodes.iter().map(|n| n.triangles()).sum();
+        driver.run(&mut master);
         Ok(ClusterReport {
-            triangles,
             orientation,
             balancing,
             plan,
-            nodes,
             network: NetSnapshot {
                 config: traffic.config_bytes(),
                 graph: traffic.graph_bytes(),
@@ -791,10 +454,7 @@ impl ClusterRunner {
                 control: traffic.control_bytes(),
             },
             wall: wall_start.elapsed(),
-            listed: g.listed,
-            retries: g.retries,
-            reassigned_ranges: g.reassigned,
-            failed_nodes,
+            ..master.finish()?
         })
     }
 }
@@ -978,6 +638,14 @@ mod tests {
         }
         let err = with_fault(2, "corrupt@0x1:adj").unwrap_err().to_string();
         assert!(err.contains("`corrupt@0x1:adj`"), "names the spec: {err}");
+        let mut read_fault = cfg(2, 1);
+        read_fault.mgt.read_fault = Some(8);
+        let err = ClusterRunner::new(read_fault).unwrap_err().to_string();
+        assert!(err.contains("can never fire"), "{err}");
+        assert!(
+            err.contains("shortread@<node>:<u32s>"),
+            "points at the directive: {err}"
+        );
         for (nodes, plan) in [
             (2, "panic@1"),
             (1, "panic@0x1;shortread@0:8"),

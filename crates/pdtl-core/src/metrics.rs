@@ -131,17 +131,9 @@ impl RunReport {
 
     /// Sum of all workers' I/O.
     pub fn total_worker_io(&self) -> IoSnapshot {
-        let mut acc = IoSnapshot::default();
-        for w in &self.workers {
-            acc.bytes_read += w.io.bytes_read;
-            acc.bytes_written += w.io.bytes_written;
-            acc.read_ops += w.io.read_ops;
-            acc.write_ops += w.io.write_ops;
-            acc.seeks += w.io.seeks;
-            acc.io_time += w.io.io_time;
-            acc.u32s_decoded += w.io.u32s_decoded;
-        }
-        acc
+        self.workers
+            .iter()
+            .fold(IoSnapshot::default(), |acc, w| acc + w.io)
     }
 
     /// Sum of all workers' CPU operations.

@@ -297,15 +297,7 @@ fn mgt_count_range_served<S: TriangleSink>(
         scanned: done.scanned,
         scan_lists: done.scan_lists,
         scan_hits: done.scan_hits,
-        io: pdtl_io::stats::IoSnapshot {
-            bytes_read: io_after.bytes_read - io_before.bytes_read,
-            bytes_written: io_after.bytes_written - io_before.bytes_written,
-            read_ops: io_after.read_ops - io_before.read_ops,
-            write_ops: io_after.write_ops - io_before.write_ops,
-            seeks: io_after.seeks - io_before.seeks,
-            io_time: io_after.io_time.saturating_sub(io_before.io_time),
-            u32s_decoded: io_after.u32s_decoded - io_before.u32s_decoded,
-        },
+        io: io_after.since(&io_before),
         breakdown: timer.finish(),
     };
     Ok((served, report))

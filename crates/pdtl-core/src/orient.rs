@@ -66,7 +66,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pdtl_graph::disk::{begin_write, offsets_from_degrees, write_graph_header};
+use pdtl_graph::disk::{begin_write, offsets_from_degrees, suffixed, write_graph_header};
 use pdtl_graph::manifest::Manifest;
 use pdtl_graph::rank::RankMap;
 use pdtl_graph::{DiskGraph, Graph};
@@ -414,12 +414,6 @@ impl OrientedGraph {
     }
 }
 
-fn suffixed(base: &Path, ext: &str) -> PathBuf {
-    let mut os = base.as_os_str().to_os_string();
-    os.push(ext);
-    PathBuf::from(os)
-}
-
 /// A `.skt` file is `n` little-endian u64s: `2n` u32 words, low first.
 fn read_sketch(path: &Path, n: usize, stats: &Arc<IoStats>) -> Result<Vec<u64>> {
     let mut r = U32Reader::open(path, stats.clone())?;
@@ -621,6 +615,22 @@ pub fn orient_to_disk_with(
     )
 }
 
+/// Refuse an undirected input whose adjacency is not stored raw:
+/// orientation reads it as plain vertex ids, and a delta-varint base
+/// would hand it encoded words. The codec belongs to the oriented graph
+/// — `gen`, `import` and [`from_sorted_packed_edges`] all write raw.
+///
+/// [`from_sorted_packed_edges`]: pdtl_graph::disk::from_sorted_packed_edges
+pub fn require_raw_input(input: &DiskGraph) -> std::result::Result<(), pdtl_io::IoError> {
+    match input.codec() {
+        Codec::Raw => Ok(()),
+        codec => Err(pdtl_io::IoError::malformed(
+            input.hdr_path(),
+            format!("undirected input stored {codec}; orientation reads a raw adjacency"),
+        )),
+    }
+}
+
 /// [`orient_to_disk_with`] with the scatter block's capacity as an
 /// argument, so the tests can put block boundaries anywhere.
 fn orient_blocked(
@@ -631,6 +641,7 @@ fn orient_blocked(
     stats: &Arc<IoStats>,
     block_words: usize,
 ) -> Result<(OrientedGraph, PhaseReport)> {
+    require_raw_input(input)?;
     let threads = threads.max(1);
     let out_base = out_base.to_path_buf();
     let timer = CpuIoTimer::start(stats.clone());
@@ -788,7 +799,7 @@ fn orient_blocked(
     let orig_degrees_rank: Vec<u32> = (0..n).map(|r| degrees[map.to_id(r) as usize]).collect();
     let report = PhaseReport {
         breakdown: timer.finish(),
-        io: diff_snapshot(&before, &stats.snapshot()),
+        io: stats.snapshot().since(&before),
         // Each of the 2|E| adjacency entries is examined once per pass.
         cpu_ops: 2 * total + n as u64,
         threads,
@@ -827,21 +838,6 @@ pub fn vertex_partition(offsets: &[u64], parts: usize) -> Vec<(u32, u32)> {
         begin = end;
     }
     ranges
-}
-
-fn diff_snapshot(
-    before: &pdtl_io::stats::IoSnapshot,
-    after: &pdtl_io::stats::IoSnapshot,
-) -> pdtl_io::stats::IoSnapshot {
-    pdtl_io::stats::IoSnapshot {
-        bytes_read: after.bytes_read - before.bytes_read,
-        bytes_written: after.bytes_written - before.bytes_written,
-        read_ops: after.read_ops - before.read_ops,
-        write_ops: after.write_ops - before.write_ops,
-        seeks: after.seeks - before.seeks,
-        io_time: after.io_time.saturating_sub(before.io_time),
-        u32s_decoded: after.u32s_decoded - before.u32s_decoded,
-    }
 }
 
 #[cfg(test)]

@@ -181,6 +181,20 @@ pub struct IoSnapshot {
 }
 
 impl IoSnapshot {
+    /// What the counters accrued since `earlier`, a snapshot of the
+    /// same [`IoStats`] taken before this one.
+    pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
+        IoSnapshot {
+            bytes_read: self.bytes_read - earlier.bytes_read,
+            bytes_written: self.bytes_written - earlier.bytes_written,
+            read_ops: self.read_ops - earlier.read_ops,
+            write_ops: self.write_ops - earlier.write_ops,
+            seeks: self.seeks - earlier.seeks,
+            io_time: self.io_time.saturating_sub(earlier.io_time),
+            u32s_decoded: self.u32s_decoded - earlier.u32s_decoded,
+        }
+    }
+
     /// Total bytes moved in either direction.
     pub fn total_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written
@@ -189,6 +203,23 @@ impl IoSnapshot {
     /// Block transfers at block size `b` (see [`IoStats::blocks`]).
     pub fn blocks(&self, b: u64) -> u64 {
         self.total_bytes().div_ceil(b.max(1)) + self.seeks
+    }
+}
+
+/// Counter-wise sum, for totals over workers or phases.
+impl std::ops::Add for IoSnapshot {
+    type Output = IoSnapshot;
+
+    fn add(self, other: IoSnapshot) -> IoSnapshot {
+        IoSnapshot {
+            bytes_read: self.bytes_read + other.bytes_read,
+            bytes_written: self.bytes_written + other.bytes_written,
+            read_ops: self.read_ops + other.read_ops,
+            write_ops: self.write_ops + other.write_ops,
+            seeks: self.seeks + other.seeks,
+            io_time: self.io_time + other.io_time,
+            u32s_decoded: self.u32s_decoded + other.u32s_decoded,
+        }
     }
 }
 

@@ -13,10 +13,11 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use pdtl::cluster::{ClusterConfig, ClusterRunner, FaultPlan, RetryPolicy, TransportKind};
+use pdtl::cluster::{Catalog, ClusterConfig, ClusterRunner, FaultPlan, RetryPolicy, TransportKind};
 use pdtl::core::orient::orient_to_disk_with;
 use pdtl::core::{LocalConfig, LocalRunner, MgtOptions};
 use pdtl::graph::datasets::Dataset;
+use pdtl::graph::gen::rmat::rmat;
 use pdtl::graph::verify::triangle_count;
 use pdtl::graph::{DiskGraph, Graph};
 use pdtl::io::diskfault::{DiskFaultKind, DiskFaultPlan, DiskFaultSpec, FaultTarget};
@@ -189,6 +190,38 @@ fn pre_integrity_graphs_still_open_and_count() {
         assert_eq!(report.triangles, expected, "{codec:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// An undirected base stored delta-varint is refused with a typed
+/// error naming its `.hdr` — by the local runner, by the cluster, and
+/// by the serve catalog, which lists it under `rejected` and opens —
+/// instead of orientation reading encoded words as vertex ids.
+#[test]
+fn compressed_undirected_input_is_refused_by_every_entry_point() {
+    let dir = tmpdir("varint-input");
+    let stats = IoStats::new();
+    let graphs = dir.join("graphs");
+    std::fs::create_dir_all(&graphs).unwrap();
+    let g = rmat(9, 5).unwrap();
+    let input = DiskGraph::write_with(&g, graphs.join("g"), Codec::DeltaVarint, &stats).unwrap();
+    let hdr = input.hdr_path().display().to_string();
+
+    let local = local(Codec::Raw).run(&input, &dir.join("local"));
+    let local = local.unwrap_err().to_string();
+    assert!(local.contains(&hdr), "local runner: {local}");
+    let cluster = ClusterRunner::new(ClusterConfig::default()).unwrap();
+    let cluster = cluster
+        .run(&input, &dir.join("cluster"))
+        .unwrap_err()
+        .to_string();
+    assert!(cluster.contains(&hdr), "cluster: {cluster}");
+    let catalog = Catalog::open(&graphs, &dir.join("serve"), &[Codec::Raw], 1).unwrap();
+    let rejected = catalog.rejected();
+    assert_eq!(rejected.len(), 1, "{rejected:?}");
+    assert_eq!(rejected[0].0, "g");
+    assert!(rejected[0].1.contains(&hdr), "catalog: {rejected:?}");
+    drop(catalog);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn cluster_cfg(codec: Codec, transport: TransportKind, fault: &str) -> ClusterConfig {
