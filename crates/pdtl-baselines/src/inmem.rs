@@ -1,8 +1,7 @@
 //! Textbook in-memory triangle counters.
 //!
-//! Three classical algorithms, sequential and multicore, used as
-//! correctness anchors and as the compute kernel of the OPT-like and
-//! PowerGraph-like systems:
+//! Three classical algorithms, used as correctness anchors and as the
+//! compute kernel of the OPT-like and PowerGraph-like systems:
 //!
 //! * **node-iterator** — per vertex, test every neighbour pair; counts
 //!   each triangle three times.
@@ -21,7 +20,6 @@ use std::ops::Range;
 
 use pdtl_core::intersect::intersect_count;
 use pdtl_core::orient::{orient_csr, OrientedCsr};
-use pdtl_core::par;
 use pdtl_graph::Graph;
 
 /// Node-iterator: for each vertex `v` and each neighbour pair
@@ -64,15 +62,6 @@ pub fn forward(g: &Graph) -> u64 {
     forward_oriented(&orient_csr(g))
 }
 
-/// Multicore compact-forward: one contiguous vertex range per host
-/// thread, the per-range counts summed. Deterministic result.
-pub fn forward_parallel(o: &OrientedCsr) -> u64 {
-    let n = o.num_vertices() as usize;
-    par::map_chunks(n, par::host_threads(), |us| forward_range(o, us))
-        .into_iter()
-        .sum()
-}
-
 /// The triangles whose cone vertex lies in `us`: mark `N⁺(u)` in an
 /// `n`-byte array, sum the mark bytes under every `w ∈ N⁺(v)` for each
 /// `v ∈ N⁺(u)` (four independent sums, so the loads do not wait on one
@@ -107,23 +96,6 @@ fn forward_range(o: &OrientedCsr, us: Range<usize>) -> u64 {
     count
 }
 
-/// Multicore edge-iterator (3× counting, divided once).
-pub fn edge_iterator_parallel(g: &Graph) -> u64 {
-    let at = |u: usize| -> u64 {
-        let ns = g.neighbors(u as u32);
-        ns.iter()
-            .filter(|&&v| (u as u32) < v)
-            .map(|&v| intersect_count(ns, g.neighbors(v)))
-            .sum()
-    };
-    let n = g.num_vertices() as usize;
-    let triple: u64 = par::map_chunks(n, par::host_threads(), |us| us.map(at).sum::<u64>())
-        .into_iter()
-        .sum();
-    debug_assert_eq!(triple % 3, 0);
-    triple / 3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,13 +104,10 @@ mod tests {
     use pdtl_graph::verify::triangle_count;
 
     fn all_counters(g: &Graph) -> Vec<(&'static str, u64)> {
-        let o = orient_csr(g);
         vec![
             ("node_iterator", node_iterator(g)),
             ("edge_iterator", edge_iterator(g)),
             ("forward", forward(g)),
-            ("forward_parallel", forward_parallel(&o)),
-            ("edge_iterator_parallel", edge_iterator_parallel(g)),
         ]
     }
 

@@ -56,14 +56,6 @@ pub struct PatricReport {
     pub partition_triangles: Vec<u64>,
 }
 
-impl PatricReport {
-    /// Aggregate memory across processors — exceeds `4·2|E|` whenever
-    /// halos overlap, the effect Section IV-B2 calls out.
-    pub fn total_memory(&self) -> u64 {
-        self.partition_bytes.iter().sum()
-    }
-}
-
 /// Run the PATRIC-like counter on an in-memory graph.
 ///
 /// Fails with [`BaselineError::OutOfMemory`] if any partition (core +
@@ -234,11 +226,10 @@ mod tests {
         let g = complete(60).unwrap();
         let r = run(&g, cfg(4, u64::MAX)).unwrap();
         let graph_bytes = g.adj_len() * 4;
+        let total: u64 = r.partition_bytes.iter().sum();
         assert!(
-            r.total_memory() > 3 * graph_bytes,
-            "overlap: {} vs graph {}",
-            r.total_memory(),
-            graph_bytes
+            total > 3 * graph_bytes,
+            "overlap: {total} vs graph {graph_bytes}"
         );
     }
 

@@ -292,7 +292,7 @@ impl<'a> Master<'a> {
                     start: self.ranges[g].0,
                     end: self.ranges[g].1,
                     budget_edges: self.cfg.budget.edges as u64,
-                    scan_pruning: mgt.scan_pruning,
+                    scan_pruning: true,
                     backend: mgt.backend,
                     io_latency_us: mgt.io_latency.as_micros().min(u32::MAX as u128) as u32,
                     read_fault: faults.1,

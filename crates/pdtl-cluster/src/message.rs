@@ -25,10 +25,11 @@ use pdtl_io::{Codec, IoBackend};
 
 use crate::error::{ClusterError, Result};
 
-/// Most worker threads one serve query may ask for. With
-/// [`MAX_LIST_LIMIT`] it keeps one malformed request from asking the
-/// daemon for unbounded work — or for an answer that outgrows a frame.
-pub const MAX_CORES: u32 = 64;
+/// Most worker threads one serve query may ask for, the engine's own
+/// cap. With [`MAX_LIST_LIMIT`] it keeps one malformed request from
+/// asking the daemon for unbounded work — or for an answer that
+/// outgrows a frame.
+pub use pdtl_core::MAX_CORES;
 /// Most triples one `list` answer echoes back.
 pub const MAX_LIST_LIMIT: u32 = 1 << 22;
 
@@ -274,7 +275,9 @@ pub struct WorkerConfig {
     pub end: u64,
     /// Memory budget in edges.
     pub budget_edges: u64,
-    /// Enable the rank-space scan pruning (bound skips + `vhigh` cap).
+    /// Always `true`: scan pruning is part of the engine, not an
+    /// option. The field keeps the record's layout; a node refuses a
+    /// config carrying `false` with a typed error.
     pub scan_pruning: bool,
     /// Which I/O backend the worker's MGT engine streams through.
     pub backend: IoBackend,
@@ -489,15 +492,13 @@ impl Wire for QueryOperation {
 
 /// Per-query engine knobs carried by [`Message::Query`] — the serve-mode
 /// analogue of a [`WorkerConfig`]: each query picks its own parallelism,
-/// memory budget, I/O backend and codec. One fixed 19-byte record.
+/// memory budget, I/O backend and codec. One fixed 18-byte record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Worker threads for this query; `0` means "server default".
     pub cores: u32,
     /// Per-worker memory budget in edges (the paper's `M`).
     pub budget_edges: u64,
-    /// Enable rank-space scan pruning.
-    pub scan_pruning: bool,
     /// I/O backend the MGT scan streams through.
     pub backend: IoBackend,
     /// Which oriented on-disk replica to run against.
@@ -512,7 +513,6 @@ impl Default for QueryOptions {
         Self {
             cores: 0,
             budget_edges: 1 << 20,
-            scan_pruning: true,
             backend: IoBackend::Prefetch,
             codec: Codec::Raw,
             io_latency_us: 0,
@@ -520,8 +520,8 @@ impl Default for QueryOptions {
     }
 }
 
-wire_record!(QueryOptions: 4 + 8 + 1 + 1 + 1 + 4;
-    cores, budget_edges, scan_pruning, backend, codec, io_latency_us);
+wire_record!(QueryOptions: 4 + 8 + 1 + 1 + 4;
+    cores, budget_edges, backend, codec, io_latency_us);
 
 /// One catalog entry in a [`Message::StatsResult`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1058,7 +1058,6 @@ mod tests {
                 options: QueryOptions {
                     cores: 3,
                     budget_edges: 4096,
-                    scan_pruning: true,
                     backend: IoBackend::Mmap,
                     codec: Codec::DeltaVarint,
                     io_latency_us: 50,

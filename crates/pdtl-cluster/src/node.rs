@@ -175,12 +175,18 @@ fn serve_one<T: Transport>(
 /// Run one worker per config over the replica at `graph_base`, each
 /// with its own `make_sink()` sink, through the engine's shared fan-out
 /// ([`pdtl_core::run_workers`]); returns the per-worker summaries and
-/// the sinks, in config order.
+/// the sinks, in config order. A config asking for an unpruned scan is
+/// refused: the engine has no such scan.
 pub fn run_workers<S: TriangleSink + Send>(
     graph_base: &str,
     configs: &[WorkerConfig],
     make_sink: impl Fn() -> S,
 ) -> Result<(Vec<WorkerSummary>, Vec<S>)> {
+    if configs.iter().any(|cfg| !cfg.scan_pruning) {
+        return Err(ClusterError::Config(
+            "`scan_pruning: false` cannot run: scan pruning is part of the engine".into(),
+        ));
+    }
     let og = OrientedGraph::open(graph_base, &IoStats::new())?;
     let jobs: Vec<_> = configs.iter().map(worker_job).collect();
     let (reports, sinks) = pdtl_core::run_workers(&og, &jobs, make_sink)?;
@@ -194,7 +200,6 @@ fn worker_job(cfg: &WorkerConfig) -> (EdgeRange, MemoryBudget, MgtOptions) {
         end: cfg.end,
     };
     let opts = MgtOptions {
-        scan_pruning: cfg.scan_pruning,
         backend: cfg.backend,
         io_latency: Duration::from_micros(cfg.io_latency_us as u64),
         read_fault: cfg.read_fault,
@@ -266,6 +271,18 @@ mod tests {
             read_fault: None,
             codec: pdtl_io::Codec::Raw,
         }
+    }
+
+    #[test]
+    fn unpruned_worker_config_is_refused() {
+        let (base, m_star, _) = oriented_base("unpruned");
+        let unpruned = WorkerConfig {
+            scan_pruning: false,
+            ..worker(0, m_star)
+        };
+        let err = run_workers(&base, &[worker(0, 1), unpruned], || CountSink).unwrap_err();
+        assert!(matches!(err, ClusterError::Config(_)), "{err}");
+        assert!(err.to_string().contains("scan_pruning"), "{err}");
     }
 
     #[test]

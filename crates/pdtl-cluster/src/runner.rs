@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 use pdtl_core::balance::{plan_ranges, BalanceStrategy};
 use pdtl_core::mgt::MgtOptions;
 use pdtl_core::orient::{orient_to_disk_with, OrientedGraph};
+use pdtl_core::MAX_CORES;
 use pdtl_graph::{DiskGraph, GraphError, Manifest};
 use pdtl_io::diskfault::DiskFaultSpec;
 use pdtl_io::{IoStats, MemoryBudget};
@@ -347,11 +348,16 @@ impl ClusterRunner {
     /// would `mgt.read_fault`, which no cluster worker reads: the fault
     /// plan's `shortread@<node>:<u32s>` is the cluster's short read.
     pub fn new(config: ClusterConfig) -> Result<Self> {
-        if config.nodes == 0 {
-            return Err(ClusterError::Config("nodes must be >= 1".into()));
-        }
-        if config.cores_per_node == 0 {
-            return Err(ClusterError::Config("cores_per_node must be >= 1".into()));
+        // Every node and every worker is a thread of this process.
+        for (name, count) in [
+            ("nodes", config.nodes),
+            ("cores_per_node", config.cores_per_node),
+        ] {
+            if !(1..=MAX_CORES as usize).contains(&count) {
+                return Err(ClusterError::Config(format!(
+                    "{name} must be in 1..={MAX_CORES}, got {count}"
+                )));
+            }
         }
         // A zero budget would run as 1-edge chunks: |E*| iterations.
         if config.budget.edges == 0 {
@@ -602,6 +608,18 @@ mod tests {
         assert!(report.nodes[2].copy_bytes > 0);
         assert!(report.avg_copy() > Duration::ZERO);
         assert!(report.modeled_avg_copy(&NetModel::default()) > 0.0);
+    }
+
+    #[test]
+    fn thread_counts_above_the_cap_are_refused() {
+        // Each node and each worker is a thread: 40 000 of them would
+        // abort the process, so the count is refused up front.
+        for (nodes, cores) in [(MAX_CORES as usize + 1, 1), (1, 40_000)] {
+            let err = ClusterRunner::new(cfg(nodes, cores)).unwrap_err();
+            assert!(matches!(err, ClusterError::Config(_)), "{err}");
+            assert!(err.to_string().contains("1..=64"), "names the cap: {err}");
+        }
+        assert!(ClusterRunner::new(cfg(MAX_CORES as usize, MAX_CORES as usize)).is_ok());
     }
 
     #[test]

@@ -347,9 +347,10 @@ pub struct Server {
 impl Server {
     /// Bind, spawn the worker pool and the accept loop, and return.
     pub fn spawn(catalog: Catalog, config: ServeConfig) -> Result<Server> {
-        if config.workers == 0 || !(1..=MAX_CORES as usize).contains(&config.default_cores) {
+        let cores = 1..=MAX_CORES as usize;
+        if !cores.contains(&config.workers) || !cores.contains(&config.default_cores) {
             return Err(ClusterError::Config(format!(
-                "serve: workers must be >= 1 and default_cores in 1..={MAX_CORES}"
+                "serve: workers and default_cores must be in 1..={MAX_CORES}"
             )));
         }
         let listener = TcpListener::bind(&config.addr)
@@ -789,7 +790,6 @@ fn run_mgt<S: TriangleSink + Send>(
         budget: MemoryBudget::edges(opts.budget_edges as usize),
         balance: BalanceStrategy::InDegree,
         mgt: MgtOptions {
-            scan_pruning: opts.scan_pruning,
             backend: opts.backend,
             io_latency: Duration::from_micros(u64::from(opts.io_latency_us)),
             read_fault: None,
@@ -985,6 +985,27 @@ mod tests {
         })
         .is_ok());
         assert!(validate_op(&QueryOperation::Count).is_ok());
+    }
+
+    #[test]
+    fn worker_pools_above_the_cap_are_refused() {
+        // Refused before anything is bound or spawned.
+        let dir = std::env::temp_dir().join(format!("pdtl-serve-cap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (workers, default_cores) in [(MAX_CORES as usize + 1, 2), (40_000, 2), (4, 65)] {
+            let catalog = Catalog::open(&dir, &dir.join("work"), &[Codec::Raw], 1).unwrap();
+            let config = ServeConfig {
+                workers,
+                default_cores,
+                ..ServeConfig::default()
+            };
+            let Err(err) = Server::spawn(catalog, config) else {
+                panic!("{workers} workers, {default_cores} cores: accepted");
+            };
+            assert!(matches!(err, ClusterError::Config(_)), "{err}");
+            assert!(err.to_string().contains("1..=64"), "names the cap: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -43,10 +43,11 @@ pub use balance::{
 };
 pub use error::{CoreError, Result};
 pub use metrics::{PhaseReport, RunReport, WorkerReport};
-pub use mgt::{mgt_count_range, mgt_count_range_opt, mgt_in_memory, mgt_in_memory_opt, MgtOptions};
+pub use mgt::{mgt_count_range, mgt_count_range_opt, mgt_in_memory, MgtOptions};
 pub use order::DegreeOrder;
 pub use orient::{orient_csr, orient_to_disk, OrientedCsr, OrientedGraph};
 pub use runner::{
     count_triangles, count_triangles_with, run_workers, LocalConfig, LocalRunner, ScratchDir,
+    MAX_CORES,
 };
 pub use sink::{CollectSink, CountSink, FileSink, LimitSink, TriangleSink};

@@ -30,10 +30,10 @@
 //!   scan stops there; and a vertex whose out-list cannot hold a window
 //!   vertex is skipped with [`U32Reader::skip`](pdtl_io::U32Reader::skip)
 //!   instead of read, cutting `bytes_read` in the multi-pass regime
-//!   where MGT's I/O bound actually bites. [`MgtOptions::scan_pruning`]
-//!   gates both (on by default;
-//!   `scan_pruning_cuts_bytes_read_in_multipass_runs` and the I/O tests
-//!   compare).
+//!   where MGT's I/O bound actually bites. Both are part of the engine,
+//!   not a setting, and both engines apply them through one rule
+//!   (`ScanRule`): the in-memory engine differs from the disk engine
+//!   only in having no disk, so the two count the same `cpu_ops`.
 //!
 //! # Scan pruning
 //!
@@ -137,38 +137,29 @@ use pdtl_io::{
 use crate::balance::EdgeRange;
 use crate::error::Result;
 use crate::metrics::WorkerReport;
-use crate::orient::{OrientedCsr, OrientedGraph};
+use crate::orient::{OrientedCsr, OrientedGraph, SketchBuckets};
 use crate::sink::TriangleSink;
 
-/// Tuning knobs of the MGT engines (ablation surface).
+/// How the disk engine performs its I/O, and the format orientation
+/// writes. None of them changes which lists a scan reads: scan pruning
+/// is the engine's one rule (module doc, "Scan pruning"), not an option.
 ///
-/// `MgtOptions::default()` is fixed — pruning on, the prefetch backend,
-/// no emulated latency, no injected fault, the raw codec — and
-/// struct-update syntax pins individual knobs:
+/// `MgtOptions::default()` is fixed — the prefetch backend, no emulated
+/// latency, no injected fault, the raw codec — and struct-update syntax
+/// pins individual knobs:
 ///
 /// ```
-/// use pdtl_core::mgt::{mgt_in_memory_opt, MgtOptions};
-/// use pdtl_core::orient::orient_csr;
-/// use pdtl_core::sink::CountSink;
-/// use pdtl_graph::gen::classic::complete;
-/// use pdtl_io::{IoBackend, MemoryBudget};
+/// use pdtl_core::mgt::MgtOptions;
+/// use pdtl_io::{Codec, IoBackend};
 ///
 /// let opts = MgtOptions {
 ///     backend: IoBackend::Uring, // engines resolve() it per platform
 ///     ..MgtOptions::default()
 /// };
-/// let oriented = orient_csr(&complete(10).unwrap());
-/// let (triangles, _cpu_ops) =
-///     mgt_in_memory_opt(&oriented, MemoryBudget::edges(64), &mut CountSink, opts);
-/// assert_eq!(triangles, 120); // C(10, 3)
+/// assert_eq!((opts.read_fault, opts.codec), (None, Codec::Raw));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MgtOptions {
-    /// Stop each chunk's scan at `vhigh` and seek past out-lists whose
-    /// scan sketch misses the resident window (module doc, "Scan
-    /// pruning"). Disable only to measure the ablation (PR 1
-    /// behaviour).
-    pub scan_pruning: bool,
     /// How the disk engine performs its chunk and scan I/O. Every
     /// backend counts the exact same `bytes_read` and `seeks` — the
     /// choice is a scheduling/copy change, not a different I/O plan:
@@ -206,7 +197,6 @@ pub struct MgtOptions {
 impl Default for MgtOptions {
     fn default() -> Self {
         Self {
-            scan_pruning: true,
             backend: IoBackend::Prefetch,
             io_latency: std::time::Duration::ZERO,
             read_fault: None,
@@ -280,10 +270,10 @@ fn mgt_count_range_served<S: TriangleSink>(
         })?;
         let decoding = |transport| VarintSource::new(transport, index.clone(), stats.clone());
         let scan = FaultySource::new(decoding(scan)?, fault_budget);
-        mgt_disk_loop(og, range, budget, sink, opts, decoding(chunks)?, scan)?
+        mgt_disk_loop(og, range, budget, sink, decoding(chunks)?, scan)?
     } else {
         let scan = FaultySource::new(scan, fault_budget);
-        mgt_disk_loop(og, range, budget, sink, opts, chunks, scan)?
+        mgt_disk_loop(og, range, budget, sink, chunks, scan)?
     };
     sink.flush()?;
 
@@ -326,20 +316,18 @@ fn mgt_disk_loop<S: TriangleSink, C: U32Source, R: U32Source>(
     range: EdgeRange,
     budget: MemoryBudget,
     sink: &mut S,
-    opts: MgtOptions,
     mut chunks: C,
     mut scan_reader: R,
 ) -> Result<LoopCounts> {
     let offsets = &og.offsets;
     let ids = og.map.ids();
-    let n = og.num_vertices();
     let chunk_cap = budget.chunk_edges();
     // Backing storage for streams that copy (the mapped adjacency lends
     // slices of the mapping instead and leaves these untouched).
     let mut edg_buf: Vec<u32> = Vec::with_capacity(chunk_cap.min(range.len() as usize));
     let mut ind: Vec<(u32, u32)> = Vec::new();
     let mut nm_buf: Vec<u32> = Vec::with_capacity(og.d_star_max as usize);
-    let mut scratch = JoinScratch::new(n);
+    let mut scratch = JoinScratch::new(og.num_vertices());
     let mut c = LoopCounts::default();
 
     let mut pos = range.start;
@@ -360,22 +348,14 @@ fn mgt_disk_loop<S: TriangleSink, C: U32Source, R: U32Source>(
         c.cpu_ops += len as u64 + window.ind.len() as u64;
 
         // -- scan pass ------------------------------------------------
-        // Only u < vhigh can hold a window vertex: out-neighbours ascend
-        // in rank space, so every v ∈ N(u) satisfies v > u. Only a list
-        // whose sketch meets the window's buckets can hold one.
-        let (scan_cap, mask) = if opts.scan_pruning {
-            let mask = og.buckets().window_mask(window.vlow, window.vhigh);
-            (window.vhigh, mask)
-        } else {
-            (n, u64::MAX)
-        };
+        let rule = window.scan_rule(og.buckets(), &og.sketch);
         scan_reader.seek_to(0)?;
-        for u in 0..scan_cap {
+        for u in 0..rule.end {
             let du = (offsets[u as usize + 1] - offsets[u as usize]) as usize;
             if du == 0 {
                 continue;
             }
-            if og.sketch[u as usize] & mask == 0 {
+            if rule.skips(u) {
                 scan_reader.skip(du as u64)?;
                 c.cpu_ops += 1;
                 continue;
@@ -429,7 +409,38 @@ struct ChunkIndex<'a> {
     ind: &'a [(u32, u32)],
 }
 
+/// Which out-lists one chunk's scan reads: the scan pruning of both
+/// engines (module doc, "Scan pruning"), decided here and nowhere else.
+struct ScanRule<'s> {
+    /// The scan visits `u < end = vhigh`: out-neighbours ascend in rank
+    /// space, so no later list holds a window vertex.
+    end: u32,
+    /// The window's sketch buckets, `bucket(vlow)..=bucket(vhigh)`.
+    mask: u64,
+    /// The per-rank scan sketches.
+    sketch: &'s [u64],
+}
+
+impl ScanRule<'_> {
+    /// Whether `N(u)` may be skipped: its sketch misses the window's
+    /// buckets, so it holds no window vertex and its join emits nothing.
+    #[inline(always)]
+    fn skips(&self, u: u32) -> bool {
+        self.sketch[u as usize] & self.mask == 0
+    }
+}
+
 impl ChunkIndex<'_> {
+    /// The scan rule of this window over `sketch`, whose bits name
+    /// `buckets`.
+    fn scan_rule<'s>(&self, buckets: &SketchBuckets, sketch: &'s [u64]) -> ScanRule<'s> {
+        ScanRule {
+            end: self.vhigh,
+            mask: buckets.window_mask(self.vlow, self.vhigh),
+            sketch,
+        }
+    }
+
     /// Algorithm 2's join of one out-list `nm = N(u)` with the resident
     /// chunk `edg`, as one mark-and-probe pass (Chiba–Nishizeki's
     /// marking scheme over the dense vertex range):
@@ -582,32 +593,25 @@ pub(crate) fn vertex_of(offsets: &[u64], pos: u64) -> u32 {
     (offsets.partition_point(|&o| o <= pos) - 1) as u32
 }
 
-/// Pure in-memory MGT over an [`OrientedCsr`] — identical chunk logic
-/// without the disk, used by tests, baselines and the convenience
-/// counter. Emits original ids. Returns (triangles, cpu_ops).
+/// Pure in-memory MGT over an [`OrientedCsr`] — the disk engine's
+/// chunk and scan logic without the disk: it builds the scan sketches
+/// orientation would write, then reads and skips exactly the lists the
+/// disk engine over `[0, |E*|)` does. Used by tests, baselines and the
+/// convenience counter. Emits original ids. Returns (triangles,
+/// cpu_ops).
 pub fn mgt_in_memory<S: TriangleSink>(
     o: &OrientedCsr,
     budget: MemoryBudget,
     sink: &mut S,
 ) -> (u64, u64) {
-    mgt_in_memory_opt(o, budget, sink, MgtOptions::default())
-}
-
-/// [`mgt_in_memory`] with explicit [`MgtOptions`].
-pub fn mgt_in_memory_opt<S: TriangleSink>(
-    o: &OrientedCsr,
-    budget: MemoryBudget,
-    sink: &mut S,
-    opts: MgtOptions,
-) -> (u64, u64) {
-    let n = o.num_vertices();
     let ids = o.map.ids();
     let m_star = o.m_star();
     let chunk_cap = budget.chunk_edges() as u64;
+    let (buckets, sketch) = o.sketches();
     let mut triangles = 0u64;
     let mut cpu_ops = 0u64;
     let mut ind: Vec<(u32, u32)> = Vec::new();
-    let mut scratch = JoinScratch::new(n);
+    let mut scratch = JoinScratch::new(o.num_vertices());
 
     let mut pos = 0u64;
     while pos < m_star {
@@ -616,13 +620,13 @@ pub fn mgt_in_memory_opt<S: TriangleSink>(
         let window = build_chunk_index(&o.offsets, pos, chunk_end, &mut ind);
         cpu_ops += edg.len() as u64 + window.ind.len() as u64;
 
-        let scan_cap = if opts.scan_pruning { window.vhigh } else { n };
-        for u in 0..scan_cap {
+        let rule = window.scan_rule(&buckets, &sketch);
+        for u in 0..rule.end {
             let nm = o.out(u);
             if nm.is_empty() {
                 continue;
             }
-            if opts.scan_pruning && (*nm.last().unwrap() < window.vlow || nm[0] > window.vhigh) {
+            if rule.skips(u) {
                 cpu_ops += 1;
                 continue;
             }
@@ -715,37 +719,13 @@ mod tests {
     }
 
     #[test]
-    fn pruned_and_unpruned_agree() {
-        let g = rmat(8, 11).unwrap();
-        let expected = triangle_count(&g);
-        let (og, stats) = disk_oriented(&g, "prune-agree");
-        for edges in [1 << 20, 512, 16] {
-            for prune in [true, false] {
-                let r = mgt_count_range_opt(
-                    &og,
-                    full_range(&og),
-                    MemoryBudget::edges(edges),
-                    &mut CountSink,
-                    stats.clone(),
-                    MgtOptions {
-                        scan_pruning: prune,
-                        ..MgtOptions::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(r.triangles, expected, "budget {edges} prune {prune}");
-            }
-        }
-    }
-
-    #[test]
     fn scan_pruning_cuts_bytes_read_in_multipass_runs() {
         // The adjacency file must span several read buffers (64 KiB)
         // for block-granular pruning to bite: RMAT-12 is ~4 buffers
         // raw. The fixture is pinned to the raw codec — delta-varint
         // shrinks it to ~1.3 buffers, at which point skip coalescing
         // reads the whole file through regardless of pruning and the
-        // ablation being measured here disappears (the codec's own
+        // cut being measured here disappears (the codec's own
         // bytes_read win is asserted at the pipeline level instead).
         use crate::orient::orient_to_disk_with;
         let g = rmat(12, 18).unwrap();
@@ -753,30 +733,31 @@ mod tests {
         let dg = DiskGraph::write(&g, tmpbase("prune-io-in"), &stats).unwrap();
         let (og, _) =
             orient_to_disk_with(&dg, tmpbase("prune-io-or"), 2, Codec::Raw, &stats).unwrap();
-        let run = |prune: bool| {
-            let s = IoStats::new();
-            let r = mgt_count_range_opt(
-                &og,
-                full_range(&og),
-                MemoryBudget::edges(4096),
-                &mut CountSink,
-                s,
-                MgtOptions {
-                    scan_pruning: prune,
-                    ..MgtOptions::default()
-                },
-            )
+        let budget = MemoryBudget::edges(4096);
+        let r =
+            mgt_count_range(&og, full_range(&og), budget, &mut CountSink, IoStats::new()).unwrap();
+        let (io_pruned, seeks_pruned, iters) = (r.io.bytes_read, r.io.seeks, r.iterations);
+        // An unpruned run reads the whole adjacency once per iteration,
+        // beside the chunk loads both runs share (whole blocks each).
+        let loads = IoStats::new();
+        let (_, mut chunks) = IoBackend::Blocking
+            .open(&og.disk.adj_path(), &loads, std::time::Duration::ZERO)
             .unwrap();
-            (r.triangles, r.io.bytes_read, r.io.seeks, r.iterations)
-        };
-        let (t_pruned, io_pruned, seeks_pruned, iters) = run(true);
-        let (t_full, io_full, _, _) = run(false);
+        let mut pos = 0;
+        while pos < og.m_star() {
+            let len = (og.m_star() - pos).min(budget.chunk_edges() as u64);
+            chunks
+                .range_run(pos, len as usize, &mut Vec::new())
+                .unwrap();
+            pos += len;
+        }
+        let io_full = iters * og.m_star() * 4 + loads.bytes_read();
         println!(
-            "scan pruning bytes_read: {io_pruned} vs {io_full} ({:.1}% cut), \
+            "scan pruning bytes_read: {io_pruned} vs {io_full} unpruned ({:.1}% cut), \
              {seeks_pruned} seeks over {iters} iterations",
             100.0 * (1.0 - io_pruned as f64 / io_full as f64)
         );
-        assert_eq!(t_pruned, t_full);
+        assert_eq!(r.triangles, triangle_count(&g));
         assert!(
             io_pruned * 5 <= io_full * 4,
             "pruning must cut at least 20% of bytes_read: {io_pruned} vs {io_full}"
@@ -1113,25 +1094,41 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_pruning_agrees_and_saves_work() {
-        let g = rmat(8, 20).unwrap();
-        let o = orient_csr(&g);
-        let budget = MemoryBudget::edges(512);
-        let (t_p, ops_p) = mgt_in_memory_opt(&o, budget, &mut CountSink, MgtOptions::default());
-        let (t_f, ops_f) = mgt_in_memory_opt(
-            &o,
-            budget,
-            &mut CountSink,
-            MgtOptions {
-                scan_pruning: false,
-                ..MgtOptions::default()
-            },
-        );
-        assert_eq!(t_p, t_f);
-        assert!(
-            ops_p < ops_f,
-            "pruning must reduce counted work: {ops_p} vs {ops_f}"
-        );
+    fn in_memory_and_disk_engines_count_the_same_work() {
+        // One scan rule: the in-memory engine reads and skips exactly
+        // the lists the disk engine does over `[0, |E*|)`, so the two
+        // agree on `cpu_ops`, not only on the count — at chunks of 1,
+        // 7 and 64 edges and in one pass.
+        use pdtl_graph::gen::chunglu::power_law_graph;
+        use pdtl_graph::gen::models::barabasi_albert;
+        for (g, tag) in [
+            (rmat(8, 20).unwrap(), "rmat8"),
+            (
+                power_law_graph(300, 1500, 2.1, 2.0, 60.0, 4).unwrap(),
+                "cl300",
+            ),
+            (barabasi_albert(250, 5, 6).unwrap(), "ba250"),
+        ] {
+            let o = orient_csr(&g);
+            let (og, _) = disk_oriented(&g, &format!("engines-{tag}"));
+            let (buckets, sketch) = o.sketches();
+            assert_eq!((&buckets, &sketch), (og.buckets(), &og.sketch), "{tag}");
+            for edges in [2usize, 14, 128, 1 << 30] {
+                let budget = MemoryBudget::edges(edges);
+                let (t, ops) = mgt_in_memory(&o, budget, &mut CountSink);
+                let r =
+                    mgt_count_range(&og, full_range(&og), budget, &mut CountSink, IoStats::new())
+                        .unwrap();
+                assert_eq!(t, triangle_count(&g), "{tag} {edges}");
+                assert_eq!((t, ops), (r.triangles, r.cpu_ops), "{tag} {edges}");
+                // Less work than the scan alone would be unpruned: every
+                // list read once per iteration.
+                if r.iterations > 1 {
+                    let unpruned = r.iterations * o.m_star();
+                    assert!(ops < unpruned, "{tag} {edges}: {ops} vs {unpruned}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1192,7 +1189,7 @@ mod tests {
             let (og, _) = disk_oriented(&g, tag);
             // Chunks of exactly 1, 2, 3, 7, 64 edges, and one chunk.
             for edges in [1usize, 2, 3, 7, 64, 1 << 30] {
-                let budget = MemoryBudget::edges(edges).with_load_factor(1.0);
+                let budget = MemoryBudget::edges(2 * edges);
                 let chunk = budget.chunk_edges() as u64;
                 let expected = reference_listing(&o, chunk);
                 assert_eq!(expected.len() as u64, triangle_count(&g), "{tag} {edges}");

@@ -131,7 +131,8 @@ impl SketchBuckets {
         list.iter().fold(0, |s, &v| s | 1 << self.of(v))
     }
 
-    /// The bucket of every rank, `n` bytes: orientation's lookup table.
+    /// The bucket of every rank, `n` bytes: the lookup table
+    /// [`sketch_of`] reads.
     fn per_rank(&self) -> Vec<u8> {
         let mut table = Vec::with_capacity(self.first[64] as usize);
         for b in 0..64 {
@@ -139,6 +140,12 @@ impl SketchBuckets {
         }
         table
     }
+}
+
+/// The scan sketch of the out-list `list`, given the bucket of every
+/// rank ([`SketchBuckets::per_rank`]): 0 for an empty list.
+fn sketch_of(bucket_of: &[u8], list: &[u32]) -> u64 {
+    list.iter().fold(0, |s, &v| s | 1 << bucket_of[v as usize])
 }
 
 /// An oriented graph held in memory (used by baselines and the
@@ -187,6 +194,17 @@ impl OrientedCsr {
         (0..self.num_vertices())
             .map(|v| self.orig_degrees[v as usize] - self.d_star(v))
             .collect()
+    }
+
+    /// The buckets and per-rank scan sketches [`orient_to_disk_with`]
+    /// writes to `.skt` for the same graph, built the same way.
+    pub(crate) fn sketches(&self) -> (SketchBuckets, Vec<u64>) {
+        let buckets = SketchBuckets::new(&self.offsets);
+        let bucket_of = buckets.per_rank();
+        let sketch = (0..self.num_vertices())
+            .map(|u| sketch_of(&bucket_of, self.out(u)))
+            .collect();
+        (buckets, sketch)
     }
 }
 
@@ -740,9 +758,7 @@ fn orient_blocked(
                 continue;
             }
             list.sort_unstable();
-            *sketch = list
-                .iter()
-                .fold(0, |s, &rv| s | 1 << bucket_of[rv as usize]);
+            *sketch = sketch_of(&bucket_of, &list);
             block.push(rank_offsets[ru as usize], &list)?;
         }
         block.flush()?;

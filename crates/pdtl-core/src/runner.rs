@@ -23,17 +23,22 @@ use crate::mgt::{mgt_count_range_opt, MgtOptions};
 use crate::orient::{orient_to_disk_with, OrientedGraph};
 use crate::sink::{CollectSink, CountSink, FileSink, TriangleSink};
 
+/// Most worker threads one run may start: [`run_workers`] starts one
+/// OS thread per worker, so an unbounded count would exhaust the
+/// process's threads and abort it. Every runner and the serve daemon
+/// refuse a count above it with a typed error.
+pub const MAX_CORES: u32 = 64;
+
 /// Configuration of a single-machine run.
 #[derive(Debug, Clone)]
 pub struct LocalConfig {
-    /// Logical processors `P`.
+    /// Logical processors `P`, at most [`MAX_CORES`].
     pub cores: usize,
     /// Memory budget per processor (the paper's `M`).
     pub budget: MemoryBudget,
     /// Range-splitting strategy.
     pub balance: BalanceStrategy,
-    /// MGT engine knobs (scan pruning, overlapped I/O); defaults to
-    /// everything on.
+    /// MGT engine knobs (I/O backend, codec, fault injection).
     pub mgt: MgtOptions,
 }
 
@@ -57,8 +62,11 @@ pub struct LocalRunner {
 impl LocalRunner {
     /// Build a runner from `config`.
     pub fn new(config: LocalConfig) -> Result<Self> {
-        if config.cores == 0 {
-            return Err(CoreError::Config("cores must be >= 1".into()));
+        if !(1..=MAX_CORES as usize).contains(&config.cores) {
+            return Err(CoreError::Config(format!(
+                "cores must be in 1..={MAX_CORES}, got {}",
+                config.cores
+            )));
         }
         // A zero budget would run as 1-edge chunks: |E*| iterations.
         if config.budget.edges == 0 {
@@ -425,8 +433,7 @@ mod tests {
         // A list the sketch skips emits nothing, so the listing does
         // not move: `(len, crc32c)` of the triples' bytes, taken when
         // the scan skipped by each list's `(min, max)` hull, on ranges
-        // that do not depend on the cost model. The planner's ranges
-        // list the same bytes as an unpruned scan over them.
+        // that do not depend on the cost model.
         let g = rmat(9, 31).unwrap();
         let stats = IoStats::new();
         let input = DiskGraph::write(&g, tmpdir("listing-bytes").join("g"), &stats).unwrap();
@@ -442,30 +449,40 @@ mod tests {
             (Codec::DeltaVarint, 64, (358_908, 0x0f48_6d67)),
         ];
         for (codec, edges, want) in golden {
-            let listing = |balance, scan_pruning| {
-                let runner = LocalRunner::new(LocalConfig {
-                    cores: 3,
-                    budget: MemoryBudget::edges(edges),
-                    balance,
-                    mgt: MgtOptions {
-                        codec,
-                        scan_pruning,
-                        ..MgtOptions::default()
-                    },
-                })
-                .unwrap();
-                let dir = tmpdir(&format!("listing-bytes-{codec:?}-{edges}"));
-                bytes(&runner.run_listing(&input, &dir).unwrap().1)
-            };
-            let equal = listing(BalanceStrategy::EqualEdges, true);
+            let runner = LocalRunner::new(LocalConfig {
+                cores: 3,
+                budget: MemoryBudget::edges(edges),
+                balance: BalanceStrategy::EqualEdges,
+                mgt: MgtOptions {
+                    codec,
+                    ..MgtOptions::default()
+                },
+            })
+            .unwrap();
+            let dir = tmpdir(&format!("listing-bytes-{codec:?}-{edges}"));
+            let equal = bytes(&runner.run_listing(&input, &dir).unwrap().1);
             let case = format!("{codec:?} {edges}");
             assert_eq!((equal.len(), pdtl_io::crc32c(&equal)), want, "{case}");
-            assert_eq!(
-                listing(BalanceStrategy::InDegree, true),
-                listing(BalanceStrategy::InDegree, false),
-                "{case}"
-            );
         }
+    }
+
+    #[test]
+    fn core_counts_above_the_cap_are_refused() {
+        // One thread per core: 40 000 of them would abort the process.
+        for cores in [MAX_CORES as usize + 1, 40_000] {
+            let err = LocalRunner::new(LocalConfig {
+                cores,
+                ..Default::default()
+            })
+            .unwrap_err();
+            assert!(matches!(err, CoreError::Config(_)), "{err}");
+            assert!(err.to_string().contains("1..=64"), "names the cap: {err}");
+        }
+        let at_cap = LocalConfig {
+            cores: MAX_CORES as usize,
+            ..Default::default()
+        };
+        assert!(LocalRunner::new(at_cap).is_ok());
     }
 
     #[test]

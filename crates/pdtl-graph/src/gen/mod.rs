@@ -21,6 +21,6 @@ pub mod rng;
 
 pub use chunglu::{chung_lu, power_law_weights};
 pub use classic::{complete, cycle, erdos_renyi, grid, path, star, wheel};
-pub use models::{barabasi_albert, watts_strogatz};
+pub use models::barabasi_albert;
 pub use rmat::{rmat, RmatParams};
 pub use rng::SplitMix64;

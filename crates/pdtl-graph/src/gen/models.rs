@@ -1,48 +1,10 @@
-//! Additional random-graph models: Watts–Strogatz and Barabási–Albert.
-//!
-//! The Watts–Strogatz small-world model is where the clustering
-//! coefficient — the paper's headline application \[24\] — was defined;
-//! it generates graphs whose clustering is tunable via the rewiring
-//! probability `beta`, which makes it the natural fixture for the
-//! analytics crate. Barabási–Albert preferential attachment produces
-//! power-law graphs by growth, a useful contrast to Chung–Lu's static
-//! weights.
+//! An additional random-graph model: Barabási–Albert preferential
+//! attachment, which produces power-law graphs by growth, a useful
+//! contrast to Chung–Lu's static weights.
 
 use crate::csr::Graph;
 use crate::error::Result;
 use crate::gen::rng::SplitMix64;
-
-/// Watts–Strogatz small-world graph: `n` vertices on a ring, each
-/// joined to its `k/2` nearest neighbours per side, then each edge
-/// rewired with probability `beta`.
-pub fn watts_strogatz(n: u32, k: u32, beta: f64, seed: u64) -> Result<Graph> {
-    assert!(k >= 2 && k.is_multiple_of(2), "k must be even and >= 2");
-    assert!(n > k, "need n > k");
-    assert!((0.0..=1.0).contains(&beta));
-    let mut rng = SplitMix64::new(seed);
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity((n * k / 2) as usize);
-    for u in 0..n {
-        for j in 1..=(k / 2) {
-            let v = (u + j) % n;
-            if rng.next_f64() < beta {
-                // rewire the far endpoint to a uniform non-neighbour
-                // (best-effort: resample a few times, else keep).
-                let mut w = v;
-                for _ in 0..8 {
-                    let cand = rng.next_bounded(n as u64) as u32;
-                    if cand != u {
-                        w = cand;
-                        break;
-                    }
-                }
-                edges.push((u, w));
-            } else {
-                edges.push((u, v));
-            }
-        }
-    }
-    Graph::from_edges(n, &edges)
-}
 
 /// Barabási–Albert preferential attachment: start from a small clique,
 /// then each new vertex attaches to `m_attach` existing vertices with
@@ -84,58 +46,6 @@ pub fn barabasi_albert(n: u32, m_attach: u32, seed: u64) -> Result<Graph> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::triangle_list;
-
-    #[test]
-    fn ws_beta_zero_is_a_regular_lattice() {
-        let g = watts_strogatz(30, 4, 0.0, 1).unwrap();
-        for v in 0..30 {
-            assert_eq!(g.degree(v), 4, "ring lattice is 4-regular");
-        }
-        // each vertex's two nearest neighbours on one side form a
-        // triangle with it: n triangles total for k=4
-        assert_eq!(triangle_list(&g).len(), 30);
-    }
-
-    #[test]
-    fn ws_rewiring_lowers_clustering() {
-        let lattice = watts_strogatz(200, 6, 0.0, 2).unwrap();
-        let random = watts_strogatz(200, 6, 1.0, 2).unwrap();
-        let cc = |g: &Graph| {
-            let list = triangle_list(g);
-            crate::stats::GraphStats::compute("", g); // smoke
-            pdtl_cc(g, &list)
-        };
-        assert!(cc(&lattice) > 2.0 * cc(&random));
-    }
-
-    // local helper: average clustering without depending on analytics
-    fn pdtl_cc(g: &Graph, list: &[(u32, u32, u32)]) -> f64 {
-        let mut per = vec![0u64; g.num_vertices() as usize];
-        for &(a, b, c) in list {
-            per[a as usize] += 1;
-            per[b as usize] += 1;
-            per[c as usize] += 1;
-        }
-        let mut acc = 0.0;
-        let mut cnt = 0;
-        for v in 0..g.num_vertices() {
-            let d = g.degree(v) as u64;
-            if d >= 2 {
-                acc += 2.0 * per[v as usize] as f64 / (d * (d - 1)) as f64;
-                cnt += 1;
-            }
-        }
-        acc / cnt.max(1) as f64
-    }
-
-    #[test]
-    fn ws_deterministic() {
-        assert_eq!(
-            watts_strogatz(50, 4, 0.3, 9).unwrap(),
-            watts_strogatz(50, 4, 0.3, 9).unwrap()
-        );
-    }
 
     #[test]
     fn ba_grows_power_law_hubs() {
@@ -156,11 +66,5 @@ mod tests {
         let m = g.num_edges();
         // seed clique C(3,2)=3 + ~2 per subsequent vertex
         assert!(m > 900 && m <= 1003, "m = {m}");
-    }
-
-    #[test]
-    #[should_panic(expected = "even")]
-    fn ws_rejects_odd_k() {
-        let _ = watts_strogatz(10, 3, 0.1, 0);
     }
 }

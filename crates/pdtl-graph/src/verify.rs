@@ -83,18 +83,6 @@ pub fn triangle_count_cubic(g: &Graph) -> u64 {
     count
 }
 
-/// Per-vertex triangle counts (each triangle contributes 1 to each of its
-/// three corners) — the quantity clustering coefficients are built from.
-pub fn per_vertex_triangles(g: &Graph) -> Vec<u64> {
-    let mut counts = vec![0u64; g.num_vertices() as usize];
-    for (u, v, w) in triangle_list(g) {
-        counts[u as usize] += 1;
-        counts[v as usize] += 1;
-        counts[w as usize] += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,16 +127,6 @@ mod tests {
             assert!(g.has_edge(u, v) && g.has_edge(v, w) && g.has_edge(u, w));
             assert!(seen.insert((u, v, w)), "duplicate {u},{v},{w}");
         }
-    }
-
-    #[test]
-    fn per_vertex_sums_to_three_t() {
-        let g = wheel(10).unwrap();
-        let pv = per_vertex_triangles(&g);
-        let total: u64 = pv.iter().sum();
-        assert_eq!(total, 3 * triangle_count(&g));
-        // the hub participates in all 9 rim triangles
-        assert_eq!(pv[0], 9);
     }
 
     #[test]

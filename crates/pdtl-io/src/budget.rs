@@ -2,34 +2,27 @@
 //!
 //! The paper's analysis parameterises every bound by `M`, the memory
 //! available to one processor, measured in edges: the MGT chunk loader
-//! brings `Θ(M)` oriented edges into memory per iteration, and a processor
-//! responsible for `S` edges performs `ceil(S / M)` iterations. PDTL's
-//! evaluation (Figure 5) varies `M` while holding everything else fixed;
-//! [`MemoryBudget`] is the knob those experiments turn.
+//! brings `c·M` oriented edges into memory per iteration, and a
+//! processor responsible for `S` edges performs `ceil(S / cM)`
+//! iterations. The paper leaves the constant `c < 1` to the
+//! implementation; here it is `c = 1/2`, a constant and not a setting,
+//! and the other half of `M` holds the `ind` offset array and scratch.
+//! PDTL's evaluation (Figure 5) varies `M` while holding everything
+//! else fixed; [`MemoryBudget`] is the knob those experiments turn.
 
 use crate::error::{IoError, Result};
 
-/// Fraction of the budget the chunk loader actually fills (the paper's
-/// implementation-specific constant `c < 1`; it leaves room for the `ind`
-/// offset array and scratch space).
-pub const DEFAULT_LOAD_FACTOR: f64 = 0.5;
-
 /// Memory available to a single logical processor, in edges.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBudget {
     /// Total edges' worth of memory available to the processor.
     pub edges: usize,
-    /// Fraction of `edges` the chunk loader may fill per iteration.
-    pub load_factor: f64,
 }
 
 impl MemoryBudget {
-    /// A budget of `edges` edges with the default load factor.
+    /// A budget of `edges` edges.
     pub fn edges(edges: usize) -> Self {
-        Self {
-            edges,
-            load_factor: DEFAULT_LOAD_FACTOR,
-        }
+        Self { edges }
     }
 
     /// A budget expressed in bytes, at 4 bytes per stored edge endpoint
@@ -39,46 +32,15 @@ impl MemoryBudget {
         Self::edges((bytes / crate::stream::BYTES_PER_U32) as usize)
     }
 
-    /// Override the load factor (clamped to `(0, 1]`; `NaN` falls back
-    /// to [`DEFAULT_LOAD_FACTOR`] — `clamp` propagates NaN, which would
-    /// otherwise silently collapse every chunk to a single edge).
-    pub fn with_load_factor(mut self, f: f64) -> Self {
-        self.load_factor = if f.is_nan() {
-            DEFAULT_LOAD_FACTOR
-        } else {
-            f.clamp(f64::MIN_POSITIVE, 1.0)
-        };
-        self
-    }
-
-    /// Edges loaded per MGT iteration: `c * M`, at least 1.
+    /// Edges loaded per MGT iteration: `M / 2`, at least 1.
     pub fn chunk_edges(&self) -> usize {
-        ((self.edges as f64 * self.load_factor) as usize).max(1)
+        (self.edges / 2).max(1)
     }
 
     /// Number of chunk iterations needed to cover `range_edges` edges:
     /// `ceil(S / cM)` — the `R` of the paper's Section IV-B2.
     pub fn iterations_for(&self, range_edges: u64) -> u64 {
         range_edges.div_ceil(self.chunk_edges() as u64)
-    }
-
-    /// Check the paper's small-degree assumption `d* <= cM` for a given
-    /// maximum oriented degree. The MGT engine needs no fallback when it
-    /// fails (a list split across chunks still has each position resident
-    /// exactly once; only the CPU bound loosens), but callers may want
-    /// to warn.
-    pub fn satisfies_small_degree(&self, d_star_max: u32) -> bool {
-        (d_star_max as usize) <= self.chunk_edges()
-    }
-
-    /// Error unless the budget can hold at least `needed` edges per chunk.
-    pub fn require_chunk(&self, needed: usize) -> Result<()> {
-        let available = self.chunk_edges();
-        if needed > available {
-            Err(IoError::BudgetTooSmall { needed, available })
-        } else {
-            Ok(())
-        }
     }
 }
 
@@ -191,18 +153,14 @@ mod tests {
 
     #[test]
     fn chunk_is_load_factor_fraction() {
-        let b = MemoryBudget::edges(1000);
-        assert_eq!(b.chunk_edges(), 500);
-        let b = b.with_load_factor(0.25);
-        assert_eq!(b.chunk_edges(), 250);
+        assert_eq!(MemoryBudget::edges(1000).chunk_edges(), 500);
+        assert_eq!(MemoryBudget::edges(1001).chunk_edges(), 500);
     }
 
     #[test]
     fn chunk_is_at_least_one() {
-        let b = MemoryBudget::edges(1).with_load_factor(0.1);
-        assert_eq!(b.chunk_edges(), 1);
-        let b = MemoryBudget::edges(0);
-        assert_eq!(b.chunk_edges(), 1);
+        assert_eq!(MemoryBudget::edges(1).chunk_edges(), 1);
+        assert_eq!(MemoryBudget::edges(0).chunk_edges(), 1);
     }
 
     #[test]
@@ -219,44 +177,6 @@ mod tests {
         assert_eq!(b.iterations_for(50), 1);
         assert_eq!(b.iterations_for(51), 2);
         assert_eq!(b.iterations_for(500), 10);
-    }
-
-    #[test]
-    fn small_degree_assumption() {
-        let b = MemoryBudget::edges(100); // chunk = 50
-        assert!(b.satisfies_small_degree(50));
-        assert!(!b.satisfies_small_degree(51));
-    }
-
-    #[test]
-    fn require_chunk_errors_when_too_small() {
-        let b = MemoryBudget::edges(10); // chunk = 5
-        assert!(b.require_chunk(5).is_ok());
-        let err = b.require_chunk(6).unwrap_err();
-        assert!(matches!(
-            err,
-            IoError::BudgetTooSmall {
-                needed: 6,
-                available: 5
-            }
-        ));
-    }
-
-    #[test]
-    fn load_factor_clamped() {
-        let b = MemoryBudget::edges(100).with_load_factor(2.0);
-        assert_eq!(b.chunk_edges(), 100);
-        let b = MemoryBudget::edges(100).with_load_factor(-1.0);
-        assert_eq!(b.chunk_edges(), 1);
-    }
-
-    #[test]
-    fn nan_load_factor_falls_back_to_default() {
-        // Regression: NaN passed f64::clamp unchanged and silently
-        // yielded 1-edge chunks.
-        let b = MemoryBudget::edges(1000).with_load_factor(f64::NAN);
-        assert_eq!(b.load_factor, DEFAULT_LOAD_FACTOR);
-        assert_eq!(b.chunk_edges(), 500);
     }
 
     #[test]

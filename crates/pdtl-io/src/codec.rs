@@ -552,11 +552,6 @@ impl<T: U32Source> VarintSource<T> {
         })
     }
 
-    /// The wrapped transport (for latency injection and inspection).
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
     /// How many values the decoder has produced so far, counting those
     /// a `skip` or `seek_to` decoded only to discard — the work
     /// [`IoStats::record_decoded`] (delivered values) does not show.

@@ -11,8 +11,6 @@
 //! figures deterministically — independent of the host's core count or
 //! disk cache state.
 
-use std::time::Duration;
-
 /// Throughput parameters converting counted work into seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
@@ -44,13 +42,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A model with an artificially slow disk, for experiments that need
-    /// the I/O share to dominate (ratio < 1 slows the disk down).
-    pub fn with_disk_scale(mut self, ratio: f64) -> Self {
-        self.io_bytes_per_sec *= ratio;
-        self
-    }
-
     /// Seconds of compute for `ops` elementary operations.
     pub fn cpu_seconds(&self, ops: u64) -> f64 {
         ops as f64 / self.cpu_ops_per_sec
@@ -101,11 +92,6 @@ impl ModeledTime {
         self.cpu.max(self.io) + self.net
     }
 
-    /// As a `Duration` (serialised total).
-    pub fn as_duration(&self) -> Duration {
-        Duration::from_secs_f64(self.total().max(0.0))
-    }
-
     /// Component-wise sum.
     pub fn merged(&self, other: &ModeledTime) -> ModeledTime {
         ModeledTime {
@@ -149,13 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_scale_slows_io_only() {
-        let m = CostModel::default().with_disk_scale(0.5);
-        assert!((m.io_seconds(500_000_000, 0) - 2.0).abs() < 1e-9);
-        assert!((m.cpu_seconds(200_000_000) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn modeled_time_totals() {
         let t = ModeledTime {
             cpu: 2.0,
@@ -164,7 +143,6 @@ mod tests {
         };
         assert!((t.total() - 6.0).abs() < 1e-12);
         assert!((t.total_overlapped() - 4.0).abs() < 1e-12);
-        assert_eq!(t.as_duration(), Duration::from_secs(6));
     }
 
     #[test]

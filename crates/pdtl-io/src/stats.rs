@@ -117,23 +117,6 @@ impl IoStats {
         self.bytes_read() + self.bytes_written()
     }
 
-    /// Fold another counter set into this one (used when aggregating
-    /// per-core stats into per-node or cluster totals).
-    pub fn merge(&self, other: &IoStats) {
-        self.bytes_read
-            .fetch_add(other.bytes_read(), Ordering::Relaxed);
-        self.bytes_written
-            .fetch_add(other.bytes_written(), Ordering::Relaxed);
-        self.read_ops.fetch_add(other.read_ops(), Ordering::Relaxed);
-        self.write_ops
-            .fetch_add(other.write_ops(), Ordering::Relaxed);
-        self.seeks.fetch_add(other.seeks(), Ordering::Relaxed);
-        self.io_nanos
-            .fetch_add(other.io_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.u32s_decoded
-            .fetch_add(other.u32s_decoded(), Ordering::Relaxed);
-    }
-
     /// Reset every counter to zero.
     pub fn reset(&self) {
         self.bytes_read.store(0, Ordering::Relaxed);
@@ -273,20 +256,6 @@ mod tests {
         assert_eq!(s.blocks(4096), 2); // 4097 bytes -> 2 blocks
         s.record_seek();
         assert_eq!(s.blocks(4096), 3);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let a = IoStats::new();
-        let b = IoStats::new();
-        a.record_read(10, Duration::from_nanos(5));
-        b.record_read(20, Duration::from_nanos(7));
-        b.record_decoded(9);
-        a.merge(&b);
-        assert_eq!(a.bytes_read(), 30);
-        assert_eq!(a.read_ops(), 2);
-        assert_eq!(a.io_time(), Duration::from_nanos(12));
-        assert_eq!(a.u32s_decoded(), 9);
     }
 
     #[test]

@@ -1241,6 +1241,56 @@ mod tests {
         assert_eq!(r.read_all().unwrap(), vec![42]);
     }
 
+    /// A file holding `vals`.
+    fn write_vals(name: &str, vals: &[u32]) -> PathBuf {
+        let p = tmp(name);
+        let mut w = U32Writer::create(&p, IoStats::new()).unwrap();
+        w.write_all(vals).unwrap();
+        w.finish().unwrap();
+        p
+    }
+
+    #[test]
+    fn repeated_rescans_deliver_identical_data() {
+        // The MGT scan pass seeks back to 0 once per chunk iteration.
+        let vals: Vec<u32> = (0..5_000).map(|i| i ^ 0xA5A5).collect();
+        let p = write_vals("rescan", &vals);
+        let mut r = U32Reader::with_buffer(&p, IoStats::new(), 64).unwrap();
+        for _ in 0..5 {
+            r.seek_to(0).unwrap();
+            let mut out = Vec::new();
+            r.read_into(&mut out, vals.len()).unwrap();
+            assert_eq!(out, vals);
+        }
+    }
+
+    #[test]
+    fn hint_not_followed_is_discarded_uncharged() {
+        // A reader over `0..50 000` in 100-value blocks, each block
+        // read costing an emulated millisecond.
+        let p = write_vals("hint-miss", &(0..50_000).collect::<Vec<u32>>());
+        let stats = IoStats::new();
+        let mut r = U32Reader::with_buffer(&p, stats.clone(), 100).unwrap();
+        r.set_read_latency(Duration::from_millis(1));
+        let mut buf = Vec::new();
+        r.hint_range(20_000, 600);
+        r.range_run(0, 100, &mut buf).unwrap();
+        let run = r.range_run(40_000, 150, &mut buf).unwrap();
+        assert_eq!((run[0], run[149]), (40_000, 40_149));
+        // Reading on from there fetches at a position no hint named.
+        r.hint_range(100, 100);
+        assert_eq!(r.range_run(300, 100, &mut buf).unwrap()[0], 300);
+        assert_eq!(r.next_run(100, &mut buf).unwrap()[0], 400);
+        assert_eq!(
+            stats.bytes_read(),
+            (1 + 2 + 1 + 1) * 100 * 4,
+            "only consumed blocks are charged, never a hinted range"
+        );
+        assert_eq!(stats.seeks(), 3);
+        // A hint is not a device read: five blocks, five emulated waits.
+        assert!(stats.io_time() >= Duration::from_millis(5));
+    }
+
     #[test]
     fn io_time_is_recorded() {
         let p = tmp("iotime");

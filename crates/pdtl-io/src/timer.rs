@@ -66,15 +66,6 @@ impl TimeBreakdown {
             io: self.io + other.io,
         }
     }
-
-    /// Fraction of wall time spent on I/O (0 when wall is zero).
-    pub fn io_fraction(&self) -> f64 {
-        if self.wall.is_zero() {
-            0.0
-        } else {
-            self.io.as_secs_f64() / self.wall.as_secs_f64()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -129,15 +120,5 @@ mod tests {
         assert_eq!(m.wall, Duration::from_secs(6));
         assert_eq!(m.io, Duration::from_secs(3));
         assert_eq!(m.cpu(), Duration::from_secs(3));
-    }
-
-    #[test]
-    fn io_fraction() {
-        let b = TimeBreakdown {
-            wall: Duration::from_secs(4),
-            io: Duration::from_secs(1),
-        };
-        assert!((b.io_fraction() - 0.25).abs() < 1e-9);
-        assert_eq!(TimeBreakdown::default().io_fraction(), 0.0);
     }
 }

@@ -190,7 +190,6 @@ fn message(variant: usize, r: &mut Rng) -> Message {
             options: QueryOptions {
                 cores: r.u32(),
                 budget_edges: r.next(),
-                scan_pruning: r.bool(),
                 backend: IoBackend::ALL[r.below(4)],
                 codec: Codec::ALL[r.below(2)],
                 io_latency_us: r.u32(),
