@@ -41,7 +41,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 parsed.mgt.backend = it
                     .next()
                     .and_then(|v| IoBackend::parse(v))
-                    .ok_or("--backend needs one of blocking|prefetch|mmap|uring")?;
+                    .ok_or("--backend needs one of blocking|prefetch|mmap")?;
             }
             "--codec" => {
                 parsed.mgt.codec = it
@@ -122,7 +122,10 @@ mod tests {
             assert!(err.starts_with("unknown flag -"), "{line}: {err}");
         }
         assert!(parse("all --backend").is_err());
-        assert!(parse("all --backend tape").is_err());
+        for removed in ["tape", "uring", "io_uring"] {
+            let err = parse(&format!("all --backend {removed}")).unwrap_err();
+            assert!(err.ends_with("blocking|prefetch|mmap"), "{removed}: {err}");
+        }
         assert!(parse("all --codec gzip").is_err());
     }
 

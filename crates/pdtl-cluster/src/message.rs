@@ -386,9 +386,7 @@ pub struct WorkerSummary {
     pub seeks: u64,
     /// Read + write operations.
     pub io_ops: u64,
-    /// Nanoseconds of I/O activity. Under the uring backend this runs
-    /// concurrently with compute (device time, not stall time), so it
-    /// may approach or exceed `wall_nanos`.
+    /// Nanoseconds of I/O activity.
     pub io_nanos: u64,
     /// Worker wall time in nanoseconds.
     pub wall_nanos: u64,
@@ -897,23 +895,6 @@ mod tests {
             directives: NodeDirectives::default(),
         };
         assert_eq!(Message::decode(msg.encode()).unwrap(), msg);
-    }
-
-    #[test]
-    fn uring_config_round_trips_through_the_wire() {
-        // Every backend has its own whole byte: its index in
-        // `IoBackend::ALL`, after the three u64s and the pruning byte.
-        for (d, &backend) in IoBackend::ALL.iter().enumerate() {
-            let cfg = sample_worker(backend);
-            let mut encoded = Vec::new();
-            cfg.put(&mut encoded);
-            assert_eq!(encoded[24], 0, "pruning byte");
-            assert_eq!(encoded[25], d as u8, "{backend:?}");
-            let mut r = Reader(&encoded);
-            assert_eq!(r.get::<WorkerConfig>().unwrap(), cfg);
-            r.finish().unwrap();
-        }
-        assert_eq!(IoBackend::ALL[3], IoBackend::Uring);
     }
 
     #[test]

@@ -409,7 +409,12 @@ impl Server {
                         let jobs_tx = jobs_tx.clone();
                         let handle =
                             std::thread::spawn(move || serve_conn(&shared, stream, &jobs_tx));
-                        lock(&conns).push(handle);
+                        // Closed connections' threads have exited: drop
+                        // their handles here, so the list holds the open
+                        // connections, not every one ever accepted.
+                        let mut conns = lock(&conns);
+                        conns.retain(|h| !h.is_finished());
+                        conns.push(handle);
                     }
                     Err(_) => {
                         if shared.stop.load(Ordering::SeqCst) {
@@ -1005,6 +1010,28 @@ mod tests {
             assert!(matches!(err, ClusterError::Config(_)), "{err}");
             assert!(err.to_string().contains("1..=64"), "names the cap: {err}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn closed_connections_leave_no_thread_behind() {
+        let dir = std::env::temp_dir().join(format!("pdtl-serve-reap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let catalog = Catalog::open(&dir, &dir.join("work"), &[Codec::Raw], 1).unwrap();
+        let server = Server::spawn(catalog, ServeConfig::default()).unwrap();
+        for _ in 0..100 {
+            let mut client = ServeClient::connect(&server.addr()).unwrap();
+            client.stats().unwrap();
+        }
+        // Let the last closed connection's thread see its EOF; the next
+        // accept then reaps every finished thread.
+        std::thread::sleep(Duration::from_millis(200));
+        let mut open = ServeClient::connect(&server.addr()).unwrap();
+        open.stats().unwrap();
+        let held = lock(&server.conns).len();
+        assert!(held <= 2, "one connection open, {held} threads held");
+        drop(open);
+        server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

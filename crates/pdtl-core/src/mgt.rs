@@ -84,21 +84,15 @@
 //!   the mapped region, so chunk "loads" become pointer arithmetic plus
 //!   accounting — the fastest backend when the graph sits in the page
 //!   cache. Unsupported platforms degrade to `Blocking` automatically.
-//! * [`IoBackend::Uring`] overlaps device waits with compute through
-//!   the kernel instead of threads: block reads are queued on an `io_uring`
-//!   submission queue with depth > 1 ([`pdtl_io::UringSource`]), so the
-//!   next chunk and the scan read-ahead complete asynchronously while
-//!   the engine computes — no extra threads, no hand-off copies.
-//!   Kernels without `io_uring` degrade to `Prefetch` automatically.
 //! * [`IoBackend::Blocking`] is the synchronous behaviour, kept as the
 //!   ablation baseline.
 //!
 //! Switching backends is therefore a pure scheduling change — one
-//! accounting, three fetchers: the engine counts the exact same
+//! accounting, two fetchers: the engine counts the exact same
 //! `bytes_read`, `read_ops` and `seeks` whichever backend runs, which
 //! the integration and property tests assert. Device waits can be
 //! recreated deterministically on warm page caches via
-//! [`MgtOptions::io_latency`] (honoured by all four backends).
+//! [`MgtOptions::io_latency`] (honoured by all three backends).
 //!
 //! Orthogonal to the backend, the graph's on-disk **codec** decides
 //! what those transports carry. A [`Codec::DeltaVarint`] adjacency
@@ -153,7 +147,7 @@ use crate::sink::TriangleSink;
 /// use pdtl_io::{Codec, IoBackend};
 ///
 /// let opts = MgtOptions {
-///     backend: IoBackend::Uring, // engines resolve() it per platform
+///     backend: IoBackend::Mmap, // engines resolve() it per platform
 ///     ..MgtOptions::default()
 /// };
 /// assert_eq!((opts.read_fault, opts.codec), (None, Codec::Raw));
@@ -164,8 +158,7 @@ pub struct MgtOptions {
     /// backend counts the exact same `bytes_read` and `seeks` — the
     /// choice is a scheduling/copy change, not a different I/O plan:
     /// [`IoBackend::Prefetch`] (default) reads as `Blocking` does,
-    /// [`IoBackend::Uring`] keeps reads in flight on kernel submission
-    /// queues while the engine computes, [`IoBackend::Mmap`] serves
+    /// [`IoBackend::Mmap`] serves
     /// page-cache-resident graphs zero-copy, [`IoBackend::Blocking`] is
     /// the synchronous reference. Ignored by the in-memory engine,
     /// which has no I/O at all.
@@ -227,27 +220,16 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
     stats: Arc<IoStats>,
     opts: MgtOptions,
 ) -> Result<WorkerReport> {
-    mgt_count_range_served(og, range, budget, sink, stats, opts).map(|(_, report)| report)
-}
-
-/// [`mgt_count_range_opt`], also returning the backend that served the
-/// run ([`IoBackend::open`] may fall back from the one configured).
-fn mgt_count_range_served<S: TriangleSink>(
-    og: &OrientedGraph,
-    range: EdgeRange,
-    budget: MemoryBudget,
-    sink: &mut S,
-    stats: Arc<IoStats>,
-    opts: MgtOptions,
-) -> Result<(IoBackend, WorkerReport)> {
     let timer = CpuIoTimer::start(stats.clone());
     let io_before = stats.snapshot();
 
     // Two streams over the oriented adjacency, opened the same way:
     // one for the scan pass, one for chunk loads.
-    let open = |backend: IoBackend| backend.open(&og.disk.adj_path(), &stats, opts.io_latency);
-    let (served, scan) = open(opts.backend)?;
-    let (_, chunks) = open(served)?;
+    let open = || {
+        opts.backend
+            .open(&og.disk.adj_path(), &stats, opts.io_latency)
+    };
+    let (scan, chunks) = (open()?, open()?);
     // The scan stream is wrapped in `FaultySource` so `read_fault` can
     // cut data delivery at a deterministic offset; an unset fault is an
     // unlimited budget (a compare + subtract per out-list, and the
@@ -278,7 +260,7 @@ fn mgt_count_range_served<S: TriangleSink>(
     sink.flush()?;
 
     let io_after = stats.snapshot();
-    let report = WorkerReport {
+    Ok(WorkerReport {
         worker: 0,
         range,
         triangles: done.triangles,
@@ -289,8 +271,7 @@ fn mgt_count_range_served<S: TriangleSink>(
         scan_hits: done.scan_hits,
         io: io_after.since(&io_before),
         breakdown: timer.finish(),
-    };
-    Ok((served, report))
+    })
 }
 
 /// What one disk worker's chunk/scan loop counted.
@@ -740,7 +721,7 @@ mod tests {
         // An unpruned run reads the whole adjacency once per iteration,
         // beside the chunk loads both runs share (whole blocks each).
         let loads = IoStats::new();
-        let (_, mut chunks) = IoBackend::Blocking
+        let mut chunks = IoBackend::Blocking
             .open(&og.disk.adj_path(), &loads, std::time::Duration::ZERO)
             .unwrap();
         let mut pos = 0;
@@ -774,84 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_reduces_wall_time_in_multipass_runs() {
-        // RMAT-12 at budget 4096 is the multi-pass regime the Theorem
-        // IV.2 `|E|²/(MB)` term dominates: the blocking engine stalls
-        // on every chunk load and scan refill. The fixture lives in the
-        // page cache (and CI machines may have a single core), so the
-        // device waits that regime is about are recreated with the
-        // deterministic `io_latency` emulation — 50 µs per block read,
-        // a fast-SSD figure. The ring's emulation makes a block ready
-        // `latency` after submission, so queued reads overlap even on
-        // one CPU; what cannot be hidden (first block after each scan
-        // rewind) still bounds the win, keeping the comparison honest.
-        // Min-of-3 runs per mode. Where the ring does not serve a run
-        // (io_uring unavailable, or failing at open) the engine falls
-        // back to a reader that pays every wait, and only the
-        // accounting is compared.
-        let g = rmat(12, 18).unwrap();
-        let (og, _) = disk_oriented(&g, "overlap-wall");
-        let run = |backend: IoBackend| {
-            let s = IoStats::new();
-            mgt_count_range_served(
-                &og,
-                full_range(&og),
-                MemoryBudget::edges(4096),
-                &mut CountSink,
-                s,
-                MgtOptions {
-                    backend,
-                    io_latency: std::time::Duration::from_micros(50),
-                    ..MgtOptions::default()
-                },
-            )
-            .unwrap()
-        };
-        // The fastest of three runs, and whether `backend` served all three.
-        let best = |backend| {
-            let runs: Vec<_> = (0..3).map(|_| run(backend)).collect();
-            let served = runs.iter().all(|(by, _)| *by == backend);
-            let (_, r) = runs
-                .into_iter()
-                .min_by_key(|(_, r)| r.breakdown.wall)
-                .unwrap();
-            (served, r)
-        };
-        let (ring_served, ov) = best(IoBackend::Uring);
-        let (_, bl) = best(IoBackend::Blocking);
-        let (wall_ov, wall_bl) = (ov.breakdown.wall, bl.breakdown.wall);
-        println!(
-            "uring backend wall at 50µs/block device latency: {wall_ov:?} vs blocking \
-             {wall_bl:?} ({:.1}% cut; {} bytes, {} seeks each)",
-            100.0 * (1.0 - wall_ov.as_secs_f64() / wall_bl.as_secs_f64()),
-            ov.io.bytes_read,
-            ov.io.seeks
-        );
-        assert_eq!(ov.triangles, bl.triangles, "identical triangle counts");
-        assert_eq!(ov.io.bytes_read, bl.io.bytes_read, "identical bytes_read");
-        assert_eq!(ov.io.seeks, bl.io.seeks, "identical seeks");
-        // The wall-clock claim is asserted for optimized builds only:
-        // debug builds time unoptimized cursor/decode paths (on possibly
-        // single-core CI boxes), which is not the comparison the
-        // overlap is about. Release runs cut ~35% here; on a
-        // machine saturated by other work, PDTL_SKIP_PERF_ASSERTS=1
-        // opts out of the strict inequality (counts/bytes/seeks above
-        // are always asserted).
-        if cfg!(debug_assertions) || std::env::var_os("PDTL_SKIP_PERF_ASSERTS").is_some() {
-            return;
-        }
-        if !ring_served {
-            println!("wall assertion skipped: io_uring did not serve every uring run");
-            return;
-        }
-        assert!(
-            wall_ov < wall_bl,
-            "overlapped I/O must reduce wall time in the multi-pass regime: \
-             {wall_ov:?} vs {wall_bl:?}"
-        );
-    }
-
-    #[test]
     fn all_backends_agree_across_budgets() {
         // Every I/O backend must produce the oracle count and identical
         // I/O accounting at every budget, including chunk = 1 edge. The
@@ -878,7 +781,7 @@ mod tests {
             };
             let (t_bl, bytes_bl, seeks_bl) = run(IoBackend::Blocking);
             assert_eq!(t_bl, expected, "budget {edges}");
-            for backend in [IoBackend::Prefetch, IoBackend::Mmap, IoBackend::Uring] {
+            for backend in [IoBackend::Prefetch, IoBackend::Mmap] {
                 let (t, bytes, seeks) = run(backend);
                 assert_eq!(t, expected, "budget {edges} {backend}");
                 assert_eq!(bytes, bytes_bl, "budget {edges} {backend}: bytes_read");
@@ -928,7 +831,7 @@ mod tests {
             let (t_bl, bytes_bl, seeks_bl, dec_bl) = run(IoBackend::Blocking);
             assert_eq!(t_bl, expected, "budget {edges}");
             assert!(dec_bl > 0, "decoded dimension must be populated");
-            for backend in [IoBackend::Prefetch, IoBackend::Mmap, IoBackend::Uring] {
+            for backend in [IoBackend::Prefetch, IoBackend::Mmap] {
                 let (t, bytes, seeks, dec) = run(backend);
                 assert_eq!(t, expected, "budget {edges} {backend}");
                 assert_eq!(bytes, bytes_bl, "budget {edges} {backend}: bytes_read");

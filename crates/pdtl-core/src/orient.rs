@@ -249,12 +249,13 @@ pub fn orient_csr(g: &Graph) -> OrientedCsr {
             let rw = ranks[w as usize] as usize;
             let keep = (rw as u32) < rv;
             let idx = if keep { cursor[rw] as usize } else { m_star };
-            // SAFETY: kept writes target `cursor[rw] < m_star` (cursors
-            // advance once per kept arc, and pass 1 counted exactly
-            // `m_star` of them); discarded writes target the spare slot
-            // `m_star`. The buffer holds `m_star + 1` values. (The
-            // bounds check is real money here: the loop runs 2|E| times.)
-            unsafe { *adj.get_unchecked_mut(idx) = rv };
+            // Kept writes land below `m_star` only if every arc is listed
+            // from both ends: pass 1 counts each edge from its lower
+            // rank's list, this pass from its higher rank's. Neither
+            // `Graph::from_parts` nor `DiskGraph::load_csr` checks that
+            // symmetry, so the index stays checked: a one-sided arc
+            // panics here instead of writing past `adj`.
+            adj[idx] = rv;
             cursor[rw] += u64::from(keep);
         }
     }
@@ -876,6 +877,15 @@ mod tests {
             let o = orient_csr(&g);
             assert_eq!(o.m_star(), g.num_edges(), "|E*| = |E|");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn one_sided_adjacency_panics_instead_of_writing_past_the_buffer() {
+        // Vertices 1 and 2 list 0, and 0 lists nothing: pass 1 keeps no
+        // arc, pass 2 scatters two into a one-slot buffer.
+        let g = Graph::from_parts(vec![0, 0, 1, 2], vec![0, 0]).unwrap();
+        orient_csr(&g);
     }
 
     #[test]

@@ -320,7 +320,7 @@ impl Drop for ScratchDir {
 ///         cores: 2,
 ///         budget: MemoryBudget::edges(64), // far below |E*|: multi-pass
 ///         mgt: MgtOptions {
-///             backend: IoBackend::Uring, // degrades to prefetch if absent
+///             backend: IoBackend::Mmap, // degrades to blocking if absent
 ///             ..MgtOptions::default()
 ///         },
 ///         ..LocalConfig::default()

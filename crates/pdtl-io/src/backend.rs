@@ -5,23 +5,18 @@
 //! [`BlockStream`], which fixes the I/O plan and does all the
 //! accounting (`bytes_read` / `read_ops` / `seeks`, counted per block
 //! *touched*). A backend only chooses the fetcher that delivers the
-//! blocks — one accounting, three fetchers behind four names:
+//! blocks — one accounting, two fetchers behind three names:
 //!
 //! * [`Blocking`](IoBackend::Blocking) — [`U32Reader`], one synchronous
 //!   read per block. The reference the ablations compare against.
 //! * [`Prefetch`](IoBackend::Prefetch) — the default, read exactly as
 //!   `Blocking` reads ([`PrefetchReader`](crate::PrefetchReader) is
-//!   [`U32Reader`]). The name stays because it is the default, the
-//!   uring fallback's label and wire byte 1.
+//!   [`U32Reader`]). The name stays because it is the default and
+//!   wire byte 1.
 //! * [`Mmap`](IoBackend::Mmap) — [`MmapSource`], the file mapped into
 //!   the address space and lent zero-copy. Wins on page-cache-resident
 //!   graphs where every `read(2)` copy is pure overhead; falls back to
 //!   `Blocking` on platforms without the mapping syscalls.
-//! * [`Uring`](IoBackend::Uring) — [`UringSource`], block reads driven
-//!   through `io_uring` submission/completion queues with depth > 1 and
-//!   *no* extra threads: the kernel overlaps device waits with compute.
-//!   Falls back to `Prefetch` (blocking reads) on kernels without
-//!   `io_uring`.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -29,16 +24,16 @@ use std::time::Duration;
 
 use crate::error::Result;
 use crate::stream::{BlockFetch, BlockStream};
-use crate::{IoStats, MmapSource, U32Reader, UringSource};
+use crate::{IoStats, MmapSource, U32Reader};
 
 /// Which fetcher an engine's [`BlockStream`]s read their graph files
 /// through. The default, [`Prefetch`](IoBackend::Prefetch), is fixed;
 /// a caller picks another by setting the field it configures
 /// (`MgtOptions::backend`, the CLI's `--backend`).
 ///
-/// Names round-trip through [`parse`](Self::parse) (which also accepts
-/// the `io_uring` spelling), and [`resolve`](Self::resolve) degrades a
-/// backend the running platform cannot serve to one it can:
+/// Names round-trip through [`parse`](Self::parse), and
+/// [`resolve`](Self::resolve) degrades a backend the running platform
+/// cannot serve to one it can:
 ///
 /// ```
 /// use pdtl_io::IoBackend;
@@ -47,14 +42,13 @@ use crate::{IoStats, MmapSource, U32Reader, UringSource};
 /// for b in IoBackend::ALL {
 ///     assert_eq!(IoBackend::parse(b.name()), Some(b));
 /// }
-/// // …case-insensitively, and with the io_uring alias.
+/// // …case-insensitively.
 /// assert_eq!(IoBackend::parse("MMAP"), Some(IoBackend::Mmap));
-/// assert_eq!(IoBackend::parse("io_uring"), Some(IoBackend::Uring));
 ///
 /// // `resolve` never yields a backend this platform cannot run:
-/// // io_uring degrades to the default where missing.
-/// let r = IoBackend::Uring.resolve();
-/// assert!(r == IoBackend::Uring || r == IoBackend::Prefetch);
+/// // mmap degrades to blocking reads where mapping is missing.
+/// let r = IoBackend::Mmap.resolve();
+/// assert!(r == IoBackend::Mmap || r == IoBackend::Blocking);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IoBackend {
@@ -67,21 +61,12 @@ pub enum IoBackend {
     /// Zero-copy memory mapping ([`MmapSource`]);
     /// resolves to `Blocking` where mapping is unsupported.
     Mmap,
-    /// Asynchronous `io_uring` reads ([`UringSource`])
-    /// with queue depth > 1 and no extra threads; resolves to
-    /// `Prefetch` where `io_uring` is unavailable.
-    Uring,
 }
 
 impl IoBackend {
     /// Every backend, in wire-discriminant order: a backend's index
     /// here is its byte in the cluster's wire records.
-    pub const ALL: [IoBackend; 4] = [
-        IoBackend::Blocking,
-        IoBackend::Prefetch,
-        IoBackend::Mmap,
-        IoBackend::Uring,
-    ];
+    pub const ALL: [IoBackend; 3] = [IoBackend::Blocking, IoBackend::Prefetch, IoBackend::Mmap];
 
     /// Stable lowercase name (bench row / CLI spelling).
     pub fn name(self) -> &'static str {
@@ -89,19 +74,15 @@ impl IoBackend {
             IoBackend::Blocking => "blocking",
             IoBackend::Prefetch => "prefetch",
             IoBackend::Mmap => "mmap",
-            IoBackend::Uring => "uring",
         }
     }
 
-    /// Parse a backend name, case-insensitively. `uring` and the
-    /// kernel-interface spelling `io_uring` both name
-    /// [`Uring`](IoBackend::Uring).
+    /// Parse a backend name, case-insensitively.
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "blocking" => Some(IoBackend::Blocking),
             "prefetch" => Some(IoBackend::Prefetch),
             "mmap" => Some(IoBackend::Mmap),
-            "uring" | "io_uring" => Some(IoBackend::Uring),
             _ => None,
         }
     }
@@ -109,49 +90,32 @@ impl IoBackend {
     /// Resolve to a backend the current platform can actually run:
     /// [`Mmap`](IoBackend::Mmap) degrades to
     /// [`Blocking`](IoBackend::Blocking) where the mapping syscalls are
-    /// unavailable, [`Uring`](IoBackend::Uring) degrades to
-    /// [`Prefetch`](IoBackend::Prefetch) — blocking reads —
-    /// where the kernel lacks (or has
-    /// disabled) `io_uring`; the first two are always supported.
+    /// unavailable; the other two are always supported.
     pub fn resolve(self) -> Self {
         match self {
             IoBackend::Mmap if !crate::mmap::mmap_supported() => IoBackend::Blocking,
-            IoBackend::Uring if !crate::uring::uring_supported() => IoBackend::Prefetch,
             other => other,
         }
     }
 
     /// Open `path` as a raw block stream through this backend, every
     /// block fetch paying the emulated device `latency` (zero measures
-    /// the real hardware). The one place a backend becomes a transport:
-    /// [`resolve`](Self::resolve)d first, and returned with the backend
-    /// that actually serves the stream, because the ring can still fail
-    /// at run time after `resolve()` vets the platform (RLIMIT_MEMLOCK
-    /// on 5.6–5.11 kernels, fd exhaustion, seccomp applied post-probe).
-    /// Degradation is the `Uring` backend's contract, so it then falls
-    /// back to `Prefetch` rather than failing the caller; genuine file
-    /// errors resurface identically there.
+    /// the real hardware). The one place a backend becomes a transport,
+    /// [`resolve`](Self::resolve)d first.
     pub fn open(
         self,
         path: &Path,
         stats: &Arc<IoStats>,
         latency: Duration,
-    ) -> Result<(IoBackend, BlockStream<Box<dyn BlockFetch>>)> {
-        let blocking = || Ok(U32Reader::open(path, stats.clone())?.boxed());
-        let mut served = self.resolve();
-        let mut stream = match served {
-            IoBackend::Blocking | IoBackend::Prefetch => blocking()?,
+    ) -> Result<BlockStream<Box<dyn BlockFetch>>> {
+        let mut stream = match self.resolve() {
+            IoBackend::Blocking | IoBackend::Prefetch => {
+                U32Reader::open(path, stats.clone())?.boxed()
+            }
             IoBackend::Mmap => MmapSource::open(path, stats.clone())?.boxed(),
-            IoBackend::Uring => match UringSource::open(path, stats.clone()) {
-                Ok(ring) => ring.boxed(),
-                Err(_) => {
-                    served = IoBackend::Prefetch;
-                    blocking()?
-                }
-            },
         };
         stream.set_read_latency(latency);
-        Ok((served, stream))
+        Ok(stream)
     }
 }
 
@@ -166,22 +130,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip_for_all_four_backends() {
-        assert_eq!(IoBackend::ALL.len(), 4);
+    fn names_round_trip_for_all_three_backends() {
+        assert_eq!(IoBackend::ALL.len(), 3);
         for b in IoBackend::ALL {
             assert_eq!(IoBackend::parse(b.name()), Some(b));
             assert_eq!(IoBackend::parse(&b.name().to_uppercase()), Some(b));
             assert_eq!(b.to_string(), b.name());
         }
         assert_eq!(IoBackend::parse("gibberish"), None);
-    }
-
-    #[test]
-    fn uring_accepts_both_spellings() {
-        assert_eq!(IoBackend::parse("uring"), Some(IoBackend::Uring));
-        assert_eq!(IoBackend::parse("io_uring"), Some(IoBackend::Uring));
-        assert_eq!(IoBackend::parse("IO_URING"), Some(IoBackend::Uring));
-        assert_eq!(IoBackend::Uring.name(), "uring", "canonical name");
     }
 
     #[test]
@@ -195,11 +151,6 @@ mod tests {
         assert!(r == IoBackend::Mmap || r == IoBackend::Blocking);
         if crate::mmap::mmap_supported() {
             assert_eq!(r, IoBackend::Mmap);
-        }
-        let r = IoBackend::Uring.resolve();
-        assert!(r == IoBackend::Uring || r == IoBackend::Prefetch);
-        if crate::uring::uring_supported() {
-            assert_eq!(r, IoBackend::Uring);
         }
         assert_eq!(IoBackend::Blocking.resolve(), IoBackend::Blocking);
         assert_eq!(IoBackend::Prefetch.resolve(), IoBackend::Prefetch);
@@ -218,12 +169,7 @@ mod tests {
 
         for backend in IoBackend::ALL {
             let stats = IoStats::new();
-            let (served, mut stream) = backend.open(&path, &stats, Duration::ZERO).unwrap();
-            // The ring may also give up at run time, to its fallback.
-            assert!(
-                served == backend.resolve() || served == IoBackend::Prefetch,
-                "{backend} served by {served}"
-            );
+            let mut stream = backend.open(&path, &stats, Duration::ZERO).unwrap();
             assert_eq!(stream.path(), path);
             assert_eq!(stream.read_all().unwrap(), vals, "{backend}");
             assert_eq!(stats.bytes_read(), 160_000, "{backend}");

@@ -16,14 +16,13 @@
 //!   `.adj`). `BlockStream` is the one read cursor: position, block
 //!   window, the skip rule and all read accounting live there, over a
 //!   [`BlockFetch`] that only delivers blocks. The transports are that
-//!   cursor over three fetchers, so backend ablations compare pure
+//!   cursor over two fetchers, so backend ablations compare pure
 //!   scheduling, not different I/O plans:
 //!   [`U32Reader`] (synchronous reads; [`PrefetchReader`] is the same
-//!   type under the `prefetch` backend's name),
-//!   [`MmapSource`] (the file mapped and lent zero-copy) and
-//!   [`UringSource`] (several block reads in flight through `io_uring`,
-//!   no threads). [`IoBackend::open`] picks one at run time; consumers
-//!   see the [`U32Source`] seam.
+//!   type under the `prefetch` backend's name) and
+//!   [`MmapSource`] (the file mapped and lent zero-copy).
+//!   [`IoBackend::open`] picks one at run time; consumers see the
+//!   [`U32Source`] seam.
 //! * [`Codec`] / [`VarintSource`] — the layer *above* the transports:
 //!   how byte runs decode into `u32` runs. `Raw` is the identity;
 //!   `DeltaVarint` stores each out-list as delta + varint bytes and
@@ -54,7 +53,6 @@ pub mod prefetch;
 pub mod stats;
 pub mod stream;
 pub mod timer;
-pub mod uring;
 
 pub use backend::IoBackend;
 pub use budget::{BudgetLease, BudgetLedger, MemoryBudget};
@@ -66,10 +64,9 @@ pub use error::{IoError, Result};
 pub use extsort::{external_sort_u64, merge_sorted_files};
 pub use fault::FaultySource;
 pub use mmap::{mmap_supported, MmapFetch, MmapSource};
-pub use prefetch::PrefetchReader;
+pub use prefetch::{uring_supported, PrefetchReader, UringSource};
 pub use stats::IoStats;
 pub use stream::{
     BlockFetch, BlockStream, PreadFetch, U32Reader, U32Source, U32Writer, BYTES_PER_U32,
 };
 pub use timer::{CpuIoTimer, TimeBreakdown};
-pub use uring::{uring_supported, UringFetch, UringSource, URING_DISABLE_ENV};

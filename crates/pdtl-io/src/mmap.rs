@@ -15,7 +15,7 @@
 //! pays the emulated device latency
 //! ([`set_read_latency`](BlockStream::set_read_latency)), one sleep per
 //! block like the blocking reader, so the `io_latency` ablations remain
-//! comparable across all four backends.
+//! comparable across all three backends.
 //!
 //! The mapping syscalls (`mmap` / `munmap` / `madvise`) are bound
 //! through a tiny `extern "C"` module (the same offline-shim pattern as

@@ -9,9 +9,9 @@
 //!   end-of-file clamps, `read_into` across block boundaries, the
 //!   three-way `skip` rule and every [`IoStats`] charge, written once
 //!   over the [`BlockFetch`] seam. The transports ([`U32Reader`] — also
-//!   named [`PrefetchReader`](crate::PrefetchReader) —
-//!   [`MmapSource`](crate::MmapSource), [`UringSource`](crate::UringSource))
-//!   are this cursor over three fetchers, so they cannot count
+//!   named [`PrefetchReader`](crate::PrefetchReader) — and
+//!   [`MmapSource`](crate::MmapSource)) are this cursor over two
+//!   fetchers, so they cannot count
 //!   differently: a fetcher decides how (and how early) a block arrives,
 //!   never which blocks are touched or what is charged for them.
 //! * [`U32Source`] — the seam consumers program against: the cursor
@@ -62,11 +62,6 @@ pub trait BlockFetch: std::fmt::Debug {
         buf: &mut Vec<u8>,
     ) -> std::io::Result<(usize, Duration)>;
 
-    /// The cursor repositioned: the next fetch starts at `at`, and
-    /// read-ahead held for other positions is stale (it was never
-    /// charged).
-    fn moved_to(&mut self, _at: u64) {}
-
     /// Advisory: a positioned load of `[pos, pos + len)` comes next.
     fn hint(&mut self, _pos: u64, _len: usize) {}
 }
@@ -82,10 +77,6 @@ impl BlockFetch for Box<dyn BlockFetch> {
         buf: &mut Vec<u8>,
     ) -> std::io::Result<(usize, Duration)> {
         (**self).fetch(at, want, latency, buf)
-    }
-
-    fn moved_to(&mut self, at: u64) {
-        (**self).moved_to(at)
     }
 
     fn hint(&mut self, pos: u64, len: usize) {
@@ -394,7 +385,6 @@ impl<F: BlockFetch> U32Source for BlockStream<F> {
         self.filled = 0;
         self.pos = 0;
         self.next_index = index;
-        self.fetch.moved_to(index);
         Ok(())
     }
 
@@ -923,7 +913,6 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Ask {
         Fetch(u64, usize),
-        Moved(u64),
         Hint(u64, usize),
     }
 
@@ -948,10 +937,6 @@ mod tests {
                 buf.extend_from_slice(&v.to_le_bytes());
             }
             Ok((want, Duration::ZERO))
-        }
-
-        fn moved_to(&mut self, at: u64) {
-            self.asked.push(Ask::Moved(at));
         }
 
         fn hint(&mut self, pos: u64, len: usize) {
@@ -995,7 +980,7 @@ mod tests {
         c.skip(11).unwrap();
         assert_eq!(c.position(), 51);
         assert_eq!(stats.seeks(), 1);
-        assert_eq!(c.fetch.asked[4..], [Ask::Moved(51)]);
+        assert_eq!(c.fetch.asked.len(), 4);
         assert_eq!(c.next().unwrap(), Some(51));
         c.skip(9 + 11).unwrap(); // one past read-through reach
         assert_eq!((c.position(), stats.seeks()), (72, 2));
@@ -1014,7 +999,7 @@ mod tests {
         assert_eq!(c.next().unwrap(), None);
         // A read at EOF is one zero-byte op each time, fetcher untouched.
         assert_eq!((stats.read_ops(), stats.bytes_read()), (2, 0));
-        assert_eq!(c.fetch.asked, [Ask::Moved(25)]);
+        assert!(c.fetch.asked.is_empty());
 
         c.seek_to(3).unwrap();
         c.skip(u64::MAX).unwrap();
@@ -1066,12 +1051,7 @@ mod tests {
         assert_eq!(c.range_run(88, 12, &mut scratch).unwrap()[11], 99);
         assert_eq!(
             c.fetch.asked[3..],
-            [
-                Ask::Moved(88),
-                Ask::Fetch(88, 10),
-                Ask::Fetch(98, 2),
-                Ask::Hint(50, 7)
-            ]
+            [Ask::Fetch(88, 10), Ask::Fetch(98, 2), Ask::Hint(50, 7)]
         );
         // One value too many: typed error naming the file, for the
         // borrowed and the copying form alike.

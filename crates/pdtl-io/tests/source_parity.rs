@@ -1,8 +1,8 @@
 //! Cross-backend accounting contract of the [`U32Source`] seam.
 //!
-//! The four backends — blocking [`U32Reader`], [`PrefetchReader`] (the
-//! same type under the default backend's name), zero-copy
-//! [`MmapSource`], asynchronous [`UringSource`] — must yield byte-identical `u32` streams, identical
+//! The three backends — blocking [`U32Reader`], [`PrefetchReader`] (the
+//! same type under the default backend's name) and zero-copy
+//! [`MmapSource`] — must yield byte-identical `u32` streams, identical
 //! final positions, and identical `bytes_read`/`seeks`/`read_ops` for *any* access
 //! pattern (reads, short and long skips, seeks — all clamped at end of
 //! file), at any block size, on any file length including empty. The
@@ -22,8 +22,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pdtl_io::{
-    mmap_supported, uring_supported, IoStats, MmapSource, PrefetchReader, U32Reader, U32Source,
-    U32Writer, UringSource, VarintAdjWriter, VarintIndex, VarintSource,
+    mmap_supported, IoStats, MmapSource, PrefetchReader, U32Reader, U32Source, U32Writer,
+    VarintAdjWriter, VarintIndex, VarintSource,
 };
 
 /// The non-reference backends available on this platform (`blocking`
@@ -32,9 +32,6 @@ fn other_backends() -> Vec<&'static str> {
     let mut v = vec!["prefetch"];
     if mmap_supported() {
         v.push("mmap");
-    }
-    if uring_supported() {
-        v.push("uring");
     }
     v
 }
@@ -126,11 +123,6 @@ fn open_source(
         "prefetch" => layer(PrefetchReader::new(blocking()).unwrap(), index, stats),
         "mmap" => layer(
             MmapSource::with_block(path, stats.clone(), block).unwrap(),
-            index,
-            stats,
-        ),
-        "uring" => layer(
-            UringSource::with_block(path, stats.clone(), block).unwrap(),
             index,
             stats,
         ),

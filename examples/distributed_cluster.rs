@@ -27,14 +27,12 @@ fn main() {
         balance: Default::default(),
         listing: false,
         transport: Default::default(),
-        // Real cluster nodes stream cold replicas from disk, where
-        // overlapped I/O hides device waits. io_uring gets that overlap
-        // from kernel submission queues and degrades to the default
-        // prefetch backend (blocking reads) on kernels without it; the
-        // choice ships to every worker in its wire WorkerConfig
-        // (backend byte 3).
+        // Real cluster nodes stream replicas they have just copied; this
+        // picks the synchronous reader, the reference every backend
+        // counts against. The choice ships to every worker in its wire
+        // WorkerConfig (backend byte 0).
         mgt: MgtOptions {
-            backend: IoBackend::Uring,
+            backend: IoBackend::Blocking,
             ..MgtOptions::default()
         },
         // Failure handling: detect via heartbeats, retry with backoff

@@ -34,10 +34,8 @@ fn main() {
     //    external memory means the budget barely matters.
     //    A just-generated graph sits in the page cache, so the
     //    zero-copy mmap backend is the right pick (it degrades to
-    //    blocking reads automatically where mapping is unsupported).
-    //    On a cold NVMe device, IoBackend::Uring — async reads with
-    //    queue depth through io_uring — would win instead; see
-    //    docs/ARCHITECTURE.md for the full decision matrix.
+    //    blocking reads automatically where mapping is unsupported);
+    //    see docs/ARCHITECTURE.md for the full decision matrix.
     let runner = LocalRunner::new(LocalConfig {
         cores: 4,
         budget: MemoryBudget::edges(8 << 10),

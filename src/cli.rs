@@ -10,7 +10,7 @@
 //! * `export <base> <edges.txt>` — write a graph back to text;
 //! * `stats <base>` — print the Table-I row of a graph;
 //! * `count <base> [--cores p] [--memory edges] [--naive]
-//!   [--backend blocking|prefetch|mmap|uring]
+//!   [--backend blocking|prefetch|mmap]
 //!   [--codec raw|delta-varint]` — multicore exact count; `--codec`
 //!   selects the oriented graph's on-disk encoding (delta-varint cuts
 //!   the multi-pass `bytes_read`);
@@ -242,9 +242,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         |flags: &std::collections::HashMap<String, String>| -> Result<IoBackend, String> {
             match flags.get("backend") {
                 None => Ok(IoBackend::default()),
-                Some(v) => IoBackend::parse(v).ok_or(format!(
-                    "bad --backend: {v:?} (blocking|prefetch|mmap|uring)"
-                )),
+                Some(v) => IoBackend::parse(v)
+                    .ok_or(format!("bad --backend: {v:?} (blocking|prefetch|mmap)")),
             }
         };
     let get_codec = |flags: &std::collections::HashMap<String, String>| -> Result<Codec, String> {
@@ -922,8 +921,6 @@ mod tests {
             ("blocking", IoBackend::Blocking),
             ("prefetch", IoBackend::Prefetch),
             ("MMAP", IoBackend::Mmap),
-            ("uring", IoBackend::Uring),
-            ("io_uring", IoBackend::Uring),
         ] {
             let cmd = parse(&args(&format!("count /tmp/g --backend {name}"))).unwrap();
             let Command::Count { backend: got, .. } = cmd else {
@@ -939,7 +936,14 @@ mod tests {
                 ..
             }
         ));
-        assert!(parse(&args("count /tmp/g --backend io-urng")).is_err());
+        // The deleted io_uring transport is refused, not served by another.
+        for removed in ["uring", "io_uring", "io-urng"] {
+            let err = parse(&args(&format!("count /tmp/g --backend {removed}"))).unwrap_err();
+            assert!(
+                err.ends_with("(blocking|prefetch|mmap)"),
+                "{removed}: {err}"
+            );
+        }
     }
 
     #[test]

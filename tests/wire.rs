@@ -112,7 +112,7 @@ fn worker(r: &mut Rng) -> WorkerConfig {
         end: r.next(),
         budget_edges: r.next(),
         scan_pruning: r.bool(),
-        backend: IoBackend::ALL[r.below(4)],
+        backend: IoBackend::ALL[r.below(IoBackend::ALL.len())],
         io_latency_us: r.u32(),
         read_fault: r.bool().then(|| r.next()),
         codec: Codec::ALL[r.below(2)],
@@ -190,7 +190,7 @@ fn message(variant: usize, r: &mut Rng) -> Message {
             options: QueryOptions {
                 cores: r.u32(),
                 budget_edges: r.next(),
-                backend: IoBackend::ALL[r.below(4)],
+                backend: IoBackend::ALL[r.below(IoBackend::ALL.len())],
                 codec: Codec::ALL[r.below(2)],
                 io_latency_us: r.u32(),
             },
@@ -227,6 +227,66 @@ fn message(variant: usize, r: &mut Rng) -> Message {
                 }),
             },
         },
+    }
+}
+
+/// A message carrying one backend, in a `WorkerConfig` or in
+/// `QueryOptions`.
+fn with_backend(query: bool, backend: IoBackend) -> Message {
+    let mut r = Rng(7);
+    if query {
+        let Message::Query {
+            id,
+            graph,
+            op,
+            options,
+        } = message(6, &mut r)
+        else {
+            unreachable!("variant 6 is a query")
+        };
+        let options = QueryOptions { backend, ..options };
+        Message::Query {
+            id,
+            graph,
+            op,
+            options,
+        }
+    } else {
+        Message::Config {
+            node: 1,
+            graph_base: "base".into(),
+            workers: vec![WorkerConfig {
+                backend,
+                ..worker(&mut r)
+            }],
+            listing: false,
+            directives: NodeDirectives::default(),
+        }
+    }
+}
+
+#[test]
+fn each_backend_has_its_byte_and_the_removed_fourth_is_a_protocol_error() {
+    for query in [false, true] {
+        let encodings = IoBackend::ALL.map(|b| with_backend(query, b).encode());
+        // The one byte where the encodings differ is the backend's.
+        let at = (0..encodings[0].len())
+            .find(|&i| encodings[0][i] != encodings[2][i])
+            .unwrap();
+        for (d, (bytes, backend)) in encodings.iter().zip(IoBackend::ALL).enumerate() {
+            assert_eq!(bytes[at], d as u8, "{backend}");
+            assert_eq!(
+                Message::decode(bytes).unwrap(),
+                with_backend(query, backend)
+            );
+        }
+        // Byte 3 named a transport that no longer exists.
+        let mut removed = encodings[0].clone();
+        removed[at] = 3;
+        match Message::decode(&removed) {
+            Err(ClusterError::Protocol(detail)) => assert!(detail.contains("backend 3")),
+            other => panic!("query {query}: backend byte 3 decoded to {other:?}"),
+        }
     }
 }
 
@@ -278,9 +338,10 @@ fn generated_messages_round_trip() {
             }
         }
     }
-    // Four backends, both codecs, read fault set and unset, every node
+    // Every backend, both codecs, read fault set and unset, every node
     // fault (`Delay` at both ends of its range).
-    assert_eq!(seen.len(), 4 + 2 + 2 + FAULTS.len(), "{seen:?}");
+    let expected = IoBackend::ALL.len() + Codec::ALL.len() + 2 + FAULTS.len();
+    assert_eq!(seen.len(), expected, "{seen:?}");
 }
 
 #[test]
