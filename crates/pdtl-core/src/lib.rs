@@ -24,7 +24,8 @@
 //!
 //! [`theory`] encodes the paper's complexity bounds (Theorems IV.2/IV.3)
 //! so tests can assert that measured work stays within them. [`par`] is
-//! the one data-parallel map the orientation and the baselines run on.
+//! the one data-parallel map the orientation, the baselines and the
+//! graph generators run on (it lives in `pdtl-io`).
 
 pub mod balance;
 pub mod error;
@@ -33,10 +34,14 @@ pub mod metrics;
 pub mod mgt;
 pub mod order;
 pub mod orient;
-pub mod par;
 pub mod runner;
 pub mod sink;
 pub mod theory;
+
+/// The data-parallel helpers, re-exported from `pdtl-io` (their home
+/// since the graph generators run on them too) so callers keep the
+/// `pdtl_core::par` path.
+pub use pdtl_io::par;
 
 pub use balance::{
     plan_ranges, predicted_cost, split_ranges, BalanceStrategy, EdgeRange, PredictedCost,

@@ -21,6 +21,14 @@ pub enum GraphError {
     },
     /// A structural invariant of the PDTL format was violated.
     Invalid(String),
+    /// A buffer the graph needs cannot be allocated: its size overflows
+    /// the address space, or the allocator refused it.
+    TooLarge {
+        /// What the buffer holds.
+        what: &'static str,
+        /// How many entries it needed.
+        entries: u64,
+    },
     /// A file's bytes do not match the digest recorded in the graph's
     /// integrity manifest (or the manifest failed its own self-check).
     Corrupt {
@@ -49,6 +57,12 @@ impl fmt::Display for GraphError {
                 write!(f, "vertex {vertex} out of range (n = {n})")
             }
             GraphError::Invalid(msg) => write!(f, "invalid graph: {msg}"),
+            GraphError::TooLarge { what, entries } => {
+                write!(
+                    f,
+                    "cannot allocate {entries} {what}: too large for this host"
+                )
+            }
             GraphError::Corrupt { path, detail } => {
                 write!(f, "corrupt file {}: {detail}", path.display())
             }
@@ -90,6 +104,11 @@ mod tests {
         assert!(e.to_string().contains('9'));
         let e = GraphError::Invalid("not sorted".into());
         assert!(e.to_string().contains("not sorted"));
+        let e = GraphError::TooLarge {
+            what: "edge samples",
+            entries: 1 << 34,
+        };
+        assert!(e.to_string().contains("17179869184 edge samples"));
         let e: GraphError = pdtl_io::IoError::malformed("/x", "bad").into();
         assert!(e.to_string().contains("bad"));
         let e = GraphError::Corrupt {

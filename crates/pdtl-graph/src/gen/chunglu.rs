@@ -7,10 +7,18 @@
 //! is what preserves the datasets' *behavioural* signatures — Twitter's
 //! hub-heavy skew versus Yahoo's sparse low-average-degree shape — which
 //! is what drives PDTL's scaling behaviour in the evaluation.
+//!
+//! Each edge sample draws exactly 2 values (one per endpoint), so sample
+//! `i` starts at draw `2i` of the seeded stream, and the samples split
+//! into one contiguous run per thread exactly as RMAT's do (a fixed
+//! minimum run length keeps small graphs on the caller; the graph does
+//! not depend on the thread count). The weights are drawn serially from
+//! a stream of their own.
 
-use crate::csr::Graph;
+use crate::csr::{threads_for, Graph};
 use crate::error::Result;
 use crate::gen::rng::SplitMix64;
+use crate::gen::sample_edges;
 
 /// Draw `n` expected degrees from a power law with exponent `gamma`,
 /// minimum `dmin` and maximum `dmax` (inverse-CDF sampling).
@@ -36,10 +44,22 @@ pub fn power_law_weights(
 
 /// Generate a Chung–Lu graph: `m_samples` edges with endpoints chosen
 /// proportionally to `weights`, simplified into a simple undirected
-/// [`Graph`].
+/// [`Graph`]. A sample count the host cannot hold is a
+/// [`GraphError::TooLarge`](crate::GraphError::TooLarge), not an abort.
 pub fn chung_lu(weights: &[f64], m_samples: u64, seed: u64) -> Result<Graph> {
+    let threads = threads_for(m_samples);
+    let edges = chung_lu_samples(weights, m_samples, seed, threads)?;
+    Graph::from_edges(weights.len() as u32, &edges)
+}
+
+/// The `m_samples` Chung–Lu edge samples, split across `threads`.
+fn chung_lu_samples(
+    weights: &[f64],
+    m_samples: u64,
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<(u32, u32)>> {
     let n = weights.len() as u32;
-    let mut rng = SplitMix64::new(seed);
     // Cumulative weight table for O(log n) endpoint sampling.
     let mut cum = Vec::with_capacity(weights.len());
     let mut acc = 0.0f64;
@@ -56,14 +76,10 @@ pub fn chung_lu(weights: &[f64], m_samples: u64, seed: u64) -> Result<Graph> {
             Ok(i) | Err(i) => (i as u32).min(n - 1),
         }
     };
-
-    let mut edges = Vec::with_capacity(m_samples as usize);
-    for _ in 0..m_samples {
-        let u = pick(&mut rng);
-        let v = pick(&mut rng);
-        edges.push((u, v));
-    }
-    Graph::from_edges(n, &edges)
+    sample_edges(m_samples, 2, seed, threads, |rng| {
+        let u = pick(rng);
+        (u, pick(rng))
+    })
 }
 
 /// Convenience: power-law graph with `n` vertices, about `m` edges and
@@ -130,6 +146,38 @@ mod tests {
         let g = chung_lu(&weights, 2000, 3).unwrap();
         let dmax_v = (0..100u32).max_by_key(|&u| g.degree(u)).unwrap();
         assert_eq!(dmax_v, 7);
+    }
+
+    #[test]
+    fn a_sample_count_the_host_cannot_hold_is_an_error() {
+        let err = chung_lu(&[1.0; 8], u64::MAX, 0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::GraphError::TooLarge {
+                    entries: u64::MAX,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn graphs_do_not_depend_on_the_thread_count() {
+        let mut rng = SplitMix64::new(3);
+        let weights = power_law_weights(300, 2.1, 1.0, 40.0, &mut rng);
+        let serial = chung_lu_samples(&weights, 5_000, 9, 1).unwrap();
+        for threads in [1, 2, 3, 5] {
+            let split = chung_lu_samples(&weights, 5_000, 9, threads).unwrap();
+            assert!(split == serial, "threads={threads}");
+            let g = crate::csr::simplify(300, &split, threads).unwrap();
+            assert_eq!(
+                g,
+                chung_lu(&weights, 5_000, 9).unwrap(),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

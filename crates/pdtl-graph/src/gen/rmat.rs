@@ -6,10 +6,18 @@
 //! matrix, choosing a quadrant with probabilities `(a, b, c, d)` plus a
 //! small noise term; the resulting multigraph is simplified into a simple
 //! undirected [`Graph`].
+//!
+//! Each sample draws exactly `5k` values — four quadrant jitters and one
+//! quadrant pick per level — so sample `i` starts at draw `5k·i` of the
+//! seeded stream. The samples split into one contiguous run per thread
+//! (of a fixed minimum length, so a small graph stays on the caller),
+//! each run jumping the stream to its first sample: the graph is the
+//! serial one whatever the thread count.
 
-use crate::csr::Graph;
-use crate::error::Result;
+use crate::csr::{threads_for, Graph};
+use crate::error::{GraphError, Result};
 use crate::gen::rng::SplitMix64;
+use crate::gen::sample_edges;
 
 /// RMAT quadrant probabilities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,17 +56,31 @@ pub fn rmat(k: u32, seed: u64) -> Result<Graph> {
 }
 
 /// Generate an RMAT graph with `2^k` vertices and `m_samples` edge
-/// samples under explicit parameters.
+/// samples under explicit parameters. `k` must be below 31 (so `2^k`
+/// fits a `u32`), and a sample count the host cannot hold is a
+/// [`GraphError::TooLarge`], not an abort.
 pub fn rmat_with(k: u32, m_samples: u64, params: RmatParams, seed: u64) -> Result<Graph> {
-    assert!(k < 31, "k must keep 2^k within u32");
-    let n = 1u32 << k;
-    let mut rng = SplitMix64::new(seed);
-    let mut edges = Vec::with_capacity(m_samples as usize);
-    for _ in 0..m_samples {
-        let (u, v) = sample_edge(k, params, &mut rng);
-        edges.push((u, v));
+    let threads = threads_for(m_samples);
+    let edges = rmat_samples(k, m_samples, params, seed, threads)?;
+    Graph::from_edges(1 << k, &edges)
+}
+
+/// The `m_samples` RMAT edge samples, split across `threads`.
+fn rmat_samples(
+    k: u32,
+    m_samples: u64,
+    params: RmatParams,
+    seed: u64,
+    threads: usize,
+) -> Result<Vec<(u32, u32)>> {
+    if k >= 31 {
+        return Err(GraphError::Invalid(format!(
+            "RMAT scale {k} must be below 31 to keep 2^k within u32"
+        )));
     }
-    Graph::from_edges(n, &edges)
+    sample_edges(m_samples, 5 * u64::from(k), seed, threads, |rng| {
+        sample_edge(k, params, rng)
+    })
 }
 
 fn sample_edge(k: u32, p: RmatParams, rng: &mut SplitMix64) -> (u32, u32) {
@@ -77,18 +99,13 @@ fn sample_edge(k: u32, p: RmatParams, rng: &mut SplitMix64) -> (u32, u32) {
         let d = jitter(p.d, rng);
         let total = a + b + c + d;
         let r = rng.next_f64() * total;
-        u <<= 1;
-        v <<= 1;
-        if r < a {
-            // top-left: no bits set
-        } else if r < a + b {
-            v |= 1;
-        } else if r < a + b + c {
-            u |= 1;
-        } else {
-            u |= 1;
-            v |= 1;
-        }
+        // The quadrant `r` falls in — top-left below `a`, top-right below
+        // `a + b`, bottom-left below `a + b + c`, else bottom-right — as
+        // bits, not branches: the pick is a coin flip the predictor
+        // misses about once per level.
+        let (past_a, past_b, past_c) = (r >= a, r >= a + b, r >= a + b + c);
+        u = (u << 1) | u32::from(past_a & past_b);
+        v = (v << 1) | u32::from(past_a & (!past_b | past_c));
     }
     (u, v)
 }
@@ -96,6 +113,7 @@ fn sample_edge(k: u32, p: RmatParams, rng: &mut SplitMix64) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::simplify;
 
     #[test]
     fn sizes_match_paper_formula() {
@@ -153,8 +171,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "u32")]
     fn rejects_oversized_scale() {
-        let _ = rmat_with(31, 1, RmatParams::default(), 0);
+        let err = rmat_with(31, 1, RmatParams::default(), 0).unwrap_err();
+        assert!(
+            matches!(&err, GraphError::Invalid(msg) if msg.contains("u32")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_sample_count_the_host_cannot_hold_is_an_error() {
+        let err = rmat_with(4, u64::MAX, RmatParams::default(), 0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                GraphError::TooLarge {
+                    entries: u64::MAX,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn graphs_do_not_depend_on_the_thread_count() {
+        // Every split point is a jump into the middle of the serial
+        // stream, between two samples.
+        for (k, seed) in [(8, 1), (10, 11)] {
+            let m = 16 << k;
+            let serial = rmat_samples(k, m, RmatParams::default(), seed, 1).unwrap();
+            for threads in [1, 2, 3, 5] {
+                let split = rmat_samples(k, m, RmatParams::default(), seed, threads).unwrap();
+                assert!(split == serial, "k={k} seed={seed} threads={threads}");
+                let g = simplify(1 << k, &split, threads).unwrap();
+                assert_eq!(
+                    g,
+                    rmat(k, seed).unwrap(),
+                    "k={k} seed={seed} threads={threads}"
+                );
+            }
+        }
     }
 }

@@ -8,10 +8,19 @@
 /// SplitMix64 (Steele, Lea, Flood; used as the seeding PRNG of the
 /// xoshiro family). Passes BigCrush when used directly; more than enough
 /// statistical quality for graph generation.
+///
+/// The state is a counter: each draw adds the constant `GAMMA`, and the
+/// output is a pure function of the new state. So after `i` draws the
+/// state is `seed + i·GAMMA`, and [`jump`](SplitMix64::jump) skips any
+/// number of draws in O(1) — what lets the generators split one seeded
+/// stream across threads and still produce the serial stream's values.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
 }
+
+/// The increment one draw adds to the state (the golden-ratio constant).
+const GAMMA: u64 = 0x9E3779B97F4A7C15;
 
 impl SplitMix64 {
     /// Seed the generator.
@@ -19,9 +28,16 @@ impl SplitMix64 {
         Self { state: seed }
     }
 
+    /// Skip `draws` draws: afterwards the generator yields what it would
+    /// have yielded after `draws` calls of [`next_u64`](Self::next_u64)
+    /// (every `next_*` method is exactly one draw).
+    pub fn jump(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(draws.wrapping_mul(GAMMA));
+    }
+
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
@@ -62,6 +78,19 @@ mod tests {
         // seed 0: first output is 0xE220A8397B1DCDAF.
         let mut r = SplitMix64::new(0);
         assert_eq!(r.next_u64(), 0xE220A8397B1DCDAF);
+    }
+
+    #[test]
+    fn jumping_equals_drawing() {
+        for n in [0u64, 1, 5 * 17, 1_000_000] {
+            let mut drawn = SplitMix64::new(11);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            let mut jumped = SplitMix64::new(11);
+            jumped.jump(n);
+            assert_eq!(jumped.next_u64(), drawn.next_u64(), "n = {n}");
+        }
     }
 
     #[test]

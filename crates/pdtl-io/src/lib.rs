@@ -33,6 +33,10 @@
 //!   raw edge lists into the sorted PDTL format.
 //! * [`MemoryBudget`] — the per-processor memory parameter `M` (in edges)
 //!   from the paper's analysis, enforced by the MGT chunk loader.
+//! * [`par`] — the workspace's data-parallel primitives (a map over
+//!   contiguous chunks, a map over disjoint mutable parts, a two-way
+//!   join). They live here, the lowest crate, because both the graph
+//!   generators and the triangle engine run on them.
 //! * [`CostModel`] — converts the counted work (CPU operations, I/O bytes,
 //!   network bytes) into deterministic *modeled seconds*, which is how the
 //!   scaling experiments reproduce the paper's curves on arbitrary hosts.
@@ -49,6 +53,7 @@ pub mod error;
 pub mod extsort;
 pub mod fault;
 pub mod mmap;
+pub mod par;
 pub mod prefetch;
 pub mod stats;
 pub mod stream;

@@ -1,13 +1,19 @@
 //! The workspace's data-parallel primitives: a `Sync` closure mapped
 //! over contiguous chunks of `0..n` on scoped threads — the shape of the
-//! disk orientation's two passes and of the baselines' counters — and
-//! two unlike closures run side by side (`join`, the planner's). The MGT
-//! workers are not this shape: [`run_workers`](crate::runner::run_workers)
-//! moves an owned sink into one thread per job, because its `P` is the
-//! paper's processor count, not a pool size.
+//! disk orientation's two passes and of the baselines' counters — the
+//! same map handing each thread one disjoint mutable part of a buffer
+//! (`map_parts`, the graph generators' sampling and per-list sorts), and
+//! two unlike closures run side by side (`join`, the planner's).
+//!
+//! The module lives in `pdtl-io`, the lowest crate, because
+//! `pdtl-graph`'s generators and `pdtl-core`'s engine both run on it;
+//! `pdtl-core` re-exports it as `pdtl_core::par`. The MGT workers are
+//! not this shape: `pdtl_core::runner::run_workers` moves an owned sink
+//! into one thread per job, because its `P` is the paper's processor
+//! count, not a pool size.
 
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 /// The host's available parallelism, read once: the call re-reads
@@ -46,10 +52,41 @@ where
     })
 }
 
+/// Run `work` on each of `parts` — disjoint pieces of one buffer, cut
+/// by the caller with `split_at_mut` / `chunks_mut` — one thread per
+/// part through [`map_chunks`], and return the results in part order.
+/// `work` gets the part's index beside the part. Zero or one part runs
+/// inline on the caller; the caller sizes `parts` to the threads it
+/// wants.
+pub fn map_parts<P, R, F>(parts: Vec<P>, work: F) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    F: Fn(usize, P) -> R + Sync,
+{
+    // Each slot is taken exactly once, by the one thread its index maps
+    // to, so no lock is ever contended; the guard is dropped before
+    // `work` runs, so no panic can poison one.
+    let slots: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    let take = |i: usize| {
+        let part = slots[i]
+            .lock()
+            .expect("no thread panics holding a slot")
+            .take();
+        work(i, part.expect("each part is taken once"))
+    };
+    map_chunks(slots.len(), slots.len(), |run| {
+        run.map(take).collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 /// Run `a` and `b` side by side — `a` on a scoped thread when the host
 /// has more than one, `b` on the caller — and return both results. A
 /// panic in `a` resumes on the caller after `b` has finished.
-pub(crate) fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
     RA: Send,
@@ -94,6 +131,25 @@ mod tests {
         }
         let ids = map_chunks(9, 3, |_| thread::current().id());
         assert!(ids.iter().all(|&id| id != me));
+    }
+
+    #[test]
+    fn map_parts_hands_each_part_to_one_call_in_order() {
+        for (len, parts) in [(0usize, 1usize), (5, 1), (10, 3), (64, 5)] {
+            let mut buf = vec![0usize; len];
+            let size = len.div_ceil(parts).max(1);
+            let pieces: Vec<&mut [usize]> = buf.chunks_mut(size).collect();
+            let lens = map_parts(pieces, |i, piece| {
+                for (j, x) in piece.iter_mut().enumerate() {
+                    *x = i * size + j;
+                }
+                piece.len()
+            });
+            assert_eq!(lens.iter().sum::<usize>(), len, "len={len} parts={parts}");
+            assert!(buf.iter().enumerate().all(|(i, &x)| i == x));
+        }
+        let me = thread::current().id();
+        assert_eq!(map_parts(vec![()], |_, ()| thread::current().id()), [me]);
     }
 
     #[test]
