@@ -41,9 +41,11 @@ impl VertexCountSink {
     }
 
     /// The per-vertex counts of a run over vertices `0..n`: the sum
-    /// over its workers' sinks (zeros when no worker ran).
+    /// over its workers' sinks, added into the first one's counters
+    /// (zeros when no worker ran).
     pub fn merge(n: u32, sinks: Vec<VertexCountSink>) -> Vec<u64> {
-        let mut counts = vec![0; n as usize];
+        let mut sinks = sinks.into_iter();
+        let mut counts = sinks.next().map_or_else(|| vec![0; n as usize], |s| s.0);
         for s in sinks {
             counts.iter_mut().zip(s.0).for_each(|(c, x)| *c += x);
         }
@@ -73,17 +75,20 @@ pub fn clustering_coefficients(g: &Graph, triangles: &[(u32, u32, u32)]) -> Vec<
     local_from_counts(g, &per_vertex_counts(g.num_vertices(), triangles))
 }
 
+/// `C(v)` of a vertex of degree `d` on `t` triangles (0 below degree 2).
+fn local(d: u32, t: u64) -> f64 {
+    let d = u64::from(d);
+    if d < 2 {
+        0.0
+    } else {
+        2.0 * t as f64 / (d * (d - 1)) as f64
+    }
+}
+
 /// Local clustering coefficients from per-vertex triangle counts.
 pub fn local_from_counts(g: &Graph, counts: &[u64]) -> Vec<f64> {
     (0..g.num_vertices())
-        .map(|v| {
-            let d = g.degree(v) as u64;
-            if d < 2 {
-                0.0
-            } else {
-                2.0 * counts[v as usize] as f64 / (d * (d - 1)) as f64
-            }
-        })
+        .map(|v| local(g.degree(v), counts[v as usize]))
         .collect()
 }
 
@@ -94,26 +99,39 @@ pub fn global_clustering(g: &Graph, triangles: &[(u32, u32, u32)]) -> f64 {
 
 /// Average clustering coefficient from per-vertex triangle counts.
 pub fn global_from_counts(g: &Graph, counts: &[u64]) -> f64 {
-    let local = local_from_counts(g, counts);
-    let eligible: Vec<f64> = (0..g.num_vertices())
-        .filter(|&v| g.degree(v) >= 2)
-        .map(|v| local[v as usize])
-        .collect();
-    if eligible.is_empty() {
+    global_from_degrees(&g.degrees(), counts)
+}
+
+/// Average clustering coefficient from per-vertex triangle counts and
+/// the degrees they belong to, both indexed by vertex id: the
+/// coefficients of the vertices of degree >= 2 summed in id order, so
+/// a caller holding only the degrees gets [`global_from_counts`]'s
+/// bits.
+pub fn global_from_degrees(degrees: &[u32], counts: &[u64]) -> f64 {
+    let eligible = || degrees.iter().zip(counts).filter(|&(&d, _)| d >= 2);
+    let n = eligible().count();
+    if n == 0 {
         0.0
     } else {
-        eligible.iter().sum::<f64>() / eligible.len() as f64
+        eligible().map(|(&d, &t)| local(d, t)).sum::<f64>() / n as f64
     }
 }
 
 /// Transitivity ratio: `3T / Σ_v C(d(v), 2)`.
 pub fn transitivity(g: &Graph, triangle_count: u64) -> f64 {
-    let triplets: u64 = (0..g.num_vertices())
-        .map(|v| {
-            let d = g.degree(v) as u64;
-            d * d.saturating_sub(1) / 2
-        })
-        .sum();
+    transitivity_from_triplets(triplets(&g.degrees()), triangle_count)
+}
+
+/// `Σ_v C(d(v), 2)`: the connected triplets (paths of length two) of a
+/// graph with these degrees.
+pub fn triplets(degrees: &[u32]) -> u64 {
+    (degrees.iter())
+        .map(|&d| u64::from(d) * u64::from(d).saturating_sub(1) / 2)
+        .sum()
+}
+
+/// Transitivity ratio `3T / triplets`, with [`triplets`] taken once.
+pub fn transitivity_from_triplets(triplets: u64, triangle_count: u64) -> f64 {
     if triplets == 0 {
         0.0
     } else {
@@ -201,6 +219,22 @@ mod tests {
             global_clustering(&g, &list).to_bits()
         );
         assert_eq!(VertexCountSink::merge(3, Vec::new()), [0; 3]);
+    }
+
+    #[test]
+    fn global_from_degrees_sums_as_the_coefficient_vector_did() {
+        // The average as it was taken before the degrees sufficed: the
+        // local coefficients collected, filtered to degree >= 2, summed.
+        let g = pdtl_graph::gen::rmat::rmat(8, 3).unwrap();
+        let counts = per_vertex_counts(g.num_vertices(), &triangle_list(&g));
+        let local = local_from_counts(&g, &counts);
+        let eligible: Vec<f64> = (0..g.num_vertices())
+            .filter(|&v| g.degree(v) >= 2)
+            .map(|v| local[v as usize])
+            .collect();
+        let reference = eligible.iter().sum::<f64>() / eligible.len() as f64;
+        let got = global_from_degrees(&g.degrees(), &counts);
+        assert_eq!(got.to_bits(), reference.to_bits());
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! Resource discipline matches the one-shot path:
 //!
 //! * every query states its worst-case resident cost in edges
-//!   (`cores × M`, plus `|E*|` when it materialises the graph for the
-//!   analytics kernels) and is admitted through a [`BudgetLedger`] —
+//!   (`cores × M`, plus what it holds beside the chunks: `|E*|` when it
+//!   materialises the graph, `2n` per worker for clustering's `8n`
+//!   bytes of per-vertex counters) and is admitted through a
+//!   [`BudgetLedger`] —
 //!   concurrent MGT runs never oversubscribe the configured budget,
 //!   and an impossible request is a typed rejection, not a deadlock;
 //! * queries run on a bounded worker pool, so a stalled query occupies
@@ -83,12 +85,17 @@ const MAX_IO_LATENCY_US: u32 = 10_000;
 
 /// One registered graph: the verified input plus an oriented on-disk
 /// replica per configured codec (kept from orientation time, so the
-/// original degrees for in-degree load balancing survive).
+/// original degrees for in-degree load balancing survive), and the
+/// degrees clustering reads, loaded once.
 struct CatalogEntry {
     input: DiskGraph,
     vertices: u32,
     m_star: u64,
     oriented: Vec<(Codec, OrientedGraph)>,
+    /// Degree of each vertex, by id.
+    degrees: Vec<u32>,
+    /// `Σ_v C(d(v), 2)`, transitivity's denominator.
+    triplets: u64,
 }
 
 impl CatalogEntry {
@@ -185,6 +192,8 @@ impl Catalog {
             oriented.push((codec, og));
         }
         let vertices = input.num_vertices();
+        let degrees = input.load_degrees(&self.io)?;
+        let triplets = clustering::triplets(&degrees);
         let m_star = oriented
             .first()
             .map(|(_, og)| og.m_star())
@@ -196,6 +205,8 @@ impl Catalog {
                 vertices,
                 m_star,
                 oriented,
+                degrees,
+                triplets,
             }),
         );
         Ok(())
@@ -656,16 +667,17 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
     }
 
     // Worst-case resident cost in edges: each MGT worker holds up to a
-    // budget's worth of chunk, and the analytics kernels additionally
-    // materialise the graph (|E*| oriented edges / triples).
-    let needs_graph = matches!(
-        job.op,
-        QueryOperation::Clustering | QueryOperation::KTruss { .. } | QueryOperation::Doulion { .. }
-    );
+    // budget's worth of chunk; k-truss and DOULION also materialise the
+    // graph (|E*| oriented edges / triples), and clustering holds one
+    // `VertexCountSink` per worker (n u64 counters: 2n edge units).
+    let resident = match job.op {
+        QueryOperation::KTruss { .. } | QueryOperation::Doulion { .. } => entry.m_star,
+        QueryOperation::Clustering => cores as u64 * 2 * u64::from(entry.vertices),
+        QueryOperation::Count | QueryOperation::List { .. } => 0,
+    };
     // The budget is a `u64` straight off the socket: a product that
     // wraps must be refused like any other cost the ledger cannot hold,
     // not admitted at whatever it wrapped to.
-    let resident = if needs_graph { entry.m_star } else { 0 };
     let _lease = (cores as u64)
         .checked_mul(opts.budget_edges)
         .and_then(|chunks| chunks.checked_add(resident))
@@ -684,19 +696,15 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
         QueryOperation::List { limit } => {
             let make_sink = || LimitSink::new(limit as usize);
             let (report, sinks) = run_mgt(shared, &entry, &opts, cores, make_sink)?;
-            let (triples, listed) = LimitSink::concat(sinks);
-            Ok(reply_from(&report, 0, listed, triples))
+            let triples = LimitSink::concat(sinks);
+            Ok(reply_from(&report, 0, report.triangles, triples))
         }
         QueryOperation::Clustering => {
             let make_sink = || VertexCountSink::new(entry.vertices);
             let (report, sinks) = run_mgt(shared, &entry, &opts, cores, make_sink)?;
             let counts = VertexCountSink::merge(entry.vertices, sinks);
-            let g = entry
-                .input
-                .load_csr(&shared.catalog.io)
-                .map_err(|e| e.to_string())?;
-            let global = clustering::global_from_counts(&g, &counts);
-            let trans = clustering::transitivity(&g, report.triangles);
+            let global = clustering::global_from_degrees(&entry.degrees, &counts);
+            let trans = clustering::transitivity_from_triplets(entry.triplets, report.triangles);
             Ok(reply_from(
                 &report,
                 global.to_bits(),

@@ -438,12 +438,17 @@ impl ChunkIndex<'_> {
     /// The probe is one byte load and one add per `w`, with no
     /// branch on the outcome — the sorted merge this replaces spent its
     /// time in mispredicted compare branches, not in memory. That is
-    /// why counting and listing differ: a counting sink
-    /// ([`TriangleSink::COUNTS_ONLY`]) sums the bytes, and a listing
-    /// sink gets its hits compacted branch-free first and translated to
-    /// original ids after, so neither loop branches per probe. Triples
-    /// come out in the merge's order: `v` ascending, then `w`
-    /// ascending.
+    /// why counting and listing differ, and the sink picks which runs:
+    /// asked once per out-list, a sink that wants no triples
+    /// ([`TriangleSink::wants_triples`] false: a [`CountSink`], a full
+    /// [`LimitSink`]) has the bytes summed, and one that does gets its
+    /// hits compacted branch-free first and translated to original ids
+    /// after, so neither loop branches per probe. Both kernels count
+    /// the same triangles and operations. Triples come out in the
+    /// merge's order: `v` ascending, then `w` ascending.
+    ///
+    /// [`CountSink`]: crate::sink::CountSink
+    /// [`LimitSink`]: crate::sink::LimitSink
     ///
     /// Returns `(triangles, marks + probes)`; the marks and the hits
     /// live in the worker's [`JoinScratch`]. Always inlined: as a call
@@ -470,12 +475,13 @@ impl ChunkIndex<'_> {
         let marked = &nm[first + 1..];
         scratch.mark(marked);
         let iu = ids[u as usize];
+        let listing = sink.wants_triples();
         let (mut triangles, mut probes) = (0u64, 0u64);
         for &v in &nm[first..hi_i] {
             let (seg_off, seg_len) = segment(v);
             let ev = &edg[seg_off as usize..(seg_off + seg_len) as usize];
             probes += ev.len() as u64;
-            if S::COUNTS_ONLY {
+            if !listing {
                 triangles += scratch.count_marked(ev);
             } else {
                 let iv = ids[v as usize];

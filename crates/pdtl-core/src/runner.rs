@@ -7,9 +7,11 @@
 //! `std::thread`s, each owning its file handles, scratch arrays, I/O
 //! counters and sink — per-worker state, not data-parallel iteration,
 //! which is why [`run_workers`] spawns its own scoped threads rather
-//! than mapping over [`par::map_chunks`](crate::par::map_chunks).
+//! than mapping over [`par::map_chunks`](crate::par::map_chunks). A
+//! one-worker run uses the calling thread.
 
 use std::fs::File;
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -229,11 +231,13 @@ impl LocalRunner {
 
 /// The worker fan-out of every runner (local cores, a cluster node's
 /// cores): one MGT worker per `(range, budget, options)` job over `og`,
-/// each on its own scoped thread with its own [`IoStats`] and its own
-/// `make_sink()` sink, made in job order. Reports (numbered) and sinks
-/// come back in job order; the first failed job's error is returned, a
-/// panicked worker's as [`CoreError::WorkerPanic`], after every worker
-/// has been joined.
+/// each with its own [`IoStats`] and its own `make_sink()` sink, made
+/// in job order. Several jobs run on scoped threads of their own; a
+/// single job (a one-core query, a one-core cluster node) runs on the
+/// calling thread, which a spawn and a join would only wait on.
+/// Reports (numbered) and sinks come back in job order; the first
+/// failed job's error is returned, a panicked worker's as
+/// [`CoreError::WorkerPanic`], after every worker has finished.
 pub fn run_workers<S, F>(
     og: &OrientedGraph,
     jobs: &[(EdgeRange, MemoryBudget, MgtOptions)],
@@ -243,25 +247,30 @@ where
     S: TriangleSink + Send,
     F: FnMut() -> S,
 {
-    let results: Vec<Result<(WorkerReport, S)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (jobs.iter().enumerate())
-            .map(|(i, &(range, budget, opts))| {
-                let mut sink = make_sink();
-                scope.spawn(move || {
-                    let stats = IoStats::new();
-                    let mut report =
-                        mgt_count_range_opt(og, range, budget, &mut sink, stats, opts)?;
-                    report.worker = i;
-                    Ok((report, sink))
+    let work = |i: usize, (range, budget, opts), mut sink: S| {
+        let stats = IoStats::new();
+        let mut report = mgt_count_range_opt(og, range, budget, &mut sink, stats, opts)?;
+        report.worker = i;
+        Ok((report, sink))
+    };
+    let panicked = |i| Err(CoreError::WorkerPanic(format!("worker {i}")));
+    let results: Vec<Result<(WorkerReport, S)>> = if let [job] = jobs {
+        let sink = make_sink();
+        let inline = std::panic::catch_unwind(AssertUnwindSafe(|| work(0, *job, sink)));
+        vec![inline.unwrap_or_else(|_| panicked(0))]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (jobs.iter().enumerate())
+                .map(|(i, &job)| {
+                    let sink = make_sink();
+                    scope.spawn(move || work(i, job, sink))
                 })
-            })
-            .collect();
-        let joined = handles.into_iter().enumerate().map(|(i, h)| {
-            h.join()
-                .unwrap_or_else(|_| Err(CoreError::WorkerPanic(format!("worker {i}"))))
-        });
-        joined.collect()
-    });
+                .collect();
+            let joined = (handles.into_iter().enumerate())
+                .map(|(i, h)| h.join().unwrap_or_else(|_| panicked(i)));
+            joined.collect()
+        })
+    };
     results.into_iter().collect()
 }
 

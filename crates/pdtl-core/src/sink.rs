@@ -11,6 +11,13 @@
 //! [`CollectSink`] holds a run's triples in memory (tests, examples,
 //! the analytics that take a triangle slice) and [`LimitSink`] the
 //! first `limit` of them (`pdtl serve`'s listing preview).
+//!
+//! The sink also picks the engine's kernel: while
+//! [`TriangleSink::wants_triples`] is `false` the join only counts (it
+//! sums mark bytes instead of compacting hits), so a [`CountSink`] run
+//! never produces a triple and a full [`LimitSink`] stops producing
+//! them. The count, the I/O and the work counters do not change with
+//! the kernel; only what reaches [`emit`](TriangleSink::emit) does.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -19,15 +26,21 @@ use pdtl_io::{IoError, IoStats, Result, U32Writer};
 
 /// Consumer of reported triangles.
 pub trait TriangleSink {
-    /// `true` when [`emit`](Self::emit) ignores its arguments, so the
-    /// engine may count a pivot's triangles without producing them
-    /// (its join then sums mark bytes instead of compacting hits). A
-    /// constant rather than a method: the choice is made per sink type
-    /// at compile time, so no probe carries a branch for it.
-    const COUNTS_ONLY: bool = false;
+    /// Whether the sink still takes triples. While it returns `false`
+    /// the engine counts triangles without producing them: its join
+    /// sums mark bytes instead of compacting hits, and `emit` is not
+    /// called. The engine asks once per joined out-list, so a sink may
+    /// turn it off mid-run (a full [`LimitSink`]); a sink whose answer
+    /// is a constant ([`CountSink`], and the `true` of this default)
+    /// compiles to one kernel with no branch for it.
+    #[inline(always)]
+    fn wants_triples(&self) -> bool {
+        true
+    }
 
-    /// Called once per triangle, `u` the cone vertex, `(v, w)` the pivot
-    /// edge (so `u ≺ v ≺ w` in the degree order).
+    /// Called once per triangle while [`wants_triples`](Self::wants_triples)
+    /// holds, `u` the cone vertex, `(v, w)` the pivot edge (so
+    /// `u ≺ v ≺ w` in the degree order).
     fn emit(&mut self, u: u32, v: u32, w: u32);
 
     /// Flush buffered output (no-op by default).
@@ -42,7 +55,10 @@ pub trait TriangleSink {
 pub struct CountSink;
 
 impl TriangleSink for CountSink {
-    const COUNTS_ONLY: bool = true;
+    #[inline(always)]
+    fn wants_triples(&self) -> bool {
+        false
+    }
 
     #[inline(always)]
     fn emit(&mut self, _u: u32, _v: u32, _w: u32) {}
@@ -87,14 +103,15 @@ impl TriangleSink for CollectSink {
     }
 }
 
-/// Keeps the first `limit` triples a worker emits and only counts the
-/// rest: a listing preview (`pdtl serve`'s `list --limit`) holds
-/// `limit` triples per worker, not the worker's share of `T`.
+/// Keeps the first `limit` triples a worker emits: a listing preview
+/// (`pdtl serve`'s `list --limit`) holds `limit` triples per worker,
+/// not the worker's share of `T`. Once it holds `limit` it wants no
+/// more, so the worker counts the rest of its range; the run's total
+/// is its report's `triangles`.
 #[derive(Debug, Clone)]
 pub struct LimitSink {
     limit: usize,
     kept: Vec<(u32, u32, u32)>,
-    seen: u64,
 }
 
 impl LimitSink {
@@ -103,27 +120,28 @@ impl LimitSink {
         Self {
             limit,
             kept: Vec::new(),
-            seen: 0,
         }
     }
 
-    /// The first `limit` triples of a run, in worker order — the
-    /// prefix of [`CollectSink::concat`]'s listing — and the number of
-    /// triples the workers emitted.
-    pub fn concat(sinks: Vec<LimitSink>) -> (Vec<(u32, u32, u32)>, u64) {
+    /// The first `limit` triples of a run, in worker order: the prefix
+    /// of [`CollectSink::concat`]'s listing.
+    pub fn concat(sinks: Vec<LimitSink>) -> Vec<(u32, u32, u32)> {
         let limit = sinks.first().map_or(0, |s| s.limit);
-        let seen = sinks.iter().map(|s| s.seen).sum();
         let kept = sinks.into_iter().flat_map(|s| s.kept).take(limit);
-        (kept.collect(), seen)
+        kept.collect()
     }
 }
 
 impl TriangleSink for LimitSink {
+    #[inline(always)]
+    fn wants_triples(&self) -> bool {
+        self.kept.len() < self.limit
+    }
+
     fn emit(&mut self, u: u32, v: u32, w: u32) {
         if self.kept.len() < self.limit {
             self.kept.push((u, v, w));
         }
-        self.seen += 1;
     }
 }
 
@@ -231,10 +249,22 @@ mod tests {
             (lo..lo + n).for_each(|i| s.emit(i, i, i));
             s
         };
-        let (kept, seen) = LimitSink::concat(vec![sink(0, 2), sink(2, 0), sink(2, 9)]);
+        let kept = LimitSink::concat(vec![sink(0, 2), sink(2, 0), sink(2, 9)]);
         assert_eq!(kept.iter().map(|t| t.0).collect::<Vec<_>>(), [0, 1, 2, 3]);
-        assert_eq!(seen, 11);
-        assert_eq!(LimitSink::concat(Vec::new()), (Vec::new(), 0));
+        assert!(LimitSink::concat(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn a_limit_sink_wants_triples_until_it_is_full() {
+        let mut s = LimitSink::new(2);
+        assert!(s.wants_triples());
+        s.emit(1, 2, 3);
+        assert!(s.wants_triples());
+        s.emit(4, 5, 6);
+        assert!(!s.wants_triples());
+        assert!(!LimitSink::new(0).wants_triples());
+        assert!(!CountSink.wants_triples());
+        assert!(CollectSink::default().wants_triples());
     }
 
     #[test]

@@ -666,3 +666,33 @@ fn hostile_frames_cost_a_connection_not_the_daemon() {
     assert_eq!((stats.served, stats.failed), (2, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_clustering_query_is_charged_its_chunks_and_counters() {
+    // Clustering reads the degrees the catalog holds, not the graph:
+    // it holds each worker's chunk and `n` u64 counters (2n edge
+    // units) per worker, and the ledger's peak is exactly that.
+    let g = rmat(8, 9).unwrap();
+    let n = u64::from(g.num_vertices());
+    let (dir, server) = boot("clustering-charge", &[("g", &g)], ServeConfig::default());
+    let mut client = ServeClient::connect(&server.addr()).unwrap();
+    let options = QueryOptions {
+        cores: 2,
+        budget_edges: 100,
+        ..Default::default()
+    };
+    let reply = client
+        .query("g", QueryOperation::Clustering, options)
+        .unwrap();
+    let expect = clustering::analyze(&g, &triangle_list(&g));
+    assert_eq!(reply.value_bits, expect.global.to_bits(), "bit-identical");
+    assert_eq!(reply.aux, expect.transitivity.to_bits());
+    let stats = server.shutdown();
+    assert_eq!(stats.admitted_peak, 2 * 100 + 2 * 2 * n);
+    assert!(
+        stats.admitted_peak < g.num_edges(),
+        "{} edges",
+        g.num_edges()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
