@@ -8,13 +8,14 @@
 //! * transitivity: `3·T / Σ_v C(d(v), 2)` — closed triplets over all
 //!   triplets.
 //!
-//! The per-vertex counts come from any triangle listing — these
-//! functions consume the `(u, v, w)` triples PDTL emits, either as a
-//! slice or streamed into one [`VertexCountSink`] per engine worker,
-//! which holds `n` counters instead of the worker's triples.
+//! The per-vertex counts come from any triangle listing: these
+//! functions consume the `(u, v, w)` triples PDTL emits as a slice, or
+//! the engine counts them itself into one [`VertexCountSink`] per
+//! worker, which lends the join `n` rank-indexed counters and never
+//! holds a triple.
 
 use pdtl_core::sink::TriangleSink;
-use pdtl_graph::Graph;
+use pdtl_graph::{Graph, RankMap};
 
 /// Summary of a clustering analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,45 +30,80 @@ pub struct ClusteringReport {
     pub triangles: u64,
 }
 
-/// Per-vertex triangle counts of the triples it is offered: one per
-/// engine worker lets clustering consume the listing as it streams.
+/// Per-vertex triangle counts of one engine worker, counted in the
+/// join: the sink lends its `n` counters by rank
+/// ([`TriangleSink::vertex_counts`]), so the engine adds each triangle
+/// to its three vertices without producing it, and [`merge`](Self::merge)
+/// translates the run's sum to ids once.
 #[derive(Debug, Clone)]
 pub struct VertexCountSink(Vec<u64>);
 
+/// Set on a counter [`VertexCountSink::merge`] has already moved to its
+/// id. No vertex lies on `2⁶³` triangles, so the bit is free.
+const MOVED: u64 = 1 << 63;
+
 impl VertexCountSink {
-    /// Zeroed counters for vertices `0..n`.
+    /// Zeroed counters for ranks `0..n`.
     pub fn new(n: u32) -> Self {
         Self(vec![0; n as usize])
     }
 
-    /// The per-vertex counts of a run over vertices `0..n`: the sum
-    /// over its workers' sinks, added into the first one's counters
-    /// (zeros when no worker ran).
-    pub fn merge(n: u32, sinks: Vec<VertexCountSink>) -> Vec<u64> {
+    /// The per-vertex counts of a run over the graph ranked by `map`,
+    /// indexed by id: the workers' rank-indexed counters summed into the
+    /// first one's, then moved to id order in place, cycle by cycle of
+    /// the permutation (zeros when no worker ran). No second `n`-vector
+    /// is held beside the workers' counters.
+    pub fn merge(map: &RankMap, sinks: Vec<VertexCountSink>) -> Vec<u64> {
         let mut sinks = sinks.into_iter();
-        let mut counts = sinks.next().map_or_else(|| vec![0; n as usize], |s| s.0);
+        let Some(VertexCountSink(mut counts)) = sinks.next() else {
+            return vec![0; map.len() as usize];
+        };
         for s in sinks {
             counts.iter_mut().zip(s.0).for_each(|(c, x)| *c += x);
         }
+        let ids = map.ids();
+        for start in 0..counts.len() {
+            if counts[start] & MOVED != 0 {
+                continue;
+            }
+            // Carry rank `r`'s count to its id, pick up the count that
+            // sat there, and go on until the cycle closes at `start`.
+            let (mut r, mut carried) = (start, counts[start]);
+            loop {
+                let id = ids[r] as usize;
+                let next = std::mem::replace(&mut counts[id], carried | MOVED);
+                if id == start {
+                    break;
+                }
+                (r, carried) = (id, next);
+            }
+        }
+        counts.iter_mut().for_each(|c| *c &= !MOVED);
         counts
     }
 }
 
 impl TriangleSink for VertexCountSink {
+    #[inline(always)]
+    fn vertex_counts(&mut self) -> Option<&mut [u64]> {
+        Some(&mut self.0)
+    }
+
+    /// Never called: the engine counts into the lent counters.
     fn emit(&mut self, u: u32, v: u32, w: u32) {
-        self.0[u as usize] += 1;
-        self.0[v as usize] += 1;
-        self.0[w as usize] += 1;
+        unreachable!("({u}, {v}, {w}) emitted to a sink that lends its counters")
     }
 }
 
 /// Accumulate per-vertex triangle counts from listed triples.
 pub fn per_vertex_counts(n: u32, triangles: &[(u32, u32, u32)]) -> Vec<u64> {
-    let mut sink = VertexCountSink::new(n);
+    let mut counts = vec![0; n as usize];
     for &(u, v, w) in triangles {
-        sink.emit(u, v, w);
+        counts[u as usize] += 1;
+        counts[v as usize] += 1;
+        counts[w as usize] += 1;
     }
-    sink.0
+    counts
 }
 
 /// Local clustering coefficients from a triangle listing.
@@ -206,19 +242,56 @@ mod tests {
 
     #[test]
     fn worker_sinks_merge_to_the_listing_counts() {
-        let g = wheel(8).unwrap();
-        let list = triangle_list(&g);
-        let mut sinks = vec![VertexCountSink::new(8), VertexCountSink::new(8)];
-        for (i, &(u, v, w)) in list.iter().enumerate() {
-            sinks[i % 2].emit(u, v, w);
+        use pdtl_core::mgt::mgt_in_memory;
+        use pdtl_core::orient::orient_csr;
+        use pdtl_io::MemoryBudget;
+        for g in [
+            wheel(8).unwrap(),
+            pdtl_graph::gen::rmat::rmat(8, 5).unwrap(),
+        ] {
+            let list = triangle_list(&g);
+            let want = per_vertex_counts(g.num_vertices(), &list);
+            let o = orient_csr(&g);
+            for edges in [2usize, 64, 1 << 20] {
+                let mut sink = VertexCountSink::new(g.num_vertices());
+                let (t, _) = mgt_in_memory(&o, MemoryBudget::edges(edges), &mut sink);
+                assert_eq!(t, list.len() as u64);
+                // Two workers' counters: the run split between them.
+                let half = VertexCountSink(sink.0.iter().map(|c| c / 2).collect());
+                let rest = VertexCountSink(sink.0.iter().map(|c| c - c / 2).collect());
+                let counts = VertexCountSink::merge(&o.map, vec![half, rest]);
+                assert_eq!(counts, want, "{edges}");
+                assert_eq!(VertexCountSink::merge(&o.map, vec![sink]), want);
+                assert_eq!(
+                    global_from_counts(&g, &counts).to_bits(),
+                    global_clustering(&g, &list).to_bits()
+                );
+            }
         }
-        let counts = VertexCountSink::merge(8, sinks);
-        assert_eq!(counts, per_vertex_counts(8, &list));
         assert_eq!(
-            global_from_counts(&g, &counts).to_bits(),
-            global_clustering(&g, &list).to_bits()
+            VertexCountSink::merge(&RankMap::identity(3), Vec::new()),
+            [0; 3]
         );
-        assert_eq!(VertexCountSink::merge(3, Vec::new()), [0; 3]);
+    }
+
+    #[test]
+    fn merge_moves_every_rank_to_its_id() {
+        // Fixed points, 2-cycles, one long cycle, and the empty map.
+        for rank_to_id in [
+            vec![],
+            vec![0],
+            vec![1, 0, 2],
+            vec![3, 0, 1, 2, 4],
+            vec![4, 2, 1, 0, 3, 6, 5],
+            (0..64).map(|r| (r * 37 + 11) % 64).collect(),
+        ] {
+            let map = RankMap::from_rank_to_id(rank_to_id.clone());
+            let by_rank: Vec<u64> = (0..map.len() as u64).map(|r| 10 * r + 1).collect();
+            let counts = VertexCountSink::merge(&map, vec![VertexCountSink(by_rank.clone())]);
+            for (r, &id) in rank_to_id.iter().enumerate() {
+                assert_eq!(counts[id as usize], by_rank[r], "{rank_to_id:?} rank {r}");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! `modeled` columns come from counted work under the default
 //! [`CostModel`](pdtl_io::CostModel)/[`NetModel`](pdtl_cluster::NetModel)
 //! and carry the scaling *shape*; `wall` columns are the host's measured
-//! times. EXPERIMENTS.md records paper-vs-measured per artifact.
+//! times. PAPER.md ("Evaluation artefacts") maps each artifact to its
+//! id; the `exp` output itself is the paper-vs-measured record.
 
 use std::fmt::Write as _;
 

@@ -99,11 +99,17 @@ struct CatalogEntry {
 }
 
 impl CatalogEntry {
-    fn oriented_for(&self, codec: Codec) -> Option<&OrientedGraph> {
-        self.oriented
-            .iter()
-            .find(|(c, _)| *c == codec)
-            .map(|(_, og)| og)
+    /// The replica oriented with `codec`, or why there is none.
+    fn replica(&self, codec: Codec) -> std::result::Result<&OrientedGraph, String> {
+        let found = self.oriented.iter().find(|(c, _)| *c == codec);
+        found.map(|(_, og)| og).ok_or_else(|| {
+            let serving: Vec<&str> = self.oriented.iter().map(|(c, _)| c.name()).collect();
+            format!(
+                "codec {} is not in this server's catalog (serving: {})",
+                codec.name(),
+                serving.join(", ")
+            )
+        })
     }
 }
 
@@ -668,8 +674,10 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
 
     // Worst-case resident cost in edges: each MGT worker holds up to a
     // budget's worth of chunk; k-truss and DOULION also materialise the
-    // graph (|E*| oriented edges / triples), and clustering holds one
-    // `VertexCountSink` per worker (n u64 counters: 2n edge units).
+    // graph (|E*| oriented edges / triples), and clustering lends the
+    // join one `VertexCountSink` per worker (n u64 counters: 2n edge
+    // units), whose merge sums them and moves the sum to id order in
+    // place, holding no further n-vector.
     let resident = match job.op {
         QueryOperation::KTruss { .. } | QueryOperation::Doulion { .. } => entry.m_star,
         QueryOperation::Clustering => cores as u64 * 2 * u64::from(entry.vertices),
@@ -702,7 +710,7 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
         QueryOperation::Clustering => {
             let make_sink = || VertexCountSink::new(entry.vertices);
             let (report, sinks) = run_mgt(shared, &entry, &opts, cores, make_sink)?;
-            let counts = VertexCountSink::merge(entry.vertices, sinks);
+            let counts = VertexCountSink::merge(&entry.replica(opts.codec)?.map, sinks);
             let global = clustering::global_from_degrees(&entry.degrees, &counts);
             let trans = clustering::transitivity_from_triplets(entry.triplets, report.triangles);
             Ok(reply_from(
@@ -790,14 +798,7 @@ fn run_mgt<S: TriangleSink + Send>(
     cores: usize,
     make_sink: impl FnMut() -> S,
 ) -> std::result::Result<(RunReport, Vec<S>), String> {
-    let og = entry.oriented_for(opts.codec).ok_or_else(|| {
-        let serving: Vec<&str> = entry.oriented.iter().map(|(c, _)| c.name()).collect();
-        format!(
-            "codec {} is not in this server's catalog (serving: {})",
-            opts.codec.name(),
-            serving.join(", ")
-        )
-    })?;
+    let og = entry.replica(opts.codec)?;
     let runner = LocalRunner::new(LocalConfig {
         cores,
         budget: MemoryBudget::edges(opts.budget_edges as usize),

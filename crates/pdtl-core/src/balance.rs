@@ -77,7 +77,8 @@
 //! its end (a chunk's cost only grows with its end). `B` is feasible when
 //! `parts` such walks reach `|E*|`; the search returns the walks at the
 //! smallest feasible `B`, to a millionth of `B` (exact below a million
-//! picoseconds: costs are integers).
+//! picoseconds: costs are integers). One part places no cut and runs
+//! no search: its range is `[0, |E*|)`.
 //! [`split_ranges`] runs the same search on the one-iteration model
 //! (resident and probe terms only: it is not given the sketches).
 //!
@@ -360,13 +361,15 @@ fn own_prefix(offsets: &[u64], buckets: &SketchBuckets, sketch: &[u64]) -> Prefi
 impl<'a> Model<'a> {
     /// The model over `offsets`: the probe term when `in_degrees` are
     /// given, the scan terms when the per-vertex `sketch` over `buckets`
-    /// is (the one-iteration model has neither).
+    /// is (the one-iteration model has neither). `beside` builds the
+    /// scan table on a second thread.
     fn new<I>(
         offsets: &'a [u64],
         in_degrees: Option<I>,
         sketch: Option<(&'a SketchBuckets, &[u64])>,
         chunk: u64,
         weights: Weights,
+        beside: bool,
     ) -> Self
     where
         I: Iterator<Item = u32> + Send,
@@ -380,14 +383,21 @@ impl<'a> Model<'a> {
                 // `S` and the probe prefix. Those two are the model's
                 // large arrays, and are built off the caller's thread:
                 // freed into the caller's heap they stayed resident
-                // through the workers (+0.3 MiB of a 17 MiB peak).
-                let ((own, probes_below), meets) = par::join(
-                    || {
-                        let own = own_prefix(offsets, buckets, sketch);
-                        (own, probe_prefix(offsets, in_degrees))
-                    },
-                    || meets_table(offsets, sketch),
-                );
+                // through the workers (+0.3 MiB of a 17 MiB peak). A
+                // plan for one worker builds them on the caller: it was
+                // asked for one core, and on a busy server the spawned
+                // thread waits for one (`serve-mix` on a 2-core host:
+                // `calc_s` 7–8 % lower without the spawn).
+                let prefixes = || {
+                    let own = own_prefix(offsets, buckets, sketch);
+                    (own, probe_prefix(offsets, in_degrees))
+                };
+                let meets = || meets_table(offsets, sketch);
+                let ((own, probes_below), meets) = if beside {
+                    par::join(prefixes, meets)
+                } else {
+                    (prefixes(), meets())
+                };
                 let scan = ScanTable {
                     buckets,
                     meets,
@@ -406,8 +416,8 @@ impl<'a> Model<'a> {
         }
     }
 
-    /// The full model of `og` at `budget`.
-    fn of_graph(og: &'a OrientedGraph, budget: MemoryBudget) -> Self {
+    /// The full model of `og` at `budget`, for `parts` workers.
+    fn of_graph(og: &'a OrientedGraph, budget: MemoryBudget, parts: usize) -> Self {
         // in(v) = d(v) − d*(v), folded straight into the prefix sums.
         let in_degrees = og.orig_degrees.as_ref().map(|orig| {
             let lists = og.offsets.windows(2);
@@ -417,7 +427,7 @@ impl<'a> Model<'a> {
         });
         let (chunk, weights) = (budget.chunk_edges() as u64, Weights::of(og.disk.codec()));
         let sketch = Some((og.buckets(), &og.sketch[..]));
-        Self::new(&og.offsets, in_degrees, sketch, chunk, weights)
+        Self::new(&og.offsets, in_degrees, sketch, chunk, weights, parts > 1)
     }
 
     /// `Σ in(w)` over the positions before `x`, which lies in the list
@@ -520,8 +530,17 @@ impl<'a> Model<'a> {
 
     /// The one cut search: the walks at the smallest bottleneck cost
     /// that `parts` greedy walks cover `[0, m*)` under. Returns the
-    /// ranges and the chunk-cost evaluations it made.
+    /// ranges and the chunk-cost evaluations it made. One part places
+    /// no cut: it is `[0, m*)`, found without a search.
     fn min_max_cuts(&self, parts: usize) -> (Vec<EdgeRange>, u64) {
+        // One range holding everything fits its own cost.
+        let whole = EdgeRange {
+            start: 0,
+            end: self.m_star,
+        };
+        if parts == 1 {
+            return (vec![whole], 0);
+        }
         let mut evals = 0u64;
         let walk = |bound: u64, evals: &mut u64| -> Vec<EdgeRange> {
             let mut start = 0;
@@ -533,11 +552,6 @@ impl<'a> Model<'a> {
                     range
                 })
                 .collect()
-        };
-        // One range holding everything fits its own cost.
-        let whole = EdgeRange {
-            start: 0,
-            end: self.m_star,
         };
         // Bisect to a millionth of the bound: finer than any weight is
         // known, half the steps of bisecting to the picosecond.
@@ -596,7 +610,8 @@ pub fn split_ranges(
         BalanceStrategy::EqualEdges => (equal_split(offsets[offsets.len() - 1], parts), 0),
         BalanceStrategy::InDegree => {
             let in_degrees = Some(in_degrees.iter().copied());
-            let model = Model::new(offsets, in_degrees, None, u64::MAX, Weights::of(Codec::Raw));
+            let raw = Weights::of(Codec::Raw);
+            let model = Model::new(offsets, in_degrees, None, u64::MAX, raw, false);
             let (ranges, evals) = model.min_max_cuts(parts);
             (ranges, offsets.len() as u64 + evals)
         }
@@ -619,7 +634,7 @@ pub fn plan_ranges(
 ) -> (Vec<(EdgeRange, PredictedCost)>, PhaseReport) {
     let start = Instant::now();
     let parts = parts.max(1);
-    let model = Model::of_graph(og, budget);
+    let model = Model::of_graph(og, budget, parts);
     let (ranges, evals) = match strategy {
         BalanceStrategy::EqualEdges => (equal_split(og.m_star(), parts), 0),
         BalanceStrategy::InDegree => model.min_max_cuts(parts),
@@ -629,13 +644,18 @@ pub fn plan_ranges(
         .map(|r| (r, model.range_cost(r)))
         .collect();
     let work = og.offsets.len() as u64 + evals + parts as u64;
-    // `T` is built beside the prefix arrays.
-    (plan, phase_report(start, work, par::host_threads().min(2)))
+    // `T` is built beside the prefix arrays, for more than one part.
+    let threads = if parts > 1 {
+        par::host_threads().min(2)
+    } else {
+        1
+    };
+    (plan, phase_report(start, work, threads))
 }
 
 /// What [`plan_ranges`] predicts for `range` of `og` at `budget`.
 pub fn predicted_cost(og: &OrientedGraph, budget: MemoryBudget, range: EdgeRange) -> PredictedCost {
-    Model::of_graph(og, budget).range_cost(range)
+    Model::of_graph(og, budget, 1).range_cost(range)
 }
 
 fn phase_report(start: Instant, cpu_ops: u64, threads: usize) -> PhaseReport {
@@ -682,7 +702,7 @@ mod tests {
     /// The one-iteration model `split_ranges` balances.
     fn one_pass_cost(offsets: &[u64], ins: &[u32], r: EdgeRange) -> u64 {
         let ins = Some(ins.iter().copied());
-        Model::new(offsets, ins, None, u64::MAX, Weights::of(Codec::Raw))
+        Model::new(offsets, ins, None, u64::MAX, Weights::of(Codec::Raw), false)
             .range_cost(r)
             .picos
     }
@@ -798,7 +818,14 @@ mod tests {
     ) -> Model<'a> {
         let ins = Some(ins.iter().copied());
         let sketch = Some((&sketched.0, &sketched.1[..]));
-        Model::new(&o.offsets, ins, sketch, chunk, Weights::of(Codec::Raw))
+        Model::new(
+            &o.offsets,
+            ins,
+            sketch,
+            chunk,
+            Weights::of(Codec::Raw),
+            true,
+        )
     }
 
     /// RMAT-10, a Chung–Lu power law, a star (its hub's out-list is
@@ -1010,6 +1037,7 @@ mod tests {
                 None,
                 u64::MAX,
                 Weights::of(Codec::Raw),
+                false,
             );
             let sk = sketches_of(&o);
             for (chunk, model) in [
@@ -1067,6 +1095,33 @@ mod tests {
                     assert_eq!(c.iterations, budget.iterations_for(r.len()));
                     assert_eq!((c.resident, c.picos == 0), (r.len(), r.is_empty()));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_part_plan_is_the_whole_graph_without_a_search() {
+        let g = rmat(9, 6).unwrap();
+        for codec in Codec::ALL {
+            let og = disk_oriented(&g, &format!("one-part-{codec:?}"), codec);
+            let whole = EdgeRange {
+                start: 0,
+                end: og.m_star(),
+            };
+            // Many chunks, and the whole graph in one.
+            for edges in [300, 4 * og.m_star() as usize] {
+                let budget = MemoryBudget::edges(edges);
+                let (plan, report) = plan_ranges(&og, budget, 1, BalanceStrategy::InDegree);
+                let case = format!("{codec:?} {edges}");
+                assert_eq!(
+                    plan,
+                    [(whole, predicted_cost(&og, budget, whole))],
+                    "{case}"
+                );
+                // The model's tables and one prediction: no cut evaluated,
+                // and no second thread.
+                assert_eq!(report.cpu_ops, og.offsets.len() as u64 + 1, "{case}");
+                assert_eq!(report.threads, 1, "{case}");
             }
         }
     }

@@ -62,8 +62,9 @@
 //! mispredicted merge branches, not memory); a probe is one byte load
 //! and an add. The merge kernels of [`crate::intersect`] remain the
 //! primitive of the baselines. Memory per worker beside the `Θ(M)`
-//! chunk: `n` bytes of marks (128 KiB at RMAT-17) and up to
-//! `4·d*_max` bytes of compacted hits (listing sinks only), next to the
+//! chunk: `n` bytes of marks (128 KiB at RMAT-17), up to `4·d*_max`
+//! bytes of compacted hits (listing sinks only) and, for a sink that
+//! counts per vertex, the `8n` bytes of counters it lends, next to the
 //! `20n` bytes per graph of `offsets` + `sketch` + `ids`. A byte per
 //! vertex rather than a bit takes the index shift, the variable shift
 //! and the mask off every probe (ARCHITECTURE, "Why a byte per vertex,
@@ -113,7 +114,9 @@
 //! resident in exactly one chunk.
 //! Triangles are translated back to original ids at the sink boundary
 //! through the graph's [`RankMap`](pdtl_graph::RankMap), so the output
-//! contract (original ids, cone vertex first) is unchanged.
+//! contract (original ids, cone vertex first) is unchanged; a sink that
+//! counts per vertex is lent rank-indexed counters and translates them
+//! through the same map once, after the run.
 //!
 //! Correctness does **not** depend on the small-degree assumption
 //! `d* ≤ cM` — a list split across more than two chunks still has each
@@ -438,14 +441,23 @@ impl ChunkIndex<'_> {
     /// The probe is one byte load and one add per `w`, with no
     /// branch on the outcome — the sorted merge this replaces spent its
     /// time in mispredicted compare branches, not in memory. That is
-    /// why counting and listing differ, and the sink picks which runs:
-    /// asked once per out-list, a sink that wants no triples
-    /// ([`TriangleSink::wants_triples`] false: a [`CountSink`], a full
-    /// [`LimitSink`]) has the bytes summed, and one that does gets its
-    /// hits compacted branch-free first and translated to original ids
-    /// after, so neither loop branches per probe. Both kernels count
-    /// the same triangles and operations. Triples come out in the
-    /// merge's order: `v` ascending, then `w` ascending.
+    /// why counting and listing differ, and the sink picks which of
+    /// three kernels runs, asked once per out-list:
+    ///
+    /// * **per-vertex** — a sink lending rank-indexed counters
+    ///   ([`TriangleSink::vertex_counts`]: clustering) has each probed
+    ///   `w`'s mark byte added to `counts[w]`, the pivot's sum to
+    ///   `counts[v]` and the out-list's total to `counts[u]`: a count
+    ///   plus one store per probe, and `emit` is never called;
+    /// * **counting** — a sink that wants no triples
+    ///   ([`TriangleSink::wants_triples`] false: a [`CountSink`], a full
+    ///   [`LimitSink`]) has the bytes summed;
+    /// * **listing** — any other sink gets its hits compacted
+    ///   branch-free first and translated to original ids after, so
+    ///   no loop branches per probe.
+    ///
+    /// All three count the same triangles and operations. Triples come
+    /// out in the merge's order: `v` ascending, then `w` ascending.
     ///
     /// [`CountSink`]: crate::sink::CountSink
     /// [`LimitSink`]: crate::sink::LimitSink
@@ -474,6 +486,20 @@ impl ChunkIndex<'_> {
         };
         let marked = &nm[first + 1..];
         scratch.mark(marked);
+        if let Some(counts) = sink.vertex_counts() {
+            let (mut triangles, mut probes) = (0u64, 0u64);
+            for &v in &nm[first..hi_i] {
+                let (seg_off, seg_len) = segment(v);
+                let ev = &edg[seg_off as usize..(seg_off + seg_len) as usize];
+                probes += ev.len() as u64;
+                let t = scratch.add_marked(ev, counts);
+                counts[v as usize] += t;
+                triangles += t;
+            }
+            counts[u as usize] += triangles;
+            scratch.clear(marked);
+            return (triangles, marked.len() as u64 + probes);
+        }
         let iu = ids[u as usize];
         let listing = sink.wants_triples();
         let (mut triangles, mut probes) = (0u64, 0u64);
@@ -553,6 +579,34 @@ impl JoinScratch {
             acc[0] += u32::from(m[w as usize]);
         }
         acc.iter().map(|&a| u64::from(a)).sum()
+    }
+
+    /// How many of `ws` are marked, each `w`'s mark byte also added to
+    /// `counts[w]`: the per-vertex kernel's probe, a [`Self::count_marked`]
+    /// step plus one store per `w`, with no branch on the outcome. As
+    /// there, four accumulators keep the sum off one add chain.
+    #[inline(always)]
+    fn add_marked(&self, ws: &[u32], counts: &mut [u64]) -> u64 {
+        let m = &self.marks;
+        // Equal lengths let the mark's bounds check cover the counter's
+        // (both checks cost 12% of an in-memory RMAT-12 run).
+        let counts = &mut counts[..m.len()];
+        let mut acc = [0u64; 4];
+        let quads = ws.chunks_exact(4);
+        let tail = quads.remainder();
+        for q in quads {
+            for (a, &w) in acc.iter_mut().zip(q) {
+                let hit = u64::from(m[w as usize]);
+                counts[w as usize] += hit;
+                *a += hit;
+            }
+        }
+        for &w in tail {
+            let hit = u64::from(m[w as usize]);
+            counts[w as usize] += hit;
+            acc[0] += hit;
+        }
+        acc.iter().sum()
     }
 
     /// The marked entries of `ws`, in order: every `w` is stored at the
@@ -1165,6 +1219,15 @@ mod tests {
                 let ws: Vec<u32> = (0..len as u32).map(|i| (start + 4 * i) % n).collect();
                 let naive = ws.iter().filter(|&&w| is_marked(w)).count() as u64;
                 assert_eq!(scratch.count_marked(&ws), naive, "len {len} from {start}");
+                let mut counts = vec![0u64; n as usize];
+                assert_eq!(scratch.add_marked(&ws, &mut counts), naive);
+                for w in 0..n {
+                    let hits = ws.iter().filter(|&&x| x == w && is_marked(w)).count();
+                    assert_eq!(
+                        counts[w as usize], hits as u64,
+                        "len {len} from {start}: {w}"
+                    );
+                }
                 let hits: Vec<u32> = ws.iter().copied().filter(|&w| is_marked(w)).collect();
                 assert_eq!(scratch.marked_of(&ws), hits, "len {len} from {start}");
             }

@@ -12,27 +12,47 @@
 //! the analytics that take a triangle slice) and [`LimitSink`] the
 //! first `limit` of them (`pdtl serve`'s listing preview).
 //!
-//! The sink also picks the engine's kernel: while
-//! [`TriangleSink::wants_triples`] is `false` the join only counts (it
-//! sums mark bytes instead of compacting hits), so a [`CountSink`] run
-//! never produces a triple and a full [`LimitSink`] stops producing
-//! them. The count, the I/O and the work counters do not change with
-//! the kernel; only what reaches [`emit`](TriangleSink::emit) does.
+//! The sink also picks the engine's kernel, one of three. A sink that
+//! lends per-vertex counters ([`TriangleSink::vertex_counts`], the
+//! clustering analytics' `VertexCountSink`) has the join add each
+//! triangle to its three vertices' counters in rank space and never
+//! sees a triple. Otherwise, while [`TriangleSink::wants_triples`] is
+//! `false` the join only counts (it sums mark bytes instead of
+//! compacting hits), so a [`CountSink`] run never produces a triple and
+//! a full [`LimitSink`] stops producing them; while it is `true` the
+//! hits are compacted, translated to original ids and emitted. The
+//! count, the I/O and the work counters do not change with the kernel;
+//! only what reaches the sink does.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use pdtl_io::{IoError, IoStats, Result, U32Writer};
 
-/// Consumer of reported triangles.
+/// Consumer of reported triangles. Its two provided methods pick the
+/// join's kernel (module doc); a sink overriding neither is a listing
+/// sink, and one whose answers are constants ([`CountSink`], and the
+/// defaults here) compiles to one kernel with no branch for the others.
 pub trait TriangleSink {
+    /// Rank-indexed per-vertex counters the sink lends the engine, one
+    /// per rank of the oriented graph (`n` of them). While it returns
+    /// `Some`, the join adds each triangle it finds to the counters of
+    /// its three vertices' ranks — the pivot's hits to `v`, each hit
+    /// `w`'s mark byte to `w`, the out-list's total to `u` — and calls
+    /// neither [`wants_triples`](Self::wants_triples) nor
+    /// [`emit`](Self::emit). The counters are in rank space; the sink
+    /// translates them to ids once, through the graph's `RankMap`,
+    /// when the run is done.
+    #[inline(always)]
+    fn vertex_counts(&mut self) -> Option<&mut [u64]> {
+        None
+    }
+
     /// Whether the sink still takes triples. While it returns `false`
     /// the engine counts triangles without producing them: its join
     /// sums mark bytes instead of compacting hits, and `emit` is not
     /// called. The engine asks once per joined out-list, so a sink may
-    /// turn it off mid-run (a full [`LimitSink`]); a sink whose answer
-    /// is a constant ([`CountSink`], and the `true` of this default)
-    /// compiles to one kernel with no branch for it.
+    /// turn it off mid-run (a full [`LimitSink`]).
     #[inline(always)]
     fn wants_triples(&self) -> bool {
         true

@@ -2,8 +2,9 @@
 //!
 //! Generators must be reproducible bit-for-bit across platforms, compiler
 //! versions and dependency upgrades (the experiment harness caches
-//! generated datasets and EXPERIMENTS.md quotes their triangle counts), so
-//! they use this self-contained SplitMix64 instead of an external crate.
+//! generated datasets, its `exp` tables print their triangle counts, and
+//! `tests/golden.rs` pins their digests), so they use this
+//! self-contained SplitMix64 instead of an external crate.
 
 /// SplitMix64 (Steele, Lea, Flood; used as the seeding PRNG of the
 /// xoshiro family). Passes BigCrush when used directly; more than enough

@@ -17,12 +17,12 @@
 //!
 //! One lane of slicing-by-8 waits on its own result every step: the
 //! next step's lookups need this step's CRC. So whole blocks of
-//! [`BLOCK`] bytes run three lanes at once, one per third of the
+//! `BLOCK` bytes run three lanes at once, one per third of the
 //! block, each from its own register, and the thirds are joined after:
 //! the register is linear in its input, so the CRC of `A ‖ B` is the
 //! CRC of `A` carried across `|B|` zero bytes, xor that of `B` from a
 //! zero register. Carrying a register across one lane's zeros is a
-//! fixed linear map, four table lookups ([`SHIFT`]). Over 24 MiB on a
+//! fixed linear map, four table lookups (`SHIFT`). Over 24 MiB on a
 //! 2-core VM the three lanes digest 2.2–2.5 GB/s, one lane 1.14–1.20.
 
 use std::io::Read;
@@ -168,7 +168,7 @@ impl Crc32c {
         Crc32c { state: !0 }
     }
 
-    /// Feed `bytes` into the digest: whole [`BLOCK`]s three lanes at
+    /// Feed `bytes` into the digest: whole `BLOCK`s three lanes at
     /// a time, then 8-byte steps, then single bytes.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut crc = self.state;

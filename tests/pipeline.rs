@@ -90,8 +90,9 @@ fn replicas_are_bit_identical() {
 
 #[test]
 fn dataset_standins_have_documented_shapes() {
-    // The shapes EXPERIMENTS.md relies on: Orkut densest, Yahoo the
-    // most skewed, Twitter hub-heavy.
+    // The shapes the stand-ins of PAPER.md's "Evaluation artefacts"
+    // are defined by: Orkut densest, Yahoo the most skewed, Twitter
+    // hub-heavy.
     let scale = 0.05;
     let avg = |ds: Dataset| {
         let g = ds.build_scaled(scale).unwrap();
