@@ -87,9 +87,8 @@ fn main() {
     };
 
     println!(
-        "PDTL experiment harness — profile: {:?} (modeled times use the paper's \
-         500 MB/s SSD / 10 GbE cost model)",
-        profile
+        "PDTL experiment harness — profile: {profile:?} (counters are exact on any \
+         host; walls are measured on this host)"
     );
     for id in selected {
         let start = std::time::Instant::now();

@@ -5,13 +5,13 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use pdtl_cluster::{ClusterConfig, ClusterReport, ClusterRunner, NetModel};
+use pdtl_cluster::{ClusterConfig, ClusterReport, ClusterRunner};
 use pdtl_core::balance::BalanceStrategy;
 use pdtl_core::mgt::MgtOptions;
 use pdtl_core::{LocalConfig, LocalRunner, RunReport};
 use pdtl_graph::datasets::Dataset;
 use pdtl_graph::{DiskGraph, Graph};
-use pdtl_io::{CostModel, IoStats, MemoryBudget};
+use pdtl_io::{IoStats, MemoryBudget};
 
 /// Scale profile of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,10 +83,6 @@ pub struct Workbench {
     pub profile: Profile,
     /// Directory holding generated graphs and run scratch space.
     pub data_dir: PathBuf,
-    /// Cost model for modeled times.
-    pub cost: CostModel,
-    /// Network model for modeled copy times.
-    pub net: NetModel,
     /// Engine knobs of every local and cluster run (`exp --backend`,
     /// `exp --codec`).
     pub mgt: MgtOptions,
@@ -103,8 +99,6 @@ impl Workbench {
         Self {
             profile,
             data_dir,
-            cost: CostModel::default(),
-            net: NetModel::default(),
             mgt: MgtOptions::default(),
             graphs: HashMap::new(),
             run_id: 0,

@@ -16,20 +16,19 @@
 //!
 //! Every byte that would cross the network — configurations, graph
 //! replicas, results, triangle batches — passes through a counted
-//! [`transport`], so Theorem IV.3's `Θ(NP + N|E| + T)` network bound is
-//! measured, and a configurable [`netmodel`] converts bytes into modeled
-//! copy times (Table III's copy columns) on any host.
+//! [`transport`] and into the [`traffic`] counters, so Theorem IV.3's
+//! `Θ(NP + N|E| + T)` network bound is measured, not modeled.
 
 pub mod error;
 pub mod fault;
 mod master;
 pub mod message;
-pub mod netmodel;
 pub mod node;
 pub mod report;
 pub mod runner;
 pub mod server;
 pub mod tcp;
+pub mod traffic;
 pub mod transport;
 
 pub use error::{ClusterError, Result};
@@ -37,7 +36,7 @@ pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use message::{
     CatalogGraphInfo, Message, NodeDirectives, NodeFault, QueryOperation, QueryOptions, ServerStats,
 };
-pub use netmodel::{NetModel, NetTraffic};
 pub use report::{ClusterReport, NodeReport};
 pub use runner::{ClusterConfig, ClusterRunner, RetryPolicy, TransportKind};
 pub use server::{Catalog, QueryReply, ServeClient, ServeConfig, Server};
+pub use traffic::NetTraffic;

@@ -229,7 +229,7 @@ pub fn summarize(r: &WorkerReport) -> WorkerSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netmodel::NetTraffic;
+    use crate::traffic::NetTraffic;
     use crate::transport::in_proc_pair;
     use pdtl_core::orient::orient_to_disk;
     use pdtl_graph::gen::rmat::rmat;

@@ -9,10 +9,8 @@
 use std::time::Duration;
 
 use pdtl_core::{EdgeRange, PhaseReport, PredictedCost};
-use pdtl_io::{CostModel, ModeledTime};
 
 use crate::message::WorkerSummary;
-use crate::netmodel::NetModel;
 
 /// Per-node outcome.
 #[derive(Debug, Clone)]
@@ -59,32 +57,6 @@ impl NodeReport {
     /// The node's calculation wall time: its slowest worker.
     pub fn calc_wall(&self) -> Duration {
         Duration::from_nanos(self.workers.iter().map(|w| w.wall_nanos).max().unwrap_or(0))
-    }
-
-    /// Modeled calculation time of the node: max over its workers,
-    /// compute/I-O overlapped.
-    pub fn modeled_calc(&self, cm: &CostModel) -> f64 {
-        self.workers
-            .iter()
-            .map(|w| {
-                ModeledTime {
-                    cpu: cm.cpu_seconds(w.cpu_ops),
-                    io: cm.io_seconds(w.bytes_read + w.bytes_written, w.io_ops),
-                    net: 0.0,
-                }
-                .total_overlapped()
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// Modeled replication time of this node's copy under `nm`, given
-    /// `remote_nodes` receivers sharing the master uplink.
-    pub fn modeled_copy(&self, nm: &NetModel, remote_nodes: usize) -> f64 {
-        if self.copy_bytes == 0 {
-            0.0
-        } else {
-            nm.replication_secs(self.copy_bytes, remote_nodes)
-        }
     }
 }
 
@@ -172,37 +144,6 @@ impl ClusterReport {
         }
         let total: Duration = remote.iter().map(|n| n.copy).sum();
         total / remote.len() as u32
-    }
-
-    /// Modeled calculation time: struggler node under the cost model.
-    pub fn modeled_calc(&self, cm: &CostModel) -> f64 {
-        self.nodes
-            .iter()
-            .map(|n| n.modeled_calc(cm))
-            .fold(0.0, f64::max)
-    }
-
-    /// Modeled average copy time under the network model.
-    pub fn modeled_avg_copy(&self, nm: &NetModel) -> f64 {
-        let remotes = self.nodes.iter().filter(|n| n.copy_bytes > 0).count();
-        if remotes == 0 {
-            return 0.0;
-        }
-        let total: f64 = self.nodes.iter().map(|n| n.modeled_copy(nm, remotes)).sum();
-        total / remotes as f64
-    }
-
-    /// Modeled total: orientation + struggler(copy + calc).
-    pub fn modeled_total(&self, cm: &CostModel, nm: &NetModel) -> f64 {
-        let remotes = self.nodes.iter().filter(|n| n.copy_bytes > 0).count();
-        let struggle = self
-            .nodes
-            .iter()
-            .map(|n| n.modeled_copy(nm, remotes) + n.modeled_calc(cm))
-            .fold(0.0, f64::max);
-        self.orientation.modeled(cm).total_overlapped()
-            + self.balancing.modeled(cm).total_overlapped()
-            + struggle
     }
 
     /// Sum of per-node triangle counts (must equal `triangles`).
@@ -302,17 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn modeled_times_positive_and_ordered() {
-        let r = report();
-        let cm = CostModel::default();
-        let nm = NetModel::default();
-        let calc = r.modeled_calc(&cm);
-        assert!(calc > 0.0);
-        assert!(r.modeled_total(&cm, &nm) >= calc);
-        assert!(r.modeled_avg_copy(&nm) > 0.0);
-    }
-
-    #[test]
     fn empty_cluster_degenerates() {
         let r = ClusterReport {
             triangles: 0,
@@ -330,6 +260,5 @@ mod tests {
         assert_eq!(r.calc_wall(), Duration::ZERO);
         assert_eq!(r.imbalance(), 0.0);
         assert_eq!(r.avg_copy(), Duration::ZERO);
-        assert_eq!(r.modeled_avg_copy(&NetModel::default()), 0.0);
     }
 }

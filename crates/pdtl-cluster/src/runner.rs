@@ -43,9 +43,9 @@ use crate::error::{ClusterError, Result};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::master::{Do, Event, Master, What};
 use crate::message::Message;
-use crate::netmodel::NetTraffic;
 use crate::node::serve_node;
 use crate::report::{ClusterReport, NetSnapshot};
+use crate::traffic::NetTraffic;
 use crate::transport::{in_proc_pair, TcpTransport, Transport};
 
 /// How long each poll of a live node waits before rotating to the next.
@@ -484,7 +484,6 @@ fn verify_replica(base: &Path) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netmodel::NetModel;
     use pdtl_core::theory;
     use pdtl_graph::gen::rmat::rmat;
     use pdtl_graph::verify::triangle_count;
@@ -607,7 +606,6 @@ mod tests {
         assert!(report.nodes[1].copy_bytes > 0);
         assert!(report.nodes[2].copy_bytes > 0);
         assert!(report.avg_copy() > Duration::ZERO);
-        assert!(report.modeled_avg_copy(&NetModel::default()) > 0.0);
     }
 
     #[test]

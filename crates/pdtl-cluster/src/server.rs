@@ -53,8 +53,8 @@ use crate::message::{
     CatalogGraphInfo, Message, QueryOperation, QueryOptions, ServerStats, WorkerSummary, MAX_CORES,
     MAX_LIST_LIMIT,
 };
-use crate::netmodel::NetTraffic;
 use crate::node::summarize;
+use crate::traffic::NetTraffic;
 use crate::transport::{lock, TcpTransport, Transport};
 
 /// How long connection threads sleep in `recv_deadline` between stop

@@ -11,8 +11,8 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 use crate::error::{ClusterError, Result};
-use crate::netmodel::NetTraffic;
 use crate::node::serve_node;
+use crate::traffic::NetTraffic;
 use crate::transport::TcpTransport;
 
 /// A node served over TCP in a background thread.

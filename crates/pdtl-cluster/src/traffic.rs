@@ -1,10 +1,8 @@
-//! Network traffic accounting and the bandwidth model.
+//! Network traffic accounting.
 //!
 //! [`NetTraffic`] counts every byte the protocol moves, split by purpose,
 //! so experiments can verify Theorem IV.3's `Θ(NP + N|E| + T)` bound
-//! directly. [`NetModel`] converts those bytes into modeled transfer
-//! times, including the master-uplink contention that makes the paper's
-//! per-node copy times grow with the node count (Table III).
+//! directly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,41 +85,6 @@ impl NetTraffic {
     }
 }
 
-/// Bandwidth/latency model of the cluster interconnect.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetModel {
-    /// Point-to-point bandwidth in bytes/second (default 1.25e9: 10 GbE,
-    /// the paper's EC2 interconnect).
-    pub bytes_per_sec: f64,
-    /// Per-message latency in seconds.
-    pub latency: f64,
-}
-
-impl Default for NetModel {
-    fn default() -> Self {
-        Self {
-            bytes_per_sec: 1.25e9,
-            latency: 100e-6,
-        }
-    }
-}
-
-impl NetModel {
-    /// Modeled seconds to move `bytes` over one uncontended link.
-    pub fn transfer_secs(&self, bytes: u64) -> f64 {
-        self.latency + bytes as f64 / self.bytes_per_sec
-    }
-
-    /// Modeled seconds for the master to replicate `bytes` to one of
-    /// `remote_nodes` receivers: the master's uplink is shared, so each
-    /// concurrent stream sees `1/remote_nodes` of the bandwidth. This is
-    /// the effect behind Table III's copy times growing with node count.
-    pub fn replication_secs(&self, bytes: u64, remote_nodes: usize) -> f64 {
-        let share = self.bytes_per_sec / remote_nodes.max(1) as f64;
-        self.latency + bytes as f64 / share
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,27 +103,5 @@ mod tests {
         assert_eq!(t.triangle_bytes(), 300);
         assert_eq!(t.control_bytes(), 7);
         assert_eq!(t.total_bytes(), 1337);
-    }
-
-    #[test]
-    fn transfer_time_scales_with_bytes() {
-        let m = NetModel::default();
-        let t1 = m.transfer_secs(1_250_000_000);
-        assert!((t1 - 1.0).abs() < 1e-3);
-        assert!(m.transfer_secs(100) < t1);
-    }
-
-    #[test]
-    fn replication_slows_with_more_receivers() {
-        let m = NetModel::default();
-        let one = m.replication_secs(1_000_000_000, 1);
-        let three = m.replication_secs(1_000_000_000, 3);
-        assert!(three > 2.5 * one, "shared uplink: {three} vs {one}");
-    }
-
-    #[test]
-    fn zero_receivers_degenerates_to_one() {
-        let m = NetModel::default();
-        assert_eq!(m.replication_secs(100, 0), m.replication_secs(100, 1));
     }
 }

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::{ClusterError, Result};
 use crate::message::{Message, FRAME_HEADER, MAX_FRAME};
-use crate::netmodel::NetTraffic;
+use crate::traffic::NetTraffic;
 
 /// A bidirectional, message-oriented endpoint.
 pub trait Transport: Send + Sync {

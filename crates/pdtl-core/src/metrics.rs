@@ -2,12 +2,12 @@
 //!
 //! Everything the paper's evaluation reports — total time, calculation
 //! time, per-core and per-node CPU/I-O breakdowns (Figures 6–8, Tables
-//! III/IV/VII), modeled scaling curves — is assembled from these records.
+//! III/IV/VII), counted scaling curves — is assembled from these records.
 
 use std::time::Duration;
 
 use pdtl_io::stats::IoSnapshot;
-use pdtl_io::{CostModel, ModeledTime, TimeBreakdown};
+use pdtl_io::TimeBreakdown;
 
 use crate::balance::{EdgeRange, PredictedCost};
 
@@ -23,18 +23,6 @@ pub struct PhaseReport {
     pub cpu_ops: u64,
     /// Threads the phase ran on.
     pub threads: usize,
-}
-
-impl PhaseReport {
-    /// Deterministic modeled time of the phase under `cm`, with CPU work
-    /// divided across the phase's threads.
-    pub fn modeled(&self, cm: &CostModel) -> ModeledTime {
-        ModeledTime {
-            cpu: cm.cpu_seconds(self.cpu_ops) / self.threads.max(1) as f64,
-            io: cm.io_seconds(self.io.total_bytes(), self.io.read_ops + self.io.write_ops),
-            net: 0.0,
-        }
-    }
 }
 
 /// Measurements of one MGT worker (one logical processor).
@@ -64,17 +52,6 @@ pub struct WorkerReport {
     pub io: IoSnapshot,
     /// The worker's wall time and CPU/I-O split.
     pub breakdown: TimeBreakdown,
-}
-
-impl WorkerReport {
-    /// Deterministic modeled time under `cm`.
-    pub fn modeled(&self, cm: &CostModel) -> ModeledTime {
-        ModeledTime {
-            cpu: cm.cpu_seconds(self.cpu_ops),
-            io: cm.io_seconds(self.io.total_bytes(), self.io.read_ops + self.io.write_ops),
-            net: 0.0,
-        }
-    }
 }
 
 /// The result of a full single-machine PDTL run.
@@ -110,23 +87,6 @@ impl RunReport {
     /// of the worker walls ([`imbalance`]).
     pub fn imbalance(&self) -> f64 {
         imbalance(self.workers.iter().map(|w| w.breakdown.wall))
-    }
-
-    /// Modeled calculation time: max over workers (they run in
-    /// parallel), compute and I/O overlapped within a worker.
-    pub fn modeled_calc(&self, cm: &CostModel) -> f64 {
-        self.workers
-            .iter()
-            .map(|w| w.modeled(cm).total_overlapped())
-            .fold(0.0, f64::max)
-    }
-
-    /// Modeled total: orientation + balancing (sequential phases) + the
-    /// parallel calculation.
-    pub fn modeled_total(&self, cm: &CostModel) -> f64 {
-        self.orientation.modeled(cm).total_overlapped()
-            + self.balancing.modeled(cm).total_overlapped()
-            + self.modeled_calc(cm)
     }
 
     /// Sum of all workers' I/O.
@@ -217,32 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn modeled_calc_is_max_over_workers() {
-        let r = report();
-        let cm = CostModel::default();
-        let slow = r.workers[1].modeled(&cm).total_overlapped();
-        assert!((r.modeled_calc(&cm) - slow).abs() < 1e-12);
-    }
-
-    #[test]
-    fn modeled_total_includes_phases() {
-        let r = report();
-        let cm = CostModel::default();
-        assert!(r.modeled_total(&cm) > r.modeled_calc(&cm));
-    }
-
-    #[test]
-    fn phase_modeled_divides_cpu_by_threads() {
-        let p = PhaseReport {
-            cpu_ops: 200_000_000, // 1 second at the default rate
-            threads: 4,
-            ..Default::default()
-        };
-        let cm = CostModel::default();
-        assert!((p.modeled(&cm).cpu - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
     fn totals_aggregate_workers() {
         let r = report();
         assert_eq!(r.total_cpu_ops(), 25_000_000);
@@ -262,6 +196,5 @@ mod tests {
         };
         assert_eq!(r.calc_wall(), Duration::ZERO);
         assert_eq!(r.imbalance(), 0.0);
-        assert_eq!(r.modeled_calc(&CostModel::default()), 0.0);
     }
 }

@@ -167,11 +167,11 @@ pub struct MgtOptions {
     /// which has no I/O at all.
     pub backend: IoBackend,
     /// Emulated per-block-read device latency
-    /// ([`pdtl_io::BlockStream::set_read_latency`]), the I/O analogue of the
-    /// cluster's `NetModel`: page-cached fixtures never block, so the
-    /// blocking-vs-overlapped comparison needs a deterministic way to
-    /// recreate the device waits the multi-pass bound is about. Zero
-    /// (the default) measures the real hardware.
+    /// ([`pdtl_io::BlockStream::set_read_latency`]): every block the
+    /// disk engine's streams fetch sleeps it, charged as I/O wait.
+    /// Page-cached fixtures never block, so this recreates the device
+    /// waits the multi-pass bound is about. Zero (the default) measures
+    /// the real hardware.
     pub io_latency: std::time::Duration,
     /// Deterministic fault injection at the scan seam: deliver this
     /// many `u32`s through the scan-pass [`U32Source`], then fail every

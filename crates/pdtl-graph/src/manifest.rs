@@ -28,7 +28,7 @@
 //! graph written before the integrity layer existed) opens and counts
 //! exactly as before. All manifest I/O goes through plain `std::fs` —
 //! integrity scans are metadata traffic and deliberately invisible to
-//! the accounted I/O layer, so the cost model's `bytes_read` keeps
+//! the accounted I/O layer, so the counted `bytes_read` keeps
 //! measuring the algorithm, not the safety net.
 //!
 //! On-disk layout (little-endian `u32` words):

@@ -216,8 +216,8 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 ///
 /// Reads in 64 KiB chunks through a plain [`std::fs::File`]; integrity
 /// scans are metadata traffic, deliberately *not* routed through the
-/// accounted I/O layer so they never perturb the cost model's
-/// `bytes_read` bookkeeping.
+/// accounted I/O layer so they never perturb the counted
+/// `bytes_read`.
 pub fn crc32c_of_file(path: &Path) -> Result<(u64, u32)> {
     let mut file = std::fs::File::open(path).map_err(|e| IoError::os("open", path, e))?;
     let mut buf = vec![0u8; 64 * 1024];

@@ -37,9 +37,6 @@
 //!   contiguous chunks, a map over disjoint mutable parts, a two-way
 //!   join). They live here, the lowest crate, because both the graph
 //!   generators and the triangle engine run on them.
-//! * [`CostModel`] — converts the counted work (CPU operations, I/O bytes,
-//!   network bytes) into deterministic *modeled seconds*, which is how the
-//!   scaling experiments reproduce the paper's curves on arbitrary hosts.
 
 #![warn(missing_docs)]
 
@@ -47,7 +44,6 @@ pub mod backend;
 pub mod budget;
 pub mod checksum;
 pub mod codec;
-pub mod cost;
 pub mod diskfault;
 pub mod error;
 pub mod extsort;
@@ -63,7 +59,6 @@ pub use backend::IoBackend;
 pub use budget::{BudgetLease, BudgetLedger, MemoryBudget};
 pub use checksum::{crc32c, crc32c_of_file, Crc32c};
 pub use codec::{Codec, VarintAdjWriter, VarintIndex, VarintSource};
-pub use cost::{CostModel, ModeledTime};
 pub use diskfault::{DiskFaultKind, DiskFaultPlan, DiskFaultSpec, FaultTarget};
 pub use error::{IoError, Result};
 pub use extsort::{external_sort_u64, merge_sorted_files};

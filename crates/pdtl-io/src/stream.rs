@@ -271,17 +271,13 @@ impl<F: BlockFetch> BlockStream<F> {
         self.map_fetch(|f| Box::new(f) as Box<dyn BlockFetch>)
     }
 
-    /// Emulate a storage device with the given per-block latency, paid
-    /// on every block fetched from here on and charged to [`IoStats`]
-    /// I/O time like any other device wait. Zero (the default) measures
-    /// the real hardware. How the wait is paid is the fetcher's: the
-    /// synchronous ones sleep it per block, the overlapping ones hide
-    /// whatever compute already covered.
-    ///
-    /// This is the I/O analogue of the cluster's `NetModel`: page-cached
-    /// files never block, so ablations that compare blocking against
-    /// overlapped I/O on warm fixtures need a deterministic way to
-    /// recreate the device waits the paper's multi-pass bound is about.
+    /// Emulate a storage device with the given per-block latency: every
+    /// block fetched from here on (and the zero-byte read at end of
+    /// file) sleeps it before returning, and the wait is charged to
+    /// [`IoStats`] I/O time like any other device wait. Zero (the
+    /// default) measures the real hardware. Page-cached files never
+    /// block, so this is how a warm fixture recreates the per-block
+    /// device waits the paper's multi-pass bound is about.
     pub fn set_read_latency(&mut self, latency: Duration) {
         self.read_latency = latency;
     }

@@ -10,7 +10,7 @@ use pdtl::cluster::{ClusterConfig, ClusterRunner, FaultPlan};
 use pdtl::core::{theory, MgtOptions};
 use pdtl::graph::datasets::Dataset;
 use pdtl::graph::DiskGraph;
-use pdtl::io::{CostModel, IoBackend, IoStats, MemoryBudget};
+use pdtl::io::{IoBackend, IoStats, MemoryBudget};
 
 fn main() {
     let graph = Dataset::Rmat(11).build().expect("generate");
@@ -59,15 +59,15 @@ fn main() {
     );
     println!("avg copy  : {:?}\n", report.avg_copy());
 
-    let cost = CostModel::default();
-    println!("per-node breakdown (modeled seconds on the paper's hardware):");
+    println!("per-node breakdown (counted work, measured calc wall):");
     for node in &report.nodes {
         println!(
-            "  node {:<2} triangles {:>10}  cpu {:>8.3}s  io {:>7.3}s  copied {:>9} bytes",
+            "  node {:<2} triangles {:>10}  cpu_ops {:>10}  io {:>9} bytes  calc {:>10.3?}  copied {:>9} bytes",
             node.node,
             node.triangles(),
-            cost.cpu_seconds(node.cpu_ops()),
-            cost.io_seconds(node.io_bytes(), 0),
+            node.cpu_ops(),
+            node.io_bytes(),
+            node.calc_wall(),
             node.copy_bytes,
         );
     }

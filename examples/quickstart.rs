@@ -9,7 +9,7 @@
 use pdtl::core::{theory, BalanceStrategy, LocalConfig, LocalRunner, MgtOptions};
 use pdtl::graph::datasets::Dataset;
 use pdtl::graph::{DiskGraph, GraphStats};
-use pdtl::io::{CostModel, IoBackend, IoStats, MemoryBudget};
+use pdtl::io::{IoBackend, IoStats, MemoryBudget};
 
 fn main() {
     // 1. A scaled Twitter-like power-law graph (the paper's flagship
@@ -74,11 +74,15 @@ fn main() {
         "I/O must stay within the theorem"
     );
 
-    // 5. Modeled time under the paper's hardware model (500 MB/s SSD).
-    let cost = CostModel::default();
+    // 5. The counted work, exact on any host: the struggler worker
+    //    determines calculation time, so Σ cpu_ops ÷ its cpu_ops is the
+    //    speedup the split achieved.
+    let struggler = report.workers.iter().map(|w| w.cpu_ops).max().unwrap_or(0);
     println!(
-        "modeled calc (paper hardware): {:.3}s",
-        report.modeled_calc(&cost)
+        "counted speedup     : {:.2}x ({} cpu_ops, struggler {})",
+        report.total_cpu_ops() as f64 / struggler.max(1) as f64,
+        report.total_cpu_ops(),
+        struggler
     );
 
     let _ = std::fs::remove_dir_all(&dir);

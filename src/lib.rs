@@ -8,7 +8,7 @@
 //! This umbrella crate re-exports the workspace's public API:
 //!
 //! * [`io`] — external-memory substrate (counted block I/O, external sort,
-//!   memory budgets, cost model).
+//!   memory budgets).
 //! * [`graph`] — graph substrate (CSR, the binary `.deg`/`.adj` disk
 //!   format, generators, statistics, brute-force oracles).
 //! * [`core`] — the PDTL core: degree-based orientation, the modified MGT
