@@ -7,7 +7,9 @@
 //! prints the counted speedup beside the measured wall: Σ worker
 //! `cpu_ops` ÷ the struggler's `cpu_ops`, since "the struggler node
 //! determines calculation time" (§IV-B1). A paper shape the counters
-//! can express is checked and printed as holding or as a finding.
+//! can express is checked and printed as holding or as a finding. A
+//! local run whose budget holds all of `G*` orients into memory and
+//! joins in place: its I/O cells read `resident`, not a bare 0.
 //! PAPER.md ("Evaluation artefacts") maps each artifact to its id.
 
 use std::fmt::{Display, Write as _};
@@ -247,13 +249,23 @@ const OPT_COLUMNS: [&str; 7] = [
     "OPT read",
 ];
 
+/// A local run's I/O counter as a cell: `resident` when its budget held
+/// all of `G*`, so it oriented into memory, wrote nothing and its
+/// workers read nothing; the counter otherwise.
+fn local_io(r: &RunReport, counter: u64) -> String {
+    match r.oriented_base {
+        None => "resident".into(),
+        Some(_) => counter.to_string(),
+    }
+}
+
 /// PDTL's orientation and calc walls and bytes read beside OPT's own
 /// creation and calc walls and bytes.
 fn opt_cells(r: &RunReport, db: &OptDatabase, opt: &OptReport) -> [String; 7] {
     [
         fmt_duration(r.orientation.breakdown.wall),
         fmt_duration(r.calc_wall()),
-        r.total_worker_io().bytes_read.to_string(),
+        local_io(r, r.total_worker_io().bytes_read),
         fmt_duration(db.creation.wall),
         db.creation_bytes.to_string(),
         fmt_duration(opt.calc.wall),
@@ -310,7 +322,7 @@ fn table2(wb: &mut Workbench) -> String {
             oriented.d_star_max.to_string(),
             fmt_duration(o.breakdown.wall),
             o.cpu_ops.to_string(),
-            o.io.total_bytes().to_string(),
+            local_io(&local, o.io.total_bytes()),
             fmt_duration(pg.setup),
             pg.network_bytes.to_string(),
             fmt_duration(db.creation.wall),
@@ -795,8 +807,8 @@ fn table7(wb: &mut Workbench) -> String {
             let cells = [
                 format!("{c} cores"),
                 r.total_cpu_ops().to_string(),
-                io.bytes_read.to_string(),
-                (io.read_ops + io.write_ops).to_string(),
+                local_io(&r, io.bytes_read),
+                local_io(&r, io.read_ops + io.write_ops),
             ];
             row(&mut s, &ds.name(), cells, 12);
         }

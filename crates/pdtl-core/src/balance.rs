@@ -129,7 +129,7 @@
 //! made a 32 Ki count slower (ROADMAP, cost-aware balancing).
 
 use crate::metrics::PhaseReport;
-use crate::orient::{OrientedGraph, SketchBuckets};
+use crate::orient::{Layout, OrientedGraph, SketchBuckets};
 use crate::par;
 use pdtl_io::{Codec, MemoryBudget, TimeBreakdown};
 use std::time::Instant;
@@ -416,18 +416,19 @@ impl<'a> Model<'a> {
         }
     }
 
-    /// The full model of `og` at `budget`, for `parts` workers.
-    fn of_graph(og: &'a OrientedGraph, budget: MemoryBudget, parts: usize) -> Self {
+    /// The full model of the graph `g` whose adjacency is stored under
+    /// `codec`, at `budget`, for `parts` workers.
+    fn of_graph(g: Layout<'a>, codec: Codec, budget: MemoryBudget, parts: usize) -> Self {
         // in(v) = d(v) − d*(v), folded straight into the prefix sums.
-        let in_degrees = og.orig_degrees.as_ref().map(|orig| {
-            let lists = og.offsets.windows(2);
+        let in_degrees = g.orig_degrees.map(|orig| {
+            let lists = g.offsets.windows(2);
             orig.iter()
                 .zip(lists)
                 .map(|(&d, l)| d - (l[1] - l[0]) as u32)
         });
-        let (chunk, weights) = (budget.chunk_edges() as u64, Weights::of(og.disk.codec()));
-        let sketch = Some((og.buckets(), &og.sketch[..]));
-        Self::new(&og.offsets, in_degrees, sketch, chunk, weights, parts > 1)
+        let (chunk, weights) = (budget.chunk_edges() as u64, Weights::of(codec));
+        let sketch = Some((g.buckets, g.sketch));
+        Self::new(g.offsets, in_degrees, sketch, chunk, weights, parts > 1)
     }
 
     /// `Σ in(w)` over the positions before `x`, which lies in the list
@@ -632,18 +633,31 @@ pub fn plan_ranges(
     parts: usize,
     strategy: BalanceStrategy,
 ) -> (Vec<(EdgeRange, PredictedCost)>, PhaseReport) {
+    plan_layout(og.layout(), og.disk.codec(), budget, parts, strategy)
+}
+
+/// [`plan_ranges`] over the layout of any oriented graph, its adjacency
+/// stored under `codec`: a resident `G*` is planned as a raw one, so a
+/// resident run and a raw disk run at one budget share their plan.
+pub(crate) fn plan_layout(
+    g: Layout<'_>,
+    codec: Codec,
+    budget: MemoryBudget,
+    parts: usize,
+    strategy: BalanceStrategy,
+) -> (Vec<(EdgeRange, PredictedCost)>, PhaseReport) {
     let start = Instant::now();
     let parts = parts.max(1);
-    let model = Model::of_graph(og, budget, parts);
+    let model = Model::of_graph(g, codec, budget, parts);
     let (ranges, evals) = match strategy {
-        BalanceStrategy::EqualEdges => (equal_split(og.m_star(), parts), 0),
+        BalanceStrategy::EqualEdges => (equal_split(g.m_star(), parts), 0),
         BalanceStrategy::InDegree => model.min_max_cuts(parts),
     };
     let plan = ranges
         .into_iter()
         .map(|r| (r, model.range_cost(r)))
         .collect();
-    let work = og.offsets.len() as u64 + evals + parts as u64;
+    let work = g.offsets.len() as u64 + evals + parts as u64;
     // `T` is built beside the prefix arrays, for more than one part.
     let threads = if parts > 1 {
         par::host_threads().min(2)
@@ -655,7 +669,7 @@ pub fn plan_ranges(
 
 /// What [`plan_ranges`] predicts for `range` of `og` at `budget`.
 pub fn predicted_cost(og: &OrientedGraph, budget: MemoryBudget, range: EdgeRange) -> PredictedCost {
-    Model::of_graph(og, budget, 1).range_cost(range)
+    Model::of_graph(og.layout(), og.disk.codec(), budget, 1).range_cost(range)
 }
 
 fn phase_report(start: Instant, cpu_ops: u64, threads: usize) -> PhaseReport {

@@ -4,6 +4,7 @@
 //! time, per-core and per-node CPU/I-O breakdowns (Figures 6–8, Tables
 //! III/IV/VII), counted scaling curves — is assembled from these records.
 
+use std::path::PathBuf;
 use std::time::Duration;
 
 use pdtl_io::stats::IoSnapshot;
@@ -69,6 +70,10 @@ pub struct RunReport {
     pub workers: Vec<WorkerReport>,
     /// End-to-end wall time.
     pub wall: Duration,
+    /// The base `G*` was written to and streamed from; `None` when the
+    /// run held `G*` in memory because its workers' chunks held all of
+    /// it (`LocalRunner`, module doc).
+    pub oriented_base: Option<PathBuf>,
 }
 
 impl RunReport {
@@ -161,6 +166,7 @@ mod tests {
             plan: vec![],
             workers: vec![worker(10, 5_000_000, 4), worker(30, 20_000_000, 8)],
             wall: Duration::from_millis(50),
+            oriented_base: None,
         }
     }
 
@@ -193,6 +199,7 @@ mod tests {
             plan: vec![],
             workers: vec![],
             wall: Duration::ZERO,
+            oriented_base: None,
         };
         assert_eq!(r.calc_wall(), Duration::ZERO);
         assert_eq!(r.imbalance(), 0.0);

@@ -31,9 +31,19 @@
 //!   vertex is skipped with [`U32Reader::skip`](pdtl_io::U32Reader::skip)
 //!   instead of read, cutting `bytes_read` in the multi-pass regime
 //!   where MGT's I/O bound actually bites. Both are part of the engine,
-//!   not a setting, and both engines apply them through one rule
-//!   (`ScanRule`): the in-memory engine differs from the disk engine
-//!   only in having no disk, so the two count the same `cpu_ops`.
+//!   not a setting, applied through one rule (`ScanRule`) in the one
+//!   chunk/scan loop every engine runs (`mgt_loop`).
+//!
+//! That loop is generic over the two [`U32Source`]s it reads chunks and
+//! out-lists from. A disk worker ([`mgt_count_range_opt`]) hands it
+//! cursors over the oriented `.adj`; a worker of a resident run (one
+//! whose chunks hold all of `G*`, `LocalRunner`) and
+//! [`mgt_in_memory`] hand it [`SliceSource`]s over the array, which
+//! lend every chunk and out-list and skip by moving a cursor. The
+//! engines therefore differ only in having a disk: over one range and
+//! budget they count the same `cpu_ops`, `iterations` and scan counters
+//! and emit the same triples in the same order, and a resident worker
+//! reports no I/O because none happens.
 //!
 //! # Scan pruning
 //!
@@ -127,14 +137,16 @@
 
 use std::sync::Arc;
 
+use pdtl_io::stats::IoSnapshot;
 use pdtl_io::{
-    Codec, CpuIoTimer, FaultySource, IoBackend, IoStats, MemoryBudget, U32Source, VarintSource,
+    Codec, CpuIoTimer, FaultySource, IoBackend, IoStats, MemoryBudget, SliceSource, U32Source,
+    VarintSource,
 };
 
 use crate::balance::EdgeRange;
 use crate::error::Result;
 use crate::metrics::WorkerReport;
-use crate::orient::{OrientedCsr, OrientedGraph, SketchBuckets};
+use crate::orient::{Layout, OrientedCsr, OrientedGraph, ResidentGraph, SketchBuckets};
 use crate::sink::TriangleSink;
 
 /// How the disk engine performs its I/O, and the format orientation
@@ -163,12 +175,13 @@ pub struct MgtOptions {
     /// [`IoBackend::Prefetch`] (default) reads as `Blocking` does,
     /// [`IoBackend::Mmap`] serves
     /// page-cache-resident graphs zero-copy, [`IoBackend::Blocking`] is
-    /// the synchronous reference. Ignored by the in-memory engine,
-    /// which has no I/O at all.
+    /// the synchronous reference. Ignored by the in-memory engine and
+    /// by a resident run's workers, which have no I/O at all.
     pub backend: IoBackend,
     /// Emulated per-block-read device latency
     /// ([`pdtl_io::BlockStream::set_read_latency`]): every block the
-    /// disk engine's streams fetch sleeps it, charged as I/O wait.
+    /// disk engine's streams fetch sleeps it, charged as I/O wait (a
+    /// resident run fetches no block).
     /// Page-cached fixtures never block, so this recreates the device
     /// waits the multi-pass bound is about. Zero (the default) measures
     /// the real hardware.
@@ -186,7 +199,8 @@ pub struct MgtOptions {
     /// cluster ships to workers so every node writes the same format);
     /// the disk engine itself always honours the codec recorded in the
     /// graph's header, so an engine handed a raw graph reads it raw
-    /// regardless of this setting.
+    /// regardless of this setting. A resident run writes no `G*`, so
+    /// it has nothing to encode.
     pub codec: Codec,
 }
 
@@ -238,6 +252,7 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
     // unlimited budget (a compare + subtract per out-list, and the
     // transport's borrowed runs pass through untouched).
     let fault_budget = opts.read_fault.unwrap_or(u64::MAX);
+    let layout = og.layout();
     let done = if og.disk.codec() == Codec::DeltaVarint {
         // Compressed adjacency: the transports still move the *encoded*
         // bytes, and a `VarintSource` above each decodes runs back into
@@ -255,29 +270,38 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
         })?;
         let decoding = |transport| VarintSource::new(transport, index.clone(), stats.clone());
         let scan = FaultySource::new(decoding(scan)?, fault_budget);
-        mgt_disk_loop(og, range, budget, sink, decoding(chunks)?, scan)?
+        mgt_loop(layout, range, budget, sink, decoding(chunks)?, scan)?
     } else {
         let scan = FaultySource::new(scan, fault_budget);
-        mgt_disk_loop(og, range, budget, sink, chunks, scan)?
+        mgt_loop(layout, range, budget, sink, chunks, scan)?
     };
     sink.flush()?;
-
-    let io_after = stats.snapshot();
-    Ok(WorkerReport {
-        worker: 0,
-        range,
-        triangles: done.triangles,
-        iterations: done.iterations,
-        cpu_ops: done.cpu_ops,
-        scanned: done.scanned,
-        scan_lists: done.scan_lists,
-        scan_hits: done.scan_hits,
-        io: io_after.since(&io_before),
-        breakdown: timer.finish(),
-    })
+    Ok(done.report(range, &stats, io_before, timer))
 }
 
-/// What one disk worker's chunk/scan loop counted.
+/// [`mgt_count_range_opt`] over a resident `G*`: the same loop over two
+/// [`SliceSource`]s of its adjacency, which lend every chunk and
+/// out-list and move a cursor to skip, so nothing is read and the
+/// report's I/O is zero. `opts.read_fault` still cuts the scan;
+/// `backend` and `io_latency` have no I/O to act on.
+pub(crate) fn mgt_count_resident<S: TriangleSink>(
+    rg: &ResidentGraph,
+    range: EdgeRange,
+    budget: MemoryBudget,
+    sink: &mut S,
+    opts: MgtOptions,
+) -> Result<WorkerReport> {
+    let stats = IoStats::new();
+    let timer = CpuIoTimer::start(stats.clone());
+    let io_before = stats.snapshot();
+    let adj = SliceSource::new(&rg.adj);
+    let scan = FaultySource::new(adj.clone(), opts.read_fault.unwrap_or(u64::MAX));
+    let done = mgt_loop(rg.layout(), range, budget, sink, adj, scan)?;
+    sink.flush()?;
+    Ok(done.report(range, &stats, io_before, timer))
+}
+
+/// What one worker's chunk/scan loop counted.
 #[derive(Default)]
 struct LoopCounts {
     triangles: u64,
@@ -291,27 +315,53 @@ struct LoopCounts {
     scan_hits: u64,
 }
 
-/// The disk engine's chunk/scan loop, generic over the two streams'
-/// layer stack (raw cursor, or a decoder above it) so per-out-list
-/// calls stay direct; backends differ only behind the cursor's block
-/// fetches.
-fn mgt_disk_loop<S: TriangleSink, C: U32Source, R: U32Source>(
-    og: &OrientedGraph,
+impl LoopCounts {
+    /// The worker report of a loop over `range`: the counts, beside the
+    /// I/O `stats` took since `io_before` and `timer`'s split.
+    fn report(
+        self,
+        range: EdgeRange,
+        stats: &IoStats,
+        io_before: IoSnapshot,
+        timer: CpuIoTimer,
+    ) -> WorkerReport {
+        WorkerReport {
+            worker: 0,
+            range,
+            triangles: self.triangles,
+            iterations: self.iterations,
+            cpu_ops: self.cpu_ops,
+            scanned: self.scanned,
+            scan_lists: self.scan_lists,
+            scan_hits: self.scan_hits,
+            io: stats.snapshot().since(&io_before),
+            breakdown: timer.finish(),
+        }
+    }
+}
+
+/// The engine's one chunk/scan loop, generic over the two streams'
+/// layer stack (a disk cursor, a decoder above one, or a resident
+/// slice) so per-out-list calls stay direct; backends differ only
+/// behind the cursor's block fetches, and a resident slice lends what
+/// a cursor would read.
+fn mgt_loop<S: TriangleSink, C: U32Source, R: U32Source>(
+    g: Layout<'_>,
     range: EdgeRange,
     budget: MemoryBudget,
     sink: &mut S,
     mut chunks: C,
     mut scan_reader: R,
 ) -> Result<LoopCounts> {
-    let offsets = &og.offsets;
-    let ids = og.map.ids();
+    let offsets = g.offsets;
+    let ids = g.ids;
     let chunk_cap = budget.chunk_edges();
-    // Backing storage for streams that copy (the mapped adjacency lends
-    // slices of the mapping instead and leaves these untouched).
+    // Backing storage for streams that copy (a mapped or resident
+    // adjacency lends slices instead and leaves these untouched).
     let mut edg_buf: Vec<u32> = Vec::with_capacity(chunk_cap.min(range.len() as usize));
     let mut ind: Vec<(u32, u32)> = Vec::new();
-    let mut nm_buf: Vec<u32> = Vec::with_capacity(og.d_star_max as usize);
-    let mut scratch = JoinScratch::new(og.num_vertices());
+    let mut nm_buf: Vec<u32> = Vec::with_capacity(g.d_star_max as usize);
+    let mut scratch = JoinScratch::new(g.num_vertices());
     let mut c = LoopCounts::default();
 
     let mut pos = range.start;
@@ -332,7 +382,7 @@ fn mgt_disk_loop<S: TriangleSink, C: U32Source, R: U32Source>(
         c.cpu_ops += len as u64 + window.ind.len() as u64;
 
         // -- scan pass ------------------------------------------------
-        let rule = window.scan_rule(og.buckets(), &og.sketch);
+        let rule = window.scan_rule(g.buckets, g.sketch);
         scan_reader.seek_to(0)?;
         for u in 0..rule.end {
             let du = (offsets[u as usize + 1] - offsets[u as usize]) as usize;
@@ -634,52 +684,34 @@ pub(crate) fn vertex_of(offsets: &[u64], pos: u64) -> u32 {
     (offsets.partition_point(|&o| o <= pos) - 1) as u32
 }
 
-/// Pure in-memory MGT over an [`OrientedCsr`] — the disk engine's
-/// chunk and scan logic without the disk: it builds the scan sketches
-/// orientation would write, then reads and skips exactly the lists the
-/// disk engine over `[0, |E*|)` does. Used by tests, baselines and the
-/// convenience counter. Emits original ids. Returns (triangles,
-/// cpu_ops).
+/// Pure in-memory MGT over an [`OrientedCsr`]: the engine's one loop
+/// over `[0, |E*|)`, reading the adjacency through [`SliceSource`]s
+/// with the scan sketches orientation would write, so it reads and
+/// skips exactly the lists the disk engine does and counts the same
+/// `cpu_ops`. Used by tests, baselines and the convenience counter.
+/// Emits original ids. Returns (triangles, cpu_ops).
 pub fn mgt_in_memory<S: TriangleSink>(
     o: &OrientedCsr,
     budget: MemoryBudget,
     sink: &mut S,
 ) -> (u64, u64) {
-    let ids = o.map.ids();
-    let m_star = o.m_star();
-    let chunk_cap = budget.chunk_edges() as u64;
     let (buckets, sketch) = o.sketches();
-    let mut triangles = 0u64;
-    let mut cpu_ops = 0u64;
-    let mut ind: Vec<(u32, u32)> = Vec::new();
-    let mut scratch = JoinScratch::new(o.num_vertices());
-
-    let mut pos = 0u64;
-    while pos < m_star {
-        let chunk_end = (pos + chunk_cap).min(m_star);
-        let edg = &o.adj[pos as usize..chunk_end as usize];
-        let window = build_chunk_index(&o.offsets, pos, chunk_end, &mut ind);
-        cpu_ops += edg.len() as u64 + window.ind.len() as u64;
-
-        let rule = window.scan_rule(&buckets, &sketch);
-        for u in 0..rule.end {
-            let nm = o.out(u);
-            if nm.is_empty() {
-                continue;
-            }
-            if rule.skips(u) {
-                cpu_ops += 1;
-                continue;
-            }
-            let (t, ops) = window.join(&mut scratch, ids, edg, u, nm, sink);
-            triangles += t;
-            cpu_ops += nm.len() as u64 + ops;
-        }
-        debug_assert!(scratch.is_clear(), "join left marks behind");
-        pos = chunk_end;
-    }
+    let range = EdgeRange {
+        start: 0,
+        end: o.m_star(),
+    };
+    let adj = SliceSource::new(&o.adj);
+    let done = mgt_loop(
+        o.layout(&buckets, &sketch),
+        range,
+        budget,
+        sink,
+        adj.clone(),
+        adj,
+    )
+    .expect("a resident adjacency holds every position of its range");
     let _ = sink.flush();
-    (triangles, cpu_ops)
+    (done.triangles, done.cpu_ops)
 }
 
 #[cfg(test)]

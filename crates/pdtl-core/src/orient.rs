@@ -52,6 +52,17 @@
 //!   out-lists that miss a chunk's window with (mgt.rs, "Scan
 //!   pruning"), and it holds for every budget.
 //!
+//! A run whose workers' chunks hold all of `G*` (`LocalRunner`, `|E*| ≤
+//! P·c·M`) orients **resident** instead (`orient_resident`): the same
+//! two passes over the streamed input, with each worker's block copied
+//! into one shared `m*`-word array under one lock per flush, and none
+//! of the rest — no `.deg`, `.map`, `.adj` or `.skt` written, no sync,
+//! no manifest digest, no reopen. Nothing would stream those files:
+//! the workers read the array through [`pdtl_io::SliceSource`]. The
+//! array is word for word the `.adj` the disk path writes; the scan
+//! sketches are taken from it after the pass, equal to the `.skt`, and
+//! of the rank map only the rank → id half is kept.
+//!
 //! Under [`Codec::DeltaVarint`] ([`orient_to_disk_with`]) the `.adj`
 //! is additionally recompressed: rank space makes every out-list a
 //! strictly increasing run with small gaps, which delta + varint
@@ -63,7 +74,7 @@
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use pdtl_graph::disk::{begin_write, offsets_from_degrees, suffixed, write_graph_header};
@@ -142,6 +153,22 @@ impl SketchBuckets {
     }
 }
 
+/// The buckets and per-rank scan sketches of the oriented CSR `offsets`
+/// / `adj`, the ranks split evenly across the host's threads.
+fn sketches_of(offsets: &[u64], adj: &[u32]) -> (SketchBuckets, Vec<u64>) {
+    let buckets = SketchBuckets::new(offsets);
+    let bucket_of = buckets.per_rank();
+    let mut sketch = vec![0u64; offsets.len() - 1];
+    let per_part = sketch.len().div_ceil(par::host_threads()).max(1);
+    par::map_parts(sketch.chunks_mut(per_part).collect(), |i, part| {
+        let lists = offsets[i * per_part..].windows(2);
+        for (s, list) in part.iter_mut().zip(lists) {
+            *s = sketch_of(&bucket_of, &adj[list[0] as usize..list[1] as usize]);
+        }
+    });
+    (buckets, sketch)
+}
+
 /// The scan sketch of the out-list `list`, given the bucket of every
 /// rank ([`SketchBuckets::per_rank`]): 0 for an empty list.
 fn sketch_of(bucket_of: &[u8], list: &[u32]) -> u64 {
@@ -199,12 +226,94 @@ impl OrientedCsr {
     /// The buckets and per-rank scan sketches [`orient_to_disk_with`]
     /// writes to `.skt` for the same graph, built the same way.
     pub(crate) fn sketches(&self) -> (SketchBuckets, Vec<u64>) {
-        let buckets = SketchBuckets::new(&self.offsets);
-        let bucket_of = buckets.per_rank();
-        let sketch = (0..self.num_vertices())
-            .map(|u| sketch_of(&bucket_of, self.out(u)))
-            .collect();
-        (buckets, sketch)
+        sketches_of(&self.offsets, &self.adj)
+    }
+
+    /// The layout MGT and the planner read beside the adjacency, with
+    /// the scan sketches `sketches()` builds for this graph.
+    pub(crate) fn layout<'a>(
+        &'a self,
+        buckets: &'a SketchBuckets,
+        sketch: &'a [u64],
+    ) -> Layout<'a> {
+        Layout {
+            offsets: &self.offsets,
+            ids: self.map.ids(),
+            d_star_max: self.d_star_max,
+            sketch,
+            buckets,
+            orig_degrees: Some(&self.orig_degrees),
+        }
+    }
+}
+
+/// What the planner and the MGT loop read of an oriented graph beside
+/// its adjacency, wherever the adjacency is held: an [`OrientedGraph`]'s
+/// files or a [`ResidentGraph`]'s array.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout<'a> {
+    /// Oriented CSR offsets (`n + 1`), rank-indexed.
+    pub(crate) offsets: &'a [u64],
+    /// The original id of each rank, which the sink boundary emits.
+    pub(crate) ids: &'a [u32],
+    /// Maximum oriented out-degree.
+    pub(crate) d_star_max: u32,
+    /// Per-rank scan sketches over `buckets`.
+    pub(crate) sketch: &'a [u64],
+    /// The rank-space slices the sketch bits name.
+    pub(crate) buckets: &'a SketchBuckets,
+    /// Original degrees by rank, when known.
+    pub(crate) orig_degrees: Option<&'a [u32]>,
+}
+
+impl Layout<'_> {
+    /// Number of vertices.
+    pub(crate) fn num_vertices(&self) -> u32 {
+        (self.offsets.len() - 1) as u32
+    }
+
+    /// `|E*|`.
+    pub(crate) fn m_star(&self) -> u64 {
+        *self.offsets.last().unwrap()
+    }
+}
+
+/// `G*` held in memory: what a run whose workers' chunks hold all of
+/// `|E*|` orients into ([`orient_resident`]) instead of the files an
+/// [`OrientedGraph`] reads. The MGT loop reads its adjacency through a
+/// [`SliceSource`](pdtl_io::SliceSource) and runs unchanged.
+///
+/// It holds what an [`OrientedCsr`] does, but of the rank map only the
+/// rank → id half the sink boundary reads.
+#[derive(Debug, Clone)]
+pub(crate) struct ResidentGraph {
+    /// Oriented CSR offsets (`n + 1`), rank-indexed.
+    pub(crate) offsets: Vec<u64>,
+    /// Oriented adjacency in rank space, word for word the `.adj` an
+    /// orientation to disk writes.
+    pub(crate) adj: Vec<u32>,
+    /// The original id of each rank.
+    pub(crate) ids: Vec<u32>,
+    /// Original (undirected) degree of the vertex at each rank.
+    pub(crate) orig_degrees: Vec<u32>,
+    /// Maximum oriented out-degree.
+    pub(crate) d_star_max: u32,
+    /// Per-rank scan sketches, as `.skt` would hold them.
+    pub(crate) sketch: Vec<u64>,
+    buckets: SketchBuckets,
+}
+
+impl ResidentGraph {
+    /// The layout MGT and the planner read.
+    pub(crate) fn layout(&self) -> Layout<'_> {
+        Layout {
+            offsets: &self.offsets,
+            ids: &self.ids,
+            d_star_max: self.d_star_max,
+            sketch: &self.sketch,
+            buckets: &self.buckets,
+            orig_degrees: Some(&self.orig_degrees),
+        }
     }
 }
 
@@ -312,8 +421,21 @@ impl OrientedGraph {
     }
 
     /// The rank-space slices the [`sketch`](Self::sketch) bits name.
+    #[cfg(test)]
     pub(crate) fn buckets(&self) -> &SketchBuckets {
         &self.buckets
+    }
+
+    /// The layout MGT and the planner read beside the files.
+    pub(crate) fn layout(&self) -> Layout<'_> {
+        Layout {
+            offsets: &self.offsets,
+            ids: self.map.ids(),
+            d_star_max: self.d_star_max,
+            sketch: &self.sketch,
+            buckets: &self.buckets,
+            orig_degrees: self.orig_degrees.as_deref(),
+        }
     }
 
     /// `|E*|`.
@@ -491,7 +613,20 @@ struct RunWriter<'a, W> {
     staged: usize,
 }
 
-impl<W: Write + Seek> RunWriter<'_, W> {
+impl<'a, W: Write + Seek> RunWriter<'a, W> {
+    /// A writer over `out`, which must be positioned at its start;
+    /// `path` names it in errors.
+    fn new(out: W, path: &'a Path, stats: &'a IoStats) -> Self {
+        Self {
+            out,
+            path,
+            stats,
+            cursor: 0,
+            stage: vec![0; SCATTER_STAGE_BYTES],
+            staged: 0,
+        }
+    }
+
     fn write_at(&mut self, at: u64, mut words: &[u32]) -> Result<()> {
         if at != self.cursor {
             self.drain()?;
@@ -531,35 +666,66 @@ impl<W: Write + Seek> RunWriter<'_, W> {
     }
 }
 
-/// One worker's write-combining block for pass 2 of
-/// [`orient_to_disk_with`]: sorted out-lists gather in a fixed-capacity
-/// arena, each with the word offset it belongs at; a full block is
-/// sorted by that offset and written in order, so every maximal group
-/// of abutting lists becomes one positioned run (see the module doc for
-/// why such groups are long). Nothing is written on `Drop`: the worker
-/// ends with an explicit [`flush`](Self::flush) whose error it returns.
-struct ScatterBlock<'a, W> {
-    writer: RunWriter<'a, W>,
+/// Where pass 2 of an orientation stores a full block's out-lists: the
+/// oriented `.adj` file ([`RunWriter`]) or the resident adjacency
+/// ([`SharedAdj`]).
+trait BlockTarget {
+    /// Store every `(word offset, start in the arena, length)` entry of
+    /// `entries`, sorted by offset, from `arena`.
+    fn store(&mut self, entries: &[(u64, u32, u32)], arena: &[u32]) -> Result<()>;
+}
+
+impl<W: Write + Seek> BlockTarget for RunWriter<'_, W> {
+    fn store(&mut self, entries: &[(u64, u32, u32)], arena: &[u32]) -> Result<()> {
+        for &(at, start, len) in entries {
+            self.write_at(at, &arena[start as usize..(start + len) as usize])?;
+        }
+        self.drain()
+    }
+}
+
+/// The `m*`-word adjacency every worker of a resident pass 2 fills:
+/// the lock is taken once per block, and each block's lists land where
+/// pass 1 placed them.
+struct SharedAdj<'a>(&'a Mutex<Vec<u32>>);
+
+impl BlockTarget for SharedAdj<'_> {
+    fn store(&mut self, entries: &[(u64, u32, u32)], arena: &[u32]) -> Result<()> {
+        let mut adj = self
+            .0
+            .lock()
+            .expect("no worker panics while it copies a block");
+        for &(at, start, len) in entries {
+            let at = at as usize;
+            adj[at..at + len as usize]
+                .copy_from_slice(&arena[start as usize..(start + len) as usize]);
+        }
+        Ok(())
+    }
+}
+
+/// One worker's write-combining block for pass 2 of an orientation:
+/// sorted out-lists gather in a fixed-capacity arena, each with the
+/// word offset it belongs at; a full block is sorted by that offset and
+/// handed to its [`BlockTarget`] in order, so on disk every maximal
+/// group of abutting lists becomes one positioned run (see the module
+/// doc for why such groups are long). Nothing is stored on `Drop`: the
+/// worker ends with an explicit [`flush`](Self::flush) whose error it
+/// returns.
+struct ScatterBlock<T> {
+    target: T,
     cap: usize,
     arena: Vec<u32>,
-    /// `(word offset in the file, start in the arena, length)` per list
-    /// — at most one per arena word.
+    /// `(word offset in the adjacency, start in the arena, length)` per
+    /// list — at most one per arena word.
     entries: Vec<(u64, u32, u32)>,
 }
 
-impl<'a, W: Write + Seek> ScatterBlock<'a, W> {
-    /// A block of `cap` words over `out`, which must be positioned at
-    /// its start; `path` names it in errors.
-    fn new(out: W, path: &'a Path, stats: &'a IoStats, cap: usize) -> Self {
+impl<T: BlockTarget> ScatterBlock<T> {
+    /// A block of `cap` words over `target`.
+    fn new(target: T, cap: usize) -> Self {
         Self {
-            writer: RunWriter {
-                out,
-                path,
-                stats,
-                cursor: 0,
-                stage: vec![0; SCATTER_STAGE_BYTES],
-                staged: 0,
-            },
+            target,
             cap,
             arena: Vec::with_capacity(cap),
             entries: Vec::new(),
@@ -579,16 +745,13 @@ impl<'a, W: Write + Seek> ScatterBlock<'a, W> {
         Ok(())
     }
 
-    /// Write out everything gathered so far.
+    /// Store everything gathered so far.
     fn flush(&mut self) -> Result<()> {
         self.entries.sort_unstable_by_key(|e| e.0);
-        for &(at, start, len) in &self.entries {
-            let list = &self.arena[start as usize..(start + len) as usize];
-            self.writer.write_at(at, list)?;
-        }
+        self.target.store(&self.entries, &self.arena)?;
         self.entries.clear();
         self.arena.clear();
-        self.writer.drain()
+        Ok(())
     }
 }
 
@@ -650,6 +813,176 @@ pub fn require_raw_input(input: &DiskGraph) -> std::result::Result<(), pdtl_io::
     }
 }
 
+/// What pass 1 of either orientation fixes: the rank map and the
+/// rank-space layout of `G*`, beside the input's own degrees and
+/// offsets and the vertex partition both passes hand the cores.
+struct RankLayout {
+    /// The input's degrees, by id.
+    degrees: Vec<u32>,
+    /// The input's CSR offsets, by id.
+    in_offsets: Vec<u64>,
+    map: RankMap,
+    /// Contiguous id ranges with about equal adjacency volume, one per
+    /// core.
+    parts: Vec<(u32, u32)>,
+    /// Oriented CSR offsets, by rank: the out-degrees are their
+    /// differences, so no degree array is held beside them.
+    offsets: Vec<u64>,
+    /// The largest oriented out-degree.
+    d_star_max: u32,
+}
+
+impl RankLayout {
+    fn m_star(&self) -> u64 {
+        *self.offsets.last().unwrap()
+    }
+
+    /// The oriented out-degrees, by rank.
+    fn d_star(&self) -> impl Iterator<Item = u32> + '_ {
+        self.offsets.windows(2).map(|w| (w[1] - w[0]) as u32)
+    }
+
+    /// The input degree of the vertex at each rank.
+    fn orig_degrees(&self) -> Vec<u32> {
+        let ids = self.map.ids();
+        ids.iter().map(|&id| self.degrees[id as usize]).collect()
+    }
+
+    /// The phase's counted work: each of the `2|E|` adjacency entries is
+    /// examined once per pass, plus the rank sort's `n`.
+    fn cpu_ops(&self) -> u64 {
+        2 * self.in_offsets.last().unwrap() + self.degrees.len() as u64
+    }
+}
+
+/// Pass 1: read the degree array (once into memory, per Section IV-B1;
+/// the rank permutation is `O(|V| log |V|)` on it), then scan the
+/// adjacency sequentially on `threads` cores, counting each vertex's
+/// neighbours of larger rank — which fixes the rank-space layout.
+fn count_pass(input: &DiskGraph, threads: usize, stats: &Arc<IoStats>) -> Result<RankLayout> {
+    let degrees = input.load_degrees(stats)?;
+    let n = degrees.len() as u32;
+    let map = RankMap::by_degree(&degrees);
+    let ranks = map.ranks();
+    let in_offsets = offsets_from_degrees(&degrees);
+
+    // Contiguous vertex ranges with ~equal adjacency volume per core.
+    // Both passes hand each host thread one contiguous run of them, so
+    // a request for more cores than the host has costs no extra threads.
+    let parts = vertex_partition(&in_offsets, threads);
+
+    // Each part counts into its own slice of one id-indexed array, one
+    // run of parts per host thread: no per-part vector is gathered.
+    let mut d_star_orig = vec![0u32; n as usize];
+    let count_part = |&(v_begin, v_end): &(u32, u32), kept: &mut [u32]| -> Result<()> {
+        let mut reader = input.open_adj(stats)?;
+        reader.seek_to(in_offsets[v_begin as usize])?;
+        let mut nbuf: Vec<u32> = Vec::new();
+        for (u, kept) in (v_begin..v_end).zip(kept) {
+            nbuf.clear();
+            reader.read_into(&mut nbuf, degrees[u as usize] as usize)?;
+            let ru = ranks[u as usize];
+            *kept = nbuf.iter().filter(|&&v| ranks[v as usize] > ru).count() as u32;
+        }
+        Ok(())
+    };
+    let per_run = parts.len().div_ceil(par::host_threads());
+    let runs: Vec<_> = {
+        let mut rest = &mut d_star_orig[..];
+        (parts.chunks(per_run))
+            .map(|run| {
+                let len = (run[run.len() - 1].1 - run[0].0) as usize;
+                let (mine, after) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = after;
+                (run, mine)
+            })
+            .collect()
+    };
+    let counted = par::map_parts(runs, |_, (run, mut kept)| -> Result<()> {
+        for part in run {
+            let (mine, after) = kept.split_at_mut((part.1 - part.0) as usize);
+            count_part(part, mine)?;
+            kept = after;
+        }
+        Ok(())
+    });
+    counted.into_iter().collect::<Result<()>>()?;
+
+    // Rank-space layout: the offsets, taken in rank order.
+    let mut offsets = Vec::with_capacity(n as usize + 1);
+    offsets.push(0u64);
+    for &id in map.ids() {
+        let d = d_star_orig[id as usize];
+        offsets.push(offsets.last().unwrap() + u64::from(d));
+    }
+    Ok(RankLayout {
+        degrees,
+        in_offsets,
+        parts,
+        offsets,
+        d_star_max: d_star_orig.iter().copied().max().unwrap_or(0),
+        map,
+    })
+}
+
+/// Pass 2: scan the adjacency again; each worker filters, rank-maps and
+/// sorts its vertices' out-lists and hands each — with the word offset
+/// of its rank — to its [`ScatterBlock`] over a target from `target`
+/// (block capacity `block_words`). Given `buckets`, returns the scan
+/// sketch of every rank over them, taken from the lists as they pass;
+/// without, returns no sketch.
+fn scatter_pass<T: BlockTarget>(
+    input: &DiskGraph,
+    layout: &RankLayout,
+    buckets: Option<&SketchBuckets>,
+    stats: &Arc<IoStats>,
+    block_words: usize,
+    target: impl Fn() -> Result<T> + Sync,
+) -> Result<Vec<u64>> {
+    let (degrees, ranks) = (&layout.degrees, layout.map.ranks());
+    let bucket_of = buckets.map(SketchBuckets::per_rank);
+    // Each worker returns the sketches of its vertices, in id order.
+    let scatter_part = |&(v_begin, v_end): &(u32, u32)| -> Result<Vec<u64>> {
+        let mut reader = input.open_adj(stats)?;
+        reader.seek_to(layout.in_offsets[v_begin as usize])?;
+        let mut block = ScatterBlock::new(target()?, block_words);
+        let mut nbuf: Vec<u32> = Vec::new();
+        let mut list: Vec<u32> = Vec::new();
+        let mut sketches = Vec::new();
+        for u in v_begin..v_end {
+            nbuf.clear();
+            reader.read_into(&mut nbuf, degrees[u as usize] as usize)?;
+            let ru = ranks[u as usize];
+            list.clear();
+            list.extend(
+                nbuf.iter()
+                    .map(|&v| ranks[v as usize])
+                    .filter(|&rv| rv > ru),
+            );
+            list.sort_unstable();
+            if let Some(bucket_of) = &bucket_of {
+                sketches.push(sketch_of(bucket_of, &list));
+            }
+            if !list.is_empty() {
+                block.push(layout.offsets[ru as usize], &list)?;
+            }
+        }
+        block.flush()?;
+        Ok(sketches)
+    };
+    let parts = &layout.parts;
+    let written = par::map_chunks(parts.len(), par::host_threads(), |run| {
+        parts[run].iter().map(scatter_part).collect::<Vec<_>>()
+    });
+    let mut sketch = vec![0u64; if buckets.is_some() { ranks.len() } else { 0 }];
+    for (&(v_begin, _), w) in parts.iter().zip(written.into_iter().flatten()) {
+        for (u, s) in (v_begin..).zip(w?) {
+            sketch[ranks[u as usize] as usize] = s;
+        }
+    }
+    Ok(sketch)
+}
+
 /// [`orient_to_disk_with`] with the scatter block's capacity as an
 /// argument, so the tests can put block boundaries anywhere.
 fn orient_blocked(
@@ -667,115 +1000,34 @@ fn orient_blocked(
     let before = stats.snapshot();
     begin_write(&out_base, codec)?;
 
-    // Per Section IV-B1 the degree array is read once into memory; the
-    // rank permutation is O(|V| log |V|) on it.
-    let degrees = input.load_degrees(stats)?;
-    let n = degrees.len() as u32;
-    let in_offsets = offsets_from_degrees(&degrees);
-    let total = *in_offsets.last().unwrap();
-    let map = RankMap::by_degree(&degrees);
-    let ranks = map.ranks();
-
-    // Contiguous vertex ranges with ~equal adjacency volume per core.
-    // Both passes hand each host thread one contiguous run of them, so
-    // a request for more cores than the host has costs no extra threads.
-    let parts = vertex_partition(&in_offsets, threads);
-
-    // Pass 1: sequential scan, count each vertex's oriented out-degree
-    // (neighbours of larger rank).
-    let count_part = |&(v_begin, v_end): &(u32, u32)| -> Result<Vec<u32>> {
-        let mut reader = input.open_adj(stats)?;
-        reader.seek_to(in_offsets[v_begin as usize])?;
-        let mut kept = Vec::with_capacity((v_end - v_begin) as usize);
-        let mut nbuf: Vec<u32> = Vec::new();
-        for u in v_begin..v_end {
-            let du = (in_offsets[u as usize + 1] - in_offsets[u as usize]) as usize;
-            nbuf.clear();
-            reader.read_into(&mut nbuf, du)?;
-            let ru = ranks[u as usize];
-            kept.push(nbuf.iter().filter(|&&v| ranks[v as usize] > ru).count() as u32);
-        }
-        Ok(kept)
-    };
-    let counted = par::map_chunks(parts.len(), par::host_threads(), |run| {
-        parts[run].iter().map(count_part).collect::<Vec<_>>()
-    });
-    let mut d_star_orig = Vec::with_capacity(n as usize);
-    for c in counted.into_iter().flatten() {
-        d_star_orig.extend(c?);
-    }
-    debug_assert_eq!(d_star_orig.len(), n as usize);
-
-    // Rank-space layout: degree/offset arrays permuted into rank order.
-    let d_star_rank: Vec<u32> = (0..n).map(|r| d_star_orig[map.to_id(r) as usize]).collect();
-    // Dead from here on: not held through pass 2.
-    drop(d_star_orig);
-    let rank_offsets = offsets_from_degrees(&d_star_rank);
-    let d_star_max = d_star_rank.iter().copied().max().unwrap_or(0);
-    let m_star = *rank_offsets.last().unwrap();
+    let layout = count_pass(input, threads, stats)?;
+    let m_star = layout.m_star();
 
     // Oriented degree file (rank order) + the rank map.
     let mut degw = U32Writer::create(suffixed(&out_base, ".deg"), stats.clone())?;
-    degw.write_all(&d_star_rank)?;
+    degw.write_all(&layout.d_star().collect::<Vec<_>>())?;
     degw.finish()?;
-    map.write(OrientedGraph::map_path(&out_base), stats)?;
+    layout
+        .map
+        .write(OrientedGraph::map_path(&out_base), stats)?;
 
-    // Pass 2: sequential scan again; each filtered, rank-mapped, sorted
-    // out-list goes to its rank-space position in the pre-sized
-    // adjacency file through the worker's `ScatterBlock` — positioned
-    // writes are the price of the permutation, one per run of a block.
+    // Pass 2 into the pre-sized adjacency file: positioned writes are
+    // the price of the permutation, one per run of a block.
     let adj_p = suffixed(&out_base, ".adj");
     {
         let f = File::create(&adj_p).map_err(|e| pdtl_io::IoError::os("create", &adj_p, e))?;
         f.set_len(m_star * 4)
             .map_err(|e| pdtl_io::IoError::os("truncate", &adj_p, e))?;
     }
-    let buckets = SketchBuckets::new(&rank_offsets);
-    let bucket_of = buckets.per_rank();
-    // Each worker returns the sketches of its vertices, in id order.
-    let scatter_part = |&(v_begin, v_end): &(u32, u32)| -> Result<Vec<u64>> {
-        let mut reader = input.open_adj(stats)?;
-        reader.seek_to(in_offsets[v_begin as usize])?;
+    let buckets = SketchBuckets::new(&layout.offsets);
+    let open_adj = || -> Result<RunWriter<'_, File>> {
         let out = File::options()
             .write(true)
             .open(&adj_p)
             .map_err(|e| pdtl_io::IoError::os("open", &adj_p, e))?;
-        let mut block = ScatterBlock::new(out, &adj_p, stats, block_words);
-        let mut nbuf: Vec<u32> = Vec::new();
-        let mut list: Vec<u32> = Vec::new();
-        let mut sketches = vec![0u64; (v_end - v_begin) as usize];
-        for (u, sketch) in (v_begin..v_end).zip(&mut sketches) {
-            let du = (in_offsets[u as usize + 1] - in_offsets[u as usize]) as usize;
-            nbuf.clear();
-            reader.read_into(&mut nbuf, du)?;
-            let ru = ranks[u as usize];
-            list.clear();
-            list.extend(
-                nbuf.iter()
-                    .map(|&v| ranks[v as usize])
-                    .filter(|&rv| rv > ru),
-            );
-            if list.is_empty() {
-                continue;
-            }
-            list.sort_unstable();
-            *sketch = sketch_of(&bucket_of, &list);
-            block.push(rank_offsets[ru as usize], &list)?;
-        }
-        block.flush()?;
-        Ok(sketches)
+        Ok(RunWriter::new(out, &adj_p, stats))
     };
-    let written = par::map_chunks(parts.len(), par::host_threads(), |run| {
-        parts[run].iter().map(scatter_part).collect::<Vec<_>>()
-    });
-    drop(bucket_of);
-
-    let mut sketch = vec![0u64; n as usize];
-    for (&(v_begin, _), w) in parts.iter().zip(written.into_iter().flatten()) {
-        for (u, s) in (v_begin..).zip(w?) {
-            sketch[ranks[u as usize] as usize] = s;
-        }
-    }
+    let sketch = scatter_pass(input, &layout, Some(&buckets), stats, block_words, open_adj)?;
     // The scattered writes went through per-worker handles; one sync
     // here makes the assembled adjacency durable before its digest is
     // recorded in the manifest below.
@@ -793,7 +1045,7 @@ fn orient_blocked(
             let mut r = U32Reader::open(&adj_p, stats.clone())?;
             let mut w = VarintAdjWriter::create(&tmp_p, stats.clone())?;
             let mut run: Vec<u32> = Vec::new();
-            for &d in &d_star_rank {
+            for d in layout.d_star() {
                 run.clear();
                 r.read_into(&mut run, d as usize)?;
                 w.write_run(&run)?;
@@ -804,7 +1056,7 @@ fn orient_blocked(
         std::fs::rename(&tmp_p, &adj_p).map_err(|e| pdtl_io::IoError::os("rename", &tmp_p, e))?;
         write_graph_header(&out_base, codec, m_star, stats)?;
         // The fenceposts just written are the index: no `.vix` re-read.
-        let index = VarintIndex::new(rank_offsets.clone(), fenceposts)?;
+        let index = VarintIndex::new(layout.offsets.clone(), fenceposts)?;
         varint = Some(Arc::new(index));
     }
 
@@ -813,27 +1065,87 @@ fn orient_blocked(
     // immediately re-checks the fresh graph against it.
     Manifest::capture_and_store(&out_base)?;
     let disk = DiskGraph::open(&out_base, stats)?;
-    let orig_degrees_rank: Vec<u32> = (0..n).map(|r| degrees[map.to_id(r) as usize]).collect();
     let report = PhaseReport {
         breakdown: timer.finish(),
         io: stats.snapshot().since(&before),
-        // Each of the 2|E| adjacency entries is examined once per pass.
-        cpu_ops: 2 * total + n as u64,
+        cpu_ops: layout.cpu_ops(),
         threads,
     };
+    let (d_star_max, orig_degrees) = (layout.d_star_max, layout.orig_degrees());
     Ok((
         OrientedGraph {
             disk,
-            offsets: rank_offsets,
+            offsets: layout.offsets,
             d_star_max,
-            map,
+            map: layout.map,
             sketch,
             buckets,
-            orig_degrees: Some(orig_degrees_rank),
+            orig_degrees: Some(orig_degrees),
             varint,
         },
         report,
     ))
+}
+
+/// Orient `input` into memory on `threads` cores: the passes of
+/// [`orient_to_disk_with`], with pass 2's blocks stored into one
+/// `m*`-word array instead of `.adj`, and no file written, synced or
+/// digested. A run whose workers' chunks hold all of `G*` orients this
+/// way (`LocalRunner`): nothing would stream the files it skips. The
+/// input is streamed through both passes as on disk, never loaded
+/// whole beside `G*`. The result equals the files'
+/// [`orient_to_disk_with`] writes, word for word; its report counts
+/// the same `cpu_ops` and only the input's reads.
+pub(crate) fn orient_resident(
+    input: &DiskGraph,
+    threads: usize,
+    stats: &Arc<IoStats>,
+) -> Result<(ResidentGraph, PhaseReport)> {
+    orient_resident_blocked(input, threads, stats, SCATTER_BLOCK_WORDS)
+}
+
+/// [`orient_resident`] with the scatter block's capacity as an
+/// argument, as [`orient_blocked`] takes it.
+fn orient_resident_blocked(
+    input: &DiskGraph,
+    threads: usize,
+    stats: &Arc<IoStats>,
+    block_words: usize,
+) -> Result<(ResidentGraph, PhaseReport)> {
+    require_raw_input(input)?;
+    let threads = threads.max(1);
+    let timer = CpuIoTimer::start(stats.clone());
+    let before = stats.snapshot();
+
+    let layout = count_pass(input, threads, stats)?;
+    let cpu_ops = layout.cpu_ops();
+    let adj = Mutex::new(vec![0u32; layout.m_star() as usize]);
+    let shared = || Ok(SharedAdj(&adj));
+    // The sketches are taken from the array afterwards: gathered from
+    // the workers in id order, they would be held twice beside it.
+    scatter_pass(input, &layout, None, stats, block_words, shared)?;
+    // A worker's panic was resumed by the pass, so none poisoned it.
+    let adj = adj.into_inner().expect("the pass resumed every panic");
+    let orig_degrees = layout.orig_degrees();
+    // The sink boundary translates ranks to ids, never the other way.
+    let ids = layout.map.into_ids();
+    let (buckets, sketch) = sketches_of(&layout.offsets, &adj);
+    let report = PhaseReport {
+        breakdown: timer.finish(),
+        io: stats.snapshot().since(&before),
+        cpu_ops,
+        threads,
+    };
+    let graph = ResidentGraph {
+        offsets: layout.offsets,
+        adj,
+        ids,
+        orig_degrees,
+        d_star_max: layout.d_star_max,
+        sketch,
+        buckets,
+    };
+    Ok((graph, report))
 }
 
 /// Split vertices into `parts` contiguous ranges with roughly equal
@@ -990,6 +1302,51 @@ mod tests {
                 assert_eq!(adj, expect.adj, "{tag} threads={threads}");
                 assert!(report.cpu_ops > 0);
                 assert_eq!(report.threads, threads);
+            }
+        }
+    }
+
+    #[test]
+    fn resident_orientation_is_the_files_word_for_word() {
+        // The same passes into memory: the CSR, the rank map and the
+        // sketches the files hold, at any thread count and block size,
+        // the same counted work, the input's reads and no write.
+        for (g, tag) in [
+            (rmat(8, 6).unwrap(), "rmat"),
+            (star(50).unwrap(), "star"),
+            (Graph::empty(17), "empty"),
+        ] {
+            let stats = IoStats::new();
+            let dg = DiskGraph::write(&g, tmpbase(&format!("res-in-{tag}")), &stats).unwrap();
+            let base = tmpbase(&format!("res-out-{tag}"));
+            let (og, on_disk) = orient_to_disk(&dg, &base, 2, &stats).unwrap();
+            let (_, adj) = og.disk.load_parts(&stats).unwrap();
+            for threads in [1usize, 3, 8] {
+                for block_words in [1usize, 7, SCATTER_BLOCK_WORDS] {
+                    let case = format!("{tag} threads={threads} block={block_words}");
+                    let stats = IoStats::new();
+                    let (rg, report) =
+                        orient_resident_blocked(&dg, threads, &stats, block_words).unwrap();
+                    assert_eq!(rg.offsets, og.offsets, "{case}");
+                    assert_eq!(rg.adj, adj, "{case}");
+                    assert_eq!(rg.ids, og.map.ids(), "{case}");
+                    assert_eq!(Some(&rg.orig_degrees), og.orig_degrees.as_ref(), "{case}");
+                    assert_eq!(rg.d_star_max, og.d_star_max, "{case}");
+                    assert_eq!(rg.sketch, og.sketch, "{case}");
+                    assert_eq!(rg.layout().buckets, og.buckets(), "{case}");
+                    assert_eq!(report.cpu_ops, on_disk.cpu_ops, "{case}");
+                    assert_eq!(
+                        (report.threads, report.io.write_ops),
+                        (threads, 0),
+                        "{case}"
+                    );
+                    assert_eq!(report.io.bytes_written, 0, "{case}");
+                    assert_eq!(report.io.bytes_read, stats.bytes_read(), "{case}");
+                    assert!(
+                        report.io.bytes_read >= dg.size_bytes(),
+                        "{case}: both passes"
+                    );
+                }
             }
         }
     }
@@ -1361,12 +1718,12 @@ mod tests {
                 calls: 0,
                 fail_at,
             };
-            let mut block = ScatterBlock::new(file, path, &stats, 6);
+            let mut block = ScatterBlock::new(RunWriter::new(file, path, &stats), 6);
             let result = lists
                 .iter()
                 .try_for_each(|(at, list)| block.push(*at, list))
                 .and_then(|()| block.flush());
-            let file = block.writer.out;
+            let file = block.target.out;
             (result, file.bytes.into_inner(), file.calls)
         };
 
@@ -1389,14 +1746,14 @@ mod tests {
         let stats = IoStats::new();
         let path = Path::new("<scatter test>");
         let file = std::io::Cursor::new(vec![0u8; 4 * 40]);
-        let mut block = ScatterBlock::new(file, path, &stats, 4);
+        let mut block = ScatterBlock::new(RunWriter::new(file, path, &stats), 4);
         let long: Vec<u32> = (2..40).collect();
         block.push(1, &[1]).unwrap();
         block.push(2, &long).unwrap();
         block.push(0, &[0]).unwrap();
         block.flush().unwrap();
         let expect: Vec<u8> = (0u32..40).flat_map(|v| v.to_le_bytes()).collect();
-        assert_eq!(block.writer.out.into_inner(), expect);
+        assert_eq!(block.target.out.into_inner(), expect);
         assert_eq!(stats.bytes_written(), 160);
         // To 1 (the long list continues there), back to 0.
         assert_eq!(stats.snapshot().seeks, 2);

@@ -3,7 +3,20 @@
 //! Wires the pipeline together for one machine with `P` logical
 //! processors (the paper's Local Multicore configuration): parallel
 //! orientation → load balancing → one MGT worker per core over its
-//! contiguous range → atomic aggregation. Workers are long-lived
+//! contiguous range → atomic aggregation.
+//!
+//! Where `G*` lives is the runner's one decision, made from numbers it
+//! already holds: when `|E*| = adj_len / 2 ≤ P · c·M`, the chunks its
+//! workers may hold cover all of `G*` and each worker makes one chunk
+//! iteration, so streaming `G*` back from disk buys nothing. Such a run
+//! is **resident**: orientation stores `G*` into one array
+//! (`orient_resident`), the planner plans it as a raw graph, and the
+//! workers run the same MGT loop over it, lent chunks and out-lists
+//! instead of reading them. Any other run writes `G*` under
+//! `work_dir/oriented` and streams it, as the paper does. Both count
+//! and list the same at one budget; [`RunReport::oriented_base`] says
+//! which ran. No option chooses, and the cluster and serve paths, which
+//! ship or keep `G*` as files, always write it. Workers are long-lived
 //! `std::thread`s, each owning its file handles, scratch arrays, I/O
 //! counters and sink — per-worker state, not data-parallel iteration,
 //! which is why [`run_workers`] spawns its own scoped threads rather
@@ -16,13 +29,13 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use pdtl_graph::{DiskGraph, Graph};
-use pdtl_io::{IoError, IoStats, MemoryBudget};
+use pdtl_io::{Codec, IoError, IoStats, MemoryBudget};
 
-use crate::balance::{plan_ranges, BalanceStrategy, EdgeRange};
+use crate::balance::{plan_layout, plan_ranges, BalanceStrategy, EdgeRange, PredictedCost};
 use crate::error::{CoreError, Result};
 use crate::metrics::{RunReport, WorkerReport};
-use crate::mgt::{mgt_count_range_opt, MgtOptions};
-use crate::orient::{orient_to_disk_with, OrientedGraph};
+use crate::mgt::{mgt_count_range_opt, mgt_count_resident, MgtOptions};
+use crate::orient::{orient_resident, orient_to_disk_with, OrientedGraph, ResidentGraph};
 use crate::sink::{CollectSink, CountSink, FileSink, TriangleSink};
 
 /// Most worker threads one run may start: [`run_workers`] starts one
@@ -145,10 +158,46 @@ impl LocalRunner {
 
     /// Generic driver: one sink per worker, built by `make_sink` in
     /// worker order.
+    ///
+    /// Where `G*` lives is decided here, from numbers the runner holds:
+    /// when the chunks its workers may hold cover all of it, `|E*| ≤
+    /// P·c·M`, the run orients into memory and joins in place (module
+    /// doc); otherwise it writes `G*` under `work_dir/oriented` and
+    /// streams it. The report's `oriented_base` says which.
     pub fn run_with_sinks<S, F>(
         &self,
         input: &DiskGraph,
         work_dir: &Path,
+        make_sink: F,
+    ) -> Result<(RunReport, Vec<S>)>
+    where
+        S: TriangleSink + Send,
+        F: FnMut() -> S,
+    {
+        self.run_stored(input, work_dir, self.store_for(input), make_sink)
+    }
+
+    /// Where a run over `input` keeps `G*`: in memory exactly when
+    /// `|E*| = |E|` fits in the chunks of its workers, `cores · c·M`.
+    fn store_for(&self, input: &DiskGraph) -> Store {
+        let m_star = input.adj_len() / 2;
+        let chunk = self.config.budget.chunk_edges() as u64;
+        let chunks = chunk.saturating_mul(self.config.cores as u64);
+        if m_star <= chunks {
+            Store::Resident
+        } else {
+            Store::Disk
+        }
+    }
+
+    /// [`run_with_sinks`](Self::run_with_sinks) with `G*` kept in
+    /// `store` whatever the budget: the tests' way to run one graph,
+    /// plan and budget both ways.
+    pub(crate) fn run_stored<S, F>(
+        &self,
+        input: &DiskGraph,
+        work_dir: &Path,
+        store: Store,
         make_sink: F,
     ) -> Result<(RunReport, Vec<S>)>
     where
@@ -164,18 +213,23 @@ impl LocalRunner {
         input.verify_full()?;
         let wall_start = Instant::now();
         let master_stats = IoStats::new();
+        let cores = self.config.cores;
 
-        // Phase 1: multicore orientation (Figure 2).
-        let oriented_base = work_dir.join("oriented");
-        let (og, orientation) = orient_to_disk_with(
-            input,
-            &oriented_base,
-            self.config.cores,
-            self.config.mgt.codec,
-            &master_stats,
-        )?;
-
-        let (mut report, sinks) = self.run_oriented_with_sinks(&og, make_sink)?;
+        // Phase 1: multicore orientation (Figure 2), into memory or to
+        // disk; phases 2–3 on what it produced.
+        let (orientation, (mut report, sinks)) = match store {
+            Store::Resident => {
+                let (rg, orientation) = orient_resident(input, cores, &master_stats)?;
+                (orientation, self.run_resident(&rg, make_sink)?)
+            }
+            Store::Disk => {
+                let base = work_dir.join("oriented");
+                let codec = self.config.mgt.codec;
+                let (og, orientation) =
+                    orient_to_disk_with(input, &base, cores, codec, &master_stats)?;
+                (orientation, self.run_oriented_with_sinks(&og, make_sink)?)
+            }
+        };
         report.orientation = orientation;
         report.wall = wall_start.elapsed();
         Ok((report, sinks))
@@ -205,51 +259,112 @@ impl LocalRunner {
         F: FnMut() -> S,
     {
         let wall_start = Instant::now();
-        let (budget, mgt) = (self.config.budget, self.config.mgt);
-
         // Phase 2: load balancing (Section IV-B1).
-        let (plan, balancing) = plan_ranges(og, budget, self.config.cores, self.config.balance);
-
+        let (plan, balancing) = plan_ranges(
+            og,
+            self.config.budget,
+            self.config.cores,
+            self.config.balance,
+        );
         // Phase 3: one MGT worker per core.
-        let jobs: Vec<_> = plan.iter().map(|&(r, _)| (r, budget, mgt)).collect();
-        let (workers, sinks) = run_workers(og, &jobs, make_sink)?;
-        let triangles = workers.iter().map(|w| w.triangles).sum();
+        let (workers, sinks) = run_workers(og, &self.jobs(&plan), make_sink)?;
+        let base = Some(og.disk.base().to_path_buf());
+        Ok((assemble(plan, balancing, workers, wall_start, base), sinks))
+    }
 
-        Ok((
-            RunReport {
-                triangles,
-                orientation: crate::metrics::PhaseReport::default(),
-                balancing,
-                plan,
-                workers,
-                wall: wall_start.elapsed(),
-            },
-            sinks,
-        ))
+    /// Phases 2–3 against a resident `G*`: the same planner, planning it
+    /// as a raw graph, and the same workers, each lent its chunks and
+    /// out-lists from the array instead of reading them.
+    fn run_resident<S, F>(&self, rg: &ResidentGraph, make_sink: F) -> Result<(RunReport, Vec<S>)>
+    where
+        S: TriangleSink + Send,
+        F: FnMut() -> S,
+    {
+        let wall_start = Instant::now();
+        let (budget, cores, balance) = (self.config.budget, self.config.cores, self.config.balance);
+        let (plan, balancing) = plan_layout(rg.layout(), Codec::Raw, budget, cores, balance);
+        let worker =
+            |(range, budget, opts), sink: &mut S| mgt_count_resident(rg, range, budget, sink, opts);
+        let (workers, sinks) = fan_out(&self.jobs(&plan), make_sink, worker)?;
+        Ok((assemble(plan, balancing, workers, wall_start, None), sinks))
+    }
+
+    /// One MGT job per planned range, at the run's budget and options.
+    fn jobs(&self, plan: &[(EdgeRange, PredictedCost)]) -> Vec<Job> {
+        let (budget, mgt) = (self.config.budget, self.config.mgt);
+        plan.iter().map(|&(r, _)| (r, budget, mgt)).collect()
     }
 }
+
+/// Where a run keeps `G*` (module doc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Store {
+    /// Oriented into memory; the workers join over the array.
+    Resident,
+    /// Written under `work_dir/oriented` and streamed back.
+    Disk,
+}
+
+/// A run's report from its phases 2–3, timed from `wall_start`; the
+/// caller fills in the orientation it paid, if any.
+fn assemble(
+    plan: Vec<(EdgeRange, PredictedCost)>,
+    balancing: crate::metrics::PhaseReport,
+    workers: Vec<WorkerReport>,
+    wall_start: Instant,
+    oriented_base: Option<PathBuf>,
+) -> RunReport {
+    RunReport {
+        triangles: workers.iter().map(|w| w.triangles).sum(),
+        orientation: crate::metrics::PhaseReport::default(),
+        balancing,
+        plan,
+        workers,
+        wall: wall_start.elapsed(),
+        oriented_base,
+    }
+}
+
+/// One MGT worker's job: its range, budget and engine options.
+type Job = (EdgeRange, MemoryBudget, MgtOptions);
 
 /// The worker fan-out of every runner (local cores, a cluster node's
 /// cores): one MGT worker per `(range, budget, options)` job over `og`,
 /// each with its own [`IoStats`] and its own `make_sink()` sink, made
-/// in job order. Several jobs run on scoped threads of their own; a
-/// single job (a one-core query, a one-core cluster node) runs on the
-/// calling thread, which a spawn and a join would only wait on.
-/// Reports (numbered) and sinks come back in job order; the first
-/// failed job's error is returned, a panicked worker's as
+/// in job order. Reports (numbered) and sinks come back in job order;
+/// the first failed job's error is returned, a panicked worker's as
 /// [`CoreError::WorkerPanic`], after every worker has finished.
 pub fn run_workers<S, F>(
     og: &OrientedGraph,
     jobs: &[(EdgeRange, MemoryBudget, MgtOptions)],
-    mut make_sink: F,
+    make_sink: F,
 ) -> Result<(Vec<WorkerReport>, Vec<S>)>
 where
     S: TriangleSink + Send,
     F: FnMut() -> S,
 {
-    let work = |i: usize, (range, budget, opts), mut sink: S| {
-        let stats = IoStats::new();
-        let mut report = mgt_count_range_opt(og, range, budget, &mut sink, stats, opts)?;
+    let worker = |(range, budget, opts), sink: &mut S| {
+        mgt_count_range_opt(og, range, budget, sink, IoStats::new(), opts)
+    };
+    fan_out(jobs, make_sink, worker)
+}
+
+/// Run `worker` once per job with a sink from `make_sink`, made in job
+/// order. Several jobs run on scoped threads of their own; a single job
+/// (a one-core query, a one-core cluster node) runs on the calling
+/// thread, which a spawn and a join would only wait on.
+fn fan_out<S, F, W>(
+    jobs: &[Job],
+    mut make_sink: F,
+    worker: W,
+) -> Result<(Vec<WorkerReport>, Vec<S>)>
+where
+    S: TriangleSink + Send,
+    F: FnMut() -> S,
+    W: Fn(Job, &mut S) -> Result<WorkerReport> + Sync,
+{
+    let work = |i: usize, job: Job, mut sink: S| {
+        let mut report = worker(job, &mut sink)?;
         report.worker = i;
         Ok((report, sink))
     };
@@ -260,6 +375,7 @@ where
         vec![inline.unwrap_or_else(|_| panicked(0))]
     } else {
         std::thread::scope(|scope| {
+            let work = &work;
             let handles: Vec<_> = (jobs.iter().enumerate())
                 .map(|(i, &job)| {
                     let sink = make_sink();
@@ -353,10 +469,10 @@ pub fn count_triangles_with(g: &Graph, config: LocalConfig) -> Result<RunReport>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::LimitSink;
     use pdtl_graph::gen::classic::{complete, wheel};
     use pdtl_graph::gen::rmat::rmat;
     use pdtl_graph::verify::triangle_count;
-    use pdtl_io::Codec;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -472,6 +588,13 @@ mod tests {
             let equal = bytes(&runner.run_listing(&input, &dir).unwrap().1);
             let case = format!("{codec:?} {edges}");
             assert_eq!((equal.len(), pdtl_io::crc32c(&equal)), want, "{case}");
+            // The 1 Mi-edge budget holds `G*` and ran resident; written
+            // and streamed, it lists the same bytes.
+            let (_, sinks) = runner
+                .run_stored(&input, &dir, Store::Disk, CollectSink::default)
+                .unwrap();
+            let streamed = bytes(&CollectSink::concat(sinks));
+            assert_eq!((streamed.len(), pdtl_io::crc32c(&streamed)), want, "{case}");
         }
     }
 
@@ -626,6 +749,216 @@ mod tests {
         }
     }
 
+    /// Per-rank counters lent to the join, as the clustering analytics'
+    /// sink lends them.
+    struct RankCounts(Vec<u64>);
+
+    impl TriangleSink for RankCounts {
+        fn vertex_counts(&mut self) -> Option<&mut [u64]> {
+            Some(&mut self.0)
+        }
+
+        fn emit(&mut self, _: u32, _: u32, _: u32) {
+            unreachable!("a sink lending counters is never handed a triple")
+        }
+    }
+
+    /// A listing's bytes, as a `FileSink` writes them.
+    fn listing_bytes(triples: &[(u32, u32, u32)]) -> Vec<u8> {
+        (triples.iter())
+            .flat_map(|&(u, v, w)| [u, v, w])
+            .flat_map(u32::to_le_bytes)
+            .collect()
+    }
+
+    /// Everything a run reports that must not depend on where `G*` is
+    /// kept: the count, the plan, and each worker's range and counters.
+    #[allow(clippy::type_complexity)]
+    fn shape(r: &RunReport) -> (u64, Vec<(EdgeRange, PredictedCost)>, Vec<[u64; 8]>) {
+        let workers = (r.workers.iter())
+            .map(|w| {
+                let (start, end) = (w.range.start, w.range.end);
+                [
+                    start,
+                    end,
+                    w.triangles,
+                    w.iterations,
+                    w.cpu_ops,
+                    w.scanned,
+                    w.scan_lists,
+                    w.scan_hits,
+                ]
+            })
+            .collect();
+        (r.triangles, r.plan.clone(), workers)
+    }
+
+    fn oriented_files(dir: &Path) -> Vec<String> {
+        (std::fs::read_dir(dir).unwrap())
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("oriented"))
+            .collect()
+    }
+
+    #[test]
+    fn resident_and_disk_runs_agree_at_and_around_the_threshold() {
+        // The budget that just holds `G*` on `cores` workers, one edge
+        // below it and one above: the first goes to disk by itself, the
+        // others stay in memory, and at every one of them a run forced
+        // the other way plans, counts and lists the same.
+        use pdtl_graph::gen::classic::erdos_renyi;
+        let graphs = [
+            ("rmat7", rmat(7, 41).unwrap()),
+            ("rmat8", rmat(8, 42).unwrap()),
+            ("rmat9", rmat(9, 43).unwrap()),
+            ("gnm90", erdos_renyi(90, 900, 44).unwrap()),
+            ("w40", wheel(40).unwrap()),
+        ];
+        for (tag, g) in graphs {
+            let expected = triangle_count(&g);
+            let dir = tmpdir(&format!("parity-{tag}"));
+            let stats = IoStats::new();
+            let input = DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
+            let (m, n) = (g.num_edges(), g.num_vertices());
+            for cores in 1..=3u64 {
+                let at = 2 * m.div_ceil(cores) as usize;
+                for (budget, auto) in [
+                    (at - 1, Store::Disk),
+                    (at, Store::Resident),
+                    (at + 1, Store::Resident),
+                ] {
+                    let case = format!("{tag} cores {cores} budget {budget}");
+                    let runner = LocalRunner::new(LocalConfig {
+                        cores: cores as usize,
+                        budget: MemoryBudget::edges(budget),
+                        ..Default::default()
+                    })
+                    .unwrap();
+                    assert_eq!(runner.store_for(&input), auto, "{case}");
+                    let (mem_dir, disk_dir) = (dir.join("mem"), dir.join("disk"));
+                    let _ = std::fs::remove_dir_all(&mem_dir);
+                    let both = |make: &dyn Fn() -> Sink| {
+                        let mem = runner.run_stored(&input, &mem_dir, Store::Resident, make);
+                        let disk = runner.run_stored(&input, &disk_dir, Store::Disk, make);
+                        (mem.unwrap(), disk.unwrap())
+                    };
+                    for (kind, make) in Sink::ALL {
+                        let case = format!("{case} {kind}");
+                        let ((mem, mem_sinks), (disk, disk_sinks)) = both(&|| make(n));
+                        assert_eq!(mem.triangles, expected, "{case}");
+                        assert_eq!(shape(&mem), shape(&disk), "{case}");
+                        assert_eq!(Sink::output(mem_sinks), Sink::output(disk_sinks), "{case}");
+                        assert_eq!(mem.oriented_base, None, "{case}");
+                        assert_eq!(
+                            disk.oriented_base,
+                            Some(disk_dir.join("oriented")),
+                            "{case}"
+                        );
+                        assert_eq!(mem.orientation.cpu_ops, disk.orientation.cpu_ops, "{case}");
+                        assert_eq!(mem.orientation.io.bytes_written, 0, "{case}");
+                        for w in &mem.workers {
+                            assert_eq!(w.io, pdtl_io::stats::IoSnapshot::default(), "{case}");
+                        }
+                        assert!(oriented_files(&mem_dir).is_empty(), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The four kinds of sink the join serves, one constructor each.
+    enum Sink {
+        Count(CountSink),
+        Collect(CollectSink),
+        Counts(RankCounts),
+        Limit(LimitSink),
+    }
+
+    impl Sink {
+        #[allow(clippy::type_complexity)]
+        const ALL: [(&'static str, fn(u32) -> Sink); 4] = [
+            ("count", |_| Sink::Count(CountSink)),
+            ("collect", |_| Sink::Collect(CollectSink::default())),
+            ("per-vertex", |n| {
+                Sink::Counts(RankCounts(vec![0; n as usize]))
+            }),
+            ("limit", |_| Sink::Limit(LimitSink::new(7))),
+        ];
+
+        /// The sinks' output, worker by worker.
+        fn output(sinks: Vec<Sink>) -> Vec<Vec<u8>> {
+            (sinks.into_iter())
+                .map(|s| match s {
+                    Sink::Count(_) => Vec::new(),
+                    Sink::Collect(c) => listing_bytes(&c.triangles),
+                    Sink::Counts(RankCounts(c)) => c.iter().flat_map(|x| x.to_le_bytes()).collect(),
+                    Sink::Limit(l) => listing_bytes(&LimitSink::concat(vec![l])),
+                })
+                .collect()
+        }
+    }
+
+    impl TriangleSink for Sink {
+        fn vertex_counts(&mut self) -> Option<&mut [u64]> {
+            match self {
+                Sink::Counts(c) => c.vertex_counts(),
+                _ => None,
+            }
+        }
+
+        fn wants_triples(&self) -> bool {
+            match self {
+                Sink::Count(c) => c.wants_triples(),
+                Sink::Collect(c) => c.wants_triples(),
+                Sink::Counts(_) => false,
+                Sink::Limit(l) => l.wants_triples(),
+            }
+        }
+
+        fn emit(&mut self, u: u32, v: u32, w: u32) {
+            match self {
+                Sink::Count(c) => c.emit(u, v, w),
+                Sink::Collect(c) => c.emit(u, v, w),
+                Sink::Counts(c) => c.emit(u, v, w),
+                Sink::Limit(l) => l.emit(u, v, w),
+            }
+        }
+    }
+
+    #[test]
+    fn a_resident_run_leaves_the_files_of_an_earlier_disk_run_alone() {
+        // One work dir: a disk run writes `oriented.*`, a resident run
+        // after it neither reads nor rewrites them, and the listing to
+        // file of a resident run leaves no part files behind.
+        let g = rmat(8, 27).unwrap();
+        let dir = tmpdir("resident-after-disk");
+        let stats = IoStats::new();
+        let input = DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
+        let runner = |edges| {
+            LocalRunner::new(LocalConfig {
+                cores: 2,
+                budget: MemoryBudget::edges(edges),
+                ..Default::default()
+            })
+            .unwrap()
+        };
+        let work = dir.join("work");
+        let disk = runner(256).run(&input, &work).unwrap();
+        assert_eq!(disk.oriented_base, Some(work.join("oriented")));
+        let adj = std::fs::read(work.join("oriented.adj")).unwrap();
+        let (mem, written) = runner(1 << 20)
+            .run_listing_to_file(&input, &work, &dir.join("out.bin"))
+            .unwrap();
+        assert_eq!(mem.oriented_base, None);
+        assert_eq!((mem.triangles, written), (disk.triangles, disk.triangles));
+        assert_eq!(std::fs::read(work.join("oriented.adj")).unwrap(), adj);
+        DiskGraph::open(work.join("oriented"), &stats)
+            .unwrap()
+            .verify_full()
+            .unwrap();
+        assert!(!work.join("part-0").exists(), "parts removed");
+    }
+
     #[test]
     fn scratch_dir_removes_itself_on_drop() {
         let dir = std::env::temp_dir().join(format!("pdtl-scratch-test-{}", std::process::id()));
@@ -644,6 +977,23 @@ mod tests {
             ..Default::default()
         };
         assert!(LocalRunner::new(cfg).is_err());
+    }
+
+    #[test]
+    fn a_budget_past_any_graph_keeps_g_star_in_memory() {
+        // `cores · c·M` saturates instead of wrapping past `u64::MAX`.
+        let g = complete(8).unwrap();
+        let dir = tmpdir("huge-budget");
+        let input = DiskGraph::write(&g, dir.join("g"), &IoStats::new()).unwrap();
+        let runner = LocalRunner::new(LocalConfig {
+            cores: 2,
+            budget: MemoryBudget::edges(usize::MAX),
+            ..Default::default()
+        })
+        .unwrap();
+        assert_eq!(runner.store_for(&input), Store::Resident);
+        let report = runner.run(&input, &dir.join("w")).unwrap();
+        assert_eq!((report.triangles, report.oriented_base), (56, None));
     }
 
     #[test]

@@ -80,6 +80,13 @@ impl RankMap {
         }
     }
 
+    /// The rank → id table alone ([`ids`](Self::ids)), for a holder
+    /// that translates ranks to ids and never the other way: the id →
+    /// rank half is freed.
+    pub fn into_ids(self) -> Vec<u32> {
+        self.rank_to_id
+    }
+
     /// Number of vertices.
     pub fn len(&self) -> u32 {
         self.rank_to_id.len() as u32

@@ -579,6 +579,78 @@ impl<S: U32Source + ?Sized> U32Source for Box<S> {
     }
 }
 
+/// A [`U32Source`] over words already in memory: runs and chunks are
+/// lent as windows of the slice, a seek or a skip only moves the
+/// cursor, and nothing is charged to any [`IoStats`] because no I/O
+/// happens. It is the source a resident oriented graph hands the MGT
+/// loop, which then runs unchanged.
+#[derive(Debug, Clone)]
+pub struct SliceSource<'a> {
+    words: &'a [u32],
+    pos: usize,
+}
+
+impl<'a> SliceSource<'a> {
+    /// A source over `words`, positioned at its start.
+    pub fn new(words: &'a [u32]) -> Self {
+        Self { words, pos: 0 }
+    }
+
+    /// The next `n` words (fewer at the end), the cursor moved past them.
+    fn take(&mut self, n: usize) -> &'a [u32] {
+        let end = self.pos + n.min(self.words.len() - self.pos);
+        let run = &self.words[self.pos..end];
+        self.pos = end;
+        run
+    }
+}
+
+impl U32Source for SliceSource<'_> {
+    fn len_u32(&self) -> u64 {
+        self.words.len() as u64
+    }
+
+    fn position(&self) -> u64 {
+        self.pos as u64
+    }
+
+    fn seek_to(&mut self, index: u64) -> Result<()> {
+        self.pos = index.min(self.len_u32()) as usize;
+        Ok(())
+    }
+
+    fn read_into(&mut self, out: &mut Vec<u32>, n: usize) -> Result<usize> {
+        let run = self.take(n);
+        out.extend_from_slice(run);
+        Ok(run.len())
+    }
+
+    fn skip(&mut self, n: u64) -> Result<()> {
+        self.seek_to(self.position().saturating_add(n))
+    }
+
+    fn path(&self) -> &Path {
+        Path::new("<resident adjacency>")
+    }
+
+    fn next_run<'b>(&'b mut self, n: usize, _scratch: &'b mut Vec<u32>) -> Result<&'b [u32]> {
+        Ok(self.take(n))
+    }
+
+    fn range_run<'b>(
+        &'b mut self,
+        pos: u64,
+        len: usize,
+        _scratch: &'b mut Vec<u32>,
+    ) -> Result<&'b [u32]> {
+        if pos.saturating_add(len as u64) > self.len_u32() {
+            return Err(past_end(self.path(), pos, len));
+        }
+        self.pos = pos as usize;
+        Ok(self.take(len))
+    }
+}
+
 /// A buffered writer of little-endian `u32`s with I/O accounting.
 #[derive(Debug)]
 pub struct U32Writer {
@@ -795,6 +867,42 @@ mod tests {
         assert_eq!(r.read_all().unwrap(), vec![1, 2, 3, u32::MAX]);
         assert_eq!(stats.bytes_written(), 16);
         assert_eq!(stats.bytes_read(), 16);
+    }
+
+    #[test]
+    fn slice_source_reads_as_a_file_does_and_lends_every_run() {
+        // The same operations over a file and over its words in memory:
+        // equal values and positions, runs lent from the slice itself,
+        // clamps at the end, and no I/O charged by the slice.
+        let vals: Vec<u32> = (0..500).map(|v| v * 7 + 1).collect();
+        let p = tmp("slice-source");
+        let stats = IoStats::new();
+        let mut w = U32Writer::create(&p, stats.clone()).unwrap();
+        w.write_all(&vals).unwrap();
+        w.finish().unwrap();
+        let mut file = U32Reader::open(&p, stats).unwrap();
+        let mut mem = SliceSource::new(&vals);
+        assert_eq!(mem.len_u32(), file.len_u32());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for (skip, run) in [(0u64, 3usize), (10, 0), (2, 41), (400, 100), (5, 9)] {
+            file.skip(skip).unwrap();
+            mem.skip(skip).unwrap();
+            let at = mem.position() as usize;
+            let want = file.next_run(run, &mut a).unwrap().to_vec();
+            let got = mem.next_run(run, &mut b).unwrap();
+            assert_eq!(got, want, "skip {skip} run {run}");
+            assert_eq!(got.as_ptr(), vals[at.min(vals.len())..].as_ptr(), "lent");
+            assert_eq!(mem.position(), file.position());
+        }
+        assert!(b.is_empty(), "a lent run leaves the scratch untouched");
+        let chunk = mem.range_run(100, 50, &mut b).unwrap();
+        assert_eq!(chunk, &vals[100..150]);
+        assert_eq!(mem.position(), 150);
+        let past = mem.range_run(480, 21, &mut b).unwrap_err();
+        assert!(past.to_string().contains("past end"), "{past}");
+        mem.seek_to(7).unwrap();
+        assert_eq!(mem.read_into(&mut b, 2).unwrap(), 2);
+        assert_eq!(b, [vals[7], vals[8]]);
     }
 
     #[test]

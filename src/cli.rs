@@ -11,9 +11,13 @@
 //! * `stats <base>` — print the Table-I row of a graph;
 //! * `count <base> [--cores p] [--memory edges] [--naive]
 //!   [--backend blocking|prefetch|mmap]
-//!   [--codec raw|delta-varint]` — multicore exact count; `--codec`
-//!   selects the oriented graph's on-disk encoding (delta-varint cuts
-//!   the multi-pass `bytes_read`);
+//!   [--codec raw|delta-varint]` — multicore exact count. When the
+//!   workers' chunks hold all of `G*` (`|E*| ≤ p·⌊edges/2⌋`) the run
+//!   orients into memory and joins in place, and prints `G*: held in
+//!   memory`; otherwise it writes `G*` to a scratch directory, prints
+//!   `G*: written to <base>`, and streams it. `--codec` (the oriented
+//!   graph's on-disk encoding; delta-varint cuts the multi-pass
+//!   `bytes_read`) and `--backend` apply only to runs that write `G*`;
 //! * `cluster <base> [--nodes n] [--cores p] [--memory edges] [--tcp]
 //!   [--backend b] [--codec c] [--fault plan]` — distributed exact
 //!   count; `--fault` injects a deterministic fault plan (the
@@ -23,7 +27,8 @@
 //!   adds the entries its scans read beside the predicted number and
 //!   the share of the lists read that the join used — then
 //!   `imbalance: <max/mean worker wall>`; `--memory` must be ≥ 1;
-//! * `list <base> <out.bin> [--cores p]` — triangle listing to file;
+//! * `list <base> <out.bin> [--cores p]` — triangle listing to file, at
+//!   the default budget; prints where `G*` was kept, as `count` does;
 //! * `verify <base>` — full integrity verification: open the graph
 //!   (structural + quick manifest checks) and digest every file
 //!   against the `.mft` manifest. Graphs written before the integrity
@@ -51,7 +56,8 @@ use pdtl_cluster::{
 };
 use pdtl_core::mgt::MgtOptions;
 use pdtl_core::{
-    BalanceStrategy, EdgeRange, LocalConfig, LocalRunner, PredictedCost, ScratchDir, WorkerReport,
+    BalanceStrategy, EdgeRange, LocalConfig, LocalRunner, PredictedCost, RunReport, ScratchDir,
+    WorkerReport,
 };
 use pdtl_graph::datasets::Dataset;
 use pdtl_graph::{DiskGraph, GraphStats};
@@ -98,9 +104,11 @@ pub enum Command {
         memory: usize,
         /// Use the naive equal-edges split.
         naive: bool,
-        /// I/O backend (`--backend`, default prefetch).
+        /// I/O backend (`--backend`, default prefetch); only a run that
+        /// writes `G*` reads through one.
         backend: IoBackend,
-        /// On-disk codec of the oriented graph (`--codec`, default raw).
+        /// On-disk codec of the oriented graph (`--codec`, default raw);
+        /// only a run that writes `G*` encodes it.
         codec: Codec,
     },
     /// Distributed count.
@@ -432,6 +440,15 @@ fn work_dir(base: &Path, tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pdtl-cli-{tag}-{name}-{}", std::process::id()))
 }
 
+/// Where a local run kept `G*`: in memory, or the scratch base it was
+/// written to (removed with the scratch directory after the run).
+fn g_star_line(report: &RunReport) -> String {
+    match &report.oriented_base {
+        None => "G*: held in memory".into(),
+        Some(base) => format!("G*: written to {}", base.display()),
+    }
+}
+
 /// One worker's line after a count's totals: where `calc` went, and
 /// the planner's predicted share of the cost beside it. A local worker
 /// also reports its scan (`scan`): the entries read beside the
@@ -559,12 +576,13 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
             let report = runner.run(&dg, scratch.path()).map_err(|e| fail(&e))?;
             writeln!(
                 out,
-                "triangles: {}\nwall: {:?} (orientation {:?}, balance {:?}, calc {:?})",
+                "triangles: {}\nwall: {:?} (orientation {:?}, balance {:?}, calc {:?})\n{}",
                 report.triangles,
                 report.wall,
                 report.orientation.breakdown.wall,
                 report.balancing.breakdown.wall,
-                report.calc_wall()
+                report.calc_wall(),
+                g_star_line(&report)
             )
             .map_err(|e| fail(&e))?;
             for w in &report.workers {
@@ -669,10 +687,11 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
                 .map_err(|e| fail(&e))?;
             writeln!(
                 out,
-                "listed {} triangles to {} ({} bytes)",
+                "listed {} triangles to {} ({} bytes)\n{}",
                 report.triangles,
                 path.display(),
-                written * 12
+                written * 12,
+                g_star_line(&report)
             )
             .map_err(|e| fail(&e))
         }
@@ -1131,11 +1150,13 @@ mod tests {
         )
         .unwrap();
         run(Command::Stats { base: base.clone() }, &mut out).unwrap();
+        // Chunks of 128 edges on two workers hold less than `G*`: the
+        // run writes it under the codec and reads it through the mapping.
         run(
             Command::Count {
                 base: base.clone(),
                 cores: 2,
-                memory: 1024,
+                memory: 256,
                 naive: false,
                 backend: IoBackend::Mmap,
                 codec: Codec::DeltaVarint,
@@ -1167,6 +1188,25 @@ mod tests {
             text.lines().last().unwrap().starts_with("imbalance: "),
             "{text}"
         );
+
+        // A budget whose chunks hold `G*` keeps it in memory, and says
+        // so where the run above named the base it wrote.
+        assert!(g.num_edges() > 256, "the run above wrote G*");
+        assert_eq!(text.matches("\nG*: written to ").count(), 1, "{text}");
+        let mut out = Vec::new();
+        let resident = Command::Count {
+            base: base.clone(),
+            cores: 2,
+            memory: 2 * g.num_edges() as usize,
+            naive: false,
+            backend: IoBackend::Mmap,
+            codec: Codec::DeltaVarint,
+        };
+        run(resident, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains(&format!("triangles: {expected}")), "{text}");
+        assert_eq!(text.matches("\nG*: held in memory\n").count(), 1, "{text}");
+        assert!(!text.contains("G*: written"), "{text}");
     }
 
     #[test]
@@ -1383,6 +1423,8 @@ mod tests {
         assert_eq!(workers, 4, "{text}");
         assert_eq!(text.matches("imbalance: ").count(), 1, "{text}");
         assert!(text.contains("listed"));
+        // `list`'s default budget holds this graph.
+        assert_eq!(text.matches("\nG*: held in memory\n").count(), 1, "{text}");
         // exported file re-imports to the same graph
         let (g2, _) = pdtl_graph::text::read_edge_list(&exported).unwrap();
         assert_eq!(pdtl_graph::verify::triangle_count(&g2), expected);

@@ -36,10 +36,16 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn local(codec: Codec) -> LocalRunner {
+/// The budgets every single-process check runs at, on 2 cores: 2 048
+/// edges hold `G*` of the RMAT-7 fixture, so that run orients into
+/// memory; 256 do not, so its twin writes and streams the oriented
+/// files.
+const BUDGETS: [usize; 2] = [2048, 256];
+
+fn local(codec: Codec, budget: usize) -> LocalRunner {
     LocalRunner::new(LocalConfig {
         cores: 2,
-        budget: MemoryBudget::edges(2048),
+        budget: MemoryBudget::edges(budget),
         mgt: MgtOptions {
             codec,
             ..Default::default()
@@ -52,10 +58,10 @@ fn local(codec: Codec) -> LocalRunner {
 /// Open-then-count on a possibly-corrupt base: the detection may fire
 /// at open (quick tier) or at run entry (full tier); this helper
 /// collapses both into one `Result<u64, String>`.
-fn try_count(base: &Path, work: &Path, codec: Codec) -> Result<u64, String> {
+fn try_count(base: &Path, work: &Path, codec: Codec, budget: usize) -> Result<u64, String> {
     let stats = IoStats::new();
     let dg = DiskGraph::open(base, &stats).map_err(|e| e.to_string())?;
-    local(codec)
+    local(codec, budget)
         .run(&dg, work)
         .map(|r| r.triangles)
         .map_err(|e| e.to_string())
@@ -95,7 +101,10 @@ fn corrupted_input_errors_instead_of_counting() {
             };
             let hit = spec.apply(&dir.join("g")).unwrap();
             assert!(hit.is_some(), "{tag}: .adj always exists");
-            assert_detected(&tag, try_count(&dir.join("g"), &dir.join("w"), codec));
+            for budget in BUDGETS {
+                let outcome = try_count(&dir.join("g"), &dir.join("w"), codec, budget);
+                assert_detected(&format!("{tag} budget {budget}"), outcome);
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -186,8 +195,13 @@ fn pre_integrity_graphs_still_open_and_count() {
         std::fs::remove_file(dg.mft_path()).unwrap();
         let reopened = DiskGraph::open(dir.join("g"), &stats).unwrap();
         assert!(reopened.verify_full().unwrap().is_none(), "no manifest");
-        let report = local(codec).run(&reopened, &dir.join("w")).unwrap();
-        assert_eq!(report.triangles, expected, "{codec:?}");
+        for budget in BUDGETS {
+            let report = local(codec, budget).run(&reopened, &dir.join("w")).unwrap();
+            assert_eq!(report.triangles, expected, "{codec:?} budget {budget}");
+            // The first budget holds `G*`, its twin does not.
+            let resident = report.oriented_base.is_none();
+            assert_eq!(resident, budget == BUDGETS[0], "{codec:?} budget {budget}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -206,9 +220,14 @@ fn compressed_undirected_input_is_refused_by_every_entry_point() {
     let input = DiskGraph::write_with(&g, graphs.join("g"), Codec::DeltaVarint, &stats).unwrap();
     let hdr = input.hdr_path().display().to_string();
 
-    let local = local(Codec::Raw).run(&input, &dir.join("local"));
-    let local = local.unwrap_err().to_string();
-    assert!(local.contains(&hdr), "local runner: {local}");
+    for budget in BUDGETS {
+        let local = local(Codec::Raw, budget).run(&input, &dir.join("local"));
+        let local = local.unwrap_err().to_string();
+        assert!(
+            local.contains(&hdr),
+            "local runner at budget {budget}: {local}"
+        );
+    }
     let cluster = ClusterRunner::new(ClusterConfig::default()).unwrap();
     let cluster = cluster
         .run(&input, &dir.join("cluster"))
@@ -318,11 +337,14 @@ fn env_driven_disk_fault_plan_is_detected_or_absent() {
             let dir = tmpdir(&format!("{tag}-input"));
             DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
             let on_input = plan.apply(&dir.join("g")).unwrap();
-            let outcome = try_count(&dir.join("g"), &dir.join("w"), codec);
-            if on_input.is_empty() {
-                assert_eq!(outcome.unwrap(), expected, "{tag}");
-            } else {
-                assert_detected(&tag, outcome);
+            for budget in BUDGETS {
+                let outcome = try_count(&dir.join("g"), &dir.join("w"), codec, budget);
+                let tag = format!("{tag} budget {budget}");
+                if on_input.is_empty() {
+                    assert_eq!(outcome.unwrap(), expected, "{tag}");
+                } else {
+                    assert_detected(&tag, outcome);
+                }
             }
             let _ = std::fs::remove_dir_all(&dir);
 
@@ -387,17 +409,22 @@ proptest! {
                 .set_len(cut % len)
                 .unwrap();
         }
-        match try_count(&dir.join("g"), &dir.join("w"), codec) {
-            Ok(t) => prop_assert_eq!(t, expected),
-            Err(msg) => {
-                let lower = msg.to_lowercase();
-                prop_assert!(
-                    lower.contains("corrupt")
-                        || lower.contains("truncated")
-                        || lower.contains("header"),
-                    "typed failure expected, got: {}",
-                    msg
-                );
+        // These graphs are far smaller than RMAT-7: their twin runs at 2
+        // edges (1-edge chunks) so that it, too, streams `G*` from disk.
+        for budget in [BUDGETS[0], 2] {
+            match try_count(&dir.join("g"), &dir.join("w"), codec, budget) {
+                Ok(t) => prop_assert_eq!(t, expected),
+                Err(msg) => {
+                    let lower = msg.to_lowercase();
+                    prop_assert!(
+                        lower.contains("corrupt")
+                            || lower.contains("truncated")
+                            || lower.contains("header"),
+                        "typed failure expected at budget {}, got: {}",
+                        budget,
+                        msg
+                    );
+                }
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
