@@ -9,7 +9,8 @@
 //! determines calculation time" (§IV-B1). A paper shape the counters
 //! can express is checked and printed as holding or as a finding. A
 //! local run whose budget holds all of `G*` orients into memory and
-//! joins in place: its I/O cells read `resident`, not a bare 0.
+//! joins in place: its worker-read cells read `resident`, not a bare 0
+//! (orientation still reads its input, so its bytes stay a counter).
 //! PAPER.md ("Evaluation artefacts") maps each artifact to its id.
 
 use std::fmt::{Display, Write as _};
@@ -249,9 +250,9 @@ const OPT_COLUMNS: [&str; 7] = [
     "OPT read",
 ];
 
-/// A local run's I/O counter as a cell: `resident` when its budget held
-/// all of `G*`, so it oriented into memory, wrote nothing and its
-/// workers read nothing; the counter otherwise.
+/// A local run's worker I/O counter as a cell: `resident` when its
+/// budget held all of `G*`, so its workers joined in memory and read
+/// nothing; the counter otherwise.
 fn local_io(r: &RunReport, counter: u64) -> String {
     match r.oriented_base {
         None => "resident".into(),
@@ -322,7 +323,7 @@ fn table2(wb: &mut Workbench) -> String {
             oriented.d_star_max.to_string(),
             fmt_duration(o.breakdown.wall),
             o.cpu_ops.to_string(),
-            local_io(&local, o.io.total_bytes()),
+            o.io.total_bytes().to_string(),
             fmt_duration(pg.setup),
             pg.network_bytes.to_string(),
             fmt_duration(db.creation.wall),

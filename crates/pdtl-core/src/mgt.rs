@@ -146,7 +146,7 @@ use pdtl_io::{
 use crate::balance::EdgeRange;
 use crate::error::Result;
 use crate::metrics::WorkerReport;
-use crate::orient::{Layout, OrientedCsr, OrientedGraph, ResidentGraph, SketchBuckets};
+use crate::orient::{Layout, OrientedCsr, OrientedGraph, SketchBuckets};
 use crate::sink::TriangleSink;
 
 /// How the disk engine performs its I/O, and the format orientation
@@ -279,13 +279,15 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
     Ok(done.report(range, &stats, io_before, timer))
 }
 
-/// [`mgt_count_range_opt`] over a resident `G*`: the same loop over two
-/// [`SliceSource`]s of its adjacency, which lend every chunk and
-/// out-list and move a cursor to skip, so nothing is read and the
-/// report's I/O is zero. `opts.read_fault` still cuts the scan;
-/// `backend` and `io_latency` have no I/O to act on.
+/// [`mgt_count_range_opt`] over a resident `G*` (`layout` beside the
+/// adjacency `adj`): the same loop over two [`SliceSource`]s of `adj`,
+/// which lend every chunk and out-list and move a cursor to skip, so
+/// nothing is read and the report's I/O is zero. `opts.read_fault`
+/// still cuts the scan; `backend` and `io_latency` have no I/O to act
+/// on.
 pub(crate) fn mgt_count_resident<S: TriangleSink>(
-    rg: &ResidentGraph,
+    layout: Layout<'_>,
+    adj: &[u32],
     range: EdgeRange,
     budget: MemoryBudget,
     sink: &mut S,
@@ -294,9 +296,9 @@ pub(crate) fn mgt_count_resident<S: TriangleSink>(
     let stats = IoStats::new();
     let timer = CpuIoTimer::start(stats.clone());
     let io_before = stats.snapshot();
-    let adj = SliceSource::new(&rg.adj);
+    let adj = SliceSource::new(adj);
     let scan = FaultySource::new(adj.clone(), opts.read_fault.unwrap_or(u64::MAX));
-    let done = mgt_loop(rg.layout(), range, budget, sink, adj, scan)?;
+    let done = mgt_loop(layout, range, budget, sink, adj, scan)?;
     sink.flush()?;
     Ok(done.report(range, &stats, io_before, timer))
 }
@@ -684,12 +686,15 @@ pub(crate) fn vertex_of(offsets: &[u64], pos: u64) -> u32 {
     (offsets.partition_point(|&o| o <= pos) - 1) as u32
 }
 
-/// Pure in-memory MGT over an [`OrientedCsr`]: the engine's one loop
-/// over `[0, |E*|)`, reading the adjacency through [`SliceSource`]s
-/// with the scan sketches orientation would write, so it reads and
-/// skips exactly the lists the disk engine does and counts the same
-/// `cpu_ops`. Used by tests, baselines and the convenience counter.
-/// Emits original ids. Returns (triangles, cpu_ops).
+/// Pure in-memory MGT over an [`OrientedCsr`]: `mgt_count_resident`
+/// over `[0, |E*|)` with the scan sketches orientation would write, so
+/// it reads and skips exactly the lists the disk engine does and counts
+/// the same `cpu_ops`. Used by tests, baselines and the convenience
+/// counter. Emits original ids. Returns (triangles, cpu_ops).
+///
+/// # Panics
+///
+/// If the sink's flush fails: nothing else of an in-memory join can.
 pub fn mgt_in_memory<S: TriangleSink>(
     o: &OrientedCsr,
     budget: MemoryBudget,
@@ -700,18 +705,10 @@ pub fn mgt_in_memory<S: TriangleSink>(
         start: 0,
         end: o.m_star(),
     };
-    let adj = SliceSource::new(&o.adj);
-    let done = mgt_loop(
-        o.layout(&buckets, &sketch),
-        range,
-        budget,
-        sink,
-        adj.clone(),
-        adj,
-    )
-    .expect("a resident adjacency holds every position of its range");
-    let _ = sink.flush();
-    (done.triangles, done.cpu_ops)
+    let layout = o.layout(&buckets, &sketch);
+    let report = mgt_count_resident(layout, &o.adj, range, budget, sink, MgtOptions::default())
+        .unwrap_or_else(|e| panic!("an in-memory join fails only in its sink's flush: {e}"));
+    (report.triangles, report.cpu_ops)
 }
 
 #[cfg(test)]

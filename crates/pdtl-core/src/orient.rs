@@ -249,7 +249,7 @@ impl OrientedCsr {
 
 /// What the planner and the MGT loop read of an oriented graph beside
 /// its adjacency, wherever the adjacency is held: an [`OrientedGraph`]'s
-/// files or a [`ResidentGraph`]'s array.
+/// files, or the array of an [`OrientedCsr`] or a [`ResidentGraph`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Layout<'a> {
     /// Oriented CSR offsets (`n + 1`), rank-indexed.
@@ -284,7 +284,10 @@ impl Layout<'_> {
 /// [`SliceSource`](pdtl_io::SliceSource) and runs unchanged.
 ///
 /// It holds what an [`OrientedCsr`] does, but of the rank map only the
-/// rank → id half the sink boundary reads.
+/// rank → id half the sink boundary reads: the id → rank half (`|V|`
+/// words) would stay live through planning and the join, and holding it
+/// raised `count-1pass` `peak_rss_mb` by 3.7 % (RMAT-17 on a 2-core VM,
+/// 10/10 alternating pairs).
 #[derive(Debug, Clone)]
 pub(crate) struct ResidentGraph {
     /// Oriented CSR offsets (`n + 1`), rank-indexed.

@@ -282,9 +282,11 @@ impl LocalRunner {
     {
         let wall_start = Instant::now();
         let (budget, cores, balance) = (self.config.budget, self.config.cores, self.config.balance);
-        let (plan, balancing) = plan_layout(rg.layout(), Codec::Raw, budget, cores, balance);
-        let worker =
-            |(range, budget, opts), sink: &mut S| mgt_count_resident(rg, range, budget, sink, opts);
+        let layout = rg.layout();
+        let (plan, balancing) = plan_layout(layout, Codec::Raw, budget, cores, balance);
+        let worker = |(range, budget, opts), sink: &mut S| {
+            mgt_count_resident(layout, &rg.adj, range, budget, sink, opts)
+        };
         let (workers, sinks) = fan_out(&self.jobs(&plan), make_sink, worker)?;
         Ok((assemble(plan, balancing, workers, wall_start, None), sinks))
     }

@@ -21,8 +21,7 @@
 //!   files at open time for a few `stat` calls.
 //! * **full** ([`Manifest::verify_full`], used by `pdtl verify`, the
 //!   runners' input checks and post-copy replica verification) — one
-//!   digest pass over every file, a large one split across the host's
-//!   threads. Catches single-bit flips
+//!   sequential digest pass over every file. Catches single-bit flips
 //!   anywhere, including deep inside a multi-gigabyte `.adj`.
 //!
 //! The manifest is *advisory-absent*: a base without a `.mft` (any
@@ -42,8 +41,8 @@
 
 use std::path::{Path, PathBuf};
 
-use pdtl_io::checksum::{crc32c, crc32c_of_file, crc32c_of_file_parts};
-use pdtl_io::{par, IoError};
+use pdtl_io::checksum::{crc32c, crc32c_of_file};
+use pdtl_io::IoError;
 
 use crate::disk::suffixed;
 use crate::error::{GraphError, Result};
@@ -65,11 +64,6 @@ pub const DATA_EXTS: [&str; 6] = [".deg", ".adj", ".hdr", ".vix", ".map", ".skt"
 /// verification tier (so `.hdr`, `.vix`, `.map`, `.skt` on typical
 /// graphs are always covered at open time).
 pub const QUICK_DIGEST_MAX: u64 = 4096;
-
-/// The full tier digests a file of at least twice this many bytes as
-/// pieces of at least this many, one per host thread: RMAT-17's 8 MiB
-/// `.adj` on two threads, while the sidecars stay on the caller.
-const DIGEST_PART_MIN: u64 = 1 << 20;
 
 /// One covered file: its extension, byte length and CRC32C digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,9 +228,7 @@ impl Manifest {
 
     /// Full tier: one digest pass over every covered file. Catches
     /// anything quick verification can — plus bit flips in large
-    /// payloads. A file of at least two `DIGEST_PART_MIN`s is digested
-    /// as one piece per host thread, joined in order
-    /// ([`crc32c_of_file_parts`]).
+    /// payloads.
     pub fn verify_full(&self, base: &Path) -> Result<VerifyReport> {
         self.verify_quick(base)?;
         let mut bytes = 0u64;
@@ -252,8 +244,17 @@ impl Manifest {
     }
 
     fn check_digest(&self, p: &Path, e: &ManifestEntry) -> Result<()> {
-        let parts = (e.len / DIGEST_PART_MIN).clamp(1, par::host_threads() as u64);
-        check_digest_in_parts(p, e, parts as usize)
+        let (_, crc) = crc32c_of_file(p)?;
+        if crc != e.crc {
+            return Err(GraphError::Corrupt {
+                path: p.to_path_buf(),
+                detail: format!(
+                    "checksum mismatch (manifest {:#010x}, disk {crc:#010x})",
+                    e.crc
+                ),
+            });
+        }
+        Ok(())
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -271,22 +272,6 @@ impl Manifest {
         bytes.extend(self_crc.to_le_bytes());
         bytes
     }
-}
-
-/// The digest of the file at `p` against its entry `e`, taken as
-/// `parts` pieces on their own threads and joined in order.
-fn check_digest_in_parts(p: &Path, e: &ManifestEntry, parts: usize) -> Result<()> {
-    let (_, crc) = crc32c_of_file_parts(p, parts)?;
-    if crc != e.crc {
-        return Err(GraphError::Corrupt {
-            path: p.to_path_buf(),
-            detail: format!(
-                "checksum mismatch (manifest {:#010x}, disk {crc:#010x})",
-                e.crc
-            ),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -379,38 +364,6 @@ mod tests {
         let report = m.verify_full(&base).unwrap();
         assert_eq!(report.files, 3);
         assert_eq!(report.bytes, 40 + 8000 + 80);
-    }
-
-    #[test]
-    fn a_flip_at_every_part_boundary_is_a_checksum_mismatch() {
-        // The full tier's pieces join into the recorded digest at every
-        // piece count, and a bit flipped on either side of any boundary
-        // between pieces is reported, not lost in the join.
-        let base = tmpbase("parts");
-        fake_graph(&base);
-        let m = Manifest::capture_and_store(&base).unwrap();
-        let adj = suffixed(&base, ".adj");
-        let entry = m.entries[1];
-        assert_eq!(entry.ext, ".adj");
-        let clean = std::fs::read(&adj).unwrap();
-        for parts in [1usize, 2, 3, 7] {
-            check_digest_in_parts(&adj, &entry, parts).unwrap();
-            for i in 1..parts {
-                let cut = clean.len() * i / parts;
-                for at in [cut - 1, cut] {
-                    let mut b = clean.clone();
-                    b[at] ^= 0x80;
-                    std::fs::write(&adj, &b).unwrap();
-                    let err = check_digest_in_parts(&adj, &entry, parts).unwrap_err();
-                    assert!(
-                        err.to_string().contains("checksum mismatch"),
-                        "{parts} parts, flip at {at}: {err}"
-                    );
-                }
-            }
-            std::fs::write(&adj, &clean).unwrap();
-        }
-        m.verify_full(&base).unwrap();
     }
 
     #[test]

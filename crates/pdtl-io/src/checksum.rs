@@ -24,14 +24,8 @@
 //! zero register. Carrying a register across one lane's zeros is a
 //! fixed linear map, four table lookups (`SHIFT`). Over 24 MiB on a
 //! 2-core VM the three lanes digest 2.2–2.5 GB/s, one lane 1.14–1.20.
-//!
-//! The same join works across threads: [`crc32c_combine`] carries one
-//! digest across the length of the next, so a file digested as
-//! contiguous pieces on their own threads ([`crc32c_of_file_parts`],
-//! the full verification of a large file) joins into the digest of
-//! the whole.
 
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 use std::path::Path;
 
 use crate::error::{IoError, Result};
@@ -218,76 +212,6 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
     h.finalize()
 }
 
-/// The CRC32C of `A ‖ B` from `a = crc32c(A)`, `b = crc32c(B)` and
-/// `len_b = |B|`, without the bytes: `a`'s register carried across
-/// `len_b` zero bytes, xor `b` (the register is linear in its input,
-/// and the conditioning of the two digests cancels). The carry is one
-/// 512-byte lane shift (`SHIFT`, four lookups) per whole lane of
-/// `len_b`, then at most 511 zero bytes one at a time.
-///
-/// ```
-/// use pdtl_io::checksum::{crc32c, crc32c_combine};
-/// let (a, b) = (b"12345".as_slice(), b"6789".as_slice());
-/// assert_eq!(crc32c_combine(crc32c(a), crc32c(b), 4), crc32c(b"123456789"));
-/// ```
-pub fn crc32c_combine(a: u32, b: u32, len_b: u64) -> u32 {
-    let mut crc = a;
-    for _ in 0..len_b / LANE as u64 {
-        crc = shift_lane(crc);
-    }
-    for _ in 0..len_b % LANE as u64 {
-        crc = TABLES[0][(crc & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ b
-}
-
-/// Digest the file at `path` as `parts` contiguous pieces (at least
-/// one, at most one per byte), each on its own thread through its own
-/// handle, and join the pieces' digests in order with
-/// [`crc32c_combine`]. Returns `(length, crc32c)`, equal to
-/// [`crc32c_of_file`]'s. Like it, bypasses the accounted I/O layer.
-pub fn crc32c_of_file_parts(path: &Path, parts: usize) -> Result<(u64, u32)> {
-    let len = std::fs::metadata(path)
-        .map_err(|e| IoError::os("stat", path, e))?
-        .len();
-    let parts = (parts as u64).clamp(1, len.max(1));
-    let bounds = |i: u64| len * i / parts;
-    let digest_part = |i: u64| -> Result<(u32, u64)> {
-        let (start, end) = (bounds(i), bounds(i + 1));
-        let mut file = std::fs::File::open(path).map_err(|e| IoError::os("open", path, e))?;
-        file.seek(SeekFrom::Start(start))
-            .map_err(|e| IoError::os("seek", path, e))?;
-        let mut piece = file.take(end - start);
-        let mut buf = vec![0u8; 64 * 1024];
-        let mut h = Crc32c::new();
-        loop {
-            let got = piece
-                .read(&mut buf)
-                .map_err(|e| IoError::os("read", path, e))?;
-            if got == 0 {
-                break;
-            }
-            h.update(&buf[..got]);
-        }
-        if piece.limit() > 0 {
-            return Err(IoError::malformed(
-                path,
-                format!("file shrank while its bytes [{start}, {end}) were digested"),
-            ));
-        }
-        Ok((h.finalize(), end - start))
-    };
-    let digests = crate::par::map_chunks(parts as usize, parts as usize, |run| {
-        run.map(|i| digest_part(i as u64)).collect::<Vec<_>>()
-    });
-    let mut crc = 0;
-    for part in digests.into_iter().flatten() {
-        let (part_crc, part_len) = part?;
-        crc = crc32c_combine(crc, part_crc, part_len);
-    }
-    Ok((len, crc))
-}
-
 /// Digest a whole file, returning `(length, crc32c)`.
 ///
 /// Reads in 64 KiB chunks through a plain [`std::fs::File`]; integrity
@@ -433,63 +357,6 @@ mod tests {
         assert_eq!(len, data.len() as u64);
         assert_eq!(crc, crc32c(&data));
         std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn combine_joins_the_digests_of_every_split() {
-        // Random lengths around the lane size and random split points,
-        // both ends included: empty pieces on either side, a piece
-        // shorter than a lane and one of several lanes plus a tail.
-        let mut next = xorshift(0x51_7CC1_B727_220A);
-        let mut lens = vec![0usize, 1, LANE - 1, LANE, LANE + 1, 3 * BLOCK + 5];
-        lens.extend((0..40).map(|_| (next() % (4 * BLOCK as u64)) as usize));
-        for len in lens {
-            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-            let whole = crc32c(&data);
-            let mut splits = vec![0, len, len / 2];
-            splits.extend((0..6).map(|_| (next() % (len as u64 + 1)) as usize));
-            for split in splits {
-                let (a, b) = data.split_at(split);
-                let joined = crc32c_combine(crc32c(a), crc32c(b), b.len() as u64);
-                assert_eq!(joined, whole, "len {len} split {split}");
-            }
-        }
-    }
-
-    #[test]
-    fn a_file_digested_in_parts_matches_one_pass_and_sees_every_boundary_flip() {
-        let dir = std::env::temp_dir().join(format!("pdtl-crc-parts-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut next = xorshift(0x2F1E_0D3C_4B5A_6978);
-        for len in [0usize, 1, 7, 3 * BLOCK + 11, 200_003] {
-            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-            let p = dir.join(format!("blob-{len}"));
-            std::fs::write(&p, &data).unwrap();
-            let whole = (len as u64, crc32c(&data));
-            for parts in [1usize, 2, 3, 5, 16] {
-                assert_eq!(
-                    crc32c_of_file_parts(&p, parts).unwrap(),
-                    whole,
-                    "{len}/{parts}"
-                );
-                // A flipped bit on either side of each boundary between
-                // pieces is a different digest.
-                let cut =
-                    |i: usize| (len as u64 * i as u64 / parts.min(len.max(1)) as u64) as usize;
-                for i in 1..parts.min(len) {
-                    for at in [cut(i) - 1, cut(i)] {
-                        let mut flipped = data.clone();
-                        flipped[at] ^= 0x10;
-                        std::fs::write(&p, &flipped).unwrap();
-                        let got = crc32c_of_file_parts(&p, parts).unwrap();
-                        assert_eq!(got, (len as u64, crc32c(&flipped)), "{len}/{parts} @{at}");
-                        assert_ne!(got, whole, "{len}/{parts} @{at}");
-                    }
-                }
-                std::fs::write(&p, &data).unwrap();
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

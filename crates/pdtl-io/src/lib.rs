@@ -57,7 +57,7 @@ pub mod timer;
 
 pub use backend::IoBackend;
 pub use budget::{BudgetLease, BudgetLedger, MemoryBudget};
-pub use checksum::{crc32c, crc32c_combine, crc32c_of_file, crc32c_of_file_parts, Crc32c};
+pub use checksum::{crc32c, crc32c_of_file, Crc32c};
 pub use codec::{Codec, VarintAdjWriter, VarintIndex, VarintSource};
 pub use diskfault::{DiskFaultKind, DiskFaultPlan, DiskFaultSpec, FaultTarget};
 pub use error::{IoError, Result};

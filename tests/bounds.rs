@@ -19,7 +19,10 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 fn mgt_io_within_theorem_iv2() {
     let g = Dataset::Rmat(8).build().unwrap();
     let m = g.num_edges();
-    for mem in [1usize << 20, 2048, 256] {
+    // One core holds c*M = M/2 edges: 1 Mi edges hold G* (a resident
+    // run, which reads nothing), 2m - 2 is one edge short of it and the
+    // largest budget that still streams G* from disk.
+    for mem in [1usize << 20, 2 * m as usize - 2, 2048, 256] {
         let report = count_triangles_with(
             &g,
             LocalConfig {
@@ -31,6 +34,8 @@ fn mgt_io_within_theorem_iv2() {
         )
         .unwrap();
         let measured = report.total_worker_io().bytes_read;
+        assert_eq!(report.oriented_base.is_none(), mem == 1 << 20, "mem {mem}");
+        assert_eq!(measured == 0, mem == 1 << 20, "mem {mem}");
         // chunk loader fills c*M with c = 1/2
         let bound = theory::mgt_io_bound_bytes(m, (mem / 2) as u64, 0);
         assert!(
@@ -147,31 +152,33 @@ fn cluster_network_within_theorem_iv3() {
 fn memory_budget_does_not_change_the_answer_only_the_io() {
     // Figure 5's point, as an invariant.
     let g = Dataset::Twitter.build_scaled(0.03).unwrap();
-    let big = count_triangles_with(
-        &g,
-        LocalConfig {
-            cores: 2,
-            budget: MemoryBudget::edges(1 << 20),
-            balance: BalanceStrategy::InDegree,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let small = count_triangles_with(
-        &g,
-        LocalConfig {
-            cores: 2,
-            budget: MemoryBudget::edges(256),
-            balance: BalanceStrategy::InDegree,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let run = |edges: usize| {
+        count_triangles_with(
+            &g,
+            LocalConfig {
+                cores: 2,
+                budget: MemoryBudget::edges(edges),
+                balance: BalanceStrategy::InDegree,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    };
+    // Two streamed runs: 2 cores hold c*M = M/2 edges each, so a budget
+    // below |E*| = |E| leaves G* on disk.
+    let m = g.num_edges() as usize;
+    let (big, small) = (run(m / 2), run(256));
+    assert!(big.oriented_base.is_some() && small.oriented_base.is_some());
     assert_eq!(big.triangles, small.triangles);
     assert!(
         small.total_worker_io().bytes_read > big.total_worker_io().bytes_read,
         "smaller memory must cost more I/O"
     );
+    // A budget that holds G* joins in memory: same answer, no I/O.
+    let resident = run(1 << 20);
+    assert!(resident.oriented_base.is_none(), "1 Mi edges hold G*");
+    assert_eq!(resident.triangles, small.triangles);
+    assert_eq!(resident.total_worker_io().total_bytes(), 0);
 }
 
 #[test]
