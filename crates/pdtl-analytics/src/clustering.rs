@@ -15,7 +15,7 @@
 //! holds a triple.
 
 use pdtl_core::sink::TriangleSink;
-use pdtl_graph::{Graph, RankMap};
+use pdtl_graph::Graph;
 
 /// Summary of a clustering analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,20 +48,20 @@ impl VertexCountSink {
         Self(vec![0; n as usize])
     }
 
-    /// The per-vertex counts of a run over the graph ranked by `map`,
-    /// indexed by id: the workers' rank-indexed counters summed into the
-    /// first one's, then moved to id order in place, cycle by cycle of
-    /// the permutation (zeros when no worker ran). No second `n`-vector
-    /// is held beside the workers' counters.
-    pub fn merge(map: &RankMap, sinks: Vec<VertexCountSink>) -> Vec<u64> {
+    /// The per-vertex counts of a run over an oriented graph whose
+    /// rank `r` is vertex `ids[r]`, indexed by id: the workers'
+    /// rank-indexed counters summed into the first one's, then moved to
+    /// id order in place, cycle by cycle of the permutation (zeros when
+    /// no worker ran). No second `n`-vector is held beside the workers'
+    /// counters.
+    pub fn merge(ids: &[u32], sinks: Vec<VertexCountSink>) -> Vec<u64> {
         let mut sinks = sinks.into_iter();
         let Some(VertexCountSink(mut counts)) = sinks.next() else {
-            return vec![0; map.len() as usize];
+            return vec![0; ids.len()];
         };
         for s in sinks {
             counts.iter_mut().zip(s.0).for_each(|(c, x)| *c += x);
         }
-        let ids = map.ids();
         for start in 0..counts.len() {
             if counts[start] & MOVED != 0 {
                 continue;
@@ -259,19 +259,16 @@ mod tests {
                 // Two workers' counters: the run split between them.
                 let half = VertexCountSink(sink.0.iter().map(|c| c / 2).collect());
                 let rest = VertexCountSink(sink.0.iter().map(|c| c - c / 2).collect());
-                let counts = VertexCountSink::merge(&o.map, vec![half, rest]);
+                let counts = VertexCountSink::merge(&o.ids, vec![half, rest]);
                 assert_eq!(counts, want, "{edges}");
-                assert_eq!(VertexCountSink::merge(&o.map, vec![sink]), want);
+                assert_eq!(VertexCountSink::merge(&o.ids, vec![sink]), want);
                 assert_eq!(
                     global_from_counts(&g, &counts).to_bits(),
                     global_clustering(&g, &list).to_bits()
                 );
             }
         }
-        assert_eq!(
-            VertexCountSink::merge(&RankMap::identity(3), Vec::new()),
-            [0; 3]
-        );
+        assert_eq!(VertexCountSink::merge(&[0, 1, 2], Vec::new()), [0; 3]);
     }
 
     #[test]
@@ -285,9 +282,9 @@ mod tests {
             vec![4, 2, 1, 0, 3, 6, 5],
             (0..64).map(|r| (r * 37 + 11) % 64).collect(),
         ] {
-            let map = RankMap::from_rank_to_id(rank_to_id.clone());
-            let by_rank: Vec<u64> = (0..map.len() as u64).map(|r| 10 * r + 1).collect();
-            let counts = VertexCountSink::merge(&map, vec![VertexCountSink(by_rank.clone())]);
+            let by_rank: Vec<u64> = (0..rank_to_id.len() as u64).map(|r| 10 * r + 1).collect();
+            let counts =
+                VertexCountSink::merge(&rank_to_id, vec![VertexCountSink(by_rank.clone())]);
             for (r, &id) in rank_to_id.iter().enumerate() {
                 assert_eq!(counts[id as usize], by_rank[r], "{rank_to_id:?} rank {r}");
             }

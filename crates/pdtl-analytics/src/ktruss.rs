@@ -8,33 +8,30 @@
 //! then repeatedly removes the weakest edge and decrements its
 //! neighbours' supports.
 
-use std::collections::HashMap;
-
 use pdtl_graph::Graph;
 
-/// Result of a truss decomposition.
-#[derive(Debug, Clone)]
+/// Result of a truss decomposition: two vectors over the graph's edges,
+/// each edge once, in lexicographic order of its ends.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrussDecomposition {
-    /// Trussness per edge, keyed by `(u, v)` with `u < v`.
-    pub trussness: HashMap<(u32, u32), u32>,
+    /// The ends `(u, v)` of each edge, `u < v`, ascending.
+    pub ends: Vec<(u32, u32)>,
+    /// The trussness of each edge, in the order of `ends`.
+    pub trussness: Vec<u32>,
 }
 
 impl TrussDecomposition {
     /// The largest k with a non-empty k-truss.
     pub fn max_k(&self) -> u32 {
-        self.trussness.values().copied().max().unwrap_or(0)
+        self.trussness.iter().copied().max().unwrap_or(0)
     }
 
-    /// Edges of the k-truss: those with trussness >= k.
+    /// Edges of the k-truss: those with trussness >= k, ascending.
     pub fn truss_edges(&self, k: u32) -> Vec<(u32, u32)> {
-        let mut edges: Vec<(u32, u32)> = self
-            .trussness
-            .iter()
+        (self.ends.iter().zip(&self.trussness))
             .filter(|&(_, &t)| t >= k)
             .map(|(&e, _)| e)
-            .collect();
-        edges.sort_unstable();
-        edges
+            .collect()
     }
 }
 
@@ -81,12 +78,12 @@ pub fn truss_decomposition(g: &Graph, triangles: &[(u32, u32, u32)]) -> TrussDec
     }
 
     let mut alive = vec![true; m];
-    let mut trussness = HashMap::with_capacity(m);
+    let mut trussness = vec![0u32; m];
     for i in 0..m {
         let e = order[i] as usize;
         let s = support[e];
         let (u, v) = edges.ends[e];
-        trussness.insert((u, v), s + 2);
+        trussness[e] = s + 2;
         alive[e] = false;
         // Walk the shorter list; the other endpoint is a lookup.
         let (a, b) = if g.degree(u) <= g.degree(v) {
@@ -121,12 +118,15 @@ pub fn truss_decomposition(g: &Graph, triangles: &[(u32, u32, u32)]) -> TrussDec
             }
         }
     }
-    TrussDecomposition { trussness }
+    TrussDecomposition {
+        ends: edges.ends,
+        trussness,
+    }
 }
 
-/// The edges of a graph numbered `0..m`, each once as `(u, v)` with
-/// `u < v`, and found again by its ends through the graph's sorted
-/// adjacency.
+/// The edges of a graph numbered `0..m` in lexicographic order, each
+/// once as `(u, v)` with `u < v`, and found again by its ends through
+/// the graph's sorted adjacency.
 struct EdgeIndex<'g> {
     g: &'g Graph,
     /// The ends of each edge.
@@ -184,6 +184,8 @@ pub fn max_truss(g: &Graph, triangles: &[(u32, u32, u32)]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use pdtl_graph::gen::classic::{complete, cycle, grid, wheel};
     use pdtl_graph::gen::rmat::rmat;
     use pdtl_graph::verify::{triangle_count, triangle_list};
@@ -216,7 +218,7 @@ mod tests {
             adj[v as usize].insert(u);
         }
 
-        let mut trussness = HashMap::with_capacity(support.len());
+        let mut trussness: HashMap<(u32, u32), u32> = HashMap::with_capacity(support.len());
         let mut remaining: Vec<((u32, u32), u32)> = support.into_iter().collect();
         let mut k = 2u32;
         while !remaining.is_empty() {
@@ -241,7 +243,14 @@ mod tests {
             }
             k += 1;
         }
-        TrussDecomposition { trussness }
+        let ends: Vec<(u32, u32)> = g.edges().collect();
+        let trussness = ends.iter().map(|e| trussness[e]).collect();
+        TrussDecomposition { ends, trussness }
+    }
+
+    /// The trussness of edge `(u, v)`, `u < v`.
+    fn trussness_of(d: &TrussDecomposition, u: u32, v: u32) -> u32 {
+        d.trussness[d.ends.binary_search(&(u, v)).unwrap()]
     }
 
     #[test]
@@ -255,11 +264,13 @@ mod tests {
         graphs.push(Graph::from_edges(5, &[]).unwrap());
         for g in &graphs {
             let list = triangle_list(g);
+            // Edge for edge: the same ends in the same order, and the
+            // same trussness for each.
             let got = truss_decomposition(g, &list);
-            assert_eq!(got.trussness, reference_truss(g, &list).trussness);
+            assert_eq!(got, reference_truss(g, &list));
             // Any vertex order within the triples.
             let turned: Vec<_> = list.iter().map(|&(a, b, c)| (c, a, b)).collect();
-            assert_eq!(truss_decomposition(g, &turned).trussness, got.trussness);
+            assert_eq!(truss_decomposition(g, &turned), got);
         }
     }
 
@@ -269,7 +280,7 @@ mod tests {
         let g = complete(6).unwrap();
         let d = truss_decomposition(&g, &triangle_list(&g));
         assert_eq!(d.max_k(), 6);
-        assert!(d.trussness.values().all(|&t| t == 6));
+        assert!(d.trussness.iter().all(|&t| t == 6));
         assert_eq!(d.truss_edges(6).len(), 15);
         assert!(d.truss_edges(7).is_empty());
     }
@@ -288,10 +299,10 @@ mod tests {
         // tail 2.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]).unwrap();
         let d = truss_decomposition(&g, &triangle_list(&g));
-        assert_eq!(d.trussness[&(0, 1)], 3);
-        assert_eq!(d.trussness[&(1, 2)], 3);
-        assert_eq!(d.trussness[&(0, 2)], 3);
-        assert_eq!(d.trussness[&(2, 3)], 2);
+        assert_eq!(trussness_of(&d, 0, 1), 3);
+        assert_eq!(trussness_of(&d, 1, 2), 3);
+        assert_eq!(trussness_of(&d, 0, 2), 3);
+        assert_eq!(trussness_of(&d, 2, 3), 2);
         assert_eq!(d.truss_edges(3), vec![(0, 1), (0, 2), (1, 2)]);
     }
 
@@ -310,7 +321,7 @@ mod tests {
         let d = truss_decomposition(&g, &triangle_list(&g));
         assert_eq!(d.max_k(), 4);
         assert_eq!(d.truss_edges(4).len(), 12);
-        assert_eq!(d.trussness[&(0, 4)], 2);
+        assert_eq!(trussness_of(&d, 0, 4), 2);
     }
 
     #[test]
@@ -350,6 +361,7 @@ mod tests {
         let g = rmat(6, 112).unwrap();
         let d = truss_decomposition(&g, &triangle_list(&g));
         assert_eq!(d.trussness.len() as u64, g.num_edges());
+        assert_eq!(d.ends, g.edges().collect::<Vec<_>>());
         let _ = triangle_count(&g);
     }
 }

@@ -710,7 +710,7 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
         QueryOperation::Clustering => {
             let make_sink = || VertexCountSink::new(entry.vertices);
             let (report, sinks) = run_mgt(shared, &entry, &opts, cores, make_sink)?;
-            let counts = VertexCountSink::merge(&entry.replica(opts.codec)?.map, sinks);
+            let counts = VertexCountSink::merge(&entry.replica(opts.codec)?.ids, sinks);
             let global = clustering::global_from_degrees(&entry.degrees, &counts);
             let trans = clustering::transitivity_from_triplets(entry.triplets, report.triangles);
             Ok(reply_from(

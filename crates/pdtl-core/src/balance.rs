@@ -617,7 +617,7 @@ pub fn split_ranges(
             (ranges, offsets.len() as u64 + evals)
         }
     };
-    (ranges, phase_report(start, work + parts as u64, 1))
+    (ranges, phase_report(start, work + parts as u64))
 }
 
 /// Plan the ranges of `parts` workers over `og` at `budget` under
@@ -658,13 +658,7 @@ pub(crate) fn plan_layout(
         .map(|r| (r, model.range_cost(r)))
         .collect();
     let work = g.offsets.len() as u64 + evals + parts as u64;
-    // `T` is built beside the prefix arrays, for more than one part.
-    let threads = if parts > 1 {
-        par::host_threads().min(2)
-    } else {
-        1
-    };
-    (plan, phase_report(start, work, threads))
+    (plan, phase_report(start, work))
 }
 
 /// What [`plan_ranges`] predicts for `range` of `og` at `budget`.
@@ -672,7 +666,7 @@ pub fn predicted_cost(og: &OrientedGraph, budget: MemoryBudget, range: EdgeRange
     Model::of_graph(og.layout(), og.disk.codec(), budget, 1).range_cost(range)
 }
 
-fn phase_report(start: Instant, cpu_ops: u64, threads: usize) -> PhaseReport {
+fn phase_report(start: Instant, cpu_ops: u64) -> PhaseReport {
     PhaseReport {
         breakdown: TimeBreakdown {
             wall: start.elapsed(),
@@ -680,7 +674,6 @@ fn phase_report(start: Instant, cpu_ops: u64, threads: usize) -> PhaseReport {
         },
         io: Default::default(),
         cpu_ops,
-        threads,
     }
 }
 
@@ -1132,10 +1125,8 @@ mod tests {
                     [(whole, predicted_cost(&og, budget, whole))],
                     "{case}"
                 );
-                // The model's tables and one prediction: no cut evaluated,
-                // and no second thread.
+                // The model's tables and one prediction: no cut evaluated.
                 assert_eq!(report.cpu_ops, og.offsets.len() as u64 + 1, "{case}");
-                assert_eq!(report.threads, 1, "{case}");
             }
         }
     }

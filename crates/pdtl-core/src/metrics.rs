@@ -22,8 +22,6 @@ pub struct PhaseReport {
     pub io: IoSnapshot,
     /// Elementary CPU operations counted by the phase.
     pub cpu_ops: u64,
-    /// Threads the phase ran on.
-    pub threads: usize,
 }
 
 /// Measurements of one MGT worker (one logical processor).
@@ -159,7 +157,6 @@ mod tests {
             triangles: 12,
             orientation: PhaseReport {
                 cpu_ops: 1_000_000,
-                threads: 2,
                 ..Default::default()
             },
             balancing: PhaseReport::default(),

@@ -123,10 +123,10 @@
 //! position, which belongs to exactly one processor's range and is
 //! resident in exactly one chunk.
 //! Triangles are translated back to original ids at the sink boundary
-//! through the graph's [`RankMap`](pdtl_graph::RankMap), so the output
-//! contract (original ids, cone vertex first) is unchanged; a sink that
-//! counts per vertex is lent rank-indexed counters and translates them
-//! through the same map once, after the run.
+//! through the graph's rank → id table (`ids`), so the output contract
+//! (original ids, cone vertex first) is unchanged; a sink that counts
+//! per vertex is lent rank-indexed counters and translates them through
+//! the same table once, after the run.
 //!
 //! Correctness does **not** depend on the small-degree assumption
 //! `d* ≤ cM` — a list split across more than two chunks still has each
@@ -1143,7 +1143,7 @@ mod tests {
     /// segment that are also in `N(u)` above `v` — what a sorted merge
     /// of `N(u)`'s suffix with the segment visits, in its order.
     fn reference_listing(o: &OrientedCsr, chunk: u64) -> Vec<(u32, u32, u32)> {
-        let ids = o.map.ids();
+        let ids = &o.ids;
         let mut out = Vec::new();
         let mut pos = 0u64;
         while pos < o.m_star() {
@@ -1175,7 +1175,7 @@ mod tests {
             (barabasi_albert(200, 6, 3).unwrap(), "ba200"),
         ] {
             let o = orient_csr(&g);
-            let (n, ids) = (o.num_vertices(), o.map.ids());
+            let (n, ids) = (o.num_vertices(), &o.ids);
             assert_ne!(n % 64, 0, "{tag}: the last mark word is partial");
             assert!(o.d_star_max >= 7, "{tag}: lists span >= 3 chunks of 1..=3");
             let (og, _) = disk_oriented(&g, tag);

@@ -9,8 +9,8 @@
 //! already holds: when `|E*| = adj_len / 2 ≤ P · c·M`, the chunks its
 //! workers may hold cover all of `G*` and each worker makes one chunk
 //! iteration, so streaming `G*` back from disk buys nothing. Such a run
-//! is **resident**: orientation stores `G*` into one array
-//! (`orient_resident`), the planner plans it as a raw graph, and the
+//! is **resident**: orientation stores `G*` into the one array of an
+//! [`OrientedCsr`] (`orient_resident`), the planner plans it as a raw graph, and the
 //! workers run the same MGT loop over it, lent chunks and out-lists
 //! instead of reading them. Any other run writes `G*` under
 //! `work_dir/oriented` and streams it, as the paper does. Both count
@@ -35,7 +35,7 @@ use crate::balance::{plan_layout, plan_ranges, BalanceStrategy, EdgeRange, Predi
 use crate::error::{CoreError, Result};
 use crate::metrics::{RunReport, WorkerReport};
 use crate::mgt::{mgt_count_range_opt, mgt_count_resident, MgtOptions};
-use crate::orient::{orient_resident, orient_to_disk_with, OrientedGraph, ResidentGraph};
+use crate::orient::{orient_resident, orient_to_disk_with, OrientedCsr, OrientedGraph, Sketches};
 use crate::sink::{CollectSink, CountSink, FileSink, TriangleSink};
 
 /// Most worker threads one run may start: [`run_workers`] starts one
@@ -219,8 +219,8 @@ impl LocalRunner {
         // disk; phases 2–3 on what it produced.
         let (orientation, (mut report, sinks)) = match store {
             Store::Resident => {
-                let (rg, orientation) = orient_resident(input, cores, &master_stats)?;
-                (orientation, self.run_resident(&rg, make_sink)?)
+                let (o, sketches, orientation) = orient_resident(input, cores, &master_stats)?;
+                (orientation, self.run_resident(&o, &sketches, make_sink)?)
             }
             Store::Disk => {
                 let base = work_dir.join("oriented");
@@ -275,17 +275,22 @@ impl LocalRunner {
     /// Phases 2–3 against a resident `G*`: the same planner, planning it
     /// as a raw graph, and the same workers, each lent its chunks and
     /// out-lists from the array instead of reading them.
-    fn run_resident<S, F>(&self, rg: &ResidentGraph, make_sink: F) -> Result<(RunReport, Vec<S>)>
+    fn run_resident<S, F>(
+        &self,
+        o: &OrientedCsr,
+        (buckets, sketch): &Sketches,
+        make_sink: F,
+    ) -> Result<(RunReport, Vec<S>)>
     where
         S: TriangleSink + Send,
         F: FnMut() -> S,
     {
         let wall_start = Instant::now();
         let (budget, cores, balance) = (self.config.budget, self.config.cores, self.config.balance);
-        let layout = rg.layout();
+        let layout = o.layout(buckets, sketch);
         let (plan, balancing) = plan_layout(layout, Codec::Raw, budget, cores, balance);
         let worker = |(range, budget, opts), sink: &mut S| {
-            mgt_count_resident(layout, &rg.adj, range, budget, sink, opts)
+            mgt_count_resident(layout, &o.adj, range, budget, sink, opts)
         };
         let (workers, sinks) = fan_out(&self.jobs(&plan), make_sink, worker)?;
         Ok((assemble(plan, balancing, workers, wall_start, None), sinks))

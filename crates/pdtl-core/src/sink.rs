@@ -41,8 +41,8 @@ pub trait TriangleSink {
     /// `w`'s mark byte to `w`, the out-list's total to `u` — and calls
     /// neither [`wants_triples`](Self::wants_triples) nor
     /// [`emit`](Self::emit). The counters are in rank space; the sink
-    /// translates them to ids once, through the graph's `RankMap`,
-    /// when the run is done.
+    /// translates them to ids once, through the graph's rank → id
+    /// table, when the run is done.
     #[inline(always)]
     fn vertex_counts(&mut self) -> Option<&mut [u64]> {
         None

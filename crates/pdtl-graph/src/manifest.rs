@@ -193,32 +193,7 @@ impl Manifest {
     pub fn verify_quick(&self, base: &Path) -> Result<()> {
         for e in &self.entries {
             let p = suffixed(base, e.ext);
-            let actual = match std::fs::metadata(&p) {
-                Ok(md) => md.len(),
-                Err(_) => {
-                    return Err(GraphError::Truncated {
-                        path: p,
-                        expected: e.len,
-                        actual: 0,
-                    })
-                }
-            };
-            if actual < e.len {
-                return Err(GraphError::Truncated {
-                    path: p,
-                    expected: e.len,
-                    actual,
-                });
-            }
-            if actual > e.len {
-                return Err(GraphError::Corrupt {
-                    path: p,
-                    detail: format!(
-                        "file grew past the manifest ({} bytes recorded, {actual} found)",
-                        e.len
-                    ),
-                });
-            }
+            check_len(&p, e)?;
             if e.len <= QUICK_DIGEST_MAX {
                 self.check_digest(&p, e)?;
             }
@@ -226,11 +201,13 @@ impl Manifest {
         Ok(())
     }
 
-    /// Full tier: one digest pass over every covered file. Catches
-    /// anything quick verification can — plus bit flips in large
-    /// payloads.
+    /// Full tier: every recorded length, then one digest pass over
+    /// every covered file, each digested once. Catches anything quick
+    /// verification can — plus bit flips in large payloads.
     pub fn verify_full(&self, base: &Path) -> Result<VerifyReport> {
-        self.verify_quick(base)?;
+        for e in &self.entries {
+            check_len(&suffixed(base, e.ext), e)?;
+        }
         let mut bytes = 0u64;
         for e in &self.entries {
             let p = suffixed(base, e.ext);
@@ -272,6 +249,30 @@ impl Manifest {
         bytes.extend(self_crc.to_le_bytes());
         bytes
     }
+}
+
+/// The file at `p` has exactly the length `e` records: a missing or
+/// shorter file is truncated, a longer one corrupt.
+fn check_len(p: &Path, e: &ManifestEntry) -> Result<()> {
+    let truncated = |actual| GraphError::Truncated {
+        path: p.to_path_buf(),
+        expected: e.len,
+        actual,
+    };
+    let actual = std::fs::metadata(p).map_err(|_| truncated(0))?.len();
+    if actual < e.len {
+        return Err(truncated(actual));
+    }
+    if actual > e.len {
+        return Err(GraphError::Corrupt {
+            path: p.to_path_buf(),
+            detail: format!(
+                "file grew past the manifest ({} bytes recorded, {actual} found)",
+                e.len
+            ),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

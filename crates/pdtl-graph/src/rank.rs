@@ -10,8 +10,10 @@
 //! already makes to hold the degree array in memory during orientation.
 //!
 //! [`RankMap`] carries both directions (`rank → original id` and
-//! `original id → rank`) and round-trips through a flat `u32` file
-//! (`base.map`, rank order) so a replicated oriented graph ships its
+//! `original id → rank`) while orientation relabels the edges. Once
+//! that is done only the forward table is kept ([`RankMap::into_ids`]):
+//! it round-trips through a flat `u32` file (`base.map`, rank order,
+//! read back by [`read_ids`]) so a replicated oriented graph ships its
 //! mapping alongside `.deg`/`.adj`.
 
 use std::path::Path;
@@ -53,26 +55,12 @@ impl RankMap {
             bucket[i] += bucket[i - 1];
         }
         let mut rank_to_id = vec![0u32; n];
+        let mut id_to_rank = vec![0u32; n];
         for (id, &d) in degrees.iter().enumerate() {
-            rank_to_id[bucket[d as usize] as usize] = id as u32;
+            let r = bucket[d as usize];
+            rank_to_id[r as usize] = id as u32;
+            id_to_rank[id] = r;
             bucket[d as usize] += 1;
-        }
-        Self::from_rank_to_id(rank_to_id)
-    }
-
-    /// The identity map over `n` vertices (rank = id).
-    pub fn identity(n: u32) -> Self {
-        Self {
-            rank_to_id: (0..n).collect(),
-            id_to_rank: (0..n).collect(),
-        }
-    }
-
-    /// Rebuild from the forward direction (e.g. after reading `.map`).
-    pub fn from_rank_to_id(rank_to_id: Vec<u32>) -> Self {
-        let mut id_to_rank = vec![0u32; rank_to_id.len()];
-        for (r, &v) in rank_to_id.iter().enumerate() {
-            id_to_rank[v as usize] = r as u32;
         }
         Self {
             rank_to_id,
@@ -87,26 +75,10 @@ impl RankMap {
         self.rank_to_id
     }
 
-    /// Number of vertices.
-    pub fn len(&self) -> u32 {
-        self.rank_to_id.len() as u32
-    }
-
-    /// True when the map covers no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.rank_to_id.is_empty()
-    }
-
     /// Original id of the vertex at `rank`.
     #[inline]
     pub fn to_id(&self, rank: u32) -> u32 {
         self.rank_to_id[rank as usize]
-    }
-
-    /// Rank of original vertex `id`.
-    #[inline]
-    pub fn to_rank(&self, id: u32) -> u32 {
-        self.id_to_rank[id as usize]
     }
 
     /// The full `rank → id` table (what the sink boundary indexes per
@@ -129,29 +101,29 @@ impl RankMap {
         w.finish()?;
         Ok(())
     }
+}
 
-    /// Read a map previously written with [`write`](Self::write),
-    /// validating that the file holds a permutation of `0..n` (a
-    /// truncated or corrupt replica fails with a malformed-file error
-    /// instead of panicking later at the sink boundary).
-    pub fn read(path: impl AsRef<Path>, stats: &Arc<IoStats>) -> Result<Self> {
-        let path = path.as_ref();
-        let mut r = U32Reader::open(path, stats.clone())?;
-        let rank_to_id = r.read_all()?;
-        let n = rank_to_id.len();
-        let mut seen = vec![false; n];
-        for &v in &rank_to_id {
-            if (v as usize) >= n || seen[v as usize] {
-                return Err(pdtl_io::IoError::malformed(
-                    path,
-                    format!("rank map is not a permutation of 0..{n} (entry {v})"),
-                )
-                .into());
-            }
-            seen[v as usize] = true;
+/// Read the rank → id table a [`RankMap::write`] stored, validating
+/// that the file holds a permutation of `0..n` (a truncated or corrupt
+/// replica fails with a malformed-file error instead of panicking later
+/// at the sink boundary). No id → rank table is built.
+pub fn read_ids(path: impl AsRef<Path>, stats: &Arc<IoStats>) -> Result<Vec<u32>> {
+    let path = path.as_ref();
+    let mut r = U32Reader::open(path, stats.clone())?;
+    let ids = r.read_all()?;
+    let n = ids.len();
+    let mut seen = vec![false; n];
+    for &v in &ids {
+        if (v as usize) >= n || seen[v as usize] {
+            return Err(pdtl_io::IoError::malformed(
+                path,
+                format!("rank map is not a permutation of 0..{n} (entry {v})"),
+            )
+            .into());
         }
-        Ok(Self::from_rank_to_id(rank_to_id))
+        seen[v as usize] = true;
     }
+    Ok(ids)
 }
 
 #[cfg(test)]
@@ -163,8 +135,7 @@ mod tests {
         // degrees: v0=3, v1=1, v2=1, v3=2
         let m = RankMap::by_degree(&[3, 1, 1, 2]);
         assert_eq!(m.ids(), &[1, 2, 3, 0]);
-        assert_eq!(m.to_rank(0), 3);
-        assert_eq!(m.to_rank(1), 0);
+        assert_eq!(m.ranks(), &[3, 0, 1, 2]);
         assert_eq!(m.to_id(1), 2);
     }
 
@@ -179,7 +150,8 @@ mod tests {
         for u in 0..degrees.len() as u32 {
             for v in 0..degrees.len() as u32 {
                 if u != v {
-                    assert_eq!(m.to_rank(u) < m.to_rank(v), precedes(u, v), "{u} vs {v}");
+                    let (ru, rv) = (m.ranks()[u as usize], m.ranks()[v as usize]);
+                    assert_eq!(ru < rv, precedes(u, v), "{u} vs {v}");
                 }
             }
         }
@@ -188,21 +160,11 @@ mod tests {
     #[test]
     fn is_a_bijection() {
         let m = RankMap::by_degree(&[4, 4, 0, 2, 2, 7]);
-        assert_eq!(m.len(), 6);
+        assert_eq!((m.ids().len(), m.ranks().len()), (6, 6));
         for v in 0..6 {
-            assert_eq!(m.to_id(m.to_rank(v)), v);
-            assert_eq!(m.to_rank(m.to_id(v)), v);
+            assert_eq!(m.to_id(m.ranks()[v as usize]), v);
+            assert_eq!(m.ranks()[m.to_id(v) as usize], v);
         }
-    }
-
-    #[test]
-    fn identity_maps_to_self() {
-        let m = RankMap::identity(4);
-        for v in 0..4 {
-            assert_eq!(m.to_id(v), v);
-            assert_eq!(m.to_rank(v), v);
-        }
-        assert!(RankMap::identity(0).is_empty());
     }
 
     #[test]
@@ -215,14 +177,14 @@ mod tests {
         let mut w = U32Writer::create(&p, stats.clone()).unwrap();
         w.write_all(&[0, 1, 7]).unwrap();
         w.finish().unwrap();
-        let err = RankMap::read(&p, &stats).unwrap_err();
+        let err = read_ids(&p, &stats).unwrap_err();
         assert!(err.to_string().contains("permutation"), "{err}");
         // duplicate entry (a truncated copy re-padded with zeros)
         let p = dir.join(format!("bad-dup-{}", std::process::id()));
         let mut w = U32Writer::create(&p, stats.clone()).unwrap();
         w.write_all(&[0, 1, 0]).unwrap();
         w.finish().unwrap();
-        assert!(RankMap::read(&p, &stats).is_err());
+        assert!(read_ids(&p, &stats).is_err());
     }
 
     #[test]
@@ -233,8 +195,8 @@ mod tests {
         let stats = IoStats::new();
         let m = RankMap::by_degree(&[9, 0, 4, 4, 1]);
         m.write(&path, &stats).unwrap();
-        let back = RankMap::read(&path, &stats).unwrap();
-        assert_eq!(m, back);
+        let back = read_ids(&path, &stats).unwrap();
+        assert_eq!(back, m.ids());
         assert_eq!(stats.bytes_written(), 5 * 4);
     }
 }

@@ -26,9 +26,11 @@
 //!   iterations, predicted share of the cost, wall, I/O wait; `count`
 //!   adds the entries its scans read beside the predicted number and
 //!   the share of the lists read that the join used — then
-//!   `imbalance: <max/mean worker wall>`; `--memory` must be ≥ 1;
+//!   `imbalance: <max/mean worker wall>`; `--memory` must be ≥ 1 and
+//!   defaults to the library's budget (`MemoryBudget::default()`, 64 Mi
+//!   edges);
 //! * `list <base> <out.bin> [--cores p]` — triangle listing to file, at
-//!   the default budget; prints where `G*` was kept, as `count` does;
+//!   that default budget; prints where `G*` was kept, as `count` does;
 //! * `verify <base>` — full integrity verification: open the graph
 //!   (structural + quick manifest checks) and digest every file
 //!   against the `.mft` manifest. Graphs written before the integrity
@@ -254,6 +256,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .ok_or(format!("bad --backend: {v:?} (blocking|prefetch|mmap)")),
             }
         };
+    // `count` and `cluster` default to the library's budget, the one
+    // `list` always runs at.
+    let default_memory = NonZeroUsize::new(MemoryBudget::default().edges).unwrap();
     let get_codec = |flags: &std::collections::HashMap<String, String>| -> Result<Codec, String> {
         match flags.get("codec") {
             None => Ok(Codec::default()),
@@ -307,7 +312,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "count" => Ok(Command::Count {
             base: need(1, "input base")?,
             cores: get_num(&flags, "cores", 4)?,
-            memory: get_num(&flags, "memory", NonZeroUsize::new(1 << 20).unwrap())?.get(),
+            memory: get_num(&flags, "memory", default_memory)?.get(),
             naive: bools.contains("naive"),
             backend: get_backend(&flags)?,
             codec: get_codec(&flags)?,
@@ -316,7 +321,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             base: need(1, "input base")?,
             nodes: get_num(&flags, "nodes", 2)?,
             cores: get_num(&flags, "cores", 2)?,
-            memory: get_num(&flags, "memory", NonZeroUsize::new(1 << 20).unwrap())?.get(),
+            memory: get_num(&flags, "memory", default_memory)?.get(),
             tcp: bools.contains("tcp"),
             backend: get_backend(&flags)?,
             fault: match flags.get("fault") {
@@ -904,13 +909,27 @@ mod tests {
                 base: "/tmp/g".into(),
                 nodes: 2,
                 cores: 2,
-                memory: 1 << 20,
+                memory: MemoryBudget::default().edges,
                 tcp: false,
                 backend: IoBackend::Prefetch,
                 fault: FaultPlan::none(),
                 codec: Codec::Raw
             }
         );
+    }
+
+    #[test]
+    fn count_cluster_and_list_default_to_one_budget() {
+        // Without `--memory`, `count` and `cluster` make their store
+        // decision at `MemoryBudget::default()`, the budget `list`
+        // (which takes no `--memory`) always runs at.
+        let memory = |line: &str| match parse(&args(line)).unwrap() {
+            Command::Count { memory, .. } | Command::Cluster { memory, .. } => memory,
+            other => panic!("{other:?}"),
+        };
+        let list = MemoryBudget::default();
+        assert_eq!(MemoryBudget::edges(memory("count /tmp/g")), list);
+        assert_eq!(MemoryBudget::edges(memory("cluster /tmp/g")), list);
     }
 
     #[test]
@@ -922,7 +941,7 @@ mod tests {
                 base: "/tmp/g".into(),
                 nodes: 2,
                 cores: 2,
-                memory: 1 << 20,
+                memory: MemoryBudget::default().edges,
                 tcp: true,
                 backend: IoBackend::Prefetch,
                 fault: FaultPlan::parse("seed=42;kill=1").unwrap(),

@@ -112,7 +112,7 @@ fn a_sink_that_lends_counters_is_handed_no_triple() {
         let mut counts = vec![0; n as usize];
         for sink in sinks {
             for (r, c) in sink.0.into_iter().enumerate() {
-                counts[og.map.to_id(r as u32) as usize] += c;
+                counts[og.ids[r] as usize] += c;
             }
         }
         assert_eq!(counts, want, "{cores} cores");
@@ -199,7 +199,7 @@ fn a_per_vertex_sink_changes_only_what_is_counted() {
         assert_eq!(got, want, "{case}");
         let listing = CollectSink::concat(collected);
         assert_eq!(listing.len() as u64, listed.triangles, "{case}");
-        let counts = VertexCountSink::merge(&og.map, sinks);
+        let counts = VertexCountSink::merge(&og.ids, sinks);
         assert_eq!(counts, per_vertex_counts(n, &listing), "{case}");
 
         // The in-memory engine shares the join: one range, same counts.
@@ -209,7 +209,7 @@ fn a_per_vertex_sink_changes_only_what_is_counted() {
             let mut sink = VertexCountSink::new(n);
             let got = mgt_in_memory(&o, budget, &mut sink);
             assert_eq!(got, mgt_in_memory(&o, budget, &mut CountSink), "{case}");
-            assert_eq!(VertexCountSink::merge(&o.map, vec![sink]), counts, "{case}");
+            assert_eq!(VertexCountSink::merge(&o.ids, vec![sink]), counts, "{case}");
         }
     });
     assert_eq!(cases, 4 * 2 * 3 * 3);

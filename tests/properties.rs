@@ -90,7 +90,7 @@ proptest! {
         // merge it replaced: per chunk, per u, per resident v ∈ N(u),
         // N(u)'s suffix after v merged with v's resident segment.
         let o = orient_csr(&g);
-        let ids = o.map.ids();
+        let ids = &o.ids;
         let budget = MemoryBudget::edges(budget);
         let chunk = budget.chunk_edges() as u64;
         let mut expected = Vec::new();
@@ -151,6 +151,11 @@ proptest! {
     ) {
         let o = orient_csr(&g);
         let ins = o.in_degrees();
+        // The id → rank table, which the oriented graph does not keep.
+        let mut rank = vec![0u32; o.ids.len()];
+        for (r, &id) in o.ids.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
         let (ranges, _) = split_ranges(&o.offsets, &ins, parts, BalanceStrategy::InDegree);
         // emulate per-range MGT by filtering the full listing on pivot
         // position ownership: sum of parts == whole
@@ -168,7 +173,7 @@ proptest! {
                 .filter(|&&(_, v, w)| {
                     // emitted triples are original ids; pivot positions
                     // live in rank space
-                    let (rv, rw) = (o.map.to_rank(v), o.map.to_rank(w));
+                    let (rv, rw) = (rank[v as usize], rank[w as usize]);
                     let vi = o.offsets[rv as usize];
                     let idx = o.out(rv).binary_search(&rw).unwrap() as u64 + vi;
                     idx >= range.start && idx < range.end

@@ -103,7 +103,7 @@ fn every_sink_answers_exactly_and_only_at_the_threshold_stays_resident() {
         let (t, n) = (triangle_count(&g), g.num_vertices());
         let listing = sorted(&triangle_list(&g));
         let per_vertex = per_vertex_counts(n, &triangle_list(&g));
-        let map = RankMap::by_degree(&g.degrees());
+        let ids = RankMap::by_degree(&g.degrees()).into_ids();
         for cores in 1..=3 {
             let at = threshold(g.num_edges(), cores);
             for (budget, resident) in [(at - 1, false), (at, true), (at + 1, true)] {
@@ -129,7 +129,7 @@ fn every_sink_answers_exactly_and_only_at_the_threshold_stays_resident() {
                     .run_with_sinks(&input, &work("vertex"), || VertexCountSink::new(n))
                     .unwrap();
                 assert_eq!(
-                    VertexCountSink::merge(&map, sinks),
+                    VertexCountSink::merge(&ids, sinks),
                     per_vertex,
                     "{case} vertex"
                 );
