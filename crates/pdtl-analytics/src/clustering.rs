@@ -49,12 +49,12 @@ impl VertexCountSink {
     }
 
     /// The per-vertex counts of a run over an oriented graph whose
-    /// rank `r` is vertex `ids[r]`, indexed by id: the workers'
+    /// rank `r` is vertex `ids[r]`, indexed by id: the cores'
     /// rank-indexed counters summed into the first one's, then moved to
     /// id order in place, cycle by cycle of the permutation (zeros when
-    /// no worker ran). No second `n`-vector is held beside the workers'
+    /// no core ran). No second `n`-vector is held beside the cores'
     /// counters.
-    pub fn merge(ids: &[u32], sinks: Vec<VertexCountSink>) -> Vec<u64> {
+    pub fn merge(ids: &[u32], sinks: impl IntoIterator<Item = VertexCountSink>) -> Vec<u64> {
         let mut sinks = sinks.into_iter();
         let Some(VertexCountSink(mut counts)) = sinks.next() else {
             return vec![0; ids.len()];

@@ -21,7 +21,7 @@ use std::time::Duration;
 use pdtl_core::balance::EdgeRange;
 use pdtl_core::mgt::MgtOptions;
 use pdtl_core::orient::OrientedGraph;
-use pdtl_core::sink::{CollectSink, CountSink, TriangleSink};
+use pdtl_core::sink::{CollectSink, CoreSink, CountSink, TriangleSink};
 use pdtl_core::WorkerReport;
 use pdtl_io::{IoStats, MemoryBudget};
 
@@ -172,16 +172,17 @@ fn serve_one<T: Transport>(
     Ok(())
 }
 
-/// Run one worker per config over the replica at `graph_base`, each
-/// with its own `make_sink()` sink, through the engine's shared fan-out
-/// ([`pdtl_core::run_workers`]); returns the per-worker summaries and
-/// the sinks, in config order. A config asking for an unpruned scan is
-/// refused: the engine has no such scan.
+/// Run every config's range over the replica at `graph_base` on one
+/// core per config, each core with its own `make_sink()` sink, through
+/// the engine's shared fan-out ([`pdtl_core::run_workers`]); returns the
+/// per-range summaries in config order and each core's sink with the
+/// ranges it ran. A config asking for an unpruned scan is refused: the
+/// engine has no such scan.
 pub fn run_workers<S: TriangleSink + Send>(
     graph_base: &str,
     configs: &[WorkerConfig],
     make_sink: impl Fn() -> S,
-) -> Result<(Vec<WorkerSummary>, Vec<S>)> {
+) -> Result<(Vec<WorkerSummary>, Vec<CoreSink<S>>)> {
     if configs.iter().any(|cfg| !cfg.scan_pruning) {
         return Err(ClusterError::Config(
             "`scan_pruning: false` cannot run: scan pruning is part of the engine".into(),
@@ -189,8 +190,8 @@ pub fn run_workers<S: TriangleSink + Send>(
     }
     let og = OrientedGraph::open(graph_base, &IoStats::new())?;
     let jobs: Vec<_> = configs.iter().map(worker_job).collect();
-    let (reports, sinks) = pdtl_core::run_workers(&og, &jobs, make_sink)?;
-    Ok((reports.iter().map(summarize).collect(), sinks))
+    let fan = pdtl_core::run_workers(&og, &jobs, make_sink)?;
+    Ok((fan.ranges.iter().map(summarize).collect(), fan.sinks))
 }
 
 /// What a wire [`WorkerConfig`] asks the engine to run.

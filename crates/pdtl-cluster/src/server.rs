@@ -43,7 +43,7 @@ use pdtl_analytics::clustering::{self, VertexCountSink};
 use pdtl_analytics::ktruss;
 use pdtl_core::mgt::MgtOptions;
 use pdtl_core::orient::{orient_to_disk_with, OrientedGraph};
-use pdtl_core::sink::{CollectSink, CountSink, LimitSink, TriangleSink};
+use pdtl_core::sink::{CollectSink, CoreSink, CountSink, LimitSink, TriangleSink};
 use pdtl_core::{BalanceStrategy, LocalConfig, LocalRunner, RunReport, ScratchDir};
 use pdtl_graph::DiskGraph;
 use pdtl_io::{BudgetLedger, Codec, IoStats, MemoryBudget};
@@ -710,6 +710,7 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
         QueryOperation::Clustering => {
             let make_sink = || VertexCountSink::new(entry.vertices);
             let (report, sinks) = run_mgt(shared, &entry, &opts, cores, make_sink)?;
+            let sinks = sinks.into_iter().map(|core| core.sink);
             let counts = VertexCountSink::merge(&entry.replica(opts.codec)?.ids, sinks);
             let global = clustering::global_from_degrees(&entry.degrees, &counts);
             let trans = clustering::transitivity_from_triplets(entry.triplets, report.triangles);
@@ -782,22 +783,22 @@ fn reply_from(
         triangles: report.triangles,
         value_bits,
         aux,
-        workers: report.workers.iter().map(summarize).collect(),
+        workers: report.ranges.iter().map(summarize).collect(),
         triples,
     }
 }
 
 /// One MGT run against the catalog's warm oriented replica for the
 /// query's codec, with the query's own backend/budget/latency knobs and
-/// one `make_sink()` sink per worker; returns the report and the sinks
-/// in worker order.
+/// one `make_sink()` sink per core; returns the report and the sinks in
+/// core order, each with the ranges its core ran.
 fn run_mgt<S: TriangleSink + Send>(
     shared: &Shared,
     entry: &CatalogEntry,
     opts: &QueryOptions,
     cores: usize,
     make_sink: impl FnMut() -> S,
-) -> std::result::Result<(RunReport, Vec<S>), String> {
+) -> std::result::Result<(RunReport, Vec<CoreSink<S>>), String> {
     let og = entry.replica(opts.codec)?;
     let runner = LocalRunner::new(LocalConfig {
         cores,

@@ -135,7 +135,7 @@ use pdtl_io::{Codec, MemoryBudget, TimeBreakdown};
 use std::time::Instant;
 
 /// A contiguous half-open range of oriented adjacency positions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EdgeRange {
     /// First position (inclusive).
     pub start: u64,

@@ -7,12 +7,13 @@
 //!    only when `u ≺ v`. The result `G*` is a DAG with `|E*| = |E|` and is
 //!    computed sequentially or across all cores (Figure 2).
 //! 2. **Load balancing** ([`balance`]): split the oriented adjacency into
-//!    one *contiguous* range of pivot-edge positions per logical
-//!    processor, either naively (equal edges) or by predicted cost:
-//!    post-orientation in-degrees (Section IV-B1, Figure 9) plus the
-//!    scan each chunk iteration repeats.
-//! 3. **MGT** ([`mgt`]): each processor runs the modified Massive Graph
-//!    Triangulation engine (Algorithm 2) over its range: load `Θ(cM)`
+//!    *contiguous* ranges of pivot-edge positions — one per logical
+//!    processor of a cluster, a few per core that the cores of one
+//!    machine claim ([`runner`]) — either naively (equal edges) or by
+//!    predicted cost: post-orientation in-degrees (Section IV-B1,
+//!    Figure 9) plus the scan each chunk iteration repeats.
+//! 3. **MGT** ([`mgt`]): a processor runs the modified Massive Graph
+//!    Triangulation engine (Algorithm 2) over each range: load `Θ(cM)`
 //!    oriented edges into the `edg`/`ind` arrays, then stream every
 //!    vertex's out-list through the `nm` scratch array and report
 //!    triangles by marking it in a dense byte array and probing the
@@ -52,7 +53,7 @@ pub use mgt::{mgt_count_range, mgt_count_range_opt, mgt_in_memory, MgtOptions};
 pub use order::DegreeOrder;
 pub use orient::{orient_csr, orient_to_disk, OrientedCsr, OrientedGraph};
 pub use runner::{
-    count_triangles, count_triangles_with, run_workers, LocalConfig, LocalRunner, ScratchDir,
-    MAX_CORES,
+    count_triangles, count_triangles_with, run_workers, FanOut, LocalConfig, LocalRunner,
+    ScratchDir, MAX_CORES, RANGES_PER_CORE,
 };
-pub use sink::{CollectSink, CountSink, FileSink, LimitSink, TriangleSink};
+pub use sink::{CollectSink, CoreSink, CountSink, FileSink, LimitSink, TriangleSink};

@@ -24,12 +24,15 @@ pub struct PhaseReport {
     pub cpu_ops: u64,
 }
 
-/// Measurements of one MGT worker (one logical processor).
-#[derive(Debug, Clone)]
+/// Measurements of one MGT worker: of one planned range, or of one
+/// core summed over the ranges it claimed ([`RunReport`]).
+#[derive(Debug, Clone, Default)]
 pub struct WorkerReport {
-    /// Worker index within its node.
+    /// Index within its node of the core (logical processor) that ran
+    /// the range, or whose report this is.
     pub worker: usize,
-    /// The contiguous pivot-edge range the worker owned.
+    /// The contiguous pivot-edge range run; empty in a core's summed
+    /// report, whose ranges need not adjoin.
     pub range: EdgeRange,
     /// Triangles found in the range.
     pub triangles: u64,
@@ -49,8 +52,24 @@ pub struct WorkerReport {
     pub scan_hits: u64,
     /// The worker's I/O counters.
     pub io: IoSnapshot,
-    /// The worker's wall time and CPU/I-O split.
+    /// The worker's wall time and CPU/I-O split. A core's wall runs
+    /// from its first claim to its last range's end.
     pub breakdown: TimeBreakdown,
+}
+
+impl WorkerReport {
+    /// Add `other`'s counters, I/O and I/O wait to this report's; the
+    /// wall is left to the caller.
+    pub(crate) fn add(&mut self, other: &WorkerReport) {
+        self.triangles += other.triangles;
+        self.iterations += other.iterations;
+        self.cpu_ops += other.cpu_ops;
+        self.scanned += other.scanned;
+        self.scan_lists += other.scan_lists;
+        self.scan_hits += other.scan_hits;
+        self.io = self.io + other.io;
+        self.breakdown.io += other.breakdown.io;
+    }
 }
 
 /// The result of a full single-machine PDTL run.
@@ -62,9 +81,13 @@ pub struct RunReport {
     pub orientation: PhaseReport,
     /// Load-balancing phase measurements.
     pub balancing: PhaseReport,
-    /// The planned ranges with their predicted costs, in worker order.
+    /// The planned ranges with their predicted costs, in range order.
     pub plan: Vec<(EdgeRange, PredictedCost)>,
-    /// One report per worker.
+    /// One report per planned range, in range order. Its counters do
+    /// not depend on which core claimed the range; its `worker` does.
+    pub ranges: Vec<WorkerReport>,
+    /// One report per core, summed over the ranges it claimed (zero for
+    /// a core that claimed none).
     pub workers: Vec<WorkerReport>,
     /// End-to-end wall time.
     pub wall: Duration,
@@ -75,7 +98,7 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Calculation wall time: the struggler worker's wall time (the
+    /// Calculation wall time: the struggler core's wall time (the
     /// paper: "the calculation time of the 'struggler' node determines
     /// entirely the overall calculation time").
     pub fn calc_wall(&self) -> Duration {
@@ -86,8 +109,8 @@ impl RunReport {
             .unwrap_or_default()
     }
 
-    /// How far the struggler ran past the average worker: max ÷ mean
-    /// of the worker walls ([`imbalance`]).
+    /// How far the struggler ran past the average core: max ÷ mean of
+    /// the core walls ([`imbalance`]).
     pub fn imbalance(&self) -> f64 {
         imbalance(self.workers.iter().map(|w| w.breakdown.wall))
     }
@@ -161,6 +184,7 @@ mod tests {
             },
             balancing: PhaseReport::default(),
             plan: vec![],
+            ranges: vec![],
             workers: vec![worker(10, 5_000_000, 4), worker(30, 20_000_000, 8)],
             wall: Duration::from_millis(50),
             oriented_base: None,
@@ -194,6 +218,7 @@ mod tests {
             orientation: PhaseReport::default(),
             balancing: PhaseReport::default(),
             plan: vec![],
+            ranges: vec![],
             workers: vec![],
             wall: Duration::ZERO,
             oriented_base: None,

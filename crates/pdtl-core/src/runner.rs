@@ -2,13 +2,25 @@
 //!
 //! Wires the pipeline together for one machine with `P` logical
 //! processors (the paper's Local Multicore configuration): parallel
-//! orientation → load balancing → one MGT worker per core over its
-//! contiguous range → atomic aggregation.
+//! orientation → load balancing → MGT workers over contiguous ranges →
+//! aggregation.
+//!
+//! A multi-core run plans [`RANGES_PER_CORE`] ranges per core, and its
+//! `P` cores claim them from one cursor, the highest range first
+//! ([`run_workers`]): the hub pivots of the degree order sit in the
+//! highest ranges, so the heaviest ranges start first and the light
+//! ones fill the tail, and a core that drew light ranges takes more.
+//! The planner does not cost what a listing pays per triangle emitted,
+//! so a fixed split leaves the core holding the hubs to finish last;
+//! claims even the finish whatever the sink costs. A one-core run plans
+//! one range. Each core emits every range it claims into its one sink,
+//! and a listing is put together in range order afterwards
+//! ([`crate::sink`]), so it is the same whichever core ran which range.
 //!
 //! Where `G*` lives is the runner's one decision, made from numbers it
 //! already holds: when `|E*| = adj_len / 2 ≤ P · c·M`, the chunks its
-//! workers may hold cover all of `G*` and each worker makes one chunk
-//! iteration, so streaming `G*` back from disk buys nothing. Such a run
+//! cores may hold cover all of `G*`, so streaming it back from disk
+//! would only read what orientation just held. Such a run
 //! is **resident**: orientation stores `G*` into the one array of an
 //! [`OrientedCsr`] (`orient_resident`), the planner plans it as a raw graph, and the
 //! workers run the same MGT loop over it, lent chunks and out-lists
@@ -16,17 +28,20 @@
 //! `work_dir/oriented` and streams it, as the paper does. Both count
 //! and list the same at one budget; [`RunReport::oriented_base`] says
 //! which ran. No option chooses, and the cluster and serve paths, which
-//! ship or keep `G*` as files, always write it. Workers are long-lived
-//! `std::thread`s, each owning its file handles, scratch arrays, I/O
-//! counters and sink — per-worker state, not data-parallel iteration,
-//! which is why [`run_workers`] spawns its own scoped threads rather
-//! than mapping over [`par::map_chunks`](crate::par::map_chunks). A
-//! one-worker run uses the calling thread.
+//! ship or keep `G*` as files, always write it. Cores are long-lived
+//! `std::thread`s, each owning its sink and, per range, its file
+//! handles, scratch arrays and I/O counters — per-core state, not
+//! data-parallel iteration, which is why [`run_workers`] spawns its own
+//! scoped threads rather than mapping over
+//! [`par::map_chunks`](crate::par::map_chunks). A one-core run uses the
+//! calling thread.
 
 use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use pdtl_graph::{DiskGraph, Graph};
 use pdtl_io::{Codec, IoError, IoStats, MemoryBudget};
@@ -36,13 +51,33 @@ use crate::error::{CoreError, Result};
 use crate::metrics::{RunReport, WorkerReport};
 use crate::mgt::{mgt_count_range_opt, mgt_count_resident, MgtOptions};
 use crate::orient::{orient_resident, orient_to_disk_with, OrientedCsr, OrientedGraph, Sketches};
-use crate::sink::{CollectSink, CountSink, FileSink, TriangleSink};
+use crate::sink::{range_parts, CollectSink, CoreSink, CountSink, FileSink, TriangleSink};
 
 /// Most worker threads one run may start: [`run_workers`] starts one
-/// OS thread per worker, so an unbounded count would exhaust the
+/// OS thread per core, so an unbounded count would exhaust the
 /// process's threads and abort it. Every runner and the serve daemon
 /// refuse a count above it with a typed error.
 pub const MAX_CORES: u32 = 64;
+
+/// Ranges a multi-core [`LocalRunner`] plans per core (module doc).
+/// More ranges even the cores' finish, and each costs at least one more
+/// chunk iteration and its scan, which
+/// [`predicted_cost`](crate::predicted_cost) states exactly. Measured on
+/// RMAT-15 listed on 2 cores: at 4 a core the slowest core finishes
+/// within 1–3 % of the mean, where a fixed split left it 28–47 % past
+/// it; 2, 3, 6 and 8 read the same calculation time within the host's
+/// noise.
+pub const RANGES_PER_CORE: usize = 4;
+
+/// The ranges a run on `cores` cores plans: one for one core, which has
+/// no other core to even out with.
+fn planned_ranges(cores: usize) -> usize {
+    if cores == 1 {
+        1
+    } else {
+        cores * RANGES_PER_CORE
+    }
+}
 
 /// Configuration of a single-machine run.
 #[derive(Debug, Clone)]
@@ -102,8 +137,8 @@ impl LocalRunner {
             .map(|(report, _)| report)
     }
 
-    /// Count and also *list* triangles: returns the report plus each
-    /// worker's collected triples (cone vertex first).
+    /// Count and also *list* triangles: returns the report plus the
+    /// triples (cone vertex first) in range order.
     #[allow(clippy::type_complexity)]
     pub fn run_listing(
         &self,
@@ -116,14 +151,16 @@ impl LocalRunner {
 
     /// List every triangle of `input` into the file at `out`, 3 × `u32`
     /// little-endian per triangle, cone vertex first — the one
-    /// file-listing entry point (`pdtl list`). Each worker streams its
-    /// range through its own [`FileSink`] on a part file in `work_dir`,
-    /// and the parts are appended to `out` in worker order. Ranges are
-    /// contiguous, so the bytes are [`run_listing`](Self::run_listing)'s
-    /// triples written through one sink, while a worker holds one
-    /// writer buffer instead of its triples. `out` is created only once
-    /// every worker has finished. Returns the report and the triangles
-    /// written.
+    /// file-listing entry point (`pdtl list`). Each core streams the
+    /// ranges it claims through its own [`FileSink`] on a part file in
+    /// `work_dir`, and the ranges' segments are copied from the parts
+    /// into `out` in range order, so the bytes are
+    /// [`run_listing`](Self::run_listing)'s triples written through one
+    /// sink, while a core holds one writer buffer instead of its
+    /// triples. The parts are flushed, not synced: they are read back
+    /// and deleted here, and `out` is synced once. `out` is created only
+    /// once every core has finished. Returns the report and the
+    /// triangles written.
     pub fn run_listing_to_file(
         &self,
         input: &DiskGraph,
@@ -142,22 +179,37 @@ impl LocalRunner {
         let (report, sinks) = self.run_with_sinks(input, work_dir, || {
             unclaimed
                 .next()
-                .expect("the planner plans one range per core")
+                .expect("the fan-out makes one sink per core")
         })?;
-        let mut file = File::create(out).map_err(|e| IoError::os("create", out, e))?;
+        let segments = range_parts(&sinks, |t| 12 * t);
         let mut written = 0;
-        for (sink, part) in sinks.into_iter().zip(&parts) {
-            written += sink.finish()?;
-            let mut from = File::open(part).map_err(|e| IoError::os("open", part, e))?;
-            std::io::copy(&mut from, &mut file).map_err(|e| IoError::os("append", out, e))?;
+        for core in sinks {
+            written += core.sink.close()?;
+        }
+        let mut from = (parts.iter())
+            .map(|part| File::open(part).map_err(|e| IoError::os("open", part, e)))
+            .collect::<pdtl_io::Result<Vec<_>>>()?;
+        let mut file = File::create(out).map_err(|e| IoError::os("create", out, e))?;
+        for (core, at, len) in segments {
+            let (part, from) = (&parts[core], &mut from[core]);
+            from.seek(SeekFrom::Start(at))
+                .map_err(|e| IoError::os("seek", part, e))?;
+            let copied = std::io::copy(&mut from.take(len), &mut file)
+                .map_err(|e| IoError::os("append", out, e))?;
+            if copied != len {
+                let short = format!("part ends {copied} bytes into a {len}-byte segment");
+                return Err(IoError::malformed(part, short).into());
+            }
+        }
+        for part in &parts {
             std::fs::remove_file(part).map_err(|e| IoError::os("remove", part, e))?;
         }
         file.sync_all().map_err(|e| IoError::os("sync", out, e))?;
         Ok((report, written))
     }
 
-    /// Generic driver: one sink per worker, built by `make_sink` in
-    /// worker order.
+    /// Generic driver: one sink per core, built by `make_sink` in core
+    /// order, handed back with the ranges the core ran into it.
     ///
     /// Where `G*` lives is decided here, from numbers the runner holds:
     /// when the chunks its workers may hold cover all of it, `|E*| ≤
@@ -169,7 +221,7 @@ impl LocalRunner {
         input: &DiskGraph,
         work_dir: &Path,
         make_sink: F,
-    ) -> Result<(RunReport, Vec<S>)>
+    ) -> Result<(RunReport, Vec<CoreSink<S>>)>
     where
         S: TriangleSink + Send,
         F: FnMut() -> S,
@@ -178,7 +230,7 @@ impl LocalRunner {
     }
 
     /// Where a run over `input` keeps `G*`: in memory exactly when
-    /// `|E*| = |E|` fits in the chunks of its workers, `cores · c·M`.
+    /// `|E*| = |E|` fits in the chunks of its cores, `cores · c·M`.
     fn store_for(&self, input: &DiskGraph) -> Store {
         let m_star = input.adj_len() / 2;
         let chunk = self.config.budget.chunk_edges() as u64;
@@ -199,7 +251,7 @@ impl LocalRunner {
         work_dir: &Path,
         store: Store,
         make_sink: F,
-    ) -> Result<(RunReport, Vec<S>)>
+    ) -> Result<(RunReport, Vec<CoreSink<S>>)>
     where
         S: TriangleSink + Send,
         F: FnMut() -> S,
@@ -236,7 +288,8 @@ impl LocalRunner {
     }
 
     /// Phases 2–3 against an *already-oriented* graph: load balancing
-    /// plus one MGT worker per core, skipping the orientation phase.
+    /// plus the cores' claimed MGT ranges, skipping the orientation
+    /// phase.
     ///
     /// This is the resident-process entry point (`pdtl serve` runs it
     /// once per query against a catalog graph oriented at registration):
@@ -253,23 +306,19 @@ impl LocalRunner {
         &self,
         og: &OrientedGraph,
         make_sink: F,
-    ) -> Result<(RunReport, Vec<S>)>
+    ) -> Result<(RunReport, Vec<CoreSink<S>>)>
     where
         S: TriangleSink + Send,
         F: FnMut() -> S,
     {
         let wall_start = Instant::now();
+        let (budget, cores) = (self.config.budget, self.config.cores);
         // Phase 2: load balancing (Section IV-B1).
-        let (plan, balancing) = plan_ranges(
-            og,
-            self.config.budget,
-            self.config.cores,
-            self.config.balance,
-        );
-        // Phase 3: one MGT worker per core.
-        let (workers, sinks) = run_workers(og, &self.jobs(&plan), make_sink)?;
+        let (plan, balancing) = plan_ranges(og, budget, planned_ranges(cores), self.config.balance);
+        // Phase 3: the cores claim the planned ranges.
+        let fan = stream_fan_out(og, &self.jobs(&plan), cores, make_sink)?;
         let base = Some(og.disk.base().to_path_buf());
-        Ok((assemble(plan, balancing, workers, wall_start, base), sinks))
+        Ok(assemble(plan, balancing, fan, wall_start, base))
     }
 
     /// Phases 2–3 against a resident `G*`: the same planner, planning it
@@ -280,7 +329,7 @@ impl LocalRunner {
         o: &OrientedCsr,
         (buckets, sketch): &Sketches,
         make_sink: F,
-    ) -> Result<(RunReport, Vec<S>)>
+    ) -> Result<(RunReport, Vec<CoreSink<S>>)>
     where
         S: TriangleSink + Send,
         F: FnMut() -> S,
@@ -288,12 +337,13 @@ impl LocalRunner {
         let wall_start = Instant::now();
         let (budget, cores, balance) = (self.config.budget, self.config.cores, self.config.balance);
         let layout = o.layout(buckets, sketch);
-        let (plan, balancing) = plan_layout(layout, Codec::Raw, budget, cores, balance);
+        let ranges = planned_ranges(cores);
+        let (plan, balancing) = plan_layout(layout, Codec::Raw, budget, ranges, balance);
         let worker = |(range, budget, opts), sink: &mut S| {
             mgt_count_resident(layout, &o.adj, range, budget, sink, opts)
         };
-        let (workers, sinks) = fan_out(&self.jobs(&plan), make_sink, worker)?;
-        Ok((assemble(plan, balancing, workers, wall_start, None), sinks))
+        let fan = fan_out(&self.jobs(&plan), cores, make_sink, worker)?;
+        Ok(assemble(plan, balancing, fan, wall_start, None))
     }
 
     /// One MGT job per planned range, at the run's budget and options.
@@ -312,40 +362,71 @@ pub(crate) enum Store {
     Disk,
 }
 
-/// A run's report from its phases 2–3, timed from `wall_start`; the
-/// caller fills in the orientation it paid, if any.
-fn assemble(
+/// A run's report from its phases 2–3, timed from `wall_start`, beside
+/// the cores' sinks; the caller fills in the orientation it paid, if
+/// any.
+fn assemble<S>(
     plan: Vec<(EdgeRange, PredictedCost)>,
     balancing: crate::metrics::PhaseReport,
-    workers: Vec<WorkerReport>,
+    fan: FanOut<S>,
     wall_start: Instant,
     oriented_base: Option<PathBuf>,
-) -> RunReport {
-    RunReport {
-        triangles: workers.iter().map(|w| w.triangles).sum(),
+) -> (RunReport, Vec<CoreSink<S>>) {
+    let report = RunReport {
+        triangles: fan.ranges.iter().map(|r| r.triangles).sum(),
         orientation: crate::metrics::PhaseReport::default(),
         balancing,
         plan,
-        workers,
+        ranges: fan.ranges,
+        workers: fan.cores,
         wall: wall_start.elapsed(),
         oriented_base,
-    }
+    };
+    (report, fan.sinks)
 }
 
 /// One MGT worker's job: its range, budget and engine options.
 type Job = (EdgeRange, MemoryBudget, MgtOptions);
 
-/// The worker fan-out of every runner (local cores, a cluster node's
-/// cores): one MGT worker per `(range, budget, options)` job over `og`,
-/// each with its own [`IoStats`] and its own `make_sink()` sink, made
-/// in job order. Reports (numbered) and sinks come back in job order;
-/// the first failed job's error is returned, a panicked worker's as
-/// [`CoreError::WorkerPanic`], after every worker has finished.
+/// What a fan-out hands back.
+#[derive(Debug)]
+pub struct FanOut<S> {
+    /// One report per job, in job order; its `worker` is the core that
+    /// claimed it.
+    pub ranges: Vec<WorkerReport>,
+    /// One report per core, in core order: the sum of the jobs it
+    /// claimed, its wall from its first claim to its last job's end; a
+    /// zero report for a core that claimed none.
+    pub cores: Vec<WorkerReport>,
+    /// Each core's sink with the jobs it ran into it, in core order.
+    pub sinks: Vec<CoreSink<S>>,
+}
+
+/// The worker fan-out of a cluster node: the master plans one range per
+/// node core, so one core per `(range, budget, options)` job, claiming
+/// them as [`LocalRunner`]'s cores do, each range with its own
+/// [`IoStats`], each core with one `make_sink()` sink, made in core
+/// order. The first failed job's error is returned, a panicked core's
+/// as [`CoreError::WorkerPanic`], after every core has finished.
 pub fn run_workers<S, F>(
     og: &OrientedGraph,
     jobs: &[(EdgeRange, MemoryBudget, MgtOptions)],
     make_sink: F,
-) -> Result<(Vec<WorkerReport>, Vec<S>)>
+) -> Result<FanOut<S>>
+where
+    S: TriangleSink + Send,
+    F: FnMut() -> S,
+{
+    stream_fan_out(og, jobs, jobs.len(), make_sink)
+}
+
+/// [`fan_out`] of `jobs` on `cores` cores over `og`'s files.
+fn stream_fan_out<S, F>(
+    og: &OrientedGraph,
+    jobs: &[Job],
+    cores: usize,
+    make_sink: F,
+) -> Result<FanOut<S>>
 where
     S: TriangleSink + Send,
     F: FnMut() -> S,
@@ -353,48 +434,112 @@ where
     let worker = |(range, budget, opts), sink: &mut S| {
         mgt_count_range_opt(og, range, budget, sink, IoStats::new(), opts)
     };
-    fan_out(jobs, make_sink, worker)
+    fan_out(jobs, cores, make_sink, worker)
 }
 
-/// Run `worker` once per job with a sink from `make_sink`, made in job
-/// order. Several jobs run on scoped threads of their own; a single job
-/// (a one-core query, a one-core cluster node) runs on the calling
-/// thread, which a spawn and a join would only wait on.
-fn fan_out<S, F, W>(
-    jobs: &[Job],
-    mut make_sink: F,
-    worker: W,
-) -> Result<(Vec<WorkerReport>, Vec<S>)>
+/// Take the next job from `cursor`, which counts down: the highest job
+/// first, `None` once every job is taken. `Relaxed` is enough: the
+/// cursor publishes no data (the jobs were in place before any core
+/// started), and each value is still taken exactly once.
+fn claim(cursor: &AtomicUsize) -> Option<usize> {
+    let taken = cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+    taken.ok().map(|n| n - 1)
+}
+
+/// What the fan-out's greedy claims give each of `cores` cores when the
+/// jobs, in job order, take `costs` to run: the highest job first, each
+/// to the core that is free first (the lowest one on a tie). `exp`
+/// replays a run's per-range `cpu_ops` through it, so its counted
+/// speedup does not depend on which core the host's timing let claim
+/// which range.
+pub fn replay_claims(costs: &[u64], cores: usize) -> Vec<u64> {
+    let mut load = vec![0u64; cores.max(1)];
+    for &cost in costs.iter().rev() {
+        let free = (0..load.len()).min_by_key(|&c| load[c]).unwrap_or(0);
+        load[free] += cost;
+    }
+    load
+}
+
+/// Run `worker` once per job on `cores` cores that claim the jobs from
+/// one cursor, the highest first (module doc); each core runs every job
+/// it claims into its one sink from `make_sink`, made in core order. A
+/// core that fails stops the claims: the cores finish the jobs they
+/// hold and the first core's error returns. Several cores run on scoped
+/// threads of their own; a single core (a one-core query, a one-core
+/// cluster node) runs on the calling thread, which a spawn and a join
+/// would only wait on.
+fn fan_out<S, F, W>(jobs: &[Job], cores: usize, mut make_sink: F, worker: W) -> Result<FanOut<S>>
 where
     S: TriangleSink + Send,
     F: FnMut() -> S,
     W: Fn(Job, &mut S) -> Result<WorkerReport> + Sync,
 {
-    let work = |i: usize, job: Job, mut sink: S| {
-        let mut report = worker(job, &mut sink)?;
-        report.worker = i;
-        Ok((report, sink))
+    let cursor = AtomicUsize::new(jobs.len());
+    let core = |c: usize, mut sink: S| {
+        let mut ran = Vec::new();
+        let mut first = None;
+        while let Some(i) = claim(&cursor) {
+            first.get_or_insert_with(Instant::now);
+            sink.start_range();
+            let mut report = worker(jobs[i], &mut sink)?;
+            report.worker = c;
+            ran.push((i, report));
+        }
+        let wall = first.map_or(Duration::ZERO, |start| start.elapsed());
+        Ok((ran, wall, sink))
     };
-    let panicked = |i| Err(CoreError::WorkerPanic(format!("worker {i}")));
-    let results: Vec<Result<(WorkerReport, S)>> = if let [job] = jobs {
-        let sink = make_sink();
-        let inline = std::panic::catch_unwind(AssertUnwindSafe(|| work(0, *job, sink)));
-        vec![inline.unwrap_or_else(|_| panicked(0))]
+    let run = |c: usize, sink: S| {
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| core(c, sink)))
+            .unwrap_or_else(|_| Err(CoreError::WorkerPanic(format!("worker {c}"))));
+        if outcome.is_err() {
+            cursor.store(0, Ordering::Relaxed);
+        }
+        outcome
+    };
+    let outcomes: Vec<Result<_>> = if cores == 1 {
+        vec![run(0, make_sink())]
     } else {
         std::thread::scope(|scope| {
-            let work = &work;
-            let handles: Vec<_> = (jobs.iter().enumerate())
-                .map(|(i, &job)| {
+            let run = &run;
+            let handles: Vec<_> = (0..cores)
+                .map(|c| {
                     let sink = make_sink();
-                    scope.spawn(move || work(i, job, sink))
+                    scope.spawn(move || run(c, sink))
                 })
                 .collect();
-            let joined = (handles.into_iter().enumerate())
-                .map(|(i, h)| h.join().unwrap_or_else(|_| panicked(i)));
+            let joined = (handles.into_iter().enumerate()).map(|(c, h)| {
+                h.join()
+                    .unwrap_or_else(|_| Err(CoreError::WorkerPanic(format!("worker {c}"))))
+            });
             joined.collect()
         })
     };
-    results.into_iter().collect()
+    let (mut totals, mut sinks) = (Vec::with_capacity(cores), Vec::with_capacity(cores));
+    let mut by_job: Vec<Option<WorkerReport>> = vec![None; jobs.len()];
+    for (c, outcome) in outcomes.into_iter().enumerate() {
+        let (ran, wall, sink) = outcome?;
+        let mut total = WorkerReport {
+            worker: c,
+            ..WorkerReport::default()
+        };
+        let parts = ran.iter().map(|(i, r)| (*i, r.triangles)).collect();
+        for (i, report) in ran {
+            total.add(&report);
+            by_job[i] = Some(report);
+        }
+        total.breakdown.wall = wall;
+        totals.push(total);
+        sinks.push(CoreSink { sink, parts });
+    }
+    let ranges = (by_job.into_iter())
+        .map(|r| r.expect("every job is claimed exactly once"))
+        .collect();
+    Ok(FanOut {
+        ranges,
+        cores: totals,
+        sinks,
+    })
 }
 
 /// Convenience: count the triangles of an in-memory [`Graph`] with the
@@ -581,27 +726,45 @@ mod tests {
             (Codec::DeltaVarint, 64, (358_908, 0x0f48_6d67)),
         ];
         for (codec, edges, want) in golden {
+            let budget = MemoryBudget::edges(edges);
+            let mgt = MgtOptions {
+                codec,
+                ..MgtOptions::default()
+            };
             let runner = LocalRunner::new(LocalConfig {
                 cores: 3,
-                budget: MemoryBudget::edges(edges),
+                budget,
                 balance: BalanceStrategy::EqualEdges,
-                mgt: MgtOptions {
-                    codec,
-                    ..MgtOptions::default()
-                },
+                mgt,
             })
             .unwrap();
             let dir = tmpdir(&format!("listing-bytes-{codec:?}-{edges}"));
-            let equal = bytes(&runner.run_listing(&input, &dir).unwrap().1);
             let case = format!("{codec:?} {edges}");
-            assert_eq!((equal.len(), pdtl_io::crc32c(&equal)), want, "{case}");
             // The 1 Mi-edge budget holds `G*` and ran resident; written
             // and streamed, it lists the same bytes.
-            let (_, sinks) = runner
+            let mut listed = runner.run_listing(&input, &dir).unwrap().1;
+            let (report, sinks) = runner
                 .run_stored(&input, &dir, Store::Disk, CollectSink::default)
                 .unwrap();
-            let streamed = bytes(&CollectSink::concat(sinks));
-            assert_eq!((streamed.len(), pdtl_io::crc32c(&streamed)), want, "{case}");
+            assert_eq!(bytes(&listed), bytes(&CollectSink::concat(sinks)), "{case}");
+            // The goldens were taken on three equal ranges, one core
+            // each; the runner claims twelve, which list the same
+            // triangles in another order.
+            let og = OrientedGraph::open(report.oriented_base.unwrap(), &stats).unwrap();
+            let m = og.m_star();
+            let jobs: Vec<Job> = (0..3)
+                .map(|i| {
+                    let (start, end) = (m * i / 3, m * (i + 1) / 3);
+                    (EdgeRange { start, end }, budget, mgt)
+                })
+                .collect();
+            let mut three =
+                CollectSink::concat(run_workers(&og, &jobs, CollectSink::default).unwrap().sinks);
+            let equal = bytes(&three);
+            assert_eq!((equal.len(), pdtl_io::crc32c(&equal)), want, "{case}");
+            listed.sort_unstable();
+            three.sort_unstable();
+            assert!(listed == three, "{case}");
         }
     }
 
@@ -662,11 +825,11 @@ mod tests {
             let bytes = std::fs::read(&streamed).unwrap();
             assert_eq!(bytes, std::fs::read(&collected).unwrap(), "{cores} cores");
             assert!(!dir.join("work").join("part-0").exists(), "parts removed");
-            let listing = report.workers.iter().filter(|w| w.triangles > 0).count();
-            assert!(listing >= cores.min(2), "parts in order: {cores} cores");
-            empty_parts += cores - listing;
+            let listing = report.ranges.iter().filter(|r| r.triangles > 0).count();
+            assert!(listing >= 2.min(cores), "parts in order: {cores} cores");
+            empty_parts += report.ranges.len() - listing;
         }
-        assert!(empty_parts > 0, "no worker listed nothing");
+        assert!(empty_parts > 0, "no range listed nothing");
     }
 
     #[test]
@@ -722,10 +885,12 @@ mod tests {
         .unwrap();
         let report = runner.run(&input, &dir).unwrap();
         assert_eq!(report.triangles, triangle_count(&g));
-        let per_worker: u64 = report.workers.iter().map(|w| w.io.u32s_decoded).sum();
-        assert!(report.workers.iter().all(|w| w.io.u32s_decoded > 0));
-        assert_eq!(report.total_worker_io().u32s_decoded, per_worker);
-        assert!(per_worker >= report.workers.iter().map(|w| w.range.len()).sum::<u64>());
+        let per_core: u64 = report.workers.iter().map(|w| w.io.u32s_decoded).sum();
+        let per_range: u64 = report.ranges.iter().map(|r| r.io.u32s_decoded).sum();
+        assert!(report.ranges.iter().all(|r| r.io.u32s_decoded > 0));
+        assert_eq!(report.total_worker_io().u32s_decoded, per_core);
+        assert_eq!(per_core, per_range);
+        assert!(per_range >= report.ranges.iter().map(|r| r.range.len()).sum::<u64>());
     }
 
     #[test]
@@ -779,10 +944,11 @@ mod tests {
     }
 
     /// Everything a run reports that must not depend on where `G*` is
-    /// kept: the count, the plan, and each worker's range and counters.
+    /// kept, nor on which core claimed which range: the count, the plan,
+    /// and each range and its counters.
     #[allow(clippy::type_complexity)]
     fn shape(r: &RunReport) -> (u64, Vec<(EdgeRange, PredictedCost)>, Vec<[u64; 8]>) {
-        let workers = (r.workers.iter())
+        let ranges = (r.ranges.iter())
             .map(|w| {
                 let (start, end) = (w.range.start, w.range.end);
                 [
@@ -797,7 +963,7 @@ mod tests {
                 ]
             })
             .collect();
-        (r.triangles, r.plan.clone(), workers)
+        (r.triangles, r.plan.clone(), ranges)
     }
 
     fn oriented_files(dir: &Path) -> Vec<String> {
@@ -892,16 +1058,25 @@ mod tests {
             ("limit", |_| Sink::Limit(LimitSink::new(7))),
         ];
 
-        /// The sinks' output, worker by worker.
-        fn output(sinks: Vec<Sink>) -> Vec<Vec<u8>> {
-            (sinks.into_iter())
-                .map(|s| match s {
-                    Sink::Count(_) => Vec::new(),
-                    Sink::Collect(c) => listing_bytes(&c.triangles),
-                    Sink::Counts(RankCounts(c)) => c.iter().flat_map(|x| x.to_le_bytes()).collect(),
-                    Sink::Limit(l) => listing_bytes(&LimitSink::concat(vec![l])),
-                })
-                .collect()
+        /// The cores' output put together: a listing in range order, or
+        /// the per-rank counts summed over the cores.
+        fn output(cores: Vec<CoreSink<Sink>>) -> Vec<u8> {
+            let (mut collect, mut limit, mut counts) = (Vec::new(), Vec::new(), Vec::new());
+            for CoreSink { sink, parts } in cores {
+                match sink {
+                    Sink::Count(_) => {}
+                    Sink::Collect(sink) => collect.push(CoreSink { sink, parts }),
+                    Sink::Counts(RankCounts(c)) => {
+                        counts.resize(c.len(), 0);
+                        counts.iter_mut().zip(c).for_each(|(n, c)| *n += c);
+                    }
+                    Sink::Limit(sink) => limit.push(CoreSink { sink, parts }),
+                }
+            }
+            let mut bytes = listing_bytes(&CollectSink::concat(collect));
+            bytes.extend(listing_bytes(&LimitSink::concat(limit)));
+            bytes.extend(counts.iter().flat_map(|x| x.to_le_bytes()));
+            bytes
         }
     }
 
@@ -919,6 +1094,12 @@ mod tests {
                 Sink::Collect(c) => c.wants_triples(),
                 Sink::Counts(_) => false,
                 Sink::Limit(l) => l.wants_triples(),
+            }
+        }
+
+        fn start_range(&mut self) {
+            if let Sink::Limit(l) = self {
+                l.start_range();
             }
         }
 
@@ -964,6 +1145,211 @@ mod tests {
             .verify_full()
             .unwrap();
         assert!(!work.join("part-0").exists(), "parts removed");
+    }
+
+    /// `n` jobs, job `i` the range `[10·i, 10·i + i)`: `i` triangles.
+    fn fake_jobs(n: u64) -> Vec<Job> {
+        (0..n)
+            .map(|i| {
+                let range = EdgeRange {
+                    start: 10 * i,
+                    end: 10 * i + i,
+                };
+                (range, MemoryBudget::edges(8), MgtOptions::default())
+            })
+            .collect()
+    }
+
+    /// A worker that emits `(start, k, 0)` for each position `k` of its
+    /// range and reports one triangle per position.
+    fn fake_worker((range, _, _): Job, sink: &mut CollectSink) -> Result<WorkerReport> {
+        (0..range.len()).for_each(|k| sink.emit(range.start as u32, k as u32, 0));
+        Ok(WorkerReport {
+            range,
+            triangles: range.len(),
+            iterations: 1,
+            cpu_ops: 3 * range.len(),
+            ..WorkerReport::default()
+        })
+    }
+
+    #[test]
+    fn the_fan_out_runs_every_range_exactly_once_and_reports_in_order() {
+        for cores in 1..=3 {
+            for n in [0, 1, 2, 5, 7] {
+                let case = format!("{cores} cores, {n} ranges");
+                let jobs = fake_jobs(n);
+                let runs: Vec<_> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let worker = |job: Job, sink: &mut CollectSink| {
+                    runs[(job.0.start / 10) as usize].fetch_add(1, Ordering::Relaxed);
+                    fake_worker(job, sink)
+                };
+                let fan = fan_out(&jobs, cores, CollectSink::default, worker).unwrap();
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                    "{case}"
+                );
+                // Ranges in job order, cores and sinks in core order.
+                let ranges: Vec<_> = fan.ranges.iter().map(|r| r.range).collect();
+                assert_eq!(
+                    ranges,
+                    jobs.iter().map(|j| j.0).collect::<Vec<_>>(),
+                    "{case}"
+                );
+                assert_eq!(fan.cores.len(), cores, "{case}");
+                assert_eq!(fan.sinks.len(), cores, "{case}");
+                for (c, (core, sink)) in fan.cores.iter().zip(&fan.sinks).enumerate() {
+                    assert_eq!(core.worker, c, "{case}");
+                    let ran: Vec<usize> = sink.parts.iter().map(|p| p.0).collect();
+                    assert!(
+                        ran.windows(2).all(|w| w[0] > w[1]),
+                        "{case}: claimed downward"
+                    );
+                    assert!(ran.iter().all(|&i| fan.ranges[i].worker == c), "{case}");
+                    let held: u64 = sink.parts.iter().map(|p| p.1).sum();
+                    assert_eq!(core.triangles, held, "{case}");
+                    assert_eq!(core.cpu_ops, 3 * held, "{case}");
+                    assert_eq!(core.iterations, ran.len() as u64, "{case}");
+                    if ran.is_empty() {
+                        assert_eq!(core.breakdown.wall, Duration::ZERO, "{case}: idle");
+                    }
+                }
+                let listing = CollectSink::concat(fan.sinks);
+                let want: Vec<_> = (jobs.iter())
+                    .flat_map(|(r, _, _)| (0..r.len()).map(|k| (r.start as u32, k as u32, 0)))
+                    .collect();
+                assert!(listing == want, "{case}: range order");
+            }
+        }
+    }
+
+    #[test]
+    fn a_core_that_finishes_early_takes_the_rest() {
+        // The first range claimed (the highest) holds its core until the
+        // last one (range 0) is claimed: the other core, free, takes all
+        // the rest.
+        let jobs = fake_jobs(6);
+        let drained = std::sync::Barrier::new(2);
+        let worker = |job: Job, sink: &mut CollectSink| {
+            if matches!(job.0.start, 0 | 50) {
+                drained.wait();
+            }
+            fake_worker(job, sink)
+        };
+        let fan = fan_out(&jobs, 2, CollectSink::default, worker).unwrap();
+        let mut claims: Vec<Vec<usize>> = (fan.sinks.iter())
+            .map(|s| s.parts.iter().map(|p| p.0).collect())
+            .collect();
+        claims.sort();
+        assert_eq!(claims, [vec![4, 3, 2, 1, 0], vec![5]]);
+        let busy = &fan.cores[fan.ranges[4].worker];
+        assert_eq!(busy.triangles, 4 + 3 + 2 + 1);
+    }
+
+    #[test]
+    fn a_panicking_range_surfaces_after_the_other_cores_finish() {
+        let jobs = fake_jobs(4);
+        let (met, done) = (std::sync::Barrier::new(2), AtomicUsize::new(0));
+        let worker = |job: Job, sink: &mut CollectSink| {
+            match job.0.start {
+                30 => {
+                    met.wait();
+                    panic!("range 3 fails");
+                }
+                20 => {
+                    met.wait();
+                    std::thread::sleep(Duration::from_millis(50));
+                    done.fetch_add(1, Ordering::Relaxed);
+                }
+                _ => {}
+            }
+            fake_worker(job, sink)
+        };
+        let err = fan_out(&jobs, 2, CollectSink::default, worker).unwrap_err();
+        assert!(matches!(err, CoreError::WorkerPanic(_)), "{err}");
+        assert_eq!(
+            done.load(Ordering::Relaxed),
+            1,
+            "returned before range 2 ended"
+        );
+        // A failed range stops the claims the same way, on the caller's
+        // thread too.
+        for cores in [1, 2] {
+            let fails = |job: Job, sink: &mut CollectSink| match job.0.start {
+                30 => Err(CoreError::Config("range 3 fails".into())),
+                _ => fake_worker(job, sink),
+            };
+            let err = fan_out(&jobs, cores, CollectSink::default, fails).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                CoreError::Config("range 3 fails".into()).to_string()
+            );
+        }
+    }
+
+    #[test]
+    fn claims_replay_greedily_from_the_highest_range() {
+        // Claimed 6, 5, 4, ...: core 0 takes 6 (cost 9); core 1 takes
+        // 5, 4, 3, 2 and 1 (3 + 3 + 1 + 1 + 2) while core 0 is busy, and
+        // core 0, free first, takes 0.
+        assert_eq!(replay_claims(&[2, 2, 1, 1, 3, 3, 9], 2), [11, 10]);
+        assert_eq!(replay_claims(&[5, 1], 1), [6]);
+        assert_eq!(replay_claims(&[4], 3), [4, 0, 0]);
+        assert_eq!(replay_claims(&[], 2), [0, 0]);
+    }
+
+    #[test]
+    fn listings_are_deterministic_in_range_order_whoever_claims_what() {
+        // Both stores × a collected, a streamed and a limited listing:
+        // two runs at 2 and 3 cores list the same bytes, which are the
+        // 1-core listing's triangles, and the file holds the collected
+        // triples.
+        let g = rmat(9, 51).unwrap();
+        let dir = tmpdir("claims-deterministic");
+        let input = DiskGraph::write(&g, dir.join("g"), &IoStats::new()).unwrap();
+        let sorted = |mut t: Vec<(u32, u32, u32)>| {
+            t.sort_unstable();
+            t
+        };
+        for (edges, resident) in [(1 << 20, true), (256, false)] {
+            let mut one_core = None;
+            for cores in 1..=3 {
+                let case = format!("{edges} edges, {cores} cores");
+                let runner = LocalRunner::new(LocalConfig {
+                    cores,
+                    budget: MemoryBudget::edges(edges),
+                    ..Default::default()
+                })
+                .unwrap();
+                let work = dir.join(format!("work-{edges}-{cores}"));
+                let run = |tag: &str| {
+                    let (report, listed) = runner.run_listing(&input, &work).unwrap();
+                    assert_eq!(report.oriented_base.is_none(), resident, "{case}");
+                    let out = dir.join(format!("out-{edges}-{cores}-{tag}"));
+                    let (_, written) = runner.run_listing_to_file(&input, &work, &out).unwrap();
+                    assert_eq!(written, report.triangles, "{case}");
+                    let file = std::fs::read(&out).unwrap();
+                    let (_, sinks) = runner
+                        .run_with_sinks(&input, &work, || LimitSink::new(37))
+                        .unwrap();
+                    (listed, file, LimitSink::concat(sinks))
+                };
+                let (listed, file, limited) = run("a");
+                assert_eq!(
+                    run("b"),
+                    (listed.clone(), file.clone(), limited.clone()),
+                    "{case}"
+                );
+                assert_eq!(file, listing_bytes(&listed), "{case}");
+                assert_eq!(limited, listed[..37], "{case}");
+                let canon = sorted(listed);
+                assert_eq!(canon.len() as u64, triangle_count(&g), "{case}");
+                assert!(
+                    one_core.get_or_insert_with(|| canon.clone()) == &canon,
+                    "{case}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1073,7 +1459,9 @@ mod tests {
             },
         )
         .unwrap();
-        let covered: u64 = report.workers.iter().map(|w| w.range.len()).sum();
+        let covered: u64 = report.ranges.iter().map(|r| r.range.len()).sum();
         assert_eq!(covered, g.num_edges(), "|E*| positions covered exactly");
+        assert_eq!(report.ranges.len(), 5 * RANGES_PER_CORE);
+        assert_eq!(report.workers.len(), 5);
     }
 }

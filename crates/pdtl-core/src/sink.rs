@@ -4,13 +4,22 @@
 //! `(u, v, w)` — cone vertex first, then the pivot edge — and the sink
 //! decides what to do with it. Counting uses the zero-cost [`CountSink`]
 //! (the paper's experiments measure counting "to allow comparison with
-//! alternative implementations"). Listing to a file gives each worker
-//! its own buffered on-disk [`FileSink`], so a worker holds one writer
+//! alternative implementations"). Listing to a file gives each core
+//! its own buffered on-disk [`FileSink`], so a core holds one writer
 //! buffer rather than its triples and the output cost — the `T/B` term
 //! of Theorem IV.2 — is written at the writer's bulk speed.
 //! [`CollectSink`] holds a run's triples in memory (tests, examples,
 //! the analytics that take a triangle slice) and [`LimitSink`] the
 //! first `limit` of them (`pdtl serve`'s listing preview).
+//!
+//! A core runs every range it claims into its one sink
+//! ([`crate::runner`]), so a sink holds its ranges' output one after
+//! the other, in the order the core ran them, and the fan-out hands
+//! back each sink as a [`CoreSink`] with that order. A listing is put
+//! together from those tables in range order, whichever core ran each
+//! range: [`CollectSink::concat`], [`LimitSink::concat`], and the part
+//! files of
+//! [`LocalRunner::run_listing_to_file`](crate::LocalRunner::run_listing_to_file).
 //!
 //! The sink also picks the engine's kernel, one of three. A sink that
 //! lends per-vertex counters ([`TriangleSink::vertex_counts`], the
@@ -67,6 +76,40 @@ pub trait TriangleSink {
     fn flush(&mut self) -> Result<()> {
         Ok(())
     }
+
+    /// Called before each range the sink's core runs into it. A sink
+    /// whose output is cut per range starts its count again here
+    /// ([`LimitSink`]); by default nothing happens.
+    #[inline(always)]
+    fn start_range(&mut self) {}
+}
+
+/// One core's sink beside the ranges it ran into it.
+#[derive(Debug, Clone)]
+pub struct CoreSink<S> {
+    /// The sink every range of the core emitted into.
+    pub sink: S,
+    /// `(range index, triangles)` of each range the core ran, in the
+    /// order it ran them: the order its output lies in the sink.
+    pub parts: Vec<(usize, u64)>,
+}
+
+/// Where each range's output lies in its core's sink, a range of `t`
+/// triangles taking `len(t)` units: `(core, start, len)`, indexed by
+/// range.
+pub(crate) fn range_parts<S>(
+    cores: &[CoreSink<S>],
+    len: impl Fn(u64) -> u64,
+) -> Vec<(usize, u64, u64)> {
+    let mut parts = vec![(0, 0, 0); cores.iter().map(|c| c.parts.len()).sum()];
+    for (core, c) in cores.iter().enumerate() {
+        let mut at = 0;
+        for &(i, t) in &c.parts {
+            parts[i] = (core, at, len(t));
+            at += len(t);
+        }
+    }
+    parts
 }
 
 /// Counting-only sink: `emit` is a no-op the optimiser removes; the
@@ -92,26 +135,75 @@ pub struct CollectSink {
 }
 
 impl CollectSink {
-    /// The listing of a run: every worker's triples, in worker order.
-    /// The largest worker's vector grows in place into the listing and
-    /// the others are block-copied around it, so the peak is the listing
-    /// plus the smaller workers' triples, not plus a second copy of the
-    /// largest (the one a balanced split of a listing run is likely to
-    /// leave with the most). Measured, an exact `with_capacity` up front
-    /// costs `list-file` 7% of `wall_s`, a `flat_map` collect costs
-    /// `serve-mix` 5%.
-    pub fn concat(mut sinks: Vec<CollectSink>) -> Vec<(u32, u32, u32)> {
-        let Some(largest) = (0..sinks.len()).max_by_key(|&i| sinks[i].triangles.len()) else {
-            return Vec::new();
-        };
-        let mut all = std::mem::take(&mut sinks[largest].triangles);
-        let mut head = Vec::new();
-        for sink in &mut sinks[..largest] {
-            head.extend(std::mem::take(&mut sink.triangles));
+    /// The listing of a run: every range's triples, in range order,
+    /// whichever core ran the range. The listing is allocated zeroed,
+    /// which maps pages that cost nothing until written, and each
+    /// range's slot of it goes to the core that ran the range. Each
+    /// core's triples are then copied into their slots from its last
+    /// range back, a chunk at a time off the end of its vector, and the
+    /// vector shrunk after each chunk, so the peak is the listing plus a
+    /// chunk per core: there is never a second copy of `T`, nor of any
+    /// core's share. The cores' copies run on threads of their own:
+    /// most of their time is the first touch of the listing's pages.
+    ///
+    /// # Panics
+    ///
+    /// If a core's vector does not hold exactly the triangles its
+    /// `parts` name.
+    pub fn concat(cores: Vec<CoreSink<CollectSink>>) -> Vec<(u32, u32, u32)> {
+        /// Triples moved between two shrinks of a core's vector.
+        const CHUNK: usize = 1 << 16;
+        let mut lens = vec![0; cores.iter().map(|c| c.parts.len()).sum()];
+        for &(i, t) in cores.iter().flat_map(|c| &c.parts) {
+            lens[i] = t as usize;
         }
-        all.splice(0..0, head);
-        for sink in &mut sinks[largest + 1..] {
-            all.extend(std::mem::take(&mut sink.triangles));
+        let mut all = vec![(0, 0, 0); lens.iter().sum()];
+        let mut slots = Vec::with_capacity(lens.len());
+        let mut rest = &mut all[..];
+        for len in lens {
+            let (slot, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            slots.push(Some(slot));
+            rest = tail;
+        }
+        let copies: Vec<_> = (cores.into_iter())
+            .map(|CoreSink { sink, parts }| {
+                let held: u64 = parts.iter().map(|&(_, t)| t).sum();
+                let from = sink.triangles;
+                assert_eq!(
+                    from.len() as u64,
+                    held,
+                    "a core's triples and its parts disagree"
+                );
+                let mine: Vec<_> = (parts.iter())
+                    .map(|&(i, _)| slots[i].take().expect("each range is run once"))
+                    .collect();
+                (from, mine)
+            })
+            .collect();
+        /// Copy `from`, whose ranges run in `slots`' order, into the
+        /// slots from the last one back, shrinking `from` as it empties.
+        fn place(mut from: Vec<(u32, u32, u32)>, slots: Vec<&mut [(u32, u32, u32)]>) {
+            for slot in slots.into_iter().rev() {
+                let mut left = slot.len();
+                while left > 0 {
+                    let (n, end) = (left.min(CHUNK), from.len());
+                    slot[left - n..left].copy_from_slice(&from[end - n..]);
+                    from.truncate(end - n);
+                    from.shrink_to_fit();
+                    left -= n;
+                }
+            }
+        }
+        if copies.len() > 1 {
+            std::thread::scope(|scope| {
+                for (from, mine) in copies {
+                    scope.spawn(move || place(from, mine));
+                }
+            });
+        } else {
+            copies
+                .into_iter()
+                .for_each(|(from, mine)| place(from, mine));
         }
         all
     }
@@ -123,54 +215,70 @@ impl TriangleSink for CollectSink {
     }
 }
 
-/// Keeps the first `limit` triples a worker emits: a listing preview
-/// (`pdtl serve`'s `list --limit`) holds `limit` triples per worker,
-/// not the worker's share of `T`. Once it holds `limit` it wants no
-/// more, so the worker counts the rest of its range; the run's total
-/// is its report's `triangles`.
+/// Keeps the first `limit` triples of each range its core runs: a
+/// listing preview (`pdtl serve`'s `list --limit`) holds at most
+/// `limit` triples per range, not the core's share of `T`, and which
+/// triples it keeps does not depend on which core ran which range. Once
+/// it holds `limit` of a range it wants no more, so the core counts the
+/// rest of that range; the run's total is its report's `triangles`.
 #[derive(Debug, Clone)]
 pub struct LimitSink {
     limit: usize,
     kept: Vec<(u32, u32, u32)>,
+    /// Where the range being run starts in `kept`.
+    range_start: usize,
 }
 
 impl LimitSink {
-    /// A sink keeping at most `limit` triples.
+    /// A sink keeping at most `limit` triples a range.
     pub fn new(limit: usize) -> Self {
         Self {
             limit,
             kept: Vec::new(),
+            range_start: 0,
         }
     }
 
-    /// The first `limit` triples of a run, in worker order: the prefix
-    /// of [`CollectSink::concat`]'s listing.
-    pub fn concat(sinks: Vec<LimitSink>) -> Vec<(u32, u32, u32)> {
-        let limit = sinks.first().map_or(0, |s| s.limit);
-        let kept = sinks.into_iter().flat_map(|s| s.kept).take(limit);
-        kept.collect()
+    /// The first `limit` triples of a run in range order: the prefix of
+    /// [`CollectSink::concat`]'s listing.
+    pub fn concat(cores: Vec<CoreSink<LimitSink>>) -> Vec<(u32, u32, u32)> {
+        let limit = cores.first().map_or(0, |c| c.sink.limit);
+        let parts = range_parts(&cores, |t| t.min(limit as u64));
+        (parts.into_iter())
+            .flat_map(|(c, at, n)| &cores[c].sink.kept[at as usize..(at + n) as usize])
+            .take(limit)
+            .copied()
+            .collect()
+    }
+
+    fn full(&self) -> bool {
+        self.kept.len() - self.range_start >= self.limit
     }
 }
 
 impl TriangleSink for LimitSink {
     #[inline(always)]
     fn wants_triples(&self) -> bool {
-        self.kept.len() < self.limit
+        !self.full()
     }
 
     fn emit(&mut self, u: u32, v: u32, w: u32) {
-        if self.kept.len() < self.limit {
+        if !self.full() {
             self.kept.push((u, v, w));
         }
+    }
+
+    fn start_range(&mut self) {
+        self.range_start = self.kept.len();
     }
 }
 
 /// Streams triples to a binary file (3 × `u32` little-endian per
 /// triangle) through a counted writer. On the file-listing path each
-/// worker owns one, on a part file of its own
+/// core owns one, on a part file of its own
 /// ([`LocalRunner::run_listing_to_file`](crate::LocalRunner::run_listing_to_file)),
 /// so the `T/B` output term is written at the writer's bulk speed
-/// while the worker holds one buffer, not its triples.
+/// while the core holds one buffer, not its triples.
 #[derive(Debug)]
 pub struct FileSink {
     writer: U32Writer,
@@ -194,6 +302,12 @@ impl FileSink {
     /// write failure, after which no further triple reached the file.
     pub fn finish(self) -> Result<u64> {
         Ok(self.writer.finish()? / 3)
+    }
+
+    /// [`finish`](Self::finish) without the sync: for a part file that
+    /// is copied into the listing and deleted, which is synced once.
+    pub(crate) fn close(self) -> Result<u64> {
+        Ok(self.writer.close()? / 3)
     }
 }
 
@@ -242,35 +356,81 @@ mod tests {
         assert_eq!(s.triangles, vec![(1, 2, 3), (4, 5, 6)]);
     }
 
+    /// Cores that ran `ranges` (range indices, in the order each core
+    /// ran them) of a listing where range `i` found `sizes[i]` triangles,
+    /// each triple `(i, k, 0)` for the `k`-th of its range, emitted into
+    /// `make()` sinks the way the fan-out emits them.
+    fn cores<S: TriangleSink>(
+        ranges: &[&[usize]],
+        sizes: &[u32],
+        make: impl Fn() -> S,
+    ) -> Vec<CoreSink<S>> {
+        (ranges.iter())
+            .map(|ran| {
+                let mut sink = make();
+                for &i in *ran {
+                    sink.start_range();
+                    (0..sizes[i]).for_each(|k| sink.emit(i as u32, k, 0));
+                }
+                let parts = ran.iter().map(|&i| (i, u64::from(sizes[i]))).collect();
+                CoreSink { sink, parts }
+            })
+            .collect()
+    }
+
+    /// The listing of `sizes` in range order.
+    fn listing(sizes: &[u32]) -> Vec<(u32, u32, u32)> {
+        (0..sizes.len() as u32)
+            .flat_map(|i| (0..sizes[i as usize]).map(move |k| (i, k, 0)))
+            .collect()
+    }
+
     #[test]
-    fn concat_keeps_worker_order_wherever_the_largest_sink_is() {
-        let sink = |lo: u32, n: u32| CollectSink {
-            triangles: (lo..lo + n).map(|i| (i, i, i)).collect(),
-        };
-        for sizes in [[5, 1, 2], [1, 5, 2], [1, 2, 5], [0, 0, 0], [3, 3, 0]] {
-            let mut lo = 0;
-            let sinks = sizes.map(|n| {
-                lo += n;
-                sink(lo - n, n)
-            });
-            let all: Vec<u32> = CollectSink::concat(sinks.to_vec())
-                .iter()
-                .map(|t| t.0)
-                .collect();
-            assert_eq!(all, (0..lo).collect::<Vec<_>>(), "{sizes:?}");
+    fn concat_keeps_range_order_whichever_core_ran_each_range() {
+        // Chunks of 2^16 triples: range 3 crosses two of them.
+        let sizes = [5, 0, 2, 70_000, 1, 3];
+        let claims: [&[&[usize]]; 5] = [
+            &[&[5, 4, 3, 2, 1, 0]],
+            &[&[5, 2], &[4, 3, 1, 0]],
+            &[&[3], &[5, 4, 2, 1, 0], &[]],
+            &[&[], &[5, 3, 0], &[4, 2, 1]],
+            &[&[1], &[0], &[2], &[3], &[4], &[5]],
+        ];
+        for ran in claims {
+            let all = CollectSink::concat(cores(ran, &sizes, CollectSink::default));
+            assert!(all == listing(&sizes), "{ran:?}");
         }
         assert!(CollectSink::concat(Vec::new()).is_empty());
+        let none = CoreSink {
+            sink: CollectSink::default(),
+            parts: Vec::new(),
+        };
+        assert!(CollectSink::concat(vec![none]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree")]
+    fn concat_refuses_parts_that_do_not_match_the_triples() {
+        let mut core = cores(&[&[1, 0]], &[2, 3], CollectSink::default);
+        core[0].parts[0].1 -= 1;
+        CollectSink::concat(core);
     }
 
     #[test]
     fn limit_sinks_keep_the_prefix_of_the_listing() {
-        let sink = |lo: u32, n: u32| {
-            let mut s = LimitSink::new(4);
-            (lo..lo + n).for_each(|i| s.emit(i, i, i));
-            s
-        };
-        let kept = LimitSink::concat(vec![sink(0, 2), sink(2, 0), sink(2, 9)]);
-        assert_eq!(kept.iter().map(|t| t.0).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        let sizes = [2, 0, 9, 1, 6];
+        let claims: [&[&[usize]]; 3] = [
+            &[&[4, 3, 2, 1, 0]],
+            &[&[4, 1], &[3, 2, 0]],
+            &[&[2], &[4, 3, 1, 0]],
+        ];
+        for ran in claims {
+            for limit in [0, 1, 2, 3, 4, 11, 12, 18, 40] {
+                let kept = LimitSink::concat(cores(ran, &sizes, || LimitSink::new(limit)));
+                let all = listing(&sizes);
+                assert_eq!(kept, all[..limit.min(all.len())], "{ran:?} limit {limit}");
+            }
+        }
         assert!(LimitSink::concat(Vec::new()).is_empty());
     }
 
@@ -282,6 +442,13 @@ mod tests {
         assert!(s.wants_triples());
         s.emit(4, 5, 6);
         assert!(!s.wants_triples());
+        // A new range may keep `limit` of its own.
+        s.start_range();
+        assert!(s.wants_triples());
+        s.emit(7, 8, 9);
+        s.emit(1, 1, 1);
+        s.emit(2, 2, 2);
+        assert_eq!(s.kept.len(), 4);
         assert!(!LimitSink::new(0).wants_triples());
         assert!(!CountSink.wants_triples());
         assert!(CollectSink::default().wants_triples());

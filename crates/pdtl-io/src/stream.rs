@@ -794,15 +794,28 @@ impl U32Writer {
     /// lands a replica — cannot lose acknowledged bytes, which is the
     /// contract the integrity manifest's digests are recorded against.
     pub fn finish(mut self) -> Result<u64> {
-        self.check()?;
-        self.flush_buf()?;
-        self.file
-            .flush()
-            .map_err(|e| IoError::os("flush", &self.path, e))?;
+        self.flush_all()?;
         self.file
             .sync_all()
             .map_err(|e| IoError::os("sync", &self.path, e))?;
         Ok(self.written_u32)
+    }
+
+    /// Flush buffers and close without making the file durable: for a
+    /// scratch file that is read back and deleted by the same process,
+    /// where a sync would only wait on the disk. Returns the values
+    /// written, or the first write failure.
+    pub fn close(mut self) -> Result<u64> {
+        self.flush_all()?;
+        Ok(self.written_u32)
+    }
+
+    fn flush_all(&mut self) -> Result<()> {
+        self.check()?;
+        self.flush_buf()?;
+        self.file
+            .flush()
+            .map_err(|e| IoError::os("flush", &self.path, e))
     }
 }
 

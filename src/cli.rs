@@ -22,11 +22,13 @@
 //!   [--backend b] [--codec c] [--fault plan]` — distributed exact
 //!   count; `--fault` injects a deterministic fault plan (the
 //!   `FaultPlan` grammar, e.g. `seed=42;kill=1` or `panic@1x1`). Both
-//!   counts print one line per worker after the totals — range,
+//!   counts print one line per range after the totals — its positions,
 //!   iterations, predicted share of the cost, wall, I/O wait; `count`
-//!   adds the entries its scans read beside the predicted number and
-//!   the share of the lists read that the join used — then
-//!   `imbalance: <max/mean worker wall>`; `--memory` must be ≥ 1 and
+//!   names the core that claimed it and adds the entries its scans read
+//!   beside the predicted number and the share of the lists read that
+//!   the join used, then one line per core (ranges claimed, wall, I/O
+//!   wait); a cluster's range line names its node and worker — then
+//!   `imbalance: <max/mean core wall>`; `--memory` must be ≥ 1 and
 //!   defaults to the library's budget (`MemoryBudget::default()`, 64 Mi
 //!   edges);
 //! * `list <base> <out.bin> [--cores p]` — triangle listing to file, at
@@ -454,8 +456,8 @@ fn g_star_line(report: &RunReport) -> String {
     }
 }
 
-/// One worker's line after a count's totals: where `calc` went, and
-/// the planner's predicted share of the cost beside it. A local worker
+/// One range's line after a count's totals: where `calc` went, and
+/// the planner's predicted share of the cost beside it. A local range
 /// also reports its scan (`scan`): the entries read beside the
 /// planner's prediction, and the share of the lists read that the join
 /// used.
@@ -477,7 +479,7 @@ fn worker_line(
         .map_or_else(PredictedCost::default, |&(_, c)| c);
     write!(
         out,
-        "{who}: range [{}, {}), {iterations} iterations, predicted {:.1}% of cost, \
+        "{who} [{}, {}): {iterations} iterations, predicted {:.1}% of cost, \
          wall {wall:.3?}, io wait {io:.3?}",
         range.start,
         range.end,
@@ -590,18 +592,31 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
                 g_star_line(&report)
             )
             .map_err(|e| fail(&e))?;
-            for w in &report.workers {
-                let who = format!("worker {}", w.worker);
-                let (wall, io) = (w.breakdown.wall, w.breakdown.io);
+            for (i, r) in report.ranges.iter().enumerate() {
+                let who = format!("range {i} (core {})", r.worker);
+                let (wall, io) = (r.breakdown.wall, r.breakdown.io);
                 worker_line(
                     out,
                     &who,
-                    w.range,
-                    w.iterations,
+                    r.range,
+                    r.iterations,
                     &report.plan,
                     wall,
                     io,
-                    Some(w),
+                    Some(r),
+                )
+                .map_err(|e| fail(&e))?;
+            }
+            for w in &report.workers {
+                let ranges = report
+                    .ranges
+                    .iter()
+                    .filter(|r| r.worker == w.worker)
+                    .count();
+                writeln!(
+                    out,
+                    "core {}: {ranges} ranges, wall {:.3?}, io wait {:.3?}",
+                    w.worker, w.breakdown.wall, w.breakdown.io
                 )
                 .map_err(|e| fail(&e))?;
             }
@@ -1191,12 +1206,14 @@ mod tests {
         let g = Dataset::Rmat(7).build().unwrap();
         let expected = pdtl_graph::verify::triangle_count(&g);
         assert!(text.contains(&format!("triangles: {expected}")));
-        // One line per worker, then the imbalance.
-        let workers: Vec<&str> = text.lines().filter(|l| l.starts_with("worker ")).collect();
-        assert_eq!(workers.len(), 2, "{text}");
-        assert!(workers.iter().all(|l| l.contains("% of cost")), "{text}");
-        // Each worker's scan read what the planner predicted.
-        for line in &workers {
+        // One line per range, one per core, then the imbalance.
+        let ranges: Vec<&str> = text.lines().filter(|l| l.starts_with("range ")).collect();
+        assert_eq!(ranges.len(), 2 * pdtl_core::RANGES_PER_CORE, "{text}");
+        assert!(ranges.iter().all(|l| l.contains("% of cost")), "{text}");
+        let cores = text.lines().filter(|l| l.starts_with("core ")).count();
+        assert_eq!(cores, 2, "{text}");
+        // Each range's scan read what the planner predicted.
+        for line in &ranges {
             let (_, scan) = line.split_once(", scanned ").expect(line);
             let (measured, rest) = scan.split_once(" (predicted ").expect(line);
             let (predicted, rest) = rest.split_once("), useful ").expect(line);

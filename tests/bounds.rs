@@ -72,7 +72,7 @@ fn mgt_cpu_within_theorem_iv2() {
 
 #[test]
 fn iterations_match_formula() {
-    // R = ceil(S / cM) per worker (Section IV-B2).
+    // R = ceil(S / cM) per range (Section IV-B2).
     let g = Dataset::Rmat(8).build().unwrap();
     let mem = 2048usize;
     let report = count_triangles_with(
@@ -85,10 +85,11 @@ fn iterations_match_formula() {
         },
     )
     .unwrap();
-    for w in &report.workers {
-        let expected = MemoryBudget::edges(mem).iterations_for(w.range.len());
-        assert_eq!(w.iterations, expected, "worker {}", w.worker);
+    for (i, r) in report.ranges.iter().enumerate() {
+        let expected = MemoryBudget::edges(mem).iterations_for(r.range.len());
+        assert_eq!(r.iterations, expected, "range {i}");
     }
+    assert_eq!(report.ranges.len(), 3 * pdtl::core::RANGES_PER_CORE);
 }
 
 #[test]

@@ -13,7 +13,7 @@ use pdtl::analytics::clustering::{per_vertex_counts, VertexCountSink};
 use pdtl::core::metrics::WorkerReport;
 use pdtl::core::mgt::mgt_in_memory;
 use pdtl::core::orient::{orient_csr, orient_to_disk_with, OrientedGraph};
-use pdtl::core::sink::{CollectSink, CountSink, LimitSink, TriangleSink};
+use pdtl::core::sink::{CollectSink, CoreSink, CountSink, LimitSink, TriangleSink};
 use pdtl::core::{LocalConfig, LocalRunner, RunReport};
 use pdtl::graph::gen::classic::{erdos_renyi, wheel};
 use pdtl::graph::gen::rmat::rmat;
@@ -31,7 +31,7 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// What a worker counted, its I/O wait (a timing) left out.
+/// What a range's worker counted, its I/O wait (a timing) left out.
 fn counters(w: &WorkerReport) -> (u64, u64, u64, u64, u64, u64, IoSnapshot) {
     let io = IoSnapshot {
         io_time: Default::default(),
@@ -46,7 +46,7 @@ fn run<S: TriangleSink + Send>(
     cores: usize,
     budget: usize,
     make_sink: impl FnMut() -> S,
-) -> (RunReport, Vec<S>) {
+) -> (RunReport, Vec<CoreSink<S>>) {
     let runner = LocalRunner::new(LocalConfig {
         cores,
         budget: MemoryBudget::edges(budget),
@@ -110,8 +110,8 @@ fn a_sink_that_lends_counters_is_handed_no_triple() {
         let (report, sinks) = run(&og, cores, 64, || Lending(vec![0; n as usize]));
         assert_eq!(report.triangles, triangle_count(&g), "{cores} cores");
         let mut counts = vec![0; n as usize];
-        for sink in sinks {
-            for (r, c) in sink.0.into_iter().enumerate() {
+        for core in sinks {
+            for (r, c) in core.sink.0.into_iter().enumerate() {
                 counts[og.ids[r] as usize] += c;
             }
         }
@@ -165,17 +165,17 @@ fn a_full_limit_sink_changes_only_what_is_emitted() {
         let listing = CollectSink::concat(collected);
         let t = counted.triangles;
         assert_eq!(listing.len() as u64, t, "{case}");
-        let want: Vec<_> = counted.workers.iter().map(counters).collect();
-        let got: Vec<_> = listed.workers.iter().map(counters).collect();
+        let want: Vec<_> = counted.ranges.iter().map(counters).collect();
+        let got: Vec<_> = listed.ranges.iter().map(counters).collect();
         assert_eq!(got, want, "{case}: listing");
 
-        let share = counted.workers[0].triangles as usize;
+        let share = counted.ranges[0].triangles as usize;
         let limits = [0, 1, share.saturating_sub(1), share, t as usize + 5];
         for k in limits {
             let (limited, sinks) = run(og, cores, budget, || LimitSink::new(k));
             assert_eq!(limited.plan, counted.plan, "{case} k {k}");
             assert_eq!(limited.triangles, t, "{case} k {k}");
-            let got: Vec<_> = limited.workers.iter().map(counters).collect();
+            let got: Vec<_> = limited.ranges.iter().map(counters).collect();
             assert_eq!(got, want, "{case} k {k}");
             let kept = LimitSink::concat(sinks);
             assert_eq!(kept, listing[..k.min(listing.len())], "{case} k {k}");
@@ -194,12 +194,12 @@ fn a_per_vertex_sink_changes_only_what_is_counted() {
         let (per_vertex, sinks) = run(og, cores, budget, || VertexCountSink::new(n));
         assert_eq!(per_vertex.plan, counted.plan, "{case}");
         assert_eq!(per_vertex.triangles, counted.triangles, "{case}");
-        let want: Vec<_> = counted.workers.iter().map(counters).collect();
-        let got: Vec<_> = per_vertex.workers.iter().map(counters).collect();
+        let want: Vec<_> = counted.ranges.iter().map(counters).collect();
+        let got: Vec<_> = per_vertex.ranges.iter().map(counters).collect();
         assert_eq!(got, want, "{case}");
         let listing = CollectSink::concat(collected);
         assert_eq!(listing.len() as u64, listed.triangles, "{case}");
-        let counts = VertexCountSink::merge(&og.ids, sinks);
+        let counts = VertexCountSink::merge(&og.ids, sinks.into_iter().map(|c| c.sink));
         assert_eq!(counts, per_vertex_counts(n, &listing), "{case}");
 
         // The in-memory engine shares the join: one range, same counts.
