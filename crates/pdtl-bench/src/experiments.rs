@@ -528,9 +528,8 @@ fn fig9(wb: &mut Workbench) -> String {
         "Figure 9 — load balancing: the struggler's counted cpu_ops and calc wall",
         &format!(
             "Paper shape: in-degree balancing improves calculation time, most on \
-             skewed graphs (the paper reports up to 3x). The split is the paper's: \
-             one planned range per core. `claimed` replays a local run, whose cores \
-             claim {RANGES_PER_CORE} planned ranges each."
+             skewed graphs (the paper reports up to 3x). The cores claim \
+             {RANGES_PER_CORE} planned ranges each; the struggler is their replay."
         ),
     );
     let columns = [
@@ -538,8 +537,6 @@ fn fig9(wb: &mut Workbench) -> String {
         "max ops LB",
         "max ops no LB",
         "gain",
-        "claimed LB",
-        "claimed no LB",
         "calc LB",
         "calc no LB",
     ];
@@ -550,26 +547,17 @@ fn fig9(wb: &mut Workbench) -> String {
     for ds in datasets {
         for &cores in &[8usize, 16] {
             let budget = wb.profile.budget();
-            let split = |wb: &mut Workbench, balance| {
-                let ranges = wb.run_split(ds, cores, budget, balance);
-                let calc = ranges.iter().map(|r| r.breakdown.wall).max();
-                (Work::of(ranges.iter().map(|r| r.cpu_ops)).max, calc)
-            };
-            let (w, calc_with) = split(wb, BalanceStrategy::InDegree);
-            let (o, calc_without) = split(wb, BalanceStrategy::EqualEdges);
+            let with = wb.run_local(ds, cores, budget, BalanceStrategy::InDegree);
+            let without = wb.run_local(ds, cores, budget, BalanceStrategy::EqualEdges);
+            let (w, o) = (Work::local(&with).max, Work::local(&without).max);
             below &= w < o;
-            let claimed = |wb: &mut Workbench, balance| {
-                Work::local(&wb.run_local(ds, cores, budget, balance)).max
-            };
             let cells = [
                 cores.to_string(),
                 w.to_string(),
                 o.to_string(),
                 format!("{:.2}x", ratio(o, w)),
-                claimed(wb, BalanceStrategy::InDegree).to_string(),
-                claimed(wb, BalanceStrategy::EqualEdges).to_string(),
-                fmt_duration(calc_with.unwrap_or_default()),
-                fmt_duration(calc_without.unwrap_or_default()),
+                fmt_duration(with.calc_wall()),
+                fmt_duration(without.calc_wall()),
             ];
             row(&mut s, &ds.name(), cells, 13);
         }

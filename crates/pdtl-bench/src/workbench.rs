@@ -8,9 +8,7 @@ use std::time::Duration;
 use pdtl_cluster::{ClusterConfig, ClusterReport, ClusterRunner};
 use pdtl_core::balance::BalanceStrategy;
 use pdtl_core::mgt::MgtOptions;
-use pdtl_core::orient::orient_to_disk_with;
-use pdtl_core::sink::CountSink;
-use pdtl_core::{plan_ranges, run_workers, LocalConfig, LocalRunner, RunReport, WorkerReport};
+use pdtl_core::{LocalConfig, LocalRunner, RunReport};
 use pdtl_graph::datasets::Dataset;
 use pdtl_graph::{DiskGraph, Graph};
 use pdtl_io::{IoStats, MemoryBudget};
@@ -187,30 +185,6 @@ impl Workbench {
         let report = runner.run(&input, &dir).expect("local run");
         let _ = std::fs::remove_dir_all(&dir);
         report
-    }
-
-    /// The paper's static split of `ds`: `cores` ranges planned under
-    /// `balance` at `budget`, each run by a core of its own with no
-    /// claims, as a cluster node runs its ranges. Returns the ranges'
-    /// reports, in range order.
-    pub fn run_split(
-        &mut self,
-        ds: Dataset,
-        cores: usize,
-        budget: MemoryBudget,
-        balance: BalanceStrategy,
-    ) -> Vec<WorkerReport> {
-        let input = self.graph(ds).1.clone();
-        let dir = self.scratch("split");
-        let stats = IoStats::new();
-        let codec = self.mgt.codec;
-        let (og, _) = orient_to_disk_with(&input, dir.join("oriented"), cores, codec, &stats)
-            .expect("orientation");
-        let (plan, _) = plan_ranges(&og, budget, cores, balance);
-        let jobs: Vec<_> = plan.iter().map(|&(r, _)| (r, budget, self.mgt)).collect();
-        let fan = run_workers(&og, &jobs, || CountSink).expect("split run");
-        let _ = std::fs::remove_dir_all(&dir);
-        fan.ranges
     }
 
     /// Run the distributed PDTL pipeline.

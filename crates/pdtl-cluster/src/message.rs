@@ -21,6 +21,7 @@
 //! are threads of the master's process; `pdtl query` and `pdtl serve`
 //! are one executable), so there is no version negotiation.
 
+use pdtl_core::RANGES_PER_CORE;
 use pdtl_io::{Codec, IoBackend};
 
 use crate::error::{ClusterError, Result};
@@ -33,17 +34,22 @@ pub use pdtl_core::MAX_CORES;
 /// Most triples one `list` answer echoes back.
 pub const MAX_LIST_LIMIT: u32 = 1 << 22;
 
+/// Most range summaries one `QueryResult` carries: a query on
+/// [`MAX_CORES`] cores plans [`RANGES_PER_CORE`] ranges a core, and the
+/// reply sums up each range.
+pub const MAX_SUMMARIES: usize = MAX_CORES as usize * RANGES_PER_CORE;
+
 /// Bytes of the `u32` payload length that opens a transport frame.
 pub(crate) const FRAME_HEADER: usize = 4;
 
 /// The largest payload either end of a connection writes or buffers
 /// (~48 MiB). Not a setting: it is the size of the biggest legitimate
 /// message, a `QueryResult` echoing [`MAX_LIST_LIMIT`] triples with
-/// [`MAX_CORES`] worker summaries. Nodes ship listings in
+/// [`MAX_SUMMARIES`] range summaries. Nodes ship listings in
 /// [`TRIANGLE_BATCH`]-sized frames, so no other message comes close.
 pub const MAX_FRAME: usize = 5
     + 4 * 8
-    + (4 + MAX_CORES as usize * WorkerSummary::MIN_LEN)
+    + (4 + MAX_SUMMARIES * WorkerSummary::MIN_LEN)
     + (4 + MAX_LIST_LIMIT as usize * <(u32, u32, u32)>::MIN_LEN);
 
 /// Triples per `Triangles` frame a node sends (768 KiB of payload):
@@ -366,7 +372,8 @@ wire_record!(NodeDirectives: 4 + NodeFault::MIN_LEN; heartbeat_ms, fault);
 /// One worker's result summary sent back to the master.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerSummary {
-    /// Worker index within the node.
+    /// The range's index in its run's plan: within the node's configs
+    /// on a cluster node, within the query's plan in a serve reply.
     pub worker: u32,
     /// Range start.
     pub start: u64,
@@ -664,8 +671,8 @@ pub enum Message {
         aux: u64,
         /// Server-side wall time of the query in nanoseconds.
         wall_nanos: u64,
-        /// Per-worker MGT counters of the run (empty for operations
-        /// that do not run the disk engine).
+        /// Per-range MGT counters of the run, in plan order (empty
+        /// for operations that do not run the disk engine).
         workers: Vec<WorkerSummary>,
         /// Listed triples (`list` only, capped at the request's limit).
         triples: Vec<(u32, u32, u32)>,
@@ -931,6 +938,27 @@ mod tests {
         }
         // ~48 MiB, and representable in the u32 frame header.
         assert!(MAX_FRAME > 12 * MAX_LIST_LIMIT as usize && MAX_FRAME < u32::MAX as usize);
+    }
+
+    #[test]
+    fn the_largest_query_result_fills_one_frame() {
+        // A query at the core cap summing up every planned range and
+        // echoing the most triples (~48 MiB).
+        let mut msg = Message::QueryResult {
+            id: 1,
+            triangles: 2,
+            value_bits: 3,
+            aux: 4,
+            wall_nanos: 5,
+            workers: (0..MAX_SUMMARIES as u32).map(sample_summary).collect(),
+            triples: vec![(1, 2, 3); MAX_LIST_LIMIT as usize],
+        };
+        assert_eq!(msg.frame().unwrap().len(), FRAME_HEADER + MAX_FRAME);
+        if let Message::QueryResult { workers, .. } = &mut msg {
+            workers.push(sample_summary(0));
+        }
+        let err = msg.frame().unwrap_err().to_string();
+        assert!(err.contains("frame cap"), "{err}");
     }
 
     #[test]

@@ -191,7 +191,8 @@ pub fn run_workers<S: TriangleSink + Send>(
     let og = OrientedGraph::open(graph_base, &IoStats::new())?;
     let jobs: Vec<_> = configs.iter().map(worker_job).collect();
     let fan = pdtl_core::run_workers(&og, &jobs, make_sink)?;
-    Ok((fan.ranges.iter().map(summarize).collect(), fan.sinks))
+    let summaries = fan.ranges.iter().enumerate();
+    Ok((summaries.map(|(i, r)| summarize(i, r)).collect(), fan.sinks))
 }
 
 /// What a wire [`WorkerConfig`] asks the engine to run.
@@ -209,10 +210,12 @@ fn worker_job(cfg: &WorkerConfig) -> (EdgeRange, MemoryBudget, MgtOptions) {
     (range, MemoryBudget::edges(cfg.budget_edges as usize), opts)
 }
 
-/// Convert a core [`WorkerReport`] into its wire summary.
-pub fn summarize(r: &WorkerReport) -> WorkerSummary {
+/// Convert the report of the `index`-th range of a fan-out into its
+/// wire summary, labelled by that index: which core claimed the range
+/// changes from run to run, its place in the plan does not.
+pub fn summarize(index: usize, r: &WorkerReport) -> WorkerSummary {
     WorkerSummary {
-        worker: r.worker as u32,
+        worker: index as u32,
         start: r.range.start,
         end: r.range.end,
         triangles: r.triangles,

@@ -783,7 +783,9 @@ fn reply_from(
         triangles: report.triangles,
         value_bits,
         aux,
-        workers: report.ranges.iter().map(summarize).collect(),
+        workers: (report.ranges.iter().enumerate())
+            .map(|(i, r)| summarize(i, r))
+            .collect(),
         triples,
     }
 }

@@ -63,11 +63,12 @@ pub const MAX_CORES: u32 = 64;
 /// More ranges even the cores' finish, and each costs at least one more
 /// chunk iteration and its scan, which
 /// [`predicted_cost`](crate::predicted_cost) states exactly. Measured on
-/// RMAT-15 listed on 2 cores: at 4 a core the slowest core finishes
-/// within 1–3 % of the mean, where a fixed split left it 28–47 % past
-/// it; 2, 3, 6 and 8 read the same calculation time within the host's
-/// noise.
-pub const RANGES_PER_CORE: usize = 4;
+/// RMAT-15 listed on 2 cores, 2 to 8 a core read the same calculation
+/// time within the host's noise, all well below a fixed split's; past 2
+/// the extra scans show in the counted work: on `exp`'s RMAT-9 (Fig. 9)
+/// the in-degree plan at 3 or 4 a core leaves a larger claimed
+/// struggler than equal edges does, at 2 a smaller one.
+pub const RANGES_PER_CORE: usize = 2;
 
 /// The ranges a run on `cores` cores plans: one for one core, which has
 /// no other core to even out with.
@@ -481,7 +482,7 @@ where
         let mut first = None;
         while let Some(i) = claim(&cursor) {
             first.get_or_insert_with(Instant::now);
-            sink.start_range();
+            sink.start_range(i);
             let mut report = worker(jobs[i], &mut sink)?;
             report.worker = c;
             ran.push((i, report));
@@ -1097,9 +1098,9 @@ mod tests {
             }
         }
 
-        fn start_range(&mut self) {
+        fn start_range(&mut self, range: usize) {
             if let Sink::Limit(l) = self {
-                l.start_range();
+                l.start_range(range);
             }
         }
 

@@ -77,11 +77,12 @@ pub trait TriangleSink {
         Ok(())
     }
 
-    /// Called before each range the sink's core runs into it. A sink
-    /// whose output is cut per range starts its count again here
+    /// Called before each range the sink's core runs into it, with the
+    /// range's index in the plan. A sink that keeps a prefix of the
+    /// listing in range order marks where the range starts
     /// ([`LimitSink`]); by default nothing happens.
     #[inline(always)]
-    fn start_range(&mut self) {}
+    fn start_range(&mut self, _range: usize) {}
 }
 
 /// One core's sink beside the ranges it ran into it.
@@ -215,27 +216,38 @@ impl TriangleSink for CollectSink {
     }
 }
 
-/// Keeps the first `limit` triples of each range its core runs: a
-/// listing preview (`pdtl serve`'s `list --limit`) holds at most
-/// `limit` triples per range, not the core's share of `T`, and which
-/// triples it keeps does not depend on which core ran which range. Once
-/// it holds `limit` of a range it wants no more, so the core counts the
-/// rest of that range; the run's total is its report's `triangles`.
+/// Keeps the first `limit` triples of its core's ranges taken in range
+/// order: a listing preview (`pdtl serve`'s `list --limit`) holds at
+/// most `limit` triples a core, as many as when each core ran one
+/// range, and which triples it keeps does not depend on which core ran
+/// which range. The first `limit` of the listing are among them: the
+/// listing's prefix holds, of each core's ranges, a prefix of their
+/// output taken in range order. Once the range being run can add
+/// nothing to that, the sink wants no more triples and the core counts
+/// the rest of the range; the run's total is its report's `triangles`.
 #[derive(Debug, Clone)]
 pub struct LimitSink {
     limit: usize,
-    kept: Vec<(u32, u32, u32)>,
-    /// Where the range being run starts in `kept`.
-    range_start: usize,
+    /// Each range the core ran, in the order it ran them.
+    kept: Vec<KeptRange>,
+    /// Triples kept over all of `kept`.
+    held: usize,
+    /// Triples the range being run may keep: `limit` less those kept of
+    /// the core's lower ranges.
+    room: usize,
 }
 
+/// `(range index, the range's kept triples)` of a [`LimitSink`].
+type KeptRange = (usize, Vec<(u32, u32, u32)>);
+
 impl LimitSink {
-    /// A sink keeping at most `limit` triples a range.
+    /// A sink keeping at most `limit` triples.
     pub fn new(limit: usize) -> Self {
         Self {
             limit,
             kept: Vec::new(),
-            range_start: 0,
+            held: 0,
+            room: 0,
         }
     }
 
@@ -243,33 +255,57 @@ impl LimitSink {
     /// [`CollectSink::concat`]'s listing.
     pub fn concat(cores: Vec<CoreSink<LimitSink>>) -> Vec<(u32, u32, u32)> {
         let limit = cores.first().map_or(0, |c| c.sink.limit);
-        let parts = range_parts(&cores, |t| t.min(limit as u64));
-        (parts.into_iter())
-            .flat_map(|(c, at, n)| &cores[c].sink.kept[at as usize..(at + n) as usize])
+        let mut ranges: Vec<_> = cores.into_iter().flat_map(|c| c.sink.kept).collect();
+        ranges.sort_unstable_by_key(|&(i, _)| i);
+        ranges
+            .into_iter()
+            .flat_map(|(_, t)| t)
             .take(limit)
-            .copied()
             .collect()
     }
 
-    fn full(&self) -> bool {
-        self.kept.len() - self.range_start >= self.limit
+    /// Whether the range being run may keep another triple.
+    #[inline(always)]
+    fn open(&self) -> bool {
+        self.kept.last().is_some_and(|(_, t)| t.len() < self.room)
     }
 }
 
 impl TriangleSink for LimitSink {
     #[inline(always)]
     fn wants_triples(&self) -> bool {
-        !self.full()
+        self.open()
     }
 
+    /// Keeps the triple while it is among the first `limit` of the
+    /// core's ranges in range order; the triple it then pushes past
+    /// them, the last of the highest range holding any, is dropped.
     fn emit(&mut self, u: u32, v: u32, w: u32) {
-        if !self.full() {
-            self.kept.push((u, v, w));
+        if !self.open() {
+            return;
+        }
+        if let Some((_, t)) = self.kept.last_mut() {
+            t.push((u, v, w));
+        }
+        self.held += 1;
+        if self.held > self.limit {
+            let highest = (self.kept.iter_mut())
+                .filter(|(_, t)| !t.is_empty())
+                .max_by_key(|&&mut (i, _)| i);
+            if let Some((_, t)) = highest {
+                t.pop();
+                self.held -= 1;
+            }
         }
     }
 
-    fn start_range(&mut self) {
-        self.range_start = self.kept.len();
+    fn start_range(&mut self, range: usize) {
+        let below: usize = (self.kept.iter())
+            .filter(|&&(i, _)| i < range)
+            .map(|(_, t)| t.len())
+            .sum();
+        self.room = self.limit - below;
+        self.kept.push((range, Vec::new()));
     }
 }
 
@@ -369,7 +405,7 @@ mod tests {
             .map(|ran| {
                 let mut sink = make();
                 for &i in *ran {
-                    sink.start_range();
+                    sink.start_range(i);
                     (0..sizes[i]).for_each(|k| sink.emit(i as u32, k, 0));
                 }
                 let parts = ran.iter().map(|&i| (i, u64::from(sizes[i]))).collect();
@@ -419,14 +455,20 @@ mod tests {
     #[test]
     fn limit_sinks_keep_the_prefix_of_the_listing() {
         let sizes = [2, 0, 9, 1, 6];
-        let claims: [&[&[usize]]; 3] = [
+        // Claims count down; the last layout runs upward, which the
+        // sink keeps right as well.
+        let claims: [&[&[usize]]; 4] = [
             &[&[4, 3, 2, 1, 0]],
             &[&[4, 1], &[3, 2, 0]],
             &[&[2], &[4, 3, 1, 0]],
+            &[&[0, 2, 4], &[1, 3]],
         ];
         for ran in claims {
             for limit in [0, 1, 2, 3, 4, 11, 12, 18, 40] {
-                let kept = LimitSink::concat(cores(ran, &sizes, || LimitSink::new(limit)));
+                let sinks = cores(ran, &sizes, || LimitSink::new(limit));
+                // A core holds at most `limit`, however many ranges it ran.
+                assert!(sinks.iter().all(|c| c.sink.held <= limit));
+                let kept = LimitSink::concat(sinks);
                 let all = listing(&sizes);
                 assert_eq!(kept, all[..limit.min(all.len())], "{ran:?} limit {limit}");
             }
@@ -437,18 +479,28 @@ mod tests {
     #[test]
     fn a_limit_sink_wants_triples_until_it_is_full() {
         let mut s = LimitSink::new(2);
+        // No range started: nothing to keep.
+        assert!(!s.wants_triples());
+        s.start_range(4);
         assert!(s.wants_triples());
         s.emit(1, 2, 3);
         assert!(s.wants_triples());
         s.emit(4, 5, 6);
         assert!(!s.wants_triples());
-        // A new range may keep `limit` of its own.
-        s.start_range();
+        // A lower range may keep `limit` of its own; each triple it
+        // keeps drops one of the higher range's.
+        s.start_range(1);
         assert!(s.wants_triples());
         s.emit(7, 8, 9);
+        assert_eq!(s.held, 2);
         s.emit(1, 1, 1);
         s.emit(2, 2, 2);
-        assert_eq!(s.kept.len(), 4);
+        assert!(!s.wants_triples());
+        assert_eq!(s.held, 2);
+        assert_eq!(s.kept, vec![(4, vec![]), (1, vec![(7, 8, 9), (1, 1, 1)])]);
+        // A higher range has no room left under the lower ones.
+        s.start_range(6);
+        assert!(!s.wants_triples());
         assert!(!LimitSink::new(0).wants_triples());
         assert!(!CountSink.wants_triples());
         assert!(CollectSink::default().wants_triples());
