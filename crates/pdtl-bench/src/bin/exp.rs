@@ -8,7 +8,7 @@
 //! exp all --codec delta-varint  # force one on-disk codec likewise
 //! ```
 
-use pdtl_bench::experiments::{run_experiment, ALL_EXPERIMENTS};
+use pdtl_bench::experiments::{run_listed, ALL_EXPERIMENTS};
 use pdtl_bench::workbench::{Profile, Workbench};
 use pdtl_core::mgt::MgtOptions;
 use pdtl_io::{Codec, IoBackend};
@@ -86,22 +86,9 @@ fn main() {
         args.ids.iter().map(|s| s.as_str()).collect()
     };
 
-    println!(
-        "PDTL experiment harness — profile: {profile:?} (counters are exact on any \
-         host; walls are measured on this host)"
-    );
-    for id in selected {
-        let start = std::time::Instant::now();
-        match run_experiment(id, &mut wb) {
-            Some(out) => {
-                print!("{out}");
-                println!("[{id} regenerated in {:.1?}]", start.elapsed());
-            }
-            None => {
-                eprintln!("unknown experiment id: {id}");
-                std::process::exit(2);
-            }
-        }
+    if let Err(id) = run_listed(&selected, &mut wb, |text| print!("{text}")) {
+        eprintln!("unknown experiment id: {id}");
+        std::process::exit(2);
     }
 }
 

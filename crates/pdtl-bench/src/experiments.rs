@@ -76,6 +76,30 @@ pub fn run_experiment(id: &str, wb: &mut Workbench) -> Option<String> {
     Some(out)
 }
 
+/// What `exp <ids>` prints, handed to `out` a piece at a time: a banner,
+/// then each experiment's tables and the wall it took. Stops at the
+/// first id that names no experiment and returns it.
+pub fn run_listed<'a>(
+    ids: &[&'a str],
+    wb: &mut Workbench,
+    mut out: impl FnMut(&str),
+) -> Result<(), &'a str> {
+    out(&format!(
+        "PDTL experiment harness — profile: {:?} (counters are exact on any \
+         host; walls are measured on this host)\n",
+        wb.profile
+    ));
+    for &id in ids {
+        let start = std::time::Instant::now();
+        let tables = run_experiment(id, wb).ok_or(id)?;
+        out(&format!(
+            "{tables}[{id} regenerated in {:.1?}]\n",
+            start.elapsed()
+        ));
+    }
+    Ok(())
+}
+
 fn header(title: &str, note: &str) -> String {
     format!("\n=== {title} ===\n{note}\n\n")
 }
@@ -1048,31 +1072,151 @@ mod tests {
     /// The experiments that check a paper shape against the counters.
     const SHAPES: &[&str] = &["fig5", "fig9", "fig11", "table6", "table9"];
 
+    /// `exp`'s output as the goldens hold it (`tests/regenerate.sh`):
+    /// each time token (`[0-9]+(\.[0-9]+)?(ns|µs|us|ms|s)\b`) replaced
+    /// by `T`, and each line's runs of whitespace collapsed to one space
+    /// and trimmed, since column padding follows the walls' widths.
+    fn masked(text: &str) -> String {
+        let mut out = String::new();
+        for line in text.lines() {
+            let mut rest = line;
+            let mut times = String::new();
+            while let Some(c) = rest.chars().next() {
+                let len = match time_token(rest) {
+                    Some(len) => {
+                        times.push('T');
+                        len
+                    }
+                    None => {
+                        times.push(c);
+                        c.len_utf8()
+                    }
+                };
+                rest = &rest[len..];
+            }
+            out += &times.split_whitespace().collect::<Vec<_>>().join(" ");
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The length of the time token `text` starts with, if any.
+    fn time_token(text: &str) -> Option<usize> {
+        let digits = |s: &str| s.bytes().take_while(u8::is_ascii_digit).count();
+        let mut len = digits(text);
+        if len == 0 {
+            return None;
+        }
+        if let Some(frac) = text[len..].strip_prefix('.').map(digits) {
+            len += if frac > 0 { 1 + frac } else { 0 };
+        }
+        let unit = ["ns", "µs", "us", "ms", "s"]
+            .into_iter()
+            .find(|unit| text[len..].starts_with(unit))?;
+        len += unit.len();
+        let word = |c: char| c.is_alphanumeric() || c == '_';
+        (!text[len..].chars().next().is_some_and(word)).then_some(len)
+    }
+
+    /// The first `=== title ===` table of `got` that is not `want`'s,
+    /// both printed; `None` when they are the same.
+    fn first_differing_table(got: &str, want: &str) -> Option<String> {
+        let (got, want): (Vec<_>, Vec<_>) = (
+            got.split("\n=== ").collect(),
+            want.split("\n=== ").collect(),
+        );
+        (0..got.len().max(want.len())).find_map(|i| {
+            let (g, w) = (got.get(i).copied(), want.get(i).copied());
+            (g != w).then(|| {
+                let (g, w) = (g.unwrap_or("(missing)\n"), w.unwrap_or("(missing)\n"));
+                format!("--- golden\n=== {w}+++ this run\n=== {g}")
+            })
+        })
+    }
+
     /// Smoke-run every experiment at the Quick profile — the end-to-end
-    /// test of the whole harness — and hold each paper shape the
-    /// counters express: Fig. 5 (a quarter of the budget reads more
-    /// bytes over more iterations), Fig. 9 (in-degree balancing leaves
-    /// the struggler less work), Fig. 11 (counted speedup rises with
-    /// N·P), Table VI (PowerGraph runs out of memory where PDTL does
-    /// not) and Table IX (`d*max` below the maximum degree).
+    /// test of the whole harness — under the default engine options and
+    /// under mmap with delta-varint, and hold it to two things:
+    ///
+    /// * every counter reads as `tests/exp-quick*.golden` recorded it:
+    ///   the masked output equals the golden, or the first table that
+    ///   differs is printed (`tests/regenerate.sh` rewrites both goldens
+    ///   when a change moves counted work on purpose);
+    /// * each paper shape the counters express holds: Fig. 5 (a quarter
+    ///   of the budget reads more bytes over more iterations), Fig. 9
+    ///   (in-degree balancing leaves the struggler less work), Fig. 11
+    ///   (counted speedup rises with N·P), Table VI (PowerGraph runs
+    ///   out of memory where PDTL does not) and Table IX (`d*max` below
+    ///   the maximum degree).
     #[test]
     fn all_experiments_run_quick() {
-        let mut wb = Workbench::temp(Profile::Quick);
-        for id in ALL_EXPERIMENTS {
-            let out = run_experiment(id, &mut wb).unwrap_or_else(|| panic!("unknown id {id}"));
-            assert!(out.contains("==="), "{id} produced no table");
-            assert!(out.len() > 100, "{id} output suspiciously short");
-            assert!(
-                !out.contains("FINDING"),
-                "{id}: a paper shape failed\n{out}"
-            );
-            if SHAPES.contains(id) {
+        use pdtl_core::mgt::MgtOptions;
+        use pdtl_io::{Codec, IoBackend};
+        let mmap_varint = MgtOptions {
+            backend: IoBackend::Mmap,
+            codec: Codec::DeltaVarint,
+            ..MgtOptions::default()
+        };
+        let runs = [
+            (
+                MgtOptions::default(),
+                include_str!("../tests/exp-quick.golden"),
+            ),
+            (
+                mmap_varint,
+                include_str!("../tests/exp-quick-mmap-varint.golden"),
+            ),
+        ];
+        // A cluster's dispatch carries its replica's path, so network
+        // bytes follow the data dir's spelling: the runs spell it as `exp`
+        // does (relative to the package here), one after the other.
+        let outputs: Vec<Vec<String>> = (runs.iter())
+            .map(|&(mgt, _)| {
+                let mut wb = Workbench::new(Profile::Quick, PathBuf::from("target/pdtl-data"));
+                wb.mgt = mgt;
+                let mut pieces = Vec::new();
+                run_listed(ALL_EXPERIMENTS, &mut wb, |p| pieces.push(p.to_string()))
+                    .unwrap_or_else(|id| panic!("unknown id {id}"));
+                pieces
+            })
+            .collect();
+        for ((mgt, golden), pieces) in runs.iter().zip(outputs) {
+            let case = format!("{} {}", mgt.backend, mgt.codec);
+            for (id, out) in ALL_EXPERIMENTS.iter().zip(&pieces[1..]) {
+                assert!(out.contains("==="), "{case} {id} produced no table");
+                assert!(out.len() > 100, "{case} {id} output suspiciously short");
                 assert!(
-                    out.contains("\nshape holds: "),
-                    "{id} checked no shape\n{out}"
+                    !out.contains("FINDING"),
+                    "{case} {id}: a paper shape failed\n{out}"
                 );
+                if SHAPES.contains(id) {
+                    assert!(
+                        out.contains("\nshape holds: "),
+                        "{case} {id} checked no shape\n{out}"
+                    );
+                }
+            }
+            if let Some(diff) = first_differing_table(&masked(&pieces.concat()), golden) {
+                panic!("{case}: counters moved from the golden\n{diff}");
             }
         }
+    }
+
+    #[test]
+    fn masking_hides_walls_and_padding_only() {
+        let line = "Twitter   1.82x 4ms  12.5µs 3s 7us/x 9ns_ 2 nodes 1.5ms, RMAT-9s 10.\n";
+        let want = "Twitter 1.82x T T T T/x 9ns_ 2 nodes T, RMAT-T 10.\n";
+        assert_eq!(masked(line), want);
+        assert_eq!(masked(want), want);
+        assert_eq!(
+            first_differing_table("a\n=== x ===\n1\n", "a\n=== x ===\n1\n"),
+            None
+        );
+        let diff = first_differing_table("a\n=== x ===\n1\n", "a\n=== x ===\n2\n").unwrap();
+        assert_eq!(
+            diff,
+            "--- golden\n=== x ===\n2\n+++ this run\n=== x ===\n1\n"
+        );
     }
 
     #[test]

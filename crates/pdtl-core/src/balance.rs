@@ -129,7 +129,7 @@
 //! made a 32 Ki count slower (ROADMAP, cost-aware balancing).
 
 use crate::metrics::PhaseReport;
-use crate::orient::{Layout, OrientedGraph, SketchBuckets};
+use crate::orient::{OrientedGraph, SketchBuckets, View};
 use crate::par;
 use pdtl_io::{Codec, MemoryBudget, TimeBreakdown};
 use std::time::Instant;
@@ -416,9 +416,9 @@ impl<'a> Model<'a> {
         }
     }
 
-    /// The full model of the graph `g` whose adjacency is stored under
-    /// `codec`, at `budget`, for `parts` workers.
-    fn of_graph(g: Layout<'a>, codec: Codec, budget: MemoryBudget, parts: usize) -> Self {
+    /// The full model of the graph `g`, under the codec its adjacency is
+    /// read with, at `budget`, for `parts` workers.
+    fn of_graph(g: View<'a>, budget: MemoryBudget, parts: usize) -> Self {
         // in(v) = d(v) − d*(v), folded straight into the prefix sums.
         let in_degrees = g.orig_degrees.map(|orig| {
             let lists = g.offsets.windows(2);
@@ -426,7 +426,7 @@ impl<'a> Model<'a> {
                 .zip(lists)
                 .map(|(&d, l)| d - (l[1] - l[0]) as u32)
         });
-        let (chunk, weights) = (budget.chunk_edges() as u64, Weights::of(codec));
+        let (chunk, weights) = (budget.chunk_edges() as u64, Weights::of(g.codec()));
         let sketch = Some((g.buckets, g.sketch));
         Self::new(g.offsets, in_degrees, sketch, chunk, weights, parts > 1)
     }
@@ -633,22 +633,21 @@ pub fn plan_ranges(
     parts: usize,
     strategy: BalanceStrategy,
 ) -> (Vec<(EdgeRange, PredictedCost)>, PhaseReport) {
-    plan_layout(og.layout(), og.disk.codec(), budget, parts, strategy)
+    plan_view(og.view(), budget, parts, strategy)
 }
 
-/// [`plan_ranges`] over the layout of any oriented graph, its adjacency
-/// stored under `codec`: a resident `G*` is planned as a raw one, so a
-/// resident run and a raw disk run at one budget share their plan.
-pub(crate) fn plan_layout(
-    g: Layout<'_>,
-    codec: Codec,
+/// [`plan_ranges`] over the view of any oriented graph: a resident `G*`
+/// reads as raw words, so a resident run and a raw disk run at one
+/// budget share their plan.
+pub(crate) fn plan_view(
+    g: View<'_>,
     budget: MemoryBudget,
     parts: usize,
     strategy: BalanceStrategy,
 ) -> (Vec<(EdgeRange, PredictedCost)>, PhaseReport) {
     let start = Instant::now();
     let parts = parts.max(1);
-    let model = Model::of_graph(g, codec, budget, parts);
+    let model = Model::of_graph(g, budget, parts);
     let (ranges, evals) = match strategy {
         BalanceStrategy::EqualEdges => (equal_split(g.m_star(), parts), 0),
         BalanceStrategy::InDegree => model.min_max_cuts(parts),
@@ -663,7 +662,7 @@ pub(crate) fn plan_layout(
 
 /// What [`plan_ranges`] predicts for `range` of `og` at `budget`.
 pub fn predicted_cost(og: &OrientedGraph, budget: MemoryBudget, range: EdgeRange) -> PredictedCost {
-    Model::of_graph(og.layout(), og.disk.codec(), budget, 1).range_cost(range)
+    Model::of_graph(og.view(), budget, 1).range_cost(range)
 }
 
 fn phase_report(start: Instant, cpu_ops: u64) -> PhaseReport {
@@ -689,7 +688,7 @@ fn equal_split(m_star: u64, parts: usize) -> Vec<EdgeRange> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mgt::{mgt_count_range, vertex_of};
+    use crate::mgt::{mgt_count_range_opt, vertex_of, MgtOptions};
     use crate::orient::{orient_csr, orient_to_disk_with, OrientedCsr};
     use crate::sink::CountSink;
     use pdtl_graph::gen::chunglu::power_law_graph;
@@ -960,8 +959,15 @@ mod tests {
                 let budget = MemoryBudget::edges(edges);
                 let (plan, _) = plan_ranges(&og, budget, 3, BalanceStrategy::InDegree);
                 for (range, predicted) in plan {
-                    let w = mgt_count_range(&og, range, budget, &mut CountSink, IoStats::new())
-                        .unwrap();
+                    let w = mgt_count_range_opt(
+                        &og,
+                        range,
+                        budget,
+                        &mut CountSink,
+                        IoStats::new(),
+                        MgtOptions::default(),
+                    )
+                    .unwrap();
                     let case = format!("{codec:?} {edges}: {range:?}");
                     assert_eq!(w.iterations, predicted.iterations, "{case}");
                     assert_eq!(w.scanned, predicted.scanned, "{case}");
@@ -982,8 +988,15 @@ mod tests {
             let budget = MemoryBudget::edges(edges);
             let (plan, _) = plan_ranges(&og, budget, 3, BalanceStrategy::InDegree);
             for (range, predicted) in plan {
-                let w =
-                    mgt_count_range(&og, range, budget, &mut CountSink, IoStats::new()).unwrap();
+                let w = mgt_count_range_opt(
+                    &og,
+                    range,
+                    budget,
+                    &mut CountSink,
+                    IoStats::new(),
+                    MgtOptions::default(),
+                )
+                .unwrap();
                 assert_eq!(w.iterations, predicted.iterations, "{edges}: {range:?}");
                 assert_eq!(
                     w.io.u32s_decoded,

@@ -49,7 +49,7 @@ pub use balance::{
 };
 pub use error::{CoreError, Result};
 pub use metrics::{PhaseReport, RunReport, WorkerReport};
-pub use mgt::{mgt_count_range, mgt_count_range_opt, mgt_in_memory, MgtOptions};
+pub use mgt::{mgt_count_range_opt, mgt_in_memory, MgtOptions};
 pub use order::DegreeOrder;
 pub use orient::{orient_csr, orient_to_disk, OrientedCsr, OrientedGraph};
 pub use runner::{

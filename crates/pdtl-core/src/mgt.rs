@@ -34,16 +34,17 @@
 //!   not a setting, applied through one rule (`ScanRule`) in the one
 //!   chunk/scan loop every engine runs (`mgt_loop`).
 //!
-//! That loop is generic over the two [`U32Source`]s it reads chunks and
-//! out-lists from. A disk worker ([`mgt_count_range_opt`]) hands it
-//! cursors over the oriented `.adj`; a worker of a resident run (one
-//! whose chunks hold all of `G*`, `LocalRunner`) and
-//! [`mgt_in_memory`] hand it [`SliceSource`]s over the array, which
-//! lend every chunk and out-list and skip by moving a cursor. The
-//! engines therefore differ only in having a disk: over one range and
-//! budget they count the same `cpu_ops`, `iterations` and scan counters
-//! and emit the same triples in the same order, and a resident worker
-//! reports no I/O because none happens.
+//! There is one worker, `mgt_range`, over the borrowed view of `G*`
+//! the planner reads too (`orient::View`), and one loop generic over the
+//! two [`U32Source`]s it reads chunks and out-lists from. Where the
+//! adjacency lives only picks those streams: cursors over an oriented
+//! `.adj` (a decoder above them for delta-varint), or, for a resident
+//! run (one whose chunks hold all of `G*`, `LocalRunner`) and
+//! [`mgt_in_memory`], [`SliceSource`]s over the array, which lend every
+//! chunk and out-list and skip by moving a cursor. Over one range and
+//! budget every store counts the same `cpu_ops`, `iterations` and scan
+//! counters and emits the same triples in the same order, and a
+//! resident worker reports no I/O because none happens.
 //!
 //! # Scan pruning
 //!
@@ -137,6 +138,7 @@
 
 use std::sync::Arc;
 
+use pdtl_graph::DiskGraph;
 use pdtl_io::stats::IoSnapshot;
 use pdtl_io::{
     Codec, CpuIoTimer, FaultySource, IoBackend, IoStats, MemoryBudget, SliceSource, U32Source,
@@ -146,10 +148,10 @@ use pdtl_io::{
 use crate::balance::EdgeRange;
 use crate::error::Result;
 use crate::metrics::WorkerReport;
-use crate::orient::{Layout, OrientedCsr, OrientedGraph, SketchBuckets};
+use crate::orient::{Adj, OrientedCsr, OrientedGraph, SketchBuckets, View};
 use crate::sink::TriangleSink;
 
-/// How the disk engine performs its I/O, and the format orientation
+/// How a worker reading files performs its I/O, and the format orientation
 /// writes. None of them changes which lists a scan reads: scan pruning
 /// is the engine's one rule (module doc, "Scan pruning"), not an option.
 ///
@@ -169,19 +171,19 @@ use crate::sink::TriangleSink;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MgtOptions {
-    /// How the disk engine performs its chunk and scan I/O. Every
+    /// How a worker reading files performs its chunk and scan I/O. Every
     /// backend counts the exact same `bytes_read` and `seeks` — the
     /// choice is a scheduling/copy change, not a different I/O plan:
     /// [`IoBackend::Prefetch`] (default) reads as `Blocking` does,
     /// [`IoBackend::Mmap`] serves
     /// page-cache-resident graphs zero-copy, [`IoBackend::Blocking`] is
-    /// the synchronous reference. Ignored by the in-memory engine and
-    /// by a resident run's workers, which have no I/O at all.
+    /// the synchronous reference. Ignored over a resident adjacency,
+    /// which has no I/O at all.
     pub backend: IoBackend,
     /// Emulated per-block-read device latency
     /// ([`pdtl_io::BlockStream::set_read_latency`]): every block the
-    /// disk engine's streams fetch sleeps it, charged as I/O wait (a
-    /// resident run fetches no block).
+    /// worker's streams fetch sleeps it, charged as I/O wait (a resident
+    /// adjacency fetches no block).
     /// Page-cached fixtures never block, so this recreates the device
     /// waits the multi-pass bound is about. Zero (the default) measures
     /// the real hardware.
@@ -197,10 +199,9 @@ pub struct MgtOptions {
     /// ([`Codec::Raw`] or [`Codec::DeltaVarint`]). This knob selects
     /// the format written by the orientation step (and is what the
     /// cluster ships to workers so every node writes the same format);
-    /// the disk engine itself always honours the codec recorded in the
-    /// graph's header, so an engine handed a raw graph reads it raw
-    /// regardless of this setting. A resident run writes no `G*`, so
-    /// it has nothing to encode.
+    /// a worker reads a graph under the codec it was written with, so a
+    /// raw graph reads raw regardless of this setting. A resident run
+    /// writes no `G*`, so it has nothing to encode.
     pub codec: Codec,
 }
 
@@ -217,18 +218,7 @@ impl Default for MgtOptions {
 
 /// Run MGT over `range` of the oriented graph with the given budget,
 /// reporting triangles (original ids) to `sink`. One call = one logical
-/// processor.
-pub fn mgt_count_range<S: TriangleSink>(
-    og: &OrientedGraph,
-    range: EdgeRange,
-    budget: MemoryBudget,
-    sink: &mut S,
-    stats: Arc<IoStats>,
-) -> Result<WorkerReport> {
-    mgt_count_range_opt(og, range, budget, sink, stats, MgtOptions::default())
-}
-
-/// [`mgt_count_range`] with explicit [`MgtOptions`].
+/// processor: `mgt_range` over the graph's files.
 pub fn mgt_count_range_opt<S: TriangleSink>(
     og: &OrientedGraph,
     range: EdgeRange,
@@ -237,68 +227,68 @@ pub fn mgt_count_range_opt<S: TriangleSink>(
     stats: Arc<IoStats>,
     opts: MgtOptions,
 ) -> Result<WorkerReport> {
-    let timer = CpuIoTimer::start(stats.clone());
-    let io_before = stats.snapshot();
-
-    // Two streams over the oriented adjacency, opened the same way:
-    // one for the scan pass, one for chunk loads.
-    let open = || {
-        opts.backend
-            .open(&og.disk.adj_path(), &stats, opts.io_latency)
-    };
-    let (scan, chunks) = (open()?, open()?);
-    // The scan stream is wrapped in `FaultySource` so `read_fault` can
-    // cut data delivery at a deterministic offset; an unset fault is an
-    // unlimited budget (a compare + subtract per out-list, and the
-    // transport's borrowed runs pass through untouched).
-    let fault_budget = opts.read_fault.unwrap_or(u64::MAX);
-    let layout = og.layout();
-    let done = if og.disk.codec() == Codec::DeltaVarint {
-        // Compressed adjacency: the transports still move the *encoded*
-        // bytes, and a `VarintSource` above each decodes runs back into
-        // rank space — scan skips, chunk loads and seeks all happen in
-        // decoded positions. The decoder issues identical word-granular
-        // operations whichever fetcher carries the bytes, so the
-        // compressed format needs no per-backend cases either. Decoded
-        // runs cannot be lent, and a decoded `next` chunk has no fixed
-        // byte address to hint until the decoder reaches it.
-        let index = og.varint_index().ok_or_else(|| {
-            pdtl_io::IoError::malformed(
-                og.disk.adj_path(),
-                "delta-varint graph carries no varint index",
-            )
-        })?;
-        let decoding = |transport| VarintSource::new(transport, index.clone(), stats.clone());
-        let scan = FaultySource::new(decoding(scan)?, fault_budget);
-        mgt_loop(layout, range, budget, sink, decoding(chunks)?, scan)?
-    } else {
-        let scan = FaultySource::new(scan, fault_budget);
-        mgt_loop(layout, range, budget, sink, chunks, scan)?
-    };
-    sink.flush()?;
-    Ok(done.report(range, &stats, io_before, timer))
+    mgt_range(og.view(), range, budget, sink, stats, opts)
 }
 
-/// [`mgt_count_range_opt`] over a resident `G*` (`layout` beside the
-/// adjacency `adj`): the same loop over two [`SliceSource`]s of `adj`,
-/// which lend every chunk and out-list and move a cursor to skip, so
-/// nothing is read and the report's I/O is zero. `opts.read_fault`
-/// still cuts the scan; `backend` and `io_latency` have no I/O to act
-/// on.
-pub(crate) fn mgt_count_resident<S: TriangleSink>(
-    layout: Layout<'_>,
-    adj: &[u32],
+/// The one MGT worker: `range` of `g` at `budget` into `sink`, its I/O
+/// counted in `stats`. Where the adjacency lives only decides the two
+/// streams [`mgt_loop`] reads chunks and out-lists from; a resident
+/// array lends both and reads nothing, so its report's I/O is zero and
+/// `backend` and `io_latency` have nothing to act on.
+pub(crate) fn mgt_range<S: TriangleSink>(
+    g: View<'_>,
     range: EdgeRange,
     budget: MemoryBudget,
     sink: &mut S,
+    stats: Arc<IoStats>,
     opts: MgtOptions,
 ) -> Result<WorkerReport> {
-    let stats = IoStats::new();
     let timer = CpuIoTimer::start(stats.clone());
     let io_before = stats.snapshot();
-    let adj = SliceSource::new(adj);
-    let scan = FaultySource::new(adj.clone(), opts.read_fault.unwrap_or(u64::MAX));
-    let done = mgt_loop(layout, range, budget, sink, adj, scan)?;
+    // Two streams over the oriented adjacency, opened the same way:
+    // one for the scan pass, one for chunk loads.
+    let open = |disk: &DiskGraph| -> Result<_> {
+        let open = || opts.backend.open(&disk.adj_path(), &stats, opts.io_latency);
+        Ok((open()?, open()?))
+    };
+    // The scan stream is wrapped in `FaultySource` so `read_fault` can
+    // cut data delivery at a deterministic offset; an unset fault is an
+    // unlimited budget (a compare + subtract per out-list, and borrowed
+    // runs pass through untouched).
+    let fault = opts.read_fault.unwrap_or(u64::MAX);
+    let done = match g.adj {
+        Adj::Resident(adj) => {
+            let adj = SliceSource::new(adj);
+            let scan = FaultySource::new(adj.clone(), fault);
+            mgt_loop(g, range, budget, sink, adj, scan)?
+        }
+        Adj::Raw(disk) => {
+            let (scan, chunks) = open(disk)?;
+            mgt_loop(
+                g,
+                range,
+                budget,
+                sink,
+                chunks,
+                FaultySource::new(scan, fault),
+            )?
+        }
+        Adj::Varint(disk, index) => {
+            // Compressed adjacency: the transports still move the
+            // *encoded* bytes, and a `VarintSource` above each decodes
+            // runs back into rank space — scan skips, chunk loads and
+            // seeks all happen in decoded positions. The decoder issues
+            // identical word-granular operations whichever fetcher
+            // carries the bytes, so the compressed format needs no
+            // per-backend cases either. Decoded runs cannot be lent, and
+            // a decoded `next` chunk has no fixed byte address to hint
+            // until the decoder reaches it.
+            let (scan, chunks) = open(disk)?;
+            let decoding = |transport| VarintSource::new(transport, index.clone(), stats.clone());
+            let scan = FaultySource::new(decoding(scan)?, fault);
+            mgt_loop(g, range, budget, sink, decoding(chunks)?, scan)?
+        }
+    };
     sink.flush()?;
     Ok(done.report(range, &stats, io_before, timer))
 }
@@ -348,7 +338,7 @@ impl LoopCounts {
 /// behind the cursor's block fetches, and a resident slice lends what
 /// a cursor would read.
 fn mgt_loop<S: TriangleSink, C: U32Source, R: U32Source>(
-    g: Layout<'_>,
+    g: View<'_>,
     range: EdgeRange,
     budget: MemoryBudget,
     sink: &mut S,
@@ -415,8 +405,7 @@ fn mgt_loop<S: TriangleSink, C: U32Source, R: U32Source>(
 
 /// Build the dense chunk index for the resident window `[pos,
 /// chunk_end)`: `ind[v - vlow] = (offset within the chunk, length)` for
-/// every vertex with resident out-edges. Shared by the disk and
-/// in-memory engines so they cannot drift.
+/// every vertex with resident out-edges.
 fn build_chunk_index<'a>(
     offsets: &[u64],
     pos: u64,
@@ -445,8 +434,8 @@ struct ChunkIndex<'a> {
     ind: &'a [(u32, u32)],
 }
 
-/// Which out-lists one chunk's scan reads: the scan pruning of both
-/// engines (module doc, "Scan pruning"), decided here and nowhere else.
+/// Which out-lists one chunk's scan reads: the engine's scan pruning
+/// (module doc, "Scan pruning"), decided here and nowhere else.
 struct ScanRule<'s> {
     /// The scan visits `u < end = vhigh`: out-neighbours ascend in rank
     /// space, so no later list holds a window vertex.
@@ -686,11 +675,12 @@ pub(crate) fn vertex_of(offsets: &[u64], pos: u64) -> u32 {
     (offsets.partition_point(|&o| o <= pos) - 1) as u32
 }
 
-/// Pure in-memory MGT over an [`OrientedCsr`]: `mgt_count_resident`
-/// over `[0, |E*|)` with the scan sketches orientation would write, so
-/// it reads and skips exactly the lists the disk engine does and counts
-/// the same `cpu_ops`. Used by tests, baselines and the convenience
-/// counter. Emits original ids. Returns (triangles, cpu_ops).
+/// Pure in-memory MGT over an [`OrientedCsr`]: `mgt_range` over `[0,
+/// |E*|)` of the array, with the scan sketches orientation would write,
+/// so it reads and skips exactly the lists the disk engine does and
+/// counts the same `cpu_ops`. Used by tests, baselines and the
+/// convenience counter. Emits original ids. Returns (triangles,
+/// cpu_ops).
 ///
 /// # Panics
 ///
@@ -705,9 +695,16 @@ pub fn mgt_in_memory<S: TriangleSink>(
         start: 0,
         end: o.m_star(),
     };
-    let layout = o.layout(&buckets, &sketch);
-    let report = mgt_count_resident(layout, &o.adj, range, budget, sink, MgtOptions::default())
-        .unwrap_or_else(|e| panic!("an in-memory join fails only in its sink's flush: {e}"));
+    let view = o.view(&buckets, &sketch);
+    let report = mgt_range(
+        view,
+        range,
+        budget,
+        sink,
+        IoStats::new(),
+        MgtOptions::default(),
+    )
+    .unwrap_or_else(|e| panic!("an in-memory join fails only in its sink's flush: {e}"));
     (report.triangles, report.cpu_ops)
 }
 
@@ -752,12 +749,13 @@ mod tests {
         ] {
             let expected = triangle_count(&g);
             let (og, stats) = disk_oriented(&g, tag);
-            let r = mgt_count_range(
+            let r = mgt_count_range_opt(
                 &og,
                 full_range(&og),
                 MemoryBudget::edges(1 << 16),
                 &mut CountSink,
                 stats,
+                MgtOptions::default(),
             )
             .unwrap();
             assert_eq!(r.triangles, expected, "{tag}");
@@ -772,12 +770,13 @@ mod tests {
         // budgets from "everything fits" down to pathologically tiny,
         // including below d*_max (small-degree assumption violated).
         for edges in [1 << 20, 4096, 256, 32, 8, 2] {
-            let r = mgt_count_range(
+            let r = mgt_count_range_opt(
                 &og,
                 full_range(&og),
                 MemoryBudget::edges(edges),
                 &mut CountSink,
                 stats.clone(),
+                MgtOptions::default(),
             )
             .unwrap();
             assert_eq!(r.triangles, expected, "budget {edges}");
@@ -804,8 +803,15 @@ mod tests {
         let (og, _) =
             orient_to_disk_with(&dg, tmpbase("prune-io-or"), 2, Codec::Raw, &stats).unwrap();
         let budget = MemoryBudget::edges(4096);
-        let r =
-            mgt_count_range(&og, full_range(&og), budget, &mut CountSink, IoStats::new()).unwrap();
+        let r = mgt_count_range_opt(
+            &og,
+            full_range(&og),
+            budget,
+            &mut CountSink,
+            IoStats::new(),
+            MgtOptions::default(),
+        )
+        .unwrap();
         let (io_pruned, seeks_pruned, iters) = (r.io.bytes_read, r.io.seeks, r.iterations);
         // An unpruned run reads the whole adjacency once per iteration,
         // beside the chunk loads both runs share (whole blocks each).
@@ -943,12 +949,13 @@ mod tests {
                     start: m * i / parts,
                     end: m * (i + 1) / parts,
                 };
-                let r = mgt_count_range(
+                let r = mgt_count_range_opt(
                     &og,
                     range,
                     MemoryBudget::edges(512),
                     &mut CountSink,
                     stats.clone(),
+                    MgtOptions::default(),
                 )
                 .unwrap();
                 total += r.triangles;
@@ -962,12 +969,13 @@ mod tests {
         let g = rmat(7, 13).unwrap();
         let (og, stats) = disk_oriented(&g, "listing");
         let mut sink = CollectSink::default();
-        let r = mgt_count_range(
+        let r = mgt_count_range_opt(
             &og,
             full_range(&og),
             MemoryBudget::edges(128),
             &mut sink,
             stats,
+            MgtOptions::default(),
         )
         .unwrap();
         assert_eq!(r.triangles as usize, sink.triangles.len());
@@ -995,12 +1003,13 @@ mod tests {
         let g = rmat(6, 14).unwrap();
         let (og, stats) = disk_oriented(&g, "cone");
         let mut sink = CollectSink::default();
-        mgt_count_range(
+        mgt_count_range_opt(
             &og,
             full_range(&og),
             MemoryBudget::edges(64),
             &mut sink,
             stats,
+            MgtOptions::default(),
         )
         .unwrap();
         let degrees = g.degrees();
@@ -1019,12 +1028,13 @@ mod tests {
     fn empty_range_and_empty_graph() {
         let g = rmat(6, 15).unwrap();
         let (og, stats) = disk_oriented(&g, "empty-range");
-        let r = mgt_count_range(
+        let r = mgt_count_range_opt(
             &og,
             EdgeRange { start: 5, end: 5 },
             MemoryBudget::edges(64),
             &mut CountSink,
             stats,
+            MgtOptions::default(),
         )
         .unwrap();
         assert_eq!(r.triangles, 0);
@@ -1032,12 +1042,13 @@ mod tests {
 
         let g = Graph::empty(4);
         let (og, stats) = disk_oriented(&g, "empty-graph");
-        let r = mgt_count_range(
+        let r = mgt_count_range_opt(
             &og,
             full_range(&og),
             MemoryBudget::edges(64),
             &mut CountSink,
             stats,
+            MgtOptions::default(),
         )
         .unwrap();
         assert_eq!(r.triangles, 0);
@@ -1050,7 +1061,7 @@ mod tests {
         let (og, stats) = disk_oriented(&g, "iogrow");
         let run = |edges: usize| {
             let s = IoStats::new();
-            let r = mgt_count_range(
+            let r = mgt_count_range_opt(
                 &og,
                 EdgeRange {
                     start: 0,
@@ -1059,6 +1070,7 @@ mod tests {
                 MemoryBudget::edges(edges),
                 &mut CountSink,
                 s,
+                MgtOptions::default(),
             )
             .unwrap();
             (r.iterations, r.io.bytes_read)
@@ -1108,9 +1120,15 @@ mod tests {
             for edges in [2usize, 14, 128, 1 << 30] {
                 let budget = MemoryBudget::edges(edges);
                 let (t, ops) = mgt_in_memory(&o, budget, &mut CountSink);
-                let r =
-                    mgt_count_range(&og, full_range(&og), budget, &mut CountSink, IoStats::new())
-                        .unwrap();
+                let r = mgt_count_range_opt(
+                    &og,
+                    full_range(&og),
+                    budget,
+                    &mut CountSink,
+                    IoStats::new(),
+                    MgtOptions::default(),
+                )
+                .unwrap();
                 assert_eq!(t, triangle_count(&g), "{tag} {edges}");
                 assert_eq!((t, ops), (r.triangles, r.cpu_ops), "{tag} {edges}");
                 // Less work than the scan alone would be unpruned: every
@@ -1219,10 +1237,24 @@ mod tests {
                     end: og.m_star(),
                 };
                 let mut disk = CollectSink::default();
-                let listed =
-                    mgt_count_range(&og, range, budget, &mut disk, IoStats::new()).unwrap();
-                let counted =
-                    mgt_count_range(&og, range, budget, &mut CountSink, IoStats::new()).unwrap();
+                let listed = mgt_count_range_opt(
+                    &og,
+                    range,
+                    budget,
+                    &mut disk,
+                    IoStats::new(),
+                    MgtOptions::default(),
+                )
+                .unwrap();
+                let counted = mgt_count_range_opt(
+                    &og,
+                    range,
+                    budget,
+                    &mut CountSink,
+                    IoStats::new(),
+                    MgtOptions::default(),
+                )
+                .unwrap();
                 assert_eq!(listed.triangles as usize, disk.triangles.len());
                 assert_eq!(
                     (counted.triangles, counted.cpu_ops),

@@ -237,14 +237,11 @@ impl OrientedCsr {
         sketches_of(&self.offsets, &self.adj)
     }
 
-    /// The layout MGT and the planner read beside the adjacency, with
-    /// the scan sketches `sketches()` builds for this graph.
-    pub(crate) fn layout<'a>(
-        &'a self,
-        buckets: &'a SketchBuckets,
-        sketch: &'a [u64],
-    ) -> Layout<'a> {
-        Layout {
+    /// The view MGT and the planner read, with the scan sketches
+    /// `sketches()` builds for this graph: its adjacency is the array.
+    pub(crate) fn view<'a>(&'a self, buckets: &'a SketchBuckets, sketch: &'a [u64]) -> View<'a> {
+        View {
+            adj: Adj::Resident(&self.adj),
             offsets: &self.offsets,
             ids: &self.ids,
             d_star_max: self.d_star_max,
@@ -255,11 +252,25 @@ impl OrientedCsr {
     }
 }
 
-/// What the planner and the MGT loop read of an oriented graph beside
-/// its adjacency, wherever the adjacency is held: an [`OrientedGraph`]'s
-/// files or an [`OrientedCsr`]'s array.
+/// Where a [`View`]'s adjacency is held.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Layout<'a> {
+pub(crate) enum Adj<'a> {
+    /// In memory: an [`OrientedCsr`]'s array.
+    Resident(&'a [u32]),
+    /// An [`OrientedGraph`]'s `.adj`, stored [`Codec::Raw`].
+    Raw(&'a DiskGraph),
+    /// An [`OrientedGraph`]'s `.adj`, stored [`Codec::DeltaVarint`], with
+    /// the decoder's seek index.
+    Varint(&'a DiskGraph, &'a Arc<VarintIndex>),
+}
+
+/// The one borrowed view of an oriented graph the planner and the MGT
+/// worker read, whichever of the two owners holds it: the adjacency,
+/// wherever it lives ([`Adj`]), and the arrays beside it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct View<'a> {
+    /// The adjacency.
+    pub(crate) adj: Adj<'a>,
     /// Oriented CSR offsets (`n + 1`), rank-indexed.
     pub(crate) offsets: &'a [u64],
     /// The original id of each rank, which the sink boundary emits.
@@ -274,7 +285,25 @@ pub(crate) struct Layout<'a> {
     pub(crate) orig_degrees: Option<&'a [u32]>,
 }
 
-impl Layout<'_> {
+impl View<'_> {
+    /// The codec the adjacency is read under: a resident array is raw
+    /// words.
+    pub(crate) fn codec(&self) -> Codec {
+        match self.adj {
+            Adj::Resident(_) | Adj::Raw(_) => Codec::Raw,
+            Adj::Varint(..) => Codec::DeltaVarint,
+        }
+    }
+
+    /// The base of the files the adjacency is read from; `None` when it
+    /// is resident.
+    pub(crate) fn base(&self) -> Option<&Path> {
+        match self.adj {
+            Adj::Resident(_) => None,
+            Adj::Raw(disk) | Adj::Varint(disk, _) => Some(disk.base()),
+        }
+    }
+
     /// Number of vertices.
     pub(crate) fn num_vertices(&self) -> u32 {
         (self.offsets.len() - 1) as u32
@@ -378,26 +407,27 @@ pub struct OrientedGraph {
     pub orig_degrees: Option<Vec<u32>>,
     /// The decoder's seek index when `disk` is stored under
     /// [`Codec::DeltaVarint`], built once here and shared by every
-    /// worker and query reading the graph.
+    /// worker and query reading the graph; [`view`](Self::view) reads the
+    /// codec from it.
     varint: Option<Arc<VarintIndex>>,
 }
 
 impl OrientedGraph {
-    /// The varint seek index (`offsets` paired with the `.vix` byte
-    /// fenceposts); `None` for a raw graph.
-    pub fn varint_index(&self) -> Option<&Arc<VarintIndex>> {
-        self.varint.as_ref()
-    }
-
     /// The rank-space slices the [`sketch`](Self::sketch) bits name.
     #[cfg(test)]
     pub(crate) fn buckets(&self) -> &SketchBuckets {
         &self.buckets
     }
 
-    /// The layout MGT and the planner read beside the files.
-    pub(crate) fn layout(&self) -> Layout<'_> {
-        Layout {
+    /// The view MGT and the planner read: the files, under the codec
+    /// the varint index was built for.
+    pub(crate) fn view(&self) -> View<'_> {
+        let adj = match &self.varint {
+            None => Adj::Raw(&self.disk),
+            Some(index) => Adj::Varint(&self.disk, index),
+        };
+        View {
+            adj,
             offsets: &self.offsets,
             ids: &self.ids,
             d_star_max: self.d_star_max,
@@ -451,7 +481,7 @@ impl OrientedGraph {
     /// bounds — is an error naming the missing file, never a miscount.
     ///
     /// ```
-    /// use pdtl_core::mgt::{mgt_count_range, MgtOptions};
+    /// use pdtl_core::mgt::{mgt_count_range_opt, MgtOptions};
     /// use pdtl_core::orient::{orient_to_disk, OrientedGraph};
     /// use pdtl_core::sink::CountSink;
     /// use pdtl_core::EdgeRange;
@@ -469,10 +499,10 @@ impl OrientedGraph {
     /// let reopened = OrientedGraph::open(dir.join("oriented"), &stats).unwrap();
     /// assert_eq!(reopened.m_star(), og.m_star());
     /// let range = EdgeRange { start: 0, end: reopened.m_star() };
-    /// let report = mgt_count_range(
-    ///     &reopened, range, MemoryBudget::edges(32), &mut CountSink, stats.clone(),
-    /// )
-    /// .unwrap();
+    /// let (budget, opts) = (MemoryBudget::edges(32), MgtOptions::default());
+    /// let report =
+    ///     mgt_count_range_opt(&reopened, range, budget, &mut CountSink, stats.clone(), opts)
+    ///         .unwrap();
     /// assert_eq!(report.triangles, 11); // the 11 rim triangles of W_12
     /// # let _ = std::fs::remove_dir_all(&dir);
     /// ```
@@ -1769,7 +1799,7 @@ mod tests {
         for codec in [Codec::Raw, Codec::DeltaVarint, Codec::Raw] {
             let (og, _) = orient_to_disk_with(&dg, &base, 2, codec, &stats).unwrap();
             assert_eq!(og.disk.codec(), codec);
-            assert_eq!(og.varint_index().is_some(), codec == Codec::DeltaVarint);
+            assert_eq!(og.view().codec(), codec);
             let exts: &[&str] = match codec {
                 Codec::Raw => &[".deg", ".adj", ".map", ".skt", ".mft"],
                 Codec::DeltaVarint => &[".deg", ".adj", ".hdr", ".vix", ".map", ".skt", ".mft"],
@@ -1807,22 +1837,23 @@ mod tests {
         let stats = IoStats::new();
         let dg = DiskGraph::write(&g, tmpbase("vix-in"), &stats).unwrap();
         let (raw, _) = orient_to_disk_with(&dg, tmpbase("vix-raw"), 2, Codec::Raw, &stats).unwrap();
-        assert!(raw.varint_index().is_none());
+        assert!(raw.varint.is_none());
 
         let base = tmpbase("vix-var");
         let (og, _) = orient_to_disk_with(&dg, &base, 2, Codec::DeltaVarint, &stats).unwrap();
         let built = og
-            .varint_index()
+            .varint
+            .as_ref()
             .expect("built from the written fenceposts");
         assert_eq!(built.decoded_len(), og.m_star());
         assert!(
-            Arc::ptr_eq(built, og.clone().varint_index().unwrap()),
+            Arc::ptr_eq(built, og.clone().varint.as_ref().unwrap()),
             "clones (one per query under serve) share the index"
         );
         // The one read from `.vix` at open is the one the orientation
         // assembled in memory.
         let reopened = OrientedGraph::open(&base, &stats).unwrap();
-        let loaded = reopened.varint_index().expect("loaded at open");
+        let loaded = reopened.varint.as_ref().expect("loaded at open");
         assert_eq!(loaded.num_vertices(), built.num_vertices());
         assert_eq!(loaded.encoded_bytes(), built.encoded_bytes());
         assert_eq!(

@@ -20,17 +20,19 @@
 //! Where `G*` lives is the runner's one decision, made from numbers it
 //! already holds: when `|E*| = adj_len / 2 ≤ P · c·M`, the chunks its
 //! cores may hold cover all of `G*`, so streaming it back from disk
-//! would only read what orientation just held. Such a run
-//! is **resident**: orientation stores `G*` into the one array of an
-//! [`OrientedCsr`] (`orient_resident`), the planner plans it as a raw graph, and the
-//! workers run the same MGT loop over it, lent chunks and out-lists
-//! instead of reading them. Any other run writes `G*` under
-//! `work_dir/oriented` and streams it, as the paper does. Both count
-//! and list the same at one budget; [`RunReport::oriented_base`] says
-//! which ran. No option chooses, and the cluster and serve paths, which
-//! ship or keep `G*` as files, always write it. Cores are long-lived
-//! `std::thread`s, each owning its sink and, per range, its file
-//! handles, scratch arrays and I/O counters — per-core state, not
+//! would only read what orientation just held. Such a run is
+//! **resident**: orientation stores `G*` into the one array of an
+//! [`OrientedCsr`](crate::orient::OrientedCsr) (`orient_resident`). Any
+//! other run writes `G*` under `work_dir/oriented` and streams it, as
+//! the paper does. Either way phases 2–3 are one function over the
+//! borrowed view of `G*` (`run_view`): the one planner, which reads a
+//! resident array as raw words, and the one worker (`mgt_range`), lent
+//! chunks and out-lists from an array instead of reading them. Both
+//! count and list the same at one budget; [`RunReport::oriented_base`]
+//! says which ran. No option chooses, and the cluster and serve paths,
+//! which ship or keep `G*` as files, always write it. Cores are
+//! long-lived `std::thread`s, each owning its sink and, per range, its
+//! file handles, scratch arrays and I/O counters — per-core state, not
 //! data-parallel iteration, which is why [`run_workers`] spawns its own
 //! scoped threads rather than mapping over
 //! [`par::map_chunks`](crate::par::map_chunks). A one-core run uses the
@@ -44,13 +46,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use pdtl_graph::{DiskGraph, Graph};
-use pdtl_io::{Codec, IoError, IoStats, MemoryBudget};
+use pdtl_io::{IoError, IoStats, MemoryBudget};
 
-use crate::balance::{plan_layout, plan_ranges, BalanceStrategy, EdgeRange, PredictedCost};
+use crate::balance::{plan_view, BalanceStrategy, EdgeRange};
 use crate::error::{CoreError, Result};
-use crate::metrics::{RunReport, WorkerReport};
-use crate::mgt::{mgt_count_range_opt, mgt_count_resident, MgtOptions};
-use crate::orient::{orient_resident, orient_to_disk_with, OrientedCsr, OrientedGraph, Sketches};
+use crate::metrics::{PhaseReport, RunReport, WorkerReport};
+use crate::mgt::{mgt_range, MgtOptions};
+use crate::orient::{orient_resident, orient_to_disk_with, OrientedGraph, View};
 use crate::sink::{range_parts, CollectSink, CoreSink, CountSink, FileSink, TriangleSink};
 
 /// Most worker threads one run may start: [`run_workers`] starts one
@@ -272,15 +274,19 @@ impl LocalRunner {
         // disk; phases 2–3 on what it produced.
         let (orientation, (mut report, sinks)) = match store {
             Store::Resident => {
-                let (o, sketches, orientation) = orient_resident(input, cores, &master_stats)?;
-                (orientation, self.run_resident(&o, &sketches, make_sink)?)
+                let (o, (buckets, sketch), orientation) =
+                    orient_resident(input, cores, &master_stats)?;
+                (
+                    orientation,
+                    self.run_view(o.view(&buckets, &sketch), make_sink)?,
+                )
             }
             Store::Disk => {
                 let base = work_dir.join("oriented");
                 let codec = self.config.mgt.codec;
                 let (og, orientation) =
                     orient_to_disk_with(input, &base, cores, codec, &master_stats)?;
-                (orientation, self.run_oriented_with_sinks(&og, make_sink)?)
+                (orientation, self.run_view(og.view(), make_sink)?)
             }
         };
         report.orientation = orientation;
@@ -312,45 +318,35 @@ impl LocalRunner {
         S: TriangleSink + Send,
         F: FnMut() -> S,
     {
-        let wall_start = Instant::now();
-        let (budget, cores) = (self.config.budget, self.config.cores);
-        // Phase 2: load balancing (Section IV-B1).
-        let (plan, balancing) = plan_ranges(og, budget, planned_ranges(cores), self.config.balance);
-        // Phase 3: the cores claim the planned ranges.
-        let fan = stream_fan_out(og, &self.jobs(&plan), cores, make_sink)?;
-        let base = Some(og.disk.base().to_path_buf());
-        Ok(assemble(plan, balancing, fan, wall_start, base))
+        self.run_view(og.view(), make_sink)
     }
 
-    /// Phases 2–3 against a resident `G*`: the same planner, planning it
-    /// as a raw graph, and the same workers, each lent its chunks and
-    /// out-lists from the array instead of reading them.
-    fn run_resident<S, F>(
-        &self,
-        o: &OrientedCsr,
-        (buckets, sketch): &Sketches,
-        make_sink: F,
-    ) -> Result<(RunReport, Vec<CoreSink<S>>)>
+    /// Phases 2–3 over `g`, wherever its adjacency lives: the planner
+    /// (Section IV-B1) plans the run's ranges, and its cores claim them
+    /// and run [`mgt_range`] on each.
+    fn run_view<S, F>(&self, g: View<'_>, make_sink: F) -> Result<(RunReport, Vec<CoreSink<S>>)>
     where
         S: TriangleSink + Send,
         F: FnMut() -> S,
     {
         let wall_start = Instant::now();
         let (budget, cores, balance) = (self.config.budget, self.config.cores, self.config.balance);
-        let layout = o.layout(buckets, sketch);
-        let ranges = planned_ranges(cores);
-        let (plan, balancing) = plan_layout(layout, Codec::Raw, budget, ranges, balance);
-        let worker = |(range, budget, opts), sink: &mut S| {
-            mgt_count_resident(layout, &o.adj, range, budget, sink, opts)
+        let (plan, balancing) = plan_view(g, budget, planned_ranges(cores), balance);
+        let jobs: Vec<Job> = (plan.iter())
+            .map(|&(range, _)| (range, budget, self.config.mgt))
+            .collect();
+        let fan = fan_out(&jobs, cores, make_sink, worker(g))?;
+        let report = RunReport {
+            triangles: fan.ranges.iter().map(|r| r.triangles).sum(),
+            orientation: PhaseReport::default(),
+            balancing,
+            plan,
+            ranges: fan.ranges,
+            workers: fan.cores,
+            wall: wall_start.elapsed(),
+            oriented_base: g.base().map(Path::to_path_buf),
         };
-        let fan = fan_out(&self.jobs(&plan), cores, make_sink, worker)?;
-        Ok(assemble(plan, balancing, fan, wall_start, None))
-    }
-
-    /// One MGT job per planned range, at the run's budget and options.
-    fn jobs(&self, plan: &[(EdgeRange, PredictedCost)]) -> Vec<Job> {
-        let (budget, mgt) = (self.config.budget, self.config.mgt);
-        plan.iter().map(|&(r, _)| (r, budget, mgt)).collect()
+        Ok((report, fan.sinks))
     }
 }
 
@@ -361,29 +357,6 @@ pub(crate) enum Store {
     Resident,
     /// Written under `work_dir/oriented` and streamed back.
     Disk,
-}
-
-/// A run's report from its phases 2–3, timed from `wall_start`, beside
-/// the cores' sinks; the caller fills in the orientation it paid, if
-/// any.
-fn assemble<S>(
-    plan: Vec<(EdgeRange, PredictedCost)>,
-    balancing: crate::metrics::PhaseReport,
-    fan: FanOut<S>,
-    wall_start: Instant,
-    oriented_base: Option<PathBuf>,
-) -> (RunReport, Vec<CoreSink<S>>) {
-    let report = RunReport {
-        triangles: fan.ranges.iter().map(|r| r.triangles).sum(),
-        orientation: crate::metrics::PhaseReport::default(),
-        balancing,
-        plan,
-        ranges: fan.ranges,
-        workers: fan.cores,
-        wall: wall_start.elapsed(),
-        oriented_base,
-    };
-    (report, fan.sinks)
 }
 
 /// One MGT worker's job: its range, budget and engine options.
@@ -418,24 +391,15 @@ where
     S: TriangleSink + Send,
     F: FnMut() -> S,
 {
-    stream_fan_out(og, jobs, jobs.len(), make_sink)
+    fan_out(jobs, jobs.len(), make_sink, worker(og.view()))
 }
 
-/// [`fan_out`] of `jobs` on `cores` cores over `og`'s files.
-fn stream_fan_out<S, F>(
-    og: &OrientedGraph,
-    jobs: &[Job],
-    cores: usize,
-    make_sink: F,
-) -> Result<FanOut<S>>
-where
-    S: TriangleSink + Send,
-    F: FnMut() -> S,
-{
-    let worker = |(range, budget, opts), sink: &mut S| {
-        mgt_count_range_opt(og, range, budget, sink, IoStats::new(), opts)
-    };
-    fan_out(jobs, cores, make_sink, worker)
+/// The one MGT worker over `g` as [`fan_out`] runs it: each job's range
+/// with its own [`IoStats`].
+fn worker<S: TriangleSink>(
+    g: View<'_>,
+) -> impl Fn(Job, &mut S) -> Result<WorkerReport> + Sync + '_ {
+    move |(range, budget, opts), sink| mgt_range(g, range, budget, sink, IoStats::new(), opts)
 }
 
 /// Take the next job from `cursor`, which counts down: the highest job
@@ -622,10 +586,12 @@ pub fn count_triangles_with(g: &Graph, config: LocalConfig) -> Result<RunReport>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balance::PredictedCost;
     use crate::sink::LimitSink;
     use pdtl_graph::gen::classic::{complete, wheel};
     use pdtl_graph::gen::rmat::rmat;
     use pdtl_graph::verify::triangle_count;
+    use pdtl_io::Codec;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -1037,6 +1003,51 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_read_fault_cuts_resident_and_disk_runs_alike() {
+        // One graph, budget and plan, kept in memory and then on disk:
+        // a scan cut after `k` values fails both runs with the typed
+        // injected error, and no fault counts alike.
+        let g = rmat(8, 45).unwrap();
+        let dir = tmpdir("read-fault");
+        let input = DiskGraph::write(&g, dir.join("g"), &IoStats::new()).unwrap();
+        for cores in [1, 2] {
+            let runner = |read_fault| {
+                LocalRunner::new(LocalConfig {
+                    cores,
+                    budget: MemoryBudget::edges(64),
+                    mgt: MgtOptions {
+                        read_fault,
+                        ..MgtOptions::default()
+                    },
+                    ..Default::default()
+                })
+                .unwrap()
+            };
+            let both = |read_fault| {
+                let runner = runner(read_fault);
+                [Store::Resident, Store::Disk].map(|store| {
+                    let work = dir.join(format!("work-{cores}-{store:?}"));
+                    runner.run_stored(&input, &work, store, || CountSink)
+                })
+            };
+            for k in [0, 1, 500] {
+                for run in both(Some(k)) {
+                    let case = format!("{cores} cores, fault after {k}");
+                    match run.map(|(report, _)| report.triangles) {
+                        Err(CoreError::Io(IoError::Malformed { detail, .. })) => {
+                            assert!(detail.contains("injected short read"), "{case}: {detail}")
+                        }
+                        other => panic!("{case}: {other:?}"),
+                    }
+                }
+            }
+            let [mem, disk] = both(None).map(|run| run.unwrap().0);
+            assert_eq!(mem.triangles, triangle_count(&g), "{cores} cores");
+            assert_eq!(shape(&mem), shape(&disk), "{cores} cores");
         }
     }
 

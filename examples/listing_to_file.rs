@@ -1,13 +1,13 @@
 //! Triangle *listing* to disk: stream every triangle of a graph into a
-//! binary file through the counted `FileSink`, demonstrating the `T/B`
-//! output term of Theorem IV.2, then read it back and verify.
+//! binary file the way `pdtl list` does, demonstrating the `T/B` output
+//! term of Theorem IV.2, then read it back and verify.
 //!
 //! ```text
 //! cargo run --release --example listing_to_file
 //! ```
 
-use pdtl::core::sink::{read_triangle_file, FileSink};
-use pdtl::core::{mgt_count_range, orient_to_disk, EdgeRange};
+use pdtl::core::sink::read_triangle_file;
+use pdtl::core::{LocalConfig, LocalRunner};
 use pdtl::graph::datasets::Dataset;
 use pdtl::graph::DiskGraph;
 use pdtl::io::{IoStats, MemoryBudget};
@@ -19,31 +19,25 @@ fn main() {
     let stats = IoStats::new();
     let input = DiskGraph::write(&graph, dir.join("lj"), &stats).expect("write");
 
-    // Orient, then run one MGT worker over the whole range with a
-    // file-backed sink.
-    let (oriented, _) = orient_to_disk(&input, dir.join("oriented"), 2, &stats).expect("orient");
+    // Orient, plan and let two cores list their ranges into part files,
+    // put together in range order.
+    let runner = LocalRunner::new(LocalConfig {
+        cores: 2,
+        budget: MemoryBudget::edges(8 << 10),
+        ..LocalConfig::default()
+    })
+    .expect("config");
     let out_path = dir.join("triangles.bin");
-    let sink_stats = IoStats::new();
-    let mut sink = FileSink::create(&out_path, sink_stats.clone()).expect("sink");
-    let report = mgt_count_range(
-        &oriented,
-        EdgeRange {
-            start: 0,
-            end: oriented.m_star(),
-        },
-        MemoryBudget::edges(8 << 10),
-        &mut sink,
-        IoStats::new(),
-    )
-    .expect("mgt");
-    let written = sink.finish().expect("finish");
+    let (report, written) = runner
+        .run_listing_to_file(&input, &dir.join("work"), &out_path)
+        .expect("list");
+    let bytes = std::fs::metadata(&out_path).expect("stat").len();
 
     println!("triangles listed : {}", report.triangles);
     println!("file             : {}", out_path.display());
     println!(
-        "output bytes     : {} ({} per triangle — the T/B term)",
-        sink_stats.bytes_written(),
-        sink_stats.bytes_written() / written.max(1)
+        "output bytes     : {bytes} ({} per triangle — the T/B term)",
+        bytes / written.max(1)
     );
     assert_eq!(written, report.triangles);
 
