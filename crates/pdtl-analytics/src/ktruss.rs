@@ -171,16 +171,6 @@ impl<'g> EdgeIndex<'g> {
     }
 }
 
-/// The k-truss subgraph of `g` as an edge list.
-pub fn k_truss(g: &Graph, triangles: &[(u32, u32, u32)], k: u32) -> Vec<(u32, u32)> {
-    truss_decomposition(g, triangles).truss_edges(k)
-}
-
-/// The maximum k with a non-empty k-truss.
-pub fn max_truss(g: &Graph, triangles: &[(u32, u32, u32)]) -> u32 {
-    truss_decomposition(g, triangles).max_k()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

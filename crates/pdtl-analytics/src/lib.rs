@@ -13,4 +13,4 @@ pub mod ktruss;
 
 pub use approx::{doulion, doulion_mean, ApproxCount};
 pub use clustering::{clustering_coefficients, global_clustering, transitivity, ClusteringReport};
-pub use ktruss::{k_truss, max_truss, TrussDecomposition};
+pub use ktruss::TrussDecomposition;

@@ -107,8 +107,7 @@ pub fn create_database(
     for p in [packed_path, sorted_path] {
         let _ = std::fs::remove_file(p);
     }
-    let _ = std::fs::remove_file(relabeled.deg_path());
-    let _ = std::fs::remove_file(relabeled.adj_path());
+    relabeled.remove()?;
 
     Ok(OptDatabase {
         disk,
@@ -289,5 +288,13 @@ mod tests {
         let (db, stats) = build_db("relabel", &g);
         let r = count(&db, 1, MemoryBudget::edges(1 << 20), &stats).unwrap();
         assert_eq!(r.triangles, 56); // C(8,3)
+
+        // The relabeled intermediate leaves no file behind, its
+        // manifest included.
+        let relabeled = tmpbase("relabel-db").with_extension("relabel");
+        for ext in [".deg", ".adj", ".mft"] {
+            let p = pdtl_graph::disk::suffixed(&relabeled, ext);
+            assert!(!p.exists(), "{} left behind", p.display());
+        }
     }
 }

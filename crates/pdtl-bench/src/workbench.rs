@@ -8,7 +8,7 @@ use std::time::Duration;
 use pdtl_cluster::{ClusterConfig, ClusterReport, ClusterRunner};
 use pdtl_core::balance::BalanceStrategy;
 use pdtl_core::mgt::MgtOptions;
-use pdtl_core::{LocalConfig, LocalRunner, RunReport};
+use pdtl_core::{LocalConfig, LocalRunner, RunReport, ScratchDir};
 use pdtl_graph::datasets::Dataset;
 use pdtl_graph::{DiskGraph, Graph};
 use pdtl_io::{IoStats, MemoryBudget};
@@ -88,6 +88,9 @@ pub struct Workbench {
     pub mgt: MgtOptions,
     graphs: HashMap<String, (Graph, DiskGraph)>,
     run_id: u64,
+    /// The directory [`temp`](Self::temp) made, removed when the
+    /// workbench drops.
+    _temp: Option<ScratchDir>,
 }
 
 impl Workbench {
@@ -102,17 +105,20 @@ impl Workbench {
             mgt: MgtOptions::default(),
             graphs: HashMap::new(),
             run_id: 0,
+            _temp: None,
         }
     }
 
-    /// A workbench in a fresh temporary directory.
+    /// A workbench in a fresh temporary directory, removed (with every
+    /// graph and run written there) when the workbench drops.
     pub fn temp(profile: Profile) -> Self {
         static UNIQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let id = UNIQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Self::new(
-            profile,
-            std::env::temp_dir().join(format!("pdtl-bench-{}-{id}", std::process::id())),
-        )
+        let dir = std::env::temp_dir().join(format!("pdtl-bench-{}-{id}", std::process::id()));
+        Self {
+            _temp: Some(ScratchDir::create(dir.clone()).expect("create temp dir")),
+            ..Self::new(profile, dir)
+        }
     }
 
     /// The four real-graph stand-ins at the profile's scale.
@@ -271,6 +277,16 @@ mod tests {
         let n2 = wb.graph(Dataset::Rmat(6)).0.num_vertices();
         assert_eq!(n1, n2);
         assert_eq!(wb.graphs.len(), 1);
+    }
+
+    #[test]
+    fn a_temp_workbench_removes_its_directory() {
+        let mut wb = Workbench::temp(Profile::Quick);
+        let input = wb.graph(Dataset::Rmat(6)).1.base().to_path_buf();
+        let dir = wb.data_dir.clone();
+        assert!(input.starts_with(&dir) && dir.exists());
+        drop(wb);
+        assert!(!dir.exists(), "{} outlived its workbench", dir.display());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use pdtl_core::balance::{plan_ranges, BalanceStrategy};
 use pdtl_core::mgt::MgtOptions;
 use pdtl_core::orient::{orient_to_disk_with, OrientedGraph};
 use pdtl_core::MAX_CORES;
-use pdtl_graph::{DiskGraph, GraphError, Manifest};
+use pdtl_graph::{DiskGraph, Manifest};
 use pdtl_io::diskfault::DiskFaultSpec;
 use pdtl_io::{IoStats, MemoryBudget};
 
@@ -466,18 +466,11 @@ impl ClusterRunner {
 }
 
 /// Full-digest a freshly landed replica against the manifest it
-/// shipped with. The master orients its own base, and orientation
-/// always writes a manifest, so a replica without one is a failed copy
-/// — as is any digest or length mismatch — and the retry re-copies it.
+/// shipped with. A replica without one (refused by
+/// [`Manifest::load`]) is a failed copy — as is any digest or length
+/// mismatch — and the retry re-copies it.
 fn verify_replica(base: &Path) -> Result<()> {
-    let Some(m) = Manifest::load(base)? else {
-        return Err(GraphError::Corrupt {
-            path: Manifest::path_for(base),
-            detail: "replica landed without its manifest".into(),
-        }
-        .into());
-    };
-    m.verify_full(base)?;
+    Manifest::load(base)?.verify_full(base)?;
     Ok(())
 }
 
@@ -711,7 +704,9 @@ mod tests {
         verify_replica(&replica).unwrap();
         std::fs::remove_file(Manifest::path_for(&replica)).unwrap();
         let err = verify_replica(&replica).unwrap_err().to_string();
-        assert!(err.contains("without its manifest"), "{err}");
+        let mft = Manifest::path_for(&replica);
+        assert!(err.contains(&*mft.to_string_lossy()), "{err}");
+        assert!(err.contains("never committed"), "{err}");
     }
 
     #[test]

@@ -674,14 +674,16 @@ fn execute(shared: &Shared, job: &Job) -> std::result::Result<Reply, String> {
 
     // Worst-case resident cost in edges: each MGT worker holds up to a
     // budget's worth of chunk; k-truss and DOULION also materialise the
-    // graph (|E*| oriented edges / triples), and clustering lends the
-    // join one `VertexCountSink` per worker (n u64 counters: 2n edge
-    // units), whose merge sums them and moves the sum to id order in
-    // place, holding no further n-vector.
+    // graph (|E*| oriented edges / triples), clustering lends the join
+    // one `VertexCountSink` per worker (n u64 counters: 2n edge units),
+    // whose merge sums them and moves the sum to id order in place,
+    // holding no further n-vector, and a list preview's `LimitSink` per
+    // worker keeps up to `limit` triples (12 bytes: 3 edge units each).
     let resident = match job.op {
         QueryOperation::KTruss { .. } | QueryOperation::Doulion { .. } => entry.m_star,
         QueryOperation::Clustering => cores as u64 * 2 * u64::from(entry.vertices),
-        QueryOperation::Count | QueryOperation::List { .. } => 0,
+        QueryOperation::List { limit } => cores as u64 * 3 * u64::from(limit),
+        QueryOperation::Count => 0,
     };
     // The budget is a `u64` straight off the socket: a product that
     // wraps must be refused like any other cost the ledger cannot hold,

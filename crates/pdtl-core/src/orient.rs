@@ -82,7 +82,7 @@ use std::time::Instant;
 use pdtl_graph::disk::{begin_write, offsets_from_degrees, suffixed, write_graph_header};
 use pdtl_graph::manifest::Manifest;
 use pdtl_graph::rank::{read_ids, RankMap};
-use pdtl_graph::{DiskGraph, Graph};
+use pdtl_graph::{DiskGraph, Graph, GraphError};
 use pdtl_io::{
     Codec, CpuIoTimer, IoStats, U32Reader, U32Source, U32Writer, VarintAdjWriter, VarintIndex,
 };
@@ -882,7 +882,14 @@ fn count_pass(input: &DiskGraph, threads: usize, stats: &Arc<IoStats>) -> Result
             nbuf.clear();
             reader.read_into(&mut nbuf, degrees[u as usize] as usize)?;
             let ru = ranks[u as usize];
-            *kept = nbuf.iter().filter(|&&v| ranks[v as usize] > ru).count() as u32;
+            // Pass 2 reads these ids again only after this check: an id
+            // past `n` is the typed error the importer raises.
+            *kept = nbuf
+                .iter()
+                .try_fold(0u32, |k, &v| match ranks.get(v as usize) {
+                    Some(&rv) => Ok(k + u32::from(rv > ru)),
+                    None => Err(GraphError::VertexOutOfRange { vertex: v, n }),
+                })?;
         }
         Ok(())
     };
@@ -1352,19 +1359,20 @@ mod tests {
 
     #[test]
     fn a_map_that_is_not_a_permutation_is_refused_at_open() {
-        // Without the manifest (which would name the changed digest
-        // first), the rank → id read itself must refuse a `.map` that
-        // repeats a vertex, with the typed malformed-file error.
+        // Under a manifest re-captured over the bad bytes (the original
+        // would name the changed digest first), the rank → id read
+        // itself must refuse a `.map` that repeats a vertex, with the
+        // typed malformed-file error.
         let g = rmat(6, 29).unwrap();
         let stats = IoStats::new();
         let dg = DiskGraph::write(&g, tmpbase("badmap-in"), &stats).unwrap();
         let base = tmpbase("badmap-or");
         let (og, _) = orient_to_disk(&dg, &base, 2, &stats).unwrap();
-        std::fs::remove_file(og.disk.mft_path()).unwrap();
         let mut ids = og.ids.clone();
         ids[1] = ids[0];
         let bytes: Vec<u8> = ids.iter().flat_map(|v| v.to_le_bytes()).collect();
         std::fs::write(OrientedGraph::map_path(&base), bytes).unwrap();
+        Manifest::capture_and_store(&base).unwrap();
         match OrientedGraph::open(&base, &stats).unwrap_err() {
             crate::CoreError::Graph(pdtl_graph::GraphError::Io(pdtl_io::IoError::Malformed {
                 path,
@@ -1440,16 +1448,17 @@ mod tests {
     fn a_base_oriented_with_bounds_is_refused_by_name() {
         // The sketch file has the size the per-list bounds file had: a
         // base that carries only `.bnd` must fail at open, naming the
-        // `.skt` it lacks, whether or not its manifest survived.
+        // `.skt` it lacks, whether its manifest still lists `.skt` or
+        // was re-captured over the files as they are.
         let g = rmat(6, 27).unwrap();
         let stats = IoStats::new();
         let dg = DiskGraph::write(&g, tmpbase("stale-in"), &stats).unwrap();
         for keep_manifest in [true, false] {
             let base = tmpbase(&format!("stale-or-{keep_manifest}"));
-            let (og, _) = orient_to_disk(&dg, &base, 2, &stats).unwrap();
+            orient_to_disk(&dg, &base, 2, &stats).unwrap();
             std::fs::rename(OrientedGraph::skt_path(&base), suffixed(&base, ".bnd")).unwrap();
             if !keep_manifest {
-                std::fs::remove_file(og.disk.mft_path()).unwrap();
+                Manifest::capture_and_store(&base).unwrap();
             }
             let err = OrientedGraph::open(&base, &stats).unwrap_err();
             let path = match &err {

@@ -264,7 +264,7 @@ impl LocalRunner {
         // spending any compute on it: the quick tier inside
         // `DiskGraph::open` cannot see a bit flip deep in a large
         // `.adj`, and the invariant is that corruption is *detected*,
-        // never counted. Pre-integrity inputs (no manifest) skip this.
+        // never counted.
         input.verify_full()?;
         let wall_start = Instant::now();
         let master_stats = IoStats::new();
@@ -591,6 +591,7 @@ mod tests {
     use pdtl_graph::gen::classic::{complete, wheel};
     use pdtl_graph::gen::rmat::rmat;
     use pdtl_graph::verify::triangle_count;
+    use pdtl_graph::{GraphError, Manifest};
     use pdtl_io::Codec;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -1048,6 +1049,36 @@ mod tests {
             let [mem, disk] = both(None).map(|run| run.unwrap().0);
             assert_eq!(mem.triangles, triangle_count(&g), "{cores} cores");
             assert_eq!(shape(&mem), shape(&disk), "{cores} cores");
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_id_is_a_typed_error_in_memory_and_on_disk() {
+        // An `.adj` word past `n` under a manifest captured over it gets
+        // through every integrity check; orientation must refuse it by
+        // name, not index out of bounds, whichever store the budget picks.
+        let dir = tmpdir("out-of-range");
+        let input = DiskGraph::write(&rmat(8, 3).unwrap(), dir.join("g"), &IoStats::new()).unwrap();
+        let n = input.num_vertices();
+        let mut bytes = std::fs::read(input.adj_path()).unwrap();
+        let at = bytes.len() / 8 * 4;
+        bytes[at..at + 4].copy_from_slice(&(n + 5).to_le_bytes());
+        std::fs::write(input.adj_path(), bytes).unwrap();
+        Manifest::capture_and_store(input.base()).unwrap();
+        let input = DiskGraph::open(input.base(), &IoStats::new()).unwrap();
+        for (edges, store) in [(1 << 20, Store::Resident), (64, Store::Disk)] {
+            let runner = LocalRunner::new(LocalConfig {
+                budget: MemoryBudget::edges(edges),
+                ..Default::default()
+            })
+            .unwrap();
+            assert_eq!(runner.store_for(&input), store);
+            match runner.run(&input, &dir.join(format!("w-{edges}"))) {
+                Err(CoreError::Graph(GraphError::VertexOutOfRange { vertex, n: got })) => {
+                    assert_eq!((vertex, got), (n + 5, n), "{store:?}")
+                }
+                other => panic!("{store:?}: {other:?}"),
+            }
         }
     }
 

@@ -26,22 +26,22 @@
 //!   ([`VarintIndex`]'s sidecar) that make `seek_to`/`skip` work in
 //!   decoded index space.
 //!
-//! A graph without a header is a legacy raw pair; raw writes leave the
-//! PR 2 `.deg`/`.adj` bytes identical. [`adj_len`] always reports the
-//! decoded length, and [`file_set`] is the single enumeration of which
-//! files a base carries (replication, cleanup and tests all go through
-//! it).
+//! A graph whose manifest lists no header is a raw pair; raw writes
+//! leave the PR 2 `.deg`/`.adj` bytes identical. [`adj_len`] always
+//! reports the decoded length.
 //!
 //! Every write additionally commits a `base.mft` integrity manifest
 //! ([`Manifest`]): lengths + CRC32C digests
 //! of the data files, written crash-safely after they are durable.
-//! `open` runs the quick verification tier against it (lengths +
-//! small-file digests); [`verify_full`] digests everything. A base
-//! without a manifest (written pre-integrity) still opens — the
-//! manifest is advisory-absent.
+//! `open` refuses a base without one (its write never committed), runs
+//! the quick verification tier against it (lengths + small-file
+//! digests) and keeps it: the manifest is the one list of the base's
+//! files, so [`file_set`] (replication, cleanup), [`size_bytes`] and
+//! [`verify_full`] (which digests everything) all read it.
 //!
 //! [`adj_len`]: DiskGraph::adj_len
 //! [`file_set`]: DiskGraph::file_set
+//! [`size_bytes`]: DiskGraph::size_bytes
 //! [`verify_full`]: DiskGraph::verify_full
 
 use std::path::{Path, PathBuf};
@@ -54,7 +54,7 @@ use pdtl_io::{
 };
 
 use crate::csr::Graph;
-use crate::error::Result;
+use crate::error::{GraphError, Result};
 use crate::manifest::{Manifest, VerifyReport, MFT_EXT};
 
 /// Magic word opening a `.hdr` sidecar (`"PDTL"` in LE bytes).
@@ -72,8 +72,9 @@ pub struct DiskGraph {
     /// Decoded adjacency length in `u32`s (codec-independent).
     adj_len: u64,
     codec: Codec,
-    /// On-disk bytes of the core file set (`.deg`/`.adj` + sidecars).
-    disk_bytes: u64,
+    /// The manifest verified at open: the base's files, their lengths
+    /// and digests.
+    manifest: Manifest,
 }
 
 impl DiskGraph {
@@ -124,45 +125,44 @@ impl DiskGraph {
 
     /// Open an existing graph at `base`, validating sizes.
     ///
-    /// When an integrity manifest is present, its quick verification
-    /// tier runs first (every recorded length plus full digests of
-    /// small files), turning truncations and sidecar corruption into
-    /// typed [`Corrupt`](crate::GraphError::Corrupt) /
-    /// [`Truncated`](crate::GraphError::Truncated) errors at open time.
-    /// The codec is then taken from the `.hdr` sidecar (read through an
-    /// accounted reader, so open-time I/O shows up in [`IoStats`]); a
-    /// base without a header is a legacy raw pair.
+    /// The integrity manifest is loaded first — a base without one is a
+    /// write that never committed, refused with a typed error naming
+    /// its `.mft` — and its quick verification tier runs (every
+    /// recorded length plus full digests of small files), turning
+    /// truncations and sidecar corruption into typed
+    /// [`Corrupt`](GraphError::Corrupt) /
+    /// [`Truncated`](GraphError::Truncated) errors at open time. The
+    /// codec is then taken from the `.hdr` sidecar when the manifest
+    /// lists one (read through an accounted reader, so open-time I/O
+    /// shows up in [`IoStats`]); without, the base is a raw pair.
     pub fn open(base: impl AsRef<Path>, stats: &Arc<IoStats>) -> Result<Self> {
         let base = base.as_ref().to_path_buf();
-        if let Some(manifest) = Manifest::load(&base)? {
-            manifest.verify_quick(&base)?;
-        }
-        let deg = deg_path(&base);
-        let adj = adj_path(&base);
-        let deg_meta = std::fs::metadata(&deg).map_err(|e| IoError::os("stat", &deg, e))?;
-        let adj_meta = std::fs::metadata(&adj).map_err(|e| IoError::os("stat", &adj, e))?;
-        if deg_meta.len() % BYTES_PER_U32 != 0 {
-            return Err(IoError::malformed(&deg, "degree file not u32-aligned").into());
-        }
-        if adj_meta.len() % BYTES_PER_U32 != 0 {
-            return Err(IoError::malformed(&adj, "adjacency file not u32-aligned").into());
-        }
-        let (codec, adj_len) = match read_graph_header(&base, stats)? {
-            Some((codec, adj_len)) => (codec, adj_len),
-            None => (Codec::Raw, adj_meta.len() / BYTES_PER_U32),
+        let manifest = Manifest::load(&base)?;
+        manifest.verify_quick(&base)?;
+        let len = |ext: &str| {
+            manifest.len_of(ext).ok_or_else(|| GraphError::Corrupt {
+                path: Manifest::path_for(&base),
+                detail: format!("lists no {ext} file"),
+            })
         };
-        let mut disk_bytes = deg_meta.len() + adj_meta.len();
-        for ext in [".hdr", ".vix"] {
-            if let Ok(m) = std::fs::metadata(suffixed(&base, ext)) {
-                disk_bytes += m.len();
-            }
+        let (deg_bytes, adj_bytes) = (len(".deg")?, len(".adj")?);
+        if deg_bytes % BYTES_PER_U32 != 0 {
+            return Err(IoError::malformed(deg_path(&base), "degree file not u32-aligned").into());
         }
+        if adj_bytes % BYTES_PER_U32 != 0 {
+            let adj = adj_path(&base);
+            return Err(IoError::malformed(adj, "adjacency file not u32-aligned").into());
+        }
+        let (codec, adj_len) = match manifest.len_of(".hdr") {
+            Some(_) => read_graph_header(&base, stats)?,
+            None => (Codec::Raw, adj_bytes / BYTES_PER_U32),
+        };
         Ok(Self {
             base,
-            n: (deg_meta.len() / BYTES_PER_U32) as u32,
+            n: (deg_bytes / BYTES_PER_U32) as u32,
             adj_len,
             codec,
-            disk_bytes,
+            manifest,
         })
     }
 
@@ -208,39 +208,34 @@ impl DiskGraph {
         suffixed(&self.base, ".vix")
     }
 
-    /// Path of the integrity manifest sidecar (absent on pre-integrity
-    /// graphs).
+    /// Path of the integrity manifest sidecar.
     pub fn mft_path(&self) -> PathBuf {
         suffixed(&self.base, MFT_EXT)
     }
 
-    /// Every file extension a graph base may carry: the core pair, the
-    /// compressed-format sidecars, the orientation sidecars (rank map
-    /// and scan sketch) that `OrientedGraph` adds, and the integrity
-    /// manifest — which sorts last so replication copies it after the
-    /// data it covers.
-    pub const ALL_EXTS: [&'static str; 7] =
-        [".deg", ".adj", ".hdr", ".vix", ".map", ".skt", MFT_EXT];
-
-    /// The files that actually exist for this base, in [`ALL_EXTS`]
-    /// order — the single enumeration replication, cleanup and tests
-    /// use, so a new sidecar extension cannot silently be left behind.
-    ///
-    /// [`ALL_EXTS`]: Self::ALL_EXTS
+    /// The files of this base: every file its manifest covers (the core
+    /// pair, the compressed-format sidecars, the orientation sidecars
+    /// `OrientedGraph` adds), then the manifest itself — last, so
+    /// replication copies it after the data it covers. The single
+    /// enumeration replication, cleanup and tests use.
     pub fn file_set(&self) -> Vec<PathBuf> {
-        Self::ALL_EXTS
-            .iter()
-            .map(|ext| suffixed(&self.base, ext))
-            .filter(|p| p.exists())
-            .collect()
+        self.exts().map(|ext| suffixed(&self.base, ext)).collect()
+    }
+
+    /// The extensions of [`file_set`](Self::file_set), in its order.
+    fn exts(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.manifest.entries.iter().map(|e| e.ext).chain([MFT_EXT])
     }
 
     /// On-disk bytes of the core file set (`.deg`/`.adj` plus the
-    /// compressed-format sidecars) — for a raw graph exactly
-    /// `(n + adj_len) * 4`, for a compressed one what the device
-    /// actually stores.
+    /// compressed-format sidecars), as the manifest records them — for
+    /// a raw graph exactly `(n + adj_len) * 4`, for a compressed one
+    /// what the device actually stores.
     pub fn size_bytes(&self) -> u64 {
-        self.disk_bytes
+        let core = [".deg", ".adj", ".hdr", ".vix"];
+        core.iter()
+            .filter_map(|ext| self.manifest.len_of(ext))
+            .sum()
     }
 
     /// Read the whole degree file.
@@ -330,15 +325,11 @@ impl DiskGraph {
             }
         }
         let mut total = 0u64;
-        // ALL_EXTS order puts the manifest last, so a replica that
-        // loses the copy mid-way has no manifest rather than a
-        // manifest covering files that never arrived.
-        for ext in Self::ALL_EXTS {
-            let src = suffixed(&self.base, ext);
-            if !src.exists() {
-                continue;
-            }
-            let dst = suffixed(&new_base, ext);
+        // `file_set` puts the manifest last, so a replica that loses the
+        // copy mid-way has no manifest rather than a manifest covering
+        // files that never arrived.
+        for ext in self.exts() {
+            let (src, dst) = (suffixed(&self.base, ext), suffixed(&new_base, ext));
             let start = Instant::now();
             let bytes = std::fs::copy(&src, &dst).map_err(|e| IoError::os("copy", &src, e))?;
             let elapsed = start.elapsed();
@@ -356,19 +347,15 @@ impl DiskGraph {
     }
 
     /// Full-tier integrity verification: digest every file the
-    /// manifest covers. `Ok(None)` when the base carries no manifest
-    /// (pre-integrity graph — nothing to verify against); a typed
-    /// [`Corrupt`](crate::GraphError::Corrupt) /
-    /// [`Truncated`](crate::GraphError::Truncated) error on any
-    /// mismatch. This is the tier behind `pdtl verify`, the runners'
-    /// input checks and post-copy replica verification — unlike the
-    /// quick tier in [`open`](Self::open) it catches bit flips deep
-    /// inside large adjacency files.
+    /// manifest verified at [`open`](Self::open) covers. Always `Some`
+    /// (every open base has a manifest; the `Option` stays for callers
+    /// that read it); a typed [`Corrupt`](GraphError::Corrupt) /
+    /// [`Truncated`](GraphError::Truncated) error on any mismatch. This
+    /// is the tier behind `pdtl verify` and the runners' input checks —
+    /// unlike the quick tier in `open` it catches bit flips deep inside
+    /// large adjacency files.
     pub fn verify_full(&self) -> Result<Option<VerifyReport>> {
-        match Manifest::load(&self.base)? {
-            Some(m) => Ok(Some(m.verify_full(&self.base)?)),
-            None => Ok(None),
-        }
+        Ok(Some(self.manifest.verify_full(&self.base)?))
     }
 
     /// Delete every file in the [`file_set`](Self::file_set) (cleanup
@@ -434,12 +421,8 @@ pub fn write_graph_header(
 }
 
 /// Read the `.hdr` sidecar for `base` through an accounted reader.
-/// `None` if the base carries no header (a legacy raw graph).
-fn read_graph_header(base: &Path, stats: &Arc<IoStats>) -> Result<Option<(Codec, u64)>> {
+fn read_graph_header(base: &Path, stats: &Arc<IoStats>) -> Result<(Codec, u64)> {
     let hdr = suffixed(base, ".hdr");
-    if !hdr.exists() {
-        return Ok(None);
-    }
     let mut r = U32Reader::open(&hdr, stats.clone())?;
     let words = r.read_all()?;
     if words.len() != HDR_WORDS || words[0] != HDR_MAGIC {
@@ -453,7 +436,7 @@ fn read_graph_header(base: &Path, stats: &Arc<IoStats>) -> Result<Option<(Codec,
     let codec = Codec::from_discriminant(words[2] as u8)
         .ok_or_else(|| IoError::malformed(&hdr, format!("unknown codec {}", words[2])))?;
     let adj_len = u64::from(words[3]) | (u64::from(words[4]) << 32);
-    Ok(Some((codec, adj_len)))
+    Ok((codec, adj_len))
 }
 
 /// Streaming import: build a `DiskGraph` from a file of *sorted* packed
@@ -475,7 +458,6 @@ pub fn from_sorted_packed_edges(
     let mut current = 0u32;
     let mut deg = 0u32;
     let mut prev: Option<u64> = None;
-    let mut adj_len = 0u64;
     for &rec in &records {
         if prev == Some(rec) {
             continue; // merged duplicate
@@ -498,7 +480,6 @@ pub fn from_sorted_packed_edges(
         }
         adjw.write(v)?;
         deg += 1;
-        adj_len += 1;
     }
     while current < n {
         degw.write(deg)?;
@@ -508,13 +489,7 @@ pub fn from_sorted_packed_edges(
     degw.finish()?;
     adjw.finish()?;
     Manifest::capture_and_store(&base)?;
-    Ok(DiskGraph {
-        base,
-        n,
-        adj_len,
-        codec: Codec::Raw,
-        disk_bytes: (n as u64 + adj_len) * BYTES_PER_U32,
-    })
+    DiskGraph::open(&base, stats)
 }
 
 /// Prefix-sum degrees into CSR offsets (`n + 1` entries).
@@ -614,6 +589,15 @@ mod tests {
     fn open_missing_fails_with_path() {
         let err = DiskGraph::open(tmpbase("nope"), &IoStats::new()).unwrap_err();
         assert!(err.to_string().contains("nope"));
+        // A manifest captured without the degree file names what it
+        // lacks: the lengths `open` takes come from the manifest.
+        let stats = IoStats::new();
+        let base = tmpbase("nodeg");
+        let dg = DiskGraph::write(&sample(), &base, &stats).unwrap();
+        std::fs::remove_file(dg.deg_path()).unwrap();
+        Manifest::capture_and_store(&base).unwrap();
+        let err = DiskGraph::open(&base, &stats).unwrap_err().to_string();
+        assert!(err.contains("lists no .deg"), "{err}");
     }
 
     #[test]
@@ -627,11 +611,12 @@ mod tests {
         std::fs::write(dg.adj_path(), [0u8; 4]).unwrap();
         let err = DiskGraph::open(&base, &stats).unwrap_err();
         assert!(matches!(err, crate::GraphError::Truncated { .. }), "{err}");
-        // Without a manifest (pre-integrity base) the structural
-        // degree-sum check still catches it at load time.
-        std::fs::remove_file(dg.mft_path()).unwrap();
+        // Under a manifest re-captured over the short file the
+        // structural degree-sum check still catches it at load time.
+        Manifest::capture_and_store(&base).unwrap();
         let dg = DiskGraph::open(&base, &stats).unwrap();
-        assert!(dg.load_parts(&stats).is_err());
+        let err = dg.load_parts(&stats).unwrap_err();
+        assert!(err.to_string().contains("degree sum"), "{err}");
     }
 
     #[test]
@@ -689,7 +674,7 @@ mod tests {
         assert!(!dg.hdr_path().exists());
         assert!(!dg.vix_path().exists());
         // The data pair stays byte-identical to the PR 2 format; the
-        // only addition is the advisory integrity manifest.
+        // only addition is the integrity manifest.
         assert_eq!(
             dg.file_set(),
             vec![dg.deg_path(), dg.adj_path(), dg.mft_path()]
@@ -777,7 +762,8 @@ mod tests {
         assert_eq!(dup.codec(), Codec::DeltaVarint);
         assert_eq!(dup.load_csr(&stats).unwrap(), g);
         dup.remove().unwrap();
-        assert!(dup.file_set().is_empty(), "remove clears every sidecar");
+        let left: Vec<_> = dup.file_set().into_iter().filter(|p| p.exists()).collect();
+        assert!(left.is_empty(), "remove clears every sidecar: {left:?}");
     }
 
     #[test]
@@ -791,9 +777,9 @@ mod tests {
         // quick integrity tier at open.
         let err = DiskGraph::open(&base, &stats).unwrap_err();
         assert!(matches!(err, crate::GraphError::Truncated { .. }), "{err}");
-        // Without the manifest the structural header parse still
-        // rejects it with a typed error.
-        std::fs::remove_file(dg.mft_path()).unwrap();
+        // Under a manifest re-captured over the garbage the structural
+        // header parse still rejects it with a typed error.
+        Manifest::capture_and_store(&base).unwrap();
         let err = DiskGraph::open(&base, &stats).unwrap_err();
         assert!(err.to_string().contains("header"), "{err}");
     }
@@ -816,18 +802,20 @@ mod tests {
     }
 
     #[test]
-    fn pre_integrity_graph_without_manifest_still_opens() {
+    fn a_base_without_its_manifest_is_refused() {
+        // A write that never committed its manifest opens as nothing:
+        // a typed error naming the missing `.mft`.
         let stats = IoStats::new();
-        let g = sample();
-        let base = tmpbase("legacy");
-        let dg = DiskGraph::write(&g, &base, &stats).unwrap();
+        let base = tmpbase("uncommitted");
+        let dg = DiskGraph::write(&sample(), &base, &stats).unwrap();
         std::fs::remove_file(dg.mft_path()).unwrap();
-        let dg = DiskGraph::open(&base, &stats).unwrap();
-        assert_eq!(dg.load_csr(&stats).unwrap(), g);
-        assert!(
-            dg.verify_full().unwrap().is_none(),
-            "nothing to verify against"
-        );
+        match DiskGraph::open(&base, &stats).unwrap_err() {
+            crate::GraphError::Corrupt { path, detail } => {
+                assert_eq!(path, dg.mft_path());
+                assert!(detail.contains("never committed"), "{detail}");
+            }
+            other => panic!("expected Corrupt naming the .mft, got {other}"),
+        }
     }
 
     #[test]
@@ -850,11 +838,5 @@ mod tests {
         let dg = DiskGraph::open(&base, &stats).unwrap();
         let err = dg.verify_full().unwrap_err();
         assert!(matches!(err, crate::GraphError::Corrupt { .. }), "{err}");
-    }
-
-    #[test]
-    fn all_exts_agrees_with_manifest_data_exts() {
-        assert_eq!(DiskGraph::ALL_EXTS[..6], crate::manifest::DATA_EXTS);
-        assert_eq!(DiskGraph::ALL_EXTS[6], MFT_EXT);
     }
 }

@@ -24,9 +24,13 @@
 //!   sequential digest pass over every file. Catches single-bit flips
 //!   anywhere, including deep inside a multi-gigabyte `.adj`.
 //!
-//! The manifest is *advisory-absent*: a base without a `.mft` (any
-//! graph written before the integrity layer existed) opens and counts
-//! exactly as before. All manifest I/O goes through plain `std::fs` —
+//! The manifest is mandatory: a base without a `.mft` is one whose
+//! write never committed (a crash before the rename), and
+//! [`Manifest::load`] refuses it with a typed error naming the missing
+//! `.mft`, so no reader ever counts unverified bytes. The manifest is
+//! also the one list of a base's files: `DiskGraph` keeps the one it
+//! verified at open and enumerates, sizes, copies and removes the base
+//! from it. All manifest I/O goes through plain `std::fs` —
 //! integrity scans are metadata traffic and deliberately invisible to
 //! the accounted I/O layer, so the counted `bytes_read` keeps
 //! measuring the algorithm, not the safety net.
@@ -56,8 +60,7 @@ const MFT_VERSION: u32 = 1;
 pub const MFT_EXT: &str = ".mft";
 
 /// The data files a manifest may cover, in extension-code order. The
-/// manifest never lists itself; `DiskGraph::ALL_EXTS` is this list
-/// plus [`MFT_EXT`].
+/// manifest never lists itself.
 pub const DATA_EXTS: [&str; 6] = [".deg", ".adj", ".hdr", ".vix", ".map", ".skt"];
 
 /// Files at most this many bytes are fully digested by the quick
@@ -136,20 +139,22 @@ impl Manifest {
         Ok(m)
     }
 
-    /// Load the manifest for `base`. `Ok(None)` when the sidecar does
-    /// not exist (a pre-integrity graph — advisory-absent); a typed
-    /// [`GraphError::Corrupt`] when it exists but fails its own
-    /// structural checks or trailing self-checksum.
-    pub fn load(base: &Path) -> Result<Option<Manifest>> {
+    /// Load the manifest for `base`: a typed [`GraphError::Corrupt`]
+    /// naming `base.mft` when the sidecar does not exist (the write
+    /// never committed) or fails its own structural checks or trailing
+    /// self-checksum.
+    pub fn load(base: &Path) -> Result<Manifest> {
         let p = Self::path_for(base);
-        let bytes = match std::fs::read(&p) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(IoError::os("read", &p, e).into()),
-        };
         let corrupt = |detail: &str| GraphError::Corrupt {
             path: p.clone(),
             detail: detail.to_string(),
+        };
+        let bytes = match std::fs::read(&p) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(corrupt("missing: the write never committed"))
+            }
+            Err(e) => return Err(IoError::os("read", &p, e).into()),
         };
         if bytes.len() < 16 || bytes.len() % 4 != 0 {
             return Err(corrupt("manifest too short or misaligned"));
@@ -184,7 +189,13 @@ impl Manifest {
                 crc: chunk[1],
             });
         }
-        Ok(Some(Manifest { entries }))
+        Ok(Manifest { entries })
+    }
+
+    /// The recorded byte length of the file with extension `ext`, or
+    /// `None` when the manifest does not list it.
+    pub(crate) fn len_of(&self, ext: &str) -> Option<u64> {
+        self.entries.iter().find(|e| e.ext == ext).map(|e| e.len)
     }
 
     /// Quick tier: verify every recorded length and fully digest files
@@ -299,7 +310,7 @@ mod tests {
         assert_eq!(m.entries.len(), 3);
         assert_eq!(m.entries[0].ext, ".deg");
         assert_eq!(m.entries[1].len, 8000);
-        let loaded = Manifest::load(&base).unwrap().expect("manifest present");
+        let loaded = Manifest::load(&base).unwrap();
         assert_eq!(loaded, m);
         assert!(
             !suffixed(&base, ".mft-tmp").exists(),
@@ -308,8 +319,16 @@ mod tests {
     }
 
     #[test]
-    fn absent_manifest_is_none() {
-        assert!(Manifest::load(&tmpbase("absent")).unwrap().is_none());
+    fn absent_manifest_is_refused_by_name() {
+        // No `.mft` means the write never committed: refused by name.
+        let base = tmpbase("absent");
+        match Manifest::load(&base).unwrap_err() {
+            GraphError::Corrupt { path, detail } => {
+                assert_eq!(path, Manifest::path_for(&base));
+                assert!(detail.contains("never committed"), "{detail}");
+            }
+            other => panic!("expected Corrupt naming the .mft, got {other}"),
+        }
     }
 
     #[test]

@@ -4,10 +4,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default block size `B` used for block accounting (64 KiB, a typical SSD
-/// request size; the paper's analysis is parametric in `B`).
-pub const DEFAULT_BLOCK_SIZE: u64 = 64 * 1024;
-
 /// Thread-safe I/O counters.
 ///
 /// One `IoStats` is shared (via `Arc`) by every reader/writer belonging to

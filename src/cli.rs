@@ -35,8 +35,9 @@
 //!   that default budget; prints where `G*` was kept, as `count` does;
 //! * `verify <base>` — full integrity verification: open the graph
 //!   (structural + quick manifest checks) and digest every file
-//!   against the `.mft` manifest. Graphs written before the integrity
-//!   layer (no manifest) pass with a note;
+//!   against the `.mft` manifest. A base without its `.mft` (a write
+//!   that never committed) is refused, naming the file, as by every
+//!   other command;
 //! * `serve <dir> [--addr host:port] [--workers n] [--cores p]
 //!   [--memory edges]` — resident daemon: verify + orient every graph
 //!   under `<dir>` once, then answer concurrent queries until a client
@@ -716,23 +717,14 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String> {
             .map_err(|e| fail(&e))
         }
         Command::Verify { base } => {
-            // `open` runs the structural checks plus the quick manifest
-            // tier; `verify_full` then digests every covered file.
+            // `open` refuses a base without its manifest and runs the
+            // structural checks plus the quick manifest tier;
+            // `verify_full` then digests every covered file.
             let dg = DiskGraph::open(&base, &stats).map_err(|e| fail(&e))?;
-            match dg.verify_full().map_err(|e| fail(&e))? {
-                Some(report) => writeln!(
-                    out,
-                    "ok: {} files verified, {} bytes digested",
-                    report.files, report.bytes
-                )
-                .map_err(|e| fail(&e)),
-                None => writeln!(
-                    out,
-                    "ok (structural checks only): no manifest — graph predates \
-                     the integrity layer; rewrite it to gain digests"
-                )
-                .map_err(|e| fail(&e)),
-            }
+            let verified = dg.verify_full().map_err(|e| fail(&e))?;
+            let (files, bytes) = verified.map_or((0, 0), |r| (r.files, r.bytes));
+            writeln!(out, "ok: {files} files verified, {bytes} bytes digested")
+                .map_err(|e| fail(&e))
         }
         Command::Serve {
             dir,
@@ -1277,12 +1269,11 @@ mod tests {
         bytes[mid] ^= 0x04;
         std::fs::write(dg.adj_path(), &bytes).unwrap();
 
-        // A pre-integrity graph (no manifest) passes with a note.
+        // A base without its manifest never committed: refused, naming
+        // the `.mft`.
         std::fs::remove_file(dg.mft_path()).unwrap();
-        out.clear();
-        run(Command::Verify { base }, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("no manifest"), "{text}");
+        let err = run(Command::Verify { base }, &mut out).unwrap_err();
+        assert!(err.contains(&*dg.mft_path().to_string_lossy()), "{err}");
     }
 
     /// `Write` target shareable with the thread running the blocking

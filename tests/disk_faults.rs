@@ -181,26 +181,23 @@ fn same_length_garbage_sidecars_are_rejected_at_open() {
     }
 }
 
-/// Pre-integrity graphs (written before the manifest existed) carry no
-/// `.mft`; they must still open, count exactly, and report "no
-/// manifest" rather than failing.
+/// A base without its `.mft` is a write that never committed (a crash
+/// before the manifest's rename): counting it is a typed refusal naming
+/// the missing file, at either budget and under either codec — never a
+/// count over bytes nothing verifies.
 #[test]
-fn pre_integrity_graphs_still_open_and_count() {
+fn bases_without_a_manifest_are_refused() {
     let g = graph();
-    let expected = triangle_count(&g);
     for codec in Codec::ALL {
-        let dir = tmpdir(&format!("legacy-{codec:?}"));
-        let stats = IoStats::new();
-        let dg = DiskGraph::write(&g, dir.join("g"), &stats).unwrap();
+        let dir = tmpdir(&format!("uncommitted-{codec:?}"));
+        let dg = DiskGraph::write(&g, dir.join("g"), &IoStats::new()).unwrap();
         std::fs::remove_file(dg.mft_path()).unwrap();
-        let reopened = DiskGraph::open(dir.join("g"), &stats).unwrap();
-        assert!(reopened.verify_full().unwrap().is_none(), "no manifest");
+        let mft = dg.mft_path().to_string_lossy().into_owned();
         for budget in BUDGETS {
-            let report = local(codec, budget).run(&reopened, &dir.join("w")).unwrap();
-            assert_eq!(report.triangles, expected, "{codec:?} budget {budget}");
-            // The first budget holds `G*`, its twin does not.
-            let resident = report.oriented_base.is_none();
-            assert_eq!(resident, budget == BUDGETS[0], "{codec:?} budget {budget}");
+            let err = try_count(&dir.join("g"), &dir.join("w"), codec, budget).unwrap_err();
+            let tag = format!("{codec:?} budget {budget}");
+            assert!(err.contains(&mft), "{tag}: {err}");
+            assert!(err.contains("never committed"), "{tag}: {err}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -410,6 +410,39 @@ fn list_limit_replies_with_the_prefix_of_the_full_listing() {
 }
 
 #[test]
+fn a_list_preview_is_charged_to_the_ledger() {
+    // Each core's `LimitSink` keeps up to `limit` triples, 3 edge units
+    // each: a preview whose triples outgrow the ledger is refused with
+    // the typed admission error, one that fits is served.
+    let g = rmat(6, 5).unwrap();
+    let config = ServeConfig {
+        admission: MemoryBudget::edges(10_000),
+        ..Default::default()
+    };
+    let (dir, server) = boot("list-admission", &[("g", &g)], config);
+    let mut client = ServeClient::connect(&server.addr()).unwrap();
+    let options = QueryOptions {
+        cores: 2,
+        budget_edges: 1_000,
+        ..Default::default()
+    };
+    // 2 × 1 000 chunk + 2 × 3 × 1 000 triples = 8 000 of 10 000.
+    let list = |limit| QueryOperation::List { limit };
+    let reply = client.query("g", list(1_000), options).unwrap();
+    assert_eq!(reply.triangles, triangle_count(&g));
+    // 2 × 1 000 + 2 × 3 × 2 000 = 14 000: more than the ledger holds.
+    match client.query("g", list(2_000), options).unwrap_err() {
+        ClusterError::Query { detail, .. } => {
+            assert!(detail.starts_with("admission:"), "{detail}")
+        }
+        other => panic!("expected a typed admission refusal, got {other}"),
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.failed, stats.admitted_peak), (1, 8_000));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn zero_budget_query_is_refused_before_admission() {
     // Admitted at cost cores × 0 it would then run |E*| one-edge chunk
     // iterations while holding nothing in the ledger.
